@@ -57,7 +57,7 @@ use rand::SeedableRng;
 
 use crate::config::{FiralConfig, RelaxConfig};
 use crate::exact::RelaxTelemetry;
-use crate::hessian::{hutchinson_gradients, BlockJacobi, PoolHessian};
+use crate::hessian::{hutchinson_gradients_shared, probe_products_into, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
 use crate::round::{pad_spectrum, round_scores, EigSolver, WhitenedBlock};
 use crate::timing::PhaseTimer;
@@ -461,6 +461,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let bho = timer.time("precond", || ho.block_diagonal());
         let hp_local = PoolHessian::unweighted(&shard.local_x, &shard.local_h);
         let hp = AllreduceOperator::new(self.comm, &hp_local, None);
+        // X·V_wide of the iteration's probe panel (see Line 7).
+        let mut xv = Matrix::zeros(shard.local_n(), shard.nblocks() * config.probes);
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut telemetry = RelaxTelemetry {
@@ -515,8 +517,17 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             }
 
             // Line 7: W ← H_p W (plus H_p·V for the objective estimate).
+            // X·V_wide is formed once: H_p·V sweeps over it here and Line 9
+            // reads it again.
             let w2 = timer.time("matvec", || hp.apply_panel(&w1));
-            let hpv = timer.time("matvec", || hp.apply_panel(&v));
+            timer.time("matvec", || {
+                probe_products_into(&shard.local_x, &v, shard.nblocks(), &mut xv);
+            });
+            let hpv = timer.time("matvec", || {
+                let mut y = hp_local.apply_products(&xv);
+                T::allreduce(self.comm, y.as_mut_slice(), ReduceOp::Sum);
+                y
+            });
 
             // Line 8: W ← Σ_z⁻¹ W.
             let (w3, tel2) = timer.time("cg", || cg_solve_panel(&sigma, &prec, &w2, &cg_cfg));
@@ -524,7 +535,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
             // Line 9: local Hutchinson gradients (no communication).
             let g = timer.time("gradient", || {
-                hutchinson_gradients(&shard.local_x, &shard.local_h, &v, &w3)
+                hutchinson_gradients_shared(&shard.local_x, &shard.local_h, &xv, &w3)
             });
 
             // Lines 10–11: multiplicative update + simplex normalization,

@@ -9,10 +9,17 @@
 //! `ê = d(c-1)`. Stacked vectors `v ∈ R^ê` are the column-stacking `vec(V)`
 //! of `V ∈ R^{d×(c-1)}`, matching the paper's notation.
 
+use std::cell::RefCell;
+
+/// Rearrange an `ê × s` stacked panel into the `d × (c·s)` wide layout of
+/// the Eq. 13 GEMMs (wide column `k·s + j` is probe `j`'s block `k`).
+pub use firal_linalg::to_wide;
 use firal_linalg::{
-    gemm, gemm_at_b, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, Matrix, Scalar,
+    fisher_sweep, gemm_into, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, Matrix, Scalar,
+    SweepInput, SweepWorkspace,
 };
-use firal_solvers::{LinearOperator, Preconditioner};
+use firal_solvers::{LinearOperator, PanelScratch, Preconditioner};
+use rayon::prelude::*;
 
 /// `G(h) = diag(h) - hhᵀ` — the class-coupling factor of Eq. 2.
 pub fn gmat<T: Scalar>(h: &[T]) -> Matrix<T> {
@@ -114,8 +121,10 @@ pub fn bilinear_form<T: Scalar>(x: &[T], h: &[T], v: &[T], w: &[T]) -> T {
 ///
 /// With `z ≡ 1` this is `H_p` (or `H_o` over the labeled panel); with the
 /// mirror-descent weights it is `H_z`. The panel application vectorizes
-/// Lemma 2 across both points and probe columns into two tall-skinny GEMMs
-/// (Eq. 13) — the kernel the paper maps onto `cupy.einsum`.
+/// Lemma 2 across both points and probe columns (Eq. 13) and runs as one
+/// fused pass over the points — [`firal_linalg::fisher_sweep`] — whose
+/// scratch this operator keeps, so repeated applications (a CG solve)
+/// allocate on the first one only.
 pub struct PoolHessian<'a, T: Scalar> {
     /// Point panel (`n × d`).
     x: &'a Matrix<T>,
@@ -123,20 +132,29 @@ pub struct PoolHessian<'a, T: Scalar> {
     h: &'a Matrix<T>,
     /// Optional per-point weights (uniform 1 when `None`).
     z: Option<Vec<T>>,
+    /// Scratch of the fused sweep.
+    ws: RefCell<SweepWorkspace<T>>,
 }
 
 impl<'a, T: Scalar> PoolHessian<'a, T> {
     /// Unweighted sum (`H_p` over the pool, `H_o` over the labeled panel).
     pub fn unweighted(x: &'a Matrix<T>, h: &'a Matrix<T>) -> Self {
         assert_eq!(x.rows(), h.rows(), "points/probabilities mismatch");
-        Self { x, h, z: None }
+        Self {
+            x,
+            h,
+            z: None,
+            ws: RefCell::new(SweepWorkspace::new()),
+        }
     }
 
     /// Weighted sum `H_z` with mirror-descent weights.
     pub fn weighted(x: &'a Matrix<T>, h: &'a Matrix<T>, z: Vec<T>) -> Self {
-        assert_eq!(x.rows(), h.rows(), "points/probabilities mismatch");
         assert_eq!(z.len(), x.rows(), "weights length mismatch");
-        Self { x, h, z: Some(z) }
+        Self {
+            z: Some(z),
+            ..Self::unweighted(x, h)
+        }
     }
 
     /// Number of points in the panel.
@@ -159,53 +177,20 @@ impl<'a, T: Scalar> PoolHessian<'a, T> {
         self.x.cols()
     }
 
-    /// Apply to an `ê × s` stacked panel with the two-GEMM formulation.
-    /// `wide` layouts: incoming columns are reshaped `d×(c-1)` matrices.
-    fn apply_wide(&self, v: &Matrix<T>) -> Matrix<T> {
-        let d = self.point_dim();
-        let c = self.nblocks();
-        let s = v.cols();
-        let n = self.len();
-        debug_assert_eq!(v.rows(), d * c);
+    /// `out ← H(z)·V` for `s` stacked columns, through the fused sweep.
+    fn sweep(&self, input: SweepInput<'_, T>, s: usize, out: &mut [T]) {
+        let mut ws = self.ws.borrow_mut();
+        fisher_sweep(self.x, self.h, self.z.as_deref(), input, s, &mut ws, out);
+    }
 
-        // Rearrange the stacked panel into a d × (c·s) wide matrix whose
-        // column (j*c + k) is V_j[:,k].
-        let mut vwide = Matrix::zeros(d, c * s);
-        for j in 0..s {
-            for k in 0..c {
-                for p in 0..d {
-                    vwide[(p, j * c + k)] = v[(k * d + p, j)];
-                }
-            }
-        }
-        // Γ = X · Vwide  (n × c·s)
-        let mut gamma = gemm(self.x, &vwide);
-        // Per point & probe: α = Σ_k Γ_k h_k; Γ_k ← z (Γ_k - α) h_k
-        for i in 0..n {
-            let zi = self.z.as_ref().map_or(T::ONE, |z| z[i]);
-            let hrow = self.h.row(i).to_vec();
-            let grow = gamma.row_mut(i);
-            for j in 0..s {
-                let seg = &mut grow[j * c..(j + 1) * c];
-                let mut alpha = T::ZERO;
-                for (g, &hk) in seg.iter().zip(hrow.iter()) {
-                    alpha += *g * hk;
-                }
-                for (g, &hk) in seg.iter_mut().zip(hrow.iter()) {
-                    *g = zi * (*g - alpha) * hk;
-                }
-            }
-        }
-        // Out = Xᵀ · Γ  (d × c·s), then restack.
-        let owide = gemm_at_b(self.x, &gamma);
-        let mut out = Matrix::zeros(d * c, s);
-        for j in 0..s {
-            for k in 0..c {
-                for p in 0..d {
-                    out[(k * d + p, j)] = owide[(p, j * c + k)];
-                }
-            }
-        }
+    /// `H(z)·V` from `P = X·V_wide` as [`probe_products`] forms it over
+    /// this operator's points — the same bits as `apply_panel(V)` without
+    /// repeating the product, for callers that need `P` anyway (RELAX
+    /// shares it with [`hutchinson_gradients_shared`]).
+    pub fn apply_products(&self, products: &Matrix<T>) -> Matrix<T> {
+        let s = products.cols() / self.nblocks().max(1);
+        let mut out = Matrix::zeros(self.dim(), s);
+        self.sweep(SweepInput::Products(products), s, out.as_mut_slice());
         out
     }
 
@@ -246,13 +231,12 @@ impl<T: Scalar> LinearOperator<T> for PoolHessian<'_, T> {
     }
 
     fn apply(&self, x: &[T], y: &mut [T]) {
-        let v = Matrix::from_vec(x.len(), 1, x.to_vec());
-        let out = self.apply_wide(&v);
-        y.copy_from_slice(out.as_slice());
+        self.sweep(SweepInput::Panel(x), 1, y);
     }
 
-    fn apply_panel(&self, x: &Matrix<T>) -> Matrix<T> {
-        self.apply_wide(x)
+    fn apply_panel_into(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
+        assert_eq!(x.shape(), y.shape(), "apply_panel_into shape mismatch");
+        self.sweep(SweepInput::Panel(x.as_slice()), x.cols(), y.as_mut_slice());
     }
 }
 
@@ -263,6 +247,8 @@ pub struct SigmaZ<'a, T: Scalar> {
     pub ho: PoolHessian<'a, T>,
     /// Weighted pool term `H_z`.
     pub hz: PoolHessian<'a, T>,
+    /// Holds `H_z·x` while it is added to `H_o·x`.
+    tmp: PanelScratch<T>,
 }
 
 impl<'a, T: Scalar> SigmaZ<'a, T> {
@@ -270,7 +256,11 @@ impl<'a, T: Scalar> SigmaZ<'a, T> {
     pub fn new(ho: PoolHessian<'a, T>, hz: PoolHessian<'a, T>) -> Self {
         assert_eq!(ho.point_dim(), hz.point_dim());
         assert_eq!(ho.nblocks(), hz.nblocks());
-        Self { ho, hz }
+        Self {
+            ho,
+            hz,
+            tmp: PanelScratch::new(),
+        }
     }
 
     /// Block diagonal `B(Σ_z) = B(H_o) + B(H_z)` (Algorithm 2 line 5).
@@ -295,18 +285,20 @@ impl<T: Scalar> LinearOperator<T> for SigmaZ<'_, T> {
 
     fn apply(&self, x: &[T], y: &mut [T]) {
         self.ho.apply(x, y);
-        let mut tmp = vec![T::ZERO; y.len()];
-        self.hz.apply(x, &mut tmp);
-        for (a, b) in y.iter_mut().zip(tmp.iter()) {
-            *a += *b;
-        }
+        self.tmp.with(y.len(), 1, |tmp| {
+            self.hz.apply(x, tmp.as_mut_slice());
+            for (a, b) in y.iter_mut().zip(tmp.as_slice()) {
+                *a += *b;
+            }
+        });
     }
 
-    fn apply_panel(&self, x: &Matrix<T>) -> Matrix<T> {
-        let mut a = self.ho.apply_panel(x);
-        let b = self.hz.apply_panel(x);
-        a.add_scaled(T::ONE, &b);
-        a
+    fn apply_panel_into(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
+        self.ho.apply_panel_into(x, y);
+        self.tmp.with(x.rows(), x.cols(), |tmp| {
+            self.hz.apply_panel_into(x, tmp);
+            y.add_scaled(T::ONE, tmp);
+        });
     }
 }
 
@@ -342,12 +334,20 @@ impl<T: Scalar> BlockJacobi<T> {
 
 impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
-        let d = self.dim;
-        debug_assert_eq!(r.len(), d * self.factors.len());
-        for (k, ch) in self.factors.iter().enumerate() {
-            let seg = &r[k * d..(k + 1) * d];
-            let solved = ch.solve(seg);
-            z[k * d..(k + 1) * d].copy_from_slice(&solved);
+        debug_assert_eq!(r.len(), self.dim * self.factors.len());
+        z.copy_from_slice(r);
+        for (ch, seg) in self.factors.iter().zip(z.chunks_exact_mut(self.dim)) {
+            ch.solve_in_place(seg);
+        }
+    }
+
+    fn apply_panel(&self, r: &Matrix<T>, z: &mut Matrix<T>) {
+        let s = r.cols();
+        debug_assert_eq!(r.rows(), self.dim * self.factors.len());
+        z.as_mut_slice().copy_from_slice(r.as_slice());
+        let blocks = z.as_mut_slice().chunks_exact_mut(self.dim * s);
+        for (ch, rows) in self.factors.iter().zip(blocks) {
+            ch.solve_panel_in_place(rows, s);
         }
     }
 }
@@ -363,26 +363,39 @@ pub fn unstack<T: Scalar>(v: &[T], d: usize, c: usize) -> Matrix<T> {
     unvec(v, d, c)
 }
 
-/// Rearrange an `ê × s` stacked panel into the `d × (c·s)` wide layout used
-/// by the two-GEMM kernels: wide column `j·c + k` is probe `j`'s block `k`.
-pub fn to_wide<T: Scalar>(panel: &Matrix<T>, d: usize, c: usize) -> Matrix<T> {
-    let s = panel.cols();
-    debug_assert_eq!(panel.rows(), d * c);
-    let mut wide = Matrix::zeros(d, c * s);
-    for j in 0..s {
-        for k in 0..c {
-            for p in 0..d {
-                wide[(p, j * c + k)] = panel[(k * d + p, j)];
-            }
-        }
-    }
-    wide
+/// `P = X·V_wide` (`n × c·s`, [`to_wide`] column order): the first GEMM of
+/// Eq. 13 for a stacked probe panel, as a matrix of its own for the
+/// consumers that read it per point.
+pub fn probe_products<T: Scalar>(x: &Matrix<T>, panel: &Matrix<T>, c: usize) -> Matrix<T> {
+    let mut out = Matrix::zeros(x.rows(), c * panel.cols());
+    probe_products_into(x, panel, c, &mut out);
+    out
+}
+
+/// [`probe_products`] into a caller-owned `n × c·s` matrix (overwritten),
+/// for a loop that forms the products of a fresh panel every iteration.
+pub fn probe_products_into<T: Scalar>(
+    x: &Matrix<T>,
+    panel: &Matrix<T>,
+    c: usize,
+    out: &mut Matrix<T>,
+) {
+    assert_eq!(
+        out.shape(),
+        (x.rows(), c * panel.cols()),
+        "products have the wrong shape"
+    );
+    gemm_into(
+        x.as_slice(),
+        &to_wide(panel, x.cols(), c),
+        out.as_mut_slice(),
+    );
 }
 
 /// Batched Hutchinson gradient kernel (Algorithm 2 line 9):
 /// returns `g_i = (1/s) Σ_j v_jᵀ H_i w_j` for every pool point, evaluated
 /// through two `n × (c·s)` GEMMs: `P = X·V_wide`, `Q = X·W_wide`, then
-/// `v_jᵀH_iw_j = Σ_k P_{ijk} (Q_{ijk} - Q_{ij·}·h_i) h_{ik}` per point.
+/// `v_jᵀH_iw_j = Σ_k P_{ikj} (Q_{ikj} - Q_{i·j}·h_i) h_{ik}` per point.
 /// (The caller negates for the descent direction.)
 pub fn hutchinson_gradients<T: Scalar>(
     x: &Matrix<T>,
@@ -390,37 +403,75 @@ pub fn hutchinson_gradients<T: Scalar>(
     v_panel: &Matrix<T>,
     w_panel: &Matrix<T>,
 ) -> Vec<T> {
-    let n = x.rows();
-    let d = x.cols();
-    let c = h.cols();
-    let s = v_panel.cols();
-    assert_eq!(v_panel.rows(), d * c, "probe panel has wrong height");
     assert_eq!(w_panel.shape(), v_panel.shape(), "panels disagree");
+    hutchinson_gradients_shared(x, h, &probe_products(x, v_panel, h.cols()), w_panel)
+}
 
-    let p = gemm(x, &to_wide(v_panel, d, c));
-    let q = gemm(x, &to_wide(w_panel, d, c));
-    let inv_s = T::ONE / T::from_usize(s);
+/// Points per task of [`hutchinson_gradients_shared`]; each task holds
+/// `Q = X·W_wide` for its own points only.
+const HUTCHINSON_ROWS: usize = 256;
+
+/// [`hutchinson_gradients`] with `P = X·V_wide` supplied by the caller
+/// ([`probe_products`]), who has another use for it. Bitwise the same.
+///
+/// `Q = X·W_wide` is formed `HUTCHINSON_ROWS` points at a time and
+/// consumed on the spot, so only `P` is ever `n × c·s`. Per point the
+/// probes stay apart until the end: `(Q·h)_j` and the probe's quadratic
+/// form each ascend the class blocks, lanes across `j`, and the `s` forms
+/// are summed in probe order last.
+pub fn hutchinson_gradients_shared<T: Scalar>(
+    x: &Matrix<T>,
+    h: &Matrix<T>,
+    p: &Matrix<T>,
+    w_panel: &Matrix<T>,
+) -> Vec<T> {
+    let (n, d) = x.shape();
+    let c = h.cols();
+    let s = w_panel.cols();
+    let m = c * s;
+    assert_eq!(w_panel.rows(), d * c, "probe panel has wrong height");
+    assert_eq!(p.shape(), (n, m), "products have the wrong shape");
+    firal_linalg::counters::add_flops(4 * n * m);
 
     let mut g = vec![T::ZERO; n];
-    for i in 0..n {
-        let hrow = h.row(i);
-        let prow = p.row(i);
-        let qrow = q.row(i);
-        let mut acc = T::ZERO;
-        for j in 0..s {
-            let pseg = &prow[j * c..(j + 1) * c];
-            let qseg = &qrow[j * c..(j + 1) * c];
-            let mut qh = T::ZERO;
-            for (qv, &hk) in qseg.iter().zip(hrow.iter()) {
-                qh += *qv * hk;
-            }
-            for k in 0..c {
-                acc += pseg[k] * (qseg[k] - qh) * hrow[k];
-            }
-        }
-        g[i] = acc * inv_s;
+    if n == 0 || m == 0 || d == 0 {
+        return g;
     }
-    firal_linalg::counters::add_flops(4 * n * c * s);
+    let w_wide = to_wide(w_panel, d, c);
+    let inv_s = T::ONE / T::from_usize(s);
+    g.par_chunks_mut(HUTCHINSON_ROWS)
+        .zip(x.as_slice().par_chunks(HUTCHINSON_ROWS * d))
+        .zip(h.as_slice().par_chunks(HUTCHINSON_ROWS * c))
+        .zip(p.as_slice().par_chunks(HUTCHINSON_ROWS * m))
+        .for_each(|(((gs, xs), hs), ps)| {
+            let mut q = vec![T::ZERO; gs.len() * m];
+            gemm_into(xs, &w_wide, &mut q);
+            let mut qh = vec![T::ZERO; s];
+            let mut form = vec![T::ZERO; s];
+            let points = hs
+                .chunks_exact(c)
+                .zip(ps.chunks_exact(m).zip(q.chunks_exact(m)));
+            for (gi, (hrow, (prow, qrow))) in gs.iter_mut().zip(points) {
+                qh.fill(T::ZERO);
+                for (qseg, &hk) in qrow.chunks_exact(s).zip(hrow) {
+                    for (a, &qv) in qh.iter_mut().zip(qseg) {
+                        *a += qv * hk;
+                    }
+                }
+                form.fill(T::ZERO);
+                let segments = prow.chunks_exact(s).zip(qrow.chunks_exact(s));
+                for ((pseg, qseg), &hk) in segments.zip(hrow) {
+                    for (((f, &pv), &qv), &a) in form.iter_mut().zip(pseg).zip(qseg).zip(&qh) {
+                        *f += pv * (qv - a) * hk;
+                    }
+                }
+                let mut acc = T::ZERO;
+                for &f in &form {
+                    acc += f;
+                }
+                *gi = acc * inv_s;
+            }
+        });
     g
 }
 
@@ -631,15 +682,36 @@ mod tests {
     }
 
     #[test]
+    fn shared_probe_products_change_no_bit() {
+        // n spans several sweep chunks and Hutchinson tasks.
+        let (x, h) = test_pool(700, 5, 4, 11);
+        let s = 10;
+        let v = Matrix::from_fn(15, s, |i, j| ((i * 5 + j * 11) % 7) as f64 - 3.0);
+        let w = Matrix::from_fn(15, s, |i, j| ((i * 3 + j * 13) % 5) as f64 * 0.25 - 0.5);
+        let xv = probe_products(&x, &v, 3);
+        assert_eq!(
+            hutchinson_gradients_shared(&x, &h, &xv, &w),
+            hutchinson_gradients(&x, &h, &v, &w)
+        );
+        let z: Vec<f64> = (0..700).map(|i| (i % 3) as f64 * 0.01).collect();
+        for op in [
+            PoolHessian::unweighted(&x, &h),
+            PoolHessian::weighted(&x, &h, z),
+        ] {
+            assert_eq!(op.apply_products(&xv), op.apply_panel(&v));
+        }
+    }
+
+    #[test]
     fn to_wide_layout() {
         // ê = d·c with d=2, c=2; probe panel with s=2 columns.
         let panel = Matrix::from_fn(4, 2, |i, j| (10 * j + i) as f64);
         let wide = to_wide(&panel, 2, 2);
         assert_eq!(wide.shape(), (2, 4));
-        // wide[(p, j*c+k)] = panel[(k*d+p, j)]
-        assert_eq!(wide[(0, 0)], 0.0); // j=0,k=0,p=0
-        assert_eq!(wide[(1, 1)], 3.0); // j=0,k=1,p=1
-        assert_eq!(wide[(0, 2)], 10.0); // j=1,k=0,p=0
-        assert_eq!(wide[(1, 3)], 13.0); // j=1,k=1,p=1
+        // wide[(p, k*s+j)] = panel[(k*d+p, j)]
+        assert_eq!(wide[(0, 0)], 0.0); // k=0,j=0,p=0
+        assert_eq!(wide[(1, 2)], 3.0); // k=1,j=0,p=1
+        assert_eq!(wide[(0, 1)], 10.0); // k=0,j=1,p=0
+        assert_eq!(wide[(1, 3)], 13.0); // k=1,j=1,p=1
     }
 }

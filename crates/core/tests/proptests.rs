@@ -9,10 +9,13 @@
 //!   block inverse after a rank-one `γ_k·xxᵀ` update;
 //! * Prop. 4 — the Eq. 17 score is an affine transform of the block-diag
 //!   trace objective (so their argext agree);
-//! * mirror descent preserves the simplex.
+//! * mirror descent preserves the simplex;
+//! * Eq. 13 — the fused panel matvec equals the dense operator applied to
+//!   the panel, at degenerate and ragged shapes, in both precisions.
 
 use firal_core::hessian::{dense_hessian, fast_matvec, PoolHessian};
-use firal_linalg::{BlockDiag, Cholesky, Matrix};
+use firal_linalg::{BlockDiag, Cholesky, Matrix, Scalar};
+use firal_solvers::LinearOperator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -208,4 +211,81 @@ fn proposition4_score_ordering_matches_trace_objective() {
         algo.selected[0], best.1,
         "Algorithm 3's Eq. 17 argmax disagrees with the brute-force argmin"
     );
+}
+
+/// `PoolHessian::apply_panel` against `to_dense()·V` computed in f64 from
+/// the same (rounded) inputs. Tolerance: `tol · (1 + max|reference|)` with
+/// `tol = 1e-10` in f64 and `1e-4` in f32 (sums of up to `n·d ≈ 10⁴`
+/// products of O(1) terms at unit roundoff 1.1e-16 / 6e-8).
+fn fused_panel_matches_dense<T: Scalar>(tol: f64) {
+    // (n, d, c-1, s): n < 4, n % 4 ≠ 0, s = 1, an empty shard, several
+    // sweep chunks, widths off every lane multiple.
+    let shapes = [
+        (0usize, 3usize, 2usize, 4usize),
+        (1, 4, 3, 1),
+        (3, 2, 1, 5),
+        (7, 5, 4, 3),
+        (30, 3, 2, 1),
+        (301, 6, 3, 10),
+        (600, 4, 2, 9),
+    ];
+    for (case, &(n, d, cm1, s)) in shapes.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(600 + case as u64);
+        let mut xm = Matrix::<f64>::zeros(n, d);
+        let mut hm = Matrix::<f64>::zeros(n, cm1);
+        for i in 0..n {
+            xm.row_mut(i).copy_from_slice(&random_point(&mut rng, d));
+            hm.row_mut(i).copy_from_slice(&random_probs(&mut rng, cm1));
+        }
+        // Every third weight is an exact zero.
+        let z: Vec<f64> = (0..n)
+            .map(|i| {
+                if i % 3 == 0 {
+                    0.0
+                } else {
+                    uniform(&mut rng, 0.0, 2.0)
+                }
+            })
+            .collect();
+        let v = Matrix::from_fn(d * cm1, s, |_, _| uniform(&mut rng, -1.0, 1.0));
+
+        let (xt, ht, vt): (Matrix<T>, Matrix<T>, Matrix<T>) = (xm.cast(), hm.cast(), v.cast());
+        let zt: Vec<T> = z.iter().map(|&w| T::from_f64(w)).collect();
+        let (xr, hr, vr): (Matrix<f64>, Matrix<f64>, Matrix<f64>) =
+            (xt.cast(), ht.cast(), vt.cast());
+        let zr: Vec<f64> = zt.iter().map(|w| w.to_f64()).collect();
+
+        let operators = [
+            (
+                PoolHessian::unweighted(&xt, &ht),
+                PoolHessian::unweighted(&xr, &hr),
+            ),
+            (
+                PoolHessian::weighted(&xt, &ht, zt),
+                PoolHessian::weighted(&xr, &hr, zr),
+            ),
+        ];
+        for (fused, exact) in &operators {
+            let got = fused.apply_panel(&vt);
+            let want = firal_linalg::gemm(&exact.to_dense(), &vr);
+            assert_eq!(got.shape(), want.shape());
+            let bound = tol * (1.0 + want.max_abs());
+            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                assert!(
+                    (g.to_f64() - w).abs() <= bound,
+                    "n={n} d={d} c-1={cm1} s={s}: {g} vs {w} (bound {bound:e})"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn eq13_fused_panel_matvec_equals_dense_f64() {
+    fused_panel_matches_dense::<f64>(1e-10);
+}
+
+#[test]
+fn eq13_fused_panel_matvec_equals_dense_f32() {
+    fused_panel_matches_dense::<f32>(1e-4);
 }

@@ -1,26 +1,30 @@
 //! One-shot cache-blocking autotuner for the hot dense kernels.
 //!
-//! The SIMD kernels in [`mod@crate::gemm`] have three blocking knobs that the
-//! ISA does not fix: the register-block width `jb` of the `AᵀB`
-//! microkernel, whether that microkernel streams its A-panel through a
-//! packed contiguous buffer, and how many class blocks
+//! The SIMD kernels in [`mod@crate::gemm`] and [`mod@crate::sweep`] have four
+//! blocking knobs that the ISA does not fix: the register-block width `jb`
+//! of the `AᵀB` microkernel, whether that microkernel streams its A-panel
+//! through a packed contiguous buffer, how many class blocks
 //! [`crate::gemm::gram_weighted_multi`] accumulates per pass over the
-//! pool. The right values depend on the problem's `d`, the element size,
+//! pool, and how large a row block of `Γ` the fused
+//! [`crate::sweep::fisher_sweep`] keeps between its two GEMM stages. The
+//! right values depend on the problem's `d`, the element size,
 //! and the host's cache geometry — so they are picked **once per
 //! `(tier, d, dtype)`** at first kernel use and memoized for the life of
 //! the process.
 //!
-//! Selection is a hybrid: the class block comes analytically from the
-//! detected cache sizes (bound the live accumulator set to a fraction of
-//! L2), while `(jb, pack)` are measured by a one-shot micro-probe over the
+//! Selection is a hybrid: the class block and the sweep's row block come
+//! analytically from the detected cache sizes (bound the live accumulator
+//! set to a fraction of L2, the `Γ` block to an eighth of L1d), while
+//! `(jb, pack)` are measured by a one-shot micro-probe over the
 //! four candidates on synthetic operands (~1 ms, amortized over every
 //! subsequent call).
 //!
 //! # Determinism
 //!
-//! Every knob here is **bit-neutral by construction**: `jb`, packing, and
-//! class blocking regroup which independent output elements are computed
-//! together, but never move an element between reduction chunks or
+//! Every knob here is **bit-neutral by construction**: `jb`, packing,
+//! class blocking and the sweep's row blocking regroup which independent
+//! output elements are computed together (or how often an accumulator
+//! passes through memory), but never move an element between reduction chunks or
 //! re-associate a sum (the only split that affects floating-point — the
 //! reduction chunk boundary — stays shape-derived in `reduce_chunk_rows`,
 //! untouched by this module). The `block_plan_is_bit_neutral` test in
@@ -127,6 +131,11 @@ pub struct KernelPlan {
     /// [`crate::gemm::gram_weighted_multi`]; bounds the live accumulator
     /// set to roughly half of L2.
     pub class_block: usize,
+    /// Byte budget of one row block of `Γ` in
+    /// [`crate::sweep::fisher_sweep`] (an eighth of L1d, which leaves room
+    /// for the block's points, the wide panel and the output tile): the
+    /// sweep takes as many rows per block as fit, within `4..=64`.
+    pub sweep_bytes: usize,
 }
 
 /// `FIRAL_KERNEL_BLOCK` override, parsed once: `(jb, class_block, pack)`,
@@ -184,7 +193,7 @@ fn probe_at_b<T: Scalar>(tier: Tier, d: usize) -> (usize, bool) {
     let mut best_secs = f64::INFINITY;
     for jb in [8usize, 4] {
         for pack in [false, true] {
-            let mut acc = vec![T::ZERO; M * d];
+            let mut acc = vec![T::ZERO; M * d.next_multiple_of(lane_count(tier, size_of::<T>()))];
             let mut buf = Vec::new();
             // Warm-up, then best-of-REPS.
             T::simd_at_b_chunk(tier, &mut acc, &a, &b, d, M, jb, pack, &mut buf);
@@ -231,6 +240,7 @@ pub fn plan_for<T: Scalar>(tier: Tier, d: usize) -> KernelPlan {
         jb: env_jb.unwrap_or(probed_jb),
         pack: env_pack.unwrap_or(probed_pack),
         class_block: env_kb.unwrap_or_else(|| analytic_class_block(d.max(1), elem, geo)),
+        sweep_bytes: geo.l1d / 8,
     };
     plans.lock().unwrap().insert(key, plan);
     plan

@@ -200,6 +200,46 @@ impl<T: Scalar> Cholesky<T> {
         }
     }
 
+    /// In-place `A X = B` solve on an `n × s` row-major panel (`x` holds
+    /// `B` on entry, `X` on return). The substitutions run along panel
+    /// rows, so all `s` right-hand sides advance together over contiguous
+    /// memory; per column the operations and their order are exactly those
+    /// of [`Cholesky::solve_in_place`].
+    pub fn solve_panel_in_place(&self, x: &mut [T], s: usize) {
+        let n = self.order();
+        assert_eq!(x.len(), n * s, "Cholesky::solve_panel dimension mismatch");
+        counters::add_flops(2 * n * n * s);
+        // L Y = B
+        for i in 0..n {
+            let li = self.l.row(i);
+            let (above, rest) = x.split_at_mut(i * s);
+            let xi = &mut rest[..s];
+            for (k, xk) in above.chunks_exact(s.max(1)).enumerate() {
+                for (a, &b) in xi.iter_mut().zip(xk) {
+                    *a -= li[k] * b;
+                }
+            }
+            for a in xi.iter_mut() {
+                *a /= li[i];
+            }
+        }
+        // Lᵀ X = Y
+        for i in (0..n).rev() {
+            let (head, below) = x.split_at_mut((i + 1) * s);
+            let xi = &mut head[i * s..];
+            for (k, xk) in below.chunks_exact(s.max(1)).enumerate() {
+                let lki = self.l[(i + 1 + k, i)];
+                for (a, &b) in xi.iter_mut().zip(xk) {
+                    *a -= lki * b;
+                }
+            }
+            let lii = self.l[(i, i)];
+            for a in xi.iter_mut() {
+                *a /= lii;
+            }
+        }
+    }
+
     /// Solve `A X = B` column-by-column for a multi-RHS panel.
     pub fn solve_mat(&self, b: &Matrix<T>) -> Matrix<T> {
         let n = self.order();

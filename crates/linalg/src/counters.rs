@@ -64,11 +64,12 @@ pub fn pack_panel_bytes(rows: usize, cols: usize, elem: usize) -> usize {
     rows * cols * elem
 }
 
-/// Packed-panel traffic of one `C = AᵀB` call when the autotuned plan
-/// enables packing: each of the `n` rows stages its `vd` lane-aligned
-/// leading columns once — [`pack_panel_bytes`]`(n, vd, elem)`.
-pub fn gemm_at_b_pack_bytes(n: usize, vd: usize, elem: usize) -> usize {
-    pack_panel_bytes(n, vd, elem)
+/// Packed-panel traffic of one `C = AᵀB` call: each of the `n` rows stages
+/// `cols` columns once — every lane-wide strip when the autotuned plan
+/// enables packing, and in any case the zero-padded strip holding the last
+/// `d % lanes` columns — [`pack_panel_bytes`]`(n, cols, elem)`.
+pub fn gemm_at_b_pack_bytes(n: usize, cols: usize, elem: usize) -> usize {
+    pack_panel_bytes(n, cols, elem)
 }
 
 /// Packed-operand traffic of the `C = A·Bᵀ` SIMD path, which stages `Bᵀ`

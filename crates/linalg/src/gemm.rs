@@ -2,8 +2,10 @@
 //!
 //! These are the hot kernels of Approx-FIRAL's RELAX step: the matrix-free
 //! Hessian matvec of Lemma 2 vectorizes into two tall-skinny GEMMs over the
-//! pool panel (`X·V` then `Xᵀ·Γ`), and the CG preconditioner of Definition 1
-//! is a set of weighted Gram matrices `Xᵀdiag(w_k)X`. All kernels are
+//! pool panel (`X·V` then `Xᵀ·Γ` — RELAX runs them fused, see
+//! [`mod@crate::sweep`], on the bodies defined here), and the CG
+//! preconditioner of Definition 1 is a set of weighted Gram matrices
+//! `Xᵀdiag(w_k)X`. All kernels are
 //! rayon-parallel over the long (pool) dimension, mirroring how the paper
 //! shards the pool across GPUs, with panel blocking over the pool dimension
 //! and 4-wide register-tiled inner loops (the tall-skinny analogue of a
@@ -57,7 +59,7 @@ use crate::simd::{self, Tier};
 
 /// Work threshold (in multiply-adds) below which kernels run sequentially.
 /// Parallelizing tiny GEMMs costs more in task dispatch than it saves.
-const PAR_THRESHOLD: usize = 1 << 15;
+pub(crate) const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Rows per parallel task in the row-parallel kernels — a multiple of the
 /// 4-row micro-tile so full tasks never hit the scalar tail.
@@ -67,17 +69,46 @@ const ROW_BLOCK: usize = 32;
 /// memory at `MAX_REDUCE_CHUNKS` copies of the output block.
 const MAX_REDUCE_CHUNKS: usize = 64;
 
+/// Fewest rows in a reduction chunk of the Gram kernels. A chunk zeroes and
+/// later reduces a whole `c·d²` accumulator set, which at a few dozen rows
+/// costs as much as the chunk's arithmetic.
+const GRAM_CHUNK_ROWS: usize = 128;
+
 /// Deterministic reduction chunking: rows per chunk as a function of the
 /// problem shape **only** (never the worker count), so chunk boundaries —
 /// and therefore floating-point partial-sum splits — are identical at every
 /// thread count.
-fn reduce_chunk_rows(n: usize, min_rows: usize) -> usize {
+pub(crate) fn reduce_chunk_rows(n: usize, min_rows: usize) -> usize {
     n.div_ceil(MAX_REDUCE_CHUNKS).max(min_rows)
+}
+
+/// The map-reduce shared by the reduction kernels: `partial(rows)` for the
+/// shape-fixed row chunks of `0..n`, mapped on the pool and then added
+/// **in chunk order** onto a zero accumulator of `len` elements.
+fn reduce_row_chunks<T: Scalar>(
+    n: usize,
+    chunk_rows: usize,
+    len: usize,
+    partial: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let chunks: Vec<std::ops::Range<usize>> = (0..n)
+        .step_by(chunk_rows)
+        .map(|start| start..(start + chunk_rows).min(n))
+        .collect();
+    chunks.into_par_iter().map(partial).reduce(
+        || vec![T::ZERO; len],
+        |mut total, part| {
+            for (t, v) in total.iter_mut().zip(&part) {
+                *t += *v;
+            }
+            total
+        },
+    )
 }
 
 /// Fail loudly if a harness hands us a tier the CPU cannot execute
 /// (cheap: the feature probes behind it are cached).
-fn check_tier(tier: Tier) {
+pub(crate) fn check_tier(tier: Tier) {
     assert!(
         simd::tier_available(tier),
         "SIMD tier '{tier}' is unavailable on this host"
@@ -95,39 +126,62 @@ pub fn gemm<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// [`gemm`] on an explicit dispatch tier (must be available on this host;
 /// see [`crate::simd::available_tiers`]). Bitwise identical across tiers.
 pub fn gemm_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    check_tier(tier);
     let (m, k) = a.shape();
     let (kb, n) = b.shape();
     assert_eq!(k, kb, "gemm: A is {m}x{k}, B is {kb}x{n}");
+    let mut c = Matrix::zeros(m, n);
+    gemm_acc(tier, a.as_slice(), b, c.as_mut_slice());
+    c
+}
+
+/// [`gemm`] on a block of rows into caller-owned storage: `a` is
+/// `rows × k` row-major, `c` is `rows × n` and is overwritten. Output rows
+/// are independent, so the product of a row block is bit for bit the
+/// matching rows of the whole product — what lets a consumer that reads
+/// `A·B` one block at a time (the Hutchinson gradients) never hold all
+/// of it.
+pub fn gemm_into<T: Scalar>(a: &[T], b: &Matrix<T>, c: &mut [T]) {
+    c.fill(T::ZERO);
+    gemm_acc(simd::active_tier(), a, b, c);
+}
+
+/// `C += A·B` on flat row-major `A` (`rows × k`) and `C` (`rows × n`).
+fn gemm_acc<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
+    check_tier(tier);
+    let (k, n) = b.shape();
+    // The row count, from whichever operand has a non-zero width.
+    let m = c
+        .len()
+        .checked_div(n)
+        .or_else(|| a.len().checked_div(k))
+        .unwrap_or(0);
+    assert_eq!(a.len(), m * k, "gemm: A is not {m}x{k}");
+    assert_eq!(c.len(), m * n, "gemm: C is not {m}x{n}");
     counters::add_flops(counters::gemm_flops(m, n, k));
 
-    let mut c = Matrix::zeros(m, n);
     if m == 0 || n == 0 || k == 0 {
-        return c;
+        return;
     }
     let use_simd = simd::tier_is_simd(tier);
     let body = |ci: &mut [T], ai: &[T]| {
         if !(use_simd && T::simd_gemm_panel(tier, ci, ai, b.as_slice(), k, n)) {
-            gemm_rows(ci, ai, b);
+            gemm_rows(ci, ai, b.as_slice(), k, n);
         }
     };
     if m * n * k >= PAR_THRESHOLD && m > 1 {
-        c.as_mut_slice()
-            .par_chunks_mut(ROW_BLOCK * n)
-            .zip(a.as_slice().par_chunks(ROW_BLOCK * k))
+        c.par_chunks_mut(ROW_BLOCK * n)
+            .zip(a.par_chunks(ROW_BLOCK * k))
             .for_each(|(ci, ai)| body(ci, ai));
     } else {
-        body(c.as_mut_slice(), a.as_slice());
+        body(c, a);
     }
-    c
 }
 
 /// `C[r] += A[r] · B` for a panel of rows; 4-row register-tiled body with a
 /// depth-ascending (`p`) accumulation order identical for every row, so the
 /// result is independent of how rows are grouped into panels. This is the
 /// canonical summation tree the SIMD panel bodies replicate.
-fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &Matrix<T>) {
-    let (k, n) = b.shape();
+pub(crate) fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &[T], k: usize, n: usize) {
     let rows = arows.len() / k;
     let mut r = 0;
     while r + 4 <= rows {
@@ -140,7 +194,7 @@ fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &Matrix<T>) {
         let a3 = &arows[(r + 3) * k..(r + 4) * k];
         for p in 0..k {
             let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = b.row(p);
+            let brow = &b[p * n..(p + 1) * n];
             let mut j = 0;
             while j + 4 <= n {
                 let (b0, b1, b2, b3) = (brow[j], brow[j + 1], brow[j + 2], brow[j + 3]);
@@ -177,7 +231,7 @@ fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &Matrix<T>) {
         let crow = &mut crows[r * n..(r + 1) * n];
         let arow = &arows[r * k..(r + 1) * k];
         for (p, &apk) in arow.iter().enumerate() {
-            let brow = b.row(p);
+            let brow = &b[p * n..(p + 1) * n];
             for (cj, &bpj) in crow.iter_mut().zip(brow.iter()) {
                 *cj += apk * bpj;
             }
@@ -196,7 +250,8 @@ fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &Matrix<T>) {
 /// paper's per-GPU partial sums followed by `MPI_Allreduce`. The chunk body
 /// consumes rows in 4-row tiles so each accumulator row takes four
 /// multiply-adds per pass over it; on SIMD tiers the chunk body is the
-/// packed-panel reduction microkernel with autotuned register blocking.
+/// packed-panel reduction microkernel with autotuned register blocking,
+/// the last `d % lanes` columns riding in a zero-padded strip of their own.
 pub fn gemm_at_b<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     gemm_at_b_tier(simd::active_tier(), a, b)
 }
@@ -232,45 +287,41 @@ pub fn gemm_at_b_planned<T: Scalar>(
 
     let elem = std::mem::size_of::<T>();
     let lanes = autotune::lane_count(tier, elem);
-    let vd = d - d % lanes;
+    let dp = d.next_multiple_of(lanes);
     let jb = plan.jb.clamp(1, 8);
-    let pack = plan.pack && vd > 0;
-    if pack {
-        counters::add_bytes(counters::gemm_at_b_pack_bytes(n, vd, elem));
+    let pack = plan.pack;
+    // Staged A columns: every full strip when the plan packs, and always
+    // the zero-padded strip that carries the last `d % lanes` columns.
+    let staged = if pack { dp } else { dp - (d - d % lanes) };
+    if staged > 0 {
+        counters::add_bytes(counters::gemm_at_b_pack_bytes(n, staged, elem));
     }
 
-    // The SIMD microkernel accumulates into a j-major m×d scratch so the
-    // contiguous d axis of each A row is the vector axis; the reduced
-    // result is transposed once into the row-major d×m output.
+    // The SIMD microkernel accumulates into a j-major m×dp scratch (`dp` =
+    // `d` rounded up to whole vectors) so the contiguous d axis of each A
+    // row is the vector axis; the reduced result is transposed once into
+    // the row-major d×m output, dropping the padded columns.
     let chunk_body = |ca: &[T], cb: &[T]| -> Vec<T> {
-        let mut acc = vec![T::ZERO; m * d];
+        let mut acc = vec![T::ZERO; m * dp];
         let mut packbuf = Vec::new();
         let handled = T::simd_at_b_chunk(tier, &mut acc, ca, cb, d, m, jb, pack, &mut packbuf);
         debug_assert!(handled);
         acc
     };
     let jmajor = if n * d * m >= PAR_THRESHOLD && n > 1 {
-        let chunk_rows = reduce_chunk_rows(n, 64);
-        a.as_slice()
-            .par_chunks(chunk_rows * d)
-            .zip(b.as_slice().par_chunks(chunk_rows * m))
-            .map(|(ca, cb)| chunk_body(ca, cb))
-            .reduce(
-                || vec![T::ZERO; m * d],
-                |mut x, y| {
-                    for (xi, yi) in x.iter_mut().zip(y.iter()) {
-                        *xi += *yi;
-                    }
-                    x
-                },
+        reduce_row_chunks(n, reduce_chunk_rows(n, 64), m * dp, |rows| {
+            chunk_body(
+                &a.as_slice()[rows.start * d..rows.end * d],
+                &b.as_slice()[rows.start * m..rows.end * m],
             )
+        })
     } else {
         chunk_body(a.as_slice(), b.as_slice())
     };
     let mut data = vec![T::ZERO; d * m];
     for j in 0..m {
         for (i, row) in data.chunks_exact_mut(m).enumerate() {
-            row[j] = jmajor[j * d + i];
+            row[j] = jmajor[j * dp + i];
         }
     }
     Matrix::from_vec(d, m, data)
@@ -328,20 +379,12 @@ fn gemm_at_b_scalar<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     };
 
     let data = if n * d * m >= PAR_THRESHOLD && n > 1 {
-        let chunk_rows = reduce_chunk_rows(n, 64);
-        a.as_slice()
-            .par_chunks(chunk_rows * d)
-            .zip(b.as_slice().par_chunks(chunk_rows * m))
-            .map(|(ca, cb)| accumulate(ca, cb))
-            .reduce(
-                || vec![T::ZERO; d * m],
-                |mut x, y| {
-                    for (xi, yi) in x.iter_mut().zip(y.iter()) {
-                        *xi += *yi;
-                    }
-                    x
-                },
+        reduce_row_chunks(n, reduce_chunk_rows(n, 64), d * m, |rows| {
+            accumulate(
+                &a.as_slice()[rows.start * d..rows.end * d],
+                &b.as_slice()[rows.start * m..rows.end * m],
             )
+        })
     } else {
         accumulate(a.as_slice(), b.as_slice())
     };
@@ -507,40 +550,42 @@ pub fn gram_weighted_tier<T: Scalar>(tier: Tier, x: &Matrix<T>, w: &[T]) -> Matr
     }
 
     let use_simd = simd::tier_is_simd(tier);
+    let ld = gram_ld::<T>(tier, d);
     let accumulate = |rows: std::ops::Range<usize>| -> Vec<T> {
-        let mut acc = vec![T::ZERO; d * d];
+        let mut acc = vec![T::ZERO; d * ld];
         let xs = &x.as_slice()[rows.start * d..rows.end * d];
         let ws = &w[rows.start..rows.end];
-        if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, 1, 0, 1, d)) {
+        let mut packbuf = Vec::new();
+        if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, 1, 0, 1, d, &mut packbuf)) {
             gram_rows_scalar(&mut acc, xs, ws, 1, 0, 1, d);
         }
         acc
     };
 
-    let mut g = if n * d * d >= PAR_THRESHOLD && n > 1 {
-        let chunk = reduce_chunk_rows(n, 32);
-        let ranges: Vec<std::ops::Range<usize>> = (0..n)
-            .step_by(chunk)
-            .map(|s| s..(s + chunk).min(n))
-            .collect();
-        let data = ranges.into_par_iter().map(accumulate).reduce(
-            || vec![T::ZERO; d * d],
-            |mut a, b| {
-                for (ai, bi) in a.iter_mut().zip(b.iter()) {
-                    *ai += *bi;
-                }
-                a
-            },
-        );
-        Matrix::from_vec(d, d, data)
+    let data = if n * d * d >= PAR_THRESHOLD && n > 1 {
+        let chunk = reduce_chunk_rows(n, GRAM_CHUNK_ROWS);
+        reduce_row_chunks(n, chunk, d * ld, accumulate)
     } else {
-        Matrix::from_vec(d, d, accumulate(0..n))
+        accumulate(0..n)
     };
+    gram_from_upper(&data, d, ld)
+}
 
-    // Mirror the strict upper triangle down.
+/// Row stride of a Gram accumulator block on `tier`: the SIMD body keeps
+/// `d` rounded up to whole vectors per row, the scalar panel exactly `d`.
+fn gram_ld<T: Scalar>(tier: Tier, d: usize) -> usize {
+    d.next_multiple_of(autotune::lane_count(tier, std::mem::size_of::<T>()))
+}
+
+/// The symmetric `d × d` matrix whose upper triangle is the upper triangle
+/// of the `d × ld` accumulator block `acc` (nothing else of it is read).
+fn gram_from_upper<T: Scalar>(acc: &[T], d: usize, ld: usize) -> Matrix<T> {
+    let mut g = Matrix::zeros(d, d);
     for p in 0..d {
-        for q in (p + 1)..d {
-            g[(q, p)] = g[(p, q)];
+        for q in p..d {
+            let v = acc[p * ld + q];
+            g[(p, q)] = v;
+            g[(q, p)] = v;
         }
     }
     g
@@ -600,51 +645,34 @@ pub fn gram_weighted_multi_planned<T: Scalar>(
     // only — not on the class blocking — so partial-sum splits are
     // identical whatever `class_block` the autotuner picked.
     let par = n * c * d * d >= PAR_THRESHOLD && n > 1;
-    let chunk = reduce_chunk_rows(n, 16);
-    let mut data = vec![T::ZERO; c * d * d];
+    let chunk = reduce_chunk_rows(n, GRAM_CHUNK_ROWS);
+    let ld = gram_ld::<T>(tier, d);
+    let mut blocks = Vec::with_capacity(c);
     for k0 in (0..c).step_by(kb) {
         let k1 = (k0 + kb).min(c);
-        let bw = (k1 - k0) * d * d;
+        let bw = (k1 - k0) * d * ld;
         let accumulate = |rows: std::ops::Range<usize>| -> Vec<T> {
             let mut acc = vec![T::ZERO; bw];
             let xs = &x.as_slice()[rows.start * d..rows.end * d];
             let ws = &w.as_slice()[rows.start * c..rows.end * c];
-            if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, c, k0, k1, d)) {
+            let mut packbuf = Vec::new();
+            if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, c, k0, k1, d, &mut packbuf))
+            {
                 gram_rows_scalar(&mut acc, xs, ws, c, k0, k1, d);
             }
             acc
         };
         let pass = if par {
-            let ranges: Vec<std::ops::Range<usize>> = (0..n)
-                .step_by(chunk)
-                .map(|s| s..(s + chunk).min(n))
-                .collect();
-            ranges.into_par_iter().map(accumulate).reduce(
-                || vec![T::ZERO; bw],
-                |mut a, b| {
-                    for (ai, bi) in a.iter_mut().zip(b.iter()) {
-                        *ai += *bi;
-                    }
-                    a
-                },
-            )
+            reduce_row_chunks(n, chunk, bw, accumulate)
         } else {
             accumulate(0..n)
         };
-        data[k0 * d * d..k1 * d * d].copy_from_slice(&pass);
+        blocks.extend(
+            pass.chunks_exact(d * ld)
+                .map(|acc| gram_from_upper(acc, d, ld)),
+        );
     }
-
-    (0..c)
-        .map(|k| {
-            let mut g = Matrix::from_vec(d, d, data[k * d * d..(k + 1) * d * d].to_vec());
-            for p in 0..d {
-                for q in (p + 1)..d {
-                    g[(q, p)] = g[(p, q)];
-                }
-            }
-            g
-        })
-        .collect()
+    blocks
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@ pub mod matrix;
 pub mod scalar;
 pub mod simd;
 pub mod spd;
+pub mod sweep;
 pub mod vecops;
 
 pub use autotune::{cache_geometry, plan_for, CacheGeometry, KernelPlan};
@@ -42,15 +43,16 @@ pub use blockdiag::BlockDiag;
 pub use cholesky::Cholesky;
 pub use eigen::{eigh, eigvalsh, jacobi_eigh, EigDecomposition};
 pub use gemm::{
-    gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_planned, gemm_at_b_tier, gemm_tier,
-    gram_weighted, gram_weighted_multi, gram_weighted_multi_planned, gram_weighted_multi_tier,
-    gram_weighted_tier,
+    gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_planned, gemm_at_b_tier, gemm_into,
+    gemm_tier, gram_weighted, gram_weighted_multi, gram_weighted_multi_planned,
+    gram_weighted_multi_tier, gram_weighted_tier,
 };
 pub use kron::{kron, unvec, vec_of};
 pub use matrix::Matrix;
 pub use scalar::Scalar;
 pub use simd::{active_tier, available_tiers, cpu_features, Tier};
 pub use spd::{spd_condition_number, spd_inv_sqrt, spd_inverse, spd_sqrt};
+pub use sweep::{fisher_sweep, fisher_sweep_planned, to_wide, SweepInput, SweepWorkspace};
 pub use vecops::{axpy, dot, nrm2, scale};
 
 /// Error type for linear-algebra failures (non-SPD matrices, convergence

@@ -22,8 +22,18 @@
 use super::vector::SimdVec;
 use crate::scalar::Scalar;
 
-/// `C[r] += A[r] · B` for a panel of rows (the [`crate::gemm::gemm`] /
-/// [`crate::gemm::gemm_a_bt`] inner body).
+/// `C[r] += A[r] · B` for a panel of rows: the one GEMM body of the crate
+/// ([`crate::gemm::gemm`] / [`crate::gemm::gemm_a_bt`], both GEMM stages of
+/// the fused Fisher sweep in [`super::sweep`], and the row tiles of
+/// [`gram_rows`]).
+///
+/// Every operand is addressed through explicit strides. `A`'s element
+/// `(r, p)` lives at `a[r·ars + p·acs]`, so the same body serves a
+/// row-major operand (`ars = k`, `acs = 1`) and a transposed view of one
+/// (`ars = 1`, `acs = ld`: the `X_chunkᵀ·Γ_chunk` stage of the sweep)
+/// without a staged copy; `B` and `C` are row-major with leading
+/// dimensions `ldb`, `ldc ≥ n`, so a caller can address a column window of
+/// a wider matrix.
 ///
 /// 4-row × 2-vector register tile: the `C` tile lives in registers across
 /// the whole depth loop, each `B` row vector is reused by all four `A`
@@ -32,89 +42,95 @@ use crate::scalar::Scalar;
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass consistent
-/// shapes: `a.len() = rows·k`, `c.len() = rows·n`, `b.len() = k·n`, `k > 0`.
+/// shapes: `(rows-1)·ldc + n ≤ c.len()`, `(k-1)·ldb + n ≤ b.len()` and
+/// `(rows-1)·ars + (k-1)·acs < a.len()` (each only when `rows`, `k > 0`).
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
     c: &mut [T],
+    ldc: usize,
     a: &[T],
+    ars: usize,
+    acs: usize,
     b: &[T],
+    ldb: usize,
+    rows: usize,
     k: usize,
     n: usize,
 ) {
     let l = V::LANES;
-    let rows = a.len() / k;
     let cp = c.as_mut_ptr();
     let ap = a.as_ptr();
     let bp = b.as_ptr();
-    // SAFETY: the caller's shape contract (`a.len() = rows·k`,
-    // `c.len() = rows·n`, `b.len() = k·n`) bounds every index below:
-    // `r < rows`, `j + l ≤ n` (vector steps) or `j < n` (scalar tail),
-    // `p < k`, so all pointer offsets stay inside their slices; the
-    // target feature backing `V` is held by the caller.
+    // SAFETY: the caller's shape contract (`(rows-1)·ldc + n ≤ c.len()`,
+    // `(k-1)·ldb + n ≤ b.len()`, `(rows-1)·ars + (k-1)·acs < a.len()`)
+    // bounds every index below: `r < rows`, `j + l ≤ n` (vector steps) or
+    // `j < n` (scalar tail), `p < k`, so all pointer offsets stay inside
+    // their slices; the target feature backing `V` is held by the caller.
     unsafe {
         let mut r = 0;
         while r + 4 <= rows {
             let mut j = 0;
             while j + 2 * l <= n {
-                let mut c00 = V::load(cp.add(r * n + j));
-                let mut c01 = V::load(cp.add(r * n + j + l));
-                let mut c10 = V::load(cp.add((r + 1) * n + j));
-                let mut c11 = V::load(cp.add((r + 1) * n + j + l));
-                let mut c20 = V::load(cp.add((r + 2) * n + j));
-                let mut c21 = V::load(cp.add((r + 2) * n + j + l));
-                let mut c30 = V::load(cp.add((r + 3) * n + j));
-                let mut c31 = V::load(cp.add((r + 3) * n + j + l));
+                let mut c00 = V::load(cp.add(r * ldc + j));
+                let mut c01 = V::load(cp.add(r * ldc + j + l));
+                let mut c10 = V::load(cp.add((r + 1) * ldc + j));
+                let mut c11 = V::load(cp.add((r + 1) * ldc + j + l));
+                let mut c20 = V::load(cp.add((r + 2) * ldc + j));
+                let mut c21 = V::load(cp.add((r + 2) * ldc + j + l));
+                let mut c30 = V::load(cp.add((r + 3) * ldc + j));
+                let mut c31 = V::load(cp.add((r + 3) * ldc + j + l));
                 for p in 0..k {
-                    let b0 = V::load(bp.add(p * n + j));
-                    let b1 = V::load(bp.add(p * n + j + l));
-                    let x0 = V::splat(*ap.add(r * k + p));
+                    let b0 = V::load(bp.add(p * ldb + j));
+                    let b1 = V::load(bp.add(p * ldb + j + l));
+                    let x0 = V::splat(*ap.add(r * ars + p * acs));
                     c00 = c00.add(x0.mul(b0));
                     c01 = c01.add(x0.mul(b1));
-                    let x1 = V::splat(*ap.add((r + 1) * k + p));
+                    let x1 = V::splat(*ap.add((r + 1) * ars + p * acs));
                     c10 = c10.add(x1.mul(b0));
                     c11 = c11.add(x1.mul(b1));
-                    let x2 = V::splat(*ap.add((r + 2) * k + p));
+                    let x2 = V::splat(*ap.add((r + 2) * ars + p * acs));
                     c20 = c20.add(x2.mul(b0));
                     c21 = c21.add(x2.mul(b1));
-                    let x3 = V::splat(*ap.add((r + 3) * k + p));
+                    let x3 = V::splat(*ap.add((r + 3) * ars + p * acs));
                     c30 = c30.add(x3.mul(b0));
                     c31 = c31.add(x3.mul(b1));
                 }
-                c00.store(cp.add(r * n + j));
-                c01.store(cp.add(r * n + j + l));
-                c10.store(cp.add((r + 1) * n + j));
-                c11.store(cp.add((r + 1) * n + j + l));
-                c20.store(cp.add((r + 2) * n + j));
-                c21.store(cp.add((r + 2) * n + j + l));
-                c30.store(cp.add((r + 3) * n + j));
-                c31.store(cp.add((r + 3) * n + j + l));
+                c00.store(cp.add(r * ldc + j));
+                c01.store(cp.add(r * ldc + j + l));
+                c10.store(cp.add((r + 1) * ldc + j));
+                c11.store(cp.add((r + 1) * ldc + j + l));
+                c20.store(cp.add((r + 2) * ldc + j));
+                c21.store(cp.add((r + 2) * ldc + j + l));
+                c30.store(cp.add((r + 3) * ldc + j));
+                c31.store(cp.add((r + 3) * ldc + j + l));
                 j += 2 * l;
             }
             while j + l <= n {
-                let mut c0 = V::load(cp.add(r * n + j));
-                let mut c1 = V::load(cp.add((r + 1) * n + j));
-                let mut c2 = V::load(cp.add((r + 2) * n + j));
-                let mut c3 = V::load(cp.add((r + 3) * n + j));
+                let mut c0 = V::load(cp.add(r * ldc + j));
+                let mut c1 = V::load(cp.add((r + 1) * ldc + j));
+                let mut c2 = V::load(cp.add((r + 2) * ldc + j));
+                let mut c3 = V::load(cp.add((r + 3) * ldc + j));
                 for p in 0..k {
-                    let bv = V::load(bp.add(p * n + j));
-                    c0 = c0.add(V::splat(*ap.add(r * k + p)).mul(bv));
-                    c1 = c1.add(V::splat(*ap.add((r + 1) * k + p)).mul(bv));
-                    c2 = c2.add(V::splat(*ap.add((r + 2) * k + p)).mul(bv));
-                    c3 = c3.add(V::splat(*ap.add((r + 3) * k + p)).mul(bv));
+                    let bv = V::load(bp.add(p * ldb + j));
+                    c0 = c0.add(V::splat(*ap.add(r * ars + p * acs)).mul(bv));
+                    c1 = c1.add(V::splat(*ap.add((r + 1) * ars + p * acs)).mul(bv));
+                    c2 = c2.add(V::splat(*ap.add((r + 2) * ars + p * acs)).mul(bv));
+                    c3 = c3.add(V::splat(*ap.add((r + 3) * ars + p * acs)).mul(bv));
                 }
-                c0.store(cp.add(r * n + j));
-                c1.store(cp.add((r + 1) * n + j));
-                c2.store(cp.add((r + 2) * n + j));
-                c3.store(cp.add((r + 3) * n + j));
+                c0.store(cp.add(r * ldc + j));
+                c1.store(cp.add((r + 1) * ldc + j));
+                c2.store(cp.add((r + 2) * ldc + j));
+                c3.store(cp.add((r + 3) * ldc + j));
                 j += l;
             }
             while j < n {
                 for i in 0..4 {
-                    let mut s = *cp.add((r + i) * n + j);
+                    let mut s = *cp.add((r + i) * ldc + j);
                     for p in 0..k {
-                        s += *ap.add((r + i) * k + p) * *bp.add(p * n + j);
+                        s += *ap.add((r + i) * ars + p * acs) * *bp.add(p * ldb + j);
                     }
-                    *cp.add((r + i) * n + j) = s;
+                    *cp.add((r + i) * ldc + j) = s;
                 }
                 j += 1;
             }
@@ -123,19 +139,21 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
         while r < rows {
             let mut j = 0;
             while j + l <= n {
-                let mut cv = V::load(cp.add(r * n + j));
+                let mut cv = V::load(cp.add(r * ldc + j));
                 for p in 0..k {
-                    cv = cv.add(V::splat(*ap.add(r * k + p)).mul(V::load(bp.add(p * n + j))));
+                    cv = cv.add(
+                        V::splat(*ap.add(r * ars + p * acs)).mul(V::load(bp.add(p * ldb + j))),
+                    );
                 }
-                cv.store(cp.add(r * n + j));
+                cv.store(cp.add(r * ldc + j));
                 j += l;
             }
             while j < n {
-                let mut s = *cp.add(r * n + j);
+                let mut s = *cp.add(r * ldc + j);
                 for p in 0..k {
-                    s += *ap.add(r * k + p) * *bp.add(p * n + j);
+                    s += *ap.add(r * ars + p * acs) * *bp.add(p * ldb + j);
                 }
-                *cp.add(r * n + j) = s;
+                *cp.add(r * ldc + j) = s;
                 j += 1;
             }
             r += 1;
@@ -254,20 +272,24 @@ unsafe fn at_b_micro_any<T: Scalar, V: SimdVec<T>>(
 }
 
 /// One reduction chunk of `C = AᵀB` (`A ∈ rows×d`, `B ∈ rows×m`),
-/// accumulated into a **`j`-major** `m × d` panel (`acc[j·d + i] = C[i][j]`)
-/// so the `d` axis — contiguous in every `A` row — is the vector axis.
+/// accumulated into a **`j`-major** `m × dp` panel (`acc[j·dp + i] = C[i][j]`,
+/// `dp = d` rounded up to a multiple of `V::LANES`) so the `d` axis —
+/// contiguous in every `A` row — is the vector axis.
 ///
 /// Optionally packs each `V::LANES`-wide A-column strip into a contiguous
 /// panel (`packbuf`) so the row loop streams unit-stride memory regardless
-/// of `d`. Packing and the `jb` register-block size are chosen by the
-/// autotuner and are bit-neutral: per element the row-accumulation order is
-/// the canonical 4-row grouping of the scalar kernel, whatever the
-/// blocking.
+/// of `d`. The last `d % LANES` columns always go through a packed strip,
+/// zero-padded to a full vector: they run the same microkernel as every
+/// other strip and the padded lanes land in the `dp - d` accumulator
+/// columns nobody reads, so no output row is left to scalar code. Packing
+/// and the `jb` register-block size are chosen by the autotuner and are
+/// bit-neutral: per element the row-accumulation order is the canonical
+/// 4-row grouping of the scalar kernel, whatever the blocking.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
-/// `acc.len() = m·d`, `a.len() = rows·d`, `b.len() = rows·m`, `d > 0`,
-/// `m > 0`, `1 ≤ jb ≤ 8`.
+/// `acc.len() = m·dp` with `dp = d.next_multiple_of(V::LANES)`,
+/// `a.len() = rows·d`, `b.len() = rows·m`, `d > 0`, `m > 0`, `1 ≤ jb ≤ 8`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn at_b_chunk<T: Scalar, V: SimdVec<T>>(
@@ -282,77 +304,79 @@ pub(crate) unsafe fn at_b_chunk<T: Scalar, V: SimdVec<T>>(
 ) {
     let l = V::LANES;
     let rows = a.len() / d;
-    let vd = d - d % l;
-    // SAFETY: the caller's shape contract (see `# Safety`) gives the
-    // microkernels their pointer contract: `ib + l ≤ vd ≤ d` keeps every
-    // `A`-strip and `acc`-tile access in bounds (the packed panel is
-    // `rows · l` by construction), `j0 + jl ≤ m` caps the `b`/`acc`
-    // columns, and the scalar tail indexes `i < d`, `j < m`, `r < rows`
-    // directly. The target feature backing `V` is held by the caller.
-    unsafe {
-        let mut ib = 0;
-        while ib < vd {
-            let (ap, astride) = if pack {
-                packbuf.clear();
-                packbuf.reserve(rows * l);
-                for r in 0..rows {
-                    packbuf.extend_from_slice(&a[r * d + ib..r * d + ib + l]);
-                }
-                (packbuf.as_ptr(), l)
-            } else {
-                (a.as_ptr().add(ib), d)
-            };
-            let mut j0 = 0;
-            while j0 < m {
-                let jl = (m - j0).min(jb);
-                let accp = acc.as_mut_ptr().add(j0 * d + ib);
-                let bp = b.as_ptr().add(j0);
-                match jl {
-                    8 => at_b_micro::<T, V, 8>(accp, d, ap, astride, bp, m, rows),
-                    4 => at_b_micro::<T, V, 4>(accp, d, ap, astride, bp, m, rows),
-                    _ => at_b_micro_any::<T, V>(accp, d, ap, astride, bp, m, rows, jl),
-                }
-                j0 += jl;
-            }
-            ib += l;
+    let dp = d.next_multiple_of(l);
+    let strips = dp / l;
+    // Strips that go through `packbuf` (strip-major, `rows × l` each): all
+    // of them when the plan packs, else only the zero-padded last one.
+    let first_packed = if pack { 0 } else { d / l };
+    packbuf.clear();
+    packbuf.reserve((strips - first_packed) * rows * l);
+    for strip in first_packed..strips {
+        let ib = strip * l;
+        let real = l.min(d - ib);
+        for r in 0..rows {
+            packbuf.extend_from_slice(&a[r * d + ib..r * d + ib + real]);
+            packbuf.resize(packbuf.len() + l - real, T::ZERO);
         }
-        // Scalar tail for the last `d % LANES` output rows, in the identical
-        // canonical row grouping.
-        let apab = a.as_ptr();
-        let bpab = b.as_ptr();
-        for i in vd..d {
-            for j in 0..m {
-                let dst = acc.as_mut_ptr().add(j * d + i);
-                let mut s = *dst;
-                let mut r = 0;
-                while r + 4 <= rows {
-                    s += *apab.add(r * d + i) * *bpab.add(r * m + j)
-                        + *apab.add((r + 1) * d + i) * *bpab.add((r + 1) * m + j)
-                        + *apab.add((r + 2) * d + i) * *bpab.add((r + 2) * m + j)
-                        + *apab.add((r + 3) * d + i) * *bpab.add((r + 3) * m + j);
-                    r += 4;
+    }
+    // SAFETY: the caller's shape contract (see `# Safety`) gives the
+    // microkernels their pointer contract: `(strip + 1)·l ≤ dp` keeps every
+    // `acc`-tile access in bounds, an unpacked `A` strip has
+    // `(strip + 1)·l ≤ d` and packed strip `strip` is the `rows · l`
+    // elements staged above at `(strip - first_packed)·rows·l`, and
+    // `j0 + jl ≤ m` caps the `b`/`acc` columns. The target feature backing
+    // `V` is held by the caller.
+    unsafe {
+        // Column blocks outermost: a block's `rows × jl` slice of `B` is
+        // then reused from L1 by every strip, however wide `B` is.
+        let mut j0 = 0;
+        while j0 < m {
+            let jl = (m - j0).min(jb);
+            let bp = b.as_ptr().add(j0);
+            for strip in 0..strips {
+                let (ap, astride) = if strip >= first_packed {
+                    (packbuf.as_ptr().add((strip - first_packed) * rows * l), l)
+                } else {
+                    (a.as_ptr().add(strip * l), d)
+                };
+                let accp = acc.as_mut_ptr().add(j0 * dp + strip * l);
+                match jl {
+                    8 => at_b_micro::<T, V, 8>(accp, dp, ap, astride, bp, m, rows),
+                    4 => at_b_micro::<T, V, 4>(accp, dp, ap, astride, bp, m, rows),
+                    _ => at_b_micro_any::<T, V>(accp, dp, ap, astride, bp, m, rows, jl),
                 }
-                while r < rows {
-                    s += *apab.add(r * d + i) * *bpab.add(r * m + j);
-                    r += 1;
-                }
-                *dst = s;
             }
+            j0 += jl;
         }
     }
 }
 
 /// One reduction chunk of the weighted Gram kernels: for every class `k`
 /// in `k0..k1`, `acc_blk(k) += Σᵢ W[i][k]·xᵢxᵢᵀ` over the chunk's rows
-/// (upper triangle only; the caller mirrors). Rows accumulate
-/// sequentially, `q` is the vector axis — the canonical row-sequential
-/// tree of the scalar Gram panels, bit-for-bit.
+/// (upper triangle; the caller mirrors). Each accumulator block is
+/// `d × dp` row-major, `dp = d` rounded up to a multiple of `V::LANES`.
+///
+/// Per class the chunk is staged as two packed panels — `S = diag(w)·X`
+/// (`rows × d`) and `X` itself zero-padded to `dp` columns — leaving out
+/// the rows whose weight is exactly zero, and the block is then
+/// `acc += Sᵀ·X` through [`gemm_panel`], four accumulator rows at a time,
+/// each tile starting at the vector that holds its diagonal. So the
+/// accumulator tile stays in registers across the chunk's rows, no column
+/// is left to scalar code whatever `d` is, and the lanes left of the
+/// diagonal or right of `d` land in entries the caller's mirror overwrites
+/// or never reads.
+///
+/// Per element this is the canonical row-sequential tree of the scalar
+/// Gram panels, bit for bit: `acc[p][q] += (w·x_p)·x_q`, rows ascending,
+/// zero-weight rows skipped.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
-/// `acc.len() = (k1-k0)·d·d`, `x.len() = rows·d`, a weight panel with row
-/// stride `wstride ≥ k1`, and `d > 0`.
+/// `acc.len() = (k1-k0)·d·dp` with `dp = d.next_multiple_of(V::LANES)`,
+/// `x.len() = rows·d`, a weight panel with row stride `wstride ≥ k1`, and
+/// `d > 0`.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
     acc: &mut [T],
     x: &[T],
@@ -361,39 +385,54 @@ pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
     k0: usize,
     k1: usize,
     d: usize,
+    packbuf: &mut Vec<T>,
 ) {
     let l = V::LANES;
-    let rows = x.len() / d;
-    // SAFETY: the caller's shape contract (see `# Safety`) bounds every
-    // access: `i < rows` rows of `x` and `w` (row stride `wstride ≥ k1 > k`),
-    // block `k - k0 < k1 - k0` of `acc`, and in-block offsets
-    // `p·d + q < d·d` with `q + l ≤ d` on the vector steps. The target
-    // feature backing `V` is held by the caller.
-    unsafe {
-        for i in 0..rows {
-            let xi = x.as_ptr().add(i * d);
-            for k in k0..k1 {
-                let wik = *w.get_unchecked(i * wstride + k);
-                if wik == T::ZERO {
-                    continue;
-                }
-                let blk = acc.as_mut_ptr().add((k - k0) * d * d);
-                for p in 0..d {
-                    let s = wik * *xi.add(p);
-                    let sv = V::splat(s);
-                    let dst = blk.add(p * d);
-                    let mut q = p;
-                    while q + l <= d {
-                        V::load(dst.add(q))
-                            .add(sv.mul(V::load(xi.add(q))))
-                            .store(dst.add(q));
-                        q += l;
-                    }
-                    while q < d {
-                        *dst.add(q) += s * *xi.add(q);
-                        q += 1;
-                    }
-                }
+    let dp = d.next_multiple_of(l);
+    for k in k0..k1 {
+        // `packbuf` = S (live × d) followed by padded X (live × dp).
+        packbuf.clear();
+        let mut live = 0;
+        for (xi, wi) in x.chunks_exact(d).zip(w.chunks(wstride)) {
+            let wik = wi[k];
+            if wik != T::ZERO {
+                packbuf.extend(xi.iter().map(|&xv| wik * xv));
+                live += 1;
+            }
+        }
+        if live == 0 {
+            continue;
+        }
+        for (xi, wi) in x.chunks_exact(d).zip(w.chunks(wstride)) {
+            if wi[k] != T::ZERO {
+                packbuf.extend_from_slice(xi);
+                packbuf.resize(packbuf.len() + dp - d, T::ZERO);
+            }
+        }
+        let (scaled, padded) = packbuf.split_at(live * d);
+        let blk = &mut acc[(k - k0) * d * dp..(k - k0 + 1) * d * dp];
+        for p0 in (0..d).step_by(4) {
+            let tile = 4.min(d - p0);
+            let q0 = p0 - p0 % l;
+            // SAFETY: `C` is rows `p0..p0+tile` of the block from column
+            // `q0` (`(tile-1)·dp + dp - q0 ≤ blk.len() - p0·dp - q0`), `A`
+            // is columns `p0..p0+tile` of `S` read transposed
+            // (`(tile-1) + (live-1)·d < live·d - p0`), `B` is `padded`
+            // from column `q0` (`(live-1)·dp + dp - q0 = live·dp - q0`);
+            // the target feature backing `V` is held by the caller.
+            unsafe {
+                gemm_panel::<T, V>(
+                    &mut blk[p0 * dp + q0..],
+                    dp,
+                    &scaled[p0..],
+                    1,
+                    d,
+                    &padded[q0..],
+                    dp,
+                    tile,
+                    live,
+                    dp - q0,
+                );
             }
         }
     }

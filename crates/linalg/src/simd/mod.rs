@@ -1,6 +1,7 @@
 //! Runtime SIMD feature dispatch for the hot dense kernels.
 //!
-//! The five kernels in [`mod@crate::gemm`] are implemented at three levels:
+//! The five kernels in [`mod@crate::gemm`] and the fused Fisher-panel sweep
+//! in [`mod@crate::sweep`] are implemented at three levels:
 //! the always-available scalar register-tiled panels (the reference
 //! semantics), and explicit-`std::arch` SIMD bodies for x86-64 (AVX2 and
 //! the SSE2 baseline) and AArch64 (NEON). The tier is picked **once** at
@@ -22,7 +23,11 @@
 //!   singly, within the shape-derived reduction chunks of the thread
 //!   contract;
 //! * [`crate::gemm::gram_weighted`] / [`crate::gemm::gram_weighted_multi`]:
-//!   rows accumulate strictly sequentially.
+//!   rows accumulate strictly sequentially;
+//! * [`crate::sweep::fisher_sweep`]: the `gemm` tree for `X·V`, a
+//!   class-ascending `γᵀh`, and one row-ascending accumulator per output
+//!   element of `XᵀΓ` within each shape-derived reduction chunk (spelled
+//!   out in the `crate::sweep` module docs).
 //!
 //! Lane-width independence holds because vector lanes always span
 //! independent *output elements* (columns of `C`/`G`, the `d` rows of
@@ -34,6 +39,7 @@
 //! which `kernel_bench` and the `simd_equality` test matrix re-verify.
 
 mod body;
+mod sweep;
 mod vector;
 
 use std::sync::OnceLock;
@@ -262,15 +268,35 @@ pub trait Dispatch: Sized {
         k0: usize,
         k1: usize,
         d: usize,
+        packbuf: &mut Vec<Self>,
+    ) -> bool;
+
+    /// SIMD row-block body of the fused Fisher-panel sweep; see
+    /// [`crate::sweep::fisher_sweep`].
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    fn simd_sweep_block(
+        tier: Tier,
+        partial: &mut [Self],
+        gamma: &mut [Self],
+        alpha: &mut [Self],
+        x: &[Self],
+        h: &[Self],
+        z: Option<&[Self]>,
+        vpad: Option<&[Self]>,
+        d: usize,
+        c: usize,
+        s: usize,
+        mp: usize,
     ) -> bool;
 }
 
-/// `#[target_feature]` wrappers: one set of three kernels per (tier,
+/// `#[target_feature]` wrappers: one set of four kernels per (tier,
 /// dtype). `body::*` is `#[inline(always)]`, so each body monomorphizes
 /// and codegens under the wrapper's feature set.
 macro_rules! tier_wrappers {
-    ($feat:literal, $t:ty, $v:ty, $gemm:ident, $atb:ident, $gram:ident) => {
-        // SAFETY (this wrapper and the two below): `#[target_feature]`
+    ($feat:literal, $t:ty, $v:ty, $gemm:ident, $atb:ident, $gram:ident, $sweep:ident) => {
+        // SAFETY (this wrapper and the three below): `#[target_feature]`
         // makes the fn unsafe with the contract "caller verified $feat";
         // that is exactly the feature backing `$v`, the kernel entry
         // points validate the slice shapes before dispatching here, and
@@ -279,7 +305,7 @@ macro_rules! tier_wrappers {
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn $gemm(c: &mut [$t], a: &[$t], b: &[$t], k: usize, n: usize) {
             // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::gemm_panel::<$t, $v>(c, a, b, k, n) }
+            unsafe { super::body::gemm_panel::<$t, $v>(c, n, a, k, 1, b, n, a.len() / k, k, n) }
         }
         // SAFETY: same wrapper contract as the first kernel above.
         #[target_feature(enable = $feat)]
@@ -308,9 +334,33 @@ macro_rules! tier_wrappers {
             k0: usize,
             k1: usize,
             d: usize,
+            packbuf: &mut Vec<$t>,
         ) {
             // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::gram_rows::<$t, $v>(acc, x, w, wstride, k0, k1, d) }
+            unsafe { super::body::gram_rows::<$t, $v>(acc, x, w, wstride, k0, k1, d, packbuf) }
+        }
+        // SAFETY: same wrapper contract as the first kernel above.
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        pub(super) unsafe fn $sweep(
+            partial: &mut [$t],
+            gamma: &mut [$t],
+            alpha: &mut [$t],
+            x: &[$t],
+            h: &[$t],
+            z: Option<&[$t]>,
+            vpad: Option<&[$t]>,
+            d: usize,
+            c: usize,
+            s: usize,
+            mp: usize,
+        ) {
+            // SAFETY: feature and shape contract forwarded, see above.
+            unsafe {
+                super::sweep::sweep_block::<$t, $v>(
+                    partial, gamma, alpha, x, h, z, vpad, d, c, s, mp,
+                )
+            }
         }
     };
 }
@@ -325,7 +375,8 @@ mod wrap {
         Avx2F32,
         avx2_gemm_f32,
         avx2_atb_f32,
-        avx2_gram_f32
+        avx2_gram_f32,
+        avx2_sweep_f32
     );
     tier_wrappers!(
         "avx2",
@@ -333,7 +384,8 @@ mod wrap {
         Avx2F64,
         avx2_gemm_f64,
         avx2_atb_f64,
-        avx2_gram_f64
+        avx2_gram_f64,
+        avx2_sweep_f64
     );
     tier_wrappers!(
         "sse2",
@@ -341,7 +393,8 @@ mod wrap {
         Sse2F32,
         sse2_gemm_f32,
         sse2_atb_f32,
-        sse2_gram_f32
+        sse2_gram_f32,
+        sse2_sweep_f32
     );
     tier_wrappers!(
         "sse2",
@@ -349,7 +402,8 @@ mod wrap {
         Sse2F64,
         sse2_gemm_f64,
         sse2_atb_f64,
-        sse2_gram_f64
+        sse2_gram_f64,
+        sse2_sweep_f64
     );
 }
 
@@ -363,7 +417,8 @@ mod wrap {
         NeonF32,
         neon_gemm_f32,
         neon_atb_f32,
-        neon_gram_f32
+        neon_gram_f32,
+        neon_sweep_f32
     );
     tier_wrappers!(
         "neon",
@@ -371,7 +426,8 @@ mod wrap {
         NeonF64,
         neon_gemm_f64,
         neon_atb_f64,
-        neon_gram_f64
+        neon_gram_f64,
+        neon_sweep_f64
     );
 }
 
@@ -380,9 +436,9 @@ mod wrap {
 /// produced by [`active_tier`]/[`available_tiers`] (runtime-verified) or
 /// by harnesses iterating [`available_tiers`].
 macro_rules! dispatch_impl {
-    ($t:ty, $avx2_gemm:ident, $avx2_atb:ident, $avx2_gram:ident,
-        $sse2_gemm:ident, $sse2_atb:ident, $sse2_gram:ident,
-        $neon_gemm:ident, $neon_atb:ident, $neon_gram:ident) => {
+    ($t:ty, $avx2_gemm:ident, $avx2_atb:ident, $avx2_gram:ident, $avx2_sweep:ident,
+        $sse2_gemm:ident, $sse2_atb:ident, $sse2_gram:ident, $sse2_sweep:ident,
+        $neon_gemm:ident, $neon_atb:ident, $neon_gram:ident, $neon_sweep:ident) => {
         impl Dispatch for $t {
             fn simd_gemm_panel(
                 tier: Tier,
@@ -460,25 +516,64 @@ macro_rules! dispatch_impl {
                 k0: usize,
                 k1: usize,
                 d: usize,
+                packbuf: &mut Vec<Self>,
             ) -> bool {
                 match tier {
                     // SAFETY: the matched tier proves the wrapper's
                     // feature is available (see macro doc above).
                     #[cfg(target_arch = "x86_64")]
                     Tier::Avx2 => unsafe {
-                        wrap::$avx2_gram(acc, x, w, wstride, k0, k1, d);
+                        wrap::$avx2_gram(acc, x, w, wstride, k0, k1, d, packbuf);
                         true
                     },
                     // SAFETY: SSE2 is the x86-64 compile-time baseline.
                     #[cfg(target_arch = "x86_64")]
                     Tier::Sse2 => unsafe {
-                        wrap::$sse2_gram(acc, x, w, wstride, k0, k1, d);
+                        wrap::$sse2_gram(acc, x, w, wstride, k0, k1, d, packbuf);
                         true
                     },
                     // SAFETY: NEON is the AArch64 compile-time baseline.
                     #[cfg(target_arch = "aarch64")]
                     Tier::Neon => unsafe {
-                        wrap::$neon_gram(acc, x, w, wstride, k0, k1, d);
+                        wrap::$neon_gram(acc, x, w, wstride, k0, k1, d, packbuf);
+                        true
+                    },
+                    _ => false,
+                }
+            }
+
+            fn simd_sweep_block(
+                tier: Tier,
+                partial: &mut [Self],
+                gamma: &mut [Self],
+                alpha: &mut [Self],
+                x: &[Self],
+                h: &[Self],
+                z: Option<&[Self]>,
+                vpad: Option<&[Self]>,
+                d: usize,
+                c: usize,
+                s: usize,
+                mp: usize,
+            ) -> bool {
+                match tier {
+                    // SAFETY: the matched tier proves the wrapper's
+                    // feature is available (see macro doc above).
+                    #[cfg(target_arch = "x86_64")]
+                    Tier::Avx2 => unsafe {
+                        wrap::$avx2_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
+                        true
+                    },
+                    // SAFETY: SSE2 is the x86-64 compile-time baseline.
+                    #[cfg(target_arch = "x86_64")]
+                    Tier::Sse2 => unsafe {
+                        wrap::$sse2_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
+                        true
+                    },
+                    // SAFETY: NEON is the AArch64 compile-time baseline.
+                    #[cfg(target_arch = "aarch64")]
+                    Tier::Neon => unsafe {
+                        wrap::$neon_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
                         true
                     },
                     _ => false,
@@ -493,24 +588,30 @@ dispatch_impl!(
     avx2_gemm_f32,
     avx2_atb_f32,
     avx2_gram_f32,
+    avx2_sweep_f32,
     sse2_gemm_f32,
     sse2_atb_f32,
     sse2_gram_f32,
+    sse2_sweep_f32,
     neon_gemm_f32,
     neon_atb_f32,
-    neon_gram_f32
+    neon_gram_f32,
+    neon_sweep_f32
 );
 dispatch_impl!(
     f64,
     avx2_gemm_f64,
     avx2_atb_f64,
     avx2_gram_f64,
+    avx2_sweep_f64,
     sse2_gemm_f64,
     sse2_atb_f64,
     sse2_gram_f64,
+    sse2_sweep_f64,
     neon_gemm_f64,
     neon_atb_f64,
-    neon_gram_f64
+    neon_gram_f64,
+    neon_sweep_f64
 );
 
 #[cfg(test)]

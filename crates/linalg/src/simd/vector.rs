@@ -1,9 +1,9 @@
 //! Minimal SIMD vector abstraction over `std::arch` intrinsics.
 //!
 //! Each implementation wraps one hardware register type and exposes exactly
-//! the four operations the kernel bodies in [`super::body`] need: unaligned
-//! load/store, lane broadcast, multiply, and add. Multiplication and
-//! addition are deliberately **unfused** (`mulps` + `addps`, never FMA):
+//! the operations the kernel bodies in [`super::body`] and [`super::sweep`]
+//! need: unaligned load/store, lane broadcast, multiply, add and subtract.
+//! Multiplication and addition are deliberately **unfused** (`mulps` + `addps`, never FMA):
 //! the crate-wide determinism contract pins two-rounding multiply-then-add
 //! semantics so every dispatch tier — the scalar fallback included —
 //! produces bitwise identical results (see `firal_linalg::simd`).
@@ -49,14 +49,19 @@ pub(crate) trait SimdVec<T: Copy>: Copy {
     /// # Safety
     /// The backing CPU feature must be held.
     unsafe fn add(self, o: Self) -> Self;
+    /// Lane-wise difference `self - o`.
+    ///
+    /// # Safety
+    /// The backing CPU feature must be held.
+    unsafe fn sub(self, o: Self) -> Self;
 }
 
-/// Implements the five [`SimdVec`] methods for one register newtype by
+/// Implements the six [`SimdVec`] methods for one register newtype by
 /// routing each to its intrinsic. Factored as a macro so the per-intrinsic
 /// `SAFETY` reasoning is stated once, next to the only `unsafe` blocks.
 macro_rules! simd_vec_impl {
     ($ty:ty, $t:ty, $lanes:literal, $feat:literal,
-        $load:ident, $store:ident, $splat:ident, $mul:ident, $add:ident) => {
+        $load:ident, $store:ident, $splat:ident, $mul:ident, $add:ident, $sub:ident) => {
         impl SimdVec<$t> for $ty {
             const LANES: usize = $lanes;
             #[inline(always)]
@@ -92,6 +97,12 @@ macro_rules! simd_vec_impl {
                 // the backing feature (SimdVec trait contract).
                 Self(unsafe { $add(self.0, o.0) })
             }
+            #[inline(always)]
+            unsafe fn sub(self, o: Self) -> Self {
+                // SAFETY: register-only lane-wise subtract; the caller
+                // holds the backing feature (SimdVec trait contract).
+                Self(unsafe { $sub(self.0, o.0) })
+            }
         }
     };
 }
@@ -114,7 +125,8 @@ pub(crate) mod x86 {
         _mm256_storeu_ps,
         _mm256_set1_ps,
         _mm256_mul_ps,
-        _mm256_add_ps
+        _mm256_add_ps,
+        _mm256_sub_ps
     );
 
     /// 4 × f64 in one AVX ymm register.
@@ -130,7 +142,8 @@ pub(crate) mod x86 {
         _mm256_storeu_pd,
         _mm256_set1_pd,
         _mm256_mul_pd,
-        _mm256_add_pd
+        _mm256_add_pd,
+        _mm256_sub_pd
     );
 
     /// 4 × f32 in one SSE xmm register (x86-64 baseline).
@@ -146,7 +159,8 @@ pub(crate) mod x86 {
         _mm_storeu_ps,
         _mm_set1_ps,
         _mm_mul_ps,
-        _mm_add_ps
+        _mm_add_ps,
+        _mm_sub_ps
     );
 
     /// 2 × f64 in one SSE xmm register (x86-64 baseline).
@@ -162,7 +176,8 @@ pub(crate) mod x86 {
         _mm_storeu_pd,
         _mm_set1_pd,
         _mm_mul_pd,
-        _mm_add_pd
+        _mm_add_pd,
+        _mm_sub_pd
     );
 }
 
@@ -184,7 +199,8 @@ pub(crate) mod arm {
         vst1q_f32,
         vdupq_n_f32,
         vmulq_f32,
-        vaddq_f32
+        vaddq_f32,
+        vsubq_f32
     );
 
     /// 2 × f64 in one NEON q register (AArch64 baseline).
@@ -200,6 +216,7 @@ pub(crate) mod arm {
         vst1q_f64,
         vdupq_n_f64,
         vmulq_f64,
-        vaddq_f64
+        vaddq_f64,
+        vsubq_f64
     );
 }

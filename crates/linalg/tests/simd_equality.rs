@@ -1,4 +1,5 @@
-//! Cross-tier bitwise equality matrix for the five hot kernels.
+//! Cross-tier bitwise equality matrix for the five hot kernels and the
+//! fused Fisher-panel sweep.
 //!
 //! The determinism contract of `firal_linalg::gemm` says every available
 //! SIMD tier implements the same canonical per-element summation tree as
@@ -7,15 +8,20 @@
 //! deliberately awkward shapes: `n` values that are not multiples of any
 //! lane width (and straddle the parallel threshold and the 4-row tile),
 //! `d ∈ {1, 3, 64, 65}` (sub-lane, odd, lane-aligned, lane-misaligned),
-//! and `m ∈ {1, 8}` (degenerate and register-block-wide outputs). It also
-//! pins that the autotuner's blocking knobs (`jb`, `pack`, `class_block`)
+//! and `m ∈ {1, 8}` (degenerate and register-block-wide outputs), plus the
+//! paper's Table V dimensions `d ∈ {20, 50, 100}` — none a lane multiple in
+//! f32 — against `m = (c-1)·s ∈ {9, 90}`. It also pins that the
+//! autotuner's blocking knobs (`jb`, `pack`, `class_block`, `sweep_bytes`)
 //! are bit-neutral, so a timing-dependent plan choice can never perturb
-//! numerics.
+//! numerics, and that the fused sweep gives one answer on every tier, at
+//! 1, 2 and 4 pool threads, under every plan, whether it forms `X·V`
+//! itself or is handed it.
 
 use firal_linalg::simd::{available_tiers, Tier};
 use firal_linalg::{
-    gemm_a_bt_tier, gemm_at_b_planned, gemm_at_b_tier, gemm_tier, gram_weighted_multi_planned,
-    gram_weighted_multi_tier, gram_weighted_tier, KernelPlan, Matrix, Scalar,
+    fisher_sweep_planned, gemm_a_bt_tier, gemm_at_b_planned, gemm_at_b_tier, gemm_tier,
+    gram_weighted_multi_planned, gram_weighted_multi_tier, gram_weighted_tier, plan_for, to_wide,
+    KernelPlan, Matrix, Scalar, SweepInput, SweepWorkspace,
 };
 
 /// Deterministic LCG test matrix, generic over dtype. A sprinkling of
@@ -49,7 +55,8 @@ fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> 
     let sq = test_mat::<T>(d, m, 3000 + m as u64, false);
     let bm = test_mat::<T>(m, d, 4000 + n as u64, false);
     let w = test_mat::<T>(n, 1, 5000 + d as u64, true);
-    let wpanel = test_mat::<T>(n, m, 6000 + n as u64, true);
+    // `m` class blocks of order `d` would dominate the suite at m = 90.
+    let wpanel = test_mat::<T>(n, m.min(9), 6000 + n as u64, true);
 
     let mut out = Vec::new();
     out.extend(bits(&gemm_tier(tier, &a, &sq)));
@@ -65,16 +72,20 @@ fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> 
 fn equality_sweep<T: Scalar>() {
     let tiers = available_tiers();
     assert_eq!(tiers[0], Tier::Scalar);
-    for &n in &[1usize, 7, 129, 1003] {
-        for &d in &[1usize, 3, 64, 65] {
-            for &m in &[1usize, 8] {
-                let reference = kernel_bits::<T>(Tier::Scalar, n, d, m);
-                for &tier in &tiers[1..] {
-                    assert_eq!(
-                        kernel_bits::<T>(tier, n, d, m),
-                        reference,
-                        "tier {tier} diverges from scalar at n={n} d={d} m={m}"
-                    );
+    let awkward: (&[usize], &[usize], &[usize]) = (&[1, 7, 129, 1003], &[1, 3, 64, 65], &[1, 8]);
+    let table_v: (&[usize], &[usize], &[usize]) = (&[6, 301], &[20, 50, 100], &[9, 90]);
+    for (ns, ds, ms) in [awkward, table_v] {
+        for &n in ns {
+            for &d in ds {
+                for &m in ms {
+                    let reference = kernel_bits::<T>(Tier::Scalar, n, d, m);
+                    for &tier in &tiers[1..] {
+                        assert_eq!(
+                            kernel_bits::<T>(tier, n, d, m),
+                            reference,
+                            "tier {tier} diverges from scalar at n={n} d={d} m={m}"
+                        );
+                    }
                 }
             }
         }
@@ -97,9 +108,16 @@ fn all_tiers_bitwise_equal_scalar_f32() {
 #[test]
 fn block_plan_is_bit_neutral() {
     let n = 777;
-    for &d in &[3usize, 64, 65] {
+    for &(d, m) in &[
+        (3usize, 6usize),
+        (64, 6),
+        (65, 6),
+        (20, 9),
+        (50, 90),
+        (100, 9),
+    ] {
         let a = test_mat::<f64>(n, d, 42, false);
-        let b = test_mat::<f64>(n, 6, 43, false);
+        let b = test_mat::<f64>(n, m, 43, false);
         let wpanel = test_mat::<f64>(n, 5, 44, true);
         for tier in available_tiers() {
             let reference_atb = gemm_at_b_tier(tier, &a, &b);
@@ -111,6 +129,7 @@ fn block_plan_is_bit_neutral() {
                             jb,
                             pack,
                             class_block,
+                            sweep_bytes: 1 << 14,
                         };
                         let c = gemm_at_b_planned(tier, plan, &a, &b);
                         assert_eq!(
@@ -128,6 +147,113 @@ fn block_plan_is_bit_neutral() {
             }
         }
     }
+}
+
+/// Probabilities shaped like `c` entries of a softmax row, with a
+/// sprinkling of exact zeros in the weights.
+fn sweep_operands<T: Scalar>(n: usize, d: usize, c: usize) -> (Matrix<T>, Matrix<T>, Vec<T>) {
+    let x = test_mat::<T>(n, d, 7000 + (n * d) as u64, false);
+    let h = Matrix::from_fn(n, c, |i, k| {
+        T::from_f64(0.02 + 0.9 * ((i * 5 + k * 3) % 13) as f64 / 13.0 / c as f64)
+    });
+    let z = (0..n)
+        .map(|i| T::from_f64((i % 5) as f64 * 0.125))
+        .collect();
+    (x, h, z)
+}
+
+/// Bits of the fused sweep on one tier and plan, for the weighted and the
+/// unweighted panel, formed from the stacked panel and from `X·V` computed
+/// by `gemm` on the same tier (all four must agree pairwise too).
+fn sweep_bits<T: Scalar>(
+    tier: Tier,
+    plan: KernelPlan,
+    (n, d, c, s): (usize, usize, usize, usize),
+) -> Vec<u64> {
+    let (x, h, z) = sweep_operands::<T>(n, d, c);
+    let v = test_mat::<T>(d * c, s, 8000 + (c * s) as u64, false);
+    let products = gemm_tier(tier, &x, &to_wide(&v, d, c));
+    let mut ws = SweepWorkspace::new();
+    let mut out = Vec::new();
+    for z in [None, Some(z.as_slice())] {
+        let mut from_panel = vec![T::ZERO; d * c * s];
+        let mut from_products = vec![T::ZERO; d * c * s];
+        let panel = SweepInput::Panel(v.as_slice());
+        fisher_sweep_planned(tier, plan, &x, &h, z, panel, s, &mut ws, &mut from_panel);
+        let shared = SweepInput::Products(&products);
+        fisher_sweep_planned(
+            tier,
+            plan,
+            &x,
+            &h,
+            z,
+            shared,
+            s,
+            &mut ws,
+            &mut from_products,
+        );
+        assert!(
+            from_panel
+                .iter()
+                .zip(&from_products)
+                .all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits()),
+            "tier {tier}: shared X·V changes the sweep at n={n} d={d} c={c} s={s}"
+        );
+        out.extend(from_panel.iter().map(|v| v.to_f64().to_bits()));
+    }
+    out
+}
+
+fn fused_sweep_equality<T: Scalar>() {
+    // n < 4, n % 4 ≠ 0, several reduction chunks (n > 256); d and c·s off
+    // every lane multiple; s below, at and above the lane counts.
+    let shapes = [
+        (1usize, 3usize, 2usize, 1usize),
+        (3, 20, 9, 10),
+        (7, 5, 4, 3),
+        (301, 20, 9, 10),
+        (1003, 50, 2, 16),
+        (777, 100, 1, 9),
+    ];
+    for shape in shapes {
+        let d = shape.1;
+        let serial = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
+        let reference =
+            serial.install(|| sweep_bits::<T>(Tier::Scalar, plan_for::<T>(Tier::Scalar, d), shape));
+        for tier in available_tiers() {
+            let tuned = plan_for::<T>(tier, d);
+            for threads in [1usize, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                for sweep_bytes in [1usize, 1 << 12, tuned.sweep_bytes, 1 << 22] {
+                    let plan = KernelPlan {
+                        sweep_bytes,
+                        ..tuned
+                    };
+                    assert_eq!(
+                        pool.install(|| sweep_bits::<T>(tier, plan, shape)),
+                        reference,
+                        "sweep: tier {tier} threads {threads} {plan:?} at {shape:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f64() {
+    fused_sweep_equality::<f64>();
+}
+
+#[test]
+fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f32() {
+    fused_sweep_equality::<f32>();
 }
 
 /// Degenerate shapes must not panic and must agree across tiers.

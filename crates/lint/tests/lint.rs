@@ -58,6 +58,10 @@ fn fused_multiply_add_is_banned_in_kernel_code() {
     let src = include_str!("fixtures/fma.rs");
     let findings = lint_source("crates/linalg/src/fixture.rs", src);
     assert_eq!(lines_of(&findings, Rule::Fma), vec![2, 7], "{findings:?}");
+    // The scope is the crate's whole `src/` tree, so a kernel body added
+    // under `simd/` (the fused sweep) is covered without being listed.
+    let sweep = lint_source("crates/linalg/src/simd/sweep.rs", src);
+    assert_eq!(lines_of(&sweep, Rule::Fma), vec![2, 7], "{sweep:?}");
     // Outside crates/linalg the rule does not apply.
     let outside = lint_source("crates/solvers/src/fixture.rs", src);
     assert!(lines_of(&outside, Rule::Fma).is_empty());

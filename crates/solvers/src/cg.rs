@@ -4,7 +4,8 @@
 //! mirror-descent iteration. The batched solver advances all `s` columns in
 //! lock-step so each iteration costs one *panel* operator application — the
 //! CPU analogue of the paper batching its CuPy einsum matvecs — and records
-//! per-iteration relative residuals for the Fig. 1 study.
+//! per-iteration relative residuals for the Fig. 1 study. Its iterations
+//! work in panels allocated once per solve.
 
 use firal_linalg::{Matrix, Scalar};
 
@@ -127,12 +128,47 @@ pub fn cg_solve<T: Scalar>(
     (x, telemetry)
 }
 
+/// `out[j] = Σᵢ a[i][j]·b[i][j]`: the `s` column dot products of two
+/// panels in one row-major pass, each column ascending `i` on its own
+/// accumulator.
+fn column_dots<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, out: &mut [T]) {
+    let s = a.cols();
+    out.fill(T::ZERO);
+    if s == 0 {
+        return;
+    }
+    for (ra, rb) in a
+        .as_slice()
+        .chunks_exact(s)
+        .zip(b.as_slice().chunks_exact(s))
+    {
+        for ((o, &u), &v) in out.iter_mut().zip(ra).zip(rb) {
+            *o += u * v;
+        }
+    }
+}
+
+/// `‖a[:, j]‖₂` for every column (one [`column_dots`] pass).
+fn column_norms<T: Scalar>(a: &Matrix<T>, out: &mut [T]) {
+    firal_linalg::counters::add_flops(2 * a.rows() * a.cols());
+    column_dots(a, a, out);
+    for o in out.iter_mut() {
+        *o = o.sqrt();
+    }
+}
+
 /// Batched CG: solve `A X = B` for an `n × s` right-hand-side panel.
 ///
-/// All columns share operator applications (`apply_panel`), which is where
-/// the fast Hessian matvec amortizes; each column keeps its own α/β
+/// All columns share operator applications (`apply_panel_into`), which is
+/// where the fast Hessian matvec amortizes; each column keeps its own α/β
 /// recurrence and stops contributing to the iteration criterion once
 /// converged. Returns the solution panel and per-column telemetry.
+///
+/// Every panel the iteration touches is allocated before the loop and the
+/// column recurrences run as row-major passes over them, so with an
+/// operator and a preconditioner that do not allocate (the pool Hessian and
+/// block-Jacobi do not, after their first application) neither does an
+/// iteration.
 pub fn cg_solve_panel<T: Scalar>(
     op: &dyn LinearOperator<T>,
     prec: &dyn Preconditioner<T>,
@@ -146,44 +182,28 @@ pub fn cg_solve_panel<T: Scalar>(
 
     let mut x = Matrix::zeros(n, s);
     let mut r = b.clone();
-    let bnorms: Vec<T> = (0..s)
-        .map(|j| firal_linalg::nrm2(&b.col(j)).maxv(T::MIN_POSITIVE))
-        .collect();
+    let mut z = Matrix::zeros(n, s);
+    let mut ap = Matrix::zeros(n, s);
+    // Per-column scalars of the current iteration (norms, then pᵀAp, then
+    // the new rᵀz) and the step each active column takes.
+    let mut dots = vec![T::ZERO; s];
+    let mut step = vec![T::ZERO; s];
 
-    // z = M⁻¹ r column-wise
-    let apply_prec = |r: &Matrix<T>| -> Matrix<T> {
-        let mut z = Matrix::zeros(n, s);
-        let mut rc = vec![T::ZERO; n];
-        let mut zc = vec![T::ZERO; n];
-        for j in 0..s {
-            for i in 0..n {
-                rc[i] = r[(i, j)];
-            }
-            prec.apply(&rc, &mut zc);
-            z.set_col(j, &zc);
-        }
-        z
-    };
+    column_norms(b, &mut dots);
+    let bnorms: Vec<T> = dots.iter().map(|&v| v.maxv(T::MIN_POSITIVE)).collect();
 
-    let mut z = apply_prec(&r);
+    prec.apply_panel(&r, &mut z);
     let mut p = z.clone();
-    let col_dot = |a: &Matrix<T>, b: &Matrix<T>, j: usize| -> T {
-        let mut acc = T::ZERO;
-        for i in 0..n {
-            acc += a[(i, j)] * b[(i, j)];
-        }
-        acc
-    };
-    let mut rz: Vec<T> = (0..s).map(|j| col_dot(&r, &z, j)).collect();
+    let mut rz = vec![T::ZERO; s];
+    column_dots(&r, &z, &mut rz);
 
     let mut telemetry: Vec<CgTelemetry<T>> = (0..s)
-        .map(|j| {
-            let rel = firal_linalg::nrm2(&r.col(j)) / bnorms[j];
-            CgTelemetry {
-                iterations: 0,
-                residuals: Vec::new(),
-                converged: rel <= config.rel_tol,
-            }
+        .map(|j| CgTelemetry {
+            iterations: 0,
+            // Room for a typical solve, so recording a residual does not
+            // reallocate mid-iteration.
+            residuals: Vec::with_capacity(max_iter.min(64)),
+            converged: dots[j] / bnorms[j] <= config.rel_tol,
         })
         .collect();
     let mut active: Vec<bool> = telemetry.iter().map(|t| !t.converged).collect();
@@ -192,23 +212,41 @@ pub fn cg_solve_panel<T: Scalar>(
         if !active.iter().any(|&a| a) {
             break;
         }
-        let ap = op.apply_panel(&p);
+        op.apply_panel_into(&p, &mut ap);
+        column_dots(&p, &ap, &mut dots);
+        for j in 0..s {
+            let pap = dots[j];
+            if active[j] && (pap <= T::ZERO || !pap.is_finite()) {
+                active[j] = false;
+            }
+            // A column that is not stepping keeps its iterate: α = 0 would
+            // still turn a NaN in `ap` into a NaN in `r`, hence the mask.
+            step[j] = if active[j] { rz[j] / pap } else { T::ZERO };
+        }
+        let rows = x
+            .as_mut_slice()
+            .chunks_exact_mut(s)
+            .zip(r.as_mut_slice().chunks_exact_mut(s))
+            .zip(
+                p.as_slice()
+                    .chunks_exact(s)
+                    .zip(ap.as_slice().chunks_exact(s)),
+            );
+        for ((xr, rr), (pr, apr)) in rows {
+            for j in 0..s {
+                if active[j] {
+                    xr[j] += step[j] * pr[j];
+                    rr[j] -= step[j] * apr[j];
+                }
+            }
+        }
+        column_norms(&r, &mut dots);
         for j in 0..s {
             if !active[j] {
                 continue;
             }
-            let pap = col_dot(&p, &ap, j);
-            if pap <= T::ZERO || !pap.is_finite() {
-                active[j] = false;
-                continue;
-            }
-            let alpha = rz[j] / pap;
-            for i in 0..n {
-                x[(i, j)] += alpha * p[(i, j)];
-                r[(i, j)] -= alpha * ap[(i, j)];
-            }
             telemetry[j].iterations += 1;
-            let rel = firal_linalg::nrm2(&r.col(j)) / bnorms[j];
+            let rel = dots[j] / bnorms[j];
             telemetry[j].residuals.push(rel);
             if rel <= config.rel_tol {
                 telemetry[j].converged = true;
@@ -218,16 +256,24 @@ pub fn cg_solve_panel<T: Scalar>(
         if !active.iter().any(|&a| a) {
             break;
         }
-        z = apply_prec(&r);
+        prec.apply_panel(&r, &mut z);
+        column_dots(&r, &z, &mut dots);
         for j in 0..s {
-            if !active[j] {
-                continue;
+            // β, then the new rᵀz, for the columns still running.
+            if active[j] {
+                step[j] = dots[j] / rz[j];
+                rz[j] = dots[j];
             }
-            let rz_new = col_dot(&r, &z, j);
-            let beta = rz_new / rz[j];
-            rz[j] = rz_new;
-            for i in 0..n {
-                p[(i, j)] = z[(i, j)] + beta * p[(i, j)];
+        }
+        for (pr, zr) in p
+            .as_mut_slice()
+            .chunks_exact_mut(s)
+            .zip(z.as_slice().chunks_exact(s))
+        {
+            for j in 0..s {
+                if active[j] {
+                    pr[j] = zr[j] + step[j] * pr[j];
+                }
             }
         }
     }

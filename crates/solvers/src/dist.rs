@@ -12,7 +12,7 @@
 use firal_comm::{CommScalar, Communicator, ReduceOp};
 use firal_linalg::{BlockDiag, Matrix};
 
-use crate::op::LinearOperator;
+use crate::op::{LinearOperator, PanelScratch};
 
 /// Delta-Allreduce of block-diagonal partial sums: the **streaming**
 /// counterpart of the [`AllreduceOperator`] full-sum seam. Where the full
@@ -76,6 +76,8 @@ pub struct AllreduceOperator<'a, T: CommScalar> {
     comm: &'a dyn Communicator,
     local: &'a dyn LinearOperator<T>,
     replicated: Option<&'a dyn LinearOperator<T>>,
+    /// Holds the replicated term's product while it is added.
+    tmp: PanelScratch<T>,
 }
 
 impl<'a, T: CommScalar> AllreduceOperator<'a, T> {
@@ -97,6 +99,7 @@ impl<'a, T: CommScalar> AllreduceOperator<'a, T> {
             comm,
             local,
             replicated,
+            tmp: PanelScratch::new(),
         }
     }
 }
@@ -110,22 +113,24 @@ impl<T: CommScalar> LinearOperator<T> for AllreduceOperator<'_, T> {
         self.local.apply(x, y);
         T::allreduce(self.comm, y, ReduceOp::Sum);
         if let Some(rep) = self.replicated {
-            let mut tmp = vec![T::ZERO; y.len()];
-            rep.apply(x, &mut tmp);
-            for (a, b) in y.iter_mut().zip(tmp.iter()) {
-                *a += *b;
-            }
+            self.tmp.with(y.len(), 1, |tmp| {
+                rep.apply(x, tmp.as_mut_slice());
+                for (a, b) in y.iter_mut().zip(tmp.as_slice()) {
+                    *a += *b;
+                }
+            });
         }
     }
 
-    fn apply_panel(&self, x: &Matrix<T>) -> Matrix<T> {
-        let mut out = self.local.apply_panel(x);
-        T::allreduce(self.comm, out.as_mut_slice(), ReduceOp::Sum);
+    fn apply_panel_into(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
+        self.local.apply_panel_into(x, y);
+        T::allreduce(self.comm, y.as_mut_slice(), ReduceOp::Sum);
         if let Some(rep) = self.replicated {
-            let rep_part = rep.apply_panel(x);
-            out.add_scaled(T::ONE, &rep_part);
+            self.tmp.with(x.rows(), x.cols(), |tmp| {
+                rep.apply_panel_into(x, tmp);
+                y.add_scaled(T::ONE, tmp);
+            });
         }
-        out
     }
 }
 

@@ -42,4 +42,4 @@ pub use dist::{delta_allreduce_blocks, AllreduceOperator};
 pub use hutchinson::{hutchinson_trace, rademacher_panel, rademacher_vector};
 pub use lanczos::{lanczos_spectrum, LanczosResult};
 pub use lbfgs::{lbfgs_minimize, LbfgsConfig, LbfgsResult, LbfgsStatus};
-pub use op::{DenseOperator, IdentityPreconditioner, LinearOperator, Preconditioner};
+pub use op::{DenseOperator, IdentityPreconditioner, LinearOperator, PanelScratch, Preconditioner};

@@ -5,6 +5,8 @@
 //! Lemma 2 (implemented in `firal-core::hessian`) without materializing the
 //! `ê × ê` operators of Exact-FIRAL.
 
+use std::cell::RefCell;
+
 use firal_linalg::{Matrix, Scalar};
 
 /// A symmetric positive-definite linear operator given by its action.
@@ -20,13 +22,16 @@ pub trait LinearOperator<T: Scalar> {
     /// implementation must fully overwrite `y`.
     fn apply(&self, x: &[T], y: &mut [T]);
 
-    /// Panel application `Y ← A X` (column-wise by default; implementations
+    /// Panel application `Y ← A X` into a caller-owned panel of `X`'s
+    /// shape, fully overwritten (column-wise by default; implementations
     /// with a batched fast path — like the pool-panel Hessian matvec, which
-    /// turns `s` columns into two GEMMs — should override).
-    fn apply_panel(&self, x: &Matrix<T>) -> Matrix<T> {
+    /// sweeps the pool once for all `s` columns — should override). This is
+    /// what [`crate::cg_solve_panel`] calls, so an override that does not
+    /// allocate makes the solve's iterations allocation-free.
+    fn apply_panel_into(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
         let (n, s) = x.shape();
         assert_eq!(n, self.dim(), "apply_panel dimension mismatch");
-        let mut out = Matrix::zeros(n, s);
+        assert_eq!(y.shape(), (n, s), "apply_panel_into shape mismatch");
         let mut xv = vec![T::ZERO; n];
         let mut yv = vec![T::ZERO; n];
         for j in 0..s {
@@ -34,9 +39,15 @@ pub trait LinearOperator<T: Scalar> {
                 xv[i] = x[(i, j)];
             }
             self.apply(&xv, &mut yv);
-            out.set_col(j, &yv);
+            y.set_col(j, &yv);
         }
-        out
+    }
+
+    /// [`LinearOperator::apply_panel_into`] into a fresh panel.
+    fn apply_panel(&self, x: &Matrix<T>) -> Matrix<T> {
+        let mut y = Matrix::zeros(x.rows(), x.cols());
+        self.apply_panel_into(x, &mut y);
+        y
     }
 }
 
@@ -44,6 +55,51 @@ pub trait LinearOperator<T: Scalar> {
 pub trait Preconditioner<T: Scalar> {
     /// `z ← M⁻¹ r`. Must fully overwrite `z`.
     fn apply(&self, r: &[T], z: &mut [T]);
+
+    /// `Z ← M⁻¹ R` for a panel of residual columns, `Z` of `R`'s shape and
+    /// fully overwritten (column-wise by default; a preconditioner whose
+    /// solves run along panel rows should override and skip the copies).
+    fn apply_panel(&self, r: &Matrix<T>, z: &mut Matrix<T>) {
+        let n = r.rows();
+        let mut rc = vec![T::ZERO; n];
+        let mut zc = vec![T::ZERO; n];
+        for j in 0..r.cols() {
+            for i in 0..n {
+                rc[i] = r[(i, j)];
+            }
+            self.apply(&rc, &mut zc);
+            z.set_col(j, &zc);
+        }
+    }
+}
+
+/// A reusable panel-shaped temporary for operators that sum two
+/// applications (`Σ_z = H_o + H_z`, an Allreduced shard plus a replicated
+/// term): reallocated only when the requested shape changes, so a CG solve
+/// pays for it once. Single-threaded like the operators that hold it.
+#[derive(Debug)]
+pub struct PanelScratch<T: Scalar>(RefCell<Matrix<T>>);
+
+impl<T: Scalar> PanelScratch<T> {
+    /// Empty scratch.
+    pub fn new() -> Self {
+        Self(RefCell::new(Matrix::zeros(0, 0)))
+    }
+
+    /// Run `f` on a `rows × cols` panel with unspecified contents.
+    pub fn with<R>(&self, rows: usize, cols: usize, f: impl FnOnce(&mut Matrix<T>) -> R) -> R {
+        let mut panel = self.0.borrow_mut();
+        if panel.shape() != (rows, cols) {
+            *panel = Matrix::zeros(rows, cols);
+        }
+        f(&mut panel)
+    }
+}
+
+impl<T: Scalar> Default for PanelScratch<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 /// The identity preconditioner (plain CG).
@@ -54,6 +110,10 @@ impl<T: Scalar> Preconditioner<T> for IdentityPreconditioner {
     #[inline]
     fn apply(&self, r: &[T], z: &mut [T]) {
         z.copy_from_slice(r);
+    }
+
+    fn apply_panel(&self, r: &Matrix<T>, z: &mut Matrix<T>) {
+        z.as_mut_slice().copy_from_slice(r.as_slice());
     }
 }
 
