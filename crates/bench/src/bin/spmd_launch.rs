@@ -3,7 +3,7 @@
 //!
 //! The parent re-executes itself `p` times with the rendezvous env vars
 //! set ([`firal_comm::socket_comm::ENV_RANK`] / `ENV_SIZE` / `ENV_ADDR`);
-//! each child joins the process group via [`SocketComm::from_env`] and
+//! each child joins the process group via [`SocketComm`]`::from_env` and
 //! runs the selected workload. Any rank exiting non-zero fails the whole
 //! launch (remaining ranks are killed so a dead peer cannot hang the
 //! mesh).
@@ -597,7 +597,7 @@ fn workload_serve(comm: &SocketComm) -> i32 {
 }
 
 /// The streaming round-state latency row: advance a persistent
-/// [`StreamingState`] by update batches of growing `Δpool` (capped at 1%
+/// [`firal_core::StreamingState`] by update batches of growing `Δpool` (capped at 1%
 /// of the pool), timing each collective commit and the post-commit
 /// selection against the from-scratch rebuild baseline. Rank 0 emits
 /// `BENCH_stream.json`; every rank cross-checks the replicated fingerprint

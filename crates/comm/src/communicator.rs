@@ -1,10 +1,9 @@
-//! The collective-communication interface and the single-rank implementation.
+//! The collective-communication interface and the single-rank communicator.
 
-use std::cell::RefCell;
 use std::time::Duration;
 
+use crate::collective::{Collective, Solo};
 use crate::error::{raise, CommError};
-use crate::verify::{CollectiveKind, Dtype, Verifier};
 
 /// Reduction operators supported by [`Communicator::allreduce_f64`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,12 +114,12 @@ impl CommStats {
 ///   sub-group run of `p'` ranks is bitwise identical to a root run of the
 ///   same `p'` ranks.
 ///
-/// The fallible `try_`-collectives are the canonical surface a backend
-/// implements; the infallible methods are provided wrappers that
-/// [`raise`] a [`CommError`] as a diagnosed abort, so legacy call sites
-/// keep working while outer layers migrate to the fallible path (see
-/// [`crate::comm_catch`] and the "Failure model" section of the repo-root
-/// `ARCHITECTURE.md`).
+/// The fallible `try_`-collectives are the canonical surface — implemented
+/// once, for every backend, by the crate's collective driver — and the
+/// infallible methods are provided wrappers that [`raise`] a [`CommError`]
+/// as a diagnosed abort, so legacy call sites keep working while outer
+/// layers migrate to the fallible path (see [`crate::comm_catch`] and the
+/// "Failure model" section of the repo-root `ARCHITECTURE.md`).
 pub trait Communicator {
     /// This rank's id in `0..size()`.
     fn rank(&self) -> usize;
@@ -256,9 +255,9 @@ pub trait Communicator {
     fn reset_stats(&self);
 }
 
-/// Membership bookkeeping shared by every [`Communicator::split`]
-/// implementation: allgather each rank's `(color, key)` over the parent
-/// group, then order my color-mates by `(key, parent rank)`.
+/// Membership bookkeeping of [`Communicator::split`]: allgather each rank's
+/// `(color, key)` over the parent group, then order my color-mates by
+/// `(key, parent rank)`.
 ///
 /// Returns the parent ranks of my sub-group in **new-rank order** plus my
 /// own position (= my new rank). Identical on every member of the group —
@@ -288,102 +287,17 @@ pub(crate) fn split_membership(
 /// Single-rank communicator: all collectives are identities. The `p = 1`
 /// fast path, and what the serial algorithms run on.
 ///
-/// The collective-order verifier ([`crate::verify`]) degenerates here to
-/// trace recording: there is no peer to disagree with, but the fingerprint
-/// trace still documents the schedule this endpoint ran.
-#[derive(Debug, Default)]
-pub struct SelfComm {
-    stats: RefCell<CommStats>,
-    verify: Verifier,
-}
+/// The collective driver never reaches a transport on a group of one, so
+/// nothing moves and no clock is read; collectives are still counted in
+/// [`CommStats`] and stamped into the verifier trace ([`crate::verify`]),
+/// which has no peer to disagree with but documents the schedule this
+/// endpoint ran.
+pub type SelfComm = Collective<Solo>;
 
 impl SelfComm {
     /// Create a fresh single-rank communicator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Consult the process-wide fault plan at this endpoint's next schedule
-    /// point. `kill`/`stall` execute inside the plan; a connection drop is
-    /// meaningless with no transport and is ignored.
-    fn fault_hook(&self) {
-        let _ = crate::fault::FaultPlan::from_env().at_collective(0, self.verify.next_seq());
-    }
-}
-
-impl Communicator for SelfComm {
-    fn rank(&self) -> usize {
-        0
-    }
-    fn size(&self) -> usize {
-        1
-    }
-    fn try_barrier(&self) -> Result<(), CommError> {
-        self.fault_hook();
-        self.verify
-            .stamp(CollectiveKind::Barrier, Dtype::None, 0, 0);
-        Ok(())
-    }
-    fn try_allreduce_f64(&self, buf: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        self.fault_hook();
-        self.verify.stamp(
-            CollectiveKind::allreduce(op),
-            Dtype::F64,
-            0,
-            buf.len() as u64,
-        );
-        let mut s = self.stats.borrow_mut();
-        s.allreduce_calls += 1;
-        s.allreduce_bytes += (buf.len() * 8) as u64;
-        Ok(())
-    }
-    fn try_bcast_f64(&self, buf: &mut [f64], root: usize) -> Result<(), CommError> {
-        assert_eq!(root, 0, "SelfComm only has rank 0");
-        self.fault_hook();
-        self.verify
-            .stamp(CollectiveKind::Bcast, Dtype::F64, 0, buf.len() as u64);
-        let mut s = self.stats.borrow_mut();
-        s.bcast_calls += 1;
-        s.bcast_bytes += (buf.len() * 8) as u64;
-        Ok(())
-    }
-    fn try_allgatherv_f64(&self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        self.fault_hook();
-        self.verify.stamp(
-            CollectiveKind::Allgatherv,
-            Dtype::F64,
-            0,
-            local.len() as u64,
-        );
-        let mut s = self.stats.borrow_mut();
-        s.allgather_calls += 1;
-        s.allgather_bytes += (local.len() * 8) as u64;
-        Ok(local.to_vec())
-    }
-    fn try_allreduce_maxloc(&self, value: f64, payload: u64) -> Result<(f64, u64), CommError> {
-        self.fault_hook();
-        self.verify
-            .stamp(CollectiveKind::Maxloc, Dtype::MaxLocRec, 0, 1);
-        let mut s = self.stats.borrow_mut();
-        s.allreduce_calls += 1;
-        s.allreduce_bytes += 16;
-        Ok((value, payload))
-    }
-    fn try_split(&self, color: usize, key: usize) -> Result<Box<dyn Communicator>, CommError> {
-        // A single rank always splits into the singleton group containing
-        // itself; the shared membership exchange degenerates but still
-        // counts as a collective on this endpoint.
-        self.fault_hook();
-        self.verify.stamp(CollectiveKind::Split, Dtype::None, 0, 0);
-        let (members, my_pos) = split_membership(self, color, key);
-        debug_assert_eq!((members, my_pos), (vec![0], 0));
-        Ok(Box::new(SelfComm::new()))
-    }
-    fn stats(&self) -> CommStats {
-        *self.stats.borrow()
-    }
-    fn reset_stats(&self) {
-        *self.stats.borrow_mut() = CommStats::default();
     }
 }
 
@@ -399,16 +313,6 @@ pub trait CommScalar: firal_linalg::Scalar {
     fn bcast(comm: &dyn Communicator, buf: &mut [Self], root: usize);
     /// Variable-length allgather of a typed buffer.
     fn allgatherv(comm: &dyn Communicator, local: &[Self]) -> Vec<Self>;
-    /// Fallible in-place allreduce of a typed buffer.
-    fn try_allreduce(
-        comm: &dyn Communicator,
-        buf: &mut [Self],
-        op: ReduceOp,
-    ) -> Result<(), CommError>;
-    /// Fallible broadcast of a typed buffer.
-    fn try_bcast(comm: &dyn Communicator, buf: &mut [Self], root: usize) -> Result<(), CommError>;
-    /// Fallible variable-length allgather of a typed buffer.
-    fn try_allgatherv(comm: &dyn Communicator, local: &[Self]) -> Result<Vec<Self>, CommError>;
 }
 
 /// `f32` widens through a temporary `f64` staging buffer.
@@ -434,34 +338,6 @@ impl CommScalar for f32 {
             .map(|v| v as f32)
             .collect()
     }
-    fn try_allreduce(
-        comm: &dyn Communicator,
-        buf: &mut [Self],
-        op: ReduceOp,
-    ) -> Result<(), CommError> {
-        let mut wide: Vec<f64> = buf.iter().map(|&v| v as f64).collect();
-        comm.try_allreduce_f64(&mut wide, op)?;
-        for (b, w) in buf.iter_mut().zip(wide.iter()) {
-            *b = *w as f32;
-        }
-        Ok(())
-    }
-    fn try_bcast(comm: &dyn Communicator, buf: &mut [Self], root: usize) -> Result<(), CommError> {
-        let mut wide: Vec<f64> = buf.iter().map(|&v| v as f64).collect();
-        comm.try_bcast_f64(&mut wide, root)?;
-        for (b, w) in buf.iter_mut().zip(wide.iter()) {
-            *b = *w as f32;
-        }
-        Ok(())
-    }
-    fn try_allgatherv(comm: &dyn Communicator, local: &[Self]) -> Result<Vec<Self>, CommError> {
-        let wide: Vec<f64> = local.iter().map(|&v| v as f64).collect();
-        Ok(comm
-            .try_allgatherv_f64(&wide)?
-            .into_iter()
-            .map(|v| v as f32)
-            .collect())
-    }
 }
 
 /// `f64` already is the wire type: call straight through, no staging
@@ -475,19 +351,6 @@ impl CommScalar for f64 {
     }
     fn allgatherv(comm: &dyn Communicator, local: &[Self]) -> Vec<Self> {
         comm.allgatherv_f64(local)
-    }
-    fn try_allreduce(
-        comm: &dyn Communicator,
-        buf: &mut [Self],
-        op: ReduceOp,
-    ) -> Result<(), CommError> {
-        comm.try_allreduce_f64(buf, op)
-    }
-    fn try_bcast(comm: &dyn Communicator, buf: &mut [Self], root: usize) -> Result<(), CommError> {
-        comm.try_bcast_f64(buf, root)
-    }
-    fn try_allgatherv(comm: &dyn Communicator, local: &[Self]) -> Result<Vec<Self>, CommError> {
-        comm.try_allgatherv_f64(local)
     }
 }
 
@@ -553,13 +416,6 @@ mod tests {
         assert_eq!(c.try_allreduce_maxloc(1.0, 7).unwrap(), (1.0, 7));
         let sub = c.try_split(0, 0).expect("singleton split");
         assert_eq!((sub.rank(), sub.size()), (0, 1));
-        let mut f32buf = vec![1.5f32];
-        <f32 as CommScalar>::try_allreduce(&c, &mut f32buf, ReduceOp::Sum).unwrap();
-        assert_eq!(f32buf, vec![1.5]);
-        assert_eq!(
-            <f64 as CommScalar>::try_allgatherv(&c, &buf).unwrap(),
-            vec![1.0]
-        );
     }
 
     #[test]

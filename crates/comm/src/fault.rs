@@ -1,10 +1,26 @@
 //! Deterministic fault injection for chaos-testing the collective layer.
 //!
 //! A `FaultPlan` (crate-internal) is parsed once per process from [`FAULT_ENV`]
-//! (`FIRAL_FAULT`) and consulted by every backend at two hook points: the
-//! top of each collective (keyed off the per-rank collective sequence
-//! number the schedule verifier tracks, so an injection lands at exactly
-//! the same schedule point on every run) and during socket rendezvous.
+//! (`FIRAL_FAULT`) and consulted at two hook points: by the collective
+//! driver at the top of each collective (keyed off the per-rank collective
+//! sequence number the schedule verifier tracks, so an injection lands at
+//! exactly the same schedule point on every run) and during socket
+//! rendezvous.
+//!
+//! `rank=` addresses the **world** rank on [`crate::SocketComm`] — a spec
+//! follows its process into every sub-group `split` makes, which is what
+//! the multi-process fault matrix plans around — and the **group** rank of
+//! the endpoint issuing the collective on [`crate::ThreadComm`] (and 0 on
+//! [`crate::SelfComm`]).
+//!
+//! A **group of one** never reaches its transport — the driver answers its
+//! collectives itself — so on `SelfComm`, on `launch(1)`/`socket_launch(1)`
+//! and on singleton sub-groups of any backend a `drop-conn` (or a barrier
+//! poisoned by another endpoint) does not surface at that endpoint's own
+//! collectives: there is no peer to lose. `kill` and `stall` fire there as
+//! everywhere. The drop itself is still carried out, so on the socket mesh
+//! the severed links fail the process's next collective on any group that
+//! has peers; a shared-memory group of one has nothing else to damage.
 //!
 //! Grammar — `;`-separated specs, each `action:key=value,...`:
 //!

@@ -8,16 +8,23 @@
 //! single host:
 //!
 //! * [`Communicator`] — the collective interface the SPMD algorithms in
-//!   `firal-core::parallel` are written against;
-//! * [`SelfComm`] — the trivial single-rank implementation;
+//!   `firal-core::parallel` are written against. It has **one**
+//!   implementation: the collective driver in the private `collective`
+//!   module, which owns everything around a collective's data movement —
+//!   poisoned-endpoint replay, the schedule point, the fault hook, the
+//!   verifier fingerprint, [`CommStats`] billing, the first-error seal and
+//!   the `split` protocol — and is generic over a crate-private transport.
+//!   The three backends are that driver over their data movement and
+//!   nothing else:
+//! * [`SelfComm`] — no transport: a group of one never moves data;
 //! * [`ThreadComm`]/[`launch`] — `p` OS threads with shared-memory
-//!   collectives (deposit/combine with deterministic rank-ordered
-//!   reduction, so every rank computes bitwise identical results);
+//!   deposit/combine (deterministic rank-ordered reduction, so every rank
+//!   computes bitwise identical results);
 //! * [`SocketComm`]/[`socket_launch`]/[`fork_self`] — the **process-level
 //!   backend**: a full TCP (localhost) socket mesh with a rank-0
 //!   rendezvous, the same rank-ordered reduction contract, and real wire
 //!   time in [`CommStats::time`]. `spmd_launch` (in `firal-bench`) forks
-//!   `p` processes of itself and joins them via [`SocketComm::from_env`];
+//!   `p` processes of itself and joins them via [`SocketComm`]`::from_env`;
 //! * [`wire`] — the framing, MAXLOC encoding, and split-scope tags every
 //!   real transport shares, defined once;
 //! * [`verify`] — the debug-mode collective-order verifier: under
@@ -32,19 +39,18 @@
 //! * per-rank [`CommStats`] — call/byte/second counters per collective, the
 //!   measured "MPI communication" series of Figs. 6–7.
 //!
-//! Substitution note: all backends implement the same rank-ordered
+//! Substitution note: every transport delivers the same rank-ordered
 //! deterministic reduction (the property MPI guarantees for deterministic
 //! reduction orders), so algorithm behaviour — including the data
 //! decomposition — is identical to the paper's across [`SelfComm`],
 //! [`ThreadComm`], and [`SocketComm`]; only the transport differs.
 //!
-//! All three backends also implement [`Communicator::split`] (MPI's
-//! `MPI_Comm_split`): a collective that partitions a group into disjoint
-//! sub-groups, each a full `Communicator` satisfying the same deterministic
-//! reduction contract as a root group of the same size. This is what the
-//! execution layer's 2D rank geometry (`p = p_shard × p_eta`, see
-//! `firal_core::exec::EtaGroupGeometry`) is built on: η-grid groups and the
-//! cross-group picker are sub-communicators, not a second code path. On
+//! [`Communicator::split`] (MPI's `MPI_Comm_split`) partitions a group into
+//! disjoint sub-groups, each a full `Communicator` satisfying the same
+//! deterministic reduction contract as a root group of the same size. This
+//! is what the execution layer's 2D rank geometry (`p = p_shard × p_eta`,
+//! see `firal_core::exec::EtaGroupGeometry`) is built on: η-grid groups and
+//! the cross-group picker are sub-communicators, not a second code path. On
 //! [`SocketComm`] every sub-group stamps its frames with a scope tag
 //! ([`wire::derive_scope`]) so collectives of different groups sharing mesh
 //! links cannot cross-talk.
@@ -69,6 +75,7 @@
 
 #![deny(missing_docs)]
 
+mod collective;
 pub mod communicator;
 pub mod cost;
 pub mod error;

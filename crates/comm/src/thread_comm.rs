@@ -1,8 +1,10 @@
 //! Shared-memory multi-rank communicator.
 //!
 //! [`launch(p, f)`](launch) runs an SPMD closure on `p` OS threads, each
-//! holding a [`ThreadComm`] endpoint. Collectives are deposit/combine over
-//! shared slots:
+//! holding a [`ThreadComm`] endpoint: the crate's one collective driver
+//! (replay, schedule point, fault hook, fingerprint check, billing, seal —
+//! see `collective.rs`) over the shared-memory transport defined here. Its
+//! data phase is deposit/combine over shared slots:
 //!
 //! 1. every rank publishes its contribution to its own cache-padded slot,
 //! 2. barrier,
@@ -28,36 +30,20 @@
 //! `split` have their own barriers and are only poisoned if the failure
 //! happens while their members are inside a sub-group collective.
 
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Condvar, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
-use crate::communicator::{split_membership, CommStats, Communicator, ReduceOp};
-use crate::error::{comm_catch, comm_timeout, CommError};
-use crate::fault::{FaultPlan, Injected};
-use crate::verify::{CollectiveKind, Dtype, Fingerprint, Verifier};
+use crate::collective::{Collective, Trace, Transport};
+use crate::communicator::ReduceOp;
+use crate::error::{comm_timeout, CommError};
+use crate::verify::Fingerprint;
 use crate::wire::{self, MaxLoc};
 
 /// Pad each slot to its own cache line so rank publications don't false-share.
 #[repr(align(128))]
 struct CachePadded<T>(T);
-
-impl<T> CachePadded<T> {
-    fn new(value: T) -> Self {
-        Self(value)
-    }
-}
-
-/// Why an [`AbortableBarrier::wait`] did not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum BarrierError {
-    /// A rank failed and poisoned the group: `(origin rank, its diagnostic)`.
-    Poisoned(usize, String),
-    /// This rank exceeded the configured deadline waiting for its peers.
-    Deadline(Duration),
-}
 
 /// A counting barrier (std's [`std::sync::Barrier`] semantics) that can be
 /// **poisoned**: once any rank marks the group failed, every current and
@@ -161,30 +147,32 @@ impl AbortableBarrier {
 struct Slot {
     data: Vec<f64>,
     payload: u64,
+    /// Lane of the debug-mode collective-order verifier ([`crate::verify`]):
+    /// when verification is on, every rank deposits the fingerprint of the
+    /// collective it is entering here, and every rank cross-checks all
+    /// slots between two barriers *before* the collective's data phase
+    /// runs.
+    fingerprint: Option<Fingerprint>,
 }
 
 struct Shared {
     size: usize,
     slots: Vec<CachePadded<RwLock<Slot>>>,
     barrier: AbortableBarrier,
-    /// Rendezvous table for [`Communicator::split`]: each sub-group's
+    /// Rendezvous table for [`crate::Communicator::split`]: each sub-group's
     /// leader (new rank 0) deposits the freshly built sub-[`Shared`] under
-    /// `(split sequence number, color)`; the other members pick it up
-    /// between two parent barriers. Entries are removed once claimed, so
-    /// the map stays empty outside an in-flight split.
+    /// the sub-group's scope tag; the other members pick it up between two
+    /// parent barriers. Entries are removed once claimed, so the map stays
+    /// empty outside an in-flight split — and the colors of one split get
+    /// distinct tags by construction ([`wire::derive_scope`] mixes
+    /// `color × odd constant` through a bijection).
     ///
     /// Determinism audit: the table is only ever accessed by exact key —
     /// `insert`, `get`, `remove` — never iterated, so no container ordering
     /// can reach a reduction. It is a `BTreeMap` anyway (the keys are
     /// `Ord`), making the no-iteration-order property structural rather
     /// than a usage convention (`firal-lint` rule `hash-order`).
-    splits: Mutex<BTreeMap<(u64, u64), Arc<Shared>>>,
-    /// Fingerprint table for the debug-mode collective-order verifier
-    /// ([`crate::verify`]): when verification is on, every rank publishes
-    /// the fingerprint of the collective it is entering here, and every
-    /// rank cross-checks all entries between two barriers *before* the
-    /// collective's data phase runs.
-    fps: Vec<CachePadded<RwLock<Option<Fingerprint>>>>,
+    splits: Mutex<BTreeMap<u64, Arc<Shared>>>,
 }
 
 impl Shared {
@@ -192,13 +180,10 @@ impl Shared {
         Self {
             size,
             slots: (0..size)
-                .map(|_| CachePadded::new(RwLock::new(Slot::default())))
+                .map(|_| CachePadded(RwLock::new(Slot::default())))
                 .collect(),
             barrier: AbortableBarrier::new(size),
             splits: Mutex::new(BTreeMap::new()),
-            fps: (0..size)
-                .map(|_| CachePadded::new(RwLock::new(None)))
-                .collect(),
         }
     }
 
@@ -208,152 +193,48 @@ impl Shared {
 }
 
 /// One rank's endpoint of a shared-memory process group.
-pub struct ThreadComm {
-    rank: usize,
-    shared: Arc<Shared>,
-    /// Per-endpoint split counter; members of one group call `split`
-    /// collectively, so their counters advance in lock-step and uniquely
-    /// name each split generation in the shared rendezvous table.
-    split_seq: Cell<u64>,
-    stats: RefCell<CommStats>,
-    /// Collective-order verifier state ([`crate::verify`]); scope tags are
-    /// derived exactly like [`crate::SocketComm`]'s frame scopes so the
-    /// diagnostics name the same group identities across backends.
-    verify: Verifier,
-    /// First [`CommError`] observed on this endpoint; replayed by every
-    /// subsequent collective so a failed group can never half-proceed.
-    failed: RefCell<Option<CommError>>,
+pub type ThreadComm = Collective<Slots>;
+
+/// Home of the transport's types: `pub` so the public [`ThreadComm`] alias
+/// (and the transport's `Raw` error) may mention them, unnameable outside
+/// the crate because this module is private.
+mod sealed {
+    /// The shared-memory transport: this rank's view of its group's slots.
+    pub struct Slots {
+        pub(super) rank: usize,
+        pub(super) shared: std::sync::Arc<super::Shared>,
+    }
+
+    /// Why an `AbortableBarrier::wait` did not complete.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum BarrierError {
+        /// A rank failed and poisoned the group: `(origin rank, its diagnostic)`.
+        Poisoned(usize, String),
+        /// This rank exceeded the configured deadline waiting for its peers.
+        Deadline(std::time::Duration),
+    }
 }
+use sealed::{BarrierError, Slots};
 
-impl ThreadComm {
-    fn new(rank: usize, shared: Arc<Shared>, scope: u64) -> Self {
-        Self {
-            rank,
-            shared,
-            split_seq: Cell::new(0),
-            stats: RefCell::new(CommStats::default()),
-            verify: Verifier::new(scope),
-            failed: RefCell::new(None),
-        }
-    }
-
-    /// Replay the stashed error on a poisoned endpoint.
-    fn check_failed(&self) -> Result<(), CommError> {
-        match &*self.failed.borrow() {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
-    /// Stash `result`'s error (first failure wins) and pass it through.
-    fn seal<T>(&self, result: Result<T, CommError>) -> Result<T, CommError> {
-        if let Err(e) = &result {
-            let mut failed = self.failed.borrow_mut();
-            if failed.is_none() {
-                *failed = Some(e.clone());
-            }
-        }
-        result
-    }
-
-    /// Consult the process-wide fault plan at this endpoint's next schedule
-    /// point. An injected connection drop poisons the group barrier — the
-    /// closest shared-memory analogue to severing a socket mesh.
-    fn fault_hook(&self, seq: u64) {
-        if FaultPlan::from_env().at_collective(self.rank, seq) == Some(Injected::DropConn) {
-            self.shared.barrier.poison(
-                self.rank,
-                format!(
-                    "{}: injected connection drop on rank {}",
-                    crate::fault::FAULT_ENV,
-                    self.rank
-                ),
-            );
-        }
-    }
-
-    /// One abortable barrier round, with failures lifted to [`CommError`]
-    /// carrying this collective's identity.
-    fn bwait(&self, op: &'static str, seq: u64) -> Result<(), CommError> {
-        match self.shared.barrier.wait(self.rank, comm_timeout()) {
-            Ok(()) => Ok(()),
-            Err(BarrierError::Deadline(after)) => Err(CommError::DeadlineExceeded {
-                rank: self.rank,
-                size: self.shared.size,
-                op,
-                seq,
-                after,
-            }),
-            Err(BarrierError::Poisoned(origin, reason)) => Err(CommError::RemoteAbort {
-                rank: self.rank,
-                size: self.shared.size,
-                op,
-                seq,
-                origin,
-                reason,
-            }),
-        }
-    }
-
-    /// Debug-mode schedule check run at the top of every collective: stamp
-    /// the fingerprint, publish it to the shared table, and cross-check all
-    /// ranks' entries between two barriers. A mismatch aborts with the
-    /// per-rank diagnostic trace instead of letting the data phase deadlock
-    /// on skewed barrier counts or combine mismatched slots. No-op (beyond
-    /// the schedule counter) unless verification is enabled
-    /// ([`crate::verify::verify_enabled`]); a poisoned or timed-out barrier
-    /// surfaces as `Err` like any data-phase failure.
-    fn verify_collective(
-        &self,
-        kind: CollectiveKind,
-        dtype: Dtype,
-        param: u32,
-        count: u64,
-        op: &'static str,
-        seq: u64,
-    ) -> Result<(), CommError> {
-        let Some(own) = self.verify.stamp(kind, dtype, param, count) else {
-            return Ok(());
-        };
-        if self.shared.size == 1 {
-            return Ok(());
-        }
-        *self.shared.fps[self.rank]
+impl Slots {
+    fn write_slot(&self) -> RwLockWriteGuard<'_, Slot> {
+        self.shared.slots[self.rank]
             .0
             .write()
-            .expect("fingerprint lock poisoned") = Some(own);
-        self.bwait(op, seq)?;
-        for r in 0..self.shared.size {
-            let theirs = *self.shared.fps[r]
-                .0
-                .read()
-                .expect("fingerprint lock poisoned");
-            match theirs {
-                Some(fp) if own.matches(&fp) => {}
-                _ => self
-                    .verify
-                    .mismatch_panic(self.rank, self.shared.size, own, r, theirs),
-            }
-        }
-        self.bwait(op, seq)
+            .expect("slot lock poisoned")
     }
 
-    fn publish(&self, data: &[f64]) {
-        self.publish_with_payload(data, 0);
-    }
-
-    fn publish_with_payload(&self, data: &[f64], payload: u64) {
-        let mut slot = self.shared.slots[self.rank]
-            .0
-            .write()
-            .expect("slot lock poisoned");
+    fn publish(&self, data: &[f64], payload: u64) {
+        let mut slot = self.write_slot();
         slot.data.clear();
         slot.data.extend_from_slice(data);
         slot.payload = payload;
     }
 }
 
-impl Communicator for ThreadComm {
+impl Transport for Slots {
+    type Raw = BarrierError;
+
     fn rank(&self) -> usize {
         self.rank
     }
@@ -362,226 +243,159 @@ impl Communicator for ThreadComm {
         self.shared.size
     }
 
-    fn try_barrier(&self) -> Result<(), CommError> {
-        self.check_failed()?;
-        let seq = self.verify.next_seq();
-        self.fault_hook(seq);
-        let result = (|| {
-            self.verify_collective(CollectiveKind::Barrier, Dtype::None, 0, 0, "barrier", seq)?;
-            self.bwait("barrier", seq)
-        })();
-        self.seal(result)
+    /// An injected connection drop poisons the group barrier — the closest
+    /// shared-memory analogue to severing a socket mesh.
+    fn inject_drop(&self) {
+        self.shared.barrier.poison(
+            self.rank,
+            format!(
+                "{}: injected connection drop on rank {}",
+                crate::fault::FAULT_ENV,
+                self.rank
+            ),
+        );
     }
 
-    fn try_allreduce_f64(&self, buf: &mut [f64], op: ReduceOp) -> Result<(), CommError> {
-        self.check_failed()?;
-        let seq = self.verify.next_seq();
-        self.fault_hook(seq);
-        let result = (|| {
-            self.verify_collective(
-                CollectiveKind::allreduce(op),
-                Dtype::F64,
-                0,
-                buf.len() as u64,
-                "allreduce_f64",
+    /// The poison record already reached every waiter of the barrier, so
+    /// lifting is diagnosis only.
+    fn lift(&self, op: &'static str, seq: u64, raw: BarrierError, _trace: Trace<'_>) -> CommError {
+        let (rank, size) = (self.rank, self.shared.size);
+        match raw {
+            BarrierError::Deadline(after) => CommError::DeadlineExceeded {
+                rank,
+                size,
+                op,
                 seq,
-            )?;
-            let t0 = Instant::now();
-            self.publish(buf);
-            self.bwait("allreduce_f64", seq)?;
-            {
-                let s0 = self.shared.read_slot(0);
-                assert_eq!(
-                    s0.data.len(),
-                    buf.len(),
-                    "allreduce length mismatch across ranks"
-                );
-                buf.copy_from_slice(&s0.data);
-            }
-            for r in 1..self.shared.size {
-                let s = self.shared.read_slot(r);
-                for (b, v) in buf.iter_mut().zip(s.data.iter()) {
-                    *b = op.combine(*b, *v);
-                }
-            }
-            self.bwait("allreduce_f64", seq)?;
-            let mut st = self.stats.borrow_mut();
-            st.allreduce_calls += 1;
-            st.allreduce_bytes += (buf.len() * 8) as u64;
-            st.time += t0.elapsed();
-            Ok(())
-        })();
-        self.seal(result)
-    }
-
-    fn try_bcast_f64(&self, buf: &mut [f64], root: usize) -> Result<(), CommError> {
-        assert!(root < self.shared.size, "bcast root out of range");
-        self.check_failed()?;
-        let seq = self.verify.next_seq();
-        self.fault_hook(seq);
-        let result = (|| {
-            self.verify_collective(
-                CollectiveKind::Bcast,
-                Dtype::F64,
-                root as u32,
-                buf.len() as u64,
-                "bcast_f64",
+                after,
+            },
+            BarrierError::Poisoned(origin, reason) => CommError::RemoteAbort {
+                rank,
+                size,
+                op,
                 seq,
-            )?;
-            let t0 = Instant::now();
-            if self.rank == root {
-                self.publish(buf);
-            }
-            self.bwait("bcast_f64", seq)?;
-            if self.rank != root {
-                let s = self.shared.read_slot(root);
-                assert_eq!(
-                    s.data.len(),
-                    buf.len(),
-                    "bcast length mismatch across ranks"
-                );
-                buf.copy_from_slice(&s.data);
-            }
-            self.bwait("bcast_f64", seq)?;
-            let mut st = self.stats.borrow_mut();
-            st.bcast_calls += 1;
-            st.bcast_bytes += (buf.len() * 8) as u64;
-            st.time += t0.elapsed();
-            Ok(())
-        })();
-        self.seal(result)
+                origin,
+                reason,
+            },
+        }
     }
 
-    fn try_allgatherv_f64(&self, local: &[f64]) -> Result<Vec<f64>, CommError> {
-        self.check_failed()?;
-        let seq = self.verify.next_seq();
-        self.fault_hook(seq);
-        let result = (|| {
-            self.verify_collective(
-                CollectiveKind::Allgatherv,
-                Dtype::F64,
-                0,
-                local.len() as u64,
-                "allgatherv_f64",
-                seq,
-            )?;
-            let t0 = Instant::now();
-            self.publish(local);
-            self.bwait("allgatherv_f64", seq)?;
-            let mut out = Vec::new();
-            for r in 0..self.shared.size {
-                let s = self.shared.read_slot(r);
-                out.extend_from_slice(&s.data);
-            }
-            self.bwait("allgatherv_f64", seq)?;
-            let mut st = self.stats.borrow_mut();
-            st.allgather_calls += 1;
-            st.allgather_bytes += (local.len() * 8) as u64;
-            st.time += t0.elapsed();
-            Ok(out)
-        })();
-        self.seal(result)
+    /// Deposit in the slot's fingerprint lane, then every rank reads all
+    /// slots between two barriers.
+    fn exchange_fingerprint(
+        &self,
+        own: &Fingerprint,
+        mut check: impl FnMut(usize, Option<Fingerprint>),
+    ) -> Result<(), BarrierError> {
+        self.write_slot().fingerprint = Some(*own);
+        self.barrier()?;
+        for r in 0..self.shared.size {
+            check(r, self.shared.read_slot(r).fingerprint);
+        }
+        self.barrier()
     }
 
-    fn try_split(&self, color: usize, key: usize) -> Result<Box<dyn Communicator>, CommError> {
-        self.check_failed()?;
-        let seq_pt = self.verify.next_seq();
-        self.fault_hook(seq_pt);
-        let result = (|| {
-            // Fingerprint the split itself before the membership exchange:
-            // color/key are legitimately rank-dependent, but *that* every
-            // rank is splitting here is part of the schedule contract.
-            self.verify_collective(CollectiveKind::Split, Dtype::None, 0, 0, "split", seq_pt)?;
-            // 1. Shared membership exchange over the parent collectives
-            //    (every member of one color group computes the identical
-            //    roster). The exchange runs on the infallible wrappers —
-            //    re-enter the fallible world at this boundary.
-            let (members, my_pos) = comm_catch(|| split_membership(self, color, key))?;
-            let seq = self.split_seq.get();
-            self.split_seq.set(seq + 1);
+    /// One abortable barrier round (also the fence inside every other
+    /// data phase).
+    fn barrier(&self) -> Result<(), BarrierError> {
+        self.shared.barrier.wait(self.rank, comm_timeout())
+    }
 
-            // 2. The sub-group leader builds the group's Shared and
-            //    deposits it in the parent's rendezvous table; a parent
-            //    barrier publishes all leaders' deposits at once.
-            if my_pos == 0 {
-                let sub = Arc::new(Shared::new(members.len()));
-                self.shared
-                    .splits
-                    .lock()
-                    .expect("split table poisoned")
-                    .insert((seq, color as u64), sub);
-            }
-            self.bwait("split", seq_pt)?;
-
-            // 3. Every member claims its group's Shared; a second parent
-            //    barrier lets the leaders retire their entries afterwards.
-            let sub = Arc::clone(
-                self.shared
-                    .splits
-                    .lock()
-                    .expect("split table poisoned")
-                    .get(&(seq, color as u64))
-                    .expect("sub-group leader never deposited its Shared"),
+    fn allreduce(&self, buf: &mut [f64], op: ReduceOp) -> Result<(), BarrierError> {
+        self.publish(buf, 0);
+        self.barrier()?;
+        {
+            let s0 = self.shared.read_slot(0);
+            assert_eq!(
+                s0.data.len(),
+                buf.len(),
+                "allreduce length mismatch across ranks"
             );
-            self.bwait("split", seq_pt)?;
-            if my_pos == 0 {
-                self.shared
-                    .splits
-                    .lock()
-                    .expect("split table poisoned")
-                    .remove(&(seq, color as u64));
+            buf.copy_from_slice(&s0.data);
+        }
+        for r in 1..self.shared.size {
+            let s = self.shared.read_slot(r);
+            for (b, v) in buf.iter_mut().zip(s.data.iter()) {
+                *b = op.combine(*b, *v);
             }
-            // Same scope derivation as SocketComm sub-groups: every member
-            // of one color group computes the identical tag.
-            let scope = wire::derive_scope(self.verify.scope(), seq, color as u64);
-            Ok(Box::new(ThreadComm::new(my_pos, sub, scope)) as Box<dyn Communicator>)
-        })();
-        self.seal(result)
+        }
+        self.barrier()
     }
 
-    fn try_allreduce_maxloc(&self, value: f64, payload: u64) -> Result<(f64, u64), CommError> {
-        self.check_failed()?;
-        let seq = self.verify.next_seq();
-        self.fault_hook(seq);
-        let result = (|| {
-            self.verify_collective(
-                CollectiveKind::Maxloc,
-                Dtype::MaxLocRec,
-                0,
-                1,
-                "allreduce_maxloc",
-                seq,
-            )?;
-            let t0 = Instant::now();
-            // The payload rides the slot's integer lane — never through the
-            // f64 buffer (see [`crate::wire::MaxLoc`]).
-            self.publish_with_payload(&[value], payload);
-            self.bwait("allreduce_maxloc", seq)?;
-            // Rank-ordered MAXLOC semantics (tie → lowest rank, all-(-inf)
-            // → rank 0's sentinel) come from the single shared definition.
-            let best = MaxLoc::reduce_rank_ordered((0..self.shared.size).map(|r| {
-                let s = self.shared.read_slot(r);
-                MaxLoc {
-                    value: s.data[0],
-                    payload: s.payload,
-                }
-            }));
-            self.bwait("allreduce_maxloc", seq)?;
-            let mut st = self.stats.borrow_mut();
-            st.allreduce_calls += 1;
-            st.allreduce_bytes += MaxLoc::WIRE_BYTES as u64;
-            st.time += t0.elapsed();
-            Ok((best.value, best.payload))
-        })();
-        self.seal(result)
+    fn bcast(&self, buf: &mut [f64], root: usize) -> Result<(), BarrierError> {
+        if self.rank == root {
+            self.publish(buf, 0);
+        }
+        self.barrier()?;
+        if self.rank != root {
+            let s = self.shared.read_slot(root);
+            assert_eq!(
+                s.data.len(),
+                buf.len(),
+                "bcast length mismatch across ranks"
+            );
+            buf.copy_from_slice(&s.data);
+        }
+        self.barrier()
     }
 
-    fn stats(&self) -> CommStats {
-        *self.stats.borrow()
+    fn allgatherv(&self, local: &[f64]) -> Result<Vec<f64>, BarrierError> {
+        self.publish(local, 0);
+        self.barrier()?;
+        let mut out = Vec::new();
+        for r in 0..self.shared.size {
+            out.extend_from_slice(&self.shared.read_slot(r).data);
+        }
+        self.barrier()?;
+        Ok(out)
     }
 
-    fn reset_stats(&self) {
-        *self.stats.borrow_mut() = CommStats::default();
+    fn maxloc(&self, own: MaxLoc) -> Result<MaxLoc, BarrierError> {
+        // The payload rides the slot's integer lane — never through the
+        // f64 buffer (see [`crate::wire::MaxLoc`]).
+        self.publish(&[own.value], own.payload);
+        self.barrier()?;
+        // Rank-ordered MAXLOC semantics (tie → lowest rank, all-(-inf)
+        // → rank 0's sentinel) come from the single shared definition.
+        let best = MaxLoc::reduce_rank_ordered((0..self.shared.size).map(|r| {
+            let s = self.shared.read_slot(r);
+            MaxLoc {
+                value: s.data[0],
+                payload: s.payload,
+            }
+        }));
+        self.barrier()?;
+        Ok(best)
+    }
+
+    fn sub_group(
+        &self,
+        members: &[usize],
+        my_pos: usize,
+        scope: u64,
+    ) -> Result<Self, BarrierError> {
+        let splits = || self.shared.splits.lock().expect("split table poisoned");
+        // 1. The sub-group leader builds the group's Shared and deposits
+        //    it in the parent's rendezvous table; a parent barrier
+        //    publishes all leaders' deposits at once.
+        if my_pos == 0 {
+            splits().insert(scope, Arc::new(Shared::new(members.len())));
+        }
+        self.barrier()?;
+        // 2. Every member claims its group's Shared; a second parent
+        //    barrier lets the leaders retire their entries afterwards.
+        let shared = Arc::clone(
+            splits()
+                .get(&scope)
+                .expect("sub-group leader never deposited its Shared"),
+        );
+        self.barrier()?;
+        if my_pos == 0 {
+            splits().remove(&scope);
+        }
+        Ok(Slots {
+            rank: my_pos,
+            shared,
+        })
     }
 }
 
@@ -611,7 +425,11 @@ where
                 let shared = Arc::clone(&shared);
                 let f = &f;
                 scope.spawn(move || {
-                    let comm = ThreadComm::new(rank, Arc::clone(&shared), wire::ROOT_SCOPE);
+                    let slots = Slots {
+                        rank,
+                        shared: Arc::clone(&shared),
+                    };
+                    let comm = ThreadComm::over(slots, wire::ROOT_SCOPE);
                     match catch_unwind(AssertUnwindSafe(|| f(&comm))) {
                         Ok(v) => v,
                         Err(payload) => {
@@ -648,283 +466,7 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn allreduce_sum_all_ranks_agree() {
-        for p in [1usize, 2, 3, 5] {
-            let results = launch(p, |comm| {
-                let mut buf = vec![comm.rank() as f64 + 1.0, 10.0 * (comm.rank() as f64 + 1.0)];
-                comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-                buf
-            });
-            let expected0: f64 = (1..=p).map(|r| r as f64).sum();
-            for r in results {
-                assert_eq!(r[0], expected0);
-                assert_eq!(r[1], 10.0 * expected0);
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max_and_min() {
-        let results = launch(4, |comm| {
-            let mut mx = vec![comm.rank() as f64];
-            comm.allreduce_f64(&mut mx, ReduceOp::Max);
-            let mut mn = vec![comm.rank() as f64];
-            comm.allreduce_f64(&mut mn, ReduceOp::Min);
-            (mx[0], mn[0])
-        });
-        for (mx, mn) in results {
-            assert_eq!(mx, 3.0);
-            assert_eq!(mn, 0.0);
-        }
-    }
-
-    #[test]
-    fn bcast_from_each_root() {
-        for root in 0..3 {
-            let results = launch(3, move |comm| {
-                let mut buf = if comm.rank() == root {
-                    vec![42.0, 7.0]
-                } else {
-                    vec![0.0, 0.0]
-                };
-                comm.bcast_f64(&mut buf, root);
-                buf
-            });
-            for r in results {
-                assert_eq!(r, vec![42.0, 7.0]);
-            }
-        }
-    }
-
-    #[test]
-    fn allgatherv_concatenates_in_rank_order() {
-        let results = launch(3, |comm| {
-            // Variable lengths: rank r contributes r+1 values of value r.
-            let local = vec![comm.rank() as f64; comm.rank() + 1];
-            comm.allgatherv_f64(&local)
-        });
-        for r in results {
-            assert_eq!(r, vec![0.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
-        }
-    }
-
-    #[test]
-    fn maxloc_finds_global_argmax_with_payload() {
-        let results = launch(4, |comm| {
-            let value = if comm.rank() == 2 {
-                100.0
-            } else {
-                comm.rank() as f64
-            };
-            let payload = 1000 + comm.rank() as u64;
-            comm.allreduce_maxloc(value, payload)
-        });
-        for (v, p) in results {
-            assert_eq!(v, 100.0);
-            assert_eq!(p, 1002);
-        }
-    }
-
-    #[test]
-    fn maxloc_tie_prefers_lowest_rank() {
-        let results = launch(3, |comm| comm.allreduce_maxloc(1.0, comm.rank() as u64));
-        for (_, p) in results {
-            assert_eq!(p, 0);
-        }
-    }
-
-    #[test]
-    fn maxloc_all_neg_infinity_propagates_rank0_sentinel() {
-        // Degenerate case: no rank has a candidate. The sentinel payload
-        // must survive the reduction (matching SelfComm) so callers can
-        // detect exhaustion instead of receiving a fabricated index 0.
-        let results = launch(3, |comm| comm.allreduce_maxloc(f64::NEG_INFINITY, u64::MAX));
-        for (v, p) in results {
-            assert_eq!(v, f64::NEG_INFINITY);
-            assert_eq!(p, u64::MAX);
-        }
-    }
-
-    #[test]
-    fn maxloc_preserves_full_payload_bits() {
-        let big = u64::MAX - 12345;
-        let results = launch(2, move |comm| {
-            let value = comm.rank() as f64;
-            comm.allreduce_maxloc(value, big)
-        });
-        for (_, p) in results {
-            assert_eq!(p, big);
-        }
-    }
-
-    #[test]
-    fn maxloc_payload_survives_nan_aliasing_bit_patterns() {
-        // A payload that aliases a signaling-NaN f64 encoding must come
-        // back bit-exact — the hazard the separate integer lane removes.
-        let snan_bits = 0x7FF0_0000_0000_0001u64;
-        let results = launch(3, move |comm| {
-            let value = if comm.rank() == 1 { 5.0 } else { 0.0 };
-            let payload = if comm.rank() == 1 { snan_bits } else { 7 };
-            comm.allreduce_maxloc(value, payload)
-        });
-        for (v, p) in results {
-            assert_eq!(v, 5.0);
-            assert_eq!(p, snan_bits);
-        }
-    }
-
-    #[test]
-    fn repeated_collectives_do_not_interfere() {
-        let results = launch(3, |comm| {
-            let mut acc = 0.0;
-            for round in 0..10 {
-                let mut buf = vec![(comm.rank() * round) as f64];
-                comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-                acc += buf[0];
-            }
-            acc
-        });
-        // Σ_round (0+1+2)*round = 3 * 45 = 135
-        for r in results {
-            assert_eq!(r, 135.0);
-        }
-    }
-
-    #[test]
-    fn stats_are_tracked_per_rank() {
-        let results = launch(2, |comm| {
-            let mut buf = vec![0.0; 4];
-            comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-            comm.bcast_f64(&mut buf, 0);
-            let _ = comm.allgatherv_f64(&buf);
-            comm.stats()
-        });
-        for s in results {
-            assert_eq!(s.allreduce_calls, 1);
-            assert_eq!(s.allreduce_bytes, 32);
-            assert_eq!(s.bcast_calls, 1);
-            assert_eq!(s.allgather_calls, 1);
-        }
-    }
-
-    #[test]
-    fn split_disjoint_colors_form_independent_groups() {
-        // 6 ranks → colors {0, 1, 2} of sizes {3, 2, 1}; each sub-group's
-        // allreduce must see only its own members' contributions.
-        let results = launch(6, |comm| {
-            let color = comm.rank() % 3;
-            let sub = comm.split(color, comm.rank());
-            let mut buf = vec![comm.rank() as f64];
-            sub.allreduce_f64(&mut buf, ReduceOp::Sum);
-            (color, sub.rank(), sub.size(), buf[0])
-        });
-        // color 0 ⇒ ranks {0, 3} sum 3; color 1 ⇒ {1, 4} sum 5;
-        // color 2 ⇒ {2, 5} sum 7.
-        for (rank, (color, sub_rank, sub_size, sum)) in results.into_iter().enumerate() {
-            assert_eq!(sub_size, 2);
-            assert_eq!(sub_rank, rank / 3, "key=parent rank keeps parent order");
-            assert_eq!(sum, [3.0, 5.0, 7.0][color]);
-        }
-    }
-
-    #[test]
-    fn split_singleton_groups_are_selfcomm_like() {
-        let results = launch(4, |comm| {
-            let sub = comm.split(comm.rank(), 0);
-            let mut buf = vec![42.0 + comm.rank() as f64];
-            sub.allreduce_f64(&mut buf, ReduceOp::Sum);
-            sub.bcast_f64(&mut buf, 0);
-            (sub.rank(), sub.size(), buf[0], sub.allreduce_maxloc(1.0, 9))
-        });
-        for (rank, (sub_rank, sub_size, v, maxloc)) in results.into_iter().enumerate() {
-            assert_eq!((sub_rank, sub_size), (0, 1));
-            assert_eq!(v, 42.0 + rank as f64);
-            assert_eq!(maxloc, (1.0, 9));
-        }
-    }
-
-    #[test]
-    fn split_key_reorders_sub_group_ranks() {
-        // One group, keys descending with parent rank ⇒ new ranks reversed.
-        let results = launch(4, |comm| {
-            let sub = comm.split(0, 100 - comm.rank());
-            // bcast from new rank 0 = old rank 3.
-            let mut buf = vec![comm.rank() as f64];
-            sub.bcast_f64(&mut buf, 0);
-            (sub.rank(), buf[0])
-        });
-        for (rank, (sub_rank, v)) in results.into_iter().enumerate() {
-            assert_eq!(sub_rank, 3 - rank);
-            assert_eq!(v, 3.0, "root of the reordered group is old rank 3");
-        }
-    }
-
-    #[test]
-    fn split_nested_and_interleaved_with_parent_collectives() {
-        // Split 4 → two pairs, split each pair → singletons, and interleave
-        // collectives on all three levels to prove the slots/barriers of
-        // different generations don't interfere.
-        let results = launch(4, |comm| {
-            let pair = comm.split(comm.rank() / 2, comm.rank());
-            let single = pair.split(pair.rank(), 0);
-            let mut a = vec![1.0];
-            comm.allreduce_f64(&mut a, ReduceOp::Sum); // world: 4
-            let mut b = vec![1.0];
-            pair.allreduce_f64(&mut b, ReduceOp::Sum); // pair: 2
-            let mut c = vec![1.0];
-            single.allreduce_f64(&mut c, ReduceOp::Sum); // self: 1
-            let mut d = vec![comm.rank() as f64];
-            comm.allreduce_f64(&mut d, ReduceOp::Max); // world again: 3
-            (a[0], b[0], c[0], d[0])
-        });
-        for r in results {
-            assert_eq!(r, (4.0, 2.0, 1.0, 3.0));
-        }
-    }
-
-    #[test]
-    fn split_sub_group_reduction_matches_root_group_bitwise() {
-        // A sub-group of size 2 must reduce exactly like a root group of
-        // size 2 over the same contributions (the determinism contract
-        // split guarantees to the execution layer).
-        let contribution = |new_rank: usize| vec![[1.0e16, 1.0][new_rank]];
-        let root: Vec<u64> = launch(2, |comm| {
-            let mut buf = contribution(comm.rank());
-            comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-            buf[0].to_bits()
-        });
-        let split: Vec<(usize, u64)> = launch(4, |comm| {
-            let sub = comm.split(comm.rank() % 2, comm.rank());
-            let mut buf = contribution(sub.rank());
-            sub.allreduce_f64(&mut buf, ReduceOp::Sum);
-            (comm.rank(), buf[0].to_bits())
-        });
-        for (_, bits) in split {
-            assert_eq!(bits, root[0]);
-        }
-    }
-
-    #[test]
-    fn split_sub_comm_starts_fresh_stats() {
-        let results = launch(2, |comm| {
-            let mut buf = vec![0.0];
-            comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-            let sub = comm.split(0, comm.rank());
-            let before = sub.stats();
-            sub.allreduce_f64(&mut buf, ReduceOp::Sum);
-            (before, sub.stats().allreduce_calls, comm.stats())
-        });
-        for (before, sub_calls, parent) in results {
-            assert_eq!(before, CommStats::default());
-            assert_eq!(sub_calls, 1);
-            // The parent counted its own allreduce plus the membership
-            // allgather of split, but none of the sub-group's traffic.
-            assert_eq!(parent.allreduce_calls, 1);
-            assert_eq!(parent.allgather_calls, 1);
-        }
-    }
+    use crate::Communicator;
 
     #[test]
     fn abortable_barrier_deadline_poisons_the_group() {
@@ -986,17 +528,5 @@ mod tests {
                 other => panic!("expected RemoteAbort, got {other}"),
             }
         }
-    }
-
-    #[test]
-    fn deterministic_reduction_across_ranks() {
-        // Rank-ordered reduction ⇒ bitwise identical sums on every rank even
-        // with values that do not commute exactly in floating point.
-        let results = launch(4, |comm| {
-            let mut buf = vec![1.0e16, 1.0, -1.0e16][comm.rank() % 3..][..1].to_vec();
-            comm.allreduce_f64(&mut buf, ReduceOp::Sum);
-            buf[0].to_bits()
-        });
-        assert!(results.windows(2).all(|w| w[0] == w[1]));
     }
 }

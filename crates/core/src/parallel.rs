@@ -1,11 +1,14 @@
 //! SPMD entry points for Approx-FIRAL (§III-C) — thin wrappers.
 //!
 //! The distributed RELAX/ROUND math lives in [`crate::exec`]; this module
-//! keeps the historical free-function API for callers that hold a
+//! keeps the free-function entry points for callers that hold a
 //! communicator and drive ranks directly (bench harnesses, examples,
-//! integration tests). Each function constructs an [`Executor`] for the
-//! calling rank and delegates — there is no second copy of the algorithms
-//! here.
+//! integration tests): [`parallel_approx_firal`], its 2D-geometry form
+//! [`parallel_approx_firal_grouped`], and the strategy-generic
+//! [`parallel_select`] / [`parallel_select_by_name`]. Each constructs an
+//! [`Executor`] for the calling rank and delegates — there is no second
+//! copy of the algorithms here, and a bare RELAX or ROUND solve is an
+//! [`Executor`] method, not a wrapper.
 //!
 //! These entry points are transport-agnostic: the communicator may be a
 //! `SelfComm`, a `ThreadComm` thread endpoint, or a `SocketComm` process
@@ -23,34 +26,6 @@ use crate::strategies::{strategy_by_name, DistStrategy, SelectError};
 
 pub use crate::exec::ShardedProblem;
 
-/// Output of the distributed RELAX solve (per rank).
-pub type ParallelRelaxOutput<T> = RelaxRun<T>;
-
-/// Output of the distributed ROUND solve (per rank).
-pub type ParallelRoundOutput<T> = RoundRun<T>;
-
-/// Distributed Algorithm 2 on one rank of an SPMD group.
-pub fn parallel_relax<T: CommScalar>(
-    comm: &dyn Communicator,
-    shard: &ShardedProblem<T>,
-    budget: usize,
-    config: &RelaxConfig<T>,
-) -> ParallelRelaxOutput<T> {
-    Executor::new(comm, shard).relax(budget, config)
-}
-
-/// Distributed Algorithm 3 on one rank of an SPMD group (exact Line-9
-/// eigensolver; use [`Executor::round`] directly for the Lanczos variant).
-pub fn parallel_round<T: CommScalar>(
-    comm: &dyn Communicator,
-    shard: &ShardedProblem<T>,
-    z_local: &[T],
-    budget: usize,
-    eta: T,
-) -> ParallelRoundOutput<T> {
-    Executor::new(comm, shard).round(z_local, budget, eta, EigSolver::Exact)
-}
-
 /// Convenience: run the full distributed Approx-FIRAL (RELAX then ROUND)
 /// on one rank of an SPMD group, given the *full* problem (each rank shards
 /// it internally). Returns the selected global indices (identical on all
@@ -62,23 +37,8 @@ pub fn parallel_approx_firal<T: CommScalar>(
     config: &RelaxConfig<T>,
     eta: T,
 ) -> Vec<usize> {
-    parallel_approx_firal_threads(comm, problem, budget, config, eta, 0)
-}
-
-/// [`parallel_approx_firal`] with an explicit intra-rank kernel pool: this
-/// rank's dense kernels fan out on `threads` workers of its own sub-pool
-/// (the ranks × threads hybrid tier; `0` inherits the ambient pool).
-/// Results are bitwise identical at every `threads` setting.
-pub fn parallel_approx_firal_threads<T: CommScalar>(
-    comm: &dyn Communicator,
-    problem: &SelectionProblem<T>,
-    budget: usize,
-    config: &RelaxConfig<T>,
-    eta: T,
-    threads: usize,
-) -> Vec<usize> {
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
-    let exec = Executor::new(comm, &shard).with_threads(threads);
+    let exec = Executor::new(comm, &shard);
     let relax = exec.relax(budget, config);
     exec.round(&relax.z_local, budget, eta, EigSolver::Exact)
         .selected

@@ -5,7 +5,7 @@
 //! sweep, and the `g_ik` panel from scratch — `O(n·c·d²)` work and a full
 //! block-diagonal Allreduce even when the pool changed by a handful of
 //! points. [`StreamingState`] closes that gap (ROADMAP item 2): it owns a
-//! **persistent** [`RoundState`](crate::RoundState) keyed by a pool
+//! **persistent** [`RoundState`] keyed by a pool
 //! version and advances it under [`PoolUpdate`] batches in `O(Δpool)`:
 //!
 //! - the dense `Σ⋄` block diagonal advances by a **delta-Allreduce** of
