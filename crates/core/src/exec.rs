@@ -50,7 +50,7 @@ use firal_comm::{
 use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
     cg_solve_panel, lanczos_spectrum, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry,
-    LinearOperator,
+    DenseOperator, LinearOperator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -59,7 +59,7 @@ use crate::config::{FiralConfig, RelaxConfig};
 use crate::exact::RelaxTelemetry;
 use crate::hessian::{hutchinson_gradients_shared, probe_products_into, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
-use crate::round::{pad_spectrum, round_scores, EigSolver, WhitenedBlock};
+use crate::round::{pad_spectrum, EigSolver, WhitenedFtrl, Whitening};
 use crate::timing::PhaseTimer;
 
 /// One rank's shard of a selection problem.
@@ -281,6 +281,12 @@ impl<T: Scalar> RoundState<T> {
     /// The labeled-set Hessian block diagonal `B(H_o)`.
     pub fn bho(&self) -> &BlockDiag<T> {
         &self.bho
+    }
+
+    /// The per-block Cholesky factors `(Σ⋄)_k = L_kL_kᵀ` (of
+    /// `(Σ⋄)_k + 1e-8·I` for a block that is only semidefinite).
+    pub fn sigma_chol(&self) -> &[Cholesky<T>] {
+        &self.sigma_chol
     }
 }
 
@@ -615,7 +621,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let stats0 = self.comm.stats();
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
-            self.round_body(&scratch, budget, eta, eig, timer, stats0)
+            let white = timer.time("other", || Whitening::new(&scratch));
+            self.round_body(&white, budget, eta, eig, timer, stats0)
         })
     }
 
@@ -634,7 +641,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// Run the FTRL selection loop of Algorithm 3 over a prebuilt (possibly
     /// incrementally maintained) [`RoundState`] — the persistent-state
     /// counterpart of [`Executor::round`]. The state must describe the same
-    /// pool this executor's shard was materialized from.
+    /// pool this executor's shard was materialized from. The [`Whitening`]
+    /// prologue is not part of the persistent state: it is derived here,
+    /// per call, from the factors the state carries.
     pub fn round_with_state(
         &self,
         state: &RoundState<T>,
@@ -644,8 +653,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ) -> RoundRun<T> {
         self.install(|| {
             let stats0 = self.comm.stats();
-            let timer = PhaseTimer::new();
-            self.round_body(state, budget, eta, eig, timer, stats0)
+            let mut timer = PhaseTimer::new();
+            let white = timer.time("other", || Whitening::new(state));
+            self.round_body(&white, budget, eta, eig, timer, stats0)
         })
     }
 
@@ -700,11 +710,13 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         }
     }
 
-    /// The FTRL selection loop of Algorithm 3 for one η, over prebuilt
-    /// η-independent scratch.
+    /// The FTRL selection loop of Algorithm 3 for one η, over the whitening
+    /// prologue of prebuilt η-independent scratch. The replicated state and
+    /// its arithmetic are [`WhitenedFtrl`]'s; what is left here is the
+    /// collectives around it.
     fn round_body(
         &self,
-        scratch: &RoundState<T>,
+        white: &Whitening<'_, T>,
         budget: usize,
         eta: T,
         eig: EigSolver,
@@ -713,46 +725,24 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ) -> RoundRun<T> {
         let shard = self.shard;
         let d = shard.dim();
-        let cm1 = shard.nblocks();
-        let ehat = shard.ehat();
         let n_local = shard.local_n();
         assert!(
             budget <= shard.global_n,
             "cannot select more points than the pool holds"
         );
-        let binv = T::ONE / T::from_usize(budget);
-        let RoundState {
-            bho,
-            sigma,
-            sigma_chol,
-            gik,
-            ..
-        } = scratch;
 
-        // Line 4: B₁ = √ê·Σ⋄ + (η/b)·H_o, inverted per block (replicated).
-        let mut b_inv = timer.time("other", || {
-            let mut b1 = sigma.clone();
-            let sqrt_ehat = T::from_usize(ehat).sqrt();
-            for k in 0..cm1 {
-                b1.block_mut(k).scale_inplace(sqrt_ehat);
-                b1.block_mut(k).add_scaled(eta * binv, bho.block(k));
-            }
-            b1.inverse().expect("B₁ blocks must be SPD")
-        });
-
-        // Line 5: (H)_k ← 0.
-        let mut h_acc = BlockDiag::<T>::zeros(cm1, d);
+        // Lines 4–5: B₁ inverted per block, (H)_k ← 0 (replicated).
+        let mut ftrl = timer.time("other", || WhitenedFtrl::new(white, budget, eta));
+        let mut scores = vec![T::ZERO; n_local];
         let mut taken_local = vec![false; n_local];
         let mut selected = Vec::with_capacity(budget);
 
         // Which blocks this rank owns for the distributed eigensolve.
-        let my_blocks = shard_range(cm1, self.rank(), self.size());
+        let my_blocks = shard_range(shard.nblocks(), self.rank(), self.size());
 
         for _t in 0..budget {
             // Line 7: local Eq. 17 scores; global argmax via MAXLOC.
-            let scores = timer.time("objective", || {
-                round_scores(&shard.local_x, gik, &b_inv, sigma, eta)
-            });
+            timer.time("objective", || ftrl.scores(&shard.local_x, &mut scores));
             let mut local_best = (f64::NEG_INFINITY, u64::MAX);
             for (i, &s) in scores.iter().enumerate() {
                 if !taken_local[i] {
@@ -776,42 +766,21 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
             // Line 8: (H)_k += (1/b)(H_o)_k + g_{i_t,k} x_{i_t}x_{i_t}ᵀ
             // (replicated state, local arithmetic).
-            timer.time("other", || {
-                h_acc.add_scaled(binv, bho);
-                let gammas: Vec<T> = hit.iter().map(|&h| h * (T::ONE - h)).collect();
-                h_acc.rank_one_update(&gammas, &xit);
-            });
+            timer.time("other", || ftrl.pick(&xit, &hit));
 
-            // Line 9: eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2}(H)_k(Σ⋄)_k^{-1/2}
-            // via the cached Cholesky factors; each rank does its block
-            // share, then Allgather.
+            // Line 9: eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2}(H)_k(Σ⋄)_k^{-1/2},
+            // which are those of the whitened accumulator C_t,k; each rank
+            // does its block share, then Allgather.
             let lambdas = timer.time("eig", || {
                 let mut local_vals = Vec::with_capacity(my_blocks.len() * d);
                 for k in my_blocks.clone() {
-                    let ch = &sigma_chol[k];
+                    let c = ftrl.c_t().block(k);
                     match eig {
                         EigSolver::Exact => {
-                            // C = L⁻¹ (H)_k L⁻ᵀ: forward-substitute columns,
-                            // then rows.
-                            let hk = h_acc.block(k);
-                            let mut y = Matrix::zeros(d, d);
-                            for j in 0..d {
-                                let col = ch.solve_l(&hk.col(j));
-                                y.set_col(j, &col);
-                            }
-                            let mut c = Matrix::zeros(d, d);
-                            for j in 0..d {
-                                let col = ch.solve_l(y.row(j));
-                                c.set_col(j, &col);
-                            }
-                            c.symmetrize();
-                            local_vals.extend(eigvalsh(&c).expect("generalized eigensolve"));
+                            local_vals.extend(eigvalsh(c).expect("generalized eigensolve"));
                         }
                         EigSolver::Lanczos { steps } => {
-                            let op = WhitenedBlock {
-                                h: h_acc.block(k),
-                                chol: ch,
-                            };
+                            let op = DenseOperator::new(c.clone());
                             // Seeded per (block, step) so the Ritz values are
                             // identical no matter which rank owns the block.
                             let mut rng =
@@ -828,30 +797,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let nu = timer.time("other", || firal_solvers::solve_nu(&lambdas, eta));
 
             // Line 11: B_{t+1} = ν·Σ⋄ + η·(H) + (η/b)·H_o, inverted per
-            // block. With an approximate (Lanczos) spectrum — or in f32 —
-            // ν can come out too small for positive definiteness; back off
-            // by growing ν geometrically: a conservative FTRL regularizer
-            // is always admissible.
-            b_inv = timer.time("other", || {
-                let mut nu_eff = nu;
-                let floor = T::from_usize(ehat).sqrt() * T::from_f64(1e-3);
-                for _attempt in 0..60 {
-                    let mut bt = sigma.clone();
-                    for k in 0..cm1 {
-                        bt.block_mut(k).scale_inplace(nu_eff);
-                        bt.block_mut(k).add_scaled(eta, h_acc.block(k));
-                        bt.block_mut(k).add_scaled(eta * binv, bho.block(k));
-                    }
-                    if let Ok(inv) = bt.inverse() {
-                        return inv;
-                    }
-                    // Clamp to the floor, then keep doubling: the growth must
-                    // engage even when the bisection result was at/below the
-                    // floor, or the retry loop would spin on one value.
-                    nu_eff = nu_eff.maxv(floor) * T::TWO;
-                }
-                panic!("B_{{t+1}} never became SPD (η = {eta}, ν = {nu})");
-            });
+            // block.
+            timer.time("other", || ftrl.set_nu(nu));
         }
 
         RoundRun {
@@ -892,8 +839,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         assert!(!grid.is_empty(), "η grid must be non-empty");
         self.install(|| {
             let scale = T::from_usize(self.shard.ehat()).sqrt();
-            // The η-independent state (Σ⋄ Allreduce + Cholesky sweep + g_ik)
-            // is built once and shared by every grid re-run; only the FTRL
+            // The η-independent state (Σ⋄ Allreduce + Cholesky sweep + g_ik,
+            // then the whitening prologue L⁻ᵀ / C_o derived from it) is
+            // built once and shared by every grid re-run; only the FTRL
             // loop itself runs per η. Each run still starts from a copy of
             // the scratch phase timings and merges the scratch comm delta,
             // so the returned run's accounting matches what a direct
@@ -901,11 +849,12 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let stats0 = self.comm.stats();
             let mut scratch_timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut scratch_timer);
+            let white = scratch_timer.time("other", || Whitening::new(&scratch));
             let scratch_stats = self.comm.stats().since(&stats0);
             let mut best: Option<(T, RoundRun<T>)> = None;
             for &mult in grid {
                 let mut out = self.round_body(
-                    &scratch,
+                    &white,
                     budget,
                     mult * scale,
                     EigSolver::Exact,
@@ -941,7 +890,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ///    (in-memory harnesses replicate `z⋄` anyway; a distributed-memory
     ///    caller gets the §III-C data distribution for free);
     /// 2. each group builds the η-independent ROUND scratch (Σ⋄ Allreduce +
-    ///    Cholesky sweep + `g_ik`) **once** and
+    ///    Cholesky sweep + `g_ik`, and the [`Whitening`] prologue) **once** and
     ///    runs the FTRL loop only for its contiguous grid slice
     ///    ([`EtaGroupGeometry::grid_slice`]), scoring each selection with
     ///    [`Executor::selection_min_eig`] over the group communicator;
@@ -988,11 +937,12 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             // Step 2: η-independent scratch once, then only this group's
             // contiguous slice of the grid.
             let scratch = self.round_scratch(&z_group, &mut sweep_timer);
+            let white = sweep_timer.time("other", || Whitening::new(&scratch));
             let my_group = cross.rank();
             let mut best: Option<(T, usize, RoundRun<T>)> = None;
             for gi in geometry.grid_slice(my_group, grid.len()) {
                 let out = self.round_body(
-                    &scratch,
+                    &white,
                     budget,
                     grid[gi] * scale,
                     EigSolver::Exact,

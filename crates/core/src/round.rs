@@ -1,29 +1,52 @@
 //! Diagonal ROUND solver (Algorithm 3) — serial entry points and the
-//! shared per-iteration kernels.
+//! replicated FTRL state.
 //!
 //! The FTRL iteration itself is implemented **once**, communicator-
 //! generically, in [`crate::exec::Executor::round`]; [`diag_round`] and
 //! friends instantiate it over [`firal_comm::SelfComm`] on the trivial full
-//! shard. This module keeps the pieces both the serial wrappers and the
-//! unified solver share:
+//! shard. This module keeps what every instantiation shares: the state the
+//! loop carries and the `O(cd²)`–`O(ncd²)` arithmetic on it, none of which
+//! communicates.
 //!
-//! * the Eq. 17 rational score (`round_scores`) — the Sherman–Morrison
-//!   identity of Lemma 3 applied to the per-candidate objective of Eq. 9
-//!   (note: the published Eq. 17 prints `(Σ⋄)_k^{-1}` in the numerator; the
-//!   derivation in Eqs. 18–20 shows the factor is `(Σ⋄)_k` — we implement
-//!   the derived form and cross-check it against the dense trace objective
-//!   in tests);
-//! * the Line-9 eigensolver choice ([`EigSolver`]) with its Lanczos
-//!   machinery (`WhitenedBlock`, `pad_spectrum`);
-//! * the η-selection criterion of §IV-A ([`selection_min_eig`]).
+//! # Whitened coordinates
+//!
+//! Every matrix Algorithm 3 touches is, per block `k`, a combination of
+//! `(Σ⋄)_k`, `(H_o)_k` and the accumulated `(H)_k`. With the cached factor
+//! `(Σ⋄)_k = L_kL_kᵀ` the loop runs on `C = L_k⁻¹ · L_k⁻ᵀ` instead, where
+//! `(Σ⋄)_k` is the identity:
+//!
+//! * once per sweep, shared by the whole η grid ([`Whitening`]): the dense
+//!   `L_k⁻ᵀ` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
+//! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
+//!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
+//! * **Line 9** is `eigvalsh(C_t,k)` as is (the Lanczos variant applies the
+//!   same dense block);
+//! * **Lines 4/11**: `B = L_kM_kL_kᵀ` with
+//!   `M_k = νI + η·C_t,k + (η/b)·C_o,k`, so one factor-and-invert of `M_k`
+//!   per block, and `M_k` loses positive definiteness only when
+//!   `ν + ηλ_min ≤ 0` — never through the conditioning of `(Σ⋄)_k`;
+//! * **Eq. 17**: `x_iᵀB⁻¹x_i = w·y` and `x_iᵀB⁻¹(Σ⋄)_kB⁻¹x_i = y·y` for
+//!   the rows of `W = X·L_k⁻ᵀ`, `Y = W·M_k⁻¹` — two pool GEMMs into two
+//!   buffers the loop owns (note: the published Eq. 17 prints
+//!   `(Σ⋄)_k^{-1}` in the numerator; the derivation in Eqs. 18–20 shows the
+//!   factor is `(Σ⋄)_k` — we implement the derived form and cross-check it
+//!   against the dense trace objective in tests).
+//!
+//! [`WhitenedFtrl`] holds `C_t` and `M⁻¹`; with the two prologue sets that
+//! is four `cd²` working sets, and `M_k` is assembled and inverted in the
+//! slot of the `M_k⁻¹` it replaces.
+//!
+//! Also here: the Line-9 eigensolver choice ([`EigSolver`], `pad_spectrum`)
+//! and the η-selection criterion of §IV-A ([`selection_min_eig`]).
 //!
 //! Storage is `O(n(d+c) + cd²)` and compute `O(bncd²)` (Table II).
 
 use firal_comm::{CommScalar, SelfComm};
-use firal_linalg::{BlockDiag, Cholesky, Matrix, Scalar};
-use firal_solvers::LinearOperator;
+use firal_linalg::{
+    axpy, counters, gemm, gemm_at_b, gemm_into, BlockDiag, Cholesky, Matrix, Scalar,
+};
 
-use crate::exec::{Executor, ShardedProblem};
+use crate::exec::{Executor, RoundState, ShardedProblem};
 use crate::problem::SelectionProblem;
 use crate::timing::PhaseTimer;
 
@@ -54,23 +77,6 @@ pub(crate) fn pad_spectrum<T: Scalar>(ritz: &[T], d: usize) -> Vec<T> {
     (0..d).map(|i| ritz[i * ritz.len() / d]).collect()
 }
 
-/// Matrix-free whitened block operator `C = L⁻¹ H L⁻ᵀ` for Lanczos.
-pub(crate) struct WhitenedBlock<'a, T: Scalar> {
-    pub(crate) h: &'a Matrix<T>,
-    pub(crate) chol: &'a Cholesky<T>,
-}
-
-impl<T: Scalar> LinearOperator<T> for WhitenedBlock<'_, T> {
-    fn dim(&self) -> usize {
-        self.h.rows()
-    }
-    fn apply(&self, x: &[T], y: &mut [T]) {
-        let t = self.chol.solve_lt(x);
-        let ht = self.h.matvec(&t);
-        y.copy_from_slice(&self.chol.solve_l(&ht));
-    }
-}
-
 /// Result of a diagonal ROUND solve.
 #[derive(Debug, Clone)]
 pub struct RoundOutput<T> {
@@ -82,40 +88,195 @@ pub struct RoundOutput<T> {
     pub timer: PhaseTimer,
 }
 
-/// Per-candidate scores for one ROUND iteration (Eq. 17, derived form):
-/// `score_i = Σ_k g_ik · x_iᵀ B_k⁻¹ (Σ⋄)_k B_k⁻¹ x_i / (1 + η g_ik x_iᵀ B_k⁻¹ x_i)`
-/// with `g_ik = h_ik(1-h_ik)`. Batched per block with two `n×d` GEMMs.
-/// `pool_x`/`gik` may be one rank's shard — the kernel is purely local.
-pub(crate) fn round_scores<T: Scalar>(
-    pool_x: &Matrix<T>,
-    gik: &Matrix<T>,
-    b_inv: &BlockDiag<T>,
-    sigma: &BlockDiag<T>,
-    eta: T,
-) -> Vec<T> {
-    let n = pool_x.rows();
-    let cm1 = b_inv.nblocks();
-    let mut scores = vec![T::ZERO; n];
-    for k in 0..cm1 {
-        let m1 = b_inv.block(k);
-        // M2 = B⁻¹ Σ⋄ B⁻¹ for this block.
-        let m2 = firal_linalg::gemm(&firal_linalg::gemm(m1, sigma.block(k)), m1);
-        // q1_i = x_iᵀ M1 x_i, q2_i = x_iᵀ M2 x_i (row-dot after one GEMM).
-        let y1 = firal_linalg::gemm(pool_x, m1);
-        let y2 = firal_linalg::gemm(pool_x, &m2);
-        for i in 0..n {
-            let xi = pool_x.row(i);
-            let mut q1 = T::ZERO;
-            let mut q2 = T::ZERO;
-            for ((&a1, &a2), &xv) in y1.row(i).iter().zip(y2.row(i)).zip(xi.iter()) {
-                q1 += a1 * xv;
-                q2 += a2 * xv;
+/// The η-independent whitening prologue of a ROUND sweep: per block the
+/// dense `L_k⁻ᵀ` of `(Σ⋄)_k = L_kL_kᵀ` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`
+/// (exactly symmetric). Derived once from a [`RoundState`], which it keeps
+/// borrowed, and shared by every η of a grid sweep.
+pub struct Whitening<'a, T: Scalar> {
+    state: &'a RoundState<T>,
+    l_inv_t: BlockDiag<T>,
+    c_o: BlockDiag<T>,
+}
+
+impl<'a, T: Scalar> Whitening<'a, T> {
+    /// Derive the prologue from the state's `Σ⋄` factors and `B(H_o)`.
+    pub fn new(state: &'a RoundState<T>) -> Self {
+        let bho = state.bho();
+        let (cm1, d) = (bho.nblocks(), bho.dim());
+        let mut l_inv_t = BlockDiag::zeros(cm1, d);
+        let mut c_o = BlockDiag::zeros(cm1, d);
+        let mut unit = vec![T::ZERO; d];
+        for (k, ch) in state.sigma_chol().iter().enumerate() {
+            // Row j of L⁻ᵀ is column j of L⁻¹: solve L·y = e_j.
+            let lit = l_inv_t.block_mut(k);
+            for j in 0..d {
+                unit[j] = T::ONE;
+                lit.row_mut(j).copy_from_slice(&ch.solve_l(&unit));
+                unit[j] = T::ZERO;
             }
-            let g = gik[(i, k)];
-            scores[i] += g * q2 / (T::ONE + eta * g * q1);
+            let co = c_o.block_mut(k);
+            *co = gemm_at_b(lit, &gemm(bho.block(k), lit));
+            co.symmetrize();
+        }
+        Self {
+            state,
+            l_inv_t,
+            c_o,
         }
     }
-    scores
+}
+
+/// The replicated FTRL state of Algorithm 3 for one η, in the coordinates
+/// of a [`Whitening`] (see the module docs): the accumulator `C_t`, the
+/// inverse regularizer `M⁻¹`, and the two pool-sized score buffers.
+pub struct WhitenedFtrl<'a, T: Scalar> {
+    white: &'a Whitening<'a, T>,
+    eta: T,
+    inv_budget: T,
+    c_t: BlockDiag<T>,
+    m_inv: BlockDiag<T>,
+    w: Matrix<T>,
+    y: Matrix<T>,
+}
+
+impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
+    /// Lines 4–5: `(H)_k ← 0` and `B₁ = √ê·Σ⋄ + (η/b)·H_o`, i.e.
+    /// `M = √ê·I + (η/b)·C_o`, inverted.
+    pub fn new(white: &'a Whitening<'a, T>, budget: usize, eta: T) -> Self {
+        let (cm1, d) = (white.c_o.nblocks(), white.c_o.dim());
+        let n_local = white.state.gik.rows();
+        let mut ftrl = Self {
+            white,
+            eta,
+            inv_budget: T::ONE / T::from_usize(budget),
+            c_t: BlockDiag::zeros(cm1, d),
+            m_inv: BlockDiag::zeros(cm1, d),
+            w: Matrix::zeros(n_local, d),
+            y: Matrix::zeros(n_local, d),
+        };
+        ftrl.set_nu(T::from_usize(cm1 * d).sqrt());
+        ftrl
+    }
+
+    /// The whitened accumulator `C_t,k = L_k⁻¹(H)_kL_k⁻ᵀ` (exactly
+    /// symmetric) — the Line-9 eigenproblem's operand.
+    pub fn c_t(&self) -> &BlockDiag<T> {
+        &self.c_t
+    }
+
+    /// Per-candidate scores for one ROUND iteration (Eq. 17, derived form):
+    /// `score_i = Σ_k g_ik · x_iᵀ B_k⁻¹ (Σ⋄)_k B_k⁻¹ x_i / (1 + η g_ik x_iᵀ B_k⁻¹ x_i)`
+    /// with `g_ik = h_ik(1-h_ik)`, as `y·y` and `w·y` over the rows of
+    /// `W = X·L_k⁻ᵀ`, `Y = W·M_k⁻¹`. `pool_x` is this rank's pool shard,
+    /// row-aligned with the state's `g_ik` panel — the kernel is purely
+    /// local. `scores` is overwritten.
+    pub fn scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) {
+        let d = pool_x.cols();
+        let gik = &self.white.state.gik;
+        assert_eq!(scores.len(), gik.rows(), "one score per local pool row");
+        scores.fill(T::ZERO);
+        for k in 0..self.c_t.nblocks() {
+            gemm_into(
+                pool_x.as_slice(),
+                self.white.l_inv_t.block(k),
+                self.w.as_mut_slice(),
+            );
+            gemm_into(
+                self.w.as_slice(),
+                self.m_inv.block(k),
+                self.y.as_mut_slice(),
+            );
+            let rows = self
+                .w
+                .as_slice()
+                .chunks_exact(d)
+                .zip(self.y.as_slice().chunks_exact(d));
+            for (i, (score, (wi, yi))) in scores.iter_mut().zip(rows).enumerate() {
+                let gi = gik[(i, k)];
+                let mut q1 = T::ZERO;
+                let mut q2 = T::ZERO;
+                for (&wv, &yv) in wi.iter().zip(yi) {
+                    q1 += wv * yv;
+                    q2 += yv * yv;
+                }
+                *score += gi * q2 / (T::ONE + self.eta * gi * q1);
+            }
+        }
+    }
+
+    /// Line 8: `(H)_k += (1/b)(H_o)_k + g_k·xxᵀ` with `g_k = h_k(1-h_k)`,
+    /// as `C_t,k += (1/b)·C_o,k + g_k·uuᵀ`, `u = L_k⁻¹x`. Both triangles
+    /// receive the same addends, so `C_t` stays exactly symmetric.
+    pub fn pick(&mut self, x: &[T], h: &[T]) {
+        let d = x.len();
+        // The rank-one term: one multiply-add per lower-triangle entry.
+        counters::add_flops(self.c_t.nblocks() * d * (d + 1));
+        let mut u = vec![T::ZERO; d];
+        for (k, &hk) in h.iter().enumerate() {
+            let c = self.c_t.block_mut(k);
+            c.add_scaled(self.inv_budget, self.white.c_o.block(k));
+            let g = hk * (T::ONE - hk);
+            if g == T::ZERO {
+                continue;
+            }
+            u.fill(T::ZERO);
+            let lit = self.white.l_inv_t.block(k);
+            for (p, &xp) in x.iter().enumerate() {
+                axpy(xp, lit.row(p), &mut u);
+            }
+            for p in 0..d {
+                let s = g * u[p];
+                for q in 0..p {
+                    let v = s * u[q];
+                    c[(p, q)] += v;
+                    c[(q, p)] += v;
+                }
+                c[(p, p)] += s * u[p];
+            }
+        }
+    }
+
+    /// Lines 4/11: `B = ν·Σ⋄ + η·(H) + (η/b)·H_o`, inverted per block, as
+    /// `M_k⁻¹` of `M_k = νI + η·C_t,k + (η/b)·C_o,k`. With an approximate
+    /// (Lanczos) spectrum — or in f32 — ν can come out too small for
+    /// positive definiteness; back off by growing ν geometrically: a
+    /// conservative FTRL regularizer is always admissible.
+    pub fn set_nu(&mut self, nu: T) {
+        let floor = T::from_usize(self.c_t.order()).sqrt() * T::from_f64(1e-3);
+        let mut nu_eff = nu;
+        for _attempt in 0..60 {
+            if self.invert_regularizer(nu_eff) {
+                return;
+            }
+            // Clamp to the floor, then keep doubling: the growth must
+            // engage even when the bisection result was at/below the
+            // floor, or the retry loop would spin on one value.
+            nu_eff = nu_eff.maxv(floor) * T::TWO;
+        }
+        panic!("B_{{t+1}} never became SPD (η = {}, ν = {nu})", self.eta);
+    }
+
+    /// One attempt at `M⁻¹` for a given ν. Each `M_k` is assembled in the
+    /// slot of the inverse it replaces — dead since the last scoring pass —
+    /// so a failed attempt leaves nothing to restore: the retry starts
+    /// again from block 0.
+    fn invert_regularizer(&mut self, nu: T) -> bool {
+        let eta_over_b = self.eta * self.inv_budget;
+        for k in 0..self.c_t.nblocks() {
+            let m = self.m_inv.block_mut(k);
+            let ct = self.c_t.block(k).as_slice();
+            let co = self.white.c_o.block(k).as_slice();
+            for ((mv, &ctv), &cov) in m.as_mut_slice().iter_mut().zip(ct).zip(co) {
+                *mv = self.eta * ctv + eta_over_b * cov;
+            }
+            m.add_diag(nu);
+            match Cholesky::new(m) {
+                Ok(ch) => ch.inverse_into(m),
+                Err(_) => return false,
+            }
+        }
+        true
+    }
 }
 
 /// Run Algorithm 3 with a fixed η and the exact per-block eigensolver.
@@ -231,16 +392,14 @@ mod tests {
             b1.block_mut(k).scale_inplace((ehat as f64).sqrt());
             b1.block_mut(k).add_scaled(eta / 3.0, bho.block(k));
         }
-        let b_inv = b1.inverse().unwrap();
 
-        let mut gik = firal_linalg::Matrix::zeros(n, cm1);
-        for i in 0..n {
-            for k in 0..cm1 {
-                let h = p.pool_h[(i, k)];
-                gik[(i, k)] = h * (1.0 - h);
-            }
-        }
-        let scores = round_scores(&p.pool_x, &gik, &b_inv, &sigma, eta);
+        // The whitened score function at t = 1, budget 3 (M = √ê·I + (η/3)·C_o).
+        let comm = SelfComm::new();
+        let shard = ShardedProblem::replicate(&p);
+        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        let white = Whitening::new(&state);
+        let mut scores = vec![0.0; n];
+        WhitenedFtrl::new(&white, 3, eta).scores(&p.pool_x, &mut scores);
 
         // Dense reference: r_i = Tr[(B₁ + η B(H_i))⁻¹ Σ⋄].
         let b1_dense = b1.to_dense();

@@ -9,11 +9,18 @@
 //!   block inverse after a rank-one `γ_k·xxᵀ` update;
 //! * Prop. 4 — the Eq. 17 score is an affine transform of the block-diag
 //!   trace objective (so their argext agree);
+//! * ROUND in whitened coordinates — the rank-one-updated accumulator
+//!   equals `L⁻¹(H)_kL⁻ᵀ` formed from scratch (ridge-path `Σ⋄` blocks and
+//!   `g = 0` picks included), and the degenerate shapes (`d = 1`, `c = 2`,
+//!   `budget ∈ {1, n}`, one-hot `h`) yield well-formed batches;
 //! * mirror descent preserves the simplex;
 //! * Eq. 13 — the fused panel matvec equals the dense operator applied to
 //!   the panel, at degenerate and ragged shapes, in both precisions.
 
+use firal_comm::{CommScalar, SelfComm};
 use firal_core::hessian::{dense_hessian, fast_matvec, PoolHessian};
+use firal_core::round::{WhitenedFtrl, Whitening};
+use firal_core::{EigSolver, Executor, SelectionProblem, ShardedProblem};
 use firal_linalg::{BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::LinearOperator;
 use rand::rngs::StdRng;
@@ -288,4 +295,186 @@ fn eq13_fused_panel_matvec_equals_dense_f64() {
 #[test]
 fn eq13_fused_panel_matvec_equals_dense_f32() {
     fused_panel_matches_dense::<f32>(1e-4);
+}
+
+/// A seeded selection problem in precision `T`. `one_hot_every`: every
+/// that-many-th pool row gets an exact one-hot (or all-zero: the dropped
+/// class) probability row, i.e. `g_ik = 0` in every block. `flat`: the last
+/// feature coordinate is exactly zero everywhere, so every `(Σ⋄)_k` is
+/// singular and takes the `1e-8` ridge factor.
+fn round_problem<T: Scalar>(
+    rng: &mut StdRng,
+    (n, d, c): (usize, usize, usize),
+    one_hot_every: usize,
+    flat: bool,
+) -> SelectionProblem<T> {
+    let cm1 = c - 1;
+    let m = 3 * d + c;
+    let mut panel = |rows: usize| {
+        let mut x = Matrix::<f64>::zeros(rows, d);
+        let mut h = Matrix::<f64>::zeros(rows, cm1);
+        for i in 0..rows {
+            x.row_mut(i).copy_from_slice(&random_point(rng, d));
+            h.row_mut(i).copy_from_slice(&random_probs(rng, cm1));
+            if flat {
+                x[(i, d - 1)] = 0.0;
+            }
+        }
+        (x, h)
+    };
+    let (px, mut ph) = panel(n);
+    let (lx, lh) = panel(m);
+    for i in (0..n).step_by(one_hot_every) {
+        ph.row_mut(i).fill(0.0);
+        if i % c < cm1 {
+            ph[(i, i % c)] = 1.0;
+        }
+    }
+    SelectionProblem::new(px.cast(), ph.cast(), lx.cast(), lh.cast(), c)
+}
+
+/// Drive [`WhitenedFtrl`] through `budget` picks exactly as
+/// `Executor::round` does (minus the collectives) and compare `C_t` after
+/// every pick with `L⁻¹(H)_kL⁻ᵀ` whitened afresh by triangular solves.
+/// `tol` is relative to `‖C‖_F`.
+fn whitened_accumulator_matches_from_scratch<T: CommScalar>(tol: f64) {
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(700 + case);
+        let d = rng.gen_range(1..=6usize);
+        let c = rng.gen_range(2..=5usize);
+        let n = rng.gen_range(8..=30usize);
+        let budget = rng.gen_range(1..=6usize);
+        let flat = case % 2 == 1 && d >= 2;
+        let problem = round_problem::<T>(&mut rng, (n, d, c), 4, flat);
+        let cm1 = c - 1;
+        let z: Vec<T> = (0..n)
+            .map(|_| T::from_f64(uniform(&mut rng, 0.0, 2.0 * budget as f64 / n as f64)))
+            .collect();
+        let eta = T::from_f64(uniform(&mut rng, 1.0, 16.0) * ((d * cm1) as f64).sqrt());
+
+        let comm = SelfComm::new();
+        let shard = ShardedProblem::replicate(&problem);
+        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        assert_eq!(
+            Cholesky::new(state.sigma().block(0)).is_err(),
+            flat,
+            "case {case}: the flat pool is what takes the ridge path"
+        );
+        let white = Whitening::new(&state);
+        let mut ftrl = WhitenedFtrl::new(&white, budget, eta);
+
+        let mut gik = Matrix::<T>::zeros(n, cm1);
+        for i in 0..n {
+            for k in 0..cm1 {
+                let h = problem.pool_h[(i, k)];
+                gik[(i, k)] = h * (T::ONE - h);
+            }
+        }
+        let mut h_acc = BlockDiag::<T>::zeros(cm1, d);
+        let mut scores = vec![T::ZERO; n];
+        // Pick 0 is a one-hot row: the g = 0 branch of Line 8.
+        for t in 0..budget {
+            let i = (4 * t) % n;
+            ftrl.scores(&problem.pool_x, &mut scores);
+            assert!(
+                scores.iter().all(|s| s.is_finite()),
+                "case {case} pick {t}: non-finite score"
+            );
+            ftrl.pick(problem.pool_x.row(i), problem.pool_h.row(i));
+
+            h_acc.add_scaled(T::ONE / T::from_usize(budget), state.bho());
+            h_acc.rank_one_update(gik.row(i), problem.pool_x.row(i));
+            let mut lambdas = Vec::with_capacity(cm1 * d);
+            for (k, ch) in state.sigma_chol().iter().enumerate() {
+                let hk = h_acc.block(k);
+                let mut half = Matrix::zeros(d, d);
+                for j in 0..d {
+                    half.set_col(j, &ch.solve_l(&hk.col(j)));
+                }
+                let mut want = Matrix::zeros(d, d);
+                for j in 0..d {
+                    want.set_col(j, &ch.solve_l(half.row(j)));
+                }
+                let got = ftrl.c_t().block(k);
+                let bound = tol * want.fro_norm().to_f64();
+                for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert!(
+                        (g.to_f64() - w.to_f64()).abs() <= bound,
+                        "case {case} (d={d} c={c} b={budget} flat={flat}) pick {t} block {k}: \
+                         {g} vs {w} (bound {bound:e})"
+                    );
+                }
+                assert!(
+                    got.as_slice() == got.transpose().as_slice(),
+                    "case {case}: C_t must stay exactly symmetric"
+                );
+                lambdas.extend(firal_linalg::eigvalsh(got).unwrap());
+            }
+            ftrl.set_nu(firal_solvers::solve_nu(&lambdas, eta));
+        }
+    }
+}
+
+#[test]
+fn whitened_accumulator_matches_from_scratch_f64() {
+    whitened_accumulator_matches_from_scratch::<f64>(1e-10);
+}
+
+#[test]
+fn whitened_accumulator_matches_from_scratch_f32() {
+    whitened_accumulator_matches_from_scratch::<f32>(1e-4);
+}
+
+/// Degenerate ROUND shapes through the public entry points: a batch is
+/// `budget` distinct in-range indices. (A NaN score never wins the MAXLOC,
+/// so a poisoned loop runs out of candidates and panics instead.)
+fn round_edge_cases_are_well_formed<T: CommScalar>() {
+    // (n, d, c, budget): d = 1, c = 2, budget = 1, budget = n, all three.
+    let shapes = [
+        (12usize, 1usize, 3usize, 4usize),
+        (12, 3, 2, 4),
+        (10, 3, 3, 1),
+        (9, 2, 3, 9),
+        (6, 1, 2, 6),
+    ];
+    for (case, &(n, d, c, budget)) in shapes.iter().enumerate() {
+        for one_hot_every in [1usize, 3] {
+            let mut rng = StdRng::seed_from_u64(800 + case as u64);
+            let problem = round_problem::<T>(&mut rng, (n, d, c), one_hot_every, false);
+            let z = vec![T::from_f64(budget as f64 / n as f64); n];
+            let eta = T::from_f64(8.0 * (problem.ehat() as f64).sqrt());
+            let grid = [T::from_f64(1.0), T::from_f64(8.0)];
+            let batches = [
+                firal_core::diag_round(&problem, &z, budget, eta).selected,
+                firal_core::select_eta(&problem, &z, budget, &grid).selected,
+                firal_core::diag_round_with_eig(
+                    &problem,
+                    &z,
+                    budget,
+                    eta,
+                    EigSolver::Lanczos { steps: 2 },
+                )
+                .selected,
+            ];
+            for sel in &batches {
+                let mut sorted = sel.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert!(
+                    sel.len() == budget && sorted.len() == budget && sorted[budget - 1] < n,
+                    "n={n} d={d} c={c} b={budget} one-hot every {one_hot_every}: {sel:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn round_edge_cases_are_well_formed_f64() {
+    round_edge_cases_are_well_formed::<f64>();
+}
+
+#[test]
+fn round_edge_cases_are_well_formed_f32() {
+    round_edge_cases_are_well_formed::<f32>();
 }

@@ -310,18 +310,27 @@ impl<T: Scalar> Cholesky<T> {
     /// block diagonals; only ever called on `d × d` blocks).
     pub fn inverse(&self) -> Matrix<T> {
         let n = self.order();
-        counters::add_flops(2 * n * n * n / 3);
         let mut inv = Matrix::zeros(n, n);
-        let mut e = vec![T::ZERO; n];
-        for j in 0..n {
-            e.fill(T::ZERO);
-            e[j] = T::ONE;
-            self.solve_in_place(&mut e);
-            inv.set_col(j, &e);
+        self.inverse_into(&mut inv);
+        inv
+    }
+
+    /// [`Cholesky::inverse`] into caller-owned storage (overwritten): one
+    /// panel solve against the identity, so all `n` columns advance
+    /// together over contiguous rows. Column `j` is bit for bit
+    /// [`Cholesky::solve`] of `e_j` (the [`Cholesky::solve_panel_in_place`]
+    /// contract), and that panel solve is the only flop counter charged.
+    pub fn inverse_into(&self, inv: &mut Matrix<T>) {
+        let n = self.order();
+        assert_eq!(inv.shape(), (n, n), "Cholesky::inverse_into shape mismatch");
+        let flat = inv.as_mut_slice();
+        flat.fill(T::ZERO);
+        for i in 0..n {
+            flat[i * n + i] = T::ONE;
         }
+        self.solve_panel_in_place(flat, n);
         // Clean up asymmetry from rounding.
         inv.symmetrize();
-        inv
     }
 
     /// `log det A = 2 Σ log L_ii`.
@@ -407,6 +416,31 @@ mod tests {
                     p[(i, j)]
                 );
             }
+        }
+    }
+
+    #[test]
+    fn inverse_is_bitwise_the_column_by_column_solve() {
+        fn check<T: Scalar>(a: &Matrix<T>) {
+            let n = a.rows();
+            let ch = Cholesky::new(a).unwrap();
+            let mut by_column = Matrix::zeros(n, n);
+            for j in 0..n {
+                let mut e = vec![T::ZERO; n];
+                e[j] = T::ONE;
+                ch.solve_in_place(&mut e);
+                by_column.set_col(j, &e);
+            }
+            by_column.symmetrize();
+            assert!(
+                ch.inverse().as_slice() == by_column.as_slice(),
+                "panel inverse drifted from the column loop at n = {n}"
+            );
+        }
+        for n in [1usize, 3, 20, 50] {
+            let a = spd_test_matrix(n, 40 + n as u64);
+            check(&a);
+            check(&a.cast::<f32>());
         }
     }
 

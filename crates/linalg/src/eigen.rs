@@ -13,6 +13,22 @@
 //!
 //! Eigenvalues are returned in ascending order; eigenvectors are the
 //! *columns* of the returned matrix.
+//!
+//! Both entry points read the **lower triangle** of their argument only.
+//! That is part of the contract: `BlockDiag::rank_one_update` produces
+//! blocks whose two triangles differ in the last bit
+//! (`(g·x_a)·x_b ≠ (g·x_b)·x_a`), and the §IV-A η criterion is an argmax
+//! over such spectra.
+//!
+//! [`eigvalsh`] does not run `tred2`. Without the transform to accumulate,
+//! `tred2`'s work is a symmetric matvec and a rank-two update per
+//! Householder step, both written against the lower triangle — so half of
+//! the matvec walks a column with stride `d`. `tridiagonalize` mirrors the
+//! lower triangle up once and then does the same arithmetic over full,
+//! contiguous rows: the matvec as row AXPYs, the update on whole rows. Every
+//! output element sees the products `tred2` forms, added in `tred2`'s
+//! `k`-ascending order, so the tridiagonal — and the spectrum — is bit for
+//! bit `tred2(.., false)`'s (pinned by the unit tests below).
 
 use crate::counters;
 use crate::matrix::Matrix;
@@ -134,6 +150,79 @@ fn tred2<T: Scalar>(z: &mut Matrix<T>, d: &mut [T], e: &mut [T], want_vectors: b
     }
 }
 
+/// The values-only Householder reduction behind [`eigvalsh`]: `tred2`
+/// without the transform, over full contiguous rows (see the module docs).
+/// On return `d` holds the diagonal and `e` the sub-diagonal (in `e[1..]`);
+/// `z` is scratch.
+fn tridiagonalize<T: Scalar>(z: &mut Matrix<T>, d: &mut [T], e: &mut [T]) {
+    let n = d.len();
+    // The lower triangle is the input; from here on the leading
+    // `i × i` submatrix is kept exactly symmetric.
+    for i in 0..n {
+        for j in 0..i {
+            z[(j, i)] = z[(i, j)];
+        }
+    }
+    let a = z.as_mut_slice();
+    for i in (1..n).rev() {
+        // Row `i` holds the Householder vector `v`; rows `0..i` are `A`.
+        let (lead, tail) = a.split_at_mut(i * n);
+        let v = &mut tail[..i];
+        let mut scale = T::ZERO;
+        if i > 1 {
+            for &vk in v.iter() {
+                scale += vk.abs();
+            }
+        }
+        if scale == T::ZERO {
+            e[i] = v[i - 1];
+            continue;
+        }
+        let mut h = T::ZERO;
+        for vk in v.iter_mut() {
+            *vk /= scale;
+            h += *vk * *vk;
+        }
+        let f = v[i - 1];
+        let g = if f > T::ZERO { -h.sqrt() } else { h.sqrt() };
+        e[i] = scale * g;
+        h -= f * g;
+        v[i - 1] = f - g;
+
+        // p = A·v as row AXPYs: p_j gathers A[k][j]·v[k] for k ascending,
+        // which is tred2's row-then-column walk with A[j][k] = A[k][j].
+        let p = &mut e[..i];
+        p.fill(T::ZERO);
+        for (row, &vk) in lead.chunks_exact(n).zip(v.iter()) {
+            for (pj, &akj) in p.iter_mut().zip(&row[..i]) {
+                *pj += akj * vk;
+            }
+        }
+        let mut f_acc = T::ZERO;
+        for (pj, &vj) in p.iter_mut().zip(v.iter()) {
+            *pj /= h;
+            f_acc += *pj * vj;
+        }
+        let hh = f_acc / (h + h);
+        for (pj, &vj) in p.iter_mut().zip(v.iter()) {
+            *pj -= hh * vj;
+        }
+        // A -= v·qᵀ + q·vᵀ on whole rows. The mirrored entry forms the same
+        // two products and adds them in the other order, so symmetry holds
+        // to the bit.
+        for (j, row) in lead.chunks_exact_mut(n).enumerate() {
+            let (f, g) = (v[j], p[j]);
+            for ((ajk, &qk), &vk) in row[..i].iter_mut().zip(p.iter()).zip(v.iter()) {
+                *ajk -= f * qk + g * vk;
+            }
+        }
+    }
+    e[0] = T::ZERO;
+    for i in 0..n {
+        d[i] = a[i * n + i];
+    }
+}
+
 /// Implicit-shift QL iteration on a symmetric tridiagonal matrix.
 /// `d`: diagonal (in), eigenvalues (out). `e`: sub-diagonal in `e[1..]`.
 /// Accumulates rotations into `z` columns when `want_vectors`.
@@ -236,9 +325,9 @@ pub fn eigh<T: Scalar>(a: &Matrix<T>) -> Result<EigDecomposition<T>> {
     Ok(EigDecomposition { values, vectors })
 }
 
-/// Eigenvalues only (ascending). Skips transform accumulation — this is the
-/// kernel behind Line 9 of Algorithm 3, where only the spectrum feeds the
-/// bisection for `ν_{t+1}`.
+/// Eigenvalues only (ascending), from the lower triangle of `a`. Skips
+/// transform accumulation — this is the kernel behind Line 9 of
+/// Algorithm 3, where only the spectrum feeds the bisection for `ν_{t+1}`.
 pub fn eigvalsh<T: Scalar>(a: &Matrix<T>) -> Result<Vec<T>> {
     let n = a.rows();
     assert_eq!(a.rows(), a.cols(), "eigvalsh needs a square matrix");
@@ -247,7 +336,7 @@ pub fn eigvalsh<T: Scalar>(a: &Matrix<T>) -> Result<Vec<T>> {
     let mut z = a.clone();
     let mut d = vec![T::ZERO; n];
     let mut e = vec![T::ZERO; n];
-    tred2(&mut z, &mut d, &mut e, false);
+    tridiagonalize(&mut z, &mut d, &mut e);
     tql2(&mut z, &mut d, &mut e, false)?;
     d.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     Ok(d)
@@ -369,6 +458,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The pre-rewrite values-only path: `tred2` without vectors, then QL.
+    fn eigvalsh_tred2<T: Scalar>(a: &Matrix<T>) -> Vec<T> {
+        let n = a.rows();
+        let mut z = a.clone();
+        let mut d = vec![T::ZERO; n];
+        let mut e = vec![T::ZERO; n];
+        tred2(&mut z, &mut d, &mut e, false);
+        tql2(&mut z, &mut d, &mut e, false).unwrap();
+        d.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        d
+    }
+
+    /// `eigvalsh` against the `tred2` path, bit for bit, in f64 and on the
+    /// input rounded to f32 (the widening `to_f64` is injective).
+    fn assert_bitwise_tred2(a: &Matrix<f64>, what: &str) {
+        fn check<T: Scalar>(a: &Matrix<T>, what: &str) {
+            let bits = |v: Vec<T>| -> Vec<u64> { v.iter().map(|x| x.to_f64().to_bits()).collect() };
+            assert_eq!(
+                bits(eigvalsh(a).unwrap()),
+                bits(eigvalsh_tred2(a)),
+                "{what}, {} bytes/elem",
+                std::mem::size_of::<T>()
+            );
+        }
+        check(a, what);
+        check(&a.cast::<f32>(), what);
+    }
+
+    #[test]
+    fn eigvalsh_is_bitwise_tred2_on_symmetric_inputs() {
+        for n in [1usize, 2, 3, 4, 7, 8, 20, 33, 50] {
+            for seed in 0..4 {
+                let a = sym_test_matrix(n, 1000 * n as u64 + seed);
+                assert_bitwise_tred2(&a, &format!("random n={n} seed={seed}"));
+            }
+        }
+        assert_bitwise_tred2(&Matrix::from_diag(&[3.0, -1.0, 2.0, 0.0, 7.5]), "diagonal");
+        assert_bitwise_tred2(&Matrix::zeros(6, 6), "zero");
+
+        // Rank-6 PSD 50×50: what Line 9 sees after six picks.
+        let g = Matrix::from_fn(6, 50, |i, j| ((3 * i + 7 * j) as f64 * 0.37).sin());
+        assert_bitwise_tred2(&crate::gemm::gemm_at_b(&g, &g), "rank-6 PSD");
+    }
+
+    #[test]
+    fn eigvalsh_reads_the_lower_triangle_only() {
+        // What `BlockDiag::rank_one_update` hands the η criterion: the two
+        // triangles differ in the last bits. Then a wholly unrelated upper
+        // triangle, which must not be read at all.
+        let x: Vec<f64> = (0..20).map(|i| (i as f64 * 0.73).cos()).collect();
+        let mut acc = crate::blockdiag::BlockDiag::<f64>::zeros(1, 20);
+        for g in [0.21, 0.13, 0.07] {
+            acc.rank_one_update(&[g], &x);
+        }
+        let nearly = acc.block(0).clone();
+        assert!(
+            (0..20).any(|i| (0..i).any(|j| nearly[(i, j)] != nearly[(j, i)])),
+            "the fixture must be asymmetric in the last bits"
+        );
+        assert_bitwise_tred2(&nearly, "rank-one accumulated");
+
+        let sym = sym_test_matrix(12, 5);
+        let mut junk = sym.clone();
+        for i in 0..12 {
+            for j in (i + 1)..12 {
+                junk[(i, j)] = 1e3 * (i + 2 * j) as f64;
+            }
+        }
+        assert_bitwise_tred2(&junk, "junk upper triangle");
+        assert_eq!(eigvalsh(&junk).unwrap(), eigvalsh(&sym).unwrap());
+    }
+
+    #[test]
+    fn eigvalsh_is_bitwise_tred2_when_a_householder_row_is_zero() {
+        // `scale == 0`: row i has nothing left of the diagonal, at the
+        // first step (last row) and mid-reduction (decoupled blocks).
+        let mut a = sym_test_matrix(9, 17);
+        for k in 0..8 {
+            a[(8, k)] = 0.0;
+            a[(k, 8)] = 0.0;
+        }
+        assert_bitwise_tred2(&a, "decoupled last row");
+        for i in 4..9 {
+            for k in 0..4 {
+                a[(i, k)] = 0.0;
+                a[(k, i)] = 0.0;
+            }
+        }
+        assert_bitwise_tred2(&a, "two decoupled blocks");
     }
 
     #[test]
