@@ -1,9 +1,10 @@
 //! Criterion micro-bench for one diagonal-ROUND iteration (Algorithm 3):
 //! the Eq. 17 objective sweep and the per-block generalized eigensolve —
-//! the two bars of Figs. 5(C)(D)/7.
+//! the two bars of Figs. 5(C)(D)/7 — plus the scoring pass that reads the
+//! iteration's `ν` (`FIG7_BUDGET`: the last pick of a run skips Lines 9–11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use firal_bench::workloads::selection_problem_from_dataset;
+use firal_bench::workloads::{selection_problem_from_dataset, FIG7_BUDGET};
 use firal_core::diag_round;
 use firal_data::SyntheticConfig;
 
@@ -24,7 +25,7 @@ fn bench_round(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("select_one", format!("n{n}_d{d}_c{cls}")),
             &(),
-            |b, _| b.iter(|| diag_round(&problem, &z, 1, eta)),
+            |b, _| b.iter(|| diag_round(&problem, &z, FIG7_BUDGET, eta)),
         );
     }
     group.finish();

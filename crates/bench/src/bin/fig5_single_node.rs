@@ -23,7 +23,7 @@
 //!   [--threads T]
 
 use firal_bench::report::{arg_value, has_flag, Table};
-use firal_bench::workloads::selection_problem_from_dataset;
+use firal_bench::workloads::{selection_problem_from_dataset, FIG7_BUDGET};
 use firal_comm::CostModel;
 use firal_core::{diag_round, fast_relax, MirrorDescentConfig, RelaxConfig};
 use firal_data::SyntheticConfig;
@@ -78,11 +78,11 @@ fn run_case(
             ..Default::default()
         },
     );
-    // One ROUND iteration.
+    // One ROUND iteration (and the scoring pass that reads its ν).
     let round_out = diag_round(
         &problem,
         &relax_out.z_diamond,
-        1,
+        FIG7_BUDGET,
         4.0 * ((d * (c - 1)) as f32).sqrt(),
     );
 
@@ -92,7 +92,10 @@ fn run_case(
     let th_cg = model.flop_time((2.0 * 4.0 * ncg as f64 * nf * cm1 * sf * df) as u64);
     let th_grad = model.flop_time((4.0 * nf * cm1 * sf * df) as u64);
     let th_eig = model.flop_time((300.0 * cm1 * df * df * df) as u64);
-    let th_obj = model.flop_time((3.0 * cm1 * df * df * df + 4.0 * nf * cm1 * df * df) as u64);
+    // Per scoring pass: the block factors (c·d³) and two triangular pool
+    // products (2ncd²).
+    let th_obj = model
+        .flop_time((FIG7_BUDGET as f64 * (cm1 * df * df * df + 2.0 * nf * cm1 * df * df)) as u64);
 
     PhaseRow {
         label,

@@ -1,6 +1,7 @@
 //! Fig. 7 — strong and weak scaling of the ROUND step (time to select ONE
-//! point), phase breakdown (objective / eigenvalues / other), paper-model
-//! theoretical columns.
+//! point: a full iteration of Algorithm 3 and the scoring pass that reads
+//! its `ν`, `firal_bench::workloads::FIG7_BUDGET`), phase breakdown
+//! (objective / eigenvalues / other), paper-model theoretical columns.
 //!
 //! Paper observations to reproduce: strong-scaling speedup ≈ 11x at 12
 //! ranks; weak-scaling time *decreases* slightly with p because the
@@ -73,11 +74,13 @@ fn scaling_table(
                 per_rank * p
             };
             let problem = scaling_problem(c, d, n, extended, 9, 10);
-            // Theoretical compute (§III-C) per ROUND iteration at a group
-            // size of p_shard ranks: objective n/p_shard·c·d², distributed
-            // eigensolve (c/p_shard)·300·d³, replicated inverses c·d³. With
-            // η groups each group runs its slice of the grid (one point per
-            // η), so the model scales by the longest slice.
+            // Theoretical compute (§III-C) of the measured body (one full
+            // ROUND iteration plus the next scoring pass, `FIG7_BUDGET`) at
+            // a group size of p_shard ranks: two triangular scoring passes
+            // of 2·n/p_shard·c·d² each, one distributed eigensolve
+            // (c/p_shard)·300·d³, replicated block factors c·d³. With η
+            // groups each group runs its slice of the grid, so the model
+            // scales by the longest slice.
             let p_shard = p / eta_groups;
             let grid_len = if eta_groups == 1 {
                 1 // fixed-η body: exactly one ROUND run

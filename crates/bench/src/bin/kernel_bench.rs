@@ -1,8 +1,10 @@
 //! Kernel throughput harness: times the hot `firal_linalg` kernels
 //! (`gemm_at_b` — the Eq. 13 reduction GEMM —, `gram_weighted_multi` — the
-//! Definition-1 preconditioner build — and `fisher_sweep` — the fused
-//! Lemma-2 panel matvec RELAX actually runs) at paper-like tall-skinny
-//! shapes across kernel-pool sizes **and SIMD dispatch tiers**, and writes
+//! Definition-1 preconditioner build —, `fisher_sweep` — the fused
+//! Lemma-2 panel matvec RELAX actually runs — and `quad_sweep` — the fused
+//! triangular Eq. 17 sweep ROUND runs, beside the two dense `gemm_into`
+//! products it replaced) at paper-like tall-skinny shapes across
+//! kernel-pool sizes **and SIMD dispatch tiers**, and writes
 //! `BENCH_kernels.json` so future PRs have a throughput trajectory to
 //! compare against.
 //!
@@ -35,7 +37,10 @@
 //! `--quick` shrinks to two CI smoke shapes (one lane multiple, one not);
 //! default shapes are n ∈ {10⁴, 10⁵} × d ∈ {64, 128} at m = 40 plus
 //! n = 10⁴ × d ∈ {20, 50, 100, 383} at m = (c-1)·s ∈ {90, 490}, with
-//! thread counts {1, 2, 4}.
+//! thread counts {1, 2, 4}. The `quad_sweep` rows run at the per-rank pool
+//! shapes of the repo benchmark's ROUND workloads, (n, d) ∈ {(600, 50),
+//! (3000, 20), (8000, 16)}, and quote GF/s on the *dense* `4nd²` count for
+//! both paths, so the pair reads as a speed-up.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -45,8 +50,9 @@ use firal_bench::workloads::lcg_matrix;
 use firal_linalg::autotune::lane_count;
 use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
 use firal_linalg::{
-    cache_geometry, counters, fisher_sweep_planned, gemm_at_b_tier, gram_weighted_multi_tier,
-    plan_for, Matrix, Scalar, SweepInput, SweepWorkspace,
+    cache_geometry, counters, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier, gemm_into,
+    gram_weighted_multi_tier, invert_lower, plan_for, Cholesky, KernelPlan, Matrix, QuadSweep,
+    Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Probes per panel: the `(c-1)·s` column counts below are `(c-1)` blocks
@@ -94,10 +100,69 @@ fn bench<R>(reps: usize, f: impl Fn() -> R, checksum: impl Fn(&R) -> u64) -> (f6
     (best, bits)
 }
 
+fn slice_bits<T: Scalar>(v: &[T]) -> u64 {
+    v.iter()
+        .fold(0u64, |acc, s| acc.rotate_left(1) ^ s.to_f64().to_bits())
+}
+
 fn matrix_bits<T: Scalar>(m: &Matrix<T>) -> u64 {
-    m.as_slice()
-        .iter()
-        .fold(0u64, |acc, v| acc.rotate_left(1) ^ v.to_f64().to_bits())
+    slice_bits(m.as_slice())
+}
+
+/// One (shape, dtype, tier, threads) cell of the sweep.
+struct Cell {
+    dtype: &'static str,
+    n: usize,
+    d: usize,
+    threads: usize,
+    tier: Tier,
+    plan: KernelPlan,
+    lane_multiple: bool,
+}
+
+impl Cell {
+    /// Check one timed result against the kernel's bit reference and file
+    /// its row; returns the number of mismatches (0 or 1).
+    fn record(
+        &self,
+        rows: &mut Vec<Row>,
+        kernel: &'static str,
+        m: usize,
+        reference: &mut Option<u64>,
+        (secs, bits): (f64, u64),
+        flops: usize,
+    ) -> usize {
+        let Cell {
+            dtype,
+            n,
+            d,
+            threads,
+            tier,
+            ..
+        } = *self;
+        let mismatch = *reference.get_or_insert(bits) != bits;
+        if mismatch {
+            eprintln!(
+                "DETERMINISM VIOLATION: {kernel} {dtype} n={n} d={d} m={m} tier={tier} t={threads}"
+            );
+        }
+        rows.push(Row {
+            kernel,
+            dtype,
+            n,
+            d,
+            m,
+            threads,
+            tier: tier.name(),
+            jb: self.plan.jb,
+            pack: self.plan.pack,
+            class_block: self.plan.class_block,
+            lane_multiple: self.lane_multiple,
+            secs,
+            gflops: flops as f64 / secs / 1e9,
+        });
+        mismatch as usize
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -151,35 +216,17 @@ fn run_shape<T: Scalar>(
                 .build()
                 .expect("pool build");
 
-            // Check one timed result against the kernel's bit reference and
-            // file its row.
-            let mut record = |kernel: &'static str,
-                              m: usize,
-                              reference: &mut Option<u64>,
-                              (secs, bits): (f64, u64),
-                              flops: usize| {
-                if *reference.get_or_insert(bits) != bits {
-                    eprintln!(
-                        "DETERMINISM VIOLATION: {kernel} {dtype} n={n} d={d} m={m} \
-                         tier={tier} t={threads}"
-                    );
-                    *mismatches += 1;
-                }
-                rows.push(Row {
-                    kernel,
-                    dtype,
-                    n,
-                    d,
-                    m,
-                    threads,
-                    tier: tier.name(),
-                    jb: plan.jb,
-                    pack: plan.pack,
-                    class_block: plan.class_block,
-                    lane_multiple,
-                    secs,
-                    gflops: flops as f64 / secs / 1e9,
-                });
+            let cell = Cell {
+                dtype,
+                n,
+                d,
+                threads,
+                tier,
+                plan,
+                lane_multiple,
+            };
+            let mut record = |kernel, m, reference: &mut Option<u64>, timed, flops| {
+                *mismatches += cell.record(rows, kernel, m, reference, timed, flops);
             };
 
             let timed = pool.install(|| bench(reps, || gemm_at_b_tier(tier, &x, &b), matrix_bits));
@@ -230,6 +277,109 @@ fn run_shape<T: Scalar>(
     }
 }
 
+/// The Eq. 17 sweep at one per-rank pool shape: `quad_sweep` on every
+/// (tier, threads) cell and, on the active tier, the path it replaced —
+/// two dense `gemm_into` products on the zero-filled triangles into two
+/// `n × d` buffers, then the row sums. Both must produce the same bits
+/// everywhere, and both are quoted on the dense flop count.
+fn run_quad_shape<T: Scalar>(
+    dtype: &'static str,
+    (n, d): (usize, usize),
+    threads_list: &[usize],
+    reps: usize,
+    rows: &mut Vec<Row>,
+    mismatches: &mut usize,
+) {
+    let spd = |seed| {
+        let a = lcg_matrix::<T>(d, d, seed);
+        let mut m = gemm_a_bt(&a, &a);
+        m.add_diag(T::from_usize(d));
+        m
+    };
+    let sigma = Cholesky::new(&spd(5)).expect("seeded SPD");
+    let mut l_inv = Matrix::zeros(d, d);
+    invert_lower(sigma.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
+    let m_blk = spd(6);
+    let x = lcg_matrix::<T>(n, d, 7);
+    let g = {
+        let raw = lcg_matrix::<T>(n, 1, 8);
+        Matrix::from_fn(n, 1, |i, _| raw[(i, 0)].abs() * T::from_f64(0.25))
+    };
+    let eta = T::from_f64(8.0);
+    let dense_flops = 2 * counters::gemm_flops(n, d, d);
+
+    let mut reference: Option<u64> = None;
+    let best = active_tier();
+    for tier in available_tiers() {
+        let tier_threads: &[usize] = if tier == best { threads_list } else { &[1] };
+        let cell = |threads| Cell {
+            dtype,
+            n,
+            d,
+            threads,
+            tier,
+            plan: plan_for::<T>(tier, d),
+            lane_multiple: d % lane_count(tier, std::mem::size_of::<T>()) == 0,
+        };
+        let mut sweep = QuadSweep::<T>::on_tier(tier, QUAD_BLOCK_ROWS, d);
+        for i in 0..d {
+            sweep.m_row_mut(i).copy_from_slice(&m_blk.row(i)[..=i]);
+        }
+        sweep.factor(&l_inv).expect("seeded SPD");
+        let (r_inv_t, n_inv) = sweep.triangles();
+        let sweep = std::cell::RefCell::new(sweep);
+        for &threads in tier_threads {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool build");
+            let timed = pool.install(|| {
+                bench(
+                    reps,
+                    || {
+                        let mut scores = vec![T::ZERO; n];
+                        sweep.borrow_mut().accumulate(&x, &g, 0, eta, &mut scores);
+                        scores
+                    },
+                    |s| slice_bits(s),
+                )
+            });
+            *mismatches +=
+                cell(threads).record(rows, "quad_sweep", d, &mut reference, timed, dense_flops);
+            if tier != best {
+                continue;
+            }
+            let buffers = std::cell::RefCell::new((vec![T::ZERO; n * d], vec![T::ZERO; n * d]));
+            let timed = pool.install(|| {
+                bench(
+                    reps,
+                    || {
+                        let (z, y) = &mut *buffers.borrow_mut();
+                        gemm_into(x.as_slice(), &r_inv_t, z);
+                        gemm_into(z, &n_inv, y);
+                        let norm = |v: &[T]| v.iter().fold(T::ZERO, |q, &e| q + e * e);
+                        (z.chunks_exact(d).zip(y.chunks_exact(d)).enumerate())
+                            .map(|(i, (zi, yi))| {
+                                let gi = g[(i, 0)];
+                                gi * norm(yi) / (T::ONE + eta * gi * norm(zi))
+                            })
+                            .collect::<Vec<T>>()
+                    },
+                    |s| slice_bits(s),
+                )
+            });
+            *mismatches += cell(threads).record(
+                rows,
+                "quad_two_gemm_into",
+                d,
+                &mut reference,
+                timed,
+                dense_flops,
+            );
+        }
+    }
+}
+
 fn main() {
     let quick = has_flag("--quick");
     let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
@@ -254,6 +404,13 @@ fn main() {
             (10_000, 383, 90),
         ]
     };
+    // (n, d): the per-rank pools of `round_bound`, `relax_bound` and
+    // `stream_churn`.
+    let quad_shapes: &[(usize, usize)] = if quick {
+        &[(600, 50)]
+    } else {
+        &[(600, 50), (3_000, 20), (8_000, 16)]
+    };
     let threads_list = [1usize, 2, 4];
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let geo = cache_geometry();
@@ -272,6 +429,26 @@ fn main() {
             &mut mismatches,
         );
         run_shape::<f64>(
+            "f64",
+            shape,
+            &threads_list,
+            reps,
+            &mut rows,
+            &mut mismatches,
+        );
+    }
+
+    for &shape in quad_shapes {
+        eprintln!("[kernel_bench] quad (n, d) = {shape:?} ...");
+        run_quad_shape::<f32>(
+            "f32",
+            shape,
+            &threads_list,
+            reps,
+            &mut rows,
+            &mut mismatches,
+        );
+        run_quad_shape::<f64>(
             "f64",
             shape,
             &threads_list,

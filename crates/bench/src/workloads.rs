@@ -117,14 +117,21 @@ pub fn fig6_rank_body(
     (out.timer, out.comm_stats)
 }
 
-/// Fig. 7 per-rank body: time for ROUND to select ONE point (the paper's
-/// metric) on this rank's shard; `threads` as in [`fig6_rank_body`].
+/// Budget of the Fig. 7 bodies: the smallest that runs every line of
+/// Algorithm 3. Pick 1 is the paper's select-one-point iteration (Lines
+/// 7–11); pick 2 adds only the scoring pass that consumes its `ν` — after
+/// the last pick Lines 9–11 would feed nothing and are not run.
+pub const FIG7_BUDGET: usize = 2;
+
+/// Fig. 7 per-rank body: time for one full ROUND iteration (the paper's
+/// select-one-point metric, see [`FIG7_BUDGET`]) on this rank's shard;
+/// `threads` as in [`fig6_rank_body`].
 pub fn fig7_rank_body(
     problem: &SelectionProblem<f32>,
     threads: usize,
     comm: &dyn Communicator,
 ) -> (PhaseTimer, CommStats) {
-    let budget = 1;
+    let budget = FIG7_BUDGET;
     let eta = 4.0 * (problem.ehat() as f32).sqrt();
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
@@ -160,7 +167,7 @@ pub struct EtaSweepReport {
 }
 
 /// Fig. 7's η-grid counterpart: the §IV-A grid sweep (default grid,
-/// budget = 1 — the paper's select-one-point metric) distributed over
+/// budget [`FIG7_BUDGET`] — the paper's select-one-point metric) distributed over
 /// `eta_groups` sub-communicator groups of the 2D geometry
 /// `p = p_shard × p_eta`. `eta_groups` must divide the world size;
 /// `eta_groups = 1` is the sequential sweep on the full group. Identical
@@ -177,7 +184,7 @@ pub fn fig7_eta_sweep_rank_body(
     let group_comm = comm.split(group, comm.rank());
     let cross_comm = comm.split(shard_rank, comm.rank());
 
-    let budget = 1;
+    let budget = FIG7_BUDGET;
     let grid = RoundConfig::<f32>::default().eta_grid;
     let shard = ShardedProblem::shard(problem, shard_rank, geometry.p_shard);
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
@@ -306,7 +313,7 @@ mod tests {
         let comm = SelfComm::new();
         let serial = fig7_eta_sweep_rank_body(&p, 1, 1, &comm);
         assert_eq!(serial.group, 0);
-        assert_eq!(serial.selected.len(), 1);
+        assert_eq!(serial.selected.len(), FIG7_BUDGET);
 
         let grouped = firal_comm::launch(2, |comm| {
             let rep = fig7_eta_sweep_rank_body(&p, 1, 2, comm);

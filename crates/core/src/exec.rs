@@ -615,7 +615,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// selection: local Eq. 17 scores and a MAXLOC argmax; the owner Bcasts
     /// the winning `(x, h)`; the replicated FTRL state updates locally; the
     /// per-block generalized eigensolves (Line 9) are distributed over
-    /// ranks and Allgathered before the `ν` bisection.
+    /// ranks and Allgathered before the `ν` bisection — after every
+    /// selection but the last, whose `ν` nothing would read: `3·budget − 1`
+    /// collectives in all.
     pub fn round(&self, z_local: &[T], budget: usize, eta: T, eig: EigSolver) -> RoundRun<T> {
         self.install(|| {
             let stats0 = self.comm.stats();
@@ -731,7 +733,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             "cannot select more points than the pool holds"
         );
 
-        // Lines 4–5: B₁ inverted per block, (H)_k ← 0 (replicated).
+        // Lines 4–5: B₁ = √ê·Σ⋄ + (η/b)·H_o, (H)_k ← 0 (replicated).
         let mut ftrl = timer.time("other", || WhitenedFtrl::new(white, budget, eta));
         let mut scores = vec![T::ZERO; n_local];
         let mut taken_local = vec![false; n_local];
@@ -740,7 +742,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         // Which blocks this rank owns for the distributed eigensolve.
         let my_blocks = shard_range(shard.nblocks(), self.rank(), self.size());
 
-        for _t in 0..budget {
+        for t in 0..budget {
             // Line 7: local Eq. 17 scores; global argmax via MAXLOC.
             timer.time("objective", || ftrl.scores(&shard.local_x, &mut scores));
             let mut local_best = (f64::NEG_INFINITY, u64::MAX);
@@ -767,6 +769,11 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             // Line 8: (H)_k += (1/b)(H_o)_k + g_{i_t,k} x_{i_t}x_{i_t}ᵀ
             // (replicated state, local arithmetic).
             timer.time("other", || ftrl.pick(&xit, &hit));
+
+            // Lines 9–11 only feed the next pick's scores.
+            if t + 1 == budget {
+                break;
+            }
 
             // Line 9: eigenvalues of (H̃)_k = (Σ⋄)_k^{-1/2}(H)_k(Σ⋄)_k^{-1/2},
             // which are those of the whitened accumulator C_t,k; each rank
@@ -796,9 +803,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             // Line 10: ν_{t+1} from Σ_{k,j}(ν + ηλ)^{-2} = 1.
             let nu = timer.time("other", || firal_solvers::solve_nu(&lambdas, eta));
 
-            // Line 11: B_{t+1} = ν·Σ⋄ + η·(H) + (η/b)·H_o, inverted per
-            // block.
-            timer.time("other", || ftrl.set_nu(nu));
+            // Line 11: B_{t+1} = ν·Σ⋄ + η·(H) + (η/b)·H_o; the next scoring
+            // pass factors it.
+            ftrl.set_nu(nu);
         }
 
         RoundRun {
@@ -840,7 +847,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         self.install(|| {
             let scale = T::from_usize(self.shard.ehat()).sqrt();
             // The η-independent state (Σ⋄ Allreduce + Cholesky sweep + g_ik,
-            // then the whitening prologue L⁻ᵀ / C_o derived from it) is
+            // then the whitening prologue L⁻¹ / C_o derived from it) is
             // built once and shared by every grid re-run; only the FTRL
             // loop itself runs per η. Each run still starts from a copy of
             // the scratch phase timings and merges the scratch comm delta,

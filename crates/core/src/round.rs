@@ -15,26 +15,30 @@
 //! `(Σ⋄)_k = L_kL_kᵀ` the loop runs on `C = L_k⁻¹ · L_k⁻ᵀ` instead, where
 //! `(Σ⋄)_k` is the identity:
 //!
-//! * once per sweep, shared by the whole η grid ([`Whitening`]): the dense
-//!   `L_k⁻ᵀ` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
+//! * once per sweep, shared by the whole η grid ([`Whitening`]): the
+//!   lower-triangular `L_k⁻¹` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
 //! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
 //!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
 //! * **Line 9** is `eigvalsh(C_t,k)` as is (the Lanczos variant applies the
 //!   same dense block);
 //! * **Lines 4/11**: `B = L_kM_kL_kᵀ` with
-//!   `M_k = νI + η·C_t,k + (η/b)·C_o,k`, so one factor-and-invert of `M_k`
-//!   per block, and `M_k` loses positive definiteness only when
-//!   `ν + ηλ_min ≤ 0` — never through the conditioning of `(Σ⋄)_k`;
-//! * **Eq. 17**: `x_iᵀB⁻¹x_i = w·y` and `x_iᵀB⁻¹(Σ⋄)_kB⁻¹x_i = y·y` for
-//!   the rows of `W = X·L_k⁻ᵀ`, `Y = W·M_k⁻¹` — two pool GEMMs into two
-//!   buffers the loop owns (note: the published Eq. 17 prints
+//!   `M_k = νI + η·C_t,k + (η/b)·C_o,k` is never formed or inverted. Line
+//!   11 only records `ν`; the next scoring pass factors `M_k = N_kN_kᵀ`,
+//!   which fails only when `ν + ηλ_min ≤ 0` — never through the
+//!   conditioning of `(Σ⋄)_k`;
+//! * **Eq. 17**: `R_k = L_kN_k` is lower triangular with `B = R_kR_kᵀ` —
+//!   `B`'s own Cholesky factor — so `x_iᵀB⁻¹x_i = ‖R_k⁻¹x_i‖²` and
+//!   `x_iᵀB⁻¹(Σ⋄)_kB⁻¹x_i = ‖N_k⁻ᵀR_k⁻¹x_i‖²`: two triangular pool products
+//!   in one fused sweep ([`firal_linalg::QuadSweep`]) that folds each row
+//!   block straight into the scores (note: the published Eq. 17 prints
 //!   `(Σ⋄)_k^{-1}` in the numerator; the derivation in Eqs. 18–20 shows the
 //!   factor is `(Σ⋄)_k` — we implement the derived form and cross-check it
 //!   against the dense trace objective in tests).
 //!
-//! [`WhitenedFtrl`] holds `C_t` and `M⁻¹`; with the two prologue sets that
-//! is four `cd²` working sets, and `M_k` is assembled and inverted in the
-//! slot of the `M_k⁻¹` it replaces.
+//! [`WhitenedFtrl`] holds `C_t`; with the two prologue sets that is three
+//! `cd²` working sets. Per block and pick the scoring pass spends `d³`
+//! flops next to the pool products (factor `M_k`, `N_k⁻¹`,
+//! `R_k⁻¹ = N_k⁻¹L_k⁻¹`, a third each) in one `2d²` scratch.
 //!
 //! Also here: the Line-9 eigensolver choice ([`EigSolver`], `pad_spectrum`)
 //! and the η-selection criterion of §IV-A ([`selection_min_eig`]).
@@ -42,9 +46,7 @@
 //! Storage is `O(n(d+c) + cd²)` and compute `O(bncd²)` (Table II).
 
 use firal_comm::{CommScalar, SelfComm};
-use firal_linalg::{
-    axpy, counters, gemm, gemm_at_b, gemm_into, BlockDiag, Cholesky, Matrix, Scalar,
-};
+use firal_linalg::{counters, gemm, gemm_at_b, invert_lower, BlockDiag, Matrix, QuadSweep, Scalar};
 
 use crate::exec::{Executor, RoundState, ShardedProblem};
 use crate::problem::SelectionProblem;
@@ -89,12 +91,13 @@ pub struct RoundOutput<T> {
 }
 
 /// The η-independent whitening prologue of a ROUND sweep: per block the
-/// dense `L_k⁻ᵀ` of `(Σ⋄)_k = L_kL_kᵀ` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`
-/// (exactly symmetric). Derived once from a [`RoundState`], which it keeps
-/// borrowed, and shared by every η of a grid sweep.
+/// lower-triangular `L_k⁻¹` of `(Σ⋄)_k = L_kL_kᵀ` and
+/// `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ` (exactly symmetric). Derived once from a
+/// [`RoundState`], which it keeps borrowed, and shared by every η of a grid
+/// sweep.
 pub struct Whitening<'a, T: Scalar> {
     state: &'a RoundState<T>,
-    l_inv_t: BlockDiag<T>,
+    l_inv: BlockDiag<T>,
     c_o: BlockDiag<T>,
 }
 
@@ -103,59 +106,48 @@ impl<'a, T: Scalar> Whitening<'a, T> {
     pub fn new(state: &'a RoundState<T>) -> Self {
         let bho = state.bho();
         let (cm1, d) = (bho.nblocks(), bho.dim());
-        let mut l_inv_t = BlockDiag::zeros(cm1, d);
+        let mut l_inv = BlockDiag::zeros(cm1, d);
         let mut c_o = BlockDiag::zeros(cm1, d);
-        let mut unit = vec![T::ZERO; d];
         for (k, ch) in state.sigma_chol().iter().enumerate() {
-            // Row j of L⁻ᵀ is column j of L⁻¹: solve L·y = e_j.
-            let lit = l_inv_t.block_mut(k);
-            for j in 0..d {
-                unit[j] = T::ONE;
-                lit.row_mut(j).copy_from_slice(&ch.solve_l(&unit));
-                unit[j] = T::ZERO;
-            }
+            let li = l_inv.block_mut(k);
+            invert_lower(ch.l().as_slice(), d, li.as_mut_slice(), d, d);
+            let lit = li.transpose();
             let co = c_o.block_mut(k);
-            *co = gemm_at_b(lit, &gemm(bho.block(k), lit));
+            *co = gemm_at_b(&lit, &gemm(bho.block(k), &lit));
             co.symmetrize();
         }
-        Self {
-            state,
-            l_inv_t,
-            c_o,
-        }
+        Self { state, l_inv, c_o }
     }
 }
 
 /// The replicated FTRL state of Algorithm 3 for one η, in the coordinates
 /// of a [`Whitening`] (see the module docs): the accumulator `C_t`, the
-/// inverse regularizer `M⁻¹`, and the two pool-sized score buffers.
+/// regularizer weight `ν`, and the scratch of the scoring pass.
 pub struct WhitenedFtrl<'a, T: Scalar> {
     white: &'a Whitening<'a, T>,
     eta: T,
     inv_budget: T,
+    nu: T,
     c_t: BlockDiag<T>,
-    m_inv: BlockDiag<T>,
-    w: Matrix<T>,
-    y: Matrix<T>,
+    /// `u = L_k⁻¹x` of [`WhitenedFtrl::pick`].
+    u: Vec<T>,
+    quad: QuadSweep<T>,
 }
 
 impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// Lines 4–5: `(H)_k ← 0` and `B₁ = √ê·Σ⋄ + (η/b)·H_o`, i.e.
-    /// `M = √ê·I + (η/b)·C_o`, inverted.
+    /// `M = √ê·I + (η/b)·C_o`.
     pub fn new(white: &'a Whitening<'a, T>, budget: usize, eta: T) -> Self {
         let (cm1, d) = (white.c_o.nblocks(), white.c_o.dim());
-        let n_local = white.state.gik.rows();
-        let mut ftrl = Self {
+        Self {
             white,
             eta,
             inv_budget: T::ONE / T::from_usize(budget),
+            nu: T::from_usize(cm1 * d).sqrt(),
             c_t: BlockDiag::zeros(cm1, d),
-            m_inv: BlockDiag::zeros(cm1, d),
-            w: Matrix::zeros(n_local, d),
-            y: Matrix::zeros(n_local, d),
-        };
-        ftrl.set_nu(T::from_usize(cm1 * d).sqrt());
-        ftrl
+            u: vec![T::ZERO; d],
+            quad: QuadSweep::new(d),
+        }
     }
 
     /// The whitened accumulator `C_t,k = L_k⁻¹(H)_kL_k⁻ᵀ` (exactly
@@ -164,44 +156,65 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
         &self.c_t
     }
 
+    /// The regularizer weight in effect: what [`WhitenedFtrl::set_nu`]
+    /// recorded, grown by whatever back-off the scoring passes since needed.
+    pub fn nu(&self) -> T {
+        self.nu
+    }
+
+    /// Lines 4/11: `B = ν·Σ⋄ + η·(H) + (η/b)·H_o`. Only `ν` is recorded —
+    /// the next [`WhitenedFtrl::scores`] factors `B` block by block.
+    pub fn set_nu(&mut self, nu: T) {
+        self.nu = nu;
+    }
+
     /// Per-candidate scores for one ROUND iteration (Eq. 17, derived form):
     /// `score_i = Σ_k g_ik · x_iᵀ B_k⁻¹ (Σ⋄)_k B_k⁻¹ x_i / (1 + η g_ik x_iᵀ B_k⁻¹ x_i)`
-    /// with `g_ik = h_ik(1-h_ik)`, as `y·y` and `w·y` over the rows of
-    /// `W = X·L_k⁻ᵀ`, `Y = W·M_k⁻¹`. `pool_x` is this rank's pool shard,
-    /// row-aligned with the state's `g_ik` panel — the kernel is purely
-    /// local. `scores` is overwritten.
+    /// with `g_ik = h_ik(1-h_ik)`, through the Cholesky factor of each
+    /// `B_k` (module docs). `pool_x` is this rank's pool shard, row-aligned
+    /// with the state's `g_ik` panel — the kernel is purely local. `scores`
+    /// is overwritten.
+    ///
+    /// With an approximate (Lanczos) spectrum — or in f32 — ν can come out
+    /// too small for `M_k = νI + η·C_t,k + (η/b)·C_o,k` to be positive
+    /// definite; back off by growing ν geometrically and scoring again from
+    /// block 0: a conservative FTRL regularizer is always admissible.
     pub fn scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) {
-        let d = pool_x.cols();
+        let floor = T::from_usize(self.c_t.order()).sqrt() * T::from_f64(1e-3);
+        let nu = self.nu;
+        for _attempt in 0..60 {
+            if self.try_scores(pool_x, scores) {
+                return;
+            }
+            // Clamp to the floor, then keep doubling: the growth must
+            // engage even when the bisection result was at/below the
+            // floor, or the retry loop would spin on one value.
+            self.nu = self.nu.maxv(floor) * T::TWO;
+        }
+        panic!("B_{{t+1}} never became SPD (η = {}, ν = {nu})", self.eta);
+    }
+
+    /// One scoring pass at the current ν; `false` as soon as some `M_k`
+    /// fails to factor (`scores` is then partial and must be recomputed).
+    fn try_scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) -> bool {
         let gik = &self.white.state.gik;
-        assert_eq!(scores.len(), gik.rows(), "one score per local pool row");
+        let eta_over_b = self.eta * self.inv_budget;
         scores.fill(T::ZERO);
         for k in 0..self.c_t.nblocks() {
-            gemm_into(
-                pool_x.as_slice(),
-                self.white.l_inv_t.block(k),
-                self.w.as_mut_slice(),
-            );
-            gemm_into(
-                self.w.as_slice(),
-                self.m_inv.block(k),
-                self.y.as_mut_slice(),
-            );
-            let rows = self
-                .w
-                .as_slice()
-                .chunks_exact(d)
-                .zip(self.y.as_slice().chunks_exact(d));
-            for (i, (score, (wi, yi))) in scores.iter_mut().zip(rows).enumerate() {
-                let gi = gik[(i, k)];
-                let mut q1 = T::ZERO;
-                let mut q2 = T::ZERO;
-                for (&wv, &yv) in wi.iter().zip(yi) {
-                    q1 += wv * yv;
-                    q2 += yv * yv;
+            let (ct, co) = (self.c_t.block(k), self.white.c_o.block(k));
+            for i in 0..ct.rows() {
+                let m = self.quad.m_row_mut(i);
+                for ((mv, &ctv), &cov) in m.iter_mut().zip(ct.row(i)).zip(co.row(i)) {
+                    *mv = self.eta * ctv + eta_over_b * cov;
                 }
-                *score += gi * q2 / (T::ONE + self.eta * gi * q1);
+                m[i] += self.nu;
             }
+            if self.quad.factor(self.white.l_inv.block(k)).is_err() {
+                return false;
+            }
+            self.quad.accumulate(pool_x, gik, k, self.eta, scores);
         }
+        true
     }
 
     /// Line 8: `(H)_k += (1/b)(H_o)_k + g_k·xxᵀ` with `g_k = h_k(1-h_k)`,
@@ -209,9 +222,6 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// receive the same addends, so `C_t` stays exactly symmetric.
     pub fn pick(&mut self, x: &[T], h: &[T]) {
         let d = x.len();
-        // The rank-one term: one multiply-add per lower-triangle entry.
-        counters::add_flops(self.c_t.nblocks() * d * (d + 1));
-        let mut u = vec![T::ZERO; d];
         for (k, &hk) in h.iter().enumerate() {
             let c = self.c_t.block_mut(k);
             c.add_scaled(self.inv_budget, self.white.c_o.block(k));
@@ -219,11 +229,17 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
             if g == T::ZERO {
                 continue;
             }
-            u.fill(T::ZERO);
-            let lit = self.white.l_inv_t.block(k);
-            for (p, &xp) in x.iter().enumerate() {
-                axpy(xp, lit.row(p), &mut u);
+            // u and the rank-one term: one multiply-add per lower-triangle
+            // entry each.
+            counters::add_flops(2 * d * (d + 1));
+            let li = self.white.l_inv.block(k);
+            for (p, up) in self.u.iter_mut().enumerate() {
+                *up = T::ZERO;
+                for (&l, &xq) in li.row(p)[..=p].iter().zip(x) {
+                    *up += l * xq;
+                }
             }
+            let u = &self.u;
             for p in 0..d {
                 let s = g * u[p];
                 for q in 0..p {
@@ -234,48 +250,6 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
                 c[(p, p)] += s * u[p];
             }
         }
-    }
-
-    /// Lines 4/11: `B = ν·Σ⋄ + η·(H) + (η/b)·H_o`, inverted per block, as
-    /// `M_k⁻¹` of `M_k = νI + η·C_t,k + (η/b)·C_o,k`. With an approximate
-    /// (Lanczos) spectrum — or in f32 — ν can come out too small for
-    /// positive definiteness; back off by growing ν geometrically: a
-    /// conservative FTRL regularizer is always admissible.
-    pub fn set_nu(&mut self, nu: T) {
-        let floor = T::from_usize(self.c_t.order()).sqrt() * T::from_f64(1e-3);
-        let mut nu_eff = nu;
-        for _attempt in 0..60 {
-            if self.invert_regularizer(nu_eff) {
-                return;
-            }
-            // Clamp to the floor, then keep doubling: the growth must
-            // engage even when the bisection result was at/below the
-            // floor, or the retry loop would spin on one value.
-            nu_eff = nu_eff.maxv(floor) * T::TWO;
-        }
-        panic!("B_{{t+1}} never became SPD (η = {}, ν = {nu})", self.eta);
-    }
-
-    /// One attempt at `M⁻¹` for a given ν. Each `M_k` is assembled in the
-    /// slot of the inverse it replaces — dead since the last scoring pass —
-    /// so a failed attempt leaves nothing to restore: the retry starts
-    /// again from block 0.
-    fn invert_regularizer(&mut self, nu: T) -> bool {
-        let eta_over_b = self.eta * self.inv_budget;
-        for k in 0..self.c_t.nblocks() {
-            let m = self.m_inv.block_mut(k);
-            let ct = self.c_t.block(k).as_slice();
-            let co = self.white.c_o.block(k).as_slice();
-            for ((mv, &ctv), &cov) in m.as_mut_slice().iter_mut().zip(ct).zip(co) {
-                *mv = self.eta * ctv + eta_over_b * cov;
-            }
-            m.add_diag(nu);
-            match Cholesky::new(m) {
-                Ok(ch) => ch.inverse_into(m),
-                Err(_) => return false,
-            }
-        }
-        true
     }
 }
 

@@ -10,8 +10,10 @@
 //! * Prop. 4 — the Eq. 17 score is an affine transform of the block-diag
 //!   trace objective (so their argext agree);
 //! * ROUND in whitened coordinates — the rank-one-updated accumulator
-//!   equals `L⁻¹(H)_kL⁻ᵀ` formed from scratch (ridge-path `Σ⋄` blocks and
-//!   `g = 0` picks included), and the degenerate shapes (`d = 1`, `c = 2`,
+//!   equals `L⁻¹(H)_kL⁻ᵀ` formed from scratch and the Eq. 17 scores through
+//!   the Cholesky factor of `B` equal `w·y`, `y·y` from a dense `M⁻¹`
+//!   (ridge-path `Σ⋄` blocks and `g = 0` picks included), the SPD back-off
+//!   restarts cleanly, and the degenerate shapes (`d = 1`, `c = 2`,
 //!   `budget ∈ {1, n}`, one-hot `h`) yield well-formed batches;
 //! * mirror descent preserves the simplex;
 //! * Eq. 13 — the fused panel matvec equals the dense operator applied to
@@ -333,24 +335,49 @@ fn round_problem<T: Scalar>(
     SelectionProblem::new(px.cast(), ph.cast(), lx.cast(), lh.cast(), c)
 }
 
+/// `L⁻¹·A·L⁻ᵀ` for the factor `L` of `ch`, by `2d` triangular solves.
+fn whiten<T: Scalar>(ch: &Cholesky<T>, a: &Matrix<T>) -> Matrix<T> {
+    let d = a.rows();
+    let mut half = Matrix::zeros(d, d);
+    for j in 0..d {
+        half.set_col(j, &ch.solve_l(&a.col(j)));
+    }
+    let mut out = Matrix::zeros(d, d);
+    for j in 0..d {
+        out.set_col(j, &ch.solve_l(half.row(j)));
+    }
+    out
+}
+
+/// A seeded ROUND instance: problem, `z⋄`, budget and η. Odd cases with
+/// `d ≥ 2` are flat (every `(Σ⋄)_k` takes the ridge factor).
+fn round_case<T: Scalar>(case: u64) -> (SelectionProblem<T>, Vec<T>, usize, T, bool) {
+    let mut rng = StdRng::seed_from_u64(700 + case);
+    let d = rng.gen_range(1..=6usize);
+    let c = rng.gen_range(2..=5usize);
+    let n = rng.gen_range(8..=30usize);
+    let budget = rng.gen_range(1..=6usize);
+    let flat = case % 2 == 1 && d >= 2;
+    let problem = round_problem::<T>(&mut rng, (n, d, c), 4, flat);
+    let z: Vec<T> = (0..n)
+        .map(|_| T::from_f64(uniform(&mut rng, 0.0, 2.0 * budget as f64 / n as f64)))
+        .collect();
+    let eta = T::from_f64(uniform(&mut rng, 1.0, 16.0) * ((d * (c - 1)) as f64).sqrt());
+    (problem, z, budget, eta, flat)
+}
+
 /// Drive [`WhitenedFtrl`] through `budget` picks exactly as
-/// `Executor::round` does (minus the collectives) and compare `C_t` after
-/// every pick with `L⁻¹(H)_kL⁻ᵀ` whitened afresh by triangular solves.
-/// `tol` is relative to `‖C‖_F`.
-fn whitened_accumulator_matches_from_scratch<T: CommScalar>(tol: f64) {
+/// `Executor::round` does (minus the collectives). Before every pick the
+/// Eq. 17 scores are compared with `Σ_k g·(y·y)/(1 + η·g·(w·y))` for
+/// `w = L⁻¹x`, `y = M⁻¹w` and a dense inverse of
+/// `M = νI + η·C_t + (η/b)·C_o` (`tol` relative to the largest score);
+/// after it `C_t` with `L⁻¹(H)_kL⁻ᵀ` whitened afresh by triangular solves
+/// (`tol` relative to `‖C‖_F`).
+fn whitened_loop_matches_from_scratch<T: CommScalar>(tol: f64) {
     for case in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(700 + case);
-        let d = rng.gen_range(1..=6usize);
-        let c = rng.gen_range(2..=5usize);
-        let n = rng.gen_range(8..=30usize);
-        let budget = rng.gen_range(1..=6usize);
-        let flat = case % 2 == 1 && d >= 2;
-        let problem = round_problem::<T>(&mut rng, (n, d, c), 4, flat);
-        let cm1 = c - 1;
-        let z: Vec<T> = (0..n)
-            .map(|_| T::from_f64(uniform(&mut rng, 0.0, 2.0 * budget as f64 / n as f64)))
-            .collect();
-        let eta = T::from_f64(uniform(&mut rng, 1.0, 16.0) * ((d * cm1) as f64).sqrt());
+        let (problem, z, budget, eta, flat) = round_case::<T>(case);
+        let (n, d, cm1) = (problem.pool_size(), problem.dim(), problem.nblocks());
+        let inv_b = T::ONE / T::from_usize(budget);
 
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&problem);
@@ -370,37 +397,53 @@ fn whitened_accumulator_matches_from_scratch<T: CommScalar>(tol: f64) {
                 gik[(i, k)] = h * (T::ONE - h);
             }
         }
+        let c_o: Vec<Matrix<T>> = (state.sigma_chol().iter().zip(state.bho().blocks()))
+            .map(|(ch, ho)| whiten(ch, ho))
+            .collect();
         let mut h_acc = BlockDiag::<T>::zeros(cm1, d);
         let mut scores = vec![T::ZERO; n];
         // Pick 0 is a one-hot row: the g = 0 branch of Line 8.
         for t in 0..budget {
             let i = (4 * t) % n;
             ftrl.scores(&problem.pool_x, &mut scores);
-            assert!(
-                scores.iter().all(|s| s.is_finite()),
-                "case {case} pick {t}: non-finite score"
-            );
+
+            let mut want = vec![0.0f64; n];
+            for (k, ch) in state.sigma_chol().iter().enumerate() {
+                let mut m = ftrl.c_t().block(k).clone();
+                m.scale_inplace(eta);
+                m.add_scaled(eta * inv_b, &c_o[k]);
+                m.add_diag(ftrl.nu());
+                let m_inv = Cholesky::new(&m).expect("M is SPD").inverse();
+                for (r, acc) in want.iter_mut().enumerate() {
+                    let w = ch.solve_l(problem.pool_x.row(r));
+                    let y = m_inv.matvec(&w);
+                    let (q1, q2) = (firal_linalg::dot(&w, &y), firal_linalg::dot(&y, &y));
+                    let g = gik[(r, k)];
+                    *acc += (g * q2 / (T::ONE + eta * g * q1)).to_f64();
+                }
+            }
+            let bound = tol * want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            for (r, (got, want)) in scores.iter().zip(&want).enumerate() {
+                assert!(
+                    (got.to_f64() - want).abs() <= bound,
+                    "case {case} (d={d} c-1={cm1} b={budget} flat={flat}) pick {t} row {r}: \
+                     score {got} vs {want} (bound {bound:e})"
+                );
+            }
+
             ftrl.pick(problem.pool_x.row(i), problem.pool_h.row(i));
 
-            h_acc.add_scaled(T::ONE / T::from_usize(budget), state.bho());
+            h_acc.add_scaled(inv_b, state.bho());
             h_acc.rank_one_update(gik.row(i), problem.pool_x.row(i));
             let mut lambdas = Vec::with_capacity(cm1 * d);
             for (k, ch) in state.sigma_chol().iter().enumerate() {
-                let hk = h_acc.block(k);
-                let mut half = Matrix::zeros(d, d);
-                for j in 0..d {
-                    half.set_col(j, &ch.solve_l(&hk.col(j)));
-                }
-                let mut want = Matrix::zeros(d, d);
-                for j in 0..d {
-                    want.set_col(j, &ch.solve_l(half.row(j)));
-                }
+                let want = whiten(ch, h_acc.block(k));
                 let got = ftrl.c_t().block(k);
                 let bound = tol * want.fro_norm().to_f64();
                 for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
                     assert!(
                         (g.to_f64() - w.to_f64()).abs() <= bound,
-                        "case {case} (d={d} c={c} b={budget} flat={flat}) pick {t} block {k}: \
+                        "case {case} (d={d} c-1={cm1} b={budget} flat={flat}) pick {t} block {k}: \
                          {g} vs {w} (bound {bound:e})"
                     );
                 }
@@ -417,12 +460,77 @@ fn whitened_accumulator_matches_from_scratch<T: CommScalar>(tol: f64) {
 
 #[test]
 fn whitened_accumulator_matches_from_scratch_f64() {
-    whitened_accumulator_matches_from_scratch::<f64>(1e-10);
+    whitened_loop_matches_from_scratch::<f64>(1e-10);
 }
 
 #[test]
 fn whitened_accumulator_matches_from_scratch_f32() {
-    whitened_accumulator_matches_from_scratch::<f32>(1e-4);
+    whitened_loop_matches_from_scratch::<f32>(1e-4);
+}
+
+/// The SPD back-off of the scoring pass: a ν under which block 0 factors
+/// and a later block does not must give, bit for bit, the scores and the
+/// final ν of a loop that was handed the doubled ν to begin with — nothing
+/// of the abandoned pass may survive the restart.
+fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
+    let mut exercised = 0;
+    for case in 0..CASES {
+        let (problem, z, budget, eta, _) = round_case::<T>(case);
+        let comm = SelfComm::new();
+        let shard = ShardedProblem::replicate(&problem);
+        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        let white = Whitening::new(&state);
+
+        // At t = 1, M_k = νI + (η/b)·C_o,k: definite iff ν > -(η/b)·λ_min.
+        let shift: Vec<f64> = (state.sigma_chol().iter().zip(state.bho().blocks()))
+            .map(|(ch, ho)| {
+                let lambda_min = firal_linalg::eigvalsh(&whiten(ch, ho)).unwrap()[0];
+                (eta * lambda_min).to_f64() / budget as f64
+            })
+            .collect();
+        let weakest_later = shift[1..].iter().copied().fold(f64::INFINITY, f64::min);
+        if weakest_later >= 0.99 * shift[0] {
+            continue;
+        }
+        exercised += 1;
+        let nu = T::from_f64(-0.5 * (weakest_later + shift[0]));
+
+        let n = problem.pool_size();
+        let mut backed_off = WhitenedFtrl::new(&white, budget, eta);
+        backed_off.set_nu(nu);
+        let mut scores = vec![T::ZERO; n];
+        backed_off.scores(&problem.pool_x, &mut scores);
+        let floor = T::from_usize(problem.ehat()).sqrt() * T::from_f64(1e-3);
+        assert!(
+            backed_off.nu() == floor * T::TWO,
+            "case {case}: ν = {} after the back-off",
+            backed_off.nu()
+        );
+
+        let mut direct = WhitenedFtrl::new(&white, budget, eta);
+        direct.set_nu(backed_off.nu());
+        let mut want = vec![T::ZERO; n];
+        direct.scores(&problem.pool_x, &mut want);
+        assert!(direct.nu() == backed_off.nu(), "case {case}");
+        assert!(
+            scores == want,
+            "case {case}: the abandoned pass leaked into the scores"
+        );
+    }
+    assert!(
+        exercised >= 6,
+        "only {exercised} cases reached the back-off"
+    );
+}
+
+#[test]
+fn backoff_restarts_scoring_from_block_zero_f64() {
+    backoff_restarts_scoring_from_block_zero::<f64>();
+}
+
+#[test]
+fn backoff_restarts_scoring_from_block_zero_f32() {
+    backoff_restarts_scoring_from_block_zero::<f32>();
 }
 
 /// Degenerate ROUND shapes through the public entry points: a batch is

@@ -35,36 +35,20 @@ impl<T: Scalar> Cholesky<T> {
         Self::factor(a, ridge)
     }
 
-    /// Shared factorization loop. A non-zero `ridge` is added to each
-    /// diagonal entry as it is read; `ridge == 0` takes the exact code path
-    /// (and therefore the exact bits) of the historical ridge-free factor.
+    /// Copy the lower triangle of `A` (plus a non-zero `ridge` on the
+    /// diagonal) and factor the copy with [`factor_lower_in_place`];
+    /// `ridge == 0` takes the exact bits of the ridge-free factor.
     fn factor(a: &Matrix<T>, ridge: T) -> Result<Self> {
         let n = a.rows();
         assert_eq!(a.rows(), a.cols(), "Cholesky needs a square matrix");
-        counters::add_flops(n * n * n / 3);
-
         let mut l = Matrix::<T>::zeros(n, n);
         for i in 0..n {
-            for j in 0..=i {
-                // acc = A[i][j] - Σ_{k<j} L[i][k] L[j][k]
-                let mut acc = a[(i, j)];
-                if i == j && ridge != T::ZERO {
-                    acc += ridge;
-                }
-                let (li, lj) = (l.row(i), l.row(j));
-                for k in 0..j {
-                    acc -= li[k] * lj[k];
-                }
-                if i == j {
-                    if acc <= T::ZERO || !acc.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, j)] = acc.sqrt();
-                } else {
-                    l[(i, j)] = acc / l[(j, j)];
-                }
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+            if ridge != T::ZERO {
+                l[(i, i)] += ridge;
             }
         }
+        factor_lower_in_place(l.as_mut_slice(), n, n)?;
         Ok(Self { l })
     }
 
@@ -341,6 +325,81 @@ impl<T: Scalar> Cholesky<T> {
         }
         acc + acc
     }
+}
+
+/// Cholesky factorization in place on the lower triangle of a row-major
+/// `n × n` matrix with row stride `ld`: on entry the lower triangle of an
+/// SPD `A`, on `Ok` the factor `L` (`A = L Lᵀ`). Nothing above the diagonal
+/// is read or written. Fails with [`LinalgError::NotPositiveDefinite`] on a
+/// non-positive pivot, leaving the triangle partially factored.
+///
+/// Per element `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]`,
+/// the subtractions `k`-ascending — the one factorization loop of the
+/// crate ([`Cholesky::new`] runs it on a copy).
+pub fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize) -> Result<()> {
+    check_square(a.len(), ld, n);
+    counters::add_flops(n * n * n / 3);
+    for i in 0..n {
+        let (above, rest) = a.split_at_mut(i * ld);
+        let li = &mut rest[..=i];
+        for j in 0..i {
+            let lj = &above[j * ld..j * ld + j + 1];
+            let mut acc = li[j];
+            for (&x, &y) in li[..j].iter().zip(lj) {
+                acc -= x * y;
+            }
+            li[j] = acc / lj[j];
+        }
+        let mut acc = li[i];
+        for &x in &li[..i] {
+            acc -= x * x;
+        }
+        if acc <= T::ZERO || !acc.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        }
+        li[i] = acc.sqrt();
+    }
+    Ok(())
+}
+
+/// `out ← L⁻¹` for a lower-triangular `L` with a non-zero diagonal: both
+/// row-major `n × n` with row strides `ldl`, `ldo`; only the lower
+/// triangles are read and written. Forward substitution on the lower
+/// triangle of `I`, all columns advancing together along contiguous rows
+/// (`n³/3` flops against the `n³` of `n` separate solves).
+///
+/// Column `j` is bit for bit [`Cholesky::solve_l`] of `e_j`: per element
+/// the same `k`-ascending subtractions from the same start, minus the
+/// leading terms whose `L⁻¹` factor is an exact zero — each would subtract
+/// `±0`, which changes no accumulator.
+pub fn invert_lower<T: Scalar>(l: &[T], ldl: usize, out: &mut [T], ldo: usize, n: usize) {
+    check_square(l.len(), ldl, n);
+    check_square(out.len(), ldo, n);
+    counters::add_flops(n * n * n / 3);
+    for i in 0..n {
+        let li = &l[i * ldl..i * ldl + i + 1];
+        let (above, rest) = out.split_at_mut(i * ldo);
+        let xi = &mut rest[..=i];
+        xi.fill(T::ZERO);
+        xi[i] = T::ONE;
+        for (k, &lik) in li[..i].iter().enumerate() {
+            let xk = &above[k * ldo..k * ldo + k + 1];
+            for (x, &y) in xi.iter_mut().zip(xk) {
+                *x -= lik * y;
+            }
+        }
+        for x in xi.iter_mut() {
+            *x /= li[i];
+        }
+    }
+}
+
+/// A row-major `n × n` matrix of row stride `ld` must fit in `len` elements.
+fn check_square(len: usize, ld: usize, n: usize) {
+    assert!(
+        n == 0 || (ld >= n && (n - 1) * ld + n <= len),
+        "triangular operand: {len} elements cannot hold {n}x{n} at stride {ld}"
+    );
 }
 
 #[cfg(test)]
@@ -653,5 +712,58 @@ mod tests {
                 assert!((fused[(i, j)] - explicit[(i, j)]).abs() < 1e-12);
             }
         }
+    }
+    #[test]
+    fn invert_lower_is_solve_l_of_the_identity_bit_for_bit() {
+        for n in [1usize, 3, 20, 50] {
+            let ch = Cholesky::new(&spd_test_matrix(n, 40 + n as u64)).unwrap();
+            // A strided destination whose padding must stay untouched.
+            let ld = n + 3;
+            let mut inv = vec![f64::NAN; n * ld];
+            invert_lower(ch.l().as_slice(), n, &mut inv, ld, n);
+            for j in 0..n {
+                let mut unit = vec![0.0; n];
+                unit[j] = 1.0;
+                let col = ch.solve_l(&unit);
+                for i in j..n {
+                    assert_eq!(
+                        inv[i * ld + j].to_bits(),
+                        col[i].to_bits(),
+                        "n={n} entry ({i},{j})"
+                    );
+                }
+                assert!(
+                    col[..j].iter().all(|&v| v == 0.0),
+                    "L⁻¹ is lower triangular"
+                );
+            }
+            for i in 0..n {
+                assert!(inv[i * ld + i + 1..(i + 1) * ld].iter().all(|v| v.is_nan()));
+            }
+        }
+    }
+
+    #[test]
+    fn factor_in_place_matches_the_owned_factor_and_reports_the_pivot() {
+        let n = 9;
+        let a = spd_test_matrix(n, 77);
+        let ch = Cholesky::new(&a).unwrap();
+        let ld = n + 2;
+        let mut buf = vec![f64::NAN; n * ld];
+        for i in 0..n {
+            buf[i * ld..i * ld + i + 1].copy_from_slice(&a.row(i)[..=i]);
+        }
+        factor_lower_in_place(&mut buf, ld, n).unwrap();
+        for i in 0..n {
+            for j in 0..=i {
+                assert_eq!(buf[i * ld + j].to_bits(), ch.l()[(i, j)].to_bits());
+            }
+            assert!(buf[i * ld + i + 1..(i + 1) * ld].iter().all(|v| v.is_nan()));
+        }
+        let mut bad = vec![1.0, 0.0, 2.0, 1.0];
+        assert_eq!(
+            factor_lower_in_place(&mut bad, 2, 2),
+            Err(LinalgError::NotPositiveDefinite { pivot: 1 })
+        );
     }
 }

@@ -162,11 +162,8 @@ fn gemm_acc<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let use_simd = simd::tier_is_simd(tier);
     let body = |ci: &mut [T], ai: &[T]| {
-        if !(use_simd && T::simd_gemm_panel(tier, ci, ai, b.as_slice(), k, n)) {
-            gemm_rows(ci, ai, b.as_slice(), k, n);
-        }
+        gemm_panel(tier, ci, n, ai, k, b.as_slice(), n, ai.len() / k, k, n)
     };
     if m * n * k >= PAR_THRESHOLD && m > 1 {
         c.par_chunks_mut(ROW_BLOCK * n)
@@ -177,24 +174,57 @@ fn gemm_acc<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
     }
 }
 
-/// `C[r] += A[r] · B` for a panel of rows; 4-row register-tiled body with a
-/// depth-ascending (`p`) accumulation order identical for every row, so the
-/// result is independent of how rows are grouped into panels. This is the
-/// canonical summation tree the SIMD panel bodies replicate.
-pub(crate) fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &[T], k: usize, n: usize) {
-    let rows = arows.len() / k;
+/// [`gemm_rows`] on `tier`: its SIMD body, or the scalar panel itself on
+/// [`Tier::Scalar`]. Same bits either way.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_panel<T: Scalar>(
+    tier: Tier,
+    c: &mut [T],
+    ldc: usize,
+    a: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
+    if !T::simd_gemm_panel(tier, c, ldc, a, lda, b, ldb, rows, k, n) {
+        gemm_rows(c, ldc, a, lda, b, ldb, rows, k, n);
+    }
+}
+
+/// `C[r] += A[r] · B` for a panel of `rows` rows (`A` is `rows × k`, `B` is
+/// `k × n`, all row-major with leading dimensions `lda`, `ldb`, `ldc`);
+/// 4-row register-tiled body with a depth-ascending (`p`) accumulation
+/// order identical for every row, so the result is independent of how rows
+/// are grouped into panels. This is the canonical summation tree the SIMD
+/// panel bodies replicate.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_rows<T: Scalar>(
+    crows: &mut [T],
+    ldc: usize,
+    arows: &[T],
+    lda: usize,
+    b: &[T],
+    ldb: usize,
+    rows: usize,
+    k: usize,
+    n: usize,
+) {
     let mut r = 0;
     while r + 4 <= rows {
-        let (c01, c23) = crows[r * n..(r + 4) * n].split_at_mut(2 * n);
-        let (c0, c1) = c01.split_at_mut(n);
-        let (c2, c3) = c23.split_at_mut(n);
-        let a0 = &arows[r * k..(r + 1) * k];
-        let a1 = &arows[(r + 1) * k..(r + 2) * k];
-        let a2 = &arows[(r + 2) * k..(r + 3) * k];
-        let a3 = &arows[(r + 3) * k..(r + 4) * k];
+        let (c0, rest) = crows[r * ldc..].split_at_mut(ldc);
+        let (c1, rest) = rest.split_at_mut(ldc);
+        let (c2, c3) = rest.split_at_mut(ldc);
+        let (c0, c1, c2, c3) = (&mut c0[..n], &mut c1[..n], &mut c2[..n], &mut c3[..n]);
+        let a0 = &arows[r * lda..r * lda + k];
+        let a1 = &arows[(r + 1) * lda..(r + 1) * lda + k];
+        let a2 = &arows[(r + 2) * lda..(r + 2) * lda + k];
+        let a3 = &arows[(r + 3) * lda..(r + 3) * lda + k];
         for p in 0..k {
             let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = &b[p * n..(p + 1) * n];
+            let brow = &b[p * ldb..p * ldb + n];
             let mut j = 0;
             while j + 4 <= n {
                 let (b0, b1, b2, b3) = (brow[j], brow[j + 1], brow[j + 2], brow[j + 3]);
@@ -228,10 +258,10 @@ pub(crate) fn gemm_rows<T: Scalar>(crows: &mut [T], arows: &[T], b: &[T], k: usi
         r += 4;
     }
     while r < rows {
-        let crow = &mut crows[r * n..(r + 1) * n];
-        let arow = &arows[r * k..(r + 1) * k];
+        let crow = &mut crows[r * ldc..r * ldc + n];
+        let arow = &arows[r * lda..r * lda + k];
         for (p, &apk) in arow.iter().enumerate() {
-            let brow = &b[p * n..(p + 1) * n];
+            let brow = &b[p * ldb..p * ldb + n];
             for (cj, &bpj) in crow.iter_mut().zip(brow.iter()) {
                 *cj += apk * bpj;
             }
@@ -425,7 +455,8 @@ pub fn gemm_a_bt_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Ma
             std::mem::size_of::<T>(),
         ));
         let body = |ci: &mut [T], ai: &[T]| {
-            let handled = T::simd_gemm_panel(tier, ci, ai, bt.as_slice(), d, m);
+            let rows = ai.len() / d;
+            let handled = T::simd_gemm_panel(tier, ci, m, ai, d, bt.as_slice(), m, rows, d, m);
             debug_assert!(handled);
         };
         if n * m * d >= PAR_THRESHOLD && n > 1 {

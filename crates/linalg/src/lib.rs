@@ -32,6 +32,7 @@ pub mod eigen;
 pub mod gemm;
 pub mod kron;
 pub mod matrix;
+pub mod quad;
 pub mod scalar;
 pub mod simd;
 pub mod spd;
@@ -40,7 +41,7 @@ pub mod vecops;
 
 pub use autotune::{cache_geometry, plan_for, CacheGeometry, KernelPlan};
 pub use blockdiag::BlockDiag;
-pub use cholesky::Cholesky;
+pub use cholesky::{factor_lower_in_place, invert_lower, Cholesky};
 pub use eigen::{eigh, eigvalsh, jacobi_eigh, EigDecomposition};
 pub use gemm::{
     gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_planned, gemm_at_b_tier, gemm_into,
@@ -49,6 +50,7 @@ pub use gemm::{
 };
 pub use kron::{kron, unvec, vec_of};
 pub use matrix::Matrix;
+pub use quad::{QuadSweep, QUAD_BLOCK_ROWS};
 pub use scalar::Scalar;
 pub use simd::{active_tier, available_tiers, cpu_features, Tier};
 pub use spd::{spd_condition_number, spd_inv_sqrt, spd_inverse, spd_sqrt};

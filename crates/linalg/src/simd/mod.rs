@@ -1,7 +1,8 @@
 //! Runtime SIMD feature dispatch for the hot dense kernels.
 //!
-//! The five kernels in [`mod@crate::gemm`] and the fused Fisher-panel sweep
-//! in [`mod@crate::sweep`] are implemented at three levels:
+//! The five kernels in [`mod@crate::gemm`], the fused Fisher-panel sweep
+//! in [`mod@crate::sweep`] and the Eq. 17 sweep in [`mod@crate::quad`] are
+//! implemented at three levels:
 //! the always-available scalar register-tiled panels (the reference
 //! semantics), and explicit-`std::arch` SIMD bodies for x86-64 (AVX2 and
 //! the SSE2 baseline) and AArch64 (NEON). The tier is picked **once** at
@@ -27,7 +28,10 @@
 //! * [`crate::sweep::fisher_sweep`]: the `gemm` tree for `X·V`, a
 //!   class-ascending `γᵀh`, and one row-ascending accumulator per output
 //!   element of `XᵀΓ` within each shape-derived reduction chunk (spelled
-//!   out in the `crate::sweep` module docs).
+//!   out in the `crate::sweep` module docs);
+//! * [`crate::quad::QuadSweep`]: the `gemm` tree for both triangular
+//!   products — the panel body itself, per column window — then a
+//!   column-ascending row sum of squares (`crate::quad` module docs).
 //!
 //! Lane-width independence holds because vector lanes always span
 //! independent *output elements* (columns of `C`/`G`, the `d` rows of
@@ -230,13 +234,21 @@ pub fn cpu_features() -> String {
 /// `false` for [`Tier::Scalar`] (or a tier foreign to the compiled
 /// architecture), in which case the caller runs its scalar panel.
 pub trait Dispatch: Sized {
-    /// SIMD `gemm_panel` body; see [`crate::gemm::gemm`].
+    /// SIMD `gemm_panel` body, `C += A·B` on `rows × k` / `k × n` operands
+    /// with leading dimensions `ldc`, `lda`, `ldb` (so a caller can address
+    /// a column window and a depth range of wider matrices); see
+    /// [`crate::gemm::gemm`]. Panics if a slice is too short for its shape.
     #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
     fn simd_gemm_panel(
         tier: Tier,
         c: &mut [Self],
+        ldc: usize,
         a: &[Self],
+        lda: usize,
         b: &[Self],
+        ldb: usize,
+        rows: usize,
         k: usize,
         n: usize,
     ) -> bool;
@@ -303,9 +315,20 @@ macro_rules! tier_wrappers {
         // the body is `#[inline(always)]` so its intrinsics codegen under
         // this wrapper's feature set.
         #[target_feature(enable = $feat)]
-        pub(super) unsafe fn $gemm(c: &mut [$t], a: &[$t], b: &[$t], k: usize, n: usize) {
+        #[allow(clippy::too_many_arguments)]
+        pub(super) unsafe fn $gemm(
+            c: &mut [$t],
+            ldc: usize,
+            a: &[$t],
+            lda: usize,
+            b: &[$t],
+            ldb: usize,
+            rows: usize,
+            k: usize,
+            n: usize,
+        ) {
             // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::gemm_panel::<$t, $v>(c, n, a, k, 1, b, n, a.len() / k, k, n) }
+            unsafe { super::body::gemm_panel::<$t, $v>(c, ldc, a, lda, 1, b, ldb, rows, k, n) }
         }
         // SAFETY: same wrapper contract as the first kernel above.
         #[target_feature(enable = $feat)]
@@ -443,29 +466,44 @@ macro_rules! dispatch_impl {
             fn simd_gemm_panel(
                 tier: Tier,
                 c: &mut [Self],
+                ldc: usize,
                 a: &[Self],
+                lda: usize,
                 b: &[Self],
+                ldb: usize,
+                rows: usize,
                 k: usize,
                 n: usize,
             ) -> bool {
+                if rows == 0 || k == 0 || n == 0 {
+                    return tier_is_simd(tier);
+                }
+                // The shape contract of `body::gemm_panel`, checked here so
+                // that no safe caller can reach the body out of bounds.
+                assert!(
+                    (rows - 1) * ldc + n <= c.len()
+                        && (rows - 1) * lda + k <= a.len()
+                        && (k - 1) * ldb + n <= b.len(),
+                    "gemm_panel: operand shorter than its {rows}x{k}x{n} shape"
+                );
                 match tier {
                     // SAFETY: the matched tier proves the wrapper's
                     // feature is available (see macro doc above).
                     #[cfg(target_arch = "x86_64")]
                     Tier::Avx2 => unsafe {
-                        wrap::$avx2_gemm(c, a, b, k, n);
+                        wrap::$avx2_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
                         true
                     },
                     // SAFETY: SSE2 is the x86-64 compile-time baseline.
                     #[cfg(target_arch = "x86_64")]
                     Tier::Sse2 => unsafe {
-                        wrap::$sse2_gemm(c, a, b, k, n);
+                        wrap::$sse2_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
                         true
                     },
                     // SAFETY: NEON is the AArch64 compile-time baseline.
                     #[cfg(target_arch = "aarch64")]
                     Tier::Neon => unsafe {
-                        wrap::$neon_gemm(c, a, b, k, n);
+                        wrap::$neon_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
                         true
                     },
                     _ => false,
@@ -646,8 +684,12 @@ mod tests {
         assert!(!f64::simd_gemm_panel(
             Tier::Scalar,
             &mut c,
+            2,
             &[1.0; 4],
+            2,
             &[1.0; 4],
+            2,
+            2,
             2,
             2
         ));

@@ -84,7 +84,9 @@ impl<T: Scalar> SweepWorkspace<T> {
     }
 }
 
-fn grown<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
+/// The first `len` elements of a scratch buffer that only ever grows;
+/// growth is booked to [`counters::add_bytes`].
+pub(crate) fn grown<T: Scalar>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
         counters::add_bytes((len - buf.len()) * std::mem::size_of::<T>());
         buf.resize(len, T::ZERO);
@@ -175,7 +177,7 @@ fn sweep_block_scalar<T: Scalar>(
 ) {
     if let Some(v) = vpad {
         gamma.fill(T::ZERO);
-        gemm_rows(gamma, x, v, d, mp);
+        gemm_rows(gamma, mp, x, d, v, mp, x.len() / d, d, mp);
     }
     scale_rows_scalar(gamma, mp, alpha, h, z, c, s);
     for (xrow, grow) in x.chunks_exact(d).zip(gamma.chunks_exact(mp)) {

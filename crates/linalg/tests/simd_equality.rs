@@ -1,5 +1,5 @@
-//! Cross-tier bitwise equality matrix for the five hot kernels and the
-//! fused Fisher-panel sweep.
+//! Cross-tier bitwise equality matrix for the five hot kernels, the fused
+//! Fisher-panel sweep and the Eq. 17 quadratic-form sweep.
 //!
 //! The determinism contract of `firal_linalg::gemm` says every available
 //! SIMD tier implements the same canonical per-element summation tree as
@@ -15,13 +15,16 @@
 //! are bit-neutral, so a timing-dependent plan choice can never perturb
 //! numerics, and that the fused sweep gives one answer on every tier, at
 //! 1, 2 and 4 pool threads, under every plan, whether it forms `X·V`
-//! itself or is handed it.
+//! itself or is handed it. The quadratic-form sweep is held to a dense
+//! oracle: two `gemm_into` products on its zero-filled triangles and a row
+//! sum, bit for bit, on every tier, thread count and row blocking.
 
 use firal_linalg::simd::{available_tiers, Tier};
 use firal_linalg::{
-    fisher_sweep_planned, gemm_a_bt_tier, gemm_at_b_planned, gemm_at_b_tier, gemm_tier,
-    gram_weighted_multi_planned, gram_weighted_multi_tier, gram_weighted_tier, plan_for, to_wide,
-    KernelPlan, Matrix, Scalar, SweepInput, SweepWorkspace,
+    fisher_sweep_planned, gemm_a_bt, gemm_a_bt_tier, gemm_at_b_planned, gemm_at_b_tier, gemm_into,
+    gemm_tier, gram_weighted_multi_planned, gram_weighted_multi_tier, gram_weighted_tier,
+    invert_lower, plan_for, to_wide, Cholesky, KernelPlan, Matrix, QuadSweep, Scalar, SweepInput,
+    SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Deterministic LCG test matrix, generic over dtype. A sprinkling of
@@ -254,6 +257,94 @@ fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f64() {
 #[test]
 fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f32() {
     fused_sweep_equality::<f32>();
+}
+
+/// `A·Aᵀ + d·I` for a seeded `A`: SPD and well conditioned in f32.
+fn spd_mat<T: Scalar>(d: usize, seed: u64) -> Matrix<T> {
+    let a = test_mat::<T>(d, d, seed, false);
+    let mut m = gemm_a_bt(&a, &a);
+    m.add_diag(T::from_usize(d));
+    m
+}
+
+/// A sweep on `tier` loaded with the block `B = L·M·Lᵀ` of seeded SPD `M`
+/// and `L·Lᵀ`.
+fn loaded_quad<T: Scalar>(tier: Tier, block_rows: usize, d: usize) -> QuadSweep<T> {
+    let l = Cholesky::new(&spd_mat::<T>(d, 9100 + d as u64)).unwrap();
+    let mut l_inv = Matrix::zeros(d, d);
+    invert_lower(l.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
+    let m = spd_mat::<T>(d, 9200 + d as u64);
+    let mut sweep = QuadSweep::on_tier(tier, block_rows, d);
+    for i in 0..d {
+        sweep.m_row_mut(i).copy_from_slice(&m.row(i)[..=i]);
+    }
+    sweep.factor(&l_inv).unwrap();
+    sweep
+}
+
+fn quad_sweep_equals_dense_oracle<T: Scalar>() {
+    let eta = T::from_f64(3.5);
+    // d below a lane, off a lane multiple, on one; n empty, under a 4-row
+    // tile, under a block, several tasks.
+    for d in [1usize, 3, 16, 20, 50] {
+        for n in [0usize, 1, 3, 33, 600] {
+            let x = test_mat::<T>(n, d, 9300 + (n * d) as u64, false);
+            let g = test_mat::<T>(n, 3, 9400 + n as u64, true);
+            let start = test_mat::<T>(n, 1, 9500 + n as u64, false);
+
+            // The oracle: Z = X·R⁻ᵀ and Y = Z·N⁻¹ as dense products on the
+            // zero-filled triangles, q = Σ_j v_j² ascending from zero.
+            let (r_inv_t, n_inv) = loaded_quad::<T>(Tier::Scalar, QUAD_BLOCK_ROWS, d).triangles();
+            let mut z = vec![T::ZERO; n * d];
+            let mut y = vec![T::ZERO; n * d];
+            gemm_into(x.as_slice(), &r_inv_t, &mut z);
+            gemm_into(&z, &n_inv, &mut y);
+            let norm = |v: &[T]| v.iter().fold(T::ZERO, |q, &e| q + e * e);
+            let want: Vec<u64> = (0..n)
+                .map(|i| {
+                    let (q1, q2) = (norm(&z[i * d..(i + 1) * d]), norm(&y[i * d..(i + 1) * d]));
+                    let gi = g[(i, 2)];
+                    let score = start[(i, 0)] + gi * q2 / (T::ONE + eta * gi * q1);
+                    score.to_f64().to_bits()
+                })
+                .collect();
+
+            for tier in available_tiers() {
+                for threads in [1usize, 2, 4] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(threads)
+                        .build()
+                        .unwrap();
+                    for block_rows in [1usize, 4, 30, QUAD_BLOCK_ROWS] {
+                        let mut sweep = loaded_quad::<T>(tier, block_rows, d);
+                        assert_eq!(
+                            bits(&sweep.triangles().0),
+                            bits(&r_inv_t),
+                            "the loaded block is tier-independent"
+                        );
+                        let mut scores = start.as_slice().to_vec();
+                        pool.install(|| sweep.accumulate(&x, &g, 2, eta, &mut scores));
+                        let got: Vec<u64> = scores.iter().map(|s| s.to_f64().to_bits()).collect();
+                        assert_eq!(
+                            got, want,
+                            "quad sweep: tier {tier} threads {threads} blocks of {block_rows} \
+                             at n={n} d={d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn quad_sweep_is_bitwise_the_dense_two_gemm_oracle_f64() {
+    quad_sweep_equals_dense_oracle::<f64>();
+}
+
+#[test]
+fn quad_sweep_is_bitwise_the_dense_two_gemm_oracle_f32() {
+    quad_sweep_equals_dense_oracle::<f32>();
 }
 
 /// Degenerate shapes must not panic and must agree across tiers.

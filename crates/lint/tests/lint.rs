@@ -58,10 +58,20 @@ fn fused_multiply_add_is_banned_in_kernel_code() {
     let src = include_str!("fixtures/fma.rs");
     let findings = lint_source("crates/linalg/src/fixture.rs", src);
     assert_eq!(lines_of(&findings, Rule::Fma), vec![2, 7], "{findings:?}");
-    // The scope is the crate's whole `src/` tree, so a kernel body added
-    // under `simd/` (the fused sweep) is covered without being listed.
-    let sweep = lint_source("crates/linalg/src/simd/sweep.rs", src);
-    assert_eq!(lines_of(&sweep, Rule::Fma), vec![2, 7], "{sweep:?}");
+    // The scope is the crate's whole `src/` tree, so a kernel added to it
+    // (the fused sweep's body under `simd/`, the Eq. 17 sweep beside
+    // `gemm.rs`) is covered without being listed.
+    for kernel in [
+        "crates/linalg/src/simd/sweep.rs",
+        "crates/linalg/src/quad.rs",
+    ] {
+        let findings = lint_source(kernel, src);
+        assert_eq!(
+            lines_of(&findings, Rule::Fma),
+            vec![2, 7],
+            "{kernel}: {findings:?}"
+        );
+    }
     // Outside crates/linalg the rule does not apply.
     let outside = lint_source("crates/solvers/src/fixture.rs", src);
     assert!(lines_of(&outside, Rule::Fma).is_empty());
