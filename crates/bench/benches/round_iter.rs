@@ -5,7 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use firal_bench::workloads::{selection_problem_from_dataset, FIG7_BUDGET};
-use firal_core::diag_round;
+use firal_comm::SelfComm;
+use firal_core::{EigSolver, Executor, ShardedProblem};
 use firal_data::SyntheticConfig;
 
 fn bench_round(c: &mut Criterion) {
@@ -22,10 +23,12 @@ fn bench_round(c: &mut Criterion) {
         let problem = selection_problem_from_dataset(&ds);
         let z = vec![4.0 / n as f64; n];
         let eta = 4.0 * (problem.ehat() as f64).sqrt();
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+        let exec = Executor::new(&comm, &shard);
         group.bench_with_input(
             BenchmarkId::new("select_one", format!("n{n}_d{d}_c{cls}")),
             &(),
-            |b, _| b.iter(|| diag_round(&problem, &z, FIG7_BUDGET, eta)),
+            |b, _| b.iter(|| exec.round(&z, FIG7_BUDGET, eta, EigSolver::Exact)),
         );
     }
     group.finish();

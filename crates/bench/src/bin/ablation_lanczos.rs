@@ -12,8 +12,9 @@
 
 use firal_bench::report::{arg_value, fmt_secs, has_flag, Table};
 use firal_bench::workloads::selection_problem_from_dataset;
+use firal_comm::SelfComm;
 use firal_core::objective::selection_objective_ridged;
-use firal_core::{diag_round_with_eig, EigSolver};
+use firal_core::{EigSolver, Executor, ShardedProblem};
 use firal_data::SyntheticConfig;
 
 fn main() {
@@ -35,7 +36,9 @@ fn main() {
     let z = vec![budget as f64 / n as f64; n];
     let eta = 4.0 * (problem.ehat() as f64).sqrt();
 
-    let exact = diag_round_with_eig(&problem, &z, budget, eta, EigSolver::Exact);
+    let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+    let exec = Executor::new(&comm, &shard);
+    let exact = exec.round(&z, budget, eta, EigSolver::Exact);
     let f_exact = selection_objective_ridged(&problem, &exact.selected, 1e-3);
 
     let mut table = Table::new(
@@ -58,7 +61,7 @@ fn main() {
 
     for steps in [d / 8, d / 4, d / 2, d] {
         let steps = steps.max(2);
-        let run = diag_round_with_eig(&problem, &z, budget, eta, EigSolver::Lanczos { steps });
+        let run = exec.round(&z, budget, eta, EigSolver::Lanczos { steps });
         let overlap = run
             .selected
             .iter()

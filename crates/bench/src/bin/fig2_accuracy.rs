@@ -14,8 +14,8 @@
 
 use firal_bench::report::{arg_value, has_flag, Table};
 use firal_core::{
-    run_experiment, ApproxFiral, EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy,
-    Strategy,
+    run_experiment, ApproxFiral, DistStrategy, EntropyStrategy, ExactFiral, KMeansStrategy,
+    RandomStrategy,
 };
 use firal_data::{ExperimentPreset, PresetName};
 use firal_logreg::TrainConfig;
@@ -32,7 +32,7 @@ struct MethodResult {
 
 fn run_method(
     preset: &ExperimentPreset,
-    strategy: &dyn Strategy<f64>,
+    strategy: &dyn DistStrategy<f64>,
     trials: u64,
 ) -> MethodResult {
     let dataset = preset.generate::<f64>(0);

@@ -9,7 +9,7 @@
 
 use firal_bench::report::{arg_value, has_flag, Table};
 use firal_core::{
-    run_experiment, ApproxFiral, EntropyStrategy, KMeansStrategy, RandomStrategy, Strategy,
+    run_experiment, ApproxFiral, DistStrategy, EntropyStrategy, KMeansStrategy, RandomStrategy,
 };
 use firal_data::{ExperimentPreset, PresetName};
 use firal_logreg::TrainConfig;
@@ -54,7 +54,7 @@ fn main() {
             balanced: Vec<f64>,
         }
         let mut recs: Vec<Rec> = Vec::new();
-        let strategies: Vec<(Box<dyn Strategy<f64>>, u64)> = vec![
+        let strategies: Vec<(Box<dyn DistStrategy<f64>>, u64)> = vec![
             (Box::new(RandomStrategy), trials),
             (Box::new(KMeansStrategy), trials),
             (Box::new(EntropyStrategy), 1),

@@ -12,7 +12,8 @@
 
 use firal_bench::report::{arg_value, has_flag, Series, Table};
 use firal_bench::workloads::selection_problem_from_dataset;
-use firal_core::{exact_relax, fast_relax, MirrorDescentConfig, RelaxConfig};
+use firal_comm::SelfComm;
+use firal_core::{exact_relax, Executor, MirrorDescentConfig, RelaxConfig, ShardedProblem};
 use firal_data::{ExperimentPreset, PresetName};
 
 fn main() {
@@ -66,9 +67,10 @@ fn main() {
         }
 
         // Probe-count sweep at the paper's default cg_tol = 0.1.
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+        let exec = Executor::new(&comm, &shard);
         for s in [10usize, 20, 100] {
-            let out = fast_relax(
-                &problem,
+            let out = exec.relax(
                 b,
                 &RelaxConfig {
                     md,
@@ -89,8 +91,7 @@ fn main() {
 
         // CG-tolerance sweep at the paper's default s = 10.
         for tol in [0.5, 0.1, 0.01, 0.001] {
-            let out = fast_relax(
-                &problem,
+            let out = exec.relax(
                 b,
                 &RelaxConfig {
                     md,

@@ -24,8 +24,8 @@
 
 use firal_bench::report::{arg_value, has_flag, Table};
 use firal_bench::workloads::{selection_problem_from_dataset, FIG7_BUDGET};
-use firal_comm::CostModel;
-use firal_core::{diag_round, fast_relax, MirrorDescentConfig, RelaxConfig};
+use firal_comm::{CostModel, SelfComm};
+use firal_core::{EigSolver, Executor, MirrorDescentConfig, RelaxConfig, ShardedProblem};
 use firal_data::SyntheticConfig;
 
 struct PhaseRow {
@@ -62,8 +62,9 @@ fn run_case(
 
     // One mirror-descent iteration with a fixed CG iteration count
     // (cg_tol = 0 never triggers, so CG runs exactly `ncg` rounds).
-    let relax_out = fast_relax(
-        &problem,
+    let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+    let exec = Executor::new(&comm, &shard);
+    let relax_out = exec.relax(
         budget,
         &RelaxConfig {
             md: MirrorDescentConfig {
@@ -79,11 +80,11 @@ fn run_case(
         },
     );
     // One ROUND iteration (and the scoring pass that reads its ν).
-    let round_out = diag_round(
-        &problem,
-        &relax_out.z_diamond,
+    let round_out = exec.round(
+        &relax_out.z_local,
         FIG7_BUDGET,
         4.0 * ((d * (c - 1)) as f32).sqrt(),
+        EigSolver::Exact,
     );
 
     // Theoretical times (seconds) at the calibrated peak. CG runs twice per

@@ -109,9 +109,7 @@ fn scaling_table(
                         (rep.group, rep.timer, rep.group_stats)
                     });
                     // Each group's shard-rank-0 endpoint is representative.
-                    (0..eta_groups)
-                        .map(|g| results[g * p_shard].clone())
-                        .collect()
+                    results.iter().step_by(p_shard).cloned().collect()
                 };
             for (grp, timer, stats) in rows {
                 let mut row = vec![

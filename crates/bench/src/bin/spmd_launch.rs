@@ -67,8 +67,11 @@ use firal_bench::workloads::{
     fig6_rank_body, fig7_eta_sweep_rank_body, fig7_rank_body, scaling_problem,
     selection_problem_from_dataset, strategy_rank_body,
 };
-use firal_comm::{fork_self, CommStats, Communicator, SelfComm, SocketComm};
-use firal_core::{EigSolver, Executor, MirrorDescentConfig, RelaxConfig, ShardedProblem};
+use firal_comm::{comm_catch, fork_self, CommStats, Communicator, SelfComm, SocketComm};
+use firal_core::{
+    select_serial, strategy_by_name, EigSolver, Executor, MirrorDescentConfig, RelaxConfig,
+    ShardedProblem,
+};
 use firal_data::SyntheticConfig;
 
 const WORKLOADS: [&str; 7] = [
@@ -175,14 +178,15 @@ fn workload_firal(comm: &SocketComm) -> i32 {
         ..Default::default()
     };
 
-    // This rank's share of the distributed run, over the fallible path: a
-    // peer failure is reported as a structured error and a clean exit, not
-    // a hung mesh or an opaque panic.
+    // This rank's share of the distributed run, under a `comm_catch`
+    // boundary: a peer failure is reported as a structured error and a
+    // clean exit, not a hung mesh or an opaque panic.
     let shard = ShardedProblem::shard(&problem, comm.rank(), comm.size());
     let exec = Executor::new(comm, &shard);
-    let (relax, round) = match exec.try_relax(budget, &cfg).and_then(|relax| {
-        let round = exec.try_round(&relax.z_local, budget, eta, EigSolver::Exact)?;
-        Ok((relax, round))
+    let (relax, round) = match comm_catch(|| {
+        let relax = exec.relax(budget, &cfg);
+        let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
+        (relax, round)
     }) {
         Ok(out) => out,
         Err(e) => {
@@ -199,7 +203,7 @@ fn workload_firal(comm: &SocketComm) -> i32 {
     if comm.rank() == 0 {
         let self_comm = SelfComm::new();
         let full = ShardedProblem::replicate(&problem);
-        let ref_exec = Executor::serial(&self_comm, &full);
+        let ref_exec = Executor::new(&self_comm, &full);
         let ref_relax = ref_exec.relax(budget, &cfg);
         let ref_run = ref_exec.round(&ref_relax.z_local, budget, eta, EigSolver::Exact);
         for (slot, &idx) in ref_buf.iter_mut().zip(&ref_run.selected) {
@@ -439,8 +443,8 @@ fn workload_fig7_eta_groups(
         ];
         let all = comm.allgatherv_f64(&report);
         if comm.rank() == 0 {
-            for g in 0..eta_groups {
-                let chunk = &all[g * p_shard * report.len()..][..report.len()];
+            // Each group's shard-rank-0 endpoint is representative.
+            for (g, chunk) in all.chunks(report.len()).step_by(p_shard).enumerate() {
                 table.row(&[
                     p.to_string(),
                     format!("{g}"),
@@ -510,11 +514,10 @@ fn workload_strategies(comm: &SocketComm) -> i32 {
         // Serial reference on rank 0, broadcast over the mesh.
         let mut ref_buf = vec![0.0f64; budget];
         if comm.rank() == 0 {
-            let serial = firal_core::strategy_by_name::<f64>(name)
-                .unwrap_or_else(|| panic!("unknown strategy {name:?}"))
-                .select(&problem, budget, seed)
+            let serial = strategy_by_name::<f64>(name)
+                .and_then(|s| select_serial(s.as_ref(), &problem, budget, seed))
                 .unwrap_or_else(|e| panic!("serial {name}: {e}"));
-            for (slot, &idx) in ref_buf.iter_mut().zip(&serial) {
+            for (slot, &idx) in ref_buf.iter_mut().zip(&serial.selected) {
                 *slot = idx as f64;
             }
         }

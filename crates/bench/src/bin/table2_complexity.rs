@@ -13,7 +13,10 @@
 
 use firal_bench::report::{has_flag, Table};
 use firal_bench::workloads::{selection_problem_from_dataset, FIG7_BUDGET};
-use firal_core::{diag_round, exact_relax, fast_relax, MirrorDescentConfig, RelaxConfig};
+use firal_comm::SelfComm;
+use firal_core::{
+    exact_relax, EigSolver, Executor, MirrorDescentConfig, RelaxConfig, ShardedProblem,
+};
 use firal_data::SyntheticConfig;
 use firal_linalg::counters;
 
@@ -48,9 +51,10 @@ fn measure(shape: Shape, with_exact: bool) -> (u64, u64, Option<u64>) {
         ..Default::default()
     };
 
+    let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+    let exec = Executor::new(&comm, &shard);
     let (_, relax_flops) = counters::measure(|| {
-        fast_relax(
-            &problem,
+        exec.relax(
             budget,
             &RelaxConfig {
                 md: one_iter,
@@ -64,11 +68,11 @@ fn measure(shape: Shape, with_exact: bool) -> (u64, u64, Option<u64>) {
 
     let z = vec![budget as f64 / shape.n as f64; shape.n];
     let (_, round_flops) = counters::measure(|| {
-        diag_round(
-            &problem,
+        exec.round(
             &z,
             FIG7_BUDGET,
             4.0 * ((shape.d * (shape.c - 1)) as f64).sqrt(),
+            EigSolver::Exact,
         )
     });
 

@@ -15,8 +15,9 @@
 
 use firal_bench::report::{arg_value, fmt_secs, has_flag, Table};
 use firal_bench::workloads::{selection_problem_from_dataset, timed};
+use firal_comm::SelfComm;
 use firal_core::{
-    diag_round, exact_relax, exact_round, fast_relax, MirrorDescentConfig, RelaxConfig,
+    exact_relax, exact_round, EigSolver, Executor, MirrorDescentConfig, RelaxConfig, ShardedProblem,
 };
 use firal_data::SyntheticConfig;
 
@@ -107,8 +108,11 @@ fn main() {
             md,
             ..Default::default()
         };
-        let (out, t_approx_relax) = timed(|| fast_relax(&problem, case.budget, &relax_cfg));
-        let (_, t_approx_round) = timed(|| diag_round(&problem, &out.z_diamond, case.budget, eta));
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+        let exec = Executor::new(&comm, &shard);
+        let (out, t_approx_relax) = timed(|| exec.relax(case.budget, &relax_cfg));
+        let (_, t_approx_round) =
+            timed(|| exec.round(&out.z_local, case.budget, eta, EigSolver::Exact));
 
         for (phase, te, ta) in [
             ("RELAX", t_exact_relax, t_approx_relax),

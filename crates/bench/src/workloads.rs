@@ -179,20 +179,17 @@ pub fn fig7_eta_sweep_rank_body(
     comm: &dyn Communicator,
 ) -> EtaSweepReport {
     let geometry = EtaGroupGeometry::new(comm.size(), eta_groups);
-    let group = geometry.group_of(comm.rank());
-    let shard_rank = geometry.shard_rank_of(comm.rank());
-    let group_comm = comm.split(group, comm.rank());
-    let cross_comm = comm.split(shard_rank, comm.rank());
+    let (group_comm, cross_comm) = geometry.split(comm);
 
     let budget = FIG7_BUDGET;
     let grid = RoundConfig::<f32>::default().eta_grid;
-    let shard = ShardedProblem::shard(problem, shard_rank, geometry.p_shard);
+    let shard = ShardedProblem::shard(problem, group_comm.rank(), geometry.p_shard);
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
     let out = Executor::new(&*group_comm, &shard)
         .with_threads(threads)
         .select_eta_grouped(&z_local, budget, &grid, &*cross_comm);
     EtaSweepReport {
-        group,
+        group: cross_comm.rank(),
         p_shard: geometry.p_shard,
         eta_star: out.eta,
         selected: out.selected,

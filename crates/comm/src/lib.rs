@@ -8,7 +8,7 @@
 //! single host:
 //!
 //! * [`Communicator`] — the collective interface the SPMD algorithms in
-//!   `firal-core::parallel` are written against. It has **one**
+//!   `firal-core::exec` are written against. It has **one**
 //!   implementation: the collective driver in the private `collective`
 //!   module, which owns everything around a collective's data movement —
 //!   poisoned-endpoint replay, the schedule point, the fault hook, the

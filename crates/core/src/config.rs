@@ -98,23 +98,6 @@ pub struct FiralConfig<T: Scalar> {
     pub relax: RelaxConfig<T>,
     /// ROUND-step controls.
     pub round: RoundConfig<T>,
-    /// Intra-rank kernel threads: size of the worker pool the dense kernels
-    /// (GEMMs, weighted Grams) fan out on **within** this rank — the
-    /// thread tier stacked under rank-level SPMD (the paper's GPU-per-rank
-    /// analogue). `0` inherits the ambient pool (a surrounding
-    /// `ThreadPool::install`, else the global pool sized by
-    /// `FIRAL_NUM_THREADS`/host parallelism). Results are bitwise identical
-    /// at every setting (see `firal_linalg::gemm`'s determinism contract).
-    pub threads: usize,
-    /// η-grid groups `p_eta` of the 2D rank geometry
-    /// `p = p_shard × p_eta` (see `firal_core::exec::EtaGroupGeometry`):
-    /// the SPMD world splits into `p_eta` sub-communicator groups that
-    /// sweep the §IV-A η grid concurrently, one contiguous grid slice per
-    /// group, with a final cross-group argmax. `0` (the default) and `1`
-    /// both mean "one group" — the sequential sweep. Must divide the world
-    /// size; results are bitwise identical at every setting for a fixed
-    /// group size `p_shard`.
-    pub eta_groups: usize,
     /// Streaming refactor cadence: every `refactor_interval` committed
     /// update batches, `firal_core::stream::StreamingState` discards its
     /// incrementally maintained round state and rebuilds it from scratch

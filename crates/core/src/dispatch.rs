@@ -77,25 +77,21 @@ pub struct SelectReport {
 }
 
 /// Run one [`SelectRequest`] on one rank of `comm`'s group, each rank
-/// holding the identical full `problem` (sharded internally, mirroring
-/// `parallel_select`). Every rank of the group must dispatch the same
-/// request collectively.
+/// holding the identical full `problem` (sharded internally). Every rank of
+/// the group must dispatch the same request collectively.
 ///
 /// Failure taxonomy: an unregistered name is
 /// [`SelectError::UnknownStrategy`] (resolved *before* any collective runs,
 /// so a bad name never skews the group schedule); invalid budgets surface
 /// as the strategy's own [`SelectError`] variants; and a communication
 /// failure underneath the selection comes back as [`SelectError::Comm`]
-/// through the `try_`/`comm_catch` boundary instead of aborting the rank.
+/// through `try_select_dist` instead of aborting the rank.
 pub fn dispatch_select<T: CommScalar>(
     comm: &dyn Communicator,
     problem: &SelectionProblem<T>,
     req: &SelectRequest,
 ) -> Result<SelectReport, SelectError> {
-    let strategy =
-        strategy_by_name::<T>(&req.strategy).ok_or_else(|| SelectError::UnknownStrategy {
-            name: req.strategy.clone(),
-        })?;
+    let strategy = strategy_by_name::<T>(&req.strategy)?;
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let exec = Executor::new(comm, &shard).with_threads(req.threads);
     let stats0 = comm.stats();
@@ -111,30 +107,13 @@ pub fn dispatch_select<T: CommScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::tiny_problem;
     use crate::strategies::select_serial;
     use firal_comm::{launch, SelfComm};
 
-    fn tiny_problem(seed: u64) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(3, 4)
-            .with_pool_size(40)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            3,
-        )
-    }
-
     #[test]
     fn dispatch_matches_select_serial_bitwise_at_p1() {
-        let problem = tiny_problem(3);
+        let problem = tiny_problem(3, 40, 4, 3);
         let comm = SelfComm::new();
         for name in ["random", "entropy", "approx-firal"] {
             let req = SelectRequest::new(name, 4).with_seed(11);
@@ -147,7 +126,7 @@ mod tests {
 
     #[test]
     fn dispatch_selects_identical_indices_across_rank_counts() {
-        let problem = tiny_problem(5);
+        let problem = tiny_problem(5, 40, 4, 3);
         let req = SelectRequest::new("entropy", 5).with_seed(2);
         let serial = {
             let comm = SelfComm::new();
@@ -169,7 +148,7 @@ mod tests {
 
     #[test]
     fn dispatch_bills_a_stats_delta_not_lifetime_totals() {
-        let problem = tiny_problem(7);
+        let problem = tiny_problem(7, 40, 4, 3);
         let comm = SelfComm::new();
         // Warm the communicator with unrelated traffic first.
         let warm = dispatch_select(&comm, &problem, &SelectRequest::new("approx-firal", 3))
@@ -189,7 +168,7 @@ mod tests {
 
     #[test]
     fn unknown_strategy_is_rejected_before_any_collective() {
-        let problem = tiny_problem(1);
+        let problem = tiny_problem(1, 40, 4, 3);
         let comm = SelfComm::new();
         let err = dispatch_select(&comm, &problem, &SelectRequest::new("gradient-boost", 2))
             .expect_err("unregistered name");
@@ -199,7 +178,7 @@ mod tests {
 
     #[test]
     fn invalid_budgets_surface_the_strategy_taxonomy() {
-        let problem = tiny_problem(2);
+        let problem = tiny_problem(2, 40, 4, 3);
         let comm = SelfComm::new();
         let err = dispatch_select(&comm, &problem, &SelectRequest::new("random", 0))
             .expect_err("zero budget");

@@ -9,11 +9,10 @@
 
 use firal_comm::{CommScalar, CommStats};
 use firal_data::Dataset;
-use firal_linalg::Scalar;
 use firal_logreg::{LogisticRegression, TrainConfig};
 
 use crate::problem::SelectionProblem;
-use crate::strategies::{strategy_by_name, SelectError, Strategy};
+use crate::strategies::{select_serial, DistStrategy, SelectError};
 
 /// One round's record.
 #[derive(Debug, Clone)]
@@ -29,9 +28,9 @@ pub struct RoundRecord {
     /// Seconds spent in the selection call this round (0 for the final
     /// evaluation-only record).
     pub selection_seconds: f64,
-    /// Collective calls/bytes/time the selection issued this round (zeros
-    /// for strategies that never touch a communicator, and for the final
-    /// evaluation-only record).
+    /// Collective calls/bytes/time the selection issued this round — the
+    /// counted no-ops of the `p = 1` run (zeros for strategies that never
+    /// touch a communicator, and for the final evaluation-only record).
     pub selection_comm: CommStats,
 }
 
@@ -63,8 +62,9 @@ impl ExperimentResult {
 /// `seed` controls the stochastic strategies (and is varied across the
 /// paper's 10 Random/K-Means trials). The classifier is retrained from
 /// scratch each round with fixed hyperparameters, matching the paper
-/// ("we keep the parameters fixed during active learning").
-pub fn run_experiment<T: Scalar, S: Strategy<T> + ?Sized>(
+/// ("we keep the parameters fixed during active learning"). Each
+/// selection is a [`select_serial`] call.
+pub fn run_experiment<T: CommScalar, S: DistStrategy<T> + ?Sized>(
     dataset: &Dataset<T>,
     strategy: &S,
     rounds: usize,
@@ -109,8 +109,7 @@ pub fn run_experiment<T: Scalar, S: Strategy<T> + ?Sized>(
                 dataset.num_classes,
             );
             let t0 = std::time::Instant::now();
-            let run =
-                strategy.select_with_stats(&problem, budget, seed.wrapping_add(round as u64))?;
+            let run = select_serial(strategy, &problem, budget, seed.wrapping_add(round as u64))?;
             selection_seconds = t0.elapsed().as_secs_f64();
             selection_comm = run.comm;
             // Map back to original pool indices.
@@ -134,35 +133,10 @@ pub fn run_experiment<T: Scalar, S: Strategy<T> + ?Sized>(
     })
 }
 
-/// [`run_experiment`] with the strategy resolved from the registry
-/// ([`crate::strategies::strategy_by_name`], default configuration) — the
-/// entry point the benches and CLI harnesses drive by name. Fails with
-/// [`SelectError::UnknownStrategy`] for unregistered names.
-pub fn run_experiment_named<T: CommScalar>(
-    dataset: &Dataset<T>,
-    strategy: &str,
-    rounds: usize,
-    budget: usize,
-    seed: u64,
-    train_config: &TrainConfig<T>,
-) -> Result<ExperimentResult, SelectError> {
-    let resolved = strategy_by_name::<T>(strategy).ok_or_else(|| SelectError::UnknownStrategy {
-        name: strategy.to_string(),
-    })?;
-    run_experiment(
-        dataset,
-        resolved.as_ref(),
-        rounds,
-        budget,
-        seed,
-        train_config,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategies::{ApproxFiral, RandomStrategy};
+    use crate::strategies::{strategy_by_name, ApproxFiral, RandomStrategy};
 
     fn tiny_dataset(seed: u64) -> Dataset<f64> {
         firal_data::SyntheticConfig::new(3, 5)
@@ -212,22 +186,21 @@ mod tests {
     }
 
     #[test]
-    fn named_experiment_resolves_registry_and_rejects_unknown() {
+    fn registry_strategy_runs_like_the_direct_one() {
         let ds = tiny_dataset(4);
-        let named = run_experiment_named(&ds, "random", 2, 4, 3, &TrainConfig::default()).unwrap();
+        let random = strategy_by_name::<f64>("random").unwrap();
+        let named = run_experiment(&ds, random.as_ref(), 2, 4, 3, &TrainConfig::default()).unwrap();
         let direct =
             run_experiment(&ds, &RandomStrategy, 2, 4, 3, &TrainConfig::default()).unwrap();
         assert_eq!(named.acquired, direct.acquired);
         assert_eq!(named.strategy, "Random");
-        let err = run_experiment_named(&ds, "nope", 2, 4, 3, &TrainConfig::default());
-        assert!(matches!(err, Err(SelectError::UnknownStrategy { .. })));
     }
 
     #[test]
     fn comm_backed_strategies_populate_round_comm_stats() {
         let ds = tiny_dataset(5);
-        let res =
-            run_experiment_named(&ds, "bayes-batch", 2, 4, 0, &TrainConfig::default()).unwrap();
+        let bayes = strategy_by_name::<f64>("bayes-batch").unwrap();
+        let res = run_experiment(&ds, bayes.as_ref(), 2, 4, 0, &TrainConfig::default()).unwrap();
         // Selection rounds record collective traffic; the final
         // evaluation-only record stays zero.
         for r in &res.rounds[..2] {

@@ -309,24 +309,7 @@ pub fn exact_firal<T: Scalar>(
 mod tests {
     use super::*;
     use crate::hessian::dense_hessian;
-
-    fn tiny_problem(seed: u64, n: usize, d: usize, c: usize) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(c, d)
-            .with_pool_size(n)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            c,
-        )
-    }
+    use crate::problem::tiny_problem;
 
     #[test]
     fn g_half_squares_to_g() {

@@ -3,19 +3,16 @@
 //! RELAX (Algorithm 2) and ROUND (Algorithm 3) are written **once** here,
 //! against the [`firal_comm::Communicator`] collectives. The paper's central
 //! structural claim — Approx-FIRAL is *one* algorithm whose collectives
-//! degenerate to no-ops at `p = 1` — is reflected directly in the code:
-//!
-//! * the serial solvers ([`crate::relax::fast_relax`],
-//!   [`crate::round::diag_round`]) are thin wrappers instantiating this
-//!   layer over [`firal_comm::SelfComm`] with the trivial shard
-//!   (`offset = 0`, `local_n = n`);
-//! * the SPMD entry points ([`crate::parallel`]) instantiate the same code
-//!   over a real rank group — [`firal_comm::ThreadComm`] OS threads in one
-//!   process, or [`firal_comm::SocketComm`] OS *processes* on a localhost
-//!   TCP mesh (launched by `spmd_launch` in `firal-bench`, joined via
-//!   `SocketComm::from_env`). All backends implement the identical
-//!   rank-ordered deterministic reduction contract, so results are
-//!   interchangeable down to the bit for f64.
+//! degenerate to no-ops at `p = 1` — is the code's shape: an [`Executor`]
+//! over [`firal_comm::SelfComm`] and the trivial shard
+//! ([`ShardedProblem::replicate`]: `offset = 0`, `local_n = n`) *is* the
+//! serial solver, and the same executor over a real rank group —
+//! [`firal_comm::ThreadComm`] OS threads in one process, or
+//! [`firal_comm::SocketComm`] OS *processes* on a localhost TCP mesh
+//! (launched by `spmd_launch` in `firal-bench`, joined via
+//! `SocketComm::from_env`) — is the SPMD one. All backends implement the
+//! identical rank-ordered deterministic reduction contract, so results are
+//! interchangeable down to the bit for f64.
 //!
 //! Collective placement follows §III-C operation-for-operation:
 //!
@@ -31,22 +28,24 @@
 //!
 //! An [`Executor`] owns the run-wide context: the communicator endpoint,
 //! this rank's shard geometry, probe-RNG seeding, the [`PhaseTimer`] phase
-//! breakdown, and per-run [`CommStats`] deltas.
+//! breakdown, and per-run [`CommStats`] deltas. Its methods call the
+//! infallible collectives: a communication failure raises through the
+//! stack, and a caller that wants it back as a value runs the phase under
+//! the comm layer's catch boundary, as
+//! [`crate::strategies::DistStrategy::try_select_dist`] does for a whole
+//! selection.
 //!
 //! On top of the rank × thread tiers sits the **η-group tier**
 //! ([`EtaGroupGeometry`], `p = p_shard × p_eta`): the §IV-A η grid — an
 //! embarrassingly parallel sweep of independent ROUND runs — distributes
 //! over sub-communicator groups carved out with
-//! [`firal_comm::Communicator::split`]. Each group holds the full
-//! `p_shard`-way pool partition, sweeps a contiguous slice of the grid via
+//! [`EtaGroupGeometry::split`]. Each group holds the full `p_shard`-way pool
+//! partition, sweeps a contiguous slice of the grid via
 //! [`Executor::select_eta_grouped`], and a single cross-group MAXLOC picks
 //! the winning η — bitwise identical to the sequential sweep at every
-//! layout (see `crate::parallel::parallel_approx_firal_grouped` for the
-//! full-pipeline entry point).
+//! layout, which is its `p_eta = 1` call ([`Executor::select_eta`]).
 
-use firal_comm::{
-    comm_catch, shard_range, CommError, CommScalar, CommStats, Communicator, ReduceOp, SelfComm,
-};
+use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
 use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
     cg_solve_panel, lanczos_spectrum, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry,
@@ -243,24 +242,45 @@ impl EtaGroupGeometry {
     pub fn grid_slice(&self, group: usize, grid_len: usize) -> std::ops::Range<usize> {
         shard_range(grid_len, group, self.p_eta)
     }
+
+    /// Carve `world` into this geometry: returns `(group_comm, cross_comm)`
+    /// — this rank's η group (color = [`EtaGroupGeometry::group_of`]) and
+    /// the perpendicular communicator joining its shard rank across all
+    /// groups (color = [`EtaGroupGeometry::shard_rank_of`]). Both splits key
+    /// on the world rank, so group ranks keep world order (shard `r` of
+    /// group `g` is world rank `g·p_shard + r`) and `cross_comm.rank()` *is*
+    /// the group id — the ordering the cross-group MAXLOC tie-break of
+    /// [`Executor::select_eta_grouped`] relies on. Collective over `world`.
+    pub fn split(
+        &self,
+        world: &dyn Communicator,
+    ) -> (Box<dyn Communicator>, Box<dyn Communicator>) {
+        assert_eq!(
+            world.size(),
+            self.world_size(),
+            "world does not match the geometry"
+        );
+        let rank = world.rank();
+        (
+            world.split(self.group_of(rank), rank),
+            world.split(self.shard_rank_of(rank), rank),
+        )
+    }
 }
 
 /// η-independent per-`z⋄` ROUND state: `B(H_o)`, the assembled `Σ⋄` block
 /// diagonal (one Allreduce), its per-block Cholesky factors, and the
-/// `g_ik` panel. [`Executor::select_eta`] builds this **once** and shares
-/// it across every η grid re-run instead of reassembling (and
-/// re-communicating) it per value.
+/// `g_ik` panel. The η sweep builds this **once** and shares it across
+/// every grid re-run instead of reassembling (and re-communicating) it per
+/// value.
 ///
-/// Since the streaming layer landed this state is **persistent**: it is
-/// keyed by a pool `version` and [`crate::stream::StreamingState`] advances
-/// it incrementally under point add/remove/label mutations (rank-one
-/// Cholesky up/downdates plus a delta-Allreduce of changed partial sums)
-/// instead of rebuilding it per round. See ARCHITECTURE.md § "Streaming
-/// round state" for the ownership and invalidation rules.
+/// Since the streaming layer landed this state is **persistent**:
+/// [`crate::stream::StreamingState`] advances it incrementally under point
+/// add/remove/label mutations (rank-one Cholesky up/downdates plus a
+/// delta-Allreduce of changed partial sums) instead of rebuilding it per
+/// round. See ARCHITECTURE.md § "Streaming round state" for the ownership
+/// and invalidation rules.
 pub struct RoundState<T: Scalar> {
-    /// Pool version this state reflects (0 for a one-shot build; the
-    /// streaming layer bumps it once per committed update batch).
-    pub(crate) version: u64,
     pub(crate) bho: BlockDiag<T>,
     pub(crate) sigma: BlockDiag<T>,
     pub(crate) sigma_chol: Vec<Cholesky<T>>,
@@ -268,11 +288,6 @@ pub struct RoundState<T: Scalar> {
 }
 
 impl<T: Scalar> RoundState<T> {
-    /// The pool version this state was built at / advanced to.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// The assembled `Σ⋄` block diagonal.
     pub fn sigma(&self) -> &BlockDiag<T> {
         &self.sigma
@@ -293,8 +308,8 @@ impl<T: Scalar> RoundState<T> {
 /// One rank's execution context: communicator endpoint + shard geometry +
 /// optional intra-rank kernel pool.
 ///
-/// All of Approx-FIRAL routes through here; `p = 1` callers use
-/// [`Executor::serial`] and the collectives reduce to no-ops. With
+/// All of Approx-FIRAL routes through here; `p = 1` callers pass a
+/// [`SelfComm`] and the collectives reduce to no-ops. With
 /// [`Executor::with_threads`] the rank owns a private kernel sub-pool and
 /// the dense kernels fan out on it — the ranks × threads hybrid tier
 /// mirroring the paper's GPU-per-rank layout. Kernel results are bitwise
@@ -351,12 +366,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         }
     }
 
-    /// Serial context: the single-rank instantiation over a caller-owned
-    /// [`SelfComm`] and the trivial full shard.
-    pub fn serial(comm: &'a SelfComm, shard: &'a ShardedProblem<T>) -> Self {
-        Self::new(comm, shard)
-    }
-
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.comm.rank()
@@ -375,11 +384,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// This rank's shard.
     pub fn shard(&self) -> &ShardedProblem<T> {
         self.shard
-    }
-
-    /// Snapshot of this rank's cumulative communication statistics.
-    pub fn comm_stats(&self) -> CommStats {
-        self.comm.stats()
     }
 
     /// Rank owning global pool index `i` under the even decomposition.
@@ -623,16 +627,13 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let stats0 = self.comm.stats();
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
-            let white = timer.time("other", || Whitening::new(&scratch));
-            self.round_body(&white, budget, eta, eig, timer, stats0)
+            self.round_over(&scratch, budget, eta, eig, timer, stats0)
         })
     }
 
     /// Build the η-independent ROUND state (Line 3 of Algorithm 3 plus the
     /// `g_ik` panel) from scratch: one Allreduce, one Cholesky sweep.
-    /// The returned state carries pool version 0; streaming callers that
-    /// maintain it incrementally should stamp their own version via
-    /// `crate::stream`. This is the **from-scratch rebuild** the streaming
+    /// This is the **from-scratch rebuild** the streaming
     /// refactor boundary is defined against: at a refactor the incremental
     /// state must equal this build bitwise.
     pub fn build_round_state(&self, z_local: &[T]) -> RoundState<T> {
@@ -654,11 +655,31 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         eig: EigSolver,
     ) -> RoundRun<T> {
         self.install(|| {
-            let stats0 = self.comm.stats();
-            let mut timer = PhaseTimer::new();
-            let white = timer.time("other", || Whitening::new(state));
-            self.round_body(&white, budget, eta, eig, timer, stats0)
+            self.round_over(
+                state,
+                budget,
+                eta,
+                eig,
+                PhaseTimer::new(),
+                self.comm.stats(),
+            )
         })
+    }
+
+    /// One fixed-η run over `state`: the whitening prologue, then the loop.
+    /// `timer` and `stats0` are the caller's, so a from-scratch
+    /// [`Executor::round`] bills its state build to the same run.
+    fn round_over(
+        &self,
+        state: &RoundState<T>,
+        budget: usize,
+        eta: T,
+        eig: EigSolver,
+        mut timer: PhaseTimer,
+        stats0: CommStats,
+    ) -> RoundRun<T> {
+        let white = timer.time("other", || Whitening::new(state));
+        self.round_body(&white, budget, eta, eig, timer, stats0)
     }
 
     fn round_scratch(&self, z_local: &[T], timer: &mut PhaseTimer) -> RoundState<T> {
@@ -704,7 +725,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         };
 
         RoundState {
-            version: 0,
             bho,
             sigma,
             sigma_chol,
@@ -841,55 +861,22 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// [`Executor::selection_min_eig`] — "we execute the ROUND step with
     /// different η values, and then select the one that maximizes
     /// min_k λ_min(H)_k" (§IV-A). Every rank evaluates the identical
-    /// criterion, so the grid choice is rank-invariant.
+    /// criterion, so the grid choice is rank-invariant. This is the
+    /// `p_eta = 1` call of [`Executor::select_eta_grouped`]: one group, the
+    /// whole grid, a cross communicator of one.
     pub fn select_eta(&self, z_local: &[T], budget: usize, grid: &[T]) -> RoundRun<T> {
-        assert!(!grid.is_empty(), "η grid must be non-empty");
-        self.install(|| {
-            let scale = T::from_usize(self.shard.ehat()).sqrt();
-            // The η-independent state (Σ⋄ Allreduce + Cholesky sweep + g_ik,
-            // then the whitening prologue L⁻¹ / C_o derived from it) is
-            // built once and shared by every grid re-run; only the FTRL
-            // loop itself runs per η. Each run still starts from a copy of
-            // the scratch phase timings and merges the scratch comm delta,
-            // so the returned run's accounting matches what a direct
-            // [`Executor::round`] at the same η would report.
-            let stats0 = self.comm.stats();
-            let mut scratch_timer = PhaseTimer::new();
-            let scratch = self.round_scratch(z_local, &mut scratch_timer);
-            let white = scratch_timer.time("other", || Whitening::new(&scratch));
-            let scratch_stats = self.comm.stats().since(&stats0);
-            let mut best: Option<(T, RoundRun<T>)> = None;
-            for &mult in grid {
-                let mut out = self.round_body(
-                    &white,
-                    budget,
-                    mult * scale,
-                    EigSolver::Exact,
-                    scratch_timer.clone(),
-                    self.comm.stats(),
-                );
-                out.comm_stats.merge(&scratch_stats);
-                let crit = self.selection_min_eig(&out.selected);
-                out.criterion = Some(crit);
-                match &best {
-                    Some((c, _)) if *c >= crit => {}
-                    _ => best = Some((crit, out)),
-                }
-            }
-            best.expect("grid produced no result").1
-        })
+        self.select_eta_grouped(z_local, budget, grid, &SelfComm::new())
     }
 
-    /// [`Executor::select_eta`] distributed over η-group sub-communicators
-    /// — the 2D tier `p = p_shard × p_eta` of [`EtaGroupGeometry`].
+    /// The η sweep, distributed over η-group sub-communicators — the 2D
+    /// tier `p = p_shard × p_eta` of [`EtaGroupGeometry`].
     ///
     /// `self` must be the **group-level** executor: its communicator is one
-    /// η group of `p_shard` ranks (a [`firal_comm::Communicator::split`] by
-    /// group color) and its shard is this rank's `p_shard`-way slice of the
-    /// pool. `cross` is the perpendicular sub-communicator connecting the
-    /// same shard rank across all `p_eta` groups (split by shard-rank
-    /// color, keyed by world rank, so `cross.rank()` *is* the group id and
-    /// cross ranks are ordered by group).
+    /// η group of `p_shard` ranks and its shard is this rank's `p_shard`-way
+    /// slice of the pool. `cross` is the perpendicular sub-communicator
+    /// connecting the same shard rank across all `p_eta` groups, with
+    /// `cross.rank()` the group id — the pair [`EtaGroupGeometry::split`]
+    /// returns.
     ///
     /// The sweep:
     /// 1. **setup** — the group-0 copy of this shard's `z⋄` slice is
@@ -911,11 +898,10 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ///    recomputed locally from the winning index (same `T` arithmetic on
     ///    every rank, hence bit-identical).
     ///
-    /// Unlike [`Executor::select_eta`] — which reports the *winning run's*
-    /// timer/comm accounting — the returned `timer` and `comm_stats` cover
-    /// **this rank's whole share of the sweep** (scratch, every slice η,
-    /// criterion reductions, and the cross-group collectives): that is the
-    /// quantity the scaling harnesses bill per group.
+    /// The returned `timer` and `comm_stats` cover **this rank's whole
+    /// share of the sweep** (scratch, every slice η, criterion reductions,
+    /// and the cross-group collectives): that is the quantity the scaling
+    /// harnesses bill per group.
     ///
     /// [`allreduce_maxloc`]: firal_comm::Communicator::allreduce_maxloc
     pub fn select_eta_grouped(
@@ -1005,27 +991,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
     /// Full Approx-FIRAL (RELAX then ROUND) under one configuration,
     /// including the η grid rule when `config.round.eta` is `None`.
-    ///
-    /// `config.threads > 0` gives the whole run a private kernel pool of
-    /// that size (unless the executor already owns one via
-    /// [`Executor::with_threads`], which takes precedence).
     pub fn approx_firal(
-        &self,
-        budget: usize,
-        config: &FiralConfig<T>,
-    ) -> (RelaxRun<T>, RoundRun<T>) {
-        if self.pool.is_none() && config.threads > 0 {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(config.threads)
-                .build()
-                .expect("failed to build the kernel pool");
-            pool.install(|| self.approx_firal_impl(budget, config))
-        } else {
-            self.install(|| self.approx_firal_impl(budget, config))
-        }
-    }
-
-    fn approx_firal_impl(
         &self,
         budget: usize,
         config: &FiralConfig<T>,
@@ -1037,94 +1003,15 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         };
         (relax, round)
     }
-
-    // --- Fallible entry points -------------------------------------------
-    //
-    // The solver bodies call the infallible collectives: a communication
-    // failure inside (peer death, deadline, remote abort — see
-    // `firal_comm::error`) raises through the stack, and these wrappers
-    // recover it as a structured `CommError` at the phase boundary — the
-    // granularity at which a driver can actually react (rerun the phase on
-    // a reformed group, or report and exit). The fault-free path through a
-    // `try_` wrapper is the plain method; results are bitwise identical.
-
-    /// Fallible [`Executor::relax`]: a communication failure inside the
-    /// RELAX loop surfaces as the originating [`CommError`] instead of
-    /// aborting the process.
-    pub fn try_relax(
-        &self,
-        budget: usize,
-        config: &RelaxConfig<T>,
-    ) -> Result<RelaxRun<T>, CommError> {
-        comm_catch(|| self.relax(budget, config))
-    }
-
-    /// Fallible [`Executor::round`].
-    pub fn try_round(
-        &self,
-        z_local: &[T],
-        budget: usize,
-        eta: T,
-        eig: EigSolver,
-    ) -> Result<RoundRun<T>, CommError> {
-        comm_catch(|| self.round(z_local, budget, eta, eig))
-    }
-
-    /// Fallible [`Executor::select_eta`].
-    pub fn try_select_eta(
-        &self,
-        z_local: &[T],
-        budget: usize,
-        grid: &[T],
-    ) -> Result<RoundRun<T>, CommError> {
-        comm_catch(|| self.select_eta(z_local, budget, grid))
-    }
-
-    /// Fallible [`Executor::select_eta_grouped`].
-    pub fn try_select_eta_grouped(
-        &self,
-        z_local: &[T],
-        budget: usize,
-        grid: &[T],
-        cross: &dyn Communicator,
-    ) -> Result<RoundRun<T>, CommError> {
-        comm_catch(|| self.select_eta_grouped(z_local, budget, grid, cross))
-    }
-
-    /// Fallible [`Executor::approx_firal`]: the full pipeline with
-    /// communication failures recovered as [`CommError`] at the outermost
-    /// boundary.
-    pub fn try_approx_firal(
-        &self,
-        budget: usize,
-        config: &FiralConfig<T>,
-    ) -> Result<(RelaxRun<T>, RoundRun<T>), CommError> {
-        comm_catch(|| self.approx_firal(budget, config))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MirrorDescentConfig;
+    use crate::exact::exact_relax;
+    use crate::problem::tiny_problem;
     use firal_comm::launch;
-
-    fn tiny_problem(seed: u64, n: usize, d: usize, c: usize) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(c, d)
-            .with_pool_size(n)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            c,
-        )
-    }
 
     #[test]
     fn sharding_partitions_the_pool() {
@@ -1155,23 +1042,101 @@ mod tests {
     }
 
     #[test]
-    fn single_rank_executor_matches_serial_wrapper() {
+    fn relax_output_is_budget_scaled_simplex() {
+        let p = tiny_problem(1, 60, 4, 3);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).relax(8, &RelaxConfig::default());
+        assert_eq!(out.z_diamond.len(), 60);
+        assert_eq!(out.z_local, out.z_diamond, "p = 1: the shard is the pool");
+        assert!(out.z_diamond.iter().all(|&v| v >= 0.0));
+        let sum: f64 = out.z_diamond.iter().sum();
+        assert!((sum - 8.0).abs() < 1e-8, "‖z⋄‖₁ = {sum}");
+        assert!(out.telemetry.iterations >= 1);
+        assert!(!out.first_cg.is_empty());
+        assert!(out.total_cg_iters > 0);
+    }
+
+    #[test]
+    fn relax_weights_correlate_with_exact() {
+        // On a small problem the fast solver (tight CG, many probes) must
+        // put large weight on roughly the same points as the exact solver.
         let p = tiny_problem(2, 40, 3, 3);
-        let cfg = RelaxConfig {
-            seed: 9,
+        let md = MirrorDescentConfig {
+            max_iters: 30,
             ..Default::default()
         };
-        let serial = crate::relax::fast_relax(&p, 5, &cfg);
-        let comm = SelfComm::new();
-        let shard = ShardedProblem::replicate(&p);
-        let run = Executor::serial(&comm, &shard).relax(5, &cfg);
-        assert_eq!(run.z_diamond.len(), 40);
-        // Bitwise identical: the wrapper IS this code path.
-        assert_eq!(run.z_diamond, serial.z_diamond);
-        assert_eq!(
-            run.telemetry.objective_history,
-            serial.telemetry.objective_history
+        let (z_exact, _) = exact_relax(&p, 5, &md);
+        let cfg = RelaxConfig {
+            md,
+            probes: 60,
+            cg_tol: 1e-6,
+            seed: 3,
+            ..Default::default()
+        };
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).relax(5, &cfg);
+        // Rank correlation proxy: top-10 sets overlap substantially.
+        let top = |z: &[f64]| -> Vec<usize> {
+            let mut idx: Vec<usize> = (0..z.len()).collect();
+            idx.sort_by(|&a, &b| z[b].partial_cmp(&z[a]).unwrap());
+            idx[..10].to_vec()
+        };
+        let te = top(&z_exact);
+        let ta = top(&out.z_diamond);
+        let overlap = te.iter().filter(|i| ta.contains(i)).count();
+        assert!(
+            overlap >= 5,
+            "exact/approx top-10 overlap only {overlap}: {te:?} vs {ta:?}"
         );
+    }
+
+    #[test]
+    fn relax_objective_history_trends_down() {
+        let p = tiny_problem(4, 50, 3, 4);
+        let cfg = RelaxConfig {
+            probes: 30,
+            cg_tol: 0.01,
+            seed: 5,
+            ..Default::default()
+        };
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).relax(5, &cfg);
+        let h = &out.telemetry.objective_history;
+        assert!(h.len() >= 2);
+        let first = h[0];
+        let last = *h.last().unwrap();
+        assert!(
+            last <= first * 1.05,
+            "objective should not increase materially: {first} → {last}"
+        );
+    }
+
+    #[test]
+    fn relax_is_deterministic_given_seed() {
+        let p = tiny_problem(6, 30, 3, 3);
+        let cfg = RelaxConfig {
+            seed: 11,
+            ..Default::default()
+        };
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let exec = Executor::new(&comm, &shard);
+        let a = exec.relax(4, &cfg);
+        let b = exec.relax(4, &cfg);
+        assert_eq!(a.z_diamond, b.z_diamond);
+        assert_eq!(a.telemetry.objective_history, b.telemetry.objective_history);
+    }
+
+    #[test]
+    fn relax_timer_covers_the_paper_phases() {
+        let p = tiny_problem(8, 30, 3, 3);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).relax(3, &RelaxConfig::default());
+        for phase in ["precond", "cg", "gradient"] {
+            assert!(
+                out.timer.phases().any(|(n, _)| n == phase),
+                "missing phase {phase}"
+            );
+        }
     }
 
     #[test]
@@ -1183,7 +1148,8 @@ mod tests {
             probes: 20,
             ..Default::default()
         };
-        let serial = crate::relax::fast_relax(&p, 4, &cfg);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let serial = Executor::new(&comm, &shard).relax(4, &cfg);
         for procs in [2usize, 3] {
             let problem = p.clone();
             let config = cfg;
@@ -1213,7 +1179,8 @@ mod tests {
         let b = 4;
         let z: Vec<f64> = (0..24).map(|i| (1.0 + (i % 5) as f64) / 24.0).collect();
         let eta = 8.0 * (p.ehat() as f64).sqrt();
-        let serial = crate::round::diag_round(&p, &z, b, eta);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let serial = Executor::new(&comm, &shard).round(&z, b, eta, EigSolver::Exact);
         for procs in [1usize, 2, 3] {
             let problem = p.clone();
             let zc = z.clone();
@@ -1288,6 +1255,32 @@ mod tests {
     }
 
     #[test]
+    fn eta_group_split_orders_group_and_cross_ranks() {
+        // The ordering the cross-group MAXLOC tie-break relies on: group
+        // ranks in world order, cross rank = group id.
+        for (p_shard, p_eta) in [(2usize, 2usize), (1, 3), (3, 1)] {
+            let coords = launch(p_shard * p_eta, |world| {
+                let geo = EtaGroupGeometry::new(world.size(), p_eta);
+                let (group, cross) = geo.split(world);
+                (group.rank(), group.size(), cross.rank(), cross.size())
+            });
+            for (r, &(group_rank, group_size, cross_rank, cross_size)) in coords.iter().enumerate()
+            {
+                assert_eq!(
+                    (group_rank, group_size),
+                    (r % p_shard, p_shard),
+                    "({p_shard}x{p_eta}) world rank {r}: group ranks out of world order"
+                );
+                assert_eq!(
+                    (cross_rank, cross_size),
+                    (r / p_shard, p_eta),
+                    "({p_shard}x{p_eta}) world rank {r}: cross rank is not the group id"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn grouped_eta_sweep_matches_sequential_sweep_bitwise() {
         // (p_shard, p_eta) = (1, 2): two singleton groups each sweep half
         // the grid; the result must be bit-for-bit the serial sweep —
@@ -1297,14 +1290,12 @@ mod tests {
         let z: Vec<f64> = (0..28).map(|i| (1.0 + (i % 3) as f64) / 28.0).collect();
         let grid = [2.0, 8.0];
 
-        let comm = SelfComm::new();
-        let shard = ShardedProblem::replicate(&p);
-        let serial = Executor::serial(&comm, &shard).select_eta(&z, b, &grid);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let serial = Executor::new(&comm, &shard).select_eta(&z, b, &grid);
 
         let results = launch(2, |comm| {
             let geo = EtaGroupGeometry::new(comm.size(), 2);
-            let group_comm = comm.split(geo.group_of(comm.rank()), comm.rank());
-            let cross_comm = comm.split(geo.shard_rank_of(comm.rank()), comm.rank());
+            let (group_comm, cross_comm) = geo.split(comm);
             let shard = ShardedProblem::shard(&p, geo.shard_rank_of(comm.rank()), geo.p_shard);
             let exec = Executor::new(&*group_comm, &shard);
             let out = exec.select_eta_grouped(&z, b, &grid, &*cross_comm);
@@ -1330,14 +1321,12 @@ mod tests {
         let z: Vec<f64> = vec![b as f64 / 24.0; 24];
         let grid = [2.0, 8.0];
 
-        let comm = SelfComm::new();
-        let shard = ShardedProblem::replicate(&p);
-        let serial = Executor::serial(&comm, &shard).select_eta(&z, b, &grid);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let serial = Executor::new(&comm, &shard).select_eta(&z, b, &grid);
 
         let results = launch(3, |comm| {
             let geo = EtaGroupGeometry::new(comm.size(), 3);
-            let group_comm = comm.split(geo.group_of(comm.rank()), comm.rank());
-            let cross_comm = comm.split(geo.shard_rank_of(comm.rank()), comm.rank());
+            let (group_comm, cross_comm) = geo.split(comm);
             let shard = ShardedProblem::shard(&p, geo.shard_rank_of(comm.rank()), geo.p_shard);
             let exec = Executor::new(&*group_comm, &shard);
             let out = exec.select_eta_grouped(&z, b, &grid, &*cross_comm);
@@ -1354,7 +1343,8 @@ mod tests {
         let p = tiny_problem(7, 30, 3, 3);
         let b = 4;
         let z: Vec<f64> = vec![b as f64 / 30.0; 30];
-        let serial = crate::round::select_eta(&p, &z, b, &[2.0, 8.0]);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let serial = Executor::new(&comm, &shard).select_eta(&z, b, &[2.0, 8.0]);
         let results = launch(2, move |comm| {
             let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
             let local_z = z[shard.offset..shard.offset + shard.local_n()].to_vec();

@@ -7,27 +7,26 @@
 //!   matrix-free matvec, pooled operators and Definition 1's block
 //!   diagonals;
 //! * [`exact`] — Exact-FIRAL (Algorithm 1), the NeurIPS'23 baseline;
-//! * [`relax`] — the fast RELAX solver (Algorithm 2: Hutchinson +
-//!   preconditioned CG);
-//! * [`round`] — the diagonal ROUND solver (Algorithm 3: Lemma 3 /
-//!   Proposition 4);
-//! * [`exec`] — **the execution layer**: RELAX and ROUND written once,
-//!   generic over `firal_comm::Communicator`. An [`exec::Executor`] owns
-//!   the communicator endpoint, this rank's shard geometry
+//! * [`exec`] — **the execution layer**: the fast RELAX solver (Algorithm
+//!   2: Hutchinson + preconditioned CG) and the diagonal ROUND solver
+//!   (Algorithm 3: Lemma 3 / Proposition 4) written once, generic over
+//!   `firal_comm::Communicator`. An [`exec::Executor`] owns the
+//!   communicator endpoint, this rank's shard geometry
 //!   ([`exec::ShardedProblem`]), probe-RNG seeding, phase timing, and
 //!   per-run communication statistics. The serial path is the `SelfComm`
 //!   instantiation (collectives are no-ops); the SPMD path is the same
 //!   code over a real rank group — shared-memory `ThreadComm` threads or
 //!   `SocketComm` processes on a TCP mesh (`spmd_launch`);
+//! * [`round`] — the replicated FTRL state ROUND's loop carries, in
+//!   whitened coordinates;
 //! * [`strategies`] — Random / K-Means / Entropy / Exact-FIRAL /
 //!   Approx-FIRAL plus the PAPERS.md extensions UPAL
 //!   ([`strategies::UpalStrategy`]) and Bayesian batch selection
-//!   ([`strategies::BayesBatchStrategy`]), behind two traits: the serial
-//!   [`strategies::Strategy`] surface the driver consumes, and the
-//!   executor-generic [`strategies::DistStrategy`] surface underneath it —
-//!   each strategy is written once against [`exec::Executor`] and runs
-//!   unchanged on every comm backend ([`strategies::strategy_by_name`]
-//!   resolves registered names);
+//!   ([`strategies::BayesBatchStrategy`]), behind one trait,
+//!   [`strategies::DistStrategy`]: each strategy is written once against
+//!   [`exec::Executor`] and runs unchanged on every comm backend
+//!   ([`strategies::strategy_by_name`] resolves registered names,
+//!   [`strategies::select_serial`] is the `p = 1` call);
 //! * [`dispatch`] — request → strategy dispatch with per-request stats
 //!   accounting ([`dispatch::SelectRequest`] / [`dispatch::dispatch_select`]),
 //!   the metering entry point the serving layer (`firal-serve`) and the
@@ -39,8 +38,6 @@
 //!   delta-Allreduce of changed partial sums) instead of rebuilt per
 //!   round — see ARCHITECTURE.md § "Streaming round state" for ownership,
 //!   invalidation, and the drift/refactor contract;
-//! * [`parallel`] — thin SPMD-flavoured wrappers over [`exec`] for callers
-//!   that hold a communicator directly;
 //! * [`timing`] — the phase timers behind the Figs. 5–7 breakdowns.
 //!
 //! The repo-root `ARCHITECTURE.md` maps paper sections/equations to these
@@ -56,9 +53,7 @@ pub mod exact;
 pub mod exec;
 pub mod hessian;
 pub mod objective;
-pub mod parallel;
 pub mod problem;
-pub mod relax;
 pub mod round;
 pub mod strategies;
 pub mod stream;
@@ -68,20 +63,15 @@ pub use config::{
     BayesBatchConfig, FiralConfig, MirrorDescentConfig, RelaxConfig, RoundConfig, UpalConfig,
 };
 pub use dispatch::{dispatch_select, SelectReport, SelectRequest};
-pub use driver::{run_experiment, run_experiment_named, ExperimentResult, RoundRecord};
+pub use driver::{run_experiment, ExperimentResult, RoundRecord};
 pub use exact::{exact_firal, exact_relax, exact_round, RelaxTelemetry};
 pub use exec::{EtaGroupGeometry, Executor, RelaxRun, RoundRun, RoundState, ShardedProblem};
-pub use parallel::{
-    parallel_approx_firal_grouped, parallel_select, parallel_select_by_name, GroupedFiralRun,
-    ParallelSelectRun,
-};
 pub use problem::SelectionProblem;
-pub use relax::{fast_relax, RelaxOutput};
-pub use round::{diag_round, diag_round_with_eig, select_eta, EigSolver, RoundOutput};
+pub use round::EigSolver;
 pub use strategies::{
     select_serial, strategy_by_name, ApproxFiral, BayesBatchStrategy, DistStrategy,
     EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy, SelectError, SelectionRun,
-    Strategy, UpalStrategy, STRATEGY_NAMES,
+    UpalStrategy, STRATEGY_NAMES,
 };
 pub use stream::{PoolUpdate, StreamCommit, StreamingState};
 pub use timing::PhaseTimer;

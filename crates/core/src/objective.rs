@@ -104,31 +104,14 @@ pub fn estimated_objective<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::tiny_problem;
     use firal_solvers::rademacher_panel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn tiny_problem(seed: u64) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(3, 4)
-            .with_pool_size(40)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            3,
-        )
-    }
-
     #[test]
     fn objective_decreases_with_more_weight() {
-        let p = tiny_problem(1);
+        let p = tiny_problem(1, 40, 4, 3);
         let n = p.pool_size();
         let f_small = exact_objective(&p, &vec![0.1; n]);
         let f_large = exact_objective(&p, &vec![10.0; n]);
@@ -141,7 +124,7 @@ mod tests {
 
     #[test]
     fn selection_objective_matches_indicator_weights() {
-        let p = tiny_problem(2);
+        let p = tiny_problem(2, 40, 4, 3);
         let sel = vec![0usize, 3, 7];
         let f1 = selection_objective(&p, &sel);
         let mut z = vec![0.0; p.pool_size()];
@@ -154,7 +137,7 @@ mod tests {
 
     #[test]
     fn estimate_tracks_exact_objective() {
-        let p = tiny_problem(3);
+        let p = tiny_problem(3, 40, 4, 3);
         let n = p.pool_size();
         let z = vec![3.0 / n as f64; n];
         let exact = exact_objective(&p, &z);

@@ -76,6 +76,28 @@ impl<T: Scalar> SelectionProblem<T> {
 }
 
 #[cfg(test)]
+/// The crate's unit-test fixture: a seeded synthetic mixture (`c` classes in
+/// `d` dimensions, `n` pool points, two labeled points per class) with the
+/// probability panels of a classifier fitted on the labeled set.
+pub(crate) fn tiny_problem(seed: u64, n: usize, d: usize, c: usize) -> SelectionProblem<f64> {
+    let ds = firal_data::SyntheticConfig::new(c, d)
+        .with_pool_size(n)
+        .with_initial_per_class(2)
+        .with_seed(seed)
+        .generate::<f64>();
+    let model =
+        firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
+            .unwrap();
+    SelectionProblem::new(
+        ds.pool_features.clone(),
+        model.class_probs_cm1(&ds.pool_features),
+        ds.initial_features.clone(),
+        model.class_probs_cm1(&ds.initial_features),
+        c,
+    )
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -1,12 +1,9 @@
-//! Diagonal ROUND solver (Algorithm 3) — serial entry points and the
-//! replicated FTRL state.
+//! Diagonal ROUND solver (Algorithm 3) — the replicated FTRL state.
 //!
 //! The FTRL iteration itself is implemented **once**, communicator-
-//! generically, in [`crate::exec::Executor::round`]; [`diag_round`] and
-//! friends instantiate it over [`firal_comm::SelfComm`] on the trivial full
-//! shard. This module keeps what every instantiation shares: the state the
-//! loop carries and the `O(cd²)`–`O(ncd²)` arithmetic on it, none of which
-//! communicates.
+//! generically, in [`crate::exec::Executor::round`]. This module keeps what
+//! every rank count shares: the state the loop carries and the
+//! `O(cd²)`–`O(ncd²)` arithmetic on it, none of which communicates.
 //!
 //! # Whitened coordinates
 //!
@@ -40,17 +37,13 @@
 //! flops next to the pool products (factor `M_k`, `N_k⁻¹`,
 //! `R_k⁻¹ = N_k⁻¹L_k⁻¹`, a third each) in one `2d²` scratch.
 //!
-//! Also here: the Line-9 eigensolver choice ([`EigSolver`], `pad_spectrum`)
-//! and the η-selection criterion of §IV-A ([`selection_min_eig`]).
+//! Also here: the Line-9 eigensolver choice ([`EigSolver`], `pad_spectrum`).
 //!
 //! Storage is `O(n(d+c) + cd²)` and compute `O(bncd²)` (Table II).
 
-use firal_comm::{CommScalar, SelfComm};
 use firal_linalg::{counters, gemm, gemm_at_b, invert_lower, BlockDiag, Matrix, QuadSweep, Scalar};
 
-use crate::exec::{Executor, RoundState, ShardedProblem};
-use crate::problem::SelectionProblem;
-use crate::timing::PhaseTimer;
+use crate::exec::RoundState;
 
 /// Which eigensolver backs Line 9 of Algorithm 3.
 ///
@@ -77,17 +70,6 @@ pub enum EigSolver {
 pub(crate) fn pad_spectrum<T: Scalar>(ritz: &[T], d: usize) -> Vec<T> {
     assert!(!ritz.is_empty());
     (0..d).map(|i| ritz[i * ritz.len() / d]).collect()
-}
-
-/// Result of a diagonal ROUND solve.
-#[derive(Debug, Clone)]
-pub struct RoundOutput<T> {
-    /// Selected pool indices (distinct, in selection order).
-    pub selected: Vec<usize>,
-    /// The η used (input or grid-selected).
-    pub eta: T,
-    /// Phase breakdown (objective / eig / other).
-    pub timer: PhaseTimer,
 }
 
 /// The η-independent whitening prologue of a ROUND sweep: per block the
@@ -253,91 +235,22 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     }
 }
 
-/// Run Algorithm 3 with a fixed η and the exact per-block eigensolver.
-pub fn diag_round<T: CommScalar>(
-    problem: &SelectionProblem<T>,
-    z_diamond: &[T],
-    budget: usize,
-    eta: T,
-) -> RoundOutput<T> {
-    diag_round_with_eig(problem, z_diamond, budget, eta, EigSolver::Exact)
-}
-
-/// Run Algorithm 3 with a fixed η and a configurable Line-9 eigensolver.
-pub fn diag_round_with_eig<T: CommScalar>(
-    problem: &SelectionProblem<T>,
-    z_diamond: &[T],
-    budget: usize,
-    eta: T,
-    eig: EigSolver,
-) -> RoundOutput<T> {
-    assert_eq!(z_diamond.len(), problem.pool_size(), "z length mismatch");
-    let comm = SelfComm::new();
-    let shard = ShardedProblem::replicate(problem);
-    let run = Executor::serial(&comm, &shard).round(z_diamond, budget, eta, eig);
-    RoundOutput {
-        selected: run.selected,
-        eta: run.eta,
-        timer: run.timer,
-    }
-}
-
-/// The paper's η-selection criterion (§IV-A): the smallest block eigenvalue
-/// of the selected points' Hessian sum, `min_k λ_min(Σ_{i∈sel} g_ik x_ix_iᵀ)`
-/// — the `p = 1` instantiation of [`Executor::selection_min_eig`].
-pub fn selection_min_eig<T: CommScalar>(problem: &SelectionProblem<T>, selected: &[usize]) -> T {
-    let comm = SelfComm::new();
-    let shard = ShardedProblem::replicate(problem);
-    Executor::serial(&comm, &shard).selection_min_eig(selected)
-}
-
-/// Run ROUND for every η in `grid · √ê` and keep the run maximizing
-/// [`selection_min_eig`] — "we execute the ROUND step with different η
-/// values, and then select the one that maximizes min_k λ_min(H)_k" (§IV-A).
-pub fn select_eta<T: CommScalar>(
-    problem: &SelectionProblem<T>,
-    z_diamond: &[T],
-    budget: usize,
-    grid: &[T],
-) -> RoundOutput<T> {
-    let comm = SelfComm::new();
-    let shard = ShardedProblem::replicate(problem);
-    let run = Executor::serial(&comm, &shard).select_eta(z_diamond, budget, grid);
-    RoundOutput {
-        selected: run.selected,
-        eta: run.eta,
-        timer: run.timer,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RelaxConfig;
+    use crate::exec::{Executor, ShardedProblem};
     use crate::hessian::{dense_hessian, PoolHessian};
-
-    fn tiny_problem(seed: u64, n: usize, d: usize, c: usize) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(c, d)
-            .with_pool_size(n)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            c,
-        )
-    }
+    use crate::problem::{tiny_problem, SelectionProblem};
+    use firal_comm::SelfComm;
 
     #[test]
     fn selects_distinct_points_within_budget() {
         let p = tiny_problem(1, 50, 4, 3);
         let z = vec![6.0 / 50.0; 50];
-        let out = diag_round(&p, &z, 6, 8.0 * (p.ehat() as f64).sqrt());
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let eta = 8.0 * (p.ehat() as f64).sqrt();
+        let out = Executor::new(&comm, &shard).round(&z, 6, eta, EigSolver::Exact);
         assert_eq!(out.selected.len(), 6);
         let mut sorted = out.selected.clone();
         sorted.sort_unstable();
@@ -370,7 +283,7 @@ mod tests {
         // The whitened score function at t = 1, budget 3 (M = √ê·I + (η/3)·C_o).
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&p);
-        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        let state = Executor::new(&comm, &shard).build_round_state(&z);
         let white = Whitening::new(&state);
         let mut scores = vec![0.0; n];
         WhitenedFtrl::new(&white, 3, eta).scores(&p.pool_x, &mut scores);
@@ -403,7 +316,8 @@ mod tests {
     fn eta_grid_selection_returns_valid_run() {
         let p = tiny_problem(3, 40, 3, 3);
         let z = vec![4.0 / 40.0; 40];
-        let out = select_eta(&p, &z, 4, &[1.0, 4.0, 16.0]);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).select_eta(&z, 4, &[1.0, 4.0, 16.0]);
         assert_eq!(out.selected.len(), 4);
         assert!(out.eta > 0.0);
     }
@@ -412,9 +326,12 @@ mod tests {
     fn selection_min_eig_grows_with_more_points() {
         let p = tiny_problem(4, 30, 3, 3);
         let z = vec![8.0 / 30.0; 30];
-        let out = diag_round(&p, &z, 8, 8.0 * (p.ehat() as f64).sqrt());
-        let m4 = selection_min_eig(&p, &out.selected[..4]);
-        let m8 = selection_min_eig(&p, &out.selected);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let exec = Executor::new(&comm, &shard);
+        let eta = 8.0 * (p.ehat() as f64).sqrt();
+        let out = exec.round(&z, 8, eta, EigSolver::Exact);
+        let m4 = exec.selection_min_eig(&out.selected[..4]);
+        let m8 = exec.selection_min_eig(&out.selected);
         assert!(m8 >= m4 - 1e-12, "adding PSD terms cannot shrink λ_min");
     }
 
@@ -439,8 +356,11 @@ mod tests {
             model.class_probs_cm1(&ds.initial_features),
             4,
         );
-        let relax = crate::relax::fast_relax(&p, 4, &crate::config::RelaxConfig::default());
-        let out = diag_round(&p, &relax.z_diamond, 4, 8.0 * (p.ehat() as f64).sqrt());
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let exec = Executor::new(&comm, &shard);
+        let relax = exec.relax(4, &RelaxConfig::default());
+        let eta = 8.0 * (p.ehat() as f64).sqrt();
+        let out = exec.round(&relax.z_local, 4, eta, EigSolver::Exact);
         let classes: std::collections::BTreeSet<usize> =
             out.selected.iter().map(|&i| ds.pool_labels[i]).collect();
         assert!(
@@ -457,12 +377,14 @@ mod tests {
         let p = tiny_problem(7, 40, 6, 3);
         let z = vec![5.0 / 40.0; 40];
         let eta = 4.0 * (p.ehat() as f64).sqrt();
-        let exact = diag_round(&p, &z, 5, eta);
-        let lanczos = diag_round_with_eig(&p, &z, 5, eta, EigSolver::Lanczos { steps: 6 });
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let exec = Executor::new(&comm, &shard);
+        let exact = exec.round(&z, 5, eta, EigSolver::Exact);
+        let lanczos = exec.round(&z, 5, eta, EigSolver::Lanczos { steps: 6 });
         assert_eq!(exact.selected, lanczos.selected);
         // With an aggressive (tiny) Krylov dimension, selections may drift
         // but must remain a valid batch.
-        let rough = diag_round_with_eig(&p, &z, 5, eta, EigSolver::Lanczos { steps: 2 });
+        let rough = exec.round(&z, 5, eta, EigSolver::Lanczos { steps: 2 });
         assert_eq!(rough.selected.len(), 5);
         let mut sorted = rough.selected.clone();
         sorted.sort_unstable();
@@ -514,7 +436,8 @@ mod tests {
     fn timer_covers_round_phases() {
         let p = tiny_problem(6, 20, 3, 3);
         let z = vec![2.0 / 20.0; 20];
-        let out = diag_round(&p, &z, 2, 10.0);
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
+        let out = Executor::new(&comm, &shard).round(&z, 2, 10.0, EigSolver::Exact);
         for phase in ["objective", "eig", "other"] {
             assert!(
                 out.timer.phases().any(|(n, _)| n == phase),

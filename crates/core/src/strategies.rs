@@ -1,16 +1,12 @@
-//! Batch selection strategies behind two traits.
+//! Batch selection strategies behind one trait.
 //!
-//! [`Strategy`] is the serial surface the §IV-A experiment driver consumes:
-//! `select(problem, budget, seed)` on a full [`SelectionProblem`].
-//! [`DistStrategy`] is the *executor-generic* surface underneath it: the
-//! strategy sees one rank's [`Executor`] (communicator endpoint + shard
-//! geometry) and every cross-point reduction goes through the §III-C
+//! A [`DistStrategy`] sees one rank's [`Executor`] (communicator endpoint +
+//! shard geometry) and every cross-point reduction goes through the §III-C
 //! collectives — so each strategy is written **once** and runs unchanged on
 //! `SelfComm`, `ThreadComm` threads, or `SocketComm` processes, exactly
-//! like the RELAX/ROUND solvers. Every serial `Strategy::select` here is
-//! the `p = 1` instantiation of its own `select_dist` (a [`SelfComm`]
-//! executor over the trivial shard); there is no second copy of any
-//! selection rule.
+//! like the RELAX/ROUND solvers. A serial selection on a full
+//! [`SelectionProblem`] is [`select_serial`]: the `p = 1` call of the same
+//! `select_dist` (a [`SelfComm`] executor over the trivial shard).
 //!
 //! The roster (paper §IV-A plus the two PAPERS.md extensions):
 //!
@@ -109,42 +105,8 @@ pub struct SelectionRun {
     pub comm: CommStats,
 }
 
-/// A batch active-learning selection strategy (serial surface).
-///
-/// `problem` carries the pool/labeled panels and classifier probabilities;
-/// `budget` is the batch size `b`; `seed` controls any internal randomness
-/// (Random, K-Means and UPAL are the stochastic strategies the paper-style
-/// harnesses average over trials; the others are deterministic given the
-/// probe seed).
-pub trait Strategy<T: Scalar> {
-    /// Human-readable name (matches the paper's figure legends).
-    fn name(&self) -> &'static str;
-
-    /// Pick `budget` distinct pool indices.
-    fn select(
-        &self,
-        problem: &SelectionProblem<T>,
-        budget: usize,
-        seed: u64,
-    ) -> Result<Vec<usize>, SelectError>;
-
-    /// [`Strategy::select`] plus the communication record of the run.
-    /// Strategies routed through the execution layer report real
-    /// [`CommStats`]; the default reports zeros.
-    fn select_with_stats(
-        &self,
-        problem: &SelectionProblem<T>,
-        budget: usize,
-        seed: u64,
-    ) -> Result<SelectionRun, SelectError> {
-        Ok(SelectionRun {
-            selected: self.select(problem, budget, seed)?,
-            comm: CommStats::default(),
-        })
-    }
-}
-
-/// A strategy written against the execution layer: one rank's view.
+/// A batch active-learning selection strategy, written against the
+/// execution layer: one rank's view.
 ///
 /// The contract mirrors [`Executor`]: every rank of the executor's
 /// communicator calls `select_dist` collectively, each holding its
@@ -153,9 +115,15 @@ pub trait Strategy<T: Scalar> {
 /// returns the identical `budget` **global** pool indices. All cross-point
 /// reductions go through the communicator's collectives, so one
 /// implementation serves the serial path and every SPMD backend.
-pub trait DistStrategy<T: CommScalar>: Strategy<T> {
+pub trait DistStrategy<T: CommScalar> {
+    /// Human-readable name (matches the paper's figure legends).
+    fn name(&self) -> &'static str;
+
     /// Pick `budget` distinct global pool indices on one rank of an SPMD
-    /// group (identical result on every rank).
+    /// group (identical result on every rank). `budget` is the batch size
+    /// `b`; `seed` controls any internal randomness (Random, K-Means and
+    /// UPAL are the stochastic strategies the paper-style harnesses average
+    /// over trials; the others are deterministic given the probe seed).
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -184,8 +152,7 @@ pub trait DistStrategy<T: CommScalar>: Strategy<T> {
 
 /// Run a [`DistStrategy`] serially: the `p = 1` instantiation over a fresh
 /// [`SelfComm`] and the trivial full shard, returning the selection plus
-/// the (no-op but counted) collective record. Every serial
-/// [`Strategy::select`] in this module routes through here.
+/// the (no-op but counted) collective record.
 pub fn select_serial<T: CommScalar, S: DistStrategy<T> + ?Sized>(
     strategy: &S,
     problem: &SelectionProblem<T>,
@@ -194,42 +161,12 @@ pub fn select_serial<T: CommScalar, S: DistStrategy<T> + ?Sized>(
 ) -> Result<SelectionRun, SelectError> {
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(problem);
-    let exec = Executor::serial(&comm, &shard);
+    let exec = Executor::new(&comm, &shard);
     let selected = strategy.select_dist(&exec, budget, seed)?;
     Ok(SelectionRun {
         selected,
         comm: comm.stats(),
     })
-}
-
-/// Implement the serial [`Strategy`] surface as the `p = 1` instantiation
-/// of the type's [`DistStrategy`] implementation.
-macro_rules! strategy_via_dist {
-    ($ty:ty, $name:literal) => {
-        impl<T: CommScalar> Strategy<T> for $ty {
-            fn name(&self) -> &'static str {
-                $name
-            }
-
-            fn select(
-                &self,
-                problem: &SelectionProblem<T>,
-                budget: usize,
-                seed: u64,
-            ) -> Result<Vec<usize>, SelectError> {
-                Ok(self.select_with_stats(problem, budget, seed)?.selected)
-            }
-
-            fn select_with_stats(
-                &self,
-                problem: &SelectionProblem<T>,
-                budget: usize,
-                seed: u64,
-            ) -> Result<SelectionRun, SelectError> {
-                select_serial(self, problem, budget, seed)
-            }
-        }
-    };
 }
 
 /// Shared budget validation: empty pools and zero budgets get their
@@ -303,9 +240,11 @@ fn pseudo_label<T: Scalar>(h: &[T]) -> usize {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomStrategy;
 
-strategy_via_dist!(RandomStrategy, "Random");
-
 impl<T: CommScalar> DistStrategy<T> for RandomStrategy {
+    fn name(&self) -> &'static str {
+        "Random"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -333,9 +272,11 @@ impl<T: CommScalar> DistStrategy<T> for RandomStrategy {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KMeansStrategy;
 
-strategy_via_dist!(KMeansStrategy, "K-Means");
-
 impl<T: CommScalar> DistStrategy<T> for KMeansStrategy {
+    fn name(&self) -> &'static str {
+        "K-Means"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -382,9 +323,11 @@ impl EntropyStrategy {
     }
 }
 
-strategy_via_dist!(EntropyStrategy, "Entropy");
-
 impl<T: CommScalar> DistStrategy<T> for EntropyStrategy {
+    fn name(&self) -> &'static str {
+        "Entropy"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -436,11 +379,14 @@ impl<T: CommScalar> ExactFiral<T> {
         match self.round.eta {
             Some(eta) => exact_round(problem, &z, budget, eta),
             None => {
-                // Grid rule on the exact ROUND, mirroring §IV-A.
+                // Grid rule on the exact ROUND, mirroring §IV-A; the
+                // criterion is the executor's, on the replicated problem.
+                let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(problem));
+                let exec = Executor::new(&comm, &shard);
                 let mut best: Option<(T, Vec<usize>)> = None;
                 for &mult in &self.round.eta_grid {
                     let sel = exact_round(problem, &z, budget, mult * scale);
-                    let crit = crate::round::selection_min_eig(problem, &sel);
+                    let crit = exec.selection_min_eig(&sel);
                     match &best {
                         Some((c, _)) if *c >= crit => {}
                         _ => best = Some((crit, sel)),
@@ -452,9 +398,11 @@ impl<T: CommScalar> ExactFiral<T> {
     }
 }
 
-strategy_via_dist!(ExactFiral<T>, "Exact-FIRAL");
-
 impl<T: CommScalar> DistStrategy<T> for ExactFiral<T> {
+    fn name(&self) -> &'static str {
+        "Exact-FIRAL"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -483,9 +431,11 @@ impl<T: Scalar> ApproxFiral<T> {
     }
 }
 
-strategy_via_dist!(ApproxFiral<T>, "Approx-FIRAL");
-
 impl<T: CommScalar> DistStrategy<T> for ApproxFiral<T> {
+    fn name(&self) -> &'static str {
+        "Approx-FIRAL"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -542,8 +492,6 @@ impl<T: Scalar> UpalStrategy<T> {
         Self { config }
     }
 }
-
-strategy_via_dist!(UpalStrategy<T>, "UPAL");
 
 impl<T: CommScalar> UpalStrategy<T> {
     fn select_impl(
@@ -663,6 +611,10 @@ impl<T: CommScalar> UpalStrategy<T> {
 }
 
 impl<T: CommScalar> DistStrategy<T> for UpalStrategy<T> {
+    fn name(&self) -> &'static str {
+        "UPAL"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -708,8 +660,6 @@ impl<T: Scalar> BayesBatchStrategy<T> {
         Self { config }
     }
 }
-
-strategy_via_dist!(BayesBatchStrategy<T>, "Bayes-Batch");
 
 impl<T: CommScalar> BayesBatchStrategy<T> {
     fn select_impl(&self, exec: &Executor<'_, T>, budget: usize) -> Vec<usize> {
@@ -846,6 +796,10 @@ impl<T: CommScalar> BayesBatchStrategy<T> {
 }
 
 impl<T: CommScalar> DistStrategy<T> for BayesBatchStrategy<T> {
+    fn name(&self) -> &'static str {
+        "Bayes-Batch"
+    }
+
     fn select_dist(
         &self,
         exec: &Executor<'_, T>,
@@ -858,8 +812,7 @@ impl<T: CommScalar> DistStrategy<T> for BayesBatchStrategy<T> {
 }
 
 /// The names [`strategy_by_name`] resolves (kebab-case, the stable CLI /
-/// config surface of the benches, `spmd_launch` workloads and
-/// [`crate::driver::run_experiment_named`]).
+/// config surface of the benches, `spmd_launch` workloads and the server).
 pub const STRATEGY_NAMES: [&str; 7] = [
     "random",
     "kmeans",
@@ -870,44 +823,32 @@ pub const STRATEGY_NAMES: [&str; 7] = [
     "bayes-batch",
 ];
 
-/// Resolve a registered strategy (default configuration) by name. Every
-/// returned strategy implements both the serial and the distributed
-/// surface. `None` for names outside [`STRATEGY_NAMES`].
-pub fn strategy_by_name<T: CommScalar>(name: &str) -> Option<Box<dyn DistStrategy<T>>> {
-    match name {
-        "random" => Some(Box::new(RandomStrategy)),
-        "kmeans" | "k-means" => Some(Box::new(KMeansStrategy)),
-        "entropy" => Some(Box::new(EntropyStrategy)),
-        "exact-firal" => Some(Box::new(ExactFiral::default())),
-        "approx-firal" => Some(Box::new(ApproxFiral::default())),
-        "upal" => Some(Box::new(UpalStrategy::default())),
-        "bayes-batch" => Some(Box::new(BayesBatchStrategy::default())),
-        _ => None,
-    }
+/// Resolve a registered strategy (default configuration) by name;
+/// [`SelectError::UnknownStrategy`] for names outside [`STRATEGY_NAMES`].
+pub fn strategy_by_name<T: CommScalar>(
+    name: &str,
+) -> Result<Box<dyn DistStrategy<T>>, SelectError> {
+    Ok(match name {
+        "random" => Box::new(RandomStrategy),
+        "kmeans" | "k-means" => Box::new(KMeansStrategy),
+        "entropy" => Box::new(EntropyStrategy),
+        "exact-firal" => Box::new(ExactFiral::default()),
+        "approx-firal" => Box::new(ApproxFiral::default()),
+        "upal" => Box::new(UpalStrategy::default()),
+        "bayes-batch" => Box::new(BayesBatchStrategy::default()),
+        _ => {
+            return Err(SelectError::UnknownStrategy {
+                name: name.to_string(),
+            })
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::tiny_problem;
     use firal_comm::launch;
-
-    fn tiny_problem(seed: u64) -> SelectionProblem<f64> {
-        let ds = firal_data::SyntheticConfig::new(3, 4)
-            .with_pool_size(60)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            3,
-        )
-    }
 
     fn assert_valid_selection(sel: &[usize], budget: usize, pool: usize) {
         assert_eq!(sel.len(), budget);
@@ -927,19 +868,18 @@ mod tests {
 
     #[test]
     fn all_strategies_return_valid_selections() {
-        let p = tiny_problem(1);
+        let p = tiny_problem(1, 60, 4, 3);
         for s in &all_strategies() {
-            let sel = s
-                .select(&p, 5, 42)
+            let run = select_serial(s.as_ref(), &p, 5, 42)
                 .unwrap_or_else(|e| panic!("{}: {e}", s.name()));
-            assert_valid_selection(&sel, 5, 60);
+            assert_valid_selection(&run.selected, 5, 60);
         }
     }
 
     #[test]
     fn budget_too_large_is_rejected() {
-        let p = tiny_problem(2);
-        let err = Strategy::<f64>::select(&RandomStrategy, &p, 100, 0);
+        let p = tiny_problem(2, 60, 4, 3);
+        let err = select_serial(&RandomStrategy, &p, 100, 0).map(|run| run.selected);
         assert!(matches!(
             err,
             Err(SelectError::BudgetTooLarge {
@@ -951,7 +891,7 @@ mod tests {
 
     #[test]
     fn zero_budget_and_empty_pool_are_rejected_by_every_strategy() {
-        let p = tiny_problem(6);
+        let p = tiny_problem(6, 60, 4, 3);
         let empty = SelectionProblem::new(
             Matrix::<f64>::zeros(0, 4),
             Matrix::zeros(0, 2),
@@ -960,39 +900,42 @@ mod tests {
             3,
         );
         for s in &all_strategies() {
+            let select = |problem: &SelectionProblem<f64>, budget: usize| {
+                select_serial(s.as_ref(), problem, budget, 1).map(|run| run.selected)
+            };
             assert_eq!(
-                s.select(&p, 0, 1),
+                select(&p, 0),
                 Err(SelectError::ZeroBudget),
                 "{}: zero budget must be rejected",
                 s.name()
             );
             assert_eq!(
-                s.select(&empty, 3, 1),
+                select(&empty, 3),
                 Err(SelectError::EmptyPool),
                 "{}: empty pool must be rejected",
                 s.name()
             );
             // Empty pool wins over zero budget: there is nothing to select
             // from either way, and the pool error is the more fundamental.
-            assert_eq!(s.select(&empty, 0, 1), Err(SelectError::EmptyPool));
+            assert_eq!(select(&empty, 0), Err(SelectError::EmptyPool));
         }
     }
 
     #[test]
     fn random_depends_on_seed_entropy_does_not() {
-        let p = tiny_problem(3);
-        let r1 = Strategy::<f64>::select(&RandomStrategy, &p, 5, 1).unwrap();
-        let r2 = Strategy::<f64>::select(&RandomStrategy, &p, 5, 2).unwrap();
+        let p = tiny_problem(3, 60, 4, 3);
+        let r1 = select_serial(&RandomStrategy, &p, 5, 1).unwrap().selected;
+        let r2 = select_serial(&RandomStrategy, &p, 5, 2).unwrap().selected;
         assert_ne!(r1, r2, "different seeds should differ (w.h.p.)");
-        let e1 = Strategy::<f64>::select(&EntropyStrategy, &p, 5, 1).unwrap();
-        let e2 = Strategy::<f64>::select(&EntropyStrategy, &p, 5, 2).unwrap();
+        let e1 = select_serial(&EntropyStrategy, &p, 5, 1).unwrap().selected;
+        let e2 = select_serial(&EntropyStrategy, &p, 5, 2).unwrap().selected;
         assert_eq!(e1, e2, "entropy is deterministic");
     }
 
     #[test]
     fn entropy_selects_most_uncertain() {
-        let p = tiny_problem(4);
-        let sel = Strategy::<f64>::select(&EntropyStrategy, &p, 3, 0).unwrap();
+        let p = tiny_problem(4, 60, 4, 3);
+        let sel = select_serial(&EntropyStrategy, &p, 3, 0).unwrap().selected;
         let ents = EntropyStrategy::entropies(&p.pool_h);
         let min_selected = sel.iter().map(|&i| ents[i]).fold(f64::INFINITY, f64::min);
         let max_unselected = (0..p.pool_size())
@@ -1005,12 +948,14 @@ mod tests {
     #[test]
     fn approx_firal_on_fisher_objective_beats_random() {
         use crate::objective::selection_objective;
-        let p = tiny_problem(5);
-        let firal_sel = Strategy::<f64>::select(&ApproxFiral::default(), &p, 6, 0).unwrap();
+        let p = tiny_problem(5, 60, 4, 3);
+        let firal_sel = select_serial(&ApproxFiral::default(), &p, 6, 0)
+            .unwrap()
+            .selected;
         let f_firal = selection_objective(&p, &firal_sel);
         let mut rand_sum = 0.0;
         for s in 0..6 {
-            let sel = Strategy::<f64>::select(&RandomStrategy, &p, 6, s).unwrap();
+            let sel = select_serial(&RandomStrategy, &p, 6, s).unwrap().selected;
             rand_sum += selection_objective(&p, &sel);
         }
         let f_rand = rand_sum / 6.0;
@@ -1024,10 +969,10 @@ mod tests {
     fn serial_select_reports_collective_traffic() {
         // The SelfComm instantiation still counts its (no-op) collectives:
         // the strategies genuinely route through the comm layer.
-        let p = tiny_problem(7);
+        let p = tiny_problem(7, 60, 4, 3);
         for name in ["entropy", "upal", "bayes-batch"] {
             let s = strategy_by_name::<f64>(name).unwrap();
-            let run = s.select_with_stats(&p, 4, 0).unwrap();
+            let run = select_serial(s.as_ref(), &p, 4, 0).unwrap();
             assert_eq!(run.selected.len(), 4);
             assert!(
                 run.comm.total_calls() > 0,
@@ -1038,24 +983,24 @@ mod tests {
 
     #[test]
     fn upal_seed_varies_and_weights_stay_bounded() {
-        let p = tiny_problem(8);
+        let p = tiny_problem(8, 60, 4, 3);
         let s = UpalStrategy::<f64>::default();
-        let a = Strategy::<f64>::select(&s, &p, 6, 1).unwrap();
-        let b = Strategy::<f64>::select(&s, &p, 6, 2).unwrap();
+        let a = select_serial(&s, &p, 6, 1).unwrap().selected;
+        let b = select_serial(&s, &p, 6, 2).unwrap().selected;
         assert_valid_selection(&a, 6, 60);
         assert_valid_selection(&b, 6, 60);
         assert_ne!(a, b, "different seeds should move the sampler (w.h.p.)");
         // And the same seed reproduces the identical batch.
-        let a2 = Strategy::<f64>::select(&s, &p, 6, 1).unwrap();
+        let a2 = select_serial(&s, &p, 6, 1).unwrap().selected;
         assert_eq!(a, a2);
     }
 
     #[test]
     fn bayes_batch_is_deterministic_and_spreads_over_classes() {
-        let p = tiny_problem(9);
+        let p = tiny_problem(9, 60, 4, 3);
         let s = BayesBatchStrategy::<f64>::default();
-        let a = Strategy::<f64>::select(&s, &p, 6, 1).unwrap();
-        let b = Strategy::<f64>::select(&s, &p, 6, 99).unwrap();
+        let a = select_serial(&s, &p, 6, 1).unwrap().selected;
+        let b = select_serial(&s, &p, 6, 99).unwrap().selected;
         assert_valid_selection(&a, 6, 60);
         assert_eq!(a, b, "Bayes-Batch ignores the seed");
     }
@@ -1064,8 +1009,10 @@ mod tests {
     fn bayes_batch_first_pick_maximizes_alignment_with_pool_target() {
         // With a = 0 the first FW score is ⟨ψ_i, t⟩/σ_i; verify the pick
         // against a dense recomputation of the embeddings.
-        let p = tiny_problem(10);
-        let sel = Strategy::<f64>::select(&BayesBatchStrategy::default(), &p, 1, 0).unwrap();
+        let p = tiny_problem(10, 60, 4, 3);
+        let sel = select_serial(&BayesBatchStrategy::default(), &p, 1, 0)
+            .unwrap()
+            .selected;
         let n = p.pool_size();
         let d = p.dim();
         let cm1 = p.nblocks();
@@ -1101,10 +1048,15 @@ mod tests {
     fn registry_resolves_every_name_and_rejects_unknown() {
         for name in STRATEGY_NAMES {
             let s = strategy_by_name::<f64>(name).unwrap();
-            assert!(!Strategy::<f64>::name(s.as_ref()).is_empty());
-            assert!(strategy_by_name::<f32>(name).is_some(), "{name} in f32");
+            assert!(!s.name().is_empty());
+            assert!(strategy_by_name::<f32>(name).is_ok(), "{name} in f32");
         }
-        assert!(strategy_by_name::<f64>("no-such-strategy").is_none());
+        assert_eq!(
+            strategy_by_name::<f64>("no-such-strategy").err(),
+            Some(SelectError::UnknownStrategy {
+                name: "no-such-strategy".into()
+            })
+        );
     }
 
     #[test]
@@ -1113,12 +1065,11 @@ mod tests {
         // equal the serial SelfComm selection (the full backend × rank
         // matrix for the new strategies lives in
         // tests/parallel_consistency.rs).
-        let p = tiny_problem(11);
+        let p = tiny_problem(11, 60, 4, 3);
         for name in STRATEGY_NAMES {
-            let serial = strategy_by_name::<f64>(name)
+            let serial = select_serial(strategy_by_name::<f64>(name).unwrap().as_ref(), &p, 4, 5)
                 .unwrap()
-                .select(&p, 4, 5)
-                .unwrap();
+                .selected;
             let results = launch(2, |comm| {
                 let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
                 let exec = Executor::new(comm, &shard);

@@ -206,11 +206,6 @@ impl<T: CommScalar> StreamingState<T> {
         self.labeled_x.rows()
     }
 
-    /// Current pool version (one bump per committed batch).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Stable ids of the live points in insertion order.
     pub fn ids(&self) -> Vec<u64> {
         self.points.iter().map(|p| p.id).collect()
@@ -329,7 +324,6 @@ impl<T: CommScalar> StreamingState<T> {
             gik.row_mut(row).copy_from_slice(&self.points[i].g);
         }
         RoundState {
-            version: self.version,
             bho: self.bho.clone(),
             sigma: self.sigma.clone(),
             sigma_chol: self.sigma_chol.clone(),
@@ -511,25 +505,10 @@ mod tests {
     use super::*;
     use crate::config::RelaxConfig;
     use firal_comm::SelfComm;
-    use firal_data::SyntheticConfig;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn tiny(seed: u64, n: usize, d: usize, c: usize) -> (SelectionProblem<f64>, Vec<f64>) {
-        let ds = SyntheticConfig::new(c, d)
-            .with_pool_size(n)
-            .with_initial_per_class(2)
-            .with_seed(seed)
-            .generate::<f64>();
-        let model =
-            firal_logreg::LogisticRegression::fit_default(&ds.initial_features, &ds.initial_labels)
-                .unwrap();
-        let problem = SelectionProblem::new(
-            ds.pool_features.clone(),
-            model.class_probs_cm1(&ds.pool_features),
-            ds.initial_features.clone(),
-            model.class_probs_cm1(&ds.initial_features),
-            c,
-        );
+        let problem = crate::problem::tiny_problem(seed, n, d, c);
         // Plausible z⋄-style weights: positive, O(b/n)-scaled.
         let weights: Vec<f64> = (0..n).map(|i| 0.05 + 0.01 * (i % 7) as f64).collect();
         (problem, weights)

@@ -190,7 +190,8 @@ fn proposition4_score_ordering_matches_trace_objective() {
     let n = problem.pool_size();
     let z = vec![2.0 / n as f64; n];
     let eta = 4.0 * (problem.ehat() as f64).sqrt();
-    let algo = firal_core::diag_round(&problem, &z, 1, eta);
+    let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+    let algo = Executor::new(&comm, &shard).round(&z, 1, eta, EigSolver::Exact);
 
     // Brute force r_i = Tr[(B₁ + ηB(H_i))⁻¹ Σ⋄] over the block-diagonal
     // matrices.
@@ -381,7 +382,7 @@ fn whitened_loop_matches_from_scratch<T: CommScalar>(tol: f64) {
 
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&problem);
-        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        let state = Executor::new(&comm, &shard).build_round_state(&z);
         assert_eq!(
             Cholesky::new(state.sigma().block(0)).is_err(),
             flat,
@@ -478,7 +479,7 @@ fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
         let (problem, z, budget, eta, _) = round_case::<T>(case);
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&problem);
-        let state = Executor::serial(&comm, &shard).build_round_state(&z);
+        let state = Executor::new(&comm, &shard).build_round_state(&z);
         let white = Whitening::new(&state);
 
         // At t = 1, M_k = νI + (η/b)·C_o,k: definite iff ν > -(η/b)·λ_min.
@@ -552,17 +553,13 @@ fn round_edge_cases_are_well_formed<T: CommScalar>() {
             let z = vec![T::from_f64(budget as f64 / n as f64); n];
             let eta = T::from_f64(8.0 * (problem.ehat() as f64).sqrt());
             let grid = [T::from_f64(1.0), T::from_f64(8.0)];
+            let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+            let exec = Executor::new(&comm, &shard);
             let batches = [
-                firal_core::diag_round(&problem, &z, budget, eta).selected,
-                firal_core::select_eta(&problem, &z, budget, &grid).selected,
-                firal_core::diag_round_with_eig(
-                    &problem,
-                    &z,
-                    budget,
-                    eta,
-                    EigSolver::Lanczos { steps: 2 },
-                )
-                .selected,
+                exec.round(&z, budget, eta, EigSolver::Exact).selected,
+                exec.select_eta(&z, budget, &grid).selected,
+                exec.round(&z, budget, eta, EigSolver::Lanczos { steps: 2 })
+                    .selected,
             ];
             for sel in &batches {
                 let mut sorted = sel.clone();

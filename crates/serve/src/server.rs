@@ -681,13 +681,7 @@ fn validate_spec(
     spec: &SelectSpec,
     problems: &BTreeMap<u64, SelectionProblem<f64>>,
 ) -> Result<(), RemoteError> {
-    if strategy_by_name::<f64>(&spec.strategy).is_none() {
-        return Err(RemoteError::from_select_error(
-            &SelectError::UnknownStrategy {
-                name: spec.strategy.clone(),
-            },
-        ));
-    }
+    strategy_by_name::<f64>(&spec.strategy).map_err(|e| RemoteError::from_select_error(&e))?;
     let problem = problems.get(&spec.pool).ok_or_else(|| {
         RemoteError::new(
             ERR_UNKNOWN_POOL,

@@ -11,8 +11,8 @@
 //! Run with: `cargo run --release --example compare_methods`
 
 use firal::core::{
-    run_experiment, ApproxFiral, BayesBatchStrategy, EntropyStrategy, KMeansStrategy,
-    RandomStrategy, Strategy, UpalStrategy,
+    run_experiment, ApproxFiral, BayesBatchStrategy, DistStrategy, EntropyStrategy, KMeansStrategy,
+    RandomStrategy, UpalStrategy,
 };
 use firal::data::SyntheticConfig;
 use firal::logreg::TrainConfig;
@@ -35,7 +35,7 @@ fn run_suite(title: &str, imbalance: f64) {
     let budget = 12;
     let train = TrainConfig::default();
 
-    let strategies: Vec<Box<dyn Strategy<f64>>> = vec![
+    let strategies: Vec<Box<dyn DistStrategy<f64>>> = vec![
         Box::new(RandomStrategy),
         Box::new(KMeansStrategy),
         Box::new(EntropyStrategy),

@@ -21,7 +21,7 @@
 
 use firal::comm::{launch_backend, Backend, CostModel};
 use firal::core::{
-    parallel_approx_firal_grouped, EigSolver, Executor, FiralConfig, RelaxConfig, SelectionProblem,
+    EigSolver, EtaGroupGeometry, Executor, RelaxConfig, RoundConfig, SelectionProblem,
     ShardedProblem,
 };
 use firal::data::SyntheticConfig;
@@ -133,7 +133,7 @@ fn main() {
     if eta_groups > 1 {
         println!(
             "\nη grid distributed over {eta_groups} groups (grid {:?}·√ê, backend {}):",
-            firal::core::RoundConfig::<f32>::default().eta_grid,
+            RoundConfig::<f32>::default().eta_grid,
             backend.tag(),
         );
         println!(
@@ -145,33 +145,39 @@ fn main() {
             .filter(|p| p.is_multiple_of(eta_groups))
         {
             let prob = problem.clone();
-            let config = FiralConfig::<f32> {
-                relax: RelaxConfig {
-                    seed: 1,
-                    md: firal::core::MirrorDescentConfig {
-                        max_iters: 3,
-                        ..Default::default()
-                    },
+            let cfg = RelaxConfig {
+                seed: 1,
+                md: firal::core::MirrorDescentConfig {
+                    max_iters: 3,
                     ..Default::default()
                 },
-                eta_groups,
                 ..Default::default()
             };
-            let results = launch_backend(backend, p, move |comm| {
-                let run = parallel_approx_firal_grouped(comm, &prob, budget, &config);
+            let grid = RoundConfig::<f32>::default().eta_grid;
+            let results = launch_backend(backend, p, move |world| {
+                // RELAX inside each group on its p_shard-way partition
+                // (every group computes bit-identical z⋄), then the η grid
+                // distributed across the groups.
+                let geometry = EtaGroupGeometry::new(world.size(), eta_groups);
+                let (group_comm, cross_comm) = geometry.split(world);
+                let shard = ShardedProblem::shard(&prob, group_comm.rank(), geometry.p_shard);
+                let exec = Executor::new(&*group_comm, &shard);
+                let relax = exec.relax(budget, &cfg);
+                let round = exec.select_eta_grouped(&relax.z_local, budget, &grid, &*cross_comm);
                 (
-                    run.group,
-                    run.round.eta,
-                    run.round.selected,
-                    run.group_stats,
-                    run.cross_stats,
+                    cross_comm.rank(),
+                    round.eta,
+                    round.selected,
+                    group_comm.stats(),
+                    cross_comm.stats(),
                 )
             });
             // One row per group (its shard-rank-0 endpoint), plus a
             // cross-rank agreement check.
             let p_shard = p / eta_groups;
-            for g in 0..eta_groups {
-                let (group, eta_star, selected, grp, cross) = &results[g * p_shard];
+            for (g, (group, eta_star, selected, grp, cross)) in
+                results.iter().step_by(p_shard).enumerate()
+            {
                 assert_eq!(*group, g);
                 assert_eq!(
                     selected, &results[0].2,

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example imbalanced_rescue`
 
-use firal::core::{run_experiment, ApproxFiral, RandomStrategy, Strategy};
+use firal::core::{run_experiment, ApproxFiral, DistStrategy, RandomStrategy};
 use firal::data::SyntheticConfig;
 use firal::logreg::TrainConfig;
 
@@ -28,7 +28,7 @@ fn main() {
     let budget = 16;
     let train = TrainConfig::default();
 
-    let report = |name: &str, strategy: &dyn Strategy<f64>, trials: u64| {
+    let report = |name: &str, strategy: &dyn DistStrategy<f64>, trials: u64| {
         let mut eval = Vec::new();
         let mut balanced = Vec::new();
         let mut rare_labels = Vec::new();

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use firal::core::{ApproxFiral, SelectionProblem, Strategy};
+use firal::core::{select_serial, ApproxFiral, SelectionProblem};
 use firal::data::SyntheticConfig;
 use firal::logreg::{LogisticRegression, TrainConfig};
 
@@ -41,9 +41,9 @@ fn main() {
         dataset.num_classes,
     );
     let budget = 20;
-    let picked = ApproxFiral::default()
-        .select(&problem, budget, 0)
-        .expect("selection failed");
+    let picked = select_serial(&ApproxFiral::default(), &problem, budget, 0)
+        .expect("selection failed")
+        .selected;
     println!("Approx-FIRAL selected pool indices: {picked:?}");
 
     // Buy those labels and retrain.

@@ -15,8 +15,8 @@
 //! The paper's central structural claim is that Approx-FIRAL is *one*
 //! algorithm whose collectives degenerate to no-ops at `p = 1`. The
 //! workspace mirrors that claim in its layering — RELAX and ROUND are
-//! written **once**, generic over a communicator, and every entry point is
-//! an instantiation of the same code:
+//! written **once**, generic over a communicator, and the serial run is
+//! that code over a communicator of one:
 //!
 //! ```text
 //!           strategies / driver / bench / examples
@@ -47,11 +47,12 @@
 //!   shard), probe-RNG seeding, the phase timer, and per-run communication
 //!   statistics — and exposes `relax`, `round`, `select_eta`, and
 //!   `approx_firal`.
-//! * The serial API ([`core::fast_relax`], [`core::diag_round`],
-//!   [`core::ApproxFiral`]) instantiates the executor over
-//!   [`comm::SelfComm`]; the SPMD API ([`core::parallel`]) instantiates it
-//!   over any [`comm::Communicator`]. Neither carries its own copy of the
-//!   math.
+//! * There is one way to run a selection at each level: phases are
+//!   [`core::Executor`] methods; a strategy is a [`core::DistStrategy`]
+//!   handed an executor ([`core::select_serial`] builds the
+//!   [`comm::SelfComm`] one); a metered request is
+//!   [`core::dispatch_select`]. Serial and SPMD callers differ only in the
+//!   [`comm::Communicator`] they pass.
 //! * Communication volume is first-class: every run returns
 //!   [`comm::CommStats`] (per-collective calls/bytes/time), which the bench
 //!   harnesses print next to wall-clock so scaling tables show *what was
@@ -66,7 +67,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use firal::core::{ApproxFiral, SelectionProblem, Strategy};
+//! use firal::core::{select_serial, ApproxFiral, SelectionProblem};
 //! use firal::data::SyntheticConfig;
 //! use firal::logreg::LogisticRegression;
 //!
@@ -80,7 +81,7 @@
 //!     model.class_probs_cm1(&ds.initial_features),
 //!     ds.num_classes,
 //! );
-//! let picked = ApproxFiral::default().select(&problem, 6, 0).unwrap();
+//! let picked = select_serial(&ApproxFiral::default(), &problem, 6, 0).unwrap().selected;
 //! assert_eq!(picked.len(), 6);
 //! ```
 //!
@@ -103,7 +104,7 @@
 //! # );
 //! let comm = SelfComm::new();
 //! let shard = ShardedProblem::replicate(&problem);
-//! let exec = Executor::serial(&comm, &shard);
+//! let exec = Executor::new(&comm, &shard);
 //! let relax = exec.relax(6, &RelaxConfig::default());
 //! let round = exec.round(&relax.z_local, 6, 8.0 * (problem.ehat() as f64).sqrt(), EigSolver::Exact);
 //! assert_eq!(round.selected.len(), 6);

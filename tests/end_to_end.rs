@@ -2,8 +2,8 @@
 //! public umbrella API, exact-vs-approx agreement, and reproducibility.
 
 use firal::core::{
-    run_experiment, run_experiment_named, strategy_by_name, ApproxFiral, ExactFiral,
-    RandomStrategy, SelectionProblem, Strategy, STRATEGY_NAMES,
+    run_experiment, select_serial, strategy_by_name, ApproxFiral, ExactFiral, RandomStrategy,
+    SelectionProblem, STRATEGY_NAMES,
 };
 use firal::data::{ExperimentPreset, PresetName, SyntheticConfig};
 use firal::logreg::{LogisticRegression, TrainConfig};
@@ -69,7 +69,8 @@ fn upal_and_bayes_batch_keep_up_with_random_and_record_their_runs() {
     random_mean /= trials as f64;
 
     for name in ["upal", "bayes-batch"] {
-        let res = run_experiment_named(&ds, name, rounds, budget, 0, &train)
+        let strategy = strategy_by_name::<f64>(name).unwrap();
+        let res = run_experiment(&ds, strategy.as_ref(), rounds, budget, 0, &train)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(res.rounds.len(), rounds + 1);
         assert!(
@@ -122,12 +123,14 @@ fn approx_and_exact_firal_agree_on_small_problems() {
     let problem = problem_from(&ds);
     let b = 6;
 
-    let exact = ExactFiral::<f64>::default().select(&problem, b, 0).unwrap();
+    let select =
+        |s: &dyn firal::core::DistStrategy<f64>| select_serial(s, &problem, b, 0).unwrap().selected;
+    let exact = select(&ExactFiral::default());
     let approx = {
         let mut cfg = firal::core::FiralConfig::<f64>::default();
         cfg.relax.probes = 60;
         cfg.relax.cg_tol = 1e-7;
-        ApproxFiral::new(cfg).select(&problem, b, 0).unwrap()
+        select(&ApproxFiral::new(cfg))
     };
     let overlap = exact.iter().filter(|i| approx.contains(i)).count();
     assert!(
@@ -138,7 +141,7 @@ fn approx_and_exact_firal_agree_on_small_problems() {
     // And both should dominate random on the Fisher objective.
     let f_exact = firal::core::objective::selection_objective(&problem, &exact);
     let f_approx = firal::core::objective::selection_objective(&problem, &approx);
-    let random = RandomStrategy.select(&problem, b, 0).unwrap();
+    let random = select(&RandomStrategy);
     let f_random = firal::core::objective::selection_objective(&problem, &random);
     assert!(f_exact < f_random, "{f_exact} !< {f_random}");
     assert!(f_approx < f_random, "{f_approx} !< {f_random}");
@@ -205,8 +208,12 @@ fn f32_and_f64_pipelines_agree_on_selection_shape() {
         model32.class_probs_cm1(&ds32.initial_features),
         ds32.num_classes,
     );
-    let s64 = ApproxFiral::<f64>::default().select(&p64, 5, 0).unwrap();
-    let s32 = ApproxFiral::<f32>::default().select(&p32, 5, 0).unwrap();
+    let s64 = select_serial(&ApproxFiral::default(), &p64, 5, 0)
+        .unwrap()
+        .selected;
+    let s32 = select_serial(&ApproxFiral::default(), &p32, 5, 0)
+        .unwrap()
+        .selected;
     // Different precisions may not match point-for-point, but both must be
     // valid distinct batches from the same pool.
     assert_eq!(s64.len(), 5);

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 use firal::comm::fault::KILL_EXIT_CODE;
 use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
 use firal::comm::{
-    free_rendezvous_addr, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
-    RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
+    comm_catch, free_rendezvous_addr, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV,
+    FAULT_ENV, RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
 };
 use firal::core::{
     EigSolver, Executor, MirrorDescentConfig, RelaxConfig, SelectionProblem, ShardedProblem,
@@ -82,8 +82,8 @@ fn relax_config() -> RelaxConfig<f64> {
 }
 
 /// The SPMD child body: join the mesh from env coordinates, arm the panic
-/// abort hook, run RELAX + ROUND through the fallible executor entry
-/// points, and translate every outcome into the exit-code protocol.
+/// abort hook, run RELAX and ROUND each under its own `comm_catch`
+/// boundary, and translate every outcome into the exit-code protocol.
 fn child_main() -> i32 {
     let comm = match SocketComm::from_env() {
         Some(Ok(c)) => c,
@@ -100,7 +100,7 @@ fn child_main() -> i32 {
     let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
     let exec = Executor::new(&comm, &shard);
 
-    let relax = match exec.try_relax(BUDGET, &relax_config()) {
+    let relax = match comm_catch(|| exec.relax(BUDGET, &relax_config())) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rank {}: RELAX failed: {e}", comm.rank());
@@ -108,7 +108,7 @@ fn child_main() -> i32 {
         }
     };
     let relax_seq = comm.collective_seq();
-    let round = match exec.try_round(&relax.z_local, BUDGET, eta, EigSolver::Exact) {
+    let round = match comm_catch(|| exec.round(&relax.z_local, BUDGET, eta, EigSolver::Exact)) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rank {}: ROUND failed: {e}", comm.rank());
@@ -258,7 +258,7 @@ fn serial_selection() -> Vec<usize> {
     let eta = 6.0 * (p.ehat() as f64).sqrt();
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
-    let exec = Executor::serial(&comm, &shard);
+    let exec = Executor::new(&comm, &shard);
     let relax = exec.relax(BUDGET, &relax_config());
     exec.round(&relax.z_local, BUDGET, eta, EigSolver::Exact)
         .selected

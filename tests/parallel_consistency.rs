@@ -8,12 +8,9 @@
 use firal::comm::{
     launch, launch_backend, socket_launch, Backend, CommScalar, Communicator, ReduceOp, SelfComm,
 };
-use firal::core::parallel::{
-    parallel_approx_firal, parallel_approx_firal_grouped, parallel_select_by_name,
-};
 use firal::core::{
-    strategy_by_name, EigSolver, Executor, FiralConfig, RelaxConfig, SelectionProblem,
-    ShardedProblem,
+    dispatch_select, select_serial, strategy_by_name, EigSolver, EtaGroupGeometry, Executor,
+    RelaxConfig, RoundConfig, SelectRequest, SelectionProblem, ShardedProblem,
 };
 use firal::data::SyntheticConfig;
 use firal::linalg::Scalar;
@@ -57,7 +54,7 @@ fn consistency_matrix_case<T: CommScalar>(seed: u64, obj_tol: f64) {
     // p = 1 reference: the SelfComm instantiation of the same code.
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
-    let exec = Executor::serial(&comm, &shard);
+    let exec = Executor::new(&comm, &shard);
     let ref_relax = exec.relax(budget, &cfg);
     let ref_round = exec.round(&ref_relax.z_local, budget, eta, EigSolver::Exact);
     let ref_obj: Vec<f64> = ref_relax
@@ -146,19 +143,24 @@ fn strategy_matrix_case(name: &str) {
     let p: SelectionProblem<f64> = problem(51, 48, 4, 3);
     let budget = 5;
     let seed = 9;
-    let serial = strategy_by_name::<f64>(name)
-        .unwrap()
-        .select(&p, budget, seed)
-        .unwrap();
+    let serial = select_serial(
+        strategy_by_name::<f64>(name).unwrap().as_ref(),
+        &p,
+        budget,
+        seed,
+    )
+    .unwrap()
+    .selected;
     assert_eq!(serial.len(), budget);
     for backend in [Backend::Thread, Backend::Socket] {
         for procs in [1usize, 2, 4] {
             for threads in [1usize, 4] {
                 let prob = p.clone();
+                let req = SelectRequest::new(name, budget)
+                    .with_seed(seed)
+                    .with_threads(threads);
                 let results = launch_backend(backend, procs, move |comm| {
-                    parallel_select_by_name(comm, &prob, name, budget, seed, threads)
-                        .unwrap()
-                        .selected
+                    dispatch_select(comm, &prob, &req).unwrap().selected
                 });
                 for (rank, sel) in results.iter().enumerate() {
                     assert_eq!(
@@ -272,7 +274,7 @@ fn simd_fingerprint() -> (Vec<usize>, Vec<u64>) {
     };
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
-    let exec = Executor::serial(&comm, &shard);
+    let exec = Executor::new(&comm, &shard);
     let relax = exec.relax(budget, &cfg);
     let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
     let obj_bits = relax
@@ -372,24 +374,22 @@ fn simd_off_selection_is_bitwise_identical() {
 fn eta_group_matrix_matches_serial_grid_sweep() {
     let p: SelectionProblem<f64> = problem(41, 36, 4, 3);
     let budget = 5;
-    let config = FiralConfig {
-        relax: RelaxConfig {
-            seed: 17,
-            md: firal::core::MirrorDescentConfig {
-                max_iters: 6,
-                ..Default::default()
-            },
+    let relax_cfg = RelaxConfig {
+        seed: 17,
+        md: firal::core::MirrorDescentConfig {
+            max_iters: 6,
             ..Default::default()
         },
         ..Default::default()
     };
+    let grid = RoundConfig::<f64>::default().eta_grid;
 
     // Serial reference: SelfComm RELAX + sequential grid sweep.
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
-    let exec = Executor::serial(&comm, &shard);
-    let ref_relax = exec.relax(budget, &config.relax);
-    let ref_round = exec.select_eta(&ref_relax.z_local, budget, &config.round.eta_grid);
+    let exec = Executor::new(&comm, &shard);
+    let ref_relax = exec.relax(budget, &relax_cfg);
+    let ref_round = exec.select_eta(&ref_relax.z_local, budget, &grid);
     let ref_crit = ref_round.criterion.expect("grid sweep records criterion");
 
     // criterion bits per p_shard: layouts with the same group size must
@@ -398,17 +398,24 @@ fn eta_group_matrix_matches_serial_grid_sweep() {
     for (p_shard, p_eta) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2)] {
         let world = p_shard * p_eta;
         for backend in [Backend::Thread, Backend::Socket] {
-            let prob = p.clone();
-            let mut cfg = config.clone();
-            cfg.eta_groups = p_eta;
-            let results = launch_backend(backend, world, move |comm| {
-                let run = parallel_approx_firal_grouped(comm, &prob, budget, &cfg);
+            let (prob, grid) = (p.clone(), grid.clone());
+            let results = launch_backend(backend, world, move |world| {
+                // RELAX inside each group on its p_shard-way partition
+                // (the probe panels are seeded and group collectives reduce
+                // in rank order, so every group computes bit-identical z⋄),
+                // then the η grid distributed across the groups.
+                let geometry = EtaGroupGeometry::new(world.size(), p_eta);
+                let (group_comm, cross_comm) = geometry.split(world);
+                let shard = ShardedProblem::shard(&prob, group_comm.rank(), geometry.p_shard);
+                let exec = Executor::new(&*group_comm, &shard);
+                let relax = exec.relax(budget, &relax_cfg);
+                let round = exec.select_eta_grouped(&relax.z_local, budget, &grid, &*cross_comm);
                 (
-                    run.round.selected,
-                    run.round.eta.to_bits(),
-                    run.round.criterion.unwrap().to_bits(),
-                    run.group,
-                    run.geometry,
+                    round.selected,
+                    round.eta.to_bits(),
+                    round.criterion.unwrap().to_bits(),
+                    cross_comm.rank(),
+                    geometry,
                 )
             });
             for (rank, (selected, eta_bits, crit_bits, group, geometry)) in
@@ -440,6 +447,72 @@ fn eta_group_matrix_matches_serial_grid_sweep() {
     }
     // p_shard = 1 is exactly the serial computation: same criterion bits.
     assert_eq!(crit_bits_by_shard[&1], ref_crit.to_bits());
+}
+
+/// The shared-scratch η sweep against the unshared composition: for a
+/// 3-point grid, [`Executor::select_eta`]'s winner must equal the first
+/// maximum of `selection_min_eig` over three independent
+/// `round(z, b, ηᵢ·√ê)` runs — selection, η★ and criterion **bitwise** — at
+/// p ∈ {1, 2}. The grouped rows above pin the sweep against itself across
+/// layouts; this one pins it against runs that share nothing.
+fn eta_sweep_matches_independent_rounds_case<T: CommScalar>(seed: u64) {
+    let (n, budget) = (40usize, 4usize);
+    let p: SelectionProblem<T> = problem(seed, n, 4, 3);
+    let grid = [2.0, 4.0, 8.0].map(T::from_f64);
+    // Non-uniform z⋄ with ‖z⋄‖₁ = b, so the η values have something to
+    // disagree about.
+    let total: usize = (0..n).map(|i| 1 + i % 5).sum();
+    let z: Vec<T> = (0..n)
+        .map(|i| T::from_f64((budget * (1 + i % 5)) as f64 / total as f64))
+        .collect();
+    let mut by_ranks = Vec::new();
+    for procs in [1usize, 2] {
+        let results = launch(procs, |comm| {
+            let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
+            let exec = Executor::new(comm, &shard);
+            let z_local = &z[shard.offset..shard.offset + shard.local_n()];
+            let scale = T::from_usize(shard.ehat()).sqrt();
+            let mut best: Option<(T, T, Vec<usize>)> = None;
+            for &mult in &grid {
+                let run = exec.round(z_local, budget, mult * scale, EigSolver::Exact);
+                assert_eq!(run.criterion, None, "a fixed-η run records no criterion");
+                let crit = exec.selection_min_eig(&run.selected);
+                match &best {
+                    Some((c, _, _)) if *c >= crit => {}
+                    _ => best = Some((crit, run.eta, run.selected)),
+                }
+            }
+            let (crit, eta, selected) = best.unwrap();
+            let sweep = exec.select_eta(z_local, budget, &grid);
+            assert_eq!(sweep.selected, selected, "p={procs}: selection");
+            assert_eq!(
+                sweep.eta.to_f64().to_bits(),
+                eta.to_f64().to_bits(),
+                "p={procs}: η★ bits"
+            );
+            assert_eq!(
+                sweep.criterion.unwrap().to_f64().to_bits(),
+                crit.to_f64().to_bits(),
+                "p={procs}: criterion bits"
+            );
+            sweep.selected
+        });
+        for sel in &results[1..] {
+            assert_eq!(sel, &results[0], "p={procs}: ranks disagreed");
+        }
+        by_ranks.push(results[0].clone());
+    }
+    assert_eq!(by_ranks[0], by_ranks[1], "selection changed with p");
+}
+
+#[test]
+fn eta_sweep_matches_independent_rounds_f64() {
+    eta_sweep_matches_independent_rounds_case::<f64>(71);
+}
+
+#[test]
+fn eta_sweep_matches_independent_rounds_f32() {
+    eta_sweep_matches_independent_rounds_case::<f32>(72);
 }
 
 /// The streaming-state consistency row: one fixed update sequence committed
@@ -558,7 +631,11 @@ fn full_pipeline_rank_invariance() {
         let prob = p.clone();
         let config = cfg;
         let results = launch(ranks, move |comm| {
-            parallel_approx_firal(comm, &prob, 8, &config, eta)
+            let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
+            let exec = Executor::new(comm, &shard);
+            let relax = exec.relax(8, &config);
+            exec.round(&relax.z_local, 8, eta, EigSolver::Exact)
+                .selected
         });
         // Identical on every rank.
         for sel in &results[1..] {

@@ -9,7 +9,7 @@
 //! includes bitwise invariance to the ambient kernel-pool size.
 
 use firal::comm::CommScalar;
-use firal::core::{strategy_by_name, SelectError, SelectionProblem, STRATEGY_NAMES};
+use firal::core::{select_serial, strategy_by_name, SelectError, SelectionProblem, STRATEGY_NAMES};
 use firal::data::SyntheticConfig;
 use firal::linalg::Matrix;
 use firal::logreg::LogisticRegression;
@@ -42,6 +42,17 @@ fn assert_valid(name: &str, sel: &[usize], budget: usize, pool: usize) {
     );
 }
 
+/// The serial selection of a registered strategy, indices only.
+fn select<T: CommScalar>(
+    name: &str,
+    p: &SelectionProblem<T>,
+    budget: usize,
+    seed: u64,
+) -> Result<Vec<usize>, SelectError> {
+    let s = strategy_by_name::<T>(name)?;
+    Ok(select_serial(s.as_ref(), p, budget, seed)?.selected)
+}
+
 /// budget-distinct-in-range + bitwise seed stability, for one dtype.
 fn contract_case<T: CommScalar>() {
     let pool = 48;
@@ -49,15 +60,12 @@ fn contract_case<T: CommScalar>() {
     for problem_seed in [1u64, 2] {
         let p: SelectionProblem<T> = problem(problem_seed, pool);
         for name in STRATEGY_NAMES {
-            let s = strategy_by_name::<T>(name).unwrap();
             for seed in [0u64, 7, 1234] {
-                let sel = s
-                    .select(&p, budget, seed)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                let sel = select(name, &p, budget, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_valid(name, &sel, budget, pool);
                 // Determinism given (problem, budget, seed): bitwise
                 // seed-stable on a repeat call.
-                let again = s.select(&p, budget, seed).unwrap();
+                let again = select(name, &p, budget, seed).unwrap();
                 assert_eq!(sel, again, "{name}: repeat call with seed {seed} diverged");
             }
         }
@@ -78,9 +86,8 @@ fn contract_f32() {
 fn seed_free_strategies_ignore_the_seed() {
     let p: SelectionProblem<f64> = problem(3, 48);
     for name in ["entropy", "exact-firal", "bayes-batch"] {
-        let s = strategy_by_name::<f64>(name).unwrap();
-        let a = s.select(&p, 5, 1).unwrap();
-        let b = s.select(&p, 5, 999).unwrap();
+        let a = select(name, &p, 5, 1).unwrap();
+        let b = select(name, &p, 5, 999).unwrap();
         assert_eq!(a, b, "{name} must be seed-invariant");
     }
 }
@@ -89,9 +96,8 @@ fn seed_free_strategies_ignore_the_seed() {
 fn stochastic_strategies_respond_to_the_seed() {
     let p: SelectionProblem<f64> = problem(4, 48);
     for name in ["random", "upal"] {
-        let s = strategy_by_name::<f64>(name).unwrap();
-        let a = s.select(&p, 6, 1).unwrap();
-        let b = s.select(&p, 6, 2).unwrap();
+        let a = select(name, &p, 6, 1).unwrap();
+        let b = select(name, &p, 6, 2).unwrap();
         assert_ne!(a, b, "{name}: different seeds should differ (w.h.p.)");
     }
 }
@@ -107,19 +113,18 @@ fn select_error_edges_on_every_strategy() {
         3,
     );
     for name in STRATEGY_NAMES {
-        let s = strategy_by_name::<f64>(name).unwrap();
         assert_eq!(
-            s.select(&p, 0, 1),
+            select(name, &p, 0, 1),
             Err(SelectError::ZeroBudget),
             "{name}: budget = 0"
         );
         assert_eq!(
-            s.select(&empty, 4, 1),
+            select(name, &empty, 4, 1),
             Err(SelectError::EmptyPool),
             "{name}: empty pool"
         );
         assert_eq!(
-            s.select(&p, 21, 1),
+            select(name, &p, 21, 1),
             Err(SelectError::BudgetTooLarge {
                 budget: 21,
                 pool: 20
