@@ -17,11 +17,11 @@
 //! The host's best tier gets the full thread sweep; every other available
 //! tier contributes single-thread rows so the JSON records the
 //! scalar → SSE2 → AVX2 (or NEON) trajectory without tripling the sweep
-//! time. Each row carries the tier, the autotuned blocking plan
-//! (`jb`/`pack`/`class_block`) and `lane_multiple` — whether `d` is a whole
-//! number of that tier's vectors for that dtype — and the header records
-//! the detected CPU features and cache geometry, so a reader can tell
-//! exactly which code path produced each number. The shapes deliberately
+//! time. Each row carries the tier and `lane_multiple` — whether `d` is a
+//! whole number of that tier's vectors for that dtype —, the
+//! `gram_weighted_multi` rows the `class_block` of this host's plan, and
+//! the header records the detected CPU features and cache geometry, so a
+//! reader can tell exactly which code path produced each number. The shapes deliberately
 //! mix lane multiples (`d ∈ {64, 128}`) with the paper's Table V
 //! dimensions (`d ∈ {20, 50, 100, 383}`, none a multiple of 8): a kernel
 //! whose vector axis is `d` is only as good as its remainder handling, and
@@ -51,8 +51,8 @@ use firal_linalg::autotune::lane_count;
 use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
 use firal_linalg::{
     cache_geometry, counters, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier, gemm_into,
-    gram_weighted_multi_tier, invert_lower, plan_for, Cholesky, KernelPlan, Matrix, QuadSweep,
-    Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
+    gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, Matrix, QuadSweep, Scalar,
+    SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Probes per panel: the `(c-1)·s` column counts below are `(c-1)` blocks
@@ -69,9 +69,7 @@ struct Row {
     m: usize,
     threads: usize,
     tier: &'static str,
-    jb: usize,
-    pack: bool,
-    class_block: usize,
+    class_block: Option<usize>,
     lane_multiple: bool,
     secs: f64,
     gflops: f64,
@@ -110,13 +108,15 @@ fn matrix_bits<T: Scalar>(m: &Matrix<T>) -> u64 {
 }
 
 /// One (shape, dtype, tier, threads) cell of the sweep.
+#[derive(Clone, Copy)]
 struct Cell {
     dtype: &'static str,
     n: usize,
     d: usize,
     threads: usize,
     tier: Tier,
-    plan: KernelPlan,
+    /// The plan's class blocking, for the one kernel that reads it.
+    class_block: Option<usize>,
     lane_multiple: bool,
 }
 
@@ -154,9 +154,7 @@ impl Cell {
             m,
             threads,
             tier: tier.name(),
-            jb: self.plan.jb,
-            pack: self.plan.pack,
-            class_block: self.plan.class_block,
+            class_block: self.class_block,
             lane_multiple: self.lane_multiple,
             secs,
             gflops: flops as f64 / secs / 1e9,
@@ -204,11 +202,13 @@ fn run_shape<T: Scalar>(
     let mut gram_ref: Option<u64> = None;
     let mut sweep_ref: Option<u64> = None;
     let best = active_tier();
+    // This host's blocking plan: `class_block` for the Gram kernel,
+    // `sweep_bytes` for the fused sweep; `gemm_at_b` reads neither.
+    let plan = plan_for::<T>(d);
     for tier in available_tiers() {
         // Full thread sweep on the active tier; single-thread rows on the
         // others (enough for the trajectory and the bit cross-check).
         let tier_threads: &[usize] = if tier == best { threads_list } else { &[1] };
-        let plan = plan_for::<T>(tier, d);
         let lane_multiple = d % lane_count(tier, std::mem::size_of::<T>()) == 0;
         for &threads in tier_threads {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -222,26 +222,31 @@ fn run_shape<T: Scalar>(
                 d,
                 threads,
                 tier,
-                plan,
+                class_block: None,
                 lane_multiple,
             };
-            let mut record = |kernel, m, reference: &mut Option<u64>, timed, flops| {
+            let mut record = |cell: Cell, kernel, m, reference: &mut Option<u64>, timed, flops| {
                 *mismatches += cell.record(rows, kernel, m, reference, timed, flops);
             };
 
             let timed = pool.install(|| bench(reps, || gemm_at_b_tier(tier, &x, &b), matrix_bits));
             let flops = counters::gemm_at_b_flops(n, d, m);
-            record("gemm_at_b", m, &mut at_b_ref, timed, flops);
+            record(cell, "gemm_at_b", m, &mut at_b_ref, timed, flops);
 
             let timed = pool.install(|| {
                 bench(
                     reps,
-                    || gram_weighted_multi_tier(tier, &x, &w),
+                    || gram_weighted_multi_planned(tier, plan, &x, &w),
                     |gs| gs.iter().fold(0u64, |acc, g| acc ^ matrix_bits(g)),
                 )
             });
             let flops = counters::gram_weighted_multi_flops(GRAM_CLASSES, n, d);
+            let gram_cell = Cell {
+                class_block: Some(plan.class_block),
+                ..cell
+            };
             record(
+                gram_cell,
                 "gram_weighted_multi",
                 GRAM_CLASSES,
                 &mut gram_ref,
@@ -272,7 +277,7 @@ fn run_shape<T: Scalar>(
                 )
             });
             let flops = counters::gemm_flops(n, m, d) + counters::gemm_at_b_flops(n, d, m);
-            record("fisher_sweep", m, &mut sweep_ref, timed, flops);
+            record(cell, "fisher_sweep", m, &mut sweep_ref, timed, flops);
         }
     }
 }
@@ -318,7 +323,7 @@ fn run_quad_shape<T: Scalar>(
             d,
             threads,
             tier,
-            plan: plan_for::<T>(tier, d),
+            class_block: None,
             lane_multiple: d % lane_count(tier, std::mem::size_of::<T>()) == 0,
         };
         let mut sweep = QuadSweep::<T>::on_tier(tier, QUAD_BLOCK_ROWS, d);
@@ -492,8 +497,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"kernel\": \"{}\", \"dtype\": \"{}\", \"n\": {}, \"d\": {}, \"m\": {}, \
-             \"threads\": {}, \"tier\": \"{}\", \"jb\": {}, \"pack\": {}, \"class_block\": {}, \
-             \"lane_multiple\": {}, \"secs\": {:.6}, \"gflops\": {:.3}}}{comma}",
+             \"threads\": {}, \"tier\": \"{}\", \"class_block\": {}, \"lane_multiple\": {}, \"secs\": {:.6}, \"gflops\": {:.3}}}{comma}",
             r.kernel,
             r.dtype,
             r.n,
@@ -501,9 +505,8 @@ fn main() {
             r.m,
             r.threads,
             r.tier,
-            r.jb,
-            r.pack,
-            r.class_block,
+            r.class_block
+                .map_or("null".to_string(), |kb| kb.to_string()),
             r.lane_multiple,
             r.secs,
             r.gflops
@@ -512,12 +515,10 @@ fn main() {
     json.push_str("  ]\n}\n");
     std::fs::write(&out_path, &json).expect("failed to write the benchmark JSON");
 
-    println!(
-        "kernel                dtype      n     d    m  thr  tier  jb pk  kb      secs    GF/s"
-    );
+    println!("kernel                dtype      n     d    m  thr  tier   kb      secs    GF/s");
     for r in &rows {
         println!(
-            "{:<20}  {:<4} {:>7} {:>4} {:>4} {:>4}  {:<4} {:>3} {:>2} {:>3}  {:>8.4} {:>7.2}",
+            "{:<20}  {:<4} {:>7} {:>4} {:>4} {:>4}  {:<4} {:>4}  {:>8.4} {:>7.2}",
             r.kernel,
             r.dtype,
             r.n,
@@ -525,9 +526,7 @@ fn main() {
             r.m,
             r.threads,
             r.tier,
-            r.jb,
-            if r.pack { "y" } else { "n" },
-            r.class_block,
+            r.class_block.map_or("-".to_string(), |kb| kb.to_string()),
             r.secs,
             r.gflops
         );

@@ -129,28 +129,6 @@ impl<T: Scalar> BlockDiag<T> {
         out
     }
 
-    /// Multi-RHS matvec on a stacked panel `V ∈ R^{order × s}`.
-    pub fn matmul(&self, v: &Matrix<T>) -> Matrix<T> {
-        assert_eq!(v.rows(), self.order(), "BlockDiag::matmul shape mismatch");
-        let d = self.dim;
-        let s = v.cols();
-        let mut out = Matrix::zeros(v.rows(), s);
-        for (k, blk) in self.blocks.iter().enumerate() {
-            // rows k·d..(k+1)·d of the output
-            for jcol in 0..s {
-                for p in 0..d {
-                    let mut acc = T::ZERO;
-                    for q in 0..d {
-                        acc += blk[(p, q)] * v[(k * d + q, jcol)];
-                    }
-                    out[(k * d + p, jcol)] = acc;
-                }
-            }
-        }
-        crate::counters::add_flops(2 * self.nblocks() * d * d * s);
-        out
-    }
-
     /// Per-block Cholesky-based inverse (the `cupy.linalg.inv` batched call
     /// of Algorithm 3 lines 4/11 and Algorithm 2 line 5). Blocks invert in
     /// parallel.
@@ -178,20 +156,6 @@ impl<T: Scalar> BlockDiag<T> {
             t += b.trace();
         }
         t
-    }
-
-    /// Block-wise quadratic form: returns `[xᵀ B_k x]_k` for a single
-    /// `dim`-vector `x` (the inner kernels of Eq. 17).
-    pub fn quadratic_forms(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.dim);
-        crate::counters::add_flops(2 * self.nblocks() * self.dim * self.dim);
-        self.blocks
-            .iter()
-            .map(|b| {
-                let bx = b.matvec(x);
-                crate::vecops::dot(x, &bx)
-            })
-            .collect()
     }
 
     /// Assemble the dense `order × order` matrix (test/diagnostic use only).
@@ -254,19 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_matvec_per_column() {
-        let bd = test_blockdiag();
-        let v = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64 - 2.0);
-        let out = bd.matmul(&v);
-        for j in 0..3 {
-            let col = bd.matvec(&v.col(j));
-            for i in 0..4 {
-                assert!((out[(i, j)] - col[i]).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn inverse_per_block() {
         let bd = test_blockdiag();
         let inv = bd.inverse().unwrap();
@@ -303,16 +254,6 @@ mod tests {
     fn trace_matches_dense() {
         let bd = test_blockdiag();
         assert!((bd.trace() - bd.to_dense().trace()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quadratic_forms_match_manual() {
-        let bd = test_blockdiag();
-        let q = bd.quadratic_forms(&[1.0, 1.0]);
-        // block0: [1 1] [2 .5; .5 3] [1 1]ᵀ = 2+.5+.5+3 = 6
-        assert!((q[0] - 6.0).abs() < 1e-12);
-        // block1: 4+1+1+5 = 11
-        assert!((q[1] - 11.0).abs() < 1e-12);
     }
 
     #[test]

@@ -113,36 +113,6 @@ impl<T: Scalar> Cholesky<T> {
         Ok(())
     }
 
-    /// Rank-k update: `L Lᵀ ← A + Xᵀ X` for a row-major panel whose rows
-    /// are the update vectors, applied one rank-1 [`Cholesky::update`] per
-    /// row **in row order** (the order is part of the bitwise contract).
-    pub fn update_panel(&mut self, xs: &Matrix<T>) {
-        assert_eq!(
-            xs.cols(),
-            self.order(),
-            "Cholesky::update_panel dimension mismatch"
-        );
-        for i in 0..xs.rows() {
-            self.update(xs.row(i));
-        }
-    }
-
-    /// Rank-k downdate: `L Lᵀ ← A − Xᵀ X`, one rank-1
-    /// [`Cholesky::downdate`] per panel row in row order. On error the
-    /// factor is partially mutated (some rows applied) and must be rebuilt;
-    /// see [`Cholesky::downdate`] for the recovery convention.
-    pub fn downdate_panel(&mut self, xs: &Matrix<T>) -> Result<()> {
-        assert_eq!(
-            xs.cols(),
-            self.order(),
-            "Cholesky::downdate_panel dimension mismatch"
-        );
-        for i in 0..xs.rows() {
-            self.downdate(xs.row(i))?;
-        }
-        Ok(())
-    }
-
     /// The lower-triangular factor.
     pub fn l(&self) -> &Matrix<T> {
         &self.l
@@ -274,56 +244,19 @@ impl<T: Scalar> Cholesky<T> {
         y
     }
 
-    /// Back substitution only: solve `Lᵀ x = y`.
-    pub fn solve_lt(&self, y: &[T]) -> Vec<T> {
-        let n = self.order();
-        assert_eq!(y.len(), n);
-        counters::add_flops(n * n);
-        let mut x = y.to_vec();
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for k in (i + 1)..n {
-                acc -= self.l[(k, i)] * x[k];
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
-        x
-    }
-
     /// Explicit inverse `A^{-1}` (the paper's `cupy.linalg.inv` on the
-    /// block diagonals; only ever called on `d × d` blocks).
+    /// block diagonals; only ever called on `d × d` blocks): one panel solve
+    /// against the identity, so all `n` columns advance together over
+    /// contiguous rows. Column `j` is bit for bit [`Cholesky::solve`] of
+    /// `e_j` (the [`Cholesky::solve_panel_in_place`] contract), and that
+    /// panel solve is the only flop counter charged.
     pub fn inverse(&self) -> Matrix<T> {
         let n = self.order();
-        let mut inv = Matrix::zeros(n, n);
-        self.inverse_into(&mut inv);
-        inv
-    }
-
-    /// [`Cholesky::inverse`] into caller-owned storage (overwritten): one
-    /// panel solve against the identity, so all `n` columns advance
-    /// together over contiguous rows. Column `j` is bit for bit
-    /// [`Cholesky::solve`] of `e_j` (the [`Cholesky::solve_panel_in_place`]
-    /// contract), and that panel solve is the only flop counter charged.
-    pub fn inverse_into(&self, inv: &mut Matrix<T>) {
-        let n = self.order();
-        assert_eq!(inv.shape(), (n, n), "Cholesky::inverse_into shape mismatch");
-        let flat = inv.as_mut_slice();
-        flat.fill(T::ZERO);
-        for i in 0..n {
-            flat[i * n + i] = T::ONE;
-        }
-        self.solve_panel_in_place(flat, n);
+        let mut inv = Matrix::identity(n);
+        self.solve_panel_in_place(inv.as_mut_slice(), n);
         // Clean up asymmetry from rounding.
         inv.symmetrize();
-    }
-
-    /// `log det A = 2 Σ log L_ii`.
-    pub fn logdet(&self) -> T {
-        let mut acc = T::ZERO;
-        for i in 0..self.order() {
-            acc += self.l[(i, i)].ln();
-        }
-        acc + acc
+        inv
     }
 }
 
@@ -336,7 +269,7 @@ impl<T: Scalar> Cholesky<T> {
 /// Per element `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]`,
 /// the subtractions `k`-ascending — the one factorization loop of the
 /// crate ([`Cholesky::new`] runs it on a copy).
-pub fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize) -> Result<()> {
+pub(crate) fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize) -> Result<()> {
     check_square(a.len(), ld, n);
     counters::add_flops(n * n * n / 3);
     for i in 0..n {
@@ -450,18 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_backward_composes_to_solve() {
-        let a = spd_test_matrix(6, 3);
-        let ch = Cholesky::new(&a).unwrap();
-        let b: Vec<f64> = (0..6).map(|i| (i as f64).sin()).collect();
-        let x1 = ch.solve(&b);
-        let x2 = ch.solve_lt(&ch.solve_l(&b));
-        for (u, v) in x1.iter().zip(x2.iter()) {
-            assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn inverse_times_matrix_is_identity() {
         let a = spd_test_matrix(7, 4);
         let inv = Cholesky::new(&a).unwrap().inverse();
@@ -519,14 +440,6 @@ mod tests {
         a[(0, 0)] = 1.0; // rank-1 PSD
         assert!(Cholesky::new(&a).is_err());
         assert!(Cholesky::new_with_ridge(&a, 1e-6).is_ok());
-    }
-
-    #[test]
-    fn logdet_matches_identity_scaling() {
-        let mut a = Matrix::<f64>::identity(5);
-        a.scale_inplace(3.0);
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.logdet() - 5.0 * 3.0f64.ln()).abs() < 1e-12);
     }
 
     #[test]
@@ -621,31 +534,6 @@ mod tests {
         down[(2, 2)] = 0.0;
         assert!(Cholesky::new(&down).is_err());
         assert!(Cholesky::new_with_ridge(&down, 1e-8).is_ok());
-    }
-
-    #[test]
-    fn panel_update_is_row_ordered_rank_ones() {
-        let n = 5;
-        let a = spd_test_matrix(n, 13);
-        let xs = Matrix::from_fn(3, n, |i, j| ((i + 2 * j) as f64).cos());
-        let mut panel = Cholesky::new(&a).unwrap();
-        panel.update_panel(&xs);
-        let mut serial = Cholesky::new(&a).unwrap();
-        for r in 0..3 {
-            serial.update(xs.row(r));
-        }
-        for i in 0..n {
-            for j in 0..n {
-                assert!(panel.l()[(i, j)] == serial.l()[(i, j)], "({i},{j})");
-            }
-        }
-        panel.downdate_panel(&xs).unwrap();
-        let fresh = Cholesky::new(&a).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                assert!((panel.l()[(i, j)] - fresh.l()[(i, j)]).abs() < 1e-9);
-            }
-        }
     }
 
     /// Property test: 500 seeded cases of updates/downdates composed in

@@ -14,7 +14,7 @@ static FLOPS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------------
-// Pinned flop formulas for the five dense kernels (`firal_linalg::gemm`).
+// Pinned flop formulas for the four dense kernels (`firal_linalg::gemm`).
 //
 // Convention: one multiply-add = 2 flops (the standard `2·mnk` GEMM count).
 // The kernels charge exactly these formulas, and the benchmark harnesses
@@ -37,18 +37,14 @@ pub fn gemm_a_bt_flops(n: usize, m: usize, d: usize) -> usize {
     2 * n * m * d
 }
 
-/// `G = Xᵀdiag(w)X` with `X ∈ n×d`, exploiting symmetry: per row,
-/// `d(d+1)/2` multiply-adds on the upper triangle (2 flops each) plus `d`
-/// weight-scaling multiplies — `n·d·(d+2)` total. (The historical
-/// `n·d·(d+1)` figure dropped the weight scaling and so undercounted
-/// relative to the `2·` multiply-add convention of the GEMM kernels.)
-pub fn gram_weighted_flops(n: usize, d: usize) -> usize {
-    n * d * (d + 2)
-}
-
-/// `c` fused weighted Gram blocks ([`gram_weighted_flops`] per class).
+/// `c` fused weighted Gram blocks `G_k = Xᵀdiag(w_k)X` with `X ∈ n×d`,
+/// exploiting symmetry: per row and class, `d(d+1)/2` multiply-adds on the
+/// upper triangle (2 flops each) plus `d` weight-scaling multiplies —
+/// `c·n·d·(d+2)` total. (The historical `n·d·(d+1)` figure dropped the
+/// weight scaling and so undercounted relative to the `2·` multiply-add
+/// convention of the GEMM kernels.)
 pub fn gram_weighted_multi_flops(c: usize, n: usize, d: usize) -> usize {
-    c * gram_weighted_flops(n, d)
+    c * n * d * (d + 2)
 }
 
 // ---------------------------------------------------------------------------
@@ -64,16 +60,16 @@ pub fn pack_panel_bytes(rows: usize, cols: usize, elem: usize) -> usize {
     rows * cols * elem
 }
 
-/// Packed-panel traffic of one `C = AᵀB` call: each of the `n` rows stages
-/// `cols` columns once — every lane-wide strip when the autotuned plan
-/// enables packing, and in any case the zero-padded strip holding the last
-/// `d % lanes` columns — [`pack_panel_bytes`]`(n, cols, elem)`.
+/// Packed-panel traffic of one `C = AᵀB` call on a SIMD tier: each of the
+/// `n` rows stages `cols` columns once — the zero-padded strip holding the
+/// last `d % lanes` columns, so `cols` is one vector's lanes, or zero when
+/// `d` is a lane multiple — [`pack_panel_bytes`]`(n, cols, elem)`.
 pub fn gemm_at_b_pack_bytes(n: usize, cols: usize, elem: usize) -> usize {
     pack_panel_bytes(n, cols, elem)
 }
 
-/// Packed-operand traffic of the `C = A·Bᵀ` SIMD path, which stages `Bᵀ`
-/// (`d × m`) once per call so the panel kernel streams `B` row-major:
+/// Packed-operand traffic of `C = A·Bᵀ`, which stages `Bᵀ` (`d × m`) once
+/// per call so the panel kernel streams `B` row-major:
 /// [`pack_panel_bytes`]`(d, m, elem)`.
 pub fn gemm_a_bt_pack_bytes(d: usize, m: usize, elem: usize) -> usize {
     pack_panel_bytes(d, m, elem)
@@ -146,18 +142,18 @@ mod tests {
 
     #[test]
     fn kernel_flop_formulas_are_pinned() {
-        // The five dense-kernel formulas, spelled out numerically so any
+        // The four dense-kernel formulas, spelled out numerically so any
         // accidental change to a formula fails loudly here.
         assert_eq!(gemm_flops(3, 4, 5), 2 * 3 * 4 * 5);
         assert_eq!(gemm_at_b_flops(100, 8, 6), 2 * 100 * 8 * 6);
         assert_eq!(gemm_a_bt_flops(100, 7, 9), 2 * 100 * 7 * 9);
         // Symmetric Gram: d(d+1) triangle flops + d weight scalings per row.
-        assert_eq!(gram_weighted_flops(10, 4), 10 * (4 * 5 + 4));
+        assert_eq!(gram_weighted_multi_flops(1, 10, 4), 10 * (4 * 5 + 4));
         assert_eq!(gram_weighted_multi_flops(3, 10, 4), 3 * 10 * (4 * 5 + 4));
         // The multi kernel is exactly c independent single-weight Grams.
         assert_eq!(
             gram_weighted_multi_flops(7, 123, 17),
-            7 * gram_weighted_flops(123, 17)
+            7 * gram_weighted_multi_flops(1, 123, 17)
         );
     }
 

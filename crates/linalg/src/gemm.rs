@@ -14,12 +14,12 @@
 //!
 //! Every kernel exists in two forms: the plain entry point (`gemm` etc.),
 //! which runs on the process-wide SIMD tier picked once by
-//! [`crate::simd::active_tier`], and an explicit `*_tier` variant that the
-//! equality harnesses use to cross-check every available tier bitwise. The
-//! SIMD bodies live in `crate::simd`; the scalar register-tiled panels in
-//! this module remain the always-available fallback and the reference
-//! semantics. Blocking parameters for the packed-panel paths come from the
-//! one-shot autotuner ([`crate::autotune`]).
+//! [`crate::simd::active_tier`], and one explicit `*_tier` (or, where a
+//! blocking plan is read, `*_planned`) variant that the equality harnesses
+//! use to cross-check every available tier bitwise. The SIMD bodies live in
+//! `crate::simd`; the scalar register-tiled panels in this module remain
+//! the always-available fallback and the reference semantics. The class
+//! blocking of [`gram_weighted_multi`] comes from [`crate::autotune`].
 //!
 //! # Determinism contract
 //!
@@ -29,18 +29,18 @@
 //! * **row-parallel kernels** ([`gemm`], [`gemm_a_bt`]) produce each output
 //!   row in exactly one task with a fixed depth-ascending accumulation
 //!   order, so any row grouping yields identical bits;
-//! * **reduction kernels** ([`gemm_at_b`], [`gram_weighted`],
-//!   [`gram_weighted_multi`]) fix their chunk boundaries from the problem
-//!   shape alone (`reduce_chunk_rows` — never
-//!   `rayon::current_num_threads()`) and combine partial accumulators in
-//!   chunk-index order (the shim's ordered `reduce`);
+//! * **reduction kernels** ([`gemm_at_b`], [`gram_weighted_multi`]) fix
+//!   their chunk boundaries from the problem shape alone
+//!   (`reduce_chunk_rows` — never `rayon::current_num_threads()`) and
+//!   combine partial accumulators in chunk-index order (the shim's ordered
+//!   `reduce`);
 //! * the sequential small-shape fallback uses the same accumulation order,
 //!   and the parallel/sequential branch is a pure shape predicate
 //!   (`PAR_THRESHOLD`);
 //! * every SIMD tier implements the same canonical per-element summation
 //!   tree as the scalar panels (lane-width independent because lanes span
 //!   output elements, never a reduction axis; all arithmetic unfused — see
-//!   the `crate::simd` module docs), and the autotuned blocking knobs are
+//!   the `crate::simd` module docs), and the cache-derived blocking plan is
 //!   bit-neutral by construction.
 //!
 //! Consequence: `FIRAL_NUM_THREADS ∈ {1, 2, …}` (or any
@@ -55,7 +55,7 @@ use crate::autotune::{self, KernelPlan};
 use crate::counters;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::simd::{self, Tier};
+use crate::simd::{self, check_tier, AtBChunk, GemmPanel, GramRows, Tier};
 
 /// Work threshold (in multiply-adds) below which kernels run sequentially.
 /// Parallelizing tiny GEMMs costs more in task dispatch than it saves.
@@ -106,15 +106,6 @@ fn reduce_row_chunks<T: Scalar>(
     )
 }
 
-/// Fail loudly if a harness hands us a tier the CPU cannot execute
-/// (cheap: the feature probes behind it are cached).
-pub(crate) fn check_tier(tier: Tier) {
-    assert!(
-        simd::tier_available(tier),
-        "SIMD tier '{tier}' is unavailable on this host"
-    );
-}
-
 /// `C = A · B` on the process-wide dispatch tier.
 ///
 /// Row-parallel over 4-row tiles, `ikj` loop order so both `B` and `C`
@@ -162,6 +153,15 @@ fn gemm_acc<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    gemm_row_blocks(tier, a, b, c);
+}
+
+/// The row-parallel driver of [`gemm`] and [`gemm_a_bt`]: `C += A·B` for
+/// non-empty row-major `A` (`m × k`), `B` (`k × n`), `C` (`m × n`), one
+/// [`gemm_panel`] per [`ROW_BLOCK`] rows above [`PAR_THRESHOLD`].
+fn gemm_row_blocks<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
+    let (k, n) = b.shape();
+    let m = a.len() / k;
     let body = |ci: &mut [T], ai: &[T]| {
         gemm_panel(tier, ci, n, ai, k, b.as_slice(), n, ai.len() / k, k, n)
     };
@@ -175,7 +175,8 @@ fn gemm_acc<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
 }
 
 /// [`gemm_rows`] on `tier`: its SIMD body, or the scalar panel itself on
-/// [`Tier::Scalar`]. Same bits either way.
+/// [`Tier::Scalar`]. Same bits either way. Panics if a slice is too short
+/// for its shape.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panel<T: Scalar>(
     tier: Tier,
@@ -189,7 +190,21 @@ pub(crate) fn gemm_panel<T: Scalar>(
     k: usize,
     n: usize,
 ) {
-    if !T::simd_gemm_panel(tier, c, ldc, a, lda, b, ldb, rows, k, n) {
+    if rows == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let panel = GemmPanel {
+        c: &mut *c,
+        ldc,
+        a,
+        lda,
+        b,
+        ldb,
+        rows,
+        k,
+        n,
+    };
+    if !T::simd_run(tier, panel) {
         gemm_rows(c, ldc, a, lda, b, ldb, rows, k, n);
     }
 }
@@ -280,29 +295,16 @@ pub(crate) fn gemm_rows<T: Scalar>(
 /// paper's per-GPU partial sums followed by `MPI_Allreduce`. The chunk body
 /// consumes rows in 4-row tiles so each accumulator row takes four
 /// multiply-adds per pass over it; on SIMD tiers the chunk body is the
-/// packed-panel reduction microkernel with autotuned register blocking,
-/// the last `d % lanes` columns riding in a zero-padded strip of their own.
+/// reduction microkernel of `simd/body.rs` (eight output columns per pass,
+/// `A` read in place), the last `d % lanes` columns riding in a staged
+/// zero-padded strip of their own.
 pub fn gemm_at_b<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     gemm_at_b_tier(simd::active_tier(), a, b)
 }
 
-/// [`gemm_at_b`] on an explicit dispatch tier, with the blocking plan
-/// autotuned for `(tier, d, dtype)`. Bitwise identical across tiers.
+/// [`gemm_at_b`] on an explicit dispatch tier. Bitwise identical across
+/// tiers.
 pub fn gemm_at_b_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    check_tier(tier);
-    gemm_at_b_planned(tier, autotune::plan_for::<T>(tier, a.cols()), a, b)
-}
-
-/// [`gemm_at_b`] with an explicit blocking plan. Exposed so the autotuner
-/// probe and the block-invariance tests can pin that every legal plan
-/// yields identical bits; normal callers use [`gemm_at_b`] /
-/// [`gemm_at_b_tier`].
-pub fn gemm_at_b_planned<T: Scalar>(
-    tier: Tier,
-    plan: KernelPlan,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-) -> Matrix<T> {
     check_tier(tier);
     let (n, d) = a.shape();
     let (nb, m) = b.shape();
@@ -311,18 +313,16 @@ pub fn gemm_at_b_planned<T: Scalar>(
     if d == 0 || m == 0 {
         return Matrix::zeros(d, m);
     }
-    if !simd::tier_is_simd(tier) {
+    if tier == Tier::Scalar {
         return gemm_at_b_scalar(a, b);
     }
 
     let elem = std::mem::size_of::<T>();
     let lanes = autotune::lane_count(tier, elem);
     let dp = d.next_multiple_of(lanes);
-    let jb = plan.jb.clamp(1, 8);
-    let pack = plan.pack;
-    // Staged A columns: every full strip when the plan packs, and always
-    // the zero-padded strip that carries the last `d % lanes` columns.
-    let staged = if pack { dp } else { dp - (d - d % lanes) };
+    // The one staged operand: the zero-padded strip that carries the last
+    // `d % lanes` columns of `A`.
+    let staged = dp - (d - d % lanes);
     if staged > 0 {
         counters::add_bytes(counters::gemm_at_b_pack_bytes(n, staged, elem));
     }
@@ -331,10 +331,16 @@ pub fn gemm_at_b_planned<T: Scalar>(
     // `d` rounded up to whole vectors) so the contiguous d axis of each A
     // row is the vector axis; the reduced result is transposed once into
     // the row-major d×m output, dropping the padded columns.
-    let chunk_body = |ca: &[T], cb: &[T]| -> Vec<T> {
+    let chunk_body = |a: &[T], b: &[T]| -> Vec<T> {
         let mut acc = vec![T::ZERO; m * dp];
-        let mut packbuf = Vec::new();
-        let handled = T::simd_at_b_chunk(tier, &mut acc, ca, cb, d, m, jb, pack, &mut packbuf);
+        let chunk = AtBChunk {
+            acc: &mut acc,
+            a,
+            b,
+            d,
+            m,
+        };
+        let handled = T::simd_run(tier, chunk);
         debug_assert!(handled);
         acc
     };
@@ -424,12 +430,11 @@ fn gemm_at_b_scalar<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// `C = A · Bᵀ` where `A` is `n × d` and `B` is `m × d`, on the
 /// process-wide dispatch tier.
 ///
-/// Row-parallel; each `A` row is dotted against a 4-row tile of `B` at a
-/// time (four independent accumulators), so the `A` row is loaded from
-/// cache once per four outputs. On SIMD tiers `Bᵀ` is staged once (`d × m`,
-/// row-major) and the GEMM panel kernel runs on it — the per-element
-/// depth-ascending accumulation is identical either way. Used for pairwise
-/// scores such as `X·V_k` panels and k-means distance computations.
+/// `Bᵀ` is staged once (`d × m`, row-major) and the row-parallel GEMM panel
+/// of [`gemm`] runs on it: per element one accumulator from zero, depth
+/// ascending. Used for `d × d`-sized products (`U·Uᵀ` updates, applying a
+/// function of an eigendecomposition) — none of them pool-sized on a hot
+/// path.
 pub fn gemm_a_bt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     gemm_a_bt_tier(simd::active_tier(), a, b)
 }
@@ -447,75 +452,17 @@ pub fn gemm_a_bt_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Ma
     if n == 0 || m == 0 || d == 0 {
         return c;
     }
-    if simd::tier_is_simd(tier) {
-        let bt = b.transpose();
-        counters::add_bytes(counters::gemm_a_bt_pack_bytes(
-            d,
-            m,
-            std::mem::size_of::<T>(),
-        ));
-        let body = |ci: &mut [T], ai: &[T]| {
-            let rows = ai.len() / d;
-            let handled = T::simd_gemm_panel(tier, ci, m, ai, d, bt.as_slice(), m, rows, d, m);
-            debug_assert!(handled);
-        };
-        if n * m * d >= PAR_THRESHOLD && n > 1 {
-            c.as_mut_slice()
-                .par_chunks_mut(ROW_BLOCK * m)
-                .zip(a.as_slice().par_chunks(ROW_BLOCK * d))
-                .for_each(|(ci, ai)| body(ci, ai));
-        } else {
-            body(c.as_mut_slice(), a.as_slice());
-        }
-        return c;
-    }
-    let body = |(crows, arows): (&mut [T], &[T])| {
-        let rows = arows.len() / d;
-        for r in 0..rows {
-            let arow = &arows[r * d..(r + 1) * d];
-            let crow = &mut crows[r * m..(r + 1) * m];
-            let mut j = 0;
-            while j + 4 <= m {
-                let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-                let mut s0 = T::ZERO;
-                let mut s1 = T::ZERO;
-                let mut s2 = T::ZERO;
-                let mut s3 = T::ZERO;
-                for (p, &ap) in arow.iter().enumerate() {
-                    s0 += ap * b0[p];
-                    s1 += ap * b1[p];
-                    s2 += ap * b2[p];
-                    s3 += ap * b3[p];
-                }
-                crow[j] = s0;
-                crow[j + 1] = s1;
-                crow[j + 2] = s2;
-                crow[j + 3] = s3;
-                j += 4;
-            }
-            while j < m {
-                let brow = b.row(j);
-                let mut acc = T::ZERO;
-                for (x, y) in arow.iter().zip(brow.iter()) {
-                    acc += *x * *y;
-                }
-                crow[j] = acc;
-                j += 1;
-            }
-        }
-    };
-    if n * m * d >= PAR_THRESHOLD && n > 1 {
-        c.as_mut_slice()
-            .par_chunks_mut(ROW_BLOCK * m)
-            .zip(a.as_slice().par_chunks(ROW_BLOCK * d))
-            .for_each(body);
-    } else {
-        body((c.as_mut_slice(), a.as_slice()));
-    }
+    let bt = b.transpose();
+    counters::add_bytes(counters::gemm_a_bt_pack_bytes(
+        d,
+        m,
+        std::mem::size_of::<T>(),
+    ));
+    gemm_row_blocks(tier, a.as_slice(), &bt, c.as_mut_slice());
     c
 }
 
-/// Scalar chunk body shared by the weighted Gram kernels: for every class
+/// Scalar chunk body of [`gram_weighted_multi`]: for every class
 /// `k` in `k0..k1`, accumulate `Σᵢ W[i][k]·xᵢxᵢᵀ` (upper triangle) over the
 /// chunk's rows into `acc` (one `d × d` block per class, flattened). Rows
 /// accumulate strictly sequentially — the canonical summation tree the SIMD
@@ -558,56 +505,6 @@ fn gram_rows_scalar<T: Scalar>(
     }
 }
 
-/// Weighted Gram matrix `G = Xᵀ diag(w) X` for `X ∈ n × d`, on the
-/// process-wide dispatch tier.
-///
-/// One block of the Definition-1 preconditioner (Eq. 15 summed over the
-/// pool): `B_k(Σ) = Σᵢ wᵢ xᵢxᵢᵀ`. Exploits symmetry (computes the upper
-/// triangle, mirrors at the end); shape-fixed reduction chunks combined in
-/// chunk order (see the module determinism contract).
-pub fn gram_weighted<T: Scalar>(x: &Matrix<T>, w: &[T]) -> Matrix<T> {
-    gram_weighted_tier(simd::active_tier(), x, w)
-}
-
-/// [`gram_weighted`] on an explicit dispatch tier. Bitwise identical across
-/// tiers.
-pub fn gram_weighted_tier<T: Scalar>(tier: Tier, x: &Matrix<T>, w: &[T]) -> Matrix<T> {
-    check_tier(tier);
-    let (n, d) = x.shape();
-    assert_eq!(w.len(), n, "gram_weighted: weight length mismatch");
-    counters::add_flops(counters::gram_weighted_flops(n, d));
-    if d == 0 {
-        return Matrix::zeros(0, 0);
-    }
-
-    let use_simd = simd::tier_is_simd(tier);
-    let ld = gram_ld::<T>(tier, d);
-    let accumulate = |rows: std::ops::Range<usize>| -> Vec<T> {
-        let mut acc = vec![T::ZERO; d * ld];
-        let xs = &x.as_slice()[rows.start * d..rows.end * d];
-        let ws = &w[rows.start..rows.end];
-        let mut packbuf = Vec::new();
-        if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, 1, 0, 1, d, &mut packbuf)) {
-            gram_rows_scalar(&mut acc, xs, ws, 1, 0, 1, d);
-        }
-        acc
-    };
-
-    let data = if n * d * d >= PAR_THRESHOLD && n > 1 {
-        let chunk = reduce_chunk_rows(n, GRAM_CHUNK_ROWS);
-        reduce_row_chunks(n, chunk, d * ld, accumulate)
-    } else {
-        accumulate(0..n)
-    };
-    gram_from_upper(&data, d, ld)
-}
-
-/// Row stride of a Gram accumulator block on `tier`: the SIMD body keeps
-/// `d` rounded up to whole vectors per row, the scalar panel exactly `d`.
-fn gram_ld<T: Scalar>(tier: Tier, d: usize) -> usize {
-    d.next_multiple_of(autotune::lane_count(tier, std::mem::size_of::<T>()))
-}
-
 /// The symmetric `d × d` matrix whose upper triangle is the upper triangle
 /// of the `d × ld` accumulator block `acc` (nothing else of it is read).
 fn gram_from_upper<T: Scalar>(acc: &[T], d: usize, ld: usize) -> Matrix<T> {
@@ -625,33 +522,25 @@ fn gram_from_upper<T: Scalar>(acc: &[T], d: usize, ld: usize) -> Matrix<T> {
 /// All class-block Gram matrices in one pass over the pool:
 /// `G_k = Xᵀ diag(W[:,k]) X` for every column `k` of the `n × c` weight
 /// panel `W`, on the process-wide dispatch tier. This is exactly Line 5 of
-/// Algorithm 2 (preconditioner construction), fused so `X` streams through
-/// memory once per class block.
+/// Algorithm 2 (preconditioner construction: one block of Definition 1 is
+/// `B_k(Σ) = Σᵢ w_ik xᵢxᵢᵀ`, Eq. 15 summed over the pool), fused so `X`
+/// streams through memory once per class block. Exploits symmetry
+/// (computes the upper triangle, mirrors at the end); shape-fixed reduction
+/// chunks combined in chunk order (see the module determinism contract).
 ///
-/// Classes are processed in blocks of `class_block` (autotuned from the L2
-/// size) so each reduction chunk's live accumulator set stays
+/// Classes are processed in blocks of [`KernelPlan::class_block`] (from the
+/// L2 size) so each reduction chunk's live accumulator set stays
 /// cache-resident — an unblocked pass carries `c · d²` accumulator elements
 /// per chunk (up to ~1 MiB at `c = 8`, `d = 128`, `f64`), which blows L2
 /// and flatlines thread scaling. Blocking is bit-neutral: classes are
 /// independent outputs and each keeps its exact per-chunk row order.
 pub fn gram_weighted_multi<T: Scalar>(x: &Matrix<T>, w: &Matrix<T>) -> Vec<Matrix<T>> {
-    gram_weighted_multi_tier(simd::active_tier(), x, w)
+    let plan = autotune::plan_for::<T>(x.cols());
+    gram_weighted_multi_planned(simd::active_tier(), plan, x, w)
 }
 
-/// [`gram_weighted_multi`] on an explicit dispatch tier, with the class
-/// blocking autotuned for `(tier, d, dtype)`. Bitwise identical across
-/// tiers.
-pub fn gram_weighted_multi_tier<T: Scalar>(
-    tier: Tier,
-    x: &Matrix<T>,
-    w: &Matrix<T>,
-) -> Vec<Matrix<T>> {
-    check_tier(tier);
-    gram_weighted_multi_planned(tier, autotune::plan_for::<T>(tier, x.cols()), x, w)
-}
-
-/// [`gram_weighted_multi`] with an explicit blocking plan (see
-/// [`gemm_at_b_planned`] for why this is exposed).
+/// [`gram_weighted_multi`] on an explicit dispatch tier and blocking plan
+/// (the equality harnesses pin that both are bit-neutral).
 pub fn gram_weighted_multi_planned<T: Scalar>(
     tier: Tier,
     plan: KernelPlan,
@@ -670,14 +559,15 @@ pub fn gram_weighted_multi_planned<T: Scalar>(
         return (0..c).map(|_| Matrix::zeros(0, 0)).collect();
     }
 
-    let use_simd = simd::tier_is_simd(tier);
     let kb = plan.class_block.max(1);
     // The parallel predicate and chunking depend on the full problem shape
     // only — not on the class blocking — so partial-sum splits are
-    // identical whatever `class_block` the autotuner picked.
+    // identical whatever `class_block` the host's caches give.
     let par = n * c * d * d >= PAR_THRESHOLD && n > 1;
     let chunk = reduce_chunk_rows(n, GRAM_CHUNK_ROWS);
-    let ld = gram_ld::<T>(tier, d);
+    // Row stride of an accumulator block: the SIMD body keeps `d` rounded
+    // up to whole vectors per row, the scalar panel exactly `d`.
+    let ld = d.next_multiple_of(autotune::lane_count(tier, std::mem::size_of::<T>()));
     let mut blocks = Vec::with_capacity(c);
     for k0 in (0..c).step_by(kb) {
         let k1 = (k0 + kb).min(c);
@@ -686,9 +576,16 @@ pub fn gram_weighted_multi_planned<T: Scalar>(
             let mut acc = vec![T::ZERO; bw];
             let xs = &x.as_slice()[rows.start * d..rows.end * d];
             let ws = &w.as_slice()[rows.start * c..rows.end * c];
-            let mut packbuf = Vec::new();
-            if !(use_simd && T::simd_gram_rows(tier, &mut acc, xs, ws, c, k0, k1, d, &mut packbuf))
-            {
+            let gram = GramRows {
+                acc: &mut acc,
+                x: xs,
+                w: ws,
+                wstride: c,
+                k0,
+                k1,
+                d,
+            };
+            if !T::simd_run(tier, gram) {
                 gram_rows_scalar(&mut acc, xs, ws, c, k0, k1, d);
             }
             acc
@@ -809,11 +706,17 @@ mod tests {
         }
     }
 
+    /// One weighted Gram matrix: the multi kernel on an `n × 1` panel.
+    fn gram_single(x: &Matrix<f64>, w: &[f64]) -> Matrix<f64> {
+        let panel = Matrix::from_vec(w.len(), 1, w.to_vec());
+        gram_weighted_multi(x, &panel).remove(0)
+    }
+
     #[test]
     fn gram_weighted_matches_definition() {
         let x = test_mat(50, 6, 9);
         let w: Vec<f64> = (0..50).map(|i| 0.01 * i as f64).collect();
-        let g = gram_weighted(&x, &w);
+        let g = gram_single(&x, &w);
         // Reference: Σ wᵢ xᵢxᵢᵀ
         let mut r = Matrix::<f64>::zeros(6, 6);
         for i in 0..50 {
@@ -841,7 +744,7 @@ mod tests {
         assert_eq!(gs.len(), 3);
         for k in 0..3 {
             let wk = w.col(k);
-            let g_ref = gram_weighted(&x, &wk);
+            let g_ref = gram_single(&x, &wk);
             let diff = (0..5)
                 .flat_map(|i| (0..5).map(move |j| (i, j)))
                 .map(|(i, j)| (gs[k][(i, j)] - g_ref[(i, j)]).abs())
@@ -854,7 +757,7 @@ mod tests {
     fn gram_weighted_is_symmetric() {
         let x = test_mat(64, 7, 12);
         let w = vec![1.0; 64];
-        let g = gram_weighted(&x, &w);
+        let g = gram_single(&x, &w);
         for p in 0..7 {
             for q in 0..7 {
                 assert_eq!(g[(p, q)], g[(q, p)]);
@@ -866,7 +769,8 @@ mod tests {
     fn all_kernels_bitwise_deterministic_across_thread_counts() {
         // The module's determinism contract, pinned at shapes that cross
         // PAR_THRESHOLD (so the parallel paths really engage): identical
-        // bits at 1, 2, and 4 pool threads for all five kernels.
+        // bits at 1, 2, and 4 pool threads for all four kernels (the Gram
+        // kernel at one class and at several).
         let x = test_mat(900, 24, 31);
         let y = test_mat(900, 18, 32);
         let sq = test_mat(24, 900, 33);
@@ -882,7 +786,7 @@ mod tests {
                     .iter()
                     .map(|v| v.to_bits()),
             );
-            out.extend(gram_weighted(&x, &w).as_slice().iter().map(|v| v.to_bits()));
+            out.extend(gram_single(&x, &w).as_slice().iter().map(|v| v.to_bits()));
             for g in gram_weighted_multi(&x, &wpanel) {
                 out.extend(g.as_slice().iter().map(|v| v.to_bits()));
             }

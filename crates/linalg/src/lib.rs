@@ -6,8 +6,9 @@
 //! row-major [`Matrix`], cache-blocked rayon-parallel [`gemm()`] kernels, a
 //! Cholesky factorization, symmetric eigensolvers (Householder
 //! tridiagonalization + implicit QL, with a cyclic-Jacobi reference), SPD
-//! helpers (inverse, square root, condition number) and the block-diagonal
-//! operators of Definition 1 that Approx-FIRAL's ROUND step lives on.
+//! helpers (inverse, inverse square root, condition number) and the
+//! block-diagonal operators of Definition 1 that Approx-FIRAL's ROUND step
+//! lives on.
 //!
 //! All kernels are written against the [`Scalar`] trait so every algorithm in
 //! the workspace can be instantiated in `f32` (paper configuration) and `f64`
@@ -41,19 +42,18 @@ pub mod vecops;
 
 pub use autotune::{cache_geometry, plan_for, CacheGeometry, KernelPlan};
 pub use blockdiag::BlockDiag;
-pub use cholesky::{factor_lower_in_place, invert_lower, Cholesky};
+pub use cholesky::{invert_lower, Cholesky};
 pub use eigen::{eigh, eigvalsh, jacobi_eigh, EigDecomposition};
 pub use gemm::{
-    gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_planned, gemm_at_b_tier, gemm_into,
-    gemm_tier, gram_weighted, gram_weighted_multi, gram_weighted_multi_planned,
-    gram_weighted_multi_tier, gram_weighted_tier,
+    gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_tier, gemm_into, gemm_tier,
+    gram_weighted_multi, gram_weighted_multi_planned,
 };
 pub use kron::{kron, unvec, vec_of};
 pub use matrix::Matrix;
 pub use quad::{QuadSweep, QUAD_BLOCK_ROWS};
 pub use scalar::Scalar;
 pub use simd::{active_tier, available_tiers, cpu_features, Tier};
-pub use spd::{spd_condition_number, spd_inv_sqrt, spd_inverse, spd_sqrt};
+pub use spd::{spd_condition_number, spd_inv_sqrt, spd_inverse};
 pub use sweep::{fisher_sweep, fisher_sweep_planned, to_wide, SweepInput, SweepWorkspace};
 pub use vecops::{axpy, dot, nrm2, scale};
 

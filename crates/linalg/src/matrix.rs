@@ -101,11 +101,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consume into the flat row-major buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Borrow row `i`.
     #[inline(always)]
     pub fn row(&self, i: usize) -> &[T] {
@@ -166,20 +161,6 @@ impl<T: Scalar> Matrix<T> {
                 acc += *a * *b;
             }
             y[i] = acc;
-        }
-        y
-    }
-
-    /// Transposed matrix-vector product `y = Aᵀ x`.
-    pub fn matvec_t(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.rows, "matvec_t dimension mismatch");
-        counters::add_flops(2 * self.rows * self.cols);
-        let mut y = vec![T::ZERO; self.cols];
-        for i in 0..self.rows {
-            let xi = x[i];
-            for (yj, aij) in y.iter_mut().zip(self.row(i)) {
-                *yj += *aij * xi;
-            }
         }
         y
     }
@@ -338,13 +319,6 @@ mod tests {
     fn transpose_roundtrip() {
         let a = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as f64);
         assert_eq!(a.transpose().transpose(), a);
-    }
-
-    #[test]
-    fn matvec_t_agrees_with_explicit_transpose() {
-        let a = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64);
-        let x = vec![1.0, -1.0, 2.0, 0.5];
-        assert_eq!(a.matvec_t(&x), a.transpose().matvec(&x));
     }
 
     #[test]

@@ -41,10 +41,10 @@ use rayon::prelude::*;
 use crate::autotune;
 use crate::cholesky::{factor_lower_in_place, invert_lower};
 use crate::counters;
-use crate::gemm::{check_tier, gemm_panel, PAR_THRESHOLD};
+use crate::gemm::{gemm_panel, PAR_THRESHOLD};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::simd::{self, Tier};
+use crate::simd::{self, check_tier, Tier};
 use crate::sweep::grown;
 use crate::Result;
 

@@ -1,10 +1,11 @@
 //! Width-generic SIMD kernel bodies.
 //!
-//! Each body is written once against the [`SimdVec`] abstraction and
-//! monomorphized per (tier, dtype) by the `#[target_feature]` wrappers in
-//! the parent module; `#[inline(always)]` guarantees the body collapses
-//! into the wrapper so the intrinsics compile under the wrapper's feature
-//! set.
+//! Each body is written once against the [`SimdVec`] abstraction, next to
+//! the operand struct that carries one call of it through
+//! [`crate::simd::Dispatch::simd_run`], and is monomorphized per (tier,
+//! dtype) by the `#[target_feature]` wrappers in the parent module;
+//! `#[inline(always)]` guarantees the body collapses into the wrapper so
+//! the intrinsics compile under the wrapper's feature set.
 //!
 //! # Canonical summation trees
 //!
@@ -20,6 +21,7 @@
 //! two-rounding semantics.
 
 use super::vector::SimdVec;
+use super::SimdKernel;
 use crate::scalar::Scalar;
 
 /// `C[r] += A[r] · B` for a panel of rows: the one GEMM body of the crate
@@ -161,6 +163,41 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
     }
 }
 
+/// [`gemm_panel`] on non-empty row-major operands (`ars = lda`, `acs = 1`),
+/// packaged for [`crate::simd::Dispatch::simd_run`]; built by
+/// `crate::gemm::gemm_panel`.
+pub(crate) struct GemmPanel<'a, T> {
+    pub(crate) c: &'a mut [T],
+    pub(crate) ldc: usize,
+    pub(crate) a: &'a [T],
+    pub(crate) lda: usize,
+    pub(crate) b: &'a [T],
+    pub(crate) ldb: usize,
+    pub(crate) rows: usize,
+    pub(crate) k: usize,
+    pub(crate) n: usize,
+}
+
+impl<T: Scalar> SimdKernel<T> for GemmPanel<'_, T> {
+    // SAFETY: unsafe by `SimdKernel::run`'s contract: the caller holds `V`'s feature.
+    #[inline(always)]
+    unsafe fn run<V: SimdVec<T>>(self) {
+        let s = self;
+        let (rows, k, n) = (s.rows, s.k, s.n);
+        assert!(
+            rows > 0
+                && k > 0
+                && (rows - 1) * s.ldc + n <= s.c.len()
+                && (rows - 1) * s.lda + k <= s.a.len()
+                && (k - 1) * s.ldb + n <= s.b.len(),
+            "gemm_panel: operand shorter than its {rows}x{k}x{n} shape"
+        );
+        // SAFETY: the shape contract was just checked; the feature is the
+        // caller's (`SimdKernel::run`).
+        unsafe { gemm_panel::<T, V>(s.c, s.ldc, s.a, s.lda, 1, s.b, s.ldb, rows, k, n) }
+    }
+}
+
 /// Reduction microkernel of [`at_b_chunk`]: accumulates `JB` output columns
 /// (one per broadcast `B` column) over one `V::LANES`-wide strip of output
 /// rows, with the `JB × 1`-vector accumulator tile held in registers across
@@ -222,7 +259,7 @@ unsafe fn at_b_micro<T: Scalar, V: SimdVec<T>, const JB: usize>(
 /// costs time on the final partial block.
 ///
 /// # Safety
-/// As [`at_b_micro`], with `jl ≤ 8` valid `b` columns.
+/// As [`at_b_micro`], with `jl ≤ AT_B_JB` valid `b` columns.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn at_b_micro_any<T: Scalar, V: SimdVec<T>>(
@@ -235,13 +272,13 @@ unsafe fn at_b_micro_any<T: Scalar, V: SimdVec<T>>(
     rows: usize,
     jl: usize,
 ) {
-    debug_assert!(jl <= 8 && jl > 0);
+    debug_assert!(jl <= AT_B_JB && jl > 0);
     // SAFETY: as `at_b_micro`, except only the first `jl` accumulator
     // columns are live: every `b`/`accp` column index is capped by
     // `.take(jl)`, and the dead lanes of the spill array load from the
     // (valid) column 0. The target feature backing `V` is held.
     unsafe {
-        let mut acc: [V; 8] =
+        let mut acc: [V; AT_B_JB] =
             core::array::from_fn(|jj| V::load(accp.add(if jj < jl { jj * d } else { 0 })));
         let mut r = 0;
         while r + 4 <= rows {
@@ -271,83 +308,108 @@ unsafe fn at_b_micro_any<T: Scalar, V: SimdVec<T>>(
     }
 }
 
+/// Output columns per pass of the `AᵀB` microkernel: the accumulator tile
+/// of [`at_b_micro`] is `AT_B_JB` vectors, which with the four `A` row
+/// vectors and two temporaries fits the 16 vector registers of x86-64.
+const AT_B_JB: usize = 8;
+
 /// One reduction chunk of `C = AᵀB` (`A ∈ rows×d`, `B ∈ rows×m`),
 /// accumulated into a **`j`-major** `m × dp` panel (`acc[j·dp + i] = C[i][j]`,
 /// `dp = d` rounded up to a multiple of `V::LANES`) so the `d` axis —
 /// contiguous in every `A` row — is the vector axis.
 ///
-/// Optionally packs each `V::LANES`-wide A-column strip into a contiguous
-/// panel (`packbuf`) so the row loop streams unit-stride memory regardless
-/// of `d`. The last `d % LANES` columns always go through a packed strip,
+/// Full `V::LANES`-wide column strips of `A` are read in place. The last
+/// `d % LANES` columns are staged once into a strip of their own,
 /// zero-padded to a full vector: they run the same microkernel as every
 /// other strip and the padded lanes land in the `dp - d` accumulator
-/// columns nobody reads, so no output row is left to scalar code. Packing
-/// and the `jb` register-block size are chosen by the autotuner and are
-/// bit-neutral: per element the row-accumulation order is the canonical
-/// 4-row grouping of the scalar kernel, whatever the blocking.
+/// columns nobody reads, so no output row is left to scalar code. Per
+/// element the row-accumulation order is the canonical 4-row grouping of
+/// the scalar kernel; the [`AT_B_JB`]-column blocking only regroups
+/// independent output columns.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
 /// `acc.len() = m·dp` with `dp = d.next_multiple_of(V::LANES)`,
-/// `a.len() = rows·d`, `b.len() = rows·m`, `d > 0`, `m > 0`, `1 ≤ jb ≤ 8`.
+/// `a.len() = rows·d`, `b.len() = rows·m`, `d > 0`, `m > 0`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn at_b_chunk<T: Scalar, V: SimdVec<T>>(
     acc: &mut [T],
     a: &[T],
     b: &[T],
     d: usize,
     m: usize,
-    jb: usize,
-    pack: bool,
-    packbuf: &mut Vec<T>,
 ) {
     let l = V::LANES;
     let rows = a.len() / d;
     let dp = d.next_multiple_of(l);
-    let strips = dp / l;
-    // Strips that go through `packbuf` (strip-major, `rows × l` each): all
-    // of them when the plan packs, else only the zero-padded last one.
-    let first_packed = if pack { 0 } else { d / l };
-    packbuf.clear();
-    packbuf.reserve((strips - first_packed) * rows * l);
-    for strip in first_packed..strips {
-        let ib = strip * l;
-        let real = l.min(d - ib);
-        for r in 0..rows {
-            packbuf.extend_from_slice(&a[r * d + ib..r * d + ib + real]);
-            packbuf.resize(packbuf.len() + l - real, T::ZERO);
+    // Strips `0..full` are whole vectors of `A`; strip `full`, if any, is
+    // the zero-padded tail, staged as a contiguous `rows × l` panel.
+    let full = d / l;
+    let mut tail = Vec::new();
+    if full * l < d {
+        tail.reserve(rows * l);
+        for arow in a.chunks_exact(d) {
+            tail.extend_from_slice(&arow[full * l..]);
+            tail.resize(tail.len() + dp - d, T::ZERO);
         }
     }
     // SAFETY: the caller's shape contract (see `# Safety`) gives the
     // microkernels their pointer contract: `(strip + 1)·l ≤ dp` keeps every
-    // `acc`-tile access in bounds, an unpacked `A` strip has
-    // `(strip + 1)·l ≤ d` and packed strip `strip` is the `rows · l`
-    // elements staged above at `(strip - first_packed)·rows·l`, and
-    // `j0 + jl ≤ m` caps the `b`/`acc` columns. The target feature backing
-    // `V` is held by the caller.
+    // `acc`-tile access in bounds, an in-place `A` strip has
+    // `(strip + 1)·l ≤ d`, the tail strip is the `rows · l` elements staged
+    // above, and `j0 + jl ≤ m` caps the `b`/`acc` columns. The target
+    // feature backing `V` is held by the caller.
     unsafe {
         // Column blocks outermost: a block's `rows × jl` slice of `B` is
         // then reused from L1 by every strip, however wide `B` is.
         let mut j0 = 0;
         while j0 < m {
-            let jl = (m - j0).min(jb);
+            let jl = (m - j0).min(AT_B_JB);
             let bp = b.as_ptr().add(j0);
-            for strip in 0..strips {
-                let (ap, astride) = if strip >= first_packed {
-                    (packbuf.as_ptr().add((strip - first_packed) * rows * l), l)
+            for strip in 0..dp / l {
+                let (ap, astride) = if strip == full {
+                    (tail.as_ptr(), l)
                 } else {
                     (a.as_ptr().add(strip * l), d)
                 };
                 let accp = acc.as_mut_ptr().add(j0 * dp + strip * l);
                 match jl {
-                    8 => at_b_micro::<T, V, 8>(accp, dp, ap, astride, bp, m, rows),
+                    AT_B_JB => at_b_micro::<T, V, AT_B_JB>(accp, dp, ap, astride, bp, m, rows),
                     4 => at_b_micro::<T, V, 4>(accp, dp, ap, astride, bp, m, rows),
                     _ => at_b_micro_any::<T, V>(accp, dp, ap, astride, bp, m, rows, jl),
                 }
             }
             j0 += jl;
         }
+    }
+}
+
+/// [`at_b_chunk`] packaged for [`crate::simd::Dispatch::simd_run`]; built
+/// by `crate::gemm::gemm_at_b_tier` per reduction chunk.
+pub(crate) struct AtBChunk<'a, T> {
+    pub(crate) acc: &'a mut [T],
+    pub(crate) a: &'a [T],
+    pub(crate) b: &'a [T],
+    pub(crate) d: usize,
+    pub(crate) m: usize,
+}
+
+impl<T: Scalar> SimdKernel<T> for AtBChunk<'_, T> {
+    // SAFETY: unsafe by `SimdKernel::run`'s contract: the caller holds `V`'s feature.
+    #[inline(always)]
+    unsafe fn run<V: SimdVec<T>>(self) {
+        let (d, m) = (self.d, self.m);
+        assert!(
+            d > 0
+                && m > 0
+                && self.a.len().is_multiple_of(d)
+                && self.b.len() == self.a.len() / d * m
+                && self.acc.len() == m * d.next_multiple_of(V::LANES),
+            "at_b_chunk: operands do not match their ({d}, {m}) shape"
+        );
+        // SAFETY: the shape contract was just checked; the feature is the
+        // caller's (`SimdKernel::run`).
+        unsafe { at_b_chunk::<T, V>(self.acc, self.a, self.b, d, m) }
     }
 }
 
@@ -385,10 +447,10 @@ pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
     k0: usize,
     k1: usize,
     d: usize,
-    packbuf: &mut Vec<T>,
 ) {
     let l = V::LANES;
     let dp = d.next_multiple_of(l);
+    let mut packbuf = Vec::new();
     for k in k0..k1 {
         // `packbuf` = S (live × d) followed by padded X (live × dp).
         packbuf.clear();
@@ -435,5 +497,37 @@ pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
                 );
             }
         }
+    }
+}
+
+/// [`gram_rows`] packaged for [`crate::simd::Dispatch::simd_run`]; built by
+/// `crate::gemm::gram_weighted_multi_planned` per reduction chunk and class
+/// block.
+pub(crate) struct GramRows<'a, T> {
+    pub(crate) acc: &'a mut [T],
+    pub(crate) x: &'a [T],
+    pub(crate) w: &'a [T],
+    pub(crate) wstride: usize,
+    pub(crate) k0: usize,
+    pub(crate) k1: usize,
+    pub(crate) d: usize,
+}
+
+impl<T: Scalar> SimdKernel<T> for GramRows<'_, T> {
+    // SAFETY: unsafe by `SimdKernel::run`'s contract: the caller holds `V`'s feature.
+    #[inline(always)]
+    unsafe fn run<V: SimdVec<T>>(self) {
+        let s = self;
+        assert!(
+            s.d > 0
+                && s.k0 <= s.k1
+                && s.x.len().is_multiple_of(s.d)
+                && s.acc.len() == (s.k1 - s.k0) * s.d * s.d.next_multiple_of(V::LANES),
+            "gram_rows: operands do not match their shape"
+        );
+        // SAFETY: the shape contract was just checked (a weight row shorter
+        // than `k1` panics on its index); the feature is the caller's
+        // (`SimdKernel::run`).
+        unsafe { gram_rows::<T, V>(s.acc, s.x, s.w, s.wstride, s.k0, s.k1, s.d) }
     }
 }

@@ -1,6 +1,6 @@
 //! Runtime SIMD feature dispatch for the hot dense kernels.
 //!
-//! The five kernels in [`mod@crate::gemm`], the fused Fisher-panel sweep
+//! The four kernels in [`mod@crate::gemm`], the fused Fisher-panel sweep
 //! in [`mod@crate::sweep`] and the Eq. 17 sweep in [`mod@crate::quad`] are
 //! implemented at three levels:
 //! the always-available scalar register-tiled panels (the reference
@@ -8,7 +8,11 @@
 //! the SSE2 baseline) and AArch64 (NEON). The tier is picked **once** at
 //! first kernel use — best detected feature set, overridable with
 //! `FIRAL_SIMD=off|sse2|avx2|neon` — and every subsequent call dispatches
-//! through it.
+//! through it, by one seam: a kernel call is a [`SimdKernel`] operand
+//! struct, [`Dispatch::simd_run`] hands it to the `#[target_feature]`
+//! wrapper of the (tier, dtype), and the wrapper runs the struct's
+//! width-generic body at its vector type. A new kernel is a body and a
+//! struct; the seam does not grow.
 //!
 //! # The canonical-summation-tree determinism contract
 //!
@@ -23,8 +27,8 @@
 //!   of four — `acc += ((a₀b₀ + a₁b₁) + a₂b₂) + a₃b₃` — trailing rows
 //!   singly, within the shape-derived reduction chunks of the thread
 //!   contract;
-//! * [`crate::gemm::gram_weighted`] / [`crate::gemm::gram_weighted_multi`]:
-//!   rows accumulate strictly sequentially;
+//! * [`crate::gemm::gram_weighted_multi`]: rows accumulate strictly
+//!   sequentially;
 //! * [`crate::sweep::fisher_sweep`]: the `gemm` tree for `X·V`, a
 //!   class-ascending `γᵀh`, and one row-ascending accumulator per output
 //!   element of `XᵀΓ` within each shape-derived reduction chunk (spelled
@@ -47,6 +51,10 @@ mod sweep;
 mod vector;
 
 use std::sync::OnceLock;
+
+pub(crate) use body::{AtBChunk, GemmPanel, GramRows};
+pub(crate) use sweep::SweepBlock;
+use vector::SimdVec;
 
 /// A SIMD dispatch tier. All variants exist on every architecture (so
 /// harnesses can name and report them); only the tiers in
@@ -83,26 +91,6 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// Best tier the running CPU supports.
-fn detect_best() -> Tier {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            Tier::Avx2
-        } else {
-            Tier::Sse2
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        Tier::Neon
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        Tier::Scalar
-    }
-}
-
 /// Every tier usable on the running host, scalar first, best last. The
 /// equality harnesses iterate this list to cross-check all tiers bitwise.
 pub fn available_tiers() -> Vec<Tier> {
@@ -119,6 +107,13 @@ pub fn available_tiers() -> Vec<Tier> {
         tiers.push(Tier::Neon);
     }
     tiers
+}
+
+/// Best tier the running CPU supports.
+fn detect_best() -> Tier {
+    *available_tiers()
+        .last()
+        .expect("the scalar tier is always there")
 }
 
 /// The dispatch tier used by the plain kernel entry points
@@ -160,12 +155,12 @@ pub fn active_tier() -> Tier {
     })
 }
 
-/// Whether the running CPU can execute `tier` (cheap: the feature macros
-/// cache their CPUID probes). The kernel entry points assert this so a
-/// harness passing a foreign tier fails loudly instead of executing
-/// illegal instructions.
-pub fn tier_available(tier: Tier) -> bool {
-    match tier {
+/// Panic unless the running CPU can execute `tier` (cheap: the feature
+/// macros cache their CPUID probes). The kernel entry points and
+/// [`Dispatch::simd_run`] call this, so a harness passing a foreign tier
+/// fails loudly instead of executing illegal instructions.
+pub(crate) fn check_tier(tier: Tier) {
+    let available = match tier {
         Tier::Scalar => true,
         #[cfg(target_arch = "x86_64")]
         Tier::Sse2 => true,
@@ -175,24 +170,8 @@ pub fn tier_available(tier: Tier) -> bool {
         Tier::Neon => true,
         #[allow(unreachable_patterns)]
         _ => false,
-    }
-}
-
-/// Whether `tier` maps to a SIMD body on the compiled architecture (i.e.
-/// the [`Dispatch`] methods will handle it). `false` means the caller must
-/// run its scalar panel. Kernel entry points branch on this once, up
-/// front, so mixed scalar/SIMD execution within one kernel call is
-/// impossible.
-pub fn tier_is_simd(tier: Tier) -> bool {
-    match tier {
-        Tier::Scalar => false,
-        #[cfg(target_arch = "x86_64")]
-        Tier::Sse2 | Tier::Avx2 => true,
-        #[cfg(target_arch = "aarch64")]
-        Tier::Neon => true,
-        #[allow(unreachable_patterns)]
-        _ => false,
-    }
+    };
+    assert!(available, "SIMD tier '{tier}' is unavailable on this host");
 }
 
 /// Space-separated summary of the SIMD-relevant CPU features detected at
@@ -225,165 +204,50 @@ pub fn cpu_features() -> String {
     }
 }
 
+/// One kernel call packaged for dispatch: a small operand struct (defined
+/// next to its width-generic body in `simd/body.rs` / `simd/sweep.rs`) whose
+/// [`SimdKernel::run`] forwards to that body at a concrete vector type.
+///
+/// Every implementation asserts the shape contract of its body first, so a
+/// struct with inconsistent operands panics instead of reaching the body.
+#[doc(hidden)]
+pub trait SimdKernel<T: Copy> {
+    /// Check the operands against the body's shape contract, then run the
+    /// body on the vector type `V`.
+    ///
+    /// # Safety
+    /// Caller must hold the target feature backing `V`.
+    unsafe fn run<V: SimdVec<T>>(self);
+}
+
 /// Per-dtype routing from a [`Tier`] to the monomorphized SIMD bodies.
 ///
 /// This is the dispatch seam between the shape/chunking logic in
-/// [`mod@crate::gemm`] (written once, generic over [`crate::Scalar`]) and the
-/// `#[target_feature]` kernels (necessarily monomorphic per dtype and
-/// ISA). Each method returns `true` if a SIMD tier handled the call and
-/// `false` for [`Tier::Scalar`] (or a tier foreign to the compiled
-/// architecture), in which case the caller runs its scalar panel.
-pub trait Dispatch: Sized {
-    /// SIMD `gemm_panel` body, `C += A·B` on `rows × k` / `k × n` operands
-    /// with leading dimensions `ldc`, `lda`, `ldb` (so a caller can address
-    /// a column window and a depth range of wider matrices); see
-    /// [`crate::gemm::gemm`]. Panics if a slice is too short for its shape.
+/// [`mod@crate::gemm`], [`mod@crate::sweep`] and [`mod@crate::quad`]
+/// (written once, generic over [`crate::Scalar`]) and the
+/// `#[target_feature]` wrappers (necessarily monomorphic per dtype and ISA,
+/// but generic in the kernel they run).
+pub trait Dispatch: Copy {
+    /// Run `k` on `tier`'s vector type for this dtype. Returns `false`,
+    /// leaving the operands untouched, for [`Tier::Scalar`]: the caller
+    /// then runs its scalar panel. Panics if `tier` is unavailable on the
+    /// running host.
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn simd_gemm_panel(
-        tier: Tier,
-        c: &mut [Self],
-        ldc: usize,
-        a: &[Self],
-        lda: usize,
-        b: &[Self],
-        ldb: usize,
-        rows: usize,
-        k: usize,
-        n: usize,
-    ) -> bool;
-
-    /// SIMD `AᵀB` reduction-chunk body; see [`crate::gemm::gemm_at_b`].
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn simd_at_b_chunk(
-        tier: Tier,
-        acc: &mut [Self],
-        a: &[Self],
-        b: &[Self],
-        d: usize,
-        m: usize,
-        jb: usize,
-        pack: bool,
-        packbuf: &mut Vec<Self>,
-    ) -> bool;
-
-    /// SIMD weighted-Gram chunk body; see [`crate::gemm::gram_weighted`].
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn simd_gram_rows(
-        tier: Tier,
-        acc: &mut [Self],
-        x: &[Self],
-        w: &[Self],
-        wstride: usize,
-        k0: usize,
-        k1: usize,
-        d: usize,
-        packbuf: &mut Vec<Self>,
-    ) -> bool;
-
-    /// SIMD row-block body of the fused Fisher-panel sweep; see
-    /// [`crate::sweep::fisher_sweep`].
-    #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
-    fn simd_sweep_block(
-        tier: Tier,
-        partial: &mut [Self],
-        gamma: &mut [Self],
-        alpha: &mut [Self],
-        x: &[Self],
-        h: &[Self],
-        z: Option<&[Self]>,
-        vpad: Option<&[Self]>,
-        d: usize,
-        c: usize,
-        s: usize,
-        mp: usize,
-    ) -> bool;
+    fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool;
 }
 
-/// `#[target_feature]` wrappers: one set of four kernels per (tier,
-/// dtype). `body::*` is `#[inline(always)]`, so each body monomorphizes
-/// and codegens under the wrapper's feature set.
-macro_rules! tier_wrappers {
-    ($feat:literal, $t:ty, $v:ty, $gemm:ident, $atb:ident, $gram:ident, $sweep:ident) => {
-        // SAFETY (this wrapper and the three below): `#[target_feature]`
-        // makes the fn unsafe with the contract "caller verified $feat";
-        // that is exactly the feature backing `$v`, the kernel entry
-        // points validate the slice shapes before dispatching here, and
-        // the body is `#[inline(always)]` so its intrinsics codegen under
-        // this wrapper's feature set.
+/// One `#[target_feature]` wrapper per (tier, dtype), generic in the kernel:
+/// [`SimdKernel::run`] and the bodies behind it are `#[inline(always)]`, so
+/// each kernel monomorphizes and codegens under the wrapper's feature set.
+macro_rules! feature_wrapper {
+    ($feat:literal, $name:ident, $t:ty, $v:ty) => {
+        // SAFETY: `#[target_feature]` makes the fn unsafe with the contract
+        // "caller verified $feat" — exactly the feature backing `$v`, which
+        // is all `SimdKernel::run` asks for.
         #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) unsafe fn $gemm(
-            c: &mut [$t],
-            ldc: usize,
-            a: &[$t],
-            lda: usize,
-            b: &[$t],
-            ldb: usize,
-            rows: usize,
-            k: usize,
-            n: usize,
-        ) {
-            // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::gemm_panel::<$t, $v>(c, ldc, a, lda, 1, b, ldb, rows, k, n) }
-        }
-        // SAFETY: same wrapper contract as the first kernel above.
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) unsafe fn $atb(
-            acc: &mut [$t],
-            a: &[$t],
-            b: &[$t],
-            d: usize,
-            m: usize,
-            jb: usize,
-            pack: bool,
-            packbuf: &mut Vec<$t>,
-        ) {
-            // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::at_b_chunk::<$t, $v>(acc, a, b, d, m, jb, pack, packbuf) }
-        }
-        // SAFETY: same wrapper contract as the first kernel above.
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) unsafe fn $gram(
-            acc: &mut [$t],
-            x: &[$t],
-            w: &[$t],
-            wstride: usize,
-            k0: usize,
-            k1: usize,
-            d: usize,
-            packbuf: &mut Vec<$t>,
-        ) {
-            // SAFETY: feature and shape contract forwarded, see above.
-            unsafe { super::body::gram_rows::<$t, $v>(acc, x, w, wstride, k0, k1, d, packbuf) }
-        }
-        // SAFETY: same wrapper contract as the first kernel above.
-        #[target_feature(enable = $feat)]
-        #[allow(clippy::too_many_arguments)]
-        pub(super) unsafe fn $sweep(
-            partial: &mut [$t],
-            gamma: &mut [$t],
-            alpha: &mut [$t],
-            x: &[$t],
-            h: &[$t],
-            z: Option<&[$t]>,
-            vpad: Option<&[$t]>,
-            d: usize,
-            c: usize,
-            s: usize,
-            mp: usize,
-        ) {
-            // SAFETY: feature and shape contract forwarded, see above.
-            unsafe {
-                super::sweep::sweep_block::<$t, $v>(
-                    partial, gamma, alpha, x, h, z, vpad, d, c, s, mp,
-                )
-            }
+        pub(super) unsafe fn $name<K: super::SimdKernel<$t>>(k: K) {
+            // SAFETY: feature contract forwarded, see above.
+            unsafe { k.run::<$v>() }
         }
     };
 }
@@ -392,265 +256,47 @@ macro_rules! tier_wrappers {
 mod wrap {
     use super::vector::x86::{Avx2F32, Avx2F64, Sse2F32, Sse2F64};
 
-    tier_wrappers!(
-        "avx2",
-        f32,
-        Avx2F32,
-        avx2_gemm_f32,
-        avx2_atb_f32,
-        avx2_gram_f32,
-        avx2_sweep_f32
-    );
-    tier_wrappers!(
-        "avx2",
-        f64,
-        Avx2F64,
-        avx2_gemm_f64,
-        avx2_atb_f64,
-        avx2_gram_f64,
-        avx2_sweep_f64
-    );
-    tier_wrappers!(
-        "sse2",
-        f32,
-        Sse2F32,
-        sse2_gemm_f32,
-        sse2_atb_f32,
-        sse2_gram_f32,
-        sse2_sweep_f32
-    );
-    tier_wrappers!(
-        "sse2",
-        f64,
-        Sse2F64,
-        sse2_gemm_f64,
-        sse2_atb_f64,
-        sse2_gram_f64,
-        sse2_sweep_f64
-    );
+    feature_wrapper!("avx2", avx2_f32, f32, Avx2F32);
+    feature_wrapper!("avx2", avx2_f64, f64, Avx2F64);
+    feature_wrapper!("sse2", sse2_f32, f32, Sse2F32);
+    feature_wrapper!("sse2", sse2_f64, f64, Sse2F64);
 }
 
 #[cfg(target_arch = "aarch64")]
 mod wrap {
     use super::vector::arm::{NeonF32, NeonF64};
 
-    tier_wrappers!(
-        "neon",
-        f32,
-        NeonF32,
-        neon_gemm_f32,
-        neon_atb_f32,
-        neon_gram_f32,
-        neon_sweep_f32
-    );
-    tier_wrappers!(
-        "neon",
-        f64,
-        NeonF64,
-        neon_gemm_f64,
-        neon_atb_f64,
-        neon_gram_f64,
-        neon_sweep_f64
-    );
+    feature_wrapper!("neon", neon_f32, f32, NeonF32);
+    feature_wrapper!("neon", neon_f64, f64, NeonF64);
 }
 
 /// Implements [`Dispatch`] for one dtype by routing each tier to its
-/// wrapper. Safety of the `unsafe` calls: the matched tier is only ever
-/// produced by [`active_tier`]/[`available_tiers`] (runtime-verified) or
-/// by harnesses iterating [`available_tiers`].
-macro_rules! dispatch_impl {
-    ($t:ty, $avx2_gemm:ident, $avx2_atb:ident, $avx2_gram:ident, $avx2_sweep:ident,
-        $sse2_gemm:ident, $sse2_atb:ident, $sse2_gram:ident, $sse2_sweep:ident,
-        $neon_gemm:ident, $neon_atb:ident, $neon_gram:ident, $neon_sweep:ident) => {
+/// wrapper.
+macro_rules! dispatch {
+    ($t:ty, $avx2:ident, $sse2:ident, $neon:ident) => {
         impl Dispatch for $t {
-            fn simd_gemm_panel(
-                tier: Tier,
-                c: &mut [Self],
-                ldc: usize,
-                a: &[Self],
-                lda: usize,
-                b: &[Self],
-                ldb: usize,
-                rows: usize,
-                k: usize,
-                n: usize,
-            ) -> bool {
-                if rows == 0 || k == 0 || n == 0 {
-                    return tier_is_simd(tier);
-                }
-                // The shape contract of `body::gemm_panel`, checked here so
-                // that no safe caller can reach the body out of bounds.
-                assert!(
-                    (rows - 1) * ldc + n <= c.len()
-                        && (rows - 1) * lda + k <= a.len()
-                        && (k - 1) * ldb + n <= b.len(),
-                    "gemm_panel: operand shorter than its {rows}x{k}x{n} shape"
-                );
+            fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool {
+                check_tier(tier);
                 match tier {
-                    // SAFETY: the matched tier proves the wrapper's
-                    // feature is available (see macro doc above).
+                    // SAFETY: `check_tier` just verified AVX2 at runtime.
                     #[cfg(target_arch = "x86_64")]
-                    Tier::Avx2 => unsafe {
-                        wrap::$avx2_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
-                        true
-                    },
+                    Tier::Avx2 => unsafe { wrap::$avx2(k) },
                     // SAFETY: SSE2 is the x86-64 compile-time baseline.
                     #[cfg(target_arch = "x86_64")]
-                    Tier::Sse2 => unsafe {
-                        wrap::$sse2_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
-                        true
-                    },
+                    Tier::Sse2 => unsafe { wrap::$sse2(k) },
                     // SAFETY: NEON is the AArch64 compile-time baseline.
                     #[cfg(target_arch = "aarch64")]
-                    Tier::Neon => unsafe {
-                        wrap::$neon_gemm(c, ldc, a, lda, b, ldb, rows, k, n);
-                        true
-                    },
-                    _ => false,
+                    Tier::Neon => unsafe { wrap::$neon(k) },
+                    _ => return false,
                 }
-            }
-
-            fn simd_at_b_chunk(
-                tier: Tier,
-                acc: &mut [Self],
-                a: &[Self],
-                b: &[Self],
-                d: usize,
-                m: usize,
-                jb: usize,
-                pack: bool,
-                packbuf: &mut Vec<Self>,
-            ) -> bool {
-                match tier {
-                    // SAFETY: the matched tier proves the wrapper's
-                    // feature is available (see macro doc above).
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Avx2 => unsafe {
-                        wrap::$avx2_atb(acc, a, b, d, m, jb, pack, packbuf);
-                        true
-                    },
-                    // SAFETY: SSE2 is the x86-64 compile-time baseline.
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Sse2 => unsafe {
-                        wrap::$sse2_atb(acc, a, b, d, m, jb, pack, packbuf);
-                        true
-                    },
-                    // SAFETY: NEON is the AArch64 compile-time baseline.
-                    #[cfg(target_arch = "aarch64")]
-                    Tier::Neon => unsafe {
-                        wrap::$neon_atb(acc, a, b, d, m, jb, pack, packbuf);
-                        true
-                    },
-                    _ => false,
-                }
-            }
-
-            fn simd_gram_rows(
-                tier: Tier,
-                acc: &mut [Self],
-                x: &[Self],
-                w: &[Self],
-                wstride: usize,
-                k0: usize,
-                k1: usize,
-                d: usize,
-                packbuf: &mut Vec<Self>,
-            ) -> bool {
-                match tier {
-                    // SAFETY: the matched tier proves the wrapper's
-                    // feature is available (see macro doc above).
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Avx2 => unsafe {
-                        wrap::$avx2_gram(acc, x, w, wstride, k0, k1, d, packbuf);
-                        true
-                    },
-                    // SAFETY: SSE2 is the x86-64 compile-time baseline.
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Sse2 => unsafe {
-                        wrap::$sse2_gram(acc, x, w, wstride, k0, k1, d, packbuf);
-                        true
-                    },
-                    // SAFETY: NEON is the AArch64 compile-time baseline.
-                    #[cfg(target_arch = "aarch64")]
-                    Tier::Neon => unsafe {
-                        wrap::$neon_gram(acc, x, w, wstride, k0, k1, d, packbuf);
-                        true
-                    },
-                    _ => false,
-                }
-            }
-
-            fn simd_sweep_block(
-                tier: Tier,
-                partial: &mut [Self],
-                gamma: &mut [Self],
-                alpha: &mut [Self],
-                x: &[Self],
-                h: &[Self],
-                z: Option<&[Self]>,
-                vpad: Option<&[Self]>,
-                d: usize,
-                c: usize,
-                s: usize,
-                mp: usize,
-            ) -> bool {
-                match tier {
-                    // SAFETY: the matched tier proves the wrapper's
-                    // feature is available (see macro doc above).
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Avx2 => unsafe {
-                        wrap::$avx2_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
-                        true
-                    },
-                    // SAFETY: SSE2 is the x86-64 compile-time baseline.
-                    #[cfg(target_arch = "x86_64")]
-                    Tier::Sse2 => unsafe {
-                        wrap::$sse2_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
-                        true
-                    },
-                    // SAFETY: NEON is the AArch64 compile-time baseline.
-                    #[cfg(target_arch = "aarch64")]
-                    Tier::Neon => unsafe {
-                        wrap::$neon_sweep(partial, gamma, alpha, x, h, z, vpad, d, c, s, mp);
-                        true
-                    },
-                    _ => false,
-                }
+                true
             }
         }
     };
 }
 
-dispatch_impl!(
-    f32,
-    avx2_gemm_f32,
-    avx2_atb_f32,
-    avx2_gram_f32,
-    avx2_sweep_f32,
-    sse2_gemm_f32,
-    sse2_atb_f32,
-    sse2_gram_f32,
-    sse2_sweep_f32,
-    neon_gemm_f32,
-    neon_atb_f32,
-    neon_gram_f32,
-    neon_sweep_f32
-);
-dispatch_impl!(
-    f64,
-    avx2_gemm_f64,
-    avx2_atb_f64,
-    avx2_gram_f64,
-    avx2_sweep_f64,
-    sse2_gemm_f64,
-    sse2_atb_f64,
-    sse2_gram_f64,
-    sse2_sweep_f64,
-    neon_gemm_f64,
-    neon_atb_f64,
-    neon_gram_f64,
-    neon_sweep_f64
-);
+dispatch!(f32, avx2_f32, sse2_f32, neon_f32);
+dispatch!(f64, avx2_f64, sse2_f64, neon_f64);
 
 #[cfg(test)]
 mod tests {
@@ -681,18 +327,19 @@ mod tests {
     #[test]
     fn scalar_dispatch_reports_unhandled() {
         let mut c = [0.0f64; 4];
-        assert!(!f64::simd_gemm_panel(
-            Tier::Scalar,
-            &mut c,
-            2,
-            &[1.0; 4],
-            2,
-            &[1.0; 4],
-            2,
-            2,
-            2,
-            2
-        ));
+        let (a, b) = ([1.0; 4], [1.0; 4]);
+        let panel = body::GemmPanel {
+            c: &mut c,
+            ldc: 2,
+            a: &a,
+            lda: 2,
+            b: &b,
+            ldb: 2,
+            rows: 2,
+            k: 2,
+            n: 2,
+        };
+        assert!(!f64::simd_run(Tier::Scalar, panel));
         assert_eq!(c, [0.0; 4]);
     }
 }

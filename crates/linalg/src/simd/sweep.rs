@@ -23,6 +23,7 @@
 
 use super::body::gemm_panel;
 use super::vector::SimdVec;
+use super::SimdKernel;
 use crate::scalar::Scalar;
 
 /// `((γ − α)·z)·h` on one vector (`z` skipped when `None`).
@@ -172,5 +173,53 @@ pub(crate) unsafe fn sweep_block<T: Scalar, V: SimdVec<T>>(
         }
         scale_rows::<T, V>(gamma, mp, alpha, h, z, c, s);
         gemm_panel::<T, V>(partial, mp, x, 1, d, gamma, mp, d, rows, mp);
+    }
+}
+
+/// [`sweep_block`] packaged for [`crate::simd::Dispatch::simd_run`]; built
+/// by `crate::sweep::fisher_sweep_planned` per row block.
+pub(crate) struct SweepBlock<'a, T> {
+    pub(crate) partial: &'a mut [T],
+    pub(crate) gamma: &'a mut [T],
+    pub(crate) alpha: &'a mut [T],
+    pub(crate) x: &'a [T],
+    pub(crate) h: &'a [T],
+    pub(crate) z: Option<&'a [T]>,
+    pub(crate) vpad: Option<&'a [T]>,
+    pub(crate) d: usize,
+    pub(crate) c: usize,
+    pub(crate) s: usize,
+    pub(crate) mp: usize,
+}
+
+impl<T: Scalar> SimdKernel<T> for SweepBlock<'_, T> {
+    // SAFETY: unsafe by `SimdKernel::run`'s contract: the caller holds `V`'s feature.
+    #[inline(always)]
+    unsafe fn run<V: SimdVec<T>>(self) {
+        let k = self;
+        let (d, mp) = (k.d, k.mp);
+        let rows = k.x.len() / d.max(1);
+        assert!(
+            d > 0
+                && k.c > 0
+                && rows > 0
+                && k.x.len() == rows * d
+                && k.h.len() == rows * k.c
+                && k.z.is_none_or(|z| z.len() == rows)
+                && k.gamma.len() == rows * mp
+                && k.partial.len() == d * mp
+                && k.vpad.is_none_or(|v| v.len() == d * mp)
+                && k.alpha.len() >= k.s
+                && mp >= k.c * k.s
+                && mp % V::LANES == 0,
+            "sweep_block: operands do not match their shape"
+        );
+        // SAFETY: the shape contract was just checked; the feature is the
+        // caller's (`SimdKernel::run`).
+        unsafe {
+            sweep_block::<T, V>(
+                k.partial, k.gamma, k.alpha, k.x, k.h, k.z, k.vpad, k.d, k.c, k.s, k.mp,
+            )
+        }
     }
 }

@@ -11,14 +11,18 @@
 //! All methods are `unsafe` because they compile to target-feature-gated
 //! intrinsics: callers must only invoke them from a context where the
 //! corresponding feature is known to be available (the `#[target_feature]`
-//! wrappers in `super::dispatch` establish exactly that).
+//! wrappers in the parent module establish exactly that).
 
 /// One SIMD register of `T` lanes.
 ///
 /// Safety contract: every method must only be called when the CPU feature
 /// backing the implementing type has been verified at runtime (or is a
 /// compile-time baseline, like SSE2 on x86-64 and NEON on AArch64).
-pub(crate) trait SimdVec<T: Copy>: Copy {
+///
+/// `pub` only so that it can bound [`super::SimdKernel::run`]; this module
+/// is private, so the trait is neither nameable nor implementable outside
+/// the crate.
+pub trait SimdVec<T: Copy>: Copy {
     /// Number of `T` lanes in the register.
     const LANES: usize;
 

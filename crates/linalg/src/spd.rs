@@ -1,5 +1,5 @@
-//! Helpers for symmetric positive-definite matrices: inverse, square root,
-//! inverse square root, condition number.
+//! Helpers for symmetric positive-definite matrices: inverse, inverse
+//! square root, condition number.
 //!
 //! Exact-FIRAL's whitening transform (Eq. 8, `H̃ = Σ_⋄^{-1/2} H Σ_⋄^{-1/2}`)
 //! needs the SPD inverse square root; the preconditioner study around Fig. 1
@@ -14,13 +14,6 @@ use crate::Result;
 /// `A^{-1}` for SPD `A`, via Cholesky.
 pub fn spd_inverse<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
     Ok(Cholesky::new(a)?.inverse())
-}
-
-/// Symmetric square root `A^{1/2}` via eigendecomposition. Negative
-/// eigenvalues from rounding are clamped to zero.
-pub fn spd_sqrt<T: Scalar>(a: &Matrix<T>) -> Result<Matrix<T>> {
-    let eig = eigh(a)?;
-    Ok(eig.apply_fn(|x| x.maxv(T::ZERO).sqrt()))
 }
 
 /// Symmetric inverse square root `A^{-1/2}` via eigendecomposition
@@ -74,18 +67,6 @@ mod tests {
             for j in 0..6 {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((p[(i, j)] - expect).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        let a = spd_test_matrix(5, 2);
-        let r = spd_sqrt(&a).unwrap();
-        let sq = gemm(&r, &r);
-        for i in 0..5 {
-            for j in 0..5 {
-                assert!((sq[(i, j)] - a[(i, j)]).abs() < 1e-9);
             }
         }
     }

@@ -41,10 +41,10 @@ use rayon::prelude::*;
 
 use crate::autotune::{self, KernelPlan};
 use crate::counters;
-use crate::gemm::{check_tier, gemm_rows, reduce_chunk_rows, PAR_THRESHOLD};
+use crate::gemm::{gemm_rows, reduce_chunk_rows, PAR_THRESHOLD};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::simd::{self, Tier};
+use crate::simd::{self, check_tier, SweepBlock, Tier};
 
 /// Fewest rows in a reduction chunk of the sweep. Larger than the other
 /// reduction kernels' because a chunk's partial is `d × c·s`, not `d × d`.
@@ -190,9 +190,9 @@ fn sweep_block_scalar<T: Scalar>(
 }
 
 /// `out ← Σᵢ zᵢ·(G(hᵢ) ⊗ xᵢxᵢᵀ)·V` on the process-wide dispatch tier with
-/// the autotuned plan. `x` is `n × d`, `h` is `n × c` (`c` class blocks),
-/// `z` the optional per-point weights, `s` the probe count, `out` the
-/// stacked `ê × s` result (fully overwritten).
+/// this host's blocking plan. `x` is `n × d`, `h` is `n × c` (`c` class
+/// blocks), `z` the optional per-point weights, `s` the probe count, `out`
+/// the stacked `ê × s` result (fully overwritten).
 ///
 /// Books the flops of the two GEMMs it fuses
 /// ([`counters::gemm_flops`]`(n, c·s, d)` unless the products were passed
@@ -207,7 +207,7 @@ pub fn fisher_sweep<T: Scalar>(
     out: &mut [T],
 ) {
     let tier = simd::active_tier();
-    let plan = autotune::plan_for::<T>(tier, x.cols());
+    let plan = autotune::plan_for::<T>(x.cols());
     fisher_sweep_planned(tier, plan, x, h, z, input, s, ws, out);
 }
 
@@ -251,7 +251,6 @@ pub fn fisher_sweep_planned<T: Scalar>(
     }
 
     let elem = std::mem::size_of::<T>();
-    let use_simd = simd::tier_is_simd(tier);
     let mp = m.next_multiple_of(autotune::lane_count(tier, elem));
     let block_rows = (plan.sweep_bytes / (mp * elem)).clamp(4, 64) & !3;
     // Shape-only chunking, evened out so the last chunk is not a sliver.
@@ -288,9 +287,20 @@ pub fn fisher_sweep_planned<T: Scalar>(
             let xs = &x.as_slice()[r0 * d..r1 * d];
             let hs = &h.as_slice()[r0 * c..r1 * c];
             let zs = z.map(|z| &z[r0..r1]);
-            if !(use_simd
-                && T::simd_sweep_block(tier, partial, g, alpha, xs, hs, zs, vpad, d, c, s, mp))
-            {
+            let block = SweepBlock {
+                partial: &mut *partial,
+                gamma: &mut *g,
+                alpha: &mut *alpha,
+                x: xs,
+                h: hs,
+                z: zs,
+                vpad,
+                d,
+                c,
+                s,
+                mp,
+            };
+            if !T::simd_run(tier, block) {
                 sweep_block_scalar(partial, g, alpha, xs, hs, zs, vpad, d, c, s, mp);
             }
             r0 = r1;

@@ -1,4 +1,4 @@
-//! Cross-tier bitwise equality matrix for the five hot kernels, the fused
+//! Cross-tier bitwise equality matrix for the four hot kernels, the fused
 //! Fisher-panel sweep and the Eq. 17 quadratic-form sweep.
 //!
 //! The determinism contract of `firal_linalg::gemm` says every available
@@ -8,12 +8,12 @@
 //! deliberately awkward shapes: `n` values that are not multiples of any
 //! lane width (and straddle the parallel threshold and the 4-row tile),
 //! `d ∈ {1, 3, 64, 65}` (sub-lane, odd, lane-aligned, lane-misaligned),
-//! and `m ∈ {1, 8}` (degenerate and register-block-wide outputs), plus the
-//! paper's Table V dimensions `d ∈ {20, 50, 100}` — none a lane multiple in
-//! f32 — against `m = (c-1)·s ∈ {9, 90}`. It also pins that the
-//! autotuner's blocking knobs (`jb`, `pack`, `class_block`, `sweep_bytes`)
-//! are bit-neutral, so a timing-dependent plan choice can never perturb
-//! numerics, and that the fused sweep gives one answer on every tier, at
+//! and `m ∈ {1, 4, 8, 12}` (degenerate, half, one and one-and-a-half of the
+//! `AᵀB` microkernel's fixed eight-column block), plus the paper's Table V
+//! dimensions `d ∈ {20, 50, 100}` — none a lane multiple in f32 — against
+//! `m = (c-1)·s ∈ {9, 90}`. It also pins that the blocking plan
+//! (`class_block`, `sweep_bytes`), which differs between hosts, is
+//! bit-neutral, and that the fused sweep gives one answer on every tier, at
 //! 1, 2 and 4 pool threads, under every plan, whether it forms `X·V`
 //! itself or is handed it. The quadratic-form sweep is held to a dense
 //! oracle: two `gemm_into` products on its zero-filled triangles and a row
@@ -21,10 +21,9 @@
 
 use firal_linalg::simd::{available_tiers, Tier};
 use firal_linalg::{
-    fisher_sweep_planned, gemm_a_bt, gemm_a_bt_tier, gemm_at_b_planned, gemm_at_b_tier, gemm_into,
-    gemm_tier, gram_weighted_multi_planned, gram_weighted_multi_tier, gram_weighted_tier,
-    invert_lower, plan_for, to_wide, Cholesky, KernelPlan, Matrix, QuadSweep, Scalar, SweepInput,
-    SweepWorkspace, QUAD_BLOCK_ROWS,
+    fisher_sweep_planned, gemm_a_bt, gemm_a_bt_tier, gemm_at_b_tier, gemm_into, gemm_tier,
+    gram_weighted_multi_planned, invert_lower, plan_for, to_wide, Cholesky, KernelPlan, Matrix,
+    QuadSweep, Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Deterministic LCG test matrix, generic over dtype. A sprinkling of
@@ -51,13 +50,12 @@ fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
 }
 
-/// All five kernels at one shape on one tier, concatenated bit patterns.
+/// All four kernels at one shape on one tier, concatenated bit patterns.
 fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> {
     let a = test_mat::<T>(n, d, 1000 + n as u64, false);
     let b = test_mat::<T>(n, m, 2000 + d as u64, false);
     let sq = test_mat::<T>(d, m, 3000 + m as u64, false);
     let bm = test_mat::<T>(m, d, 4000 + n as u64, false);
-    let w = test_mat::<T>(n, 1, 5000 + d as u64, true);
     // `m` class blocks of order `d` would dominate the suite at m = 90.
     let wpanel = test_mat::<T>(n, m.min(9), 6000 + n as u64, true);
 
@@ -65,8 +63,7 @@ fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> 
     out.extend(bits(&gemm_tier(tier, &a, &sq)));
     out.extend(bits(&gemm_at_b_tier(tier, &a, &b)));
     out.extend(bits(&gemm_a_bt_tier(tier, &a, &bm)));
-    out.extend(bits(&gram_weighted_tier(tier, &a, w.as_slice())));
-    for g in gram_weighted_multi_tier(tier, &a, &wpanel) {
+    for g in gram_weighted_multi_planned(tier, plan_for::<T>(d), &a, &wpanel) {
         out.extend(bits(&g));
     }
     out
@@ -75,7 +72,8 @@ fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> 
 fn equality_sweep<T: Scalar>() {
     let tiers = available_tiers();
     assert_eq!(tiers[0], Tier::Scalar);
-    let awkward: (&[usize], &[usize], &[usize]) = (&[1, 7, 129, 1003], &[1, 3, 64, 65], &[1, 8]);
+    let awkward: (&[usize], &[usize], &[usize]) =
+        (&[1, 7, 129, 1003], &[1, 3, 64, 65], &[1, 4, 8, 12]);
     let table_v: (&[usize], &[usize], &[usize]) = (&[6, 301], &[20, 50, 100], &[9, 90]);
     for (ns, ds, ms) in [awkward, table_v] {
         for &n in ns {
@@ -105,47 +103,27 @@ fn all_tiers_bitwise_equal_scalar_f32() {
     equality_sweep::<f32>();
 }
 
-/// Every legal blocking plan yields identical bits: the autotuner's choice
-/// is timing-dependent, so this is what keeps runs (and SPMD ranks that
-/// tuned differently) bitwise reproducible.
+/// Every class blocking yields identical bits: the plan follows the host's
+/// cache sizes, so this is what keeps SPMD ranks on different hosts bitwise
+/// reproducible.
 #[test]
 fn block_plan_is_bit_neutral() {
     let n = 777;
-    for &(d, m) in &[
-        (3usize, 6usize),
-        (64, 6),
-        (65, 6),
-        (20, 9),
-        (50, 90),
-        (100, 9),
-    ] {
+    for d in [3usize, 20, 50, 64, 65, 100] {
         let a = test_mat::<f64>(n, d, 42, false);
-        let b = test_mat::<f64>(n, m, 43, false);
         let wpanel = test_mat::<f64>(n, 5, 44, true);
         for tier in available_tiers() {
-            let reference_atb = gemm_at_b_tier(tier, &a, &b);
-            let reference_multi = gram_weighted_multi_tier(tier, &a, &wpanel);
-            for jb in [1usize, 2, 4, 5, 8] {
-                for pack in [false, true] {
-                    for class_block in [1usize, 2, 16] {
-                        let plan = KernelPlan {
-                            jb,
-                            pack,
-                            class_block,
-                            sweep_bytes: 1 << 14,
-                        };
-                        let c = gemm_at_b_planned(tier, plan, &a, &b);
-                        assert_eq!(
-                            bits(&c),
-                            bits(&reference_atb),
-                            "at_b: tier {tier} d={d} plan {plan:?}"
-                        );
-                        let gs = gram_weighted_multi_planned(tier, plan, &a, &wpanel);
-                        assert_eq!(gs.len(), reference_multi.len());
-                        for (g, r) in gs.iter().zip(reference_multi.iter()) {
-                            assert_eq!(bits(g), bits(r), "multi: tier {tier} d={d} plan {plan:?}");
-                        }
-                    }
+            let host = plan_for::<f64>(d);
+            let reference = gram_weighted_multi_planned(tier, host, &a, &wpanel);
+            for class_block in [1usize, 2, 16] {
+                let plan = KernelPlan {
+                    class_block,
+                    ..host
+                };
+                let gs = gram_weighted_multi_planned(tier, plan, &a, &wpanel);
+                assert_eq!(gs.len(), reference.len());
+                for (g, r) in gs.iter().zip(reference.iter()) {
+                    assert_eq!(bits(g), bits(r), "multi: tier {tier} d={d} plan {plan:?}");
                 }
             }
         }
@@ -224,10 +202,9 @@ fn fused_sweep_equality<T: Scalar>() {
             .num_threads(1)
             .build()
             .unwrap();
-        let reference =
-            serial.install(|| sweep_bits::<T>(Tier::Scalar, plan_for::<T>(Tier::Scalar, d), shape));
+        let reference = serial.install(|| sweep_bits::<T>(Tier::Scalar, plan_for::<T>(d), shape));
+        let tuned = plan_for::<T>(d);
         for tier in available_tiers() {
-            let tuned = plan_for::<T>(tier, d);
             for threads in [1usize, 2, 4] {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(threads)
@@ -356,6 +333,6 @@ fn degenerate_shapes_are_consistent() {
         assert_eq!(gemm_at_b_tier(tier, &empty, &b).shape(), (4, 3));
         let x1 = test_mat::<f64>(5, 4, 11, false);
         let w0 = Matrix::<f64>::zeros(5, 0);
-        assert!(gram_weighted_multi_tier(tier, &x1, &w0).is_empty());
+        assert!(gram_weighted_multi_planned(tier, plan_for::<f64>(4), &x1, &w0).is_empty());
     }
 }
