@@ -45,7 +45,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use firal_bench::report::{arg_value, has_flag};
+use firal_bench::args::{has_flag, opt};
 use firal_bench::workloads::lcg_matrix;
 use firal_linalg::autotune::lane_count;
 use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
@@ -386,9 +386,10 @@ fn run_quad_shape<T: Scalar>(
 }
 
 fn main() {
-    let quick = has_flag("--quick");
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let reps: usize = arg_value("--reps").unwrap_or(if quick { 1 } else { 3 });
+    let args: Vec<String> = std::env::args().collect();
+    let quick = has_flag(&args, "--quick");
+    let out_path: String = opt(&args, "--out").unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let reps: usize = opt(&args, "--reps").unwrap_or(if quick { 1 } else { 3 });
     // (n, d, m): pool size, point dimension, probe-panel columns (c-1)·s.
     let shapes: Vec<(usize, usize, usize)> = if quick {
         vec![(2_000, 32, 40), (2_000, 20, 90)]

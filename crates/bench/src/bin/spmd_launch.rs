@@ -1,12 +1,13 @@
 //! SPMD process launcher: fork `p` ranks of this binary and run a
-//! registered workload over the [`SocketComm`] TCP mesh.
+//! registered workload over the [`SocketComm`] TCP mesh — or, for
+//! `paper`, run the paper ledger in this process.
 //!
 //! The parent re-executes itself `p` times with the rendezvous env vars
 //! set ([`firal_comm::socket_comm::ENV_RANK`] / `ENV_SIZE` / `ENV_ADDR`);
 //! each child joins the process group via [`SocketComm`]`::from_env` and
 //! runs the selected workload. Any rank exiting non-zero fails the whole
 //! launch (remaining ranks are killed so a dead peer cannot hang the
-//! mesh).
+//! mesh). A malformed option value exits 2 naming the flag.
 //!
 //! Usage: `spmd_launch [-p N] [workload] [workload options]`
 //!
@@ -16,56 +17,50 @@
 //!   against the serial `SelfComm` reference computed in-process and that
 //!   real wire time was measured. Non-zero exit on any divergence — this
 //!   is the multi-process consistency gate CI runs at `-p 2`.
-//! * `fig6` — the Fig. 6 RELAX scaling row (strong + weak) at the launched
-//!   rank count, sharing [`firal_bench::workloads::fig6_rank_body`] with
-//!   the thread-backend figure binary. Options: `--n`, `--per-rank`,
-//!   `--ncg`, `--csv`.
-//! * `fig7` — the Fig. 7 ROUND scaling row at the launched rank count.
-//!   Options: `--n`, `--per-rank`, `--csv`, `--threads`, and
-//!   `--eta-groups G` (distribute the §IV-A η grid over `G`
-//!   sub-communicator groups of the process mesh — `G` must divide `-p` —
-//!   and print one `grp` row per group with that group's own `CommStats`).
-//! * `scaling` — the `distributed_scaling` example's measurement row at
-//!   the launched rank count.
-//! * `strat` — the strategy consistency gate + scaling rows: every
-//!   registered selection strategy named by `--strategy` (comma-separated;
-//!   default `upal,bayes-batch`) runs distributed over the process mesh
-//!   via the executor-generic `DistStrategy` path and is verified against
-//!   the serial `SelfComm` selection of the same seeded problem; one table
-//!   row per strategy (`strategy` column + per-rank `CommStats`). Options:
+//! * `fig7` — the §IV-A η-grid sweep (budget
+//!   [`firal_bench::workloads::FIG7_BUDGET`]) distributed over
+//!   `--eta-groups G` sub-communicator groups of the process mesh (`G`
+//!   must divide `-p`; default 1), strong (`--n`) and weak (`--per-rank`)
+//!   pools; every rank cross-checks (η★, selection) over the mesh and
+//!   rank 0 prints one `grp` row per group with that group's own
+//!   `CommStats`. Options: `--n`, `--per-rank`, `--threads`,
+//!   `--eta-groups`. CI runs it at `-p 4 --eta-groups 2`.
+//! * `strat` — the strategy consistency gate: every registered selection
+//!   strategy named by `--strategy` (comma-separated; default
+//!   `upal,bayes-batch`) runs distributed over the process mesh via the
+//!   executor-generic `DistStrategy` path and is verified against the
+//!   serial `SelfComm` selection of the same seeded problem; one table row
+//!   per strategy (`strategy` column + per-rank `CommStats`). Options:
 //!   `--strategy`, `--n`, `--budget`, `--seed`, `--threads`. Non-zero exit
 //!   on any divergence — CI runs this at `-p 2`.
 //! * `serve` — **active-learning-as-a-service**: hold the warm rank mesh
 //!   open as a persistent selection server (`firal-serve`). Rank 0 binds
 //!   `--addr` (default `127.0.0.1:7700`) and accepts selection clients
-//!   (see the `serve_load` binary); batches of requests run concurrently
-//!   on disjoint sub-communicators. Options: `--addr`, `--min-batch N`
-//!   (hold rounds until N requests are queued). Runs until a client sends
-//!   a shutdown request; exits 45 if the mesh degraded instead.
-//! * `stream` — the **streaming round-state** latency row: a persistent
-//!   `StreamingState` is advanced by update batches of growing `Δpool`
-//!   (capped at 1% of the pool) and each commit + post-commit selection is
-//!   timed against the from-scratch rebuild baseline, demonstrating the
-//!   `O(Δpool)` maintenance cost. Rank 0 writes `BENCH_stream.json`
-//!   (override with `--out`). Options: `--n`, `--budget`, `--out`.
-//!   Non-zero exit if ranks' replicated fingerprints or selections
-//!   diverge.
+//!   (`firal_serve::ServeClient`; `tests/serve_soak.rs` drives one);
+//!   batches of requests run concurrently on disjoint sub-communicators.
+//!   Options: `--addr`, `--min-batch N` (hold rounds until N requests are
+//!   queued). Runs until a client sends a shutdown request; exits 45 if
+//!   the mesh degraded instead.
+//! * `paper` — the paper ledger ([`firal_bench::paper`]), run here
+//!   without forking (`-p` is ignored; rows that need p > 1 use
+//!   in-process `ThreadComm` ranks): rewrites `BENCH_paper.json`, or with
+//!   `--check FILE` re-runs it and exits 1 naming every claim whose
+//!   verdict differs from `FILE`'s.
 //!
 //! Examples:
 //! ```text
 //! cargo run --release -p firal-bench --bin spmd_launch -- -p 4
-//! cargo run --release -p firal-bench --bin spmd_launch -- -p 4 fig6 --n 8000
-//! cargo run --release -p firal-bench --bin spmd_launch -- -p 2 scaling
+//! cargo run --release -p firal-bench --bin spmd_launch -- -p 4 fig7 --eta-groups 2 --n 400 --per-rank 100
 //! cargo run --release -p firal-bench --bin spmd_launch -- -p 2 strat --strategy upal,bayes-batch,approx-firal
 //! cargo run --release -p firal-bench --bin spmd_launch -- -p 4 serve --addr 127.0.0.1:7700
+//! cargo run --release -p firal-bench --bin spmd_launch -- paper --check BENCH_paper.json
 //! ```
 
 use std::time::Duration;
 
-use firal_bench::report::{arg_value, comm_cells, has_flag, Table, COMM_HEADERS};
+use firal_bench::args::{has_flag, opt};
 use firal_bench::workloads::{
-    fig6_rank_body, fig7_eta_sweep_rank_body, fig7_rank_body, scaling_problem,
-    selection_problem_from_dataset, strategy_rank_body,
+    fig7_eta_sweep_rank_body, scaling_problem, selection_problem_from_dataset, strategy_rank_body,
 };
 use firal_comm::{comm_catch, fork_self, CommStats, Communicator, SelfComm, SocketComm};
 use firal_core::{
@@ -74,32 +69,18 @@ use firal_core::{
 };
 use firal_data::SyntheticConfig;
 
-const WORKLOADS: [&str; 7] = [
-    "firal", "fig6", "fig7", "scaling", "strat", "serve", "stream",
-];
+const WORKLOADS: [&str; 5] = ["firal", "fig7", "strat", "serve", "paper"];
 
-/// Rank count from `-p`/`--ranks` (default 2); a malformed value is fatal,
-/// not silently replaced by the default.
-fn ranks_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len().saturating_sub(1) {
-        if args[i] == "-p" || args[i] == "--ranks" {
-            return args[i + 1]
-                .parse()
-                .unwrap_or_else(|_| panic!("bad rank count {:?}", args[i + 1]));
-        }
-    }
-    2
-}
+/// Options that take a value (so the value is not read as the workload).
+const VALUE_OPTIONS: &str =
+    "-p --ranks --n --per-rank --threads --eta-groups --strategy --budget --seed --addr --min-batch --check";
 
 /// First positional (non-flag) argument = the workload name.
-fn workload_name() -> String {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
+fn workload_name(args: &[String]) -> String {
+    let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "-p" | "--ranks" | "--n" | "--per-rank" | "--ncg" | "--threads" | "--eta-groups"
-            | "--strategy" | "--budget" | "--seed" | "--addr" | "--min-batch" | "--out" => i += 2,
+            a if VALUE_OPTIONS.split(' ').any(|o| o == a) => i += 2,
             a if a.starts_with('-') => i += 1,
             a => return a.to_string(),
         }
@@ -108,13 +89,18 @@ fn workload_name() -> String {
 }
 
 fn main() {
-    if has_flag("--help") || has_flag("-h") {
+    let args: Vec<String> = std::env::args().collect();
+    if has_flag(&args, "--help") || has_flag(&args, "-h") {
         println!(
             "Usage: spmd_launch [-p N] [{}] [options]",
             WORKLOADS.join("|")
         );
         println!("Runs N processes of this binary over the SocketComm TCP mesh.");
         return;
+    }
+    let name = workload_name(&args);
+    if name == "paper" {
+        std::process::exit(firal_bench::paper::main(&args));
     }
 
     // Child mode: the launcher's env coordinates are set.
@@ -129,15 +115,11 @@ fn main() {
         // A panicking rank (e.g. a verifier mismatch abort) broadcasts its
         // diagnostic so peers fail with RemoteAbort instead of hanging.
         comm.install_panic_abort();
-        let name = workload_name();
         let code = match name.as_str() {
             "firal" => workload_firal(&comm),
-            "fig6" => workload_fig6(&comm),
-            "fig7" => workload_fig7(&comm),
-            "scaling" => workload_scaling(&comm),
-            "strat" => workload_strategies(&comm),
-            "serve" => workload_serve(&comm),
-            "stream" => workload_stream(&comm),
+            "fig7" => workload_fig7(&comm, &args),
+            "strat" => workload_strategies(&comm, &args),
+            "serve" => workload_serve(&comm, &args),
             other => {
                 eprintln!("unknown workload {other:?}; known: {WORKLOADS:?}");
                 2
@@ -147,14 +129,81 @@ fn main() {
     }
 
     // Parent mode: fork the ranks and propagate their status.
-    let p = ranks_arg();
-    let name = workload_name();
+    let p: usize = opt(&args, "-p")
+        .or_else(|| opt(&args, "--ranks"))
+        .unwrap_or(2);
     eprintln!("spmd_launch: {p} process ranks, workload {name:?}");
     let code = fork_self(p).expect("failed to spawn SPMD ranks");
     if code != 0 {
         eprintln!("spmd_launch: workload {name:?} FAILED (exit {code})");
     }
     std::process::exit(code);
+}
+
+/// Column headers matching [`comm_cells`]: per-collective call counts,
+/// total megabytes contributed to collectives, and measured seconds spent
+/// inside them.
+const COMM_HEADERS: [&str; 3] = ["coll calls (ar/bc/ag)", "coll MB", "comm s"];
+
+/// Render one rank's [`CommStats`] as table cells (pairs with
+/// [`COMM_HEADERS`]). Byte counts are this rank's contributions; on
+/// symmetric SPMD runs rank 0 is representative.
+fn comm_cells(stats: &CommStats) -> [String; 3] {
+    [
+        format!(
+            "{}/{}/{}",
+            stats.allreduce_calls, stats.bcast_calls, stats.allgather_calls
+        ),
+        format!("{:.2}", stats.total_bytes() as f64 / 1e6),
+        format!("{:.3}", stats.time.as_secs_f64()),
+    ]
+}
+
+/// A simple aligned-text table for the gates' rank-0 reports.
+struct Table {
+    title: String,
+    headers: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+        Self {
+            title: title.into(),
+            headers: headers.iter().map(|s| s.to_string()).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn row(&mut self, cells: &[String]) {
+        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
+        self.rows.push(cells.to_vec());
+    }
+
+    fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
+        for row in &self.rows {
+            for (w, cell) in widths.iter_mut().zip(row) {
+                *w = (*w).max(cell.len());
+            }
+        }
+        let line = |cells: &[String]| -> String {
+            let padded: Vec<String> = cells
+                .iter()
+                .zip(&widths)
+                .map(|(c, &w)| format!("{c:<w$}"))
+                .collect();
+            padded.join("  ").trim_end().to_string() + "\n"
+        };
+        let mut out = format!("== {} ==\n", self.title);
+        out.push_str(&line(&self.headers));
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&line(row));
+        }
+        out
+    }
 }
 
 /// The CI consistency gate: Approx-FIRAL over the socket mesh must select
@@ -272,126 +321,20 @@ fn workload_firal(comm: &SocketComm) -> i32 {
     i32::from(!(ok && all_ok))
 }
 
-fn scaling_row_table(
-    title: &str,
-    comm: &SocketComm,
-    phase_headers: &[&str],
-    rows: Vec<(String, Vec<String>, CommStats)>,
-) {
-    if comm.rank() != 0 {
-        return;
-    }
-    let mut headers = vec!["p", "mode", "backend"];
-    headers.extend_from_slice(phase_headers);
-    headers.extend(COMM_HEADERS);
-    let mut table = Table::new(title.to_string(), &headers);
-    for (mode, phases, stats) in rows {
-        let mut row = vec![comm.size().to_string(), mode, "socket-proc".to_string()];
-        row.extend(phases);
-        row.extend(comm_cells(&stats));
-        table.row(&row);
-    }
-    if has_flag("--csv") {
-        println!("{}", table.to_csv());
-    } else {
-        println!("{}", table.render());
-    }
-}
-
-/// Fig. 6 RELAX scaling rows (strong + weak) at the launched rank count.
-fn workload_fig6(comm: &SocketComm) -> i32 {
-    let ncg: usize = arg_value("--ncg").unwrap_or(10);
-    let strong_n: usize = arg_value("--n").unwrap_or(24_000);
-    let per_rank: usize = arg_value("--per-rank").unwrap_or(2_000);
-    let p = comm.size();
-    let mut rows = Vec::new();
-    for mode in ["strong", "weak"] {
-        let n = if mode == "strong" {
-            strong_n
-        } else {
-            per_rank * p
-        };
-        let problem = scaling_problem(100, 96, n, false, 7, 8);
-        let threads: usize = arg_value("--threads").unwrap_or(1);
-        let (timer, stats) = fig6_rank_body(&problem, ncg, threads, comm);
-        rows.push((
-            mode.to_string(),
-            vec![
-                format!("{:.3}", timer.get("precond").as_secs_f64()),
-                format!("{:.3}", timer.get("cg").as_secs_f64()),
-                format!("{:.3}", timer.get("gradient").as_secs_f64()),
-                format!("{:.3}", timer.total().as_secs_f64()),
-            ],
-            stats,
-        ));
-    }
-    scaling_row_table(
-        "Fig. 6 — RELAX scaling over SocketComm processes (c=100, d=96)",
-        comm,
-        &["precond", "cg", "gradient", "total"],
-        rows,
-    );
-    0
-}
-
-/// Fig. 7 ROUND scaling rows (strong + weak) at the launched rank count.
-/// With `--eta-groups G > 1` the measured body becomes the distributed
-/// η-grid sweep and the table carries one `grp` row per group with that
-/// group's own per-process `CommStats`.
-fn workload_fig7(comm: &SocketComm) -> i32 {
-    let strong_n: usize = arg_value("--n").unwrap_or(24_000);
-    let per_rank: usize = arg_value("--per-rank").unwrap_or(2_000);
-    let threads: usize = arg_value("--threads").unwrap_or(1);
-    let eta_groups: usize = arg_value("--eta-groups").unwrap_or(1).max(1);
+/// The distributed η-grid gate: every process joins the 2D geometry
+/// `p = p_shard × G`, the winning (η★, selection) is cross-checked for
+/// rank agreement over the mesh, and rank 0 prints one row per (mode,
+/// group) from each group's shard-rank-0 process.
+fn workload_fig7(comm: &SocketComm, args: &[String]) -> i32 {
+    let strong_n: usize = opt(args, "--n").unwrap_or(24_000);
+    let per_rank: usize = opt(args, "--per-rank").unwrap_or(2_000);
+    let threads: usize = opt(args, "--threads").unwrap_or(1);
+    let eta_groups: usize = opt(args, "--eta-groups").unwrap_or(1).max(1);
     let p = comm.size();
     if !p.is_multiple_of(eta_groups) {
         eprintln!("--eta-groups {eta_groups} must divide the rank count {p}");
         return 2;
     }
-    if eta_groups > 1 {
-        return workload_fig7_eta_groups(comm, strong_n, per_rank, threads, eta_groups);
-    }
-    let mut rows = Vec::new();
-    for mode in ["strong", "weak"] {
-        let n = if mode == "strong" {
-            strong_n
-        } else {
-            per_rank * p
-        };
-        let problem = scaling_problem(100, 96, n, false, 9, 10);
-        let (timer, stats) = fig7_rank_body(&problem, threads, comm);
-        rows.push((
-            mode.to_string(),
-            vec![
-                format!("{:.4}", timer.get("objective").as_secs_f64()),
-                format!("{:.4}", timer.get("eig").as_secs_f64()),
-                format!("{:.4}", timer.get("other").as_secs_f64()),
-                format!("{:.4}", timer.total().as_secs_f64()),
-            ],
-            stats,
-        ));
-    }
-    scaling_row_table(
-        "Fig. 7 — ROUND scaling over SocketComm processes (c=100, d=96)",
-        comm,
-        &["objective", "eig", "other", "total"],
-        rows,
-    );
-    0
-}
-
-/// The η-grid variant of [`workload_fig7`]: every process joins the 2D
-/// geometry, the winning (η★, selection) is cross-checked for rank
-/// agreement over the mesh, and rank 0 prints one row per (mode, group)
-/// from each group's shard-rank-0 process.
-fn workload_fig7_eta_groups(
-    comm: &SocketComm,
-    strong_n: usize,
-    per_rank: usize,
-    threads: usize,
-    eta_groups: usize,
-) -> i32 {
-    let p = comm.size();
     let p_shard = p / eta_groups;
     let mut headers = vec!["p", "grp", "mode", "backend", "objective", "eig", "other"];
     headers.extend(COMM_HEADERS);
@@ -410,7 +353,7 @@ fn workload_fig7_eta_groups(
         } else {
             per_rank * p
         };
-        let problem = scaling_problem(100, 96, n, false, 9, 10);
+        let problem = scaling_problem(100, 96, n, 9);
         let rep = fig7_eta_sweep_rank_body(&problem, threads, eta_groups, comm);
 
         // All ranks must agree on (η★, selection); verify over the mesh.
@@ -465,11 +408,7 @@ fn workload_fig7_eta_groups(
         }
     }
     if comm.rank() == 0 {
-        if has_flag("--csv") {
-            println!("{}", table.to_csv());
-        } else {
-            println!("{}", table.render());
-        }
+        println!("{}", table.render());
     }
     i32::from(!consistent)
 }
@@ -481,13 +420,12 @@ fn workload_fig7_eta_groups(
 /// (computed once on rank 0 and broadcast). One fig-style table row per
 /// strategy, with the `strategy` column and this mesh's per-rank comm
 /// record.
-fn workload_strategies(comm: &SocketComm) -> i32 {
-    let n: usize = arg_value("--n").unwrap_or(240);
-    let budget: usize = arg_value("--budget").unwrap_or(8);
-    let seed: u64 = arg_value("--seed").unwrap_or(5);
-    let threads: usize = arg_value("--threads").unwrap_or(1);
-    let names: String =
-        arg_value::<String>("--strategy").unwrap_or_else(|| "upal,bayes-batch".to_string());
+fn workload_strategies(comm: &SocketComm, args: &[String]) -> i32 {
+    let n: usize = opt(args, "--n").unwrap_or(240);
+    let budget: usize = opt(args, "--budget").unwrap_or(8);
+    let seed: u64 = opt(args, "--seed").unwrap_or(5);
+    let threads: usize = opt(args, "--threads").unwrap_or(1);
+    let names: String = opt(args, "--strategy").unwrap_or_else(|| "upal,bayes-batch".to_string());
 
     let ds = SyntheticConfig::new(4, 6)
         .with_pool_size(n)
@@ -552,11 +490,7 @@ fn workload_strategies(comm: &SocketComm) -> i32 {
         }
     }
     if comm.rank() == 0 {
-        if has_flag("--csv") {
-            println!("{}", table.to_csv());
-        } else {
-            println!("{}", table.render());
-        }
+        println!("{}", table.render());
     }
     i32::from(!all_ok)
 }
@@ -566,9 +500,9 @@ fn workload_strategies(comm: &SocketComm) -> i32 {
 /// shutdown, 45 the mesh degraded mid-service (a request's sub-group
 /// failed and the server wound down reporting it), 4 the serve control
 /// plane itself failed.
-fn workload_serve(comm: &SocketComm) -> i32 {
-    let addr: String = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7700".to_string());
-    let min_batch: usize = arg_value("--min-batch").unwrap_or(1);
+fn workload_serve(comm: &SocketComm, args: &[String]) -> i32 {
+    let addr: String = opt(args, "--addr").unwrap_or_else(|| "127.0.0.1:7700".to_string());
+    let min_batch: usize = opt(args, "--min-batch").unwrap_or(1);
     let config = firal_serve::ServeConfig::new(addr.clone()).with_min_batch(min_batch);
     if comm.rank() == 0 {
         eprintln!(
@@ -599,194 +533,50 @@ fn workload_serve(comm: &SocketComm) -> i32 {
     }
 }
 
-/// The streaming round-state latency row: advance a persistent
-/// [`firal_core::StreamingState`] by update batches of growing `Δpool` (capped at 1%
-/// of the pool), timing each collective commit and the post-commit
-/// selection against the from-scratch rebuild baseline. Rank 0 emits
-/// `BENCH_stream.json`; every rank cross-checks the replicated fingerprint
-/// and the selection over the mesh and the launch fails on divergence.
-fn workload_stream(comm: &SocketComm) -> i32 {
-    use firal_core::{FiralConfig, PoolUpdate, StreamingState};
-    use std::fmt::Write as _;
-    use std::time::Instant;
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let n: usize = arg_value("--n").unwrap_or(4_000);
-    let budget: usize = arg_value("--budget").unwrap_or(4);
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_stream.json".to_string());
-
-    let ds = SyntheticConfig::new(3, 16)
-        .with_pool_size(n)
-        .with_initial_per_class(2)
-        .with_seed(19)
-        .generate::<f64>();
-    let problem = selection_problem_from_dataset(&ds);
-    let d = problem.dim();
-    let cm1 = problem.nblocks();
-    let weights: Vec<f64> = (0..n).map(|i| 0.04 + 0.01 * (i % 5) as f64).collect();
-    let cfg = FiralConfig {
-        // The measurement wants pure incremental commits; the rebuild
-        // baseline is timed explicitly below instead of on a cadence.
-        refactor_interval: usize::MAX,
-        ..Default::default()
-    };
-    let mut st = StreamingState::new(comm, &problem, &weights, &cfg);
-    let eta = 6.0 * (st.live() as f64).sqrt();
-
-    // Δpool ladder, capped at 1% of the pool.
-    let cap = (n / 100).max(1);
-    let mut deltas: Vec<usize> = [1, cap / 8, cap / 4, cap / 2, cap]
-        .into_iter()
-        .filter(|&v| v > 0)
-        .collect();
-    deltas.dedup();
-
-    let mut ok = true;
-    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
-    for (step, &delta) in deltas.iter().enumerate() {
-        // Scripted adds: identical on every rank, sized to the ladder rung.
-        let batch: Vec<PoolUpdate<f64>> = (0..delta)
-            .map(|i| PoolUpdate::Add {
-                x: (0..d)
-                    .map(|j| 0.05 * ((step * 13 + i * 7 + j * 3) % 17) as f64 - 0.4)
-                    .collect(),
-                h: (0..cm1)
-                    .map(|k| 0.15 + 0.04 * ((i + k) % 5) as f64)
-                    .collect(),
-                weight: 0.03 + 0.005 * (i % 4) as f64,
-            })
-            .collect();
-        let t0 = Instant::now();
-        st.commit(comm, &batch);
-        let mut commit_s = [t0.elapsed().as_secs_f64()];
-        comm.allreduce_f64(&mut commit_s, firal_comm::ReduceOp::Max);
-
-        let t0 = Instant::now();
-        let run = st.select(comm, budget, eta, EigSolver::Exact);
-        let mut select_s = [t0.elapsed().as_secs_f64()];
-        comm.allreduce_f64(&mut select_s, firal_comm::ReduceOp::Max);
-
-        // Cross-rank gate: replicated fingerprint halves + selection.
-        let fp = st.fingerprint();
-        let mut row: Vec<f64> = vec![(fp >> 32) as f64, (fp & 0xffff_ffff) as f64];
-        row.extend(run.selected.iter().map(|&i| i as f64));
-        let gathered = comm.allgatherv_f64(&row);
-        if !gathered.chunks_exact(row.len()).all(|c| c == row) {
-            eprintln!(
-                "rank {}: Δ={delta}: ranks diverged (fingerprint or selection)",
-                comm.rank()
-            );
-            ok = false;
-        }
-        rows.push((delta, commit_s[0], select_s[0]));
+    #[test]
+    fn table_renders_aligned() {
+        let mut t = Table::new("demo", &["name", "value"]);
+        t.row(&["longer-name".into(), "1".into()]);
+        t.row(&["x".into(), "22".into()]);
+        let text = t.render();
+        assert!(text.starts_with("== demo ==\n"));
+        assert!(text.contains("name         value\n"));
+        assert!(text.contains("x            22\n"));
     }
 
-    // The baseline an incremental commit replaces: a from-scratch rebuild
-    // of the full O(n) round state.
-    let t0 = Instant::now();
-    st.refactor(comm);
-    let mut rebuild_s = [t0.elapsed().as_secs_f64()];
-    comm.allreduce_f64(&mut rebuild_s, firal_comm::ReduceOp::Max);
+    #[test]
+    fn comm_cells_render_counts_and_megabytes() {
+        let stats = CommStats {
+            allreduce_calls: 3,
+            allreduce_bytes: 1_500_000,
+            bcast_calls: 2,
+            bcast_bytes: 500_000,
+            allgather_calls: 1,
+            allgather_bytes: 0,
+            time: std::time::Duration::from_millis(250),
+        };
+        let cells = comm_cells(&stats);
+        assert_eq!(cells[0], "3/2/1");
+        assert_eq!(cells[1], "2.00");
+        assert_eq!(cells[2], "0.250");
+        assert_eq!(cells.len(), COMM_HEADERS.len());
+    }
 
-    if comm.rank() == 0 {
-        let mut table = Table::new(
-            format!(
-                "Streaming round state over SocketComm (p={}, pool n={n}, d={d}, c={}): \
-                 commit latency vs Δpool (rebuild baseline {:.4}s)",
-                comm.size(),
-                problem.num_classes,
-                rebuild_s[0]
-            ),
-            &["Δpool", "commit s", "select s"],
+    #[test]
+    fn workload_is_the_first_positional_argument() {
+        let args = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
+        assert_eq!(workload_name(&args("spmd_launch -p 4")), "firal");
+        assert_eq!(
+            workload_name(&args("spmd_launch -p 4 fig7 --eta-groups 2")),
+            "fig7"
         );
-        for &(delta, commit, select) in &rows {
-            table.row(&[
-                delta.to_string(),
-                format!("{commit:.5}"),
-                format!("{select:.4}"),
-            ]);
-        }
-        println!("{}", table.render());
-
-        let mut json = String::new();
-        json.push_str("{\n");
-        let _ = writeln!(json, "  \"p\": {},", comm.size());
-        let _ = writeln!(json, "  \"pool_n\": {n},");
-        let _ = writeln!(json, "  \"d\": {d},");
-        let _ = writeln!(json, "  \"c\": {},", problem.num_classes);
-        let _ = writeln!(json, "  \"budget\": {budget},");
-        let _ = writeln!(json, "  \"rebuild_s\": {:.6},", rebuild_s[0]);
-        json.push_str("  \"rows\": [\n");
-        for (i, &(delta, commit, select)) in rows.iter().enumerate() {
-            let comma = if i + 1 < rows.len() { "," } else { "" };
-            let _ = writeln!(
-                json,
-                "    {{\"delta\": {delta}, \"commit_s\": {commit:.6}, \
-                 \"select_s\": {select:.6}}}{comma}"
-            );
-        }
-        json.push_str("  ]\n}\n");
-        if let Err(e) = std::fs::write(&out_path, json) {
-            eprintln!("failed to write {out_path}: {e}");
-            return 4;
-        }
-        eprintln!("stream: wrote {out_path}");
-    }
-    i32::from(!ok)
-}
-
-/// The `distributed_scaling` example's measurement at the launched rank
-/// count, over real processes (`examples/distributed_scaling.rs` runs the
-/// in-process backends; this is its multi-process counterpart).
-fn workload_scaling(comm: &SocketComm) -> i32 {
-    let ds = SyntheticConfig::new(8, 24)
-        .with_pool_size(4000)
-        .with_initial_per_class(2)
-        .with_seed(3)
-        .generate::<f32>();
-    let problem = selection_problem_from_dataset(&ds);
-    let budget = 8;
-    let eta = 8.0 * (problem.ehat() as f32).sqrt();
-    let cfg = RelaxConfig {
-        seed: 1,
-        md: MirrorDescentConfig {
-            max_iters: 3,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let shard = ShardedProblem::shard(&problem, comm.rank(), comm.size());
-    let exec = Executor::new(comm, &shard);
-    let relax = exec.relax(budget, &cfg);
-    let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
-    let mut stats = relax.comm_stats;
-    stats.merge(&round.comm_stats);
-
-    // All ranks must agree on the selection; verify over the mesh.
-    let sel_f64: Vec<f64> = round.selected.iter().map(|&i| i as f64).collect();
-    let gathered = comm.allgatherv_f64(&sel_f64);
-    let consistent = gathered.chunks_exact(budget).all(|c| c == sel_f64);
-    if !consistent {
-        eprintln!("rank {}: ranks disagreed on the selection", comm.rank());
-    }
-    if comm.rank() == 0 {
-        println!(
-            "distributed_scaling over SocketComm processes: p={} pool n={} d={} c={}",
-            comm.size(),
-            problem.pool_size(),
-            problem.dim(),
-            problem.num_classes
+        assert_eq!(
+            workload_name(&args("spmd_launch --check BENCH_paper.json paper")),
+            "paper"
         );
-        println!(
-            "relax precond {:.3}s cg {:.3}s gradient {:.3}s | round {:.3}s | comm {:.4}s over {} calls / {:.2} MB",
-            relax.timer.get("precond").as_secs_f64(),
-            relax.timer.get("cg").as_secs_f64(),
-            relax.timer.get("gradient").as_secs_f64(),
-            round.timer.total().as_secs_f64(),
-            stats.time.as_secs_f64(),
-            stats.total_calls(),
-            stats.total_bytes() as f64 / 1e6,
-        );
-        println!("selected: {:?}", round.selected);
     }
-    i32::from(!consistent)
 }

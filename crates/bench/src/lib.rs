@@ -1,8 +1,12 @@
-//! Shared harness utilities for the figure/table binaries and criterion
-//! benches (workload builders, result tables, CSV/JSON emission).
+//! The harnesses behind `spmd_launch` and `kernel_bench`: the paper ledger
+//! (`spmd_launch paper` → `BENCH_paper.json`), the per-rank workload bodies
+//! the ledger and the process-mesh gates share, and their option parsing.
 
-pub mod report;
+pub mod args;
+pub mod paper;
 pub mod workloads;
 
-pub use report::{Series, Table};
-pub use workloads::{selection_problem_from_dataset, timed};
+/// Serialises this crate's tests that run kernels: the `counters` the
+/// ledger reads are process-global.
+#[cfg(test)]
+pub(crate) static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -1,23 +1,21 @@
-//! Workload builders shared by the experiment binaries.
+//! Workload builders shared by the paper ledger, the `spmd_launch`
+//! process-mesh gates and `kernel_bench`.
 //!
-//! The Fig. 6/7 scaling workloads are defined here **once** — problem
-//! construction plus the per-rank measurement body — so the standalone
-//! figure binaries (thread backend, all rank counts in one process) and
-//! `spmd_launch` (socket backend, one process per rank) measure the
-//! identical computation and differ only in transport.
+//! The per-rank bodies are communicator-generic: the ledger's Fig. 6/7
+//! rows run them over in-process `ThreadComm` ranks, the `fig7` / `strat`
+//! gates over one `SocketComm` process per rank.
 
 use firal_comm::{CommScalar, CommStats, Communicator};
 use firal_core::{
     dispatch_select, EigSolver, EtaGroupGeometry, Executor, MirrorDescentConfig, PhaseTimer,
     RelaxConfig, RoundConfig, SelectRequest, SelectionProblem, ShardedProblem,
 };
-use firal_data::{extend_with_noise, Dataset, SyntheticConfig};
+use firal_data::{Dataset, SyntheticConfig};
 use firal_linalg::{Matrix, Scalar};
 use firal_logreg::{LogisticRegression, TrainConfig};
 
 /// Deterministic LCG-filled matrix in `[-1, 1)` for benchmark operands (no
-/// RNG dependency). Shared by `kernel_bench` and the Criterion benches so
-/// both harnesses time the identical inputs.
+/// RNG dependency) for `kernel_bench`.
 pub fn lcg_matrix<T: Scalar>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     Matrix::from_fn(rows, cols, |_, _| {
@@ -54,36 +52,30 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     (r, t0.elapsed().as_secs_f64())
 }
 
-/// The Fig. 6/7 pool: an embedding-style synthetic set, optionally grown
-/// with noise-perturbed replicas (the paper's extended-CIFAR construction,
-/// §IV-C). `seed`/`noise_seed` pin the dataset per figure.
-pub fn scaling_problem(
-    c: usize,
-    d: usize,
-    n: usize,
-    extended: bool,
-    seed: u64,
-    noise_seed: u64,
-) -> SelectionProblem<f32> {
-    let base_n = if extended { (n / 4).max(c * 4) } else { n };
-    let mut ds = SyntheticConfig::new(c, d)
-        .with_pool_size(base_n)
+/// The Figs. 5–7 pool: an embedding-style synthetic set of `n` points,
+/// one initial label per class; `seed` pins the dataset per figure.
+pub fn scaling_problem(c: usize, d: usize, n: usize, seed: u64) -> SelectionProblem<f32> {
+    let ds = SyntheticConfig::new(c, d)
+        .with_pool_size(n)
         .with_initial_per_class(1)
         .with_eval_size(c * 2)
         .with_separation(4.0)
         .with_normalize(true)
         .with_seed(seed)
         .generate::<f32>();
-    if extended {
-        ds = extend_with_noise(&ds, n, 0.1, noise_seed);
-    }
     selection_problem_from_dataset(&ds)
 }
 
-/// The Fig. 6 solver configuration: exactly one mirror-descent iteration
-/// (the paper reports time per iteration) with `ncg` CG steps.
-pub fn fig6_relax_config(ncg: usize) -> RelaxConfig<f32> {
-    RelaxConfig {
+/// Fig. 6 per-rank body: one RELAX mirror-descent iteration (the paper
+/// reports time per iteration) of exactly 10 CG steps with s = 10 probes
+/// on this rank's shard, on one kernel thread so ranks are the only
+/// parallelism. Returns the rank's phase breakdown and communication
+/// counters.
+pub fn fig6_rank_body(
+    problem: &SelectionProblem<f32>,
+    comm: &dyn Communicator,
+) -> (PhaseTimer, CommStats) {
+    let cfg = RelaxConfig {
         md: MirrorDescentConfig {
             max_iters: 1,
             obj_rel_tol: 0.0,
@@ -91,29 +83,12 @@ pub fn fig6_relax_config(ncg: usize) -> RelaxConfig<f32> {
         },
         probes: 10,
         cg_tol: 0.0,
-        cg_max_iter: ncg,
+        cg_max_iter: 10,
         seed: 3,
         ..Default::default()
-    }
-}
-
-/// Fig. 6 per-rank body: one RELAX mirror-descent iteration on this rank's
-/// shard, with a private kernel sub-pool of `threads` workers (the
-/// ranks × threads hybrid tier; `1` keeps the historical rank-pure
-/// measurement, `0` inherits the ambient pool). Identical on every
-/// backend; returns the rank's phase breakdown and communication counters
-/// for the table row.
-pub fn fig6_rank_body(
-    problem: &SelectionProblem<f32>,
-    ncg: usize,
-    threads: usize,
-    comm: &dyn Communicator,
-) -> (PhaseTimer, CommStats) {
-    let cfg = fig6_relax_config(ncg);
+    };
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
-    let out = Executor::new(comm, &shard)
-        .with_threads(threads)
-        .relax(10, &cfg);
+    let out = Executor::new(comm, &shard).with_threads(1).relax(10, &cfg);
     (out.timer, out.comm_stats)
 }
 
@@ -124,36 +99,30 @@ pub fn fig6_rank_body(
 pub const FIG7_BUDGET: usize = 2;
 
 /// Fig. 7 per-rank body: time for one full ROUND iteration (the paper's
-/// select-one-point metric, see [`FIG7_BUDGET`]) on this rank's shard;
-/// `threads` as in [`fig6_rank_body`].
+/// select-one-point metric, see [`FIG7_BUDGET`]) on this rank's shard, on
+/// one kernel thread like [`fig6_rank_body`].
 pub fn fig7_rank_body(
     problem: &SelectionProblem<f32>,
-    threads: usize,
     comm: &dyn Communicator,
 ) -> (PhaseTimer, CommStats) {
     let budget = FIG7_BUDGET;
     let eta = 4.0 * (problem.ehat() as f32).sqrt();
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
-    let out = Executor::new(comm, &shard).with_threads(threads).round(
-        &z_local,
-        budget,
-        eta,
-        EigSolver::Exact,
-    );
+    let out =
+        Executor::new(comm, &shard)
+            .with_threads(1)
+            .round(&z_local, budget, eta, EigSolver::Exact);
     (out.timer, out.comm_stats)
 }
 
 /// Per-rank report of the distributed η-grid sweep workload
 /// ([`fig7_eta_sweep_rank_body`]): the winning η and selection plus this
-/// rank's coordinates and per-sub-communicator traffic, so the harnesses
-/// can print one `grp` row per η group with that group's own
-/// [`CommStats`].
+/// rank's group and its η-group traffic, so the gate can print one `grp`
+/// row per η group with that group's own [`CommStats`].
 pub struct EtaSweepReport {
     /// This rank's η group in the 2D geometry.
     pub group: usize,
-    /// Ranks per group (`p_shard`).
-    pub p_shard: usize,
     /// Winning η (identical on every rank).
     pub eta_star: f32,
     /// Winning selection (identical on every rank).
@@ -162,8 +131,6 @@ pub struct EtaSweepReport {
     pub timer: PhaseTimer,
     /// Collectives issued on the η-group communicator.
     pub group_stats: CommStats,
-    /// Collectives issued on the cross-group communicator.
-    pub cross_stats: CommStats,
 }
 
 /// Fig. 7's η-grid counterpart: the §IV-A grid sweep (default grid,
@@ -171,7 +138,7 @@ pub struct EtaSweepReport {
 /// `eta_groups` sub-communicator groups of the 2D geometry
 /// `p = p_shard × p_eta`. `eta_groups` must divide the world size;
 /// `eta_groups = 1` is the sequential sweep on the full group. Identical
-/// on every backend, like [`fig7_rank_body`].
+/// on every backend.
 pub fn fig7_eta_sweep_rank_body(
     problem: &SelectionProblem<f32>,
     threads: usize,
@@ -190,12 +157,10 @@ pub fn fig7_eta_sweep_rank_body(
         .select_eta_grouped(&z_local, budget, &grid, &*cross_comm);
     EtaSweepReport {
         group: cross_comm.rank(),
-        p_shard: geometry.p_shard,
         eta_star: out.eta,
         selected: out.selected,
         timer: out.timer,
         group_stats: group_comm.stats(),
-        cross_stats: cross_comm.stats(),
     }
 }
 
@@ -203,8 +168,6 @@ pub fn fig7_eta_sweep_rank_body(
 /// ([`strategy_rank_body`]): what was picked, how long this rank spent,
 /// and the collective traffic it issued — one `strategy` table row.
 pub struct StrategyReport {
-    /// Registry name of the strategy that ran.
-    pub strategy: String,
     /// Selected global pool indices (identical on every rank).
     pub selected: Vec<usize>,
     /// Seconds this rank spent inside the selection.
@@ -213,9 +176,8 @@ pub struct StrategyReport {
     pub comm_stats: CommStats,
 }
 
-/// The strategy-scaling measurement body shared by `spmd_launch strat`
-/// (socket backend, one process per rank) and the in-process harnesses:
-/// dispatch the request through the shared [`dispatch_select`] metering
+/// The `spmd_launch strat` gate's per-rank body (and, in the tests, over
+/// `ThreadComm` ranks): dispatch the request through the shared [`dispatch_select`] metering
 /// layer (the same entry point `firal-serve` bills client requests
 /// through). Panics on unknown names or invalid budgets — harness
 /// misconfiguration, not a measurement.
@@ -233,7 +195,6 @@ pub fn strategy_rank_body<T: CommScalar>(
     let run =
         dispatch_select(comm, problem, &req).unwrap_or_else(|e| panic!("strategy {name:?}: {e}"));
     StrategyReport {
-        strategy: name.to_string(),
         selected: run.selected,
         seconds: run.seconds,
         comm_stats: run.comm,
@@ -247,6 +208,7 @@ mod tests {
 
     #[test]
     fn problem_builder_shapes() {
+        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let ds = firal_data::SyntheticConfig::new(3, 4)
             .with_pool_size(30)
             .with_seed(1)
@@ -266,23 +228,19 @@ mod tests {
 
     #[test]
     fn scaling_bodies_run_on_one_rank() {
-        let p = scaling_problem(3, 4, 40, false, 7, 8);
+        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
+        let p = scaling_problem(3, 4, 40, 7);
         let comm = SelfComm::new();
-        let (timer6, stats6) = fig6_rank_body(&p, 4, 1, &comm);
+        let (timer6, stats6) = fig6_rank_body(&p, &comm);
         assert!(timer6.total().as_secs_f64() >= 0.0);
         assert!(stats6.allreduce_calls > 0);
-        let (_, stats7) = fig7_rank_body(&p, 1, &comm);
+        let (_, stats7) = fig7_rank_body(&p, &comm);
         assert!(stats7.allgather_calls > 0);
     }
 
     #[test]
-    fn extended_problem_grows_the_pool() {
-        let p = scaling_problem(3, 4, 60, true, 7, 8);
-        assert_eq!(p.pool_size(), 60);
-    }
-
-    #[test]
     fn strategy_body_matches_serial_selection_across_thread_ranks() {
+        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let ds = firal_data::SyntheticConfig::new(3, 4)
             .with_pool_size(36)
             .with_initial_per_class(2)
@@ -304,9 +262,10 @@ mod tests {
 
     #[test]
     fn eta_sweep_body_single_rank_matches_grouped_layout() {
+        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         // p = 1, one group: the sweep body must agree with the same sweep
         // distributed over (p_shard, p_eta) = (1, 2) thread ranks.
-        let p = scaling_problem(3, 4, 40, false, 7, 8);
+        let p = scaling_problem(3, 4, 40, 7);
         let comm = SelfComm::new();
         let serial = fig7_eta_sweep_rank_body(&p, 1, 1, &comm);
         assert_eq!(serial.group, 0);

@@ -51,8 +51,8 @@ use crate::exec::RoundState;
 /// tridiagonal QL here). `Lanczos { steps }` is the §V future-work variant:
 /// a matrix-free Krylov estimate of each block's spectrum in `steps ≪ d`
 /// operator applications, density-padded to `d` values before the `ν`
-/// bisection. The `ablation_lanczos` bench binary quantifies the fidelity/
-/// cost trade-off.
+/// bisection. The `lanczos.*` rows of `BENCH_paper.json` record the
+/// selection fidelity per Krylov dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EigSolver {
     /// Dense tridiagonal-QL eigensolve per block (paper configuration).

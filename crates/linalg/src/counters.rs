@@ -1,8 +1,9 @@
 //! Global flop/byte counters.
 //!
 //! The paper's Tables II and III make storage/compute complexity claims;
-//! the `table2_complexity` and `table3_matvec` harnesses verify them
-//! empirically by reading these counters around kernel invocations.
+//! the `table2.*` and `table3.*` rows of the paper ledger
+//! (`spmd_launch paper`) verify them empirically by reading these counters
+//! around kernel invocations.
 //!
 //! Counters are relaxed atomics incremented once per kernel call (never per
 //! scalar operation), so the overhead is unmeasurable next to the kernels
@@ -18,7 +19,7 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 //
 // Convention: one multiply-add = 2 flops (the standard `2·mnk` GEMM count).
 // The kernels charge exactly these formulas, and the benchmark harnesses
-// (`kernel_bench`, the Criterion benches) derive GF/s from the same
+// (`kernel_bench`, the repo benchmark) derive GF/s from the same
 // functions, so throughput numbers stay comparable across PRs.
 // ---------------------------------------------------------------------------
 

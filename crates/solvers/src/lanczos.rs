@@ -10,12 +10,12 @@
 //! iteration with full reorthogonalization, returning Ritz values that
 //! approximate the spectrum of a symmetric operator after `k ≪ d` matvecs.
 //! `firal-core::round` can consume it in place of the dense QL solve (the
-//! `ablation_lanczos` bench binary quantifies the trade-off: the FTRL
+//! `lanczos.*` rows of `BENCH_paper.json` record the trade-off: the FTRL
 //! normalization `ν_t` only needs the spectrum through `Σ (ν+ηλ)⁻² = 1`,
 //! which Ritz values approximate well because the extremal eigenvalues —
 //! the ones that dominate the sum — converge first).
 
-use firal_linalg::{eigh, Matrix, Scalar};
+use firal_linalg::{eigvalsh, Matrix, Scalar};
 use rand::Rng;
 
 use crate::op::LinearOperator;
@@ -26,9 +26,26 @@ pub struct LanczosResult<T> {
     /// Ritz values (ascending) — approximations to eigenvalues of the
     /// operator, exact when `steps == dim`.
     pub ritz_values: Vec<T>,
-    /// Number of Lanczos steps actually performed (early termination on
-    /// Krylov-space exhaustion is possible).
+    /// Number of Lanczos steps performed: the requested `k` clamped to the
+    /// operator order (Krylov-space exhaustion restarts instead of
+    /// stopping).
     pub steps: usize,
+}
+
+/// Unit vector along `q` after orthogonalising it (twice) against `basis`;
+/// `None` if it fell inside the basis' span.
+fn orthonormalize<T: Scalar>(mut q: Vec<T>, basis: &[Vec<T>]) -> Option<Vec<T>> {
+    for _ in 0..2 {
+        for qb in basis {
+            let proj = firal_linalg::dot(qb, &q);
+            firal_linalg::axpy(-proj, qb, &mut q);
+        }
+    }
+    let norm = firal_linalg::nrm2(&q);
+    (norm > T::EPSILON.sqrt()).then(|| {
+        firal_linalg::scale(T::ONE / norm, &mut q);
+        q
+    })
 }
 
 /// Run `k` steps of Lanczos with full reorthogonalization from a random
@@ -36,7 +53,11 @@ pub struct LanczosResult<T> {
 ///
 /// Full reorthogonalization costs `O(k²·dim)` but keeps the Ritz values
 /// honest without ghost-eigenvalue filtering; for the `k ≪ d` regimes this
-/// is negligible next to the `k` operator applications.
+/// is negligible next to the `k` operator applications. When the Krylov
+/// space is exhausted before `k` steps (an invariant subspace — e.g. a
+/// rank-deficient operator), the iteration restarts from a fresh random
+/// direction orthogonal to the basis with `β = 0`, so `k = dim` still
+/// returns the whole spectrum, zeros included.
 pub fn lanczos_spectrum<T: Scalar, R: Rng>(
     op: &dyn LinearOperator<T>,
     k: usize,
@@ -45,20 +66,16 @@ pub fn lanczos_spectrum<T: Scalar, R: Rng>(
     let n = op.dim();
     let k = k.min(n).max(1);
 
-    // Random unit start vector.
-    let mut q = vec![T::ZERO; n];
-    for v in q.iter_mut() {
-        *v = if rng.gen::<bool>() { T::ONE } else { -T::ONE };
-    }
-    let norm = firal_linalg::nrm2(&q);
-    firal_linalg::scale(T::ONE / norm, &mut q);
-
     let mut basis: Vec<Vec<T>> = Vec::with_capacity(k);
     let mut alphas: Vec<T> = Vec::with_capacity(k);
     let mut betas: Vec<T> = Vec::with_capacity(k.saturating_sub(1));
     let mut w = vec![T::ZERO; n];
 
-    basis.push(q.clone());
+    // Random ±1 start vector.
+    let start = (0..n)
+        .map(|_| if rng.gen::<bool>() { T::ONE } else { -T::ONE })
+        .collect();
+    basis.push(orthonormalize(start, &[]).expect("non-empty operator"));
     for step in 0..k {
         op.apply(&basis[step], &mut w);
         let alpha = firal_linalg::dot(&basis[step], &w);
@@ -76,28 +93,42 @@ pub fn lanczos_spectrum<T: Scalar, R: Rng>(
                 firal_linalg::axpy(-proj, qb, &mut w);
             }
         }
-        let beta = firal_linalg::nrm2(&w);
-        if step + 1 == k || beta <= T::EPSILON.sqrt() {
+        if step + 1 == k {
             break;
         }
-        betas.push(beta);
-        let mut next = w.clone();
-        firal_linalg::scale(T::ONE / beta, &mut next);
+        let beta = firal_linalg::nrm2(&w);
+        let next = if beta > T::EPSILON.sqrt() {
+            firal_linalg::scale(T::ONE / beta, &mut w);
+            betas.push(beta);
+            w.clone()
+        } else {
+            // Breakdown: restart in the orthogonal complement (β = 0
+            // decouples the next block of the tridiagonal section) from a
+            // uniform random vector — a ±1 one can be exactly orthogonal
+            // to the complement's last direction.
+            betas.push(T::ZERO);
+            let fresh = (0..n)
+                .map(|_| T::from_f64(rng.gen::<f64>() - 0.5))
+                .collect();
+            match orthonormalize(fresh, &basis) {
+                Some(q) => q,
+                None => break,
+            }
+        };
         basis.push(next);
     }
 
-    // Eigenvalues of the tridiagonal section via the dense symmetric solver
-    // (the section is tiny: k×k).
+    // Eigenvalues of the tridiagonal section (tiny: k×k).
     let m = alphas.len();
     let mut tri = Matrix::<T>::zeros(m, m);
     for i in 0..m {
         tri[(i, i)] = alphas[i];
-        if i + 1 < m && i < betas.len() {
+        if i + 1 < m {
             tri[(i, i + 1)] = betas[i];
             tri[(i + 1, i)] = betas[i];
         }
     }
-    let ritz = eigh(&tri).expect("tridiagonal eigensolve").values;
+    let ritz = eigvalsh(&tri).expect("tridiagonal eigensolve");
     LanczosResult {
         ritz_values: ritz,
         steps: m,
@@ -170,22 +201,37 @@ mod tests {
     }
 
     #[test]
-    fn early_termination_on_low_rank() {
-        // Rank-2 operator: Krylov space exhausts after ≤3 steps from a
-        // generic start vector.
+    fn low_rank_operator_restarts_past_krylov_exhaustion() {
+        // Rank-2 operator: the Krylov space exhausts after 3 steps from a
+        // generic start vector; the restarts carry on to k = 12 and the
+        // ten zero eigenvalues come back as Ritz values.
         let mut a = Matrix::<f64>::zeros(12, 12);
         a[(0, 0)] = 5.0;
         a[(1, 1)] = 2.0;
         let op = DenseOperator::new(a);
         let mut rng = StdRng::seed_from_u64(6);
         let res = lanczos_spectrum(&op, 12, &mut rng);
-        assert!(
-            res.steps <= 4,
-            "expected exhaustion, ran {} steps",
-            res.steps
-        );
-        let top = *res.ritz_values.last().unwrap();
-        assert!((top - 5.0).abs() < 1e-6);
+        assert_eq!(res.steps, 12);
+        let mut expect = vec![0.0; 10];
+        expect.extend([2.0, 5.0]);
+        for (r, e) in res.ritz_values.iter().zip(&expect) {
+            assert!((r - e).abs() < 1e-8, "{:?}", res.ritz_values);
+        }
+    }
+
+    #[test]
+    fn rank_deficient_spectrum_at_k_equal_dim_is_exact() {
+        // diag(0.5, 1, 2, 3, 0, 0, 0, 0): stopping at the first breakdown
+        // returned 5 Ritz values, which ROUND's density padding spread to
+        // [0, 0, .5, .5, 1, 2, 2, 3].
+        let a = Matrix::from_diag(&[0.5, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
+        let op = DenseOperator::new(a);
+        let res = lanczos_spectrum(&op, 8, &mut StdRng::seed_from_u64(9));
+        let expect = [0.0, 0.0, 0.0, 0.0, 0.5, 1.0, 2.0, 3.0];
+        assert_eq!(res.ritz_values.len(), 8, "{:?}", res.ritz_values);
+        for (r, e) in res.ritz_values.iter().zip(&expect) {
+            assert!((r - e).abs() < 1e-10, "{:?}", res.ritz_values);
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! `p = p_shard × G`, one row per η group with that group's own
 //! communication counters.
 //!
-//! For one-OS-process-per-rank execution of this same measurement, use the
-//! SPMD launcher: `cargo run --release -p firal-bench --bin spmd_launch --
-//! -p 4 scaling`.
+//! For one OS process per rank, the SPMD launcher's gates run the same
+//! executor over `SocketComm`: `cargo run --release -p firal-bench --bin
+//! spmd_launch -- -p 4 fig7 --eta-groups 2 --n 400 --per-rank 100`.
 
 use firal::comm::{launch_backend, Backend, CostModel};
 use firal::core::{
