@@ -1,6 +1,6 @@
 //! The harnesses behind `spmd_launch` and `kernel_bench`: the paper ledger
-//! (`spmd_launch paper` → `BENCH_paper.json`), the per-rank workload bodies
-//! the ledger and the process-mesh gates share, and their option parsing.
+//! (`spmd_launch paper` → `BENCH_paper.json`), the workload builders it and
+//! `kernel_bench` share, and their option parsing.
 
 pub mod args;
 pub mod paper;

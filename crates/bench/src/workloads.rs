@@ -1,14 +1,12 @@
-//! Workload builders shared by the paper ledger, the `spmd_launch`
-//! process-mesh gates and `kernel_bench`.
+//! Workload builders shared by the paper ledger and `kernel_bench`.
 //!
-//! The per-rank bodies are communicator-generic: the ledger's Fig. 6/7
-//! rows run them over in-process `ThreadComm` ranks, the `fig7` / `strat`
-//! gates over one `SocketComm` process per rank.
+//! The Fig. 6/7 per-rank bodies are communicator-generic; the ledger runs
+//! them over in-process `ThreadComm` ranks.
 
-use firal_comm::{CommScalar, CommStats, Communicator};
+use firal_comm::{CommStats, Communicator};
 use firal_core::{
-    dispatch_select, EigSolver, EtaGroupGeometry, Executor, MirrorDescentConfig, PhaseTimer,
-    RelaxConfig, RoundConfig, SelectRequest, SelectionProblem, ShardedProblem,
+    EigSolver, Executor, MirrorDescentConfig, PhaseTimer, RelaxConfig, SelectionProblem,
+    ShardedProblem,
 };
 use firal_data::{Dataset, SyntheticConfig};
 use firal_linalg::{Matrix, Scalar};
@@ -116,91 +114,6 @@ pub fn fig7_rank_body(
     (out.timer, out.comm_stats)
 }
 
-/// Per-rank report of the distributed η-grid sweep workload
-/// ([`fig7_eta_sweep_rank_body`]): the winning η and selection plus this
-/// rank's group and its η-group traffic, so the gate can print one `grp`
-/// row per η group with that group's own [`CommStats`].
-pub struct EtaSweepReport {
-    /// This rank's η group in the 2D geometry.
-    pub group: usize,
-    /// Winning η (identical on every rank).
-    pub eta_star: f32,
-    /// Winning selection (identical on every rank).
-    pub selected: Vec<usize>,
-    /// This rank's sweep phase breakdown (its slice of the grid).
-    pub timer: PhaseTimer,
-    /// Collectives issued on the η-group communicator.
-    pub group_stats: CommStats,
-}
-
-/// Fig. 7's η-grid counterpart: the §IV-A grid sweep (default grid,
-/// budget [`FIG7_BUDGET`] — the paper's select-one-point metric) distributed over
-/// `eta_groups` sub-communicator groups of the 2D geometry
-/// `p = p_shard × p_eta`. `eta_groups` must divide the world size;
-/// `eta_groups = 1` is the sequential sweep on the full group. Identical
-/// on every backend.
-pub fn fig7_eta_sweep_rank_body(
-    problem: &SelectionProblem<f32>,
-    threads: usize,
-    eta_groups: usize,
-    comm: &dyn Communicator,
-) -> EtaSweepReport {
-    let geometry = EtaGroupGeometry::new(comm.size(), eta_groups);
-    let (group_comm, cross_comm) = geometry.split(comm);
-
-    let budget = FIG7_BUDGET;
-    let grid = RoundConfig::<f32>::default().eta_grid;
-    let shard = ShardedProblem::shard(problem, group_comm.rank(), geometry.p_shard);
-    let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
-    let out = Executor::new(&*group_comm, &shard)
-        .with_threads(threads)
-        .select_eta_grouped(&z_local, budget, &grid, &*cross_comm);
-    EtaSweepReport {
-        group: cross_comm.rank(),
-        eta_star: out.eta,
-        selected: out.selected,
-        timer: out.timer,
-        group_stats: group_comm.stats(),
-    }
-}
-
-/// Per-rank report of one distributed strategy selection
-/// ([`strategy_rank_body`]): what was picked, how long this rank spent,
-/// and the collective traffic it issued — one `strategy` table row.
-pub struct StrategyReport {
-    /// Selected global pool indices (identical on every rank).
-    pub selected: Vec<usize>,
-    /// Seconds this rank spent inside the selection.
-    pub seconds: f64,
-    /// Collectives this rank issued during the selection.
-    pub comm_stats: CommStats,
-}
-
-/// The `spmd_launch strat` gate's per-rank body (and, in the tests, over
-/// `ThreadComm` ranks): dispatch the request through the shared [`dispatch_select`] metering
-/// layer (the same entry point `firal-serve` bills client requests
-/// through). Panics on unknown names or invalid budgets — harness
-/// misconfiguration, not a measurement.
-pub fn strategy_rank_body<T: CommScalar>(
-    problem: &SelectionProblem<T>,
-    name: &str,
-    budget: usize,
-    seed: u64,
-    threads: usize,
-    comm: &dyn Communicator,
-) -> StrategyReport {
-    let req = SelectRequest::new(name, budget)
-        .with_seed(seed)
-        .with_threads(threads);
-    let run =
-        dispatch_select(comm, problem, &req).unwrap_or_else(|e| panic!("strategy {name:?}: {e}"));
-    StrategyReport {
-        selected: run.selected,
-        seconds: run.seconds,
-        comm_stats: run.comm,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,49 +149,5 @@ mod tests {
         assert!(stats6.allreduce_calls > 0);
         let (_, stats7) = fig7_rank_body(&p, &comm);
         assert!(stats7.allgather_calls > 0);
-    }
-
-    #[test]
-    fn strategy_body_matches_serial_selection_across_thread_ranks() {
-        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        let ds = firal_data::SyntheticConfig::new(3, 4)
-            .with_pool_size(36)
-            .with_initial_per_class(2)
-            .with_seed(5)
-            .generate::<f64>();
-        let p = selection_problem_from_dataset(&ds);
-        for name in ["upal", "bayes-batch"] {
-            let comm = SelfComm::new();
-            let serial = strategy_rank_body(&p, name, 4, 7, 1, &comm);
-            assert_eq!(serial.selected.len(), 4);
-            let dist = firal_comm::launch(2, |comm| {
-                strategy_rank_body(&p, name, 4, 7, 1, comm).selected
-            });
-            for sel in &dist {
-                assert_eq!(sel, &serial.selected, "{name}");
-            }
-        }
-    }
-
-    #[test]
-    fn eta_sweep_body_single_rank_matches_grouped_layout() {
-        let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
-        // p = 1, one group: the sweep body must agree with the same sweep
-        // distributed over (p_shard, p_eta) = (1, 2) thread ranks.
-        let p = scaling_problem(3, 4, 40, 7);
-        let comm = SelfComm::new();
-        let serial = fig7_eta_sweep_rank_body(&p, 1, 1, &comm);
-        assert_eq!(serial.group, 0);
-        assert_eq!(serial.selected.len(), FIG7_BUDGET);
-
-        let grouped = firal_comm::launch(2, |comm| {
-            let rep = fig7_eta_sweep_rank_body(&p, 1, 2, comm);
-            (rep.group, rep.eta_star, rep.selected)
-        });
-        for (g, (group, eta, sel)) in grouped.into_iter().enumerate() {
-            assert_eq!(group, g);
-            assert_eq!(eta, serial.eta_star);
-            assert_eq!(sel, serial.selected);
-        }
     }
 }

@@ -15,9 +15,9 @@
 //! `p = p_shard × G`, one row per η group with that group's own
 //! communication counters.
 //!
-//! For one OS process per rank, the SPMD launcher's gates run the same
-//! executor over `SocketComm`: `cargo run --release -p firal-bench --bin
-//! spmd_launch -- -p 4 fig7 --eta-groups 2 --n 400 --per-rank 100`.
+//! For one OS process per rank, the fault-free probe of
+//! `tests/fault_matrix.rs` runs the same η-grouped sweep over a 4-process
+//! `SocketComm` mesh: `cargo test --release --test fault_matrix`.
 
 use firal::comm::{launch_backend, Backend, CostModel};
 use firal::core::{

@@ -1,20 +1,28 @@
-//! Deterministic fault-injection matrix over real process meshes.
+//! Deterministic fault-injection matrix over real process meshes, and the
+//! repo's process-mesh consistency gate.
 //!
 //! This binary is both the parent (the `#[test]` that sweeps the fault
-//! matrix) and the SPMD child: the parent re-executes its own test
-//! executable with `--exact fault_matrix_child_entry` and the
-//! `FIRAL_SPMD_*` coordinates set, so each scenario runs on a genuine
-//! 4-process TCP mesh — the same transport `spmd_launch` uses — with a
-//! fault injected from [`firal::comm::FAULT_ENV`].
+//! matrix) and the SPMD child: through the shared harness in
+//! `common/mesh.rs` the parent re-executes its own test executable with
+//! `--exact fault_matrix_child_entry` and the `FIRAL_SPMD_*` coordinates
+//! set, so each scenario runs on a genuine 4-process TCP mesh — the
+//! transport `spmd_launch serve` uses — with a fault injected from
+//! [`firal::comm::FAULT_ENV`].
 //!
-//! The contract pinned here is the PR's acceptance criterion: killing,
-//! stalling, or disconnecting any single rank mid-RELAX, mid-ROUND, or
-//! mid-rendezvous leaves **zero** deadlocked or orphaned processes, and
-//! every survivor exits through the structured [`firal::comm::CommError`]
-//! path (exit code 42 below) within the configured deadline — never a
-//! hang and never an uncontrolled panic. The fault-free probe run pins
-//! the flip side: with no fault, the fallible path selects bitwise the
-//! same batch as the `SelfComm` serial reference.
+//! The contract pinned here: killing, stalling, or disconnecting any single
+//! rank mid-RELAX, mid-ROUND, or mid-rendezvous leaves **zero** deadlocked
+//! or orphaned processes, and every survivor exits through the structured
+//! [`firal::comm::CommError`] path (exit code 42 below) within the
+//! configured deadline — never a hang and never an uncontrolled panic.
+//!
+//! The fault-free probe pins the flip side and is the process-mesh
+//! consistency gate: with no fault, on every rank of the 4-process mesh,
+//! - Approx-FIRAL RELAX + ROUND selects bitwise the `SelfComm` batch;
+//! - the η grid over the 2×2 [`EtaGroupGeometry`] returns bitwise the
+//!   `SelfComm` sequential sweep's (η★, selection);
+//! - UPAL and Bayes-batch through [`dispatch_select`] return bitwise the
+//!   [`select_serial`] batch;
+//! - the rank measured nonzero wire time.
 //!
 //! Child exit-code protocol:
 //!   0   — workload completed (fault-free probe)
@@ -22,23 +30,33 @@
 //!   42  — a collective failed with a structured `CommError`
 //!   113 — `KILL_EXIT_CODE`: the injected `kill:` fault fired on this rank
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
+#[path = "common/mesh.rs"]
+mod mesh;
+
+use std::io::Write;
 use std::time::{Duration, Instant};
 
 use firal::comm::fault::KILL_EXIT_CODE;
-use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
+use firal::comm::socket_comm::ENV_RANK;
 use firal::comm::{
-    comm_catch, free_rendezvous_addr, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV,
-    FAULT_ENV, RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
+    comm_catch, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
+    RENDEZVOUS_TIMEOUT_ENV,
 };
 use firal::core::{
-    EigSolver, Executor, MirrorDescentConfig, RelaxConfig, SelectionProblem, ShardedProblem,
+    dispatch_select, select_serial, strategy_by_name, EigSolver, EtaGroupGeometry, Executor,
+    MirrorDescentConfig, RelaxConfig, RoundConfig, RoundRun, SelectRequest, SelectionProblem,
+    ShardedProblem,
 };
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
+use mesh::{dump, ChildResult, Mesh, DEADLOCKED};
 
 const BUDGET: usize = 5;
+/// η groups of the probe's grid sweep: `p = 2 × 2` on the 4-rank mesh.
+const ETA_GROUPS: usize = 2;
+/// Executor-generic strategies the probe checks against `select_serial`.
+const STRATEGIES: [&str; 2] = ["upal", "bayes-batch"];
+const STRATEGY_SEED: u64 = 5;
 /// Per-frame read deadline for fault scenarios (ms): short enough that a
 /// stalled peer is detected quickly, long enough that debug-build compute
 /// phases between collectives never trip it.
@@ -81,9 +99,52 @@ fn relax_config() -> RelaxConfig<f64> {
     }
 }
 
+fn eta(p: &SelectionProblem<f64>) -> f64 {
+    6.0 * (p.ehat() as f64).sqrt()
+}
+
+/// The η sweep's `z⋄`: the budget spread evenly over the pool (`len`
+/// entries of this shard).
+fn uniform_z(p: &SelectionProblem<f64>, len: usize) -> Vec<f64> {
+    vec![BUDGET as f64 / p.pool_size() as f64; len]
+}
+
+fn join(selected: &[usize]) -> String {
+    let s: Vec<String> = selected.iter().map(|i| i.to_string()).collect();
+    s.join(",")
+}
+
+/// The `key=value` fields a probe rank reports and the parent compares
+/// against the `SelfComm` references: the RELAX + ROUND selection, then the
+/// η sweep's η★ bits and selection, then one selection per strategy.
+fn marker_fields(
+    selected: &[usize],
+    sweep: &RoundRun<f64>,
+    strategies: impl Iterator<Item = (&'static str, Vec<usize>)>,
+) -> Vec<(&'static str, String)> {
+    let mut fields = vec![
+        ("selected", join(selected)),
+        ("eta_bits", format!("{:016x}", sweep.eta.to_bits())),
+        ("eta_selected", join(&sweep.selected)),
+    ];
+    fields.extend(strategies.map(|(name, sel)| (name, join(&sel))));
+    fields
+}
+
+/// The value of `key=` in a `FAULT_MATRIX` marker.
+fn field<'a>(marker: &'a str, key: &str) -> &'a str {
+    marker
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("marker missing {key}: {marker}"))
+}
+
 /// The SPMD child body: join the mesh from env coordinates, arm the panic
 /// abort hook, run RELAX and ROUND each under its own `comm_catch`
-/// boundary, and translate every outcome into the exit-code protocol.
+/// boundary, then the η grid and the strategies, and translate every
+/// outcome into the exit-code protocol. The schedule coordinates are
+/// captured before the extra steps, so the fault specs address RELAX and
+/// ROUND only.
 fn child_main() -> i32 {
     let comm = match SocketComm::from_env() {
         Some(Ok(c)) => c,
@@ -94,35 +155,68 @@ fn child_main() -> i32 {
         None => unreachable!("child entry runs only with {ENV_RANK} set"),
     };
     comm.install_panic_abort();
+    let rank = comm.rank();
 
     let p = problem(7);
-    let eta = 6.0 * (p.ehat() as f64).sqrt();
-    let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
+    let shard = ShardedProblem::shard(&p, rank, comm.size());
     let exec = Executor::new(&comm, &shard);
 
     let relax = match comm_catch(|| exec.relax(BUDGET, &relax_config())) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("rank {}: RELAX failed: {e}", comm.rank());
+            eprintln!("rank {rank}: RELAX failed: {e}");
             return CODE_COMM_ERROR;
         }
     };
     let relax_seq = comm.collective_seq();
-    let round = match comm_catch(|| exec.round(&relax.z_local, BUDGET, eta, EigSolver::Exact)) {
+    let round = match comm_catch(|| exec.round(&relax.z_local, BUDGET, eta(&p), EigSolver::Exact)) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("rank {}: ROUND failed: {e}", comm.rank());
+            eprintln!("rank {rank}: ROUND failed: {e}");
             return CODE_COMM_ERROR;
         }
     };
     let total_seq = comm.collective_seq();
-    if comm.rank() == 0 {
-        let sel: Vec<String> = round.selected.iter().map(|i| i.to_string()).collect();
-        println!(
-            "FAULT_MATRIX relax_seq={relax_seq} total_seq={total_seq} selected={}",
-            sel.join(",")
-        );
+
+    let sweep = comm_catch(|| {
+        let geometry = EtaGroupGeometry::new(comm.size(), ETA_GROUPS);
+        let (group_comm, cross_comm) = geometry.split(&comm);
+        let shard = ShardedProblem::shard(&p, group_comm.rank(), geometry.p_shard);
+        let grid = RoundConfig::<f64>::default().eta_grid;
+        Executor::new(&*group_comm, &shard).select_eta_grouped(
+            &uniform_z(&p, shard.local_n()),
+            BUDGET,
+            &grid,
+            &*cross_comm,
+        )
+    });
+    let sweep = match sweep {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("rank {rank}: η grid failed: {e}");
+            return CODE_COMM_ERROR;
+        }
+    };
+    let mut picks = Vec::new();
+    for name in STRATEGIES {
+        let req = SelectRequest::new(name, BUDGET).with_seed(STRATEGY_SEED);
+        match dispatch_select(&comm, &p, &req) {
+            Ok(run) => picks.push((name, run.selected)),
+            Err(e) => {
+                eprintln!("rank {rank}: {name} failed: {e}");
+                return CODE_COMM_ERROR;
+            }
+        }
     }
+    let fields: Vec<String> = marker_fields(&round.selected, &sweep, picks.into_iter())
+        .iter()
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    println!(
+        "FAULT_MATRIX relax_seq={relax_seq} total_seq={total_seq} wire_ns={} {}",
+        comm.stats().time.as_nanos(),
+        fields.join(" ")
+    );
     0
 }
 
@@ -136,10 +230,30 @@ fn fault_matrix_child_entry() {
     std::process::exit(child_main());
 }
 
-struct ChildResult {
-    code: i32,
-    stdout: String,
-    stderr: String,
+/// What the pipe-drain child writes to stderr: four Linux pipe buffers.
+const DRAIN_BYTES: usize = 256 * 1024;
+
+/// Re-exec target of [`mesh_harness_drains_pipes_while_ranks_run`].
+#[test]
+fn mesh_drain_child_entry() {
+    if std::env::var(ENV_RANK).is_err() {
+        return;
+    }
+    let mut err = std::io::stderr().lock();
+    err.write_all(&vec![b'x'; DRAIN_BYTES])
+        .expect("write stderr");
+    err.flush().expect("flush stderr");
+    std::process::exit(0);
+}
+
+/// A rank that writes more than a pipe buffer must still exit: a harness
+/// that reads the pipes only after every rank exits would leave it blocked
+/// in `write` and report it as deadlocked at the cap.
+#[test]
+fn mesh_harness_drains_pipes_while_ranks_run() {
+    let results = Mesh::spawn("mesh_drain_child_entry", 1, &[]).supervise(SCENARIO_CAP);
+    assert_eq!(results[0].code, 0, "\n{}", dump(&results));
+    assert_eq!(results[0].stderr.matches('x').count(), DRAIN_BYTES);
 }
 
 struct Scenario<'a> {
@@ -151,117 +265,37 @@ struct Scenario<'a> {
     expect: Vec<i32>,
 }
 
-/// Spawn a `size`-rank mesh of this test binary and supervise it: poll
-/// with a hard cap, kill and reap any straggler (that is the deadlock
-/// detector), and return each rank's exit code and captured output.
+/// Run one `size`-rank mesh of the child entry with deadlines and
+/// verification on and the given fault armed, returning each rank's exit
+/// code and output.
 fn run_mesh(size: usize, fault: Option<&str>, rendezvous_ms: u64) -> Vec<ChildResult> {
-    let exe = std::env::current_exe().expect("test executable path");
-    let addr = free_rendezvous_addr().expect("free rendezvous port");
-    let mut children: Vec<Option<Child>> = (0..size)
-        .map(|rank| {
-            let mut cmd = Command::new(&exe);
-            cmd.arg("fault_matrix_child_entry")
-                .arg("--exact")
-                .arg("--test-threads=1")
-                .arg("--nocapture")
-                .env(ENV_RANK, rank.to_string())
-                .env(ENV_SIZE, size.to_string())
-                .env(ENV_ADDR, &addr)
-                .env(VERIFY_ENV, "1")
-                .env(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())
-                .env(RENDEZVOUS_TIMEOUT_ENV, rendezvous_ms.to_string())
-                .stdin(Stdio::null())
-                .stdout(Stdio::piped())
-                .stderr(Stdio::piped());
-            match fault {
-                Some(spec) => cmd.env(FAULT_ENV, spec),
-                None => cmd.env_remove(FAULT_ENV),
-            };
-            Some(cmd.spawn().expect("spawn fault-matrix child"))
-        })
-        .collect();
-
-    let start = Instant::now();
-    let mut codes = vec![None; size];
-    loop {
-        let mut alive = 0;
-        for (rank, slot) in children.iter_mut().enumerate() {
-            let Some(child) = slot else { continue };
-            match child.try_wait().expect("try_wait") {
-                Some(status) => codes[rank] = Some(status.code().unwrap_or(-1)),
-                None => {
-                    alive += 1;
-                    continue;
-                }
-            }
-        }
-        if alive == 0 {
-            break;
-        }
-        if start.elapsed() > SCENARIO_CAP {
-            // Deadlock: reap everything so no orphan outlives the test,
-            // then fail below on the sentinel code.
-            for (rank, slot) in children.iter_mut().enumerate() {
-                let Some(child) = slot else { continue };
-                if codes[rank].is_none() {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    codes[rank] = Some(-99);
-                }
-            }
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
+    let mut env = vec![
+        (COMM_TIMEOUT_ENV, DEADLINE_MS.to_string()),
+        (RENDEZVOUS_TIMEOUT_ENV, rendezvous_ms.to_string()),
+    ];
+    if let Some(spec) = fault {
+        env.push((FAULT_ENV, spec.to_string()));
     }
-
-    children
-        .iter_mut()
-        .enumerate()
-        .map(|(rank, slot)| {
-            let mut child = slot.take().expect("child present");
-            let mut stdout = String::new();
-            let mut stderr = String::new();
-            if let Some(mut s) = child.stdout.take() {
-                let _ = s.read_to_string(&mut stdout);
-            }
-            if let Some(mut s) = child.stderr.take() {
-                let _ = s.read_to_string(&mut stderr);
-            }
-            // Already reaped above; this wait is a no-op safety net.
-            let _ = child.wait();
-            ChildResult {
-                code: codes[rank].expect("exit code recorded"),
-                stdout,
-                stderr,
-            }
-        })
-        .collect()
+    Mesh::spawn("fault_matrix_child_entry", size, &env).supervise(SCENARIO_CAP)
 }
 
-fn dump(name: &str, results: &[ChildResult]) -> String {
-    let mut out = format!("scenario {name}:\n");
-    for (rank, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  rank {rank}: exit {}\n    stdout: {}\n    stderr: {}\n",
-            r.code,
-            r.stdout.trim().replace('\n', "\n            "),
-            r.stderr.trim().replace('\n', "\n            "),
-        ));
-    }
-    out
-}
-
-/// The serial `SelfComm` reference for the probe's selection: the
-/// fault-free fallible path must match it bitwise.
-fn serial_selection() -> Vec<usize> {
+/// The `SelfComm` references for every probe marker field: the fault-free
+/// fallible path over the mesh must match each bitwise.
+fn serial_fields() -> Vec<(&'static str, String)> {
     let p = problem(7);
-    let eta = 6.0 * (p.ehat() as f64).sqrt();
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
     let exec = Executor::new(&comm, &shard);
     let relax = exec.relax(BUDGET, &relax_config());
-    exec.round(&relax.z_local, BUDGET, eta, EigSolver::Exact)
-        .selected
+    let round = exec.round(&relax.z_local, BUDGET, eta(&p), EigSolver::Exact);
+    let grid = RoundConfig::<f64>::default().eta_grid;
+    let sweep = exec.select_eta(&uniform_z(&p, p.pool_size()), BUDGET, &grid);
+    let picks = STRATEGIES.into_iter().map(|name| {
+        let strategy = strategy_by_name::<f64>(name).expect("registry name");
+        let serial = select_serial(strategy.as_ref(), &p, BUDGET, STRATEGY_SEED).expect(name);
+        (name, serial.selected)
+    });
+    marker_fields(&round.selected, &sweep, picks)
 }
 
 #[test]
@@ -269,39 +303,36 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
     const P: usize = 4;
 
     // --- Probe: fault-free run with deadlines + verification ON. ---
-    // Yields the schedule coordinates (per-rank collective sequence
-    // numbers) the fault specs below address, and pins that the fallible
-    // path with a read deadline configured stays bitwise identical to the
-    // serial reference.
+    // Pins every rank's results bitwise to the SelfComm references and
+    // yields the schedule coordinates (per-rank collective sequence
+    // numbers) the fault specs below address.
     let probe = run_mesh(P, None, 15_000);
+    let probe_dump = || format!("scenario probe:\n{}", dump(&probe));
     for (rank, r) in probe.iter().enumerate() {
-        assert_eq!(r.code, 0, "probe rank {rank}\n{}", dump("probe", &probe));
+        assert_eq!(r.code, 0, "probe rank {rank}\n{}", probe_dump());
     }
-    // The marker may share a line with libtest's `test ... ` progress
-    // prefix (the child harness prints it without a trailing newline).
-    let marker = probe[0]
-        .stdout
-        .lines()
-        .find_map(|l| l.find("FAULT_MATRIX ").map(|at| &l[at..]))
-        .unwrap_or_else(|| panic!("probe rank 0 printed no marker\n{}", dump("probe", &probe)));
-    let field = |key: &str| -> String {
-        marker
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("marker missing {key}: {marker}"))
-            .to_string()
-    };
-    let relax_seq: u64 = field("relax_seq").parse().expect("relax_seq");
-    let total_seq: u64 = field("total_seq").parse().expect("total_seq");
-    let selected: Vec<usize> = field("selected")
-        .split(',')
-        .map(|s| s.parse().expect("selected index"))
+    let markers: Vec<&str> = probe
+        .iter()
+        .enumerate()
+        .map(|(rank, r)| {
+            r.marker("FAULT_MATRIX ")
+                .unwrap_or_else(|| panic!("probe rank {rank} printed no marker\n{}", probe_dump()))
+        })
         .collect();
-    assert_eq!(
-        selected,
-        serial_selection(),
-        "fault-free fallible path diverged from the SelfComm reference"
-    );
+    let expected = serial_fields();
+    for (rank, marker) in markers.iter().enumerate() {
+        for (key, want) in &expected {
+            assert_eq!(
+                field(marker, key),
+                want,
+                "probe rank {rank}: {key} diverged from the SelfComm reference"
+            );
+        }
+        let wire_ns: u128 = field(marker, "wire_ns").parse().expect("wire_ns");
+        assert!(wire_ns > 0, "probe rank {rank} measured no wire time");
+    }
+    let relax_seq: u64 = field(markers[0], "relax_seq").parse().expect("relax_seq");
+    let total_seq: u64 = field(markers[0], "total_seq").parse().expect("total_seq");
     // The schedule must be deep enough for a mid-RELAX and a mid-ROUND
     // coordinate to exist.
     assert!(relax_seq > 2, "RELAX ran only {relax_seq} collectives");
@@ -373,10 +404,11 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
         let results = run_mesh(P, sc.fault.as_deref(), sc.rendezvous_ms);
         let elapsed = started.elapsed();
         let codes: Vec<i32> = results.iter().map(|r| r.code).collect();
+        let report = || format!("scenario {}:\n{}", sc.name, dump(&results));
         assert!(
-            !codes.contains(&-99),
+            !codes.contains(&DEADLOCKED),
             "deadlocked children had to be reaped\n{}",
-            dump(sc.name, &results)
+            report()
         );
         assert_eq!(
             codes,
@@ -384,7 +416,7 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
             "({} | fault {:?}, took {elapsed:?})\n{}",
             sc.name,
             sc.fault,
-            dump(sc.name, &results)
+            report()
         );
         // Every structured failure carries a CommError rendering, not a
         // bare abort: the child prints it before choosing its exit code.
@@ -394,7 +426,7 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
                     r.stderr.contains("failed"),
                     "{}: rank {rank} exited 42 without a diagnostic\n{}",
                     sc.name,
-                    dump(sc.name, &results)
+                    report()
                 );
             }
         }

@@ -1,8 +1,9 @@
 //! Fault-matrix extension for the serving layer: a rank dies mid-request.
 //!
-//! Same self-re-exec harness as `fault_matrix` and `serve_soak`, with one
-//! `FIRAL_FAULT` row injected: rank 3 is killed a few collectives into its
-//! sub-group's selection. Two concurrent requests share the round on
+//! Same self-re-exec harness (`common/mesh.rs`) as `fault_matrix` and
+//! `serve_soak`, with one `FIRAL_FAULT` row injected: rank 3 is killed a
+//! few collectives into its sub-group's selection. Two concurrent
+//! requests share the round on
 //! disjoint sub-groups (`[0,1]` and `[2,3]`), so the kill lands inside
 //! exactly one of them. The contract pinned here is the PR 8 failure model
 //! *scoped by the serving layer's abort confinement*:
@@ -18,22 +19,21 @@
 //! 4. the victim exits with the injected kill code and **no rank
 //!    deadlocks or is orphaned**.
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
+#[path = "common/mesh.rs"]
+mod mesh;
+
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use firal::comm::fault::KILL_EXIT_CODE;
-use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
-use firal::comm::{
-    free_rendezvous_addr, Communicator, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
-    RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
-};
+use firal::comm::socket_comm::ENV_RANK;
+use firal::comm::{free_rendezvous_addr, Communicator, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV};
 use firal::core::{select_serial, strategy_by_name, SelectionProblem};
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
 use firal::serve::proto::ERR_COMM;
 use firal::serve::{run, ClientError, SelectSpec, ServeClient, ServeConfig};
+use mesh::{dump, Mesh, DEADLOCKED};
 
 /// Env var carrying the serve listen address into the SPMD children.
 const SERVE_ADDR_ENV: &str = "FIRAL_TEST_SERVE_ADDR";
@@ -118,130 +118,18 @@ fn serve_fault_child_entry() {
     std::process::exit(child_main());
 }
 
-struct ChildResult {
-    code: i32,
-    stdout: String,
-    stderr: String,
-}
-
-/// Spawned server mesh; `Drop` reaps every still-running rank so a failed
-/// assertion can never leak orphans.
-struct Mesh {
-    children: Vec<Option<Child>>,
-}
-
-impl Mesh {
-    fn spawn(size: usize, serve_addr: &str, fault: &str) -> Mesh {
-        let exe = std::env::current_exe().expect("test executable path");
-        let rendezvous = free_rendezvous_addr().expect("free rendezvous port");
-        let children = (0..size)
-            .map(|rank| {
-                let mut cmd = Command::new(&exe);
-                cmd.arg("serve_fault_child_entry")
-                    .arg("--exact")
-                    .arg("--test-threads=1")
-                    .arg("--nocapture")
-                    .env(ENV_RANK, rank.to_string())
-                    .env(ENV_SIZE, size.to_string())
-                    .env(ENV_ADDR, &rendezvous)
-                    .env(SERVE_ADDR_ENV, serve_addr)
-                    .env(VERIFY_ENV, "1")
-                    .env(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())
-                    .env(RENDEZVOUS_TIMEOUT_ENV, "15000")
-                    .env(FAULT_ENV, fault)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::piped());
-                Some(cmd.spawn().expect("spawn serve-fault child"))
-            })
-            .collect();
-        Mesh { children }
-    }
-
-    fn supervise(&mut self, cap: Duration) -> Vec<ChildResult> {
-        let start = Instant::now();
-        let size = self.children.len();
-        let mut codes = vec![None; size];
-        loop {
-            let mut alive = 0;
-            for (rank, slot) in self.children.iter_mut().enumerate() {
-                let Some(child) = slot else { continue };
-                match child.try_wait().expect("try_wait") {
-                    Some(status) if codes[rank].is_none() => {
-                        codes[rank] = Some(status.code().unwrap_or(-1));
-                    }
-                    Some(_) => {}
-                    None => alive += 1,
-                }
-            }
-            if alive == 0 {
-                break;
-            }
-            if start.elapsed() > cap {
-                for (rank, slot) in self.children.iter_mut().enumerate() {
-                    let Some(child) = slot else { continue };
-                    if codes[rank].is_none() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        codes[rank] = Some(-99);
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.children
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let mut child = slot.take().expect("child present");
-                let mut stdout = String::new();
-                let mut stderr = String::new();
-                if let Some(mut s) = child.stdout.take() {
-                    let _ = s.read_to_string(&mut stdout);
-                }
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut stderr);
-                }
-                let _ = child.wait();
-                ChildResult {
-                    code: codes[rank].expect("exit code recorded"),
-                    stdout,
-                    stderr,
-                }
-            })
-            .collect()
-    }
-}
-
-impl Drop for Mesh {
-    fn drop(&mut self) {
-        for slot in self.children.iter_mut() {
-            if let Some(mut child) = slot.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
-}
-
-fn dump(results: &[ChildResult]) -> String {
-    let mut out = String::new();
-    for (rank, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  rank {rank}: exit {}\n    stdout: {}\n    stderr: {}\n",
-            r.code,
-            r.stdout.trim().replace('\n', "\n            "),
-            r.stderr.trim().replace('\n', "\n            "),
-        ));
-    }
-    out
-}
-
 #[test]
 fn a_rank_killed_mid_request_fails_only_its_own_sub_group() {
     let serve_addr = free_rendezvous_addr().expect("free serve port");
-    let mut mesh = Mesh::spawn(P, &serve_addr, FAULT_SPEC);
+    let mut mesh = Mesh::spawn(
+        "serve_fault_child_entry",
+        P,
+        &[
+            (SERVE_ADDR_ENV, serve_addr.clone()),
+            (COMM_TIMEOUT_ENV, DEADLINE_MS.to_string()),
+            (FAULT_ENV, FAULT_SPEC.to_string()),
+        ],
+    );
 
     let problem = fault_problem();
     let mut control = ServeClient::connect(serve_addr.as_str(), Duration::from_secs(20))
@@ -333,7 +221,7 @@ fn a_rank_killed_mid_request_fails_only_its_own_sub_group() {
     let results = mesh.supervise(SCENARIO_CAP);
     let codes: Vec<i32> = results.iter().map(|r| r.code).collect();
     assert!(
-        !codes.contains(&-99),
+        !codes.contains(&DEADLOCKED),
         "deadlocked ranks had to be reaped\n{}",
         dump(&results)
     );
@@ -344,9 +232,7 @@ fn a_rank_killed_mid_request_fails_only_its_own_sub_group() {
         dump(&results)
     );
     let marker = results[0]
-        .stdout
-        .lines()
-        .find_map(|l| l.find("SERVE_FAULT ").map(|at| l[at..].to_string()))
+        .marker("SERVE_FAULT ")
         .unwrap_or_else(|| panic!("rank 0 printed no summary marker\n{}", dump(&results)));
     assert!(
         marker.contains("ok=1") && marker.contains("err=1") && marker.contains("degraded=Some"),

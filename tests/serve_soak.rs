@@ -1,12 +1,12 @@
 //! Soak test: concurrent clients against a real 4-process serving mesh.
 //!
 //! Like `fault_matrix`, this binary is both the parent and the SPMD
-//! child: the parent re-executes itself with `--exact
-//! serve_soak_child_entry` and the `FIRAL_SPMD_*` coordinates set, so the
-//! server runs on a genuine 4-process TCP mesh with schedule verification
-//! and read deadlines armed. The parent then plays the client side:
-//! several threads hammer the server with mixed strategies and budgets
-//! over one shared pool.
+//! child: through the shared harness in `common/mesh.rs` the parent
+//! re-executes itself with `--exact serve_soak_child_entry` and the
+//! `FIRAL_SPMD_*` coordinates set, so the server runs on a genuine
+//! 4-process TCP mesh with schedule verification and read deadlines
+//! armed. The parent then plays the client side: several threads hammer
+//! the server with mixed strategies and budgets over one shared pool.
 //!
 //! The contract pinned here is the serving tentpole's acceptance
 //! criterion:
@@ -22,20 +22,19 @@
 //! 4. a clean shutdown leaves **zero orphan processes**: all four ranks
 //!    exit 0 within the cap (a guard kills stragglers and fails loudly).
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
-use std::sync::Barrier;
-use std::time::{Duration, Instant};
+#[path = "common/mesh.rs"]
+mod mesh;
 
-use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
-use firal::comm::{
-    free_rendezvous_addr, Communicator, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
-    RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
-};
+use std::sync::Barrier;
+use std::time::Duration;
+
+use firal::comm::socket_comm::ENV_RANK;
+use firal::comm::{free_rendezvous_addr, Communicator, SocketComm, COMM_TIMEOUT_ENV};
 use firal::core::{select_serial, strategy_by_name, SelectionProblem};
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
 use firal::serve::{run, SelectSpec, SelectionOutcome, ServeClient, ServeConfig};
+use mesh::{dump, Mesh, DEADLOCKED};
 
 /// Env var carrying the serve listen address into the SPMD children.
 const SERVE_ADDR_ENV: &str = "FIRAL_TEST_SERVE_ADDR";
@@ -119,132 +118,17 @@ fn serve_soak_child_entry() {
     std::process::exit(child_main());
 }
 
-struct ChildResult {
-    code: i32,
-    stdout: String,
-    stderr: String,
-}
-
-/// A spawned server mesh whose `Drop` kills every still-running rank, so
-/// a failing (panicking) test can never leak orphan processes.
-struct Mesh {
-    children: Vec<Option<Child>>,
-}
-
-impl Mesh {
-    fn spawn(size: usize, serve_addr: &str) -> Mesh {
-        let exe = std::env::current_exe().expect("test executable path");
-        let rendezvous = free_rendezvous_addr().expect("free rendezvous port");
-        let children = (0..size)
-            .map(|rank| {
-                let mut cmd = Command::new(&exe);
-                cmd.arg("serve_soak_child_entry")
-                    .arg("--exact")
-                    .arg("--test-threads=1")
-                    .arg("--nocapture")
-                    .env(ENV_RANK, rank.to_string())
-                    .env(ENV_SIZE, size.to_string())
-                    .env(ENV_ADDR, &rendezvous)
-                    .env(SERVE_ADDR_ENV, serve_addr)
-                    .env(VERIFY_ENV, "1")
-                    .env(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())
-                    .env(RENDEZVOUS_TIMEOUT_ENV, "15000")
-                    .env_remove(FAULT_ENV)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::piped());
-                Some(cmd.spawn().expect("spawn serve-soak child"))
-            })
-            .collect();
-        Mesh { children }
-    }
-
-    /// Wait for every rank with a hard cap; stragglers are killed and
-    /// reported with the `-99` sentinel (the orphan/deadlock detector).
-    fn supervise(&mut self, cap: Duration) -> Vec<ChildResult> {
-        let start = Instant::now();
-        let size = self.children.len();
-        let mut codes = vec![None; size];
-        loop {
-            let mut alive = 0;
-            for (rank, slot) in self.children.iter_mut().enumerate() {
-                let Some(child) = slot else { continue };
-                match child.try_wait().expect("try_wait") {
-                    Some(status) if codes[rank].is_none() => {
-                        codes[rank] = Some(status.code().unwrap_or(-1));
-                    }
-                    Some(_) => {}
-                    None => alive += 1,
-                }
-            }
-            if alive == 0 {
-                break;
-            }
-            if start.elapsed() > cap {
-                for (rank, slot) in self.children.iter_mut().enumerate() {
-                    let Some(child) = slot else { continue };
-                    if codes[rank].is_none() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        codes[rank] = Some(-99);
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.children
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let mut child = slot.take().expect("child present");
-                let mut stdout = String::new();
-                let mut stderr = String::new();
-                if let Some(mut s) = child.stdout.take() {
-                    let _ = s.read_to_string(&mut stdout);
-                }
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut stderr);
-                }
-                let _ = child.wait();
-                ChildResult {
-                    code: codes[rank].expect("exit code recorded"),
-                    stdout,
-                    stderr,
-                }
-            })
-            .collect()
-    }
-}
-
-impl Drop for Mesh {
-    fn drop(&mut self) {
-        for slot in self.children.iter_mut() {
-            if let Some(mut child) = slot.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
-}
-
-fn dump(results: &[ChildResult]) -> String {
-    let mut out = String::new();
-    for (rank, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  rank {rank}: exit {}\n    stdout: {}\n    stderr: {}\n",
-            r.code,
-            r.stdout.trim().replace('\n', "\n            "),
-            r.stderr.trim().replace('\n', "\n            "),
-        ));
-    }
-    out
-}
-
 #[test]
 fn serve_soak_concurrent_clients_are_bitwise_serial_with_isolated_stats() {
     let serve_addr = free_rendezvous_addr().expect("free serve port");
-    let mut mesh = Mesh::spawn(P, &serve_addr);
+    let mut mesh = Mesh::spawn(
+        "serve_soak_child_entry",
+        P,
+        &[
+            (SERVE_ADDR_ENV, serve_addr.clone()),
+            (COMM_TIMEOUT_ENV, DEADLINE_MS.to_string()),
+        ],
+    );
 
     let problem = soak_problem();
     let mut control = ServeClient::connect(serve_addr.as_str(), Duration::from_secs(20))
@@ -370,15 +254,13 @@ fn serve_soak_concurrent_clients_are_bitwise_serial_with_isolated_stats() {
     let results = mesh.supervise(WIND_DOWN_CAP);
     let codes: Vec<i32> = results.iter().map(|r| r.code).collect();
     assert!(
-        !codes.contains(&-99),
+        !codes.contains(&DEADLOCKED),
         "stragglers had to be killed after shutdown\n{}",
         dump(&results)
     );
     assert_eq!(codes, vec![0; P], "\n{}", dump(&results));
     let marker = results[0]
-        .stdout
-        .lines()
-        .find_map(|l| l.find("SERVE_SOAK ").map(|at| l[at..].to_string()))
+        .marker("SERVE_SOAK ")
         .unwrap_or_else(|| panic!("rank 0 printed no summary marker\n{}", dump(&results)));
     assert!(
         marker.contains(&format!("ok={}", CLIENTS * REQUESTS)) && marker.contains("err=0"),

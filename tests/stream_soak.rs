@@ -1,9 +1,10 @@
 //! Soak test: the streaming round state over a real 4-process TCP mesh.
 //!
 //! Like `serve_soak`, this binary is both the parent and the SPMD child:
-//! the parent re-executes itself with `--exact stream_soak_child_entry`
-//! and the `FIRAL_SPMD_*` coordinates set, so the streaming state advances
-//! on a genuine 4-process `SocketComm` mesh with schedule verification
+//! through the shared harness in `common/mesh.rs` the parent re-executes
+//! itself with `--exact stream_soak_child_entry` and the `FIRAL_SPMD_*`
+//! coordinates set, so the streaming state advances on a genuine
+//! 4-process `SocketComm` mesh with schedule verification
 //! (`FIRAL_COMM_VERIFY=1`) and read deadlines armed. Every rank commits
 //! the identical scripted sequence of interleaved add/label/remove batches
 //! with periodic selections, crossing the `refactor_interval` boundary
@@ -23,18 +24,17 @@
 //! 3. interleaved selections agree across ranks (the parent diffs the
 //!    per-rank markers), and all 4 ranks exit 0 with no stragglers.
 
-use std::io::Read;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+#[path = "common/mesh.rs"]
+mod mesh;
 
-use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
-use firal::comm::{
-    free_rendezvous_addr, Communicator, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
-    RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV,
-};
+use std::time::Duration;
+
+use firal::comm::socket_comm::ENV_RANK;
+use firal::comm::{Communicator, SocketComm, COMM_TIMEOUT_ENV};
 use firal::core::{EigSolver, FiralConfig, PoolUpdate, SelectionProblem, StreamingState};
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
+use mesh::{dump, Mesh, DEADLOCKED};
 
 const P: usize = 4;
 const ROUNDS: usize = 10;
@@ -237,134 +237,13 @@ fn stream_soak_child_entry() {
     std::process::exit(child_main());
 }
 
-struct ChildResult {
-    code: i32,
-    stdout: String,
-    stderr: String,
-}
-
-/// A spawned mesh whose `Drop` kills every still-running rank, so a
-/// failing (panicking) test can never leak orphan processes.
-struct Mesh {
-    children: Vec<Option<Child>>,
-}
-
-impl Mesh {
-    fn spawn(size: usize) -> Mesh {
-        let exe = std::env::current_exe().expect("test executable path");
-        let rendezvous = free_rendezvous_addr().expect("free rendezvous port");
-        let children = (0..size)
-            .map(|rank| {
-                let mut cmd = Command::new(&exe);
-                cmd.arg("stream_soak_child_entry")
-                    .arg("--exact")
-                    .arg("--test-threads=1")
-                    .arg("--nocapture")
-                    .env(ENV_RANK, rank.to_string())
-                    .env(ENV_SIZE, size.to_string())
-                    .env(ENV_ADDR, &rendezvous)
-                    .env(VERIFY_ENV, "1")
-                    .env(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())
-                    .env(RENDEZVOUS_TIMEOUT_ENV, "15000")
-                    .env_remove(FAULT_ENV)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::piped())
-                    .stderr(Stdio::piped());
-                Some(cmd.spawn().expect("spawn stream-soak child"))
-            })
-            .collect();
-        Mesh { children }
-    }
-
-    /// Wait for every rank with a hard cap; stragglers are killed and
-    /// reported with the `-99` sentinel (the orphan/deadlock detector).
-    fn supervise(&mut self, cap: Duration) -> Vec<ChildResult> {
-        let start = Instant::now();
-        let size = self.children.len();
-        let mut codes = vec![None; size];
-        loop {
-            let mut alive = 0;
-            for (rank, slot) in self.children.iter_mut().enumerate() {
-                let Some(child) = slot else { continue };
-                match child.try_wait().expect("try_wait") {
-                    Some(status) if codes[rank].is_none() => {
-                        codes[rank] = Some(status.code().unwrap_or(-1));
-                    }
-                    Some(_) => {}
-                    None => alive += 1,
-                }
-            }
-            if alive == 0 {
-                break;
-            }
-            if start.elapsed() > cap {
-                for (rank, slot) in self.children.iter_mut().enumerate() {
-                    let Some(child) = slot else { continue };
-                    if codes[rank].is_none() {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        codes[rank] = Some(-99);
-                    }
-                }
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.children
-            .iter_mut()
-            .enumerate()
-            .map(|(rank, slot)| {
-                let mut child = slot.take().expect("child present");
-                let mut stdout = String::new();
-                let mut stderr = String::new();
-                if let Some(mut s) = child.stdout.take() {
-                    let _ = s.read_to_string(&mut stdout);
-                }
-                if let Some(mut s) = child.stderr.take() {
-                    let _ = s.read_to_string(&mut stderr);
-                }
-                let _ = child.wait();
-                ChildResult {
-                    code: codes[rank].expect("exit code recorded"),
-                    stdout,
-                    stderr,
-                }
-            })
-            .collect()
-    }
-}
-
-impl Drop for Mesh {
-    fn drop(&mut self) {
-        for slot in self.children.iter_mut() {
-            if let Some(mut child) = slot.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-        }
-    }
-}
-
-fn dump(results: &[ChildResult]) -> String {
-    let mut out = String::new();
-    for (rank, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "  rank {rank}: exit {}\n    stdout: {}\n    stderr: {}\n",
-            r.code,
-            r.stdout.trim().replace('\n', "\n            "),
-            r.stderr.trim().replace('\n', "\n            "),
-        ));
-    }
-    out
-}
-
 #[test]
 fn stream_soak_four_process_mesh_stays_bitwise_replicated() {
-    let mut mesh = Mesh::spawn(P);
-    let results = mesh.supervise(SUPERVISE_CAP);
+    let env = [(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())];
+    let results = Mesh::spawn("stream_soak_child_entry", P, &env).supervise(SUPERVISE_CAP);
     let codes: Vec<i32> = results.iter().map(|r| r.code).collect();
     assert!(
-        !codes.contains(&-99),
+        !codes.contains(&DEADLOCKED),
         "stragglers had to be killed\n{}",
         dump(&results)
     );
@@ -372,13 +251,11 @@ fn stream_soak_four_process_mesh_stays_bitwise_replicated() {
 
     // Every rank printed the same marker: identical per-round fingerprints
     // (bitwise-replicated Σ⋄/B(H_o)/factors) and identical selections.
-    let markers: Vec<String> = results
+    let markers: Vec<&str> = results
         .iter()
         .enumerate()
         .map(|(rank, r)| {
-            r.stdout
-                .lines()
-                .find_map(|l| l.find("STREAM_SOAK ").map(|at| l[at..].to_string()))
+            r.marker("STREAM_SOAK ")
                 .unwrap_or_else(|| panic!("rank {rank} printed no marker\n{}", dump(&results)))
         })
         .collect();
