@@ -79,8 +79,8 @@
 //!   [`ENV_ADDR`] telling each child who it is; children join the group
 //!   with [`SocketComm`]`::from_env`. The parent supervises: after a first
 //!   failure the surviving ranks get a grace period to exit with their own
-//!   diagnosis, then stragglers are killed and reaped ([`fork_self_report`]
-//!   returns the per-rank exit table), so no orphans outlive the launcher.
+//!   diagnosis, then stragglers are killed, reaped and reported per rank,
+//!   so no orphans outlive the launcher.
 //! * In-process: [`socket_launch`]`(p, f)` runs the closure on `p` OS
 //!   threads whose endpoints still talk over real localhost TCP — the
 //!   test/bench harness for the socket path.
@@ -186,58 +186,37 @@ fn expect_magic(r: &mut impl Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Retry `TcpStream::connect` with exponential backoff until the
-/// rendezvous deadline expires (rank 0 may still be starting, or its port
-/// may be briefly unavailable).
-fn connect_retry(addr: &str) -> io::Result<TcpStream> {
+/// Retry `attempt` with exponential backoff until the rendezvous deadline
+/// expires: rank 0 (or a peer's mesh listener) may still be starting, and
+/// the previous owner of a reused port may still be releasing it. `what`
+/// names the attempt in the final error.
+fn retry_until_deadline<T>(
+    what: &str,
+    mut attempt: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
     let deadline = Instant::now() + rendezvous_timeout();
     let mut pause = RETRY_PAUSE;
     loop {
-        match TcpStream::connect(addr) {
-            Ok(s) => return Ok(s),
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
+        match attempt() {
+            Ok(v) => return Ok(v),
+            Err(_) if Instant::now() < deadline => {
                 std::thread::sleep(pause);
                 pause = (pause * 2).min(RETRY_PAUSE_CAP);
             }
             Err(e) => {
                 return Err(io::Error::new(
                     e.kind(),
-                    format!(
-                        "rendezvous with rank 0 at {addr} timed out after {:?}: {e}",
-                        rendezvous_timeout()
-                    ),
+                    format!("{what} failed within {:?}: {e}", rendezvous_timeout()),
                 ))
             }
         }
     }
 }
 
-/// Retry `TcpListener::bind` with exponential backoff until the rendezvous
-/// deadline expires (the previous owner of a reused port may still be
-/// releasing it).
-fn bind_retry(addr: &str) -> io::Result<TcpListener> {
-    let deadline = Instant::now() + rendezvous_timeout();
-    let mut pause = RETRY_PAUSE;
-    loop {
-        match TcpListener::bind(addr) {
-            Ok(l) => return Ok(l),
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(pause);
-                pause = (pause * 2).min(RETRY_PAUSE_CAP);
-            }
-            Err(e) => {
-                return Err(io::Error::new(
-                    e.kind(),
-                    format!(
-                        "could not bind the rendezvous address {addr} within {:?}: {e}",
-                        rendezvous_timeout()
-                    ),
-                ))
-            }
-        }
-    }
+fn connect_retry(addr: &str) -> io::Result<TcpStream> {
+    retry_until_deadline(&format!("rendezvous connect to {addr}"), || {
+        TcpStream::connect(addr)
+    })
 }
 
 /// Accept one connection, polling nonblockingly against `deadline` so a
@@ -266,6 +245,45 @@ fn accept_within(listener: &TcpListener, deadline: Instant) -> io::Result<TcpStr
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Accept connections until one checks in with `MAGIC`, a rank that
+/// passes `wanted` and whose `peers` slot is still empty, and whatever
+/// `read_rest` reads after the rank. A stray connection (bad magic, an
+/// invalid or duplicate rank, or silence past the deadline) is logged and
+/// dropped without consuming a slot. Returns `(rank, link, rest)`.
+fn accept_checkin<T>(
+    listener: &TcpListener,
+    deadline: Instant,
+    peers: &[Option<RefCell<Peer>>],
+    wanted: impl Fn(usize) -> bool,
+    mut read_rest: impl FnMut(&mut BufReader<TcpStream>) -> io::Result<T>,
+) -> io::Result<(usize, Peer, T)> {
+    loop {
+        let stream = accept_within(listener, deadline)?;
+        // Bound the check-in read by the remaining budget so a silent
+        // stray connection cannot stall the rendezvous.
+        let Ok(mut peer) = Peer::new(stream, Some(remaining(deadline))) else {
+            continue;
+        };
+        let checkin = (|| -> io::Result<(usize, T)> {
+            expect_magic(&mut peer.reader)?;
+            let r = wire::read_u64(&mut peer.reader)? as usize;
+            Ok((r, read_rest(&mut peer.reader)?))
+        })();
+        match checkin {
+            Ok((r, rest)) if wanted(r) && peers.get(r).is_some_and(|p| p.is_none()) => {
+                return Ok((r, peer, rest));
+            }
+            // Dropping `peer` closes the socket; the slot stays open for
+            // the legitimate rank.
+            Ok((r, _)) => eprintln!(
+                "SocketComm rendezvous: dropped a connection claiming invalid or \
+                 duplicate rank {r}"
+            ),
+            Err(e) => eprintln!("SocketComm rendezvous: dropped a stray connection ({e})"),
         }
     }
 }
@@ -411,42 +429,17 @@ impl SocketComm {
         if rank == 0 {
             let listener = match pre_bound {
                 Some(l) => l,
-                None => bind_retry(rendezvous)?,
+                None => retry_until_deadline(
+                    &format!("bind of the rendezvous address {rendezvous}"),
+                    || TcpListener::bind(rendezvous),
+                )?,
             };
             let mut addrs: Vec<Option<String>> = vec![None; size];
-            let mut checked_in = 0;
-            while checked_in < size - 1 {
-                let stream = accept_within(&listener, deadline)?;
-                // Bound the check-in read by the remaining budget so a
-                // silent stray connection cannot stall the rendezvous.
-                let mut peer = match Peer::new(stream, Some(remaining(deadline))) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let checkin = (|| -> io::Result<(usize, String)> {
-                    expect_magic(&mut peer.reader)?;
-                    let r = wire::read_u64(&mut peer.reader)? as usize;
-                    let addr = wire::read_str(&mut peer.reader)?;
-                    Ok((r, addr))
-                })();
-                match checkin {
-                    Ok((r, addr)) if r >= 1 && r < size && peers[r].is_none() => {
-                        addrs[r] = Some(addr);
-                        peers[r] = Some(RefCell::new(peer));
-                        checked_in += 1;
-                    }
-                    Ok((r, _)) => {
-                        // Dropping `peer` closes the socket; the slot stays
-                        // open for the legitimate rank.
-                        eprintln!(
-                            "SocketComm rendezvous: dropped a connection claiming \
-                             invalid or duplicate rank {r}"
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("SocketComm rendezvous: dropped a stray connection ({e})");
-                    }
-                }
+            for _ in 1..size {
+                let (r, peer, addr) =
+                    accept_checkin(&listener, deadline, &peers, |r| r >= 1, wire::read_str)?;
+                addrs[r] = Some(addr);
+                peers[r] = Some(RefCell::new(peer));
             }
             for r in 1..size {
                 let cell = peers[r].as_ref().expect("all ranks checked in");
@@ -494,32 +487,10 @@ impl SocketComm {
                 p.writer.flush()?;
                 peers[i] = Some(RefCell::new(p));
             }
-            let mut accepted = 0;
-            while accepted < size - rank - 1 {
-                let stream = accept_within(&mesh_listener, deadline)?;
-                let mut p = match Peer::new(stream, Some(remaining(deadline))) {
-                    Ok(p) => p,
-                    Err(_) => continue,
-                };
-                let announce = (|| -> io::Result<usize> {
-                    expect_magic(&mut p.reader)?;
-                    Ok(wire::read_u64(&mut p.reader)? as usize)
-                })();
-                match announce {
-                    Ok(j) if j > rank && j < size && peers[j].is_none() => {
-                        peers[j] = Some(RefCell::new(p));
-                        accepted += 1;
-                    }
-                    Ok(j) => {
-                        eprintln!(
-                            "SocketComm mesh: dropped a link announcing invalid or \
-                             duplicate rank {j}"
-                        );
-                    }
-                    Err(e) => {
-                        eprintln!("SocketComm mesh: dropped a stray connection ({e})");
-                    }
-                }
+            for _ in rank + 1..size {
+                let (j, p, ()) =
+                    accept_checkin(&mesh_listener, deadline, &peers, |j| j > rank, |_| Ok(()))?;
+                peers[j] = Some(RefCell::new(p));
             }
         }
 
@@ -994,16 +965,16 @@ pub fn free_rendezvous_addr() -> io::Result<String> {
     Ok(listener.local_addr()?.to_string())
 }
 
-/// One rank's exit in a [`fork_self_report`] launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RankExit {
+/// One rank's exit, as [`fork_self`]'s supervisor records it.
+#[derive(Clone, Copy)]
+struct RankExit {
     /// The rank (= child index).
-    pub rank: usize,
+    rank: usize,
     /// Raw exit code; signal deaths surface as `-1`.
-    pub code: i32,
+    code: i32,
     /// Whether the supervisor killed this rank after the failure grace
     /// period expired (the code then reflects the kill, not its own work).
-    pub reaped: bool,
+    reaped: bool,
 }
 
 /// Grace period survivors get to exit with their own diagnosis after the
@@ -1022,10 +993,31 @@ fn failure_grace() -> Duration {
 /// [`ENV_ADDR`] coordinates set, inheriting stdio, and wait for all ranks.
 ///
 /// Returns the first non-zero child exit code (0 when every rank
-/// succeeded), printing a per-rank exit report to stderr on failure. See
-/// [`fork_self_report`] for the supervision contract.
+/// succeeded), printing a per-rank exit report to stderr on failure.
+///
+/// When a rank fails, the survivors get a grace period to observe the
+/// failure cooperatively — via an abort frame or the communication
+/// deadline — and exit with their own structured diagnosis. Only ranks
+/// still running after the grace period are killed, and every child is
+/// reaped before this returns, so no orphan outlives the launcher either
+/// way.
 pub fn fork_self(size: usize) -> io::Result<i32> {
-    let report = fork_self_report(size)?;
+    assert!(size > 0, "SPMD launch needs at least one rank");
+    let exe = std::env::current_exe()?;
+    let args: Vec<std::ffi::OsString> = std::env::args_os().skip(1).collect();
+    let addr = free_rendezvous_addr()?;
+    let mut children = Vec::with_capacity(size);
+    for rank in 0..size {
+        children.push(
+            Command::new(&exe)
+                .args(&args)
+                .env(ENV_RANK, rank.to_string())
+                .env(ENV_SIZE, size.to_string())
+                .env(ENV_ADDR, &addr)
+                .spawn()?,
+        );
+    }
+    let report = supervise(&mut children)?;
     let first = report.iter().map(|r| r.code).find(|&c| c != 0).unwrap_or(0);
     if first != 0 {
         eprintln!("spmd: per-rank exit report:");
@@ -1044,33 +1036,6 @@ pub fn fork_self(size: usize) -> io::Result<i32> {
         }
     }
     Ok(first)
-}
-
-/// Supervised SPMD launch returning the full per-rank exit table.
-///
-/// When a rank fails, the survivors get a grace period to observe the
-/// failure cooperatively — via an abort frame or the communication
-/// deadline — and exit with their own structured diagnosis. Only ranks
-/// still running after the grace period are killed, and every child is
-/// reaped before this returns, so no orphan outlives the launcher either
-/// way.
-pub fn fork_self_report(size: usize) -> io::Result<Vec<RankExit>> {
-    assert!(size > 0, "SPMD launch needs at least one rank");
-    let exe = std::env::current_exe()?;
-    let args: Vec<std::ffi::OsString> = std::env::args_os().skip(1).collect();
-    let addr = free_rendezvous_addr()?;
-    let mut children = Vec::with_capacity(size);
-    for rank in 0..size {
-        children.push(
-            Command::new(&exe)
-                .args(&args)
-                .env(ENV_RANK, rank.to_string())
-                .env(ENV_SIZE, size.to_string())
-                .env(ENV_ADDR, &addr)
-                .spawn()?,
-        );
-    }
-    supervise(&mut children)
 }
 
 fn supervise(children: &mut [Child]) -> io::Result<Vec<RankExit>> {

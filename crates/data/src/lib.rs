@@ -20,7 +20,7 @@ pub mod presets;
 pub mod synthetic;
 
 pub use presets::{ExperimentPreset, PresetName};
-pub use synthetic::{extend_with_noise, SyntheticConfig};
+pub use synthetic::SyntheticConfig;
 
 use firal_linalg::{Matrix, Scalar};
 

@@ -372,50 +372,6 @@ impl SyntheticConfig {
     }
 }
 
-/// Extend a dataset's pool to `target_n` points by replicating existing
-/// pool points with added Gaussian noise — the construction the paper uses
-/// to grow CIFAR-10 from ~50K to 3M points for the strong-scaling study
-/// (§IV-C: "we expand CIFAR-10 by introducing random noise").
-pub fn extend_with_noise<T: Scalar>(
-    ds: &Dataset<T>,
-    target_n: usize,
-    noise_scale: f64,
-    seed: u64,
-) -> Dataset<T> {
-    let n = ds.pool_size();
-    assert!(n > 0, "cannot extend an empty pool");
-    assert!(
-        target_n >= n,
-        "target must be at least the current pool size"
-    );
-    let d = ds.dim();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let mut features = Matrix::zeros(target_n, d);
-    let mut labels = Vec::with_capacity(target_n);
-    for i in 0..target_n {
-        let src = if i < n { i } else { rng.gen_range(0..n) };
-        let dst = features.row_mut(i);
-        dst.copy_from_slice(ds.pool_features.row(src));
-        if i >= n {
-            for v in dst.iter_mut() {
-                *v += T::from_f64(normal(&mut rng) * noise_scale);
-            }
-        }
-        labels.push(ds.pool_labels[src]);
-    }
-
-    Dataset {
-        num_classes: ds.num_classes,
-        initial_features: ds.initial_features.clone(),
-        initial_labels: ds.initial_labels.clone(),
-        pool_features: features,
-        pool_labels: labels,
-        eval_features: ds.eval_features.clone(),
-        eval_labels: ds.eval_labels.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,24 +469,6 @@ mod tests {
             correct as f64 / ds.pool_size() as f64 > 0.99,
             "well-separated pool should be trivially classifiable"
         );
-    }
-
-    #[test]
-    fn extend_with_noise_keeps_prefix_and_grows() {
-        let ds = SyntheticConfig::new(3, 4)
-            .with_pool_size(50)
-            .with_seed(5)
-            .generate::<f32>();
-        let big = extend_with_noise(&ds, 200, 0.1, 99);
-        assert_eq!(big.pool_size(), 200);
-        // Original points are preserved verbatim.
-        for i in 0..50 {
-            assert_eq!(big.pool_features.row(i), ds.pool_features.row(i));
-            assert_eq!(big.pool_labels[i], ds.pool_labels[i]);
-        }
-        // Extension points carry labels from their source points.
-        let counts = big.pool_class_counts();
-        assert_eq!(counts.iter().sum::<usize>(), 200);
     }
 
     #[test]

@@ -94,7 +94,7 @@ impl Rule {
         match self {
             Rule::UnsafeSafety => "every `unsafe` needs an adjacent or attached SAFETY comment",
             Rule::HashOrder => {
-                "no HashMap/HashSet in crates/{comm,core,linalg,solvers}: \
+                "no HashMap/HashSet in crates/{comm,core,linalg,serve,solvers}: \
                  iteration order is unspecified"
             }
             Rule::ThreadCount => {
@@ -445,11 +445,12 @@ fn placeholder_reason(reason: &str) -> bool {
 
 /// Crates whose `src/` trees are in scope for the hash-order rule: the
 /// layers where an unspecified iteration order could leak into numeric
-/// results or collective schedules.
-const HASH_ORDER_SCOPE: [&str; 4] = [
+/// results, collective schedules, or the serve layer's replicated pool log.
+const HASH_ORDER_SCOPE: [&str; 5] = [
     "crates/comm/src/",
     "crates/core/src/",
     "crates/linalg/src/",
+    "crates/serve/src/",
     "crates/solvers/src/",
 ];
 

@@ -37,6 +37,9 @@ fn hash_containers_are_scoped_to_determinism_critical_crates() {
         "{findings:?}"
     );
     assert_eq!(findings.len(), 2);
+    // The serve layer's replayed pool log is a bitwise contract too.
+    let serve = lint_source("crates/serve/src/fixture.rs", src);
+    assert_eq!(lines_of(&serve, Rule::HashOrder), vec![1, 4], "{serve:?}");
     // Outside the scoped crates the rule is silent.
     let outside = lint_source("crates/bench/src/fixture.rs", src);
     assert!(lines_of(&outside, Rule::HashOrder).is_empty());

@@ -395,10 +395,10 @@ pub struct ServerStats {
     pub requests_ok: u64,
     /// Requests answered with a [`RemoteError`].
     pub requests_err: u64,
-    /// Pools currently resident on the server (uploads minus deletions
-    /// and TTL evictions) — the observable a lifetime-leak soak watches.
+    /// Pools currently resident on the server (uploads minus deletions)
+    /// — the observable a lifetime-leak soak watches.
     pub pools_live: u64,
-    /// Pools dropped so far by [`OP_DELETE_POOL`] or TTL eviction.
+    /// Pools dropped so far by [`OP_DELETE_POOL`].
     pub pools_evicted: u64,
     /// Sum of every successful request's sub-group bill.
     pub comm: CommStats,
@@ -475,7 +475,8 @@ fn write_frame(w: &mut impl Write, op: u64, body: &[u8]) -> io::Result<()> {
 }
 
 /// Read one whole frame from a blocking stream: `(op/tag, body)`. Framing
-/// violations surface as `InvalidData`.
+/// violations surface as `InvalidData`. The body buffer grows with the
+/// bytes that actually arrive, never with the claimed length.
 pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
     let magic = wire::read_u64(r)?;
     if magic != CLIENT_MAGIC {
@@ -485,12 +486,17 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(u64, Vec<u8>)> {
         ));
     }
     let op = wire::read_u64(r)?;
-    let body = wire::read_bytes(r)?;
-    if body.len() > MAX_REQUEST_BYTES {
+    let len = wire::read_u64(r)? as usize;
+    if len > MAX_REQUEST_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            FrameError::Oversized(body.len()).to_string(),
+            FrameError::Oversized(len).to_string(),
         ));
+    }
+    let mut body = Vec::with_capacity(len.min(4096));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
     Ok((op, body))
 }
@@ -556,7 +562,7 @@ fn decode_select_spec(body: &[u8]) -> Result<SelectSpec, RemoteError> {
     let mut r = body;
     let spec = SelectSpec {
         pool: wire::read_u64(&mut r).map_err(|e| proto_io(e, "select"))?,
-        strategy: wire::read_str(&mut r).map_err(|e| proto_io(e, "select"))?,
+        strategy: read_str(&mut r).map_err(|e| proto_io(e, "select"))?,
         budget: wire::read_u64(&mut r).map_err(|e| proto_io(e, "select"))? as usize,
         seed: wire::read_u64(&mut r).map_err(|e| proto_io(e, "select"))?,
         threads: wire::read_u64(&mut r).map_err(|e| proto_io(e, "select"))? as usize,
@@ -601,8 +607,8 @@ pub fn encode_mutation(pool: u64, m: &PoolMutation) -> Vec<u8> {
 
 /// Decode a mutation body for one of the three mutation ops. The claimed
 /// element counts are validated against the bytes actually present before
-/// any read loop runs, so an adversarial count is a structured
-/// [`ERR_PROTOCOL`] error, never an allocation or a long spin.
+/// any read loop runs ([`check_prefix`]), so an adversarial count is a
+/// structured [`ERR_PROTOCOL`] error, never an allocation or a long spin.
 fn decode_mutation(op: u64, body: &[u8]) -> Result<(u64, PoolMutation), RemoteError> {
     let what = match op {
         OP_ADD_POINTS => "add-points",
@@ -620,7 +626,7 @@ fn decode_mutation(op: u64, body: &[u8]) -> Result<(u64, PoolMutation), RemoteEr
             PoolMutation::Add { xs, hs }
         }
         _ => {
-            let indices = decode_index_list(&mut r, what)?;
+            let indices = read_indices(&mut r).map_err(|e| proto_io(e, what))?;
             match op {
                 OP_REMOVE_POINTS => PoolMutation::Remove { indices },
                 _ => PoolMutation::Label { indices },
@@ -636,28 +642,6 @@ fn decode_mutation(op: u64, body: &[u8]) -> Result<(u64, PoolMutation), RemoteEr
     Ok((pool, mutation))
 }
 
-/// Read a length-prefixed index list from a slice, checking the claimed
-/// count against the remaining bytes *before* looping.
-fn decode_index_list(r: &mut &[u8], what: &str) -> Result<Vec<usize>, RemoteError> {
-    let n = wire::read_u64(r).map_err(|e| proto_io(e, what))? as usize;
-    if n.saturating_mul(8) > r.len() {
-        return Err(RemoteError::new(
-            ERR_PROTOCOL,
-            format!(
-                "{what} body claims {n} indices but only {} bytes remain",
-                r.len()
-            ),
-        ));
-    }
-    (0..n)
-        .map(|_| {
-            wire::read_u64(r)
-                .map(|v| v as usize)
-                .map_err(|e| proto_io(e, what))
-        })
-        .collect()
-}
-
 /// Write a [`Request`] as one frame.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
     match req {
@@ -668,12 +652,15 @@ pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
         Request::Mutate { pool, mutation } => {
             write_frame(w, mutation.op(), &encode_mutation(*pool, mutation))
         }
-        Request::DeletePool { pool } => {
-            let mut body = Vec::new();
-            wire::write_u64(&mut body, *pool)?;
-            write_frame(w, OP_DELETE_POOL, &body)
-        }
+        Request::DeletePool { pool } => write_frame(w, OP_DELETE_POOL, &encode_delete(*pool)),
     }
+}
+
+/// Encode a delete-pool body: the handle alone.
+pub(crate) fn encode_delete(pool: u64) -> Vec<u8> {
+    let mut body = Vec::new();
+    wire::write_u64(&mut body, pool).unwrap();
+    body
 }
 
 // ---------------------------------------------------------------------------
@@ -689,7 +676,9 @@ fn encode_matrix(out: &mut Vec<u8>, m: &Matrix<f64>) {
 fn decode_matrix(r: &mut &[u8], what: &str) -> Result<Matrix<f64>, String> {
     let rows = wire::read_u64(r).map_err(|e| format!("{what}: {e}"))? as usize;
     let cols = wire::read_u64(r).map_err(|e| format!("{what}: {e}"))? as usize;
-    let data = wire::read_f64s(r).map_err(|e| format!("{what}: {e}"))?;
+    let data = check_prefix(r, 8, "values")
+        .and_then(|()| wire::read_f64s(r))
+        .map_err(|e| format!("{what}: {e}"))?;
     let expect = rows
         .checked_mul(cols)
         .ok_or_else(|| format!("{what}: {rows}×{cols} overflows"))?;
@@ -828,17 +817,40 @@ pub(crate) fn write_indices(w: &mut impl Write, xs: &[usize]) -> io::Result<()> 
     Ok(())
 }
 
-pub(crate) fn read_indices(r: &mut impl Read) -> io::Result<Vec<usize>> {
-    let n = wire::read_u64(r)? as usize;
-    if n > wire::MAX_WIRE_ELEMS {
+/// Fail unless the length prefix at the front of `r` claims no more
+/// `width`-byte `what` than actually follow it — the guard that keeps every
+/// slice decoder here from looping or allocating past its input on a lying
+/// count.
+fn check_prefix(r: &[u8], width: u64, what: &str) -> io::Result<()> {
+    let mut rest = r;
+    let n = wire::read_u64(&mut rest)?;
+    if n.saturating_mul(width) > rest.len() as u64 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unreasonable index-list length {n}"),
+            format!("claims {n} {what} but only {} bytes remain", rest.len()),
         ));
     }
+    Ok(())
+}
+
+pub(crate) fn read_indices(r: &mut &[u8]) -> io::Result<Vec<usize>> {
+    check_prefix(r, 8, "indices")?;
+    let n = wire::read_u64(r)?;
     (0..n)
         .map(|_| wire::read_u64(r).map(|v| v as usize))
         .collect()
+}
+
+/// [`wire::read_bytes`] from a slice, checked by [`check_prefix`] first.
+pub(crate) fn read_body(r: &mut &[u8]) -> io::Result<Vec<u8>> {
+    check_prefix(r, 1, "bytes")?;
+    wire::read_bytes(r)
+}
+
+/// [`wire::read_str`] from a slice, checked by [`check_prefix`] first.
+pub(crate) fn read_str(r: &mut &[u8]) -> io::Result<String> {
+    check_prefix(r, 1, "bytes")?;
+    wire::read_str(r)
 }
 
 /// Write a [`Response`] as one frame.
@@ -930,7 +942,7 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Response> {
         },
         RESP_ERROR => Response::Error(RemoteError {
             code: wire::read_u64(&mut b)?,
-            message: wire::read_str(&mut b)?,
+            message: read_str(&mut b)?,
         }),
         other => {
             return Err(io::Error::new(

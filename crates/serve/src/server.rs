@@ -12,11 +12,12 @@
 //! When enough work is queued ([`ServeConfig::min_batch`], or the oldest
 //! request has waited [`ServeConfig::batch_wait`]), the hub plans a round
 //! ([`crate::sched::plan_round`]), ships one **round frame** to every rank
-//! over the root communicator's point-to-point lane, and everyone — hub
-//! included — runs the same participant code: install newly shipped pools,
-//! `split` the mesh by assignment color, and run the assigned request on
-//! the sub-communicator via [`firal_core::dispatch_select`]. Per-link FIFO
-//! order makes the interleaving safe: the round frame precedes the split's
+//! over the root communicator's point-to-point lane, workers replay its
+//! pool log (below), and everyone — hub included — runs the same
+//! participant code: `split` the mesh by assignment color and run the
+//! assigned request on the sub-communicator via
+//! [`firal_core::dispatch_select`]. Per-link FIFO order makes the
+//! interleaving safe: the round frame precedes the split's
 //! collective traffic on every hub→worker link, and a sub-group's result
 //! frame follows all of its collective traffic on the leader→hub link.
 //!
@@ -24,6 +25,19 @@
 //! on the *sub*-communicator (so the bill is exactly the request's own
 //! traffic, disjoint from every concurrent request), and the group leader
 //! sends the result to the hub, which answers the owning client.
+//!
+//! # Replicated pool log
+//!
+//! Every pool-changing request — upload, add-points / remove-points /
+//! label, delete-pool — is one `(handle, op, body)` entry of a single
+//! ordered log, `body` being the client's own request body. The hub applies
+//! each entry through one function at request time and answers the client
+//! from its result; the next round frame ships the entries the mesh has not
+//! seen, and every worker replays them in arrival order through that same
+//! function before it splits. Identical blobs plus an identical op sequence
+//! keep the pools bitwise-identical on every rank. Pools live until an
+//! explicit delete or shutdown; deleting a pool the mesh never received
+//! drops its unshipped entries instead of shipping anything.
 //!
 //! # Failure model
 //!
@@ -73,17 +87,6 @@ pub struct ServeConfig {
     /// How long the oldest queued request may wait before a round runs
     /// even under [`ServeConfig::min_batch`] depth.
     pub batch_wait: Duration,
-    /// How long the hub waits for a sub-group leader's result frame before
-    /// declaring that request (and the mesh) failed. `None` derives a
-    /// default from `FIRAL_COMM_TIMEOUT` when set.
-    pub result_patience: Option<Duration>,
-    /// Evict a pool nobody has touched (upload, select, mutate) for this
-    /// long: its blob is dropped on the hub immediately and on every
-    /// worker with the next round frame, and later requests naming the
-    /// handle get [`ERR_UNKNOWN_POOL`]. `None` (the default) keeps pools
-    /// until an explicit `OP_DELETE_POOL` or shutdown. Pools with queued
-    /// requests are never TTL-evicted.
-    pub pool_ttl: Option<Duration>,
 }
 
 impl ServeConfig {
@@ -94,8 +97,6 @@ impl ServeConfig {
             addr: addr.into(),
             min_batch: 1,
             batch_wait: Duration::from_millis(50),
-            result_patience: None,
-            pool_ttl: None,
         }
     }
 
@@ -110,28 +111,16 @@ impl ServeConfig {
         self.batch_wait = wait;
         self
     }
+}
 
-    /// Replace [`ServeConfig::result_patience`].
-    pub fn with_result_patience(mut self, patience: Duration) -> Self {
-        self.result_patience = Some(patience);
-        self
-    }
-
-    /// Replace [`ServeConfig::pool_ttl`].
-    pub fn with_pool_ttl(mut self, ttl: Duration) -> Self {
-        self.pool_ttl = Some(ttl);
-        self
-    }
-
-    /// Effective result patience: the explicit setting, else 8× the
-    /// `FIRAL_COMM_TIMEOUT` deadline (floored at 2 s) so a slow-but-alive
-    /// sub-group isn't mistaken for a dead one, else 30 s.
-    pub fn effective_result_patience(&self) -> Duration {
-        self.result_patience
-            .unwrap_or_else(|| match comm_timeout() {
-                Some(d) => (d * 8).max(Duration::from_secs(2)),
-                None => Duration::from_secs(30),
-            })
+/// How long the hub waits for a sub-group leader's result frame before
+/// declaring that request (and the mesh) failed: 8× the
+/// `FIRAL_COMM_TIMEOUT` deadline (floored at 2 s) so a slow-but-alive
+/// sub-group isn't mistaken for a dead one, else 30 s.
+fn result_patience() -> Duration {
+    match comm_timeout() {
+        Some(d) => (d * 8).max(Duration::from_secs(2)),
+        None => Duration::from_secs(30),
     }
 }
 
@@ -213,47 +202,40 @@ struct AssignFrame {
     ranks: Vec<usize>,
 }
 
+/// One entry of the replicated pool log: the pool a pool-changing request
+/// acts on, its wire op (`OP_UPLOAD_POOL`, a mutation op, or
+/// `OP_DELETE_POOL`), and the client's own request body.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct PoolOp {
+    handle: u64,
+    op: u64,
+    body: Vec<u8>,
+}
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RoundFrame {
     round: u64,
     flag: u64,
-    /// Pools not yet shipped to the mesh: `(handle, serialized blob)`.
-    pools: Vec<(u64, Vec<u8>)>,
-    /// Pool mutations not yet shipped, in client-arrival order:
-    /// `(handle, wire op, encoded mutation body)`. Workers replay these
-    /// through the same [`proto::apply_mutation`] the hub already ran, so
-    /// replicated pool state stays bitwise-identical for O(Δpool) wire.
-    muts: Vec<(u64, u64, Vec<u8>)>,
-    /// Pool handles deleted or TTL-evicted since the last round; workers
-    /// drop the blobs after applying `pools` and `muts`.
-    evict: Vec<u64>,
+    /// Pool ops the mesh has not seen yet, in client-arrival order.
+    log: Vec<PoolOp>,
     assigns: Vec<AssignFrame>,
 }
 
 /// Most entries a round frame may carry per list. Far above anything the
-/// scheduler can produce (assignments are bounded by the mesh size, pools
-/// and mutations by client traffic between two rounds), but small enough
-/// that a corrupt count fails loudly.
+/// scheduler can produce (assignments are bounded by the mesh size, pool
+/// ops by client traffic between two rounds), but small enough that a
+/// corrupt count fails loudly.
 const MAX_ROUND_ITEMS: usize = 1 << 16;
 
 fn encode_round(frame: &RoundFrame) -> Vec<u8> {
     let mut out = Vec::new();
     wire::write_u64(&mut out, frame.round).unwrap();
     wire::write_u64(&mut out, frame.flag).unwrap();
-    wire::write_u64(&mut out, frame.pools.len() as u64).unwrap();
-    for (handle, blob) in &frame.pools {
-        wire::write_u64(&mut out, *handle).unwrap();
-        wire::write_bytes(&mut out, blob).unwrap();
-    }
-    wire::write_u64(&mut out, frame.muts.len() as u64).unwrap();
-    for (handle, op, body) in &frame.muts {
-        wire::write_u64(&mut out, *handle).unwrap();
-        wire::write_u64(&mut out, *op).unwrap();
-        wire::write_bytes(&mut out, body).unwrap();
-    }
-    wire::write_u64(&mut out, frame.evict.len() as u64).unwrap();
-    for handle in &frame.evict {
-        wire::write_u64(&mut out, *handle).unwrap();
+    wire::write_u64(&mut out, frame.log.len() as u64).unwrap();
+    for e in &frame.log {
+        wire::write_u64(&mut out, e.handle).unwrap();
+        wire::write_u64(&mut out, e.op).unwrap();
+        wire::write_bytes(&mut out, &e.body).unwrap();
     }
     wire::write_u64(&mut out, frame.assigns.len() as u64).unwrap();
     for a in &frame.assigns {
@@ -291,49 +273,17 @@ fn decode_round(bytes: &[u8]) -> io::Result<RoundFrame> {
     let mut r = bytes;
     let round = wire::read_u64(&mut r)?;
     let flag = wire::read_u64(&mut r)?;
-    // Every pool entry is at least a handle + a blob length (16 bytes);
-    // a mutation adds an op word (24); an assignment is five u64s plus
-    // two embedded length prefixes (56).
+    // A pool op is at least a handle, an op word and a body length (24
+    // bytes); an assignment is five u64s plus two length prefixes (56).
     let raw = wire::read_u64(&mut r)?;
-    let n_pools = read_round_count(r, raw, "pool", 16)?;
-    let mut pools = Vec::with_capacity(n_pools);
-    for _ in 0..n_pools {
-        let handle = wire::read_u64(&mut r)?;
-        let blob = wire::read_bytes(&mut r)?;
-        if blob.len() > proto::MAX_REQUEST_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "pool {handle} blob of {} bytes exceeds the request cap",
-                    blob.len()
-                ),
-            ));
-        }
-        pools.push((handle, blob));
-    }
-    let raw = wire::read_u64(&mut r)?;
-    let n_muts = read_round_count(r, raw, "mutation", 24)?;
-    let mut muts = Vec::with_capacity(n_muts);
-    for _ in 0..n_muts {
-        let handle = wire::read_u64(&mut r)?;
-        let op = wire::read_u64(&mut r)?;
-        let body = wire::read_bytes(&mut r)?;
-        if body.len() > proto::MAX_REQUEST_BYTES {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "mutation body of {} bytes for pool {handle} exceeds the request cap",
-                    body.len()
-                ),
-            ));
-        }
-        muts.push((handle, op, body));
-    }
-    let raw = wire::read_u64(&mut r)?;
-    let n_evict = read_round_count(r, raw, "eviction", 8)?;
-    let mut evict = Vec::with_capacity(n_evict);
-    for _ in 0..n_evict {
-        evict.push(wire::read_u64(&mut r)?);
+    let n_ops = read_round_count(r, raw, "pool-op", 24)?;
+    let mut log = Vec::with_capacity(n_ops);
+    for _ in 0..n_ops {
+        log.push(PoolOp {
+            handle: wire::read_u64(&mut r)?,
+            op: wire::read_u64(&mut r)?,
+            body: proto::read_body(&mut r)?,
+        });
     }
     let raw = wire::read_u64(&mut r)?;
     let n_assign = read_round_count(r, raw, "assignment", 56)?;
@@ -342,7 +292,7 @@ fn decode_round(bytes: &[u8]) -> io::Result<RoundFrame> {
         assigns.push(AssignFrame {
             id: wire::read_u64(&mut r)?,
             pool: wire::read_u64(&mut r)?,
-            strategy: wire::read_str(&mut r)?,
+            strategy: proto::read_str(&mut r)?,
             budget: wire::read_u64(&mut r)? as usize,
             seed: wire::read_u64(&mut r)?,
             threads: wire::read_u64(&mut r)? as usize,
@@ -358,9 +308,7 @@ fn decode_round(bytes: &[u8]) -> io::Result<RoundFrame> {
     Ok(RoundFrame {
         round,
         flag,
-        pools,
-        muts,
-        evict,
+        log,
         assigns,
     })
 }
@@ -411,7 +359,7 @@ fn decode_result(bytes: &[u8]) -> io::Result<(u64, Result<OkPayload, RemoteError
     } else {
         Err(RemoteError {
             code: wire::read_u64(&mut r)?,
-            message: wire::read_str(&mut r)?,
+            message: proto::read_str(&mut r)?,
         })
     };
     if !r.is_empty() {
@@ -516,47 +464,80 @@ fn run_assignments(
     Ok(Some((ok, encode_result(a.id, &payload))))
 }
 
-/// Bring this rank's pool map up to the hub's state: install newly
-/// shipped pools, replay queued mutations in client-arrival order through
-/// the same [`proto::apply_mutation`] the hub already ran, then drop
-/// evicted handles. Because every rank starts from bitwise-identical
-/// blobs and applies the identical op sequence, replicated pool state is
-/// bitwise-identical across the mesh after every frame.
-fn apply_frame(
-    frame: &RoundFrame,
+/// Apply one pool-changing request to a pool map: the one pool-mutation
+/// path. The hub runs it at request time and answers the client from its
+/// result; workers replay the shipped log through it ([`replay_log`]).
+/// On `Err` the map is untouched.
+fn apply_pool_op(
     pools: &mut BTreeMap<u64, SelectionProblem<f64>>,
-) -> io::Result<()> {
-    for (handle, blob) in &frame.pools {
-        let problem = proto::decode_pool(blob).map_err(|why| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("pool {handle} failed to decode on the mesh: {why}"),
-            )
-        })?;
-        pools.insert(*handle, problem);
-    }
-    for (handle, op, body) in &frame.muts {
-        let bad = |why: String| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("mutation for pool {handle} failed on the mesh: {why}"),
-            )
-        };
-        let (pool, mutation) = match proto::decode_request(*op, body) {
-            Ok(Request::Mutate { pool, mutation }) => (pool, mutation),
-            Ok(other) => return Err(bad(format!("decoded to a non-mutation request {other:?}"))),
-            Err(e) => return Err(bad(e.to_string())),
-        };
-        if pool != *handle {
-            return Err(bad(format!("body names pool {pool}")));
+    handle: u64,
+    req: &Request,
+) -> Result<Response, RemoteError> {
+    let unknown = || {
+        RemoteError::new(
+            ERR_UNKNOWN_POOL,
+            format!("pool handle {handle} was never uploaded (or was deleted)"),
+        )
+    };
+    if let Request::Mutate { pool, .. } | Request::DeletePool { pool } = req {
+        if *pool != handle {
+            return Err(RemoteError::new(
+                ERR_PROTOCOL,
+                format!("body names pool {pool}, not {handle}"),
+            ));
         }
-        let problem = pools
-            .get_mut(handle)
-            .ok_or_else(|| bad("pool is not installed here".into()))?;
-        proto::apply_mutation(problem, &mutation).map_err(bad)?;
     }
-    for handle in &frame.evict {
-        pools.remove(handle);
+    match req {
+        Request::UploadPool(blob) => {
+            if pools.contains_key(&handle) {
+                return Err(RemoteError::new(
+                    ERR_PROTOCOL,
+                    format!("pool handle {handle} is already installed"),
+                ));
+            }
+            let problem =
+                proto::decode_pool(blob).map_err(|why| RemoteError::new(ERR_PROTOCOL, why))?;
+            pools.insert(handle, problem);
+            Ok(Response::Pool { handle })
+        }
+        Request::Mutate { mutation, .. } => {
+            let problem = pools.get_mut(&handle).ok_or_else(unknown)?;
+            proto::apply_mutation(problem, mutation).map_err(|why| {
+                RemoteError::new(ERR_PROTOCOL, format!("mutation rejected: {why}"))
+            })?;
+            Ok(Response::Mutated(MutateAck {
+                handle,
+                pool_size: problem.pool_size(),
+                labeled: problem.labeled_x.rows(),
+            }))
+        }
+        Request::DeletePool { .. } => {
+            pools.remove(&handle).ok_or_else(unknown)?;
+            Ok(Response::Deleted { handle })
+        }
+        other => Err(RemoteError::new(
+            ERR_PROTOCOL,
+            format!("{other:?} is not a pool op"),
+        )),
+    }
+}
+
+/// Bring this rank's pool map up to the hub's: replay the shipped log, in
+/// arrival order, through the [`apply_pool_op`] the hub already ran. Every
+/// entry succeeded on the hub, so a failure here means the mesh desynced.
+fn replay_log(log: &[PoolOp], pools: &mut BTreeMap<u64, SelectionProblem<f64>>) -> io::Result<()> {
+    for e in log {
+        proto::decode_request(e.op, &e.body)
+            .and_then(|req| apply_pool_op(pools, e.handle, &req))
+            .map_err(|err| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "pool op {} on pool {} failed on the mesh: {}",
+                        e.op, e.handle, err.message
+                    ),
+                )
+            })?;
     }
     Ok(())
 }
@@ -589,7 +570,7 @@ fn run_worker(comm: &SocketComm) -> Result<ServeSummary, ServeError> {
             _ => {}
         }
         summary.rounds += 1;
-        apply_frame(&frame, &mut pools)?;
+        replay_log(&frame.log, &mut pools)?;
         if let Some((ok, result)) = run_assignments(comm, &frame, &pools)? {
             if ok {
                 summary.requests_ok += 1;
@@ -710,15 +691,8 @@ struct Hub<'a> {
     config: &'a ServeConfig,
     clients: Vec<ClientConn>,
     problems: BTreeMap<u64, SelectionProblem<f64>>,
-    /// Uploaded blobs not yet shipped to the mesh.
-    unshipped: Vec<(u64, Vec<u8>)>,
-    /// Applied-but-unshipped mutations: `(handle, op, encoded body)`.
-    unshipped_muts: Vec<(u64, u64, Vec<u8>)>,
-    /// Deleted/TTL-evicted handles the mesh has not been told about yet.
-    unshipped_evict: Vec<u64>,
-    /// When each live pool was last uploaded, selected from, or mutated —
-    /// the clock [`ServeConfig::pool_ttl`] eviction runs against.
-    last_used: BTreeMap<u64, Instant>,
+    /// Applied pool ops the mesh has not seen yet, in arrival order.
+    unshipped: Vec<PoolOp>,
     pools_evicted: u64,
     queue: Vec<Pending>,
     next_pool: u64,
@@ -733,26 +707,7 @@ struct Hub<'a> {
 
 fn run_hub(comm: &SocketComm, config: &ServeConfig) -> Result<ServeSummary, ServeError> {
     let listener = TcpListener::bind(&config.addr)?;
-    let mut hub = Hub {
-        comm,
-        config,
-        clients: Vec::new(),
-        problems: BTreeMap::new(),
-        unshipped: Vec::new(),
-        unshipped_muts: Vec::new(),
-        unshipped_evict: Vec::new(),
-        last_used: BTreeMap::new(),
-        pools_evicted: 0,
-        queue: Vec::new(),
-        next_pool: 1,
-        next_id: 1,
-        round: 0,
-        requests_ok: 0,
-        requests_err: 0,
-        cumulative: CommStats::default(),
-        shutdown_acks: Vec::new(),
-        degraded: None,
-    };
+    let mut hub = Hub::new(comm, config);
     loop {
         let shutting_down = !hub.shutdown_acks.is_empty();
         if !shutting_down {
@@ -765,7 +720,6 @@ fn run_hub(comm: &SocketComm, config: &ServeConfig) -> Result<ServeSummary, Serv
                 });
             }
             hub.pump_and_handle();
-            hub.sweep_ttl();
         }
         let overdue = hub
             .queue
@@ -787,7 +741,27 @@ fn run_hub(comm: &SocketComm, config: &ServeConfig) -> Result<ServeSummary, Serv
     }
 }
 
-impl Hub<'_> {
+impl<'a> Hub<'a> {
+    fn new(comm: &'a SocketComm, config: &'a ServeConfig) -> Self {
+        Hub {
+            comm,
+            config,
+            clients: Vec::new(),
+            problems: BTreeMap::new(),
+            unshipped: Vec::new(),
+            pools_evicted: 0,
+            queue: Vec::new(),
+            next_pool: 1,
+            next_id: 1,
+            round: 0,
+            requests_ok: 0,
+            requests_err: 0,
+            cumulative: CommStats::default(),
+            shutdown_acks: Vec::new(),
+            degraded: None,
+        }
+    }
+
     fn pump_and_handle(&mut self) {
         let mut events = Vec::new();
         for (idx, c) in self.clients.iter_mut().enumerate() {
@@ -797,24 +771,23 @@ impl Hub<'_> {
         }
         for event in events {
             match event {
-                Event::Req(idx, Request::UploadPool(blob)) => {
-                    // decode_request already validated the blob; decoding
-                    // again here materializes the hub's own copy.
-                    let problem =
-                        proto::decode_pool(&blob).expect("decode_request validated this pool blob");
-                    let handle = self.next_pool;
-                    self.next_pool += 1;
-                    self.problems.insert(handle, problem);
-                    self.unshipped.push((handle, blob));
-                    self.last_used.insert(handle, Instant::now());
-                    self.clients[idx].respond(&Response::Pool { handle });
+                Event::Req(
+                    idx,
+                    req @ (Request::UploadPool(_)
+                    | Request::Mutate { .. }
+                    | Request::DeletePool { .. }),
+                ) => {
+                    let resp = self.log_pool_op(req);
+                    if matches!(resp, Response::Error(_)) {
+                        self.requests_err += 1;
+                    }
+                    self.clients[idx].respond(&resp);
                 }
                 Event::Req(idx, Request::Select(spec)) => {
                     match validate_spec(&spec, &self.problems) {
                         Ok(()) => {
                             let id = self.next_id;
                             self.next_id += 1;
-                            self.last_used.insert(spec.pool, Instant::now());
                             self.queue.push(Pending {
                                 id,
                                 client: idx,
@@ -839,56 +812,6 @@ impl Hub<'_> {
                     };
                     self.clients[idx].respond(&Response::Stats(stats));
                 }
-                Event::Req(idx, Request::Mutate { pool, mutation }) => {
-                    let outcome = match self.problems.get_mut(&pool) {
-                        None => Err(RemoteError::new(
-                            ERR_UNKNOWN_POOL,
-                            format!("pool handle {pool} was never uploaded (or was deleted)"),
-                        )),
-                        Some(problem) => match proto::apply_mutation(problem, &mutation) {
-                            Ok(()) => Ok(MutateAck {
-                                handle: pool,
-                                pool_size: problem.pool_size(),
-                                labeled: problem.labeled_x.rows(),
-                            }),
-                            Err(why) => Err(RemoteError::new(
-                                ERR_PROTOCOL,
-                                format!("mutation rejected: {why}"),
-                            )),
-                        },
-                    };
-                    match outcome {
-                        Ok(ack) => {
-                            // The hub's copy is already mutated; queue the
-                            // encoded delta so the next round frame brings
-                            // every worker to the same state.
-                            self.last_used.insert(pool, Instant::now());
-                            self.unshipped_muts.push((
-                                pool,
-                                mutation.op(),
-                                proto::encode_mutation(pool, &mutation),
-                            ));
-                            self.clients[idx].respond(&Response::Mutated(ack));
-                        }
-                        Err(e) => {
-                            self.requests_err += 1;
-                            self.clients[idx].respond(&Response::Error(e));
-                        }
-                    }
-                }
-                Event::Req(idx, Request::DeletePool { pool }) => {
-                    if self.evict_pool(pool) {
-                        self.clients[idx].respond(&Response::Deleted { handle: pool });
-                    } else {
-                        self.requests_err += 1;
-                        self.clients[idx].respond(&Response::Error(RemoteError::new(
-                            ERR_UNKNOWN_POOL,
-                            format!(
-                                "pool handle {pool} was never uploaded (or was already deleted)"
-                            ),
-                        )));
-                    }
-                }
                 Event::Req(idx, Request::Shutdown) => {
                     self.shutdown_acks.push(idx);
                 }
@@ -912,45 +835,44 @@ impl Hub<'_> {
         }
     }
 
-    /// Drop a pool everywhere: the hub's copy and clock entry go now, the
-    /// workers' copies with the next round frame. A pool the mesh never
-    /// saw (still unshipped) is simply forgotten — no eviction rides the
-    /// wire, which is what keeps a rapid upload/delete churn at zero blob
-    /// growth. Pending mutations of the pool are dropped alongside it.
-    /// Returns `false` if the handle is unknown.
-    fn evict_pool(&mut self, handle: u64) -> bool {
-        if self.problems.remove(&handle).is_none() {
-            return false;
-        }
-        self.last_used.remove(&handle);
-        self.pools_evicted += 1;
-        let never_shipped = self.unshipped.iter().any(|(h, _)| *h == handle);
-        self.unshipped.retain(|(h, _)| *h != handle);
-        self.unshipped_muts.retain(|(h, _, _)| *h != handle);
-        if !never_shipped {
-            self.unshipped_evict.push(handle);
-        }
-        true
-    }
-
-    /// Evict every pool whose [`ServeConfig::pool_ttl`] clock has run out,
-    /// skipping pools a queued request still references.
-    fn sweep_ttl(&mut self) {
-        let Some(ttl) = self.config.pool_ttl else {
-            return;
-        };
-        let expired: Vec<u64> = self
-            .last_used
-            .iter()
-            .filter(|(_, touched)| touched.elapsed() >= ttl)
-            .map(|(&h, _)| h)
-            .collect();
-        for handle in expired {
-            if self.queue.iter().any(|p| p.spec.pool == handle) {
-                continue;
+    /// Apply one pool-changing request to the hub's pools and append it
+    /// to the unshipped log; the returned response answers the client. An
+    /// upload takes the next handle. Deleting a pool the mesh never
+    /// received drops every unshipped entry of it, the delete included, so
+    /// upload/delete churn ships nothing.
+    fn log_pool_op(&mut self, req: Request) -> Response {
+        let handle = match &req {
+            Request::Mutate { pool, .. } | Request::DeletePool { pool } => *pool,
+            _ => {
+                self.next_pool += 1;
+                self.next_pool - 1
             }
-            self.evict_pool(handle);
-        }
+        };
+        let resp = match apply_pool_op(&mut self.problems, handle, &req) {
+            Ok(resp) => resp,
+            Err(e) => return Response::Error(e),
+        };
+        let (op, body) = match req {
+            Request::UploadPool(blob) => (proto::OP_UPLOAD_POOL, blob),
+            Request::Mutate { pool, mutation } => {
+                (mutation.op(), proto::encode_mutation(pool, &mutation))
+            }
+            // `apply_pool_op` accepted it, so this is a delete.
+            _ => {
+                self.pools_evicted += 1;
+                let shipped = !self
+                    .unshipped
+                    .iter()
+                    .any(|e| e.handle == handle && e.op == proto::OP_UPLOAD_POOL);
+                self.unshipped.retain(|e| e.handle != handle);
+                if !shipped {
+                    return resp;
+                }
+                (proto::OP_DELETE_POOL, proto::encode_delete(handle))
+            }
+        };
+        self.unshipped.push(PoolOp { handle, op, body });
+        resp
     }
 
     fn run_round(&mut self) -> Result<(), ServeError> {
@@ -984,9 +906,7 @@ impl Hub<'_> {
         let frame = RoundFrame {
             round: self.round,
             flag: FLAG_SERVE,
-            pools: std::mem::take(&mut self.unshipped),
-            muts: std::mem::take(&mut self.unshipped_muts),
-            evict: std::mem::take(&mut self.unshipped_evict),
+            log: std::mem::take(&mut self.unshipped),
             assigns,
         };
         let bytes = encode_round(&frame);
@@ -996,7 +916,7 @@ impl Hub<'_> {
         // The hub is always inside assignment 0 (it holds the lowest idle
         // rank) and, as its lowest world rank, leads it.
         let mine = run_assignments(self.comm, &frame, &self.problems)?;
-        let patience = self.config.effective_result_patience();
+        let patience = result_patience();
         for (i, a) in frame.assigns.iter().enumerate() {
             let outcome = if a.ranks[0] == 0 {
                 let (_, result) = mine
@@ -1076,9 +996,7 @@ impl Hub<'_> {
         let bytes = encode_round(&RoundFrame {
             round: self.round,
             flag,
-            pools: Vec::new(),
-            muts: Vec::new(),
-            evict: Vec::new(),
+            log: Vec::new(),
             assigns: Vec::new(),
         });
         for r in 1..self.comm.size() {
@@ -1101,14 +1019,38 @@ impl Hub<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn round_frames_roundtrip() {
-        let frame = RoundFrame {
+    fn toy_pool() -> SelectionProblem<f64> {
+        SelectionProblem::new(
+            firal_linalg::Matrix::from_vec(4, 2, (0..8).map(|i| i as f64).collect()),
+            firal_linalg::Matrix::from_vec(4, 2, vec![0.25; 8]),
+            firal_linalg::Matrix::from_vec(1, 2, vec![1.0; 2]),
+            firal_linalg::Matrix::from_vec(1, 2, vec![0.5; 2]),
+            3,
+        )
+    }
+
+    fn sample_round() -> RoundFrame {
+        let label = proto::PoolMutation::Label { indices: vec![1] };
+        RoundFrame {
             round: 4,
             flag: FLAG_SERVE,
-            pools: vec![(2, vec![1, 2, 3]), (3, Vec::new())],
-            muts: vec![(2, proto::OP_REMOVE_POINTS, vec![7, 7, 7])],
-            evict: vec![9, 12],
+            log: vec![
+                PoolOp {
+                    handle: 2,
+                    op: proto::OP_UPLOAD_POOL,
+                    body: proto::encode_pool(&toy_pool()),
+                },
+                PoolOp {
+                    handle: 2,
+                    op: label.op(),
+                    body: proto::encode_mutation(2, &label),
+                },
+                PoolOp {
+                    handle: 9,
+                    op: proto::OP_DELETE_POOL,
+                    body: proto::encode_delete(9),
+                },
+            ],
             assigns: vec![
                 AssignFrame {
                     id: 10,
@@ -1129,16 +1071,21 @@ mod tests {
                     ranks: vec![2, 3],
                 },
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn round_frames_roundtrip() {
+        let frame = sample_round();
         assert_eq!(decode_round(&encode_round(&frame)).unwrap(), frame);
         assert!(decode_round(&encode_round(&frame)[..10]).is_err());
     }
 
     #[test]
     fn corrupt_round_counts_are_structured_errors_not_allocations() {
-        // A frame claiming 2^40 pools backed by no bytes must fail before
-        // any loop or allocation runs. Same for each later list.
-        for lists_before in 0..4usize {
+        // A frame claiming 2^40 pool ops backed by no bytes must fail
+        // before any loop or allocation runs. Same for the assignments.
+        for lists_before in 0..2usize {
             let mut bytes = Vec::new();
             wire::write_u64(&mut bytes, 1).unwrap(); // round
             wire::write_u64(&mut bytes, FLAG_SERVE).unwrap();
@@ -1151,57 +1098,148 @@ mod tests {
             assert!(err.to_string().contains("entries"), "{err}");
         }
 
-        // A pool blob length above the request cap is rejected even when
-        // the count itself is plausible.
+        // A body length above the request cap is rejected even when the
+        // count itself is plausible.
         let mut bytes = Vec::new();
         wire::write_u64(&mut bytes, 1).unwrap();
         wire::write_u64(&mut bytes, FLAG_SERVE).unwrap();
-        wire::write_u64(&mut bytes, 1).unwrap(); // one pool
+        wire::write_u64(&mut bytes, 1).unwrap(); // one pool op
         wire::write_u64(&mut bytes, 5).unwrap(); // handle
+        wire::write_u64(&mut bytes, proto::OP_UPLOAD_POOL).unwrap();
         wire::write_u64(&mut bytes, (proto::MAX_REQUEST_BYTES as u64) + 1).unwrap();
         assert!(decode_round(&bytes).is_err());
     }
 
     #[test]
-    fn apply_frame_replays_mutations_and_evictions_in_order() {
-        let pool = SelectionProblem::new(
-            firal_linalg::Matrix::from_vec(3, 2, (0..6).map(|i| i as f64).collect()),
-            firal_linalg::Matrix::from_vec(3, 2, vec![0.25; 6]),
-            firal_linalg::Matrix::from_vec(1, 2, vec![1.0; 2]),
-            firal_linalg::Matrix::from_vec(1, 2, vec![0.5; 2]),
-            3,
-        );
-        let mutation = proto::PoolMutation::Label { indices: vec![0] };
-        let frame = RoundFrame {
-            round: 1,
-            flag: FLAG_SERVE,
-            pools: vec![
-                (4, proto::encode_pool(&pool)),
-                (5, proto::encode_pool(&pool)),
-            ],
-            muts: vec![(4, mutation.op(), proto::encode_mutation(4, &mutation))],
-            evict: vec![5],
-            assigns: Vec::new(),
-        };
-        let mut pools = BTreeMap::new();
-        apply_frame(&frame, &mut pools).unwrap();
-        assert!(!pools.contains_key(&5), "evicted pool must be dropped");
-        let p = &pools[&4];
-        assert_eq!(p.pool_size(), 2);
-        assert_eq!(p.labeled_x.rows(), 2);
-        assert_eq!(p.labeled_x.row(1), &[0.0, 1.0]);
+    fn replayed_pool_log_matches_the_hub_bitwise() {
+        use proto::PoolMutation;
+        use Request::{DeletePool, Mutate, UploadPool};
 
-        // A mutation naming a pool that is not installed is a hard error
-        // (the hub validated it, so this means the mesh desynced).
-        let bad = RoundFrame {
-            round: 2,
-            flag: FLAG_SERVE,
-            pools: Vec::new(),
-            muts: vec![(99, mutation.op(), proto::encode_mutation(99, &mutation))],
-            evict: Vec::new(),
-            assigns: Vec::new(),
-        };
-        assert!(apply_frame(&bad, &mut pools).is_err());
+        firal_comm::socket_launch(1, |comm| {
+            let config = ServeConfig::new("127.0.0.1:0");
+            let mut hub = Hub::new(comm, &config);
+            let blob = proto::encode_pool(&toy_pool());
+            let add = PoolMutation::Add {
+                xs: firal_linalg::Matrix::from_vec(2, 2, vec![10.0, 11.0, 12.0, 13.0]),
+                hs: firal_linalg::Matrix::from_vec(2, 2, vec![0.125, 0.25, 0.375, 0.5]),
+            };
+            let label = PoolMutation::Label {
+                indices: vec![3, 0],
+            };
+            let remove = PoolMutation::Remove { indices: vec![1] };
+            let mutate = |pool: u64, mutation: &PoolMutation| Mutate {
+                pool,
+                mutation: mutation.clone(),
+            };
+
+            // Round 1 ships pools 1 and 2 with pool 1's first edits. Round
+            // 2 deletes the shipped pool 2, uploads pool 3 and deletes it
+            // before it ever ships, then uploads pool 4.
+            let rounds = [
+                vec![
+                    (UploadPool(blob.clone()), Response::Pool { handle: 1 }),
+                    (UploadPool(blob.clone()), Response::Pool { handle: 2 }),
+                    (mutate(1, &add), ack(1, 6, 1)),
+                    (mutate(2, &label), ack(2, 2, 3)),
+                    (mutate(1, &label), ack(1, 4, 3)),
+                ],
+                vec![
+                    (mutate(1, &remove), ack(1, 3, 3)),
+                    (DeletePool { pool: 2 }, Response::Deleted { handle: 2 }),
+                    (UploadPool(blob.clone()), Response::Pool { handle: 3 }),
+                    (mutate(3, &label), ack(3, 2, 3)),
+                    (DeletePool { pool: 3 }, Response::Deleted { handle: 3 }),
+                    (UploadPool(blob.clone()), Response::Pool { handle: 4 }),
+                    (mutate(4, &add), ack(4, 6, 1)),
+                ],
+            ];
+            let mut shipped = Vec::new();
+            for (round, requests) in rounds.into_iter().enumerate() {
+                for (req, want) in requests {
+                    assert_eq!(hub.log_pool_op(req), want);
+                }
+                // Ship through the real wire encoding, as run_round does.
+                let frame = RoundFrame {
+                    round: round as u64 + 1,
+                    flag: FLAG_SERVE,
+                    log: std::mem::take(&mut hub.unshipped),
+                    assigns: Vec::new(),
+                };
+                shipped.push(decode_round(&encode_round(&frame)).unwrap().log);
+            }
+            assert!(
+                shipped[1].iter().all(|e| e.handle != 3),
+                "a pool deleted before it shipped must leave no entry: {:?}",
+                shipped[1]
+            );
+            assert_eq!(hub.pools_evicted, 2);
+            assert_eq!(hub.problems.keys().copied().collect::<Vec<_>>(), [1, 4]);
+
+            // One worker replays round by round, another (a rank that
+            // joined the replay late) the concatenated log: both end
+            // bitwise equal to the hub.
+            let mut per_round = BTreeMap::new();
+            for log in &shipped {
+                replay_log(log, &mut per_round).unwrap();
+            }
+            let mut all_at_once = BTreeMap::new();
+            replay_log(&shipped.concat(), &mut all_at_once).unwrap();
+            for worker in [&per_round, &all_at_once] {
+                assert_eq!(
+                    worker.keys().collect::<Vec<_>>(),
+                    hub.problems.keys().collect::<Vec<_>>()
+                );
+                for (handle, problem) in &hub.problems {
+                    assert_eq!(
+                        proto::encode_pool(&worker[handle]),
+                        proto::encode_pool(problem),
+                        "pool {handle} diverged from the hub"
+                    );
+                }
+            }
+
+            // A rejected request is answered, not logged.
+            let before = hub.unshipped.len();
+            assert!(matches!(
+                hub.log_pool_op(mutate(1, &PoolMutation::Remove { indices: vec![99] })),
+                Response::Error(RemoteError {
+                    code: ERR_PROTOCOL,
+                    ..
+                })
+            ));
+            assert!(matches!(
+                hub.log_pool_op(DeletePool { pool: 2 }),
+                Response::Error(RemoteError {
+                    code: ERR_UNKNOWN_POOL,
+                    ..
+                })
+            ));
+            assert_eq!(hub.unshipped.len(), before);
+
+            // A mutation naming a pool that is not installed is a hard
+            // error on a worker (the hub accepted it, so the mesh
+            // desynced), as is an entry whose body names another pool.
+            let stray = PoolOp {
+                handle: 99,
+                op: label.op(),
+                body: proto::encode_mutation(99, &label),
+            };
+            assert!(replay_log(&[stray], &mut per_round).is_err());
+            let mismatched = PoolOp {
+                handle: 1,
+                op: label.op(),
+                body: proto::encode_mutation(4, &label),
+            };
+            assert!(replay_log(&[mismatched], &mut per_round).is_err());
+        });
+    }
+
+    fn ack(handle: u64, pool_size: usize, labeled: usize) -> Response {
+        Response::Mutated(MutateAck {
+            handle,
+            pool_size,
+            labeled,
+        })
     }
 
     #[test]
@@ -1287,5 +1325,260 @@ mod tests {
             validate_spec(&bad, &problems).unwrap_err().code,
             proto::ERR_BUDGET_TOO_LARGE
         );
+    }
+
+    /// Seeded decode fuzz over every frame the serve layer parses: the
+    /// round frame, the result frame, each `decode_request` op,
+    /// `read_response` and `try_parse_frame`. Every truncation prefix,
+    /// seeded byte flips and an inflated count at every offset must come
+    /// back `Ok` or `Err` — never a panic, and never an allocation larger
+    /// than twice the input plus a fixed staging slack.
+    mod decode_fuzz {
+        use super::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        use proto::PoolMutation;
+
+        thread_local! {
+            static LARGEST: Cell<usize> = const { Cell::new(0) };
+        }
+
+        fn note(size: usize) {
+            let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+        }
+
+        /// Records the largest single block this thread asks for.
+        struct Tracking;
+
+        // SAFETY: every method forwards to `System` with the arguments it
+        // was given; the record is a plain thread-local `Cell` that
+        // allocates nothing.
+        unsafe impl GlobalAlloc for Tracking {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded.
+                unsafe { System.alloc(layout) }
+            }
+
+            unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+                note(layout.size());
+                // SAFETY: the caller's `GlobalAlloc::alloc_zeroed` contract, forwarded.
+                unsafe { System.alloc_zeroed(layout) }
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                // SAFETY: the caller's `GlobalAlloc::dealloc` contract, forwarded.
+                unsafe { System.dealloc(ptr, layout) }
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size);
+                // SAFETY: the caller's `GlobalAlloc::realloc` contract, forwarded.
+                unsafe { System.realloc(ptr, layout, new_size) }
+            }
+        }
+
+        #[global_allocator]
+        static ALLOCATOR: Tracking = Tracking;
+
+        /// Fixed headroom for error strings, a `read_frame` staging buffer
+        /// and a string decoder's `MAX_WIRE_STR` cap.
+        const SLACK: usize = 8 << 10;
+
+        /// Seeded byte-flip trials per base input.
+        const FLIPS: usize = 2000;
+
+        /// Run `decode` on `input`, failing if any single allocation it
+        /// made exceeded the bound.
+        fn bounded<T>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> T) -> T {
+            LARGEST.with(|m| m.set(0));
+            let out = decode(input);
+            let largest = LARGEST.with(|m| m.get());
+            assert!(
+                largest <= 2 * input.len() + SLACK,
+                "{what}: a {}-byte input allocated a {largest}-byte block",
+                input.len()
+            );
+            out
+        }
+
+        /// Every corruption of `base` the fuzz feeds a decoder: each
+        /// truncation prefix, `FLIPS` seeded 1–3 byte flips (random short
+        /// bodies when `base` is empty), and an inflated count written
+        /// over every 8-byte window.
+        fn corruptions(base: &[u8], seed: u64) -> Vec<Vec<u8>> {
+            let mut state = seed.max(1);
+            let mut next = move || {
+                // xorshift64
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as usize
+            };
+            let mut out: Vec<Vec<u8>> = (0..base.len()).map(|cut| base[..cut].to_vec()).collect();
+            for _ in 0..FLIPS {
+                let mut b = base.to_vec();
+                if b.is_empty() {
+                    b = (0..1 + next() % 16).map(|_| next() as u8).collect();
+                } else {
+                    for _ in 0..1 + next() % 3 {
+                        let at = next() % b.len();
+                        b[at] ^= 1 + (next() % 255) as u8;
+                    }
+                }
+                out.push(b);
+            }
+            for at in 0..base.len().saturating_sub(7) {
+                for claim in [u64::MAX, 1 << 40, 1 << 20, 255] {
+                    let mut b = base.to_vec();
+                    b[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                    out.push(b);
+                }
+            }
+            out
+        }
+
+        fn requests() -> Vec<Request> {
+            vec![
+                Request::UploadPool(proto::encode_pool(&toy_pool())),
+                Request::Select(SelectSpec {
+                    pool: 7,
+                    strategy: "entropy".into(),
+                    budget: 3,
+                    seed: 42,
+                    threads: 0,
+                    max_ranks: 2,
+                }),
+                Request::Stats,
+                Request::Shutdown,
+                Request::Mutate {
+                    pool: 7,
+                    mutation: PoolMutation::Add {
+                        xs: firal_linalg::Matrix::from_vec(1, 2, vec![9.0, 8.0]),
+                        hs: firal_linalg::Matrix::from_vec(1, 2, vec![0.5, 0.25]),
+                    },
+                },
+                Request::Mutate {
+                    pool: 7,
+                    mutation: PoolMutation::Remove {
+                        indices: vec![2, 0],
+                    },
+                },
+                Request::Mutate {
+                    pool: 7,
+                    mutation: PoolMutation::Label { indices: vec![1] },
+                },
+                Request::DeletePool { pool: 7 },
+            ]
+        }
+
+        #[test]
+        fn round_frames_decode_or_fail_cleanly_and_reencode_exactly() {
+            let base = encode_round(&sample_round());
+            for (i, bytes) in corruptions(&base, 0x5EED_0001).iter().enumerate() {
+                if let Ok(frame) = bounded("round frame", bytes, decode_round) {
+                    assert_eq!(
+                        &encode_round(&frame),
+                        bytes,
+                        "case {i} re-encodes differently"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn result_frames_decode_or_fail_cleanly() {
+            let ok = Ok(OkPayload {
+                selected: vec![5, 1, 9],
+                seconds: 0.125,
+                comm: CommStats {
+                    allreduce_calls: 4,
+                    allreduce_bytes: 320,
+                    time: Duration::from_nanos(777),
+                    ..CommStats::default()
+                },
+            });
+            let err = Err(RemoteError::new(ERR_COMM, "rank 3 died"));
+            for (seed, payload) in [(0x5EED_0002, ok), (0x5EED_0003, err)] {
+                for bytes in corruptions(&encode_result(7, &payload), seed) {
+                    let _ = bounded("result frame", &bytes, decode_result);
+                }
+            }
+        }
+
+        #[test]
+        fn request_bodies_decode_or_fail_cleanly_for_every_op() {
+            let mut ops = Vec::new();
+            for (i, req) in requests().iter().enumerate() {
+                let mut framed = Vec::new();
+                proto::write_request(&mut framed, req).unwrap();
+                let (op, body, _) = proto::try_parse_frame(&framed).unwrap().unwrap();
+                ops.push(op);
+                for bytes in corruptions(&body, 0x5EED_0100 + i as u64) {
+                    let _ = bounded("request body", &bytes, |b| proto::decode_request(op, b));
+                }
+            }
+            ops.sort_unstable();
+            ops.dedup();
+            assert_eq!(
+                ops,
+                (proto::OP_UPLOAD_POOL..=proto::OP_DELETE_POOL).collect::<Vec<_>>()
+            );
+        }
+
+        #[test]
+        fn responses_decode_or_fail_cleanly() {
+            let cases = [
+                Response::Pool { handle: 5 },
+                Response::Select(SelectionOutcome {
+                    round: 9,
+                    group: vec![1, 3],
+                    selected: vec![10, 4, 7],
+                    seconds: 0.25,
+                    comm: CommStats::default(),
+                }),
+                Response::Stats(ServerStats {
+                    rounds: 12,
+                    requests_ok: 30,
+                    requests_err: 2,
+                    pools_live: 3,
+                    pools_evicted: 5,
+                    comm: CommStats::default(),
+                }),
+                Response::Shutdown,
+                Response::Mutated(MutateAck {
+                    handle: 4,
+                    pool_size: 17,
+                    labeled: 6,
+                }),
+                Response::Deleted { handle: 4 },
+                Response::Error(RemoteError::new(ERR_UNKNOWN_POOL, "no such pool")),
+            ];
+            for (i, resp) in cases.iter().enumerate() {
+                let mut base = Vec::new();
+                proto::write_response(&mut base, resp).unwrap();
+                for bytes in corruptions(&base, 0x5EED_0200 + i as u64) {
+                    let _ = bounded("response", &bytes, |b| proto::read_response(&mut &b[..]));
+                }
+            }
+        }
+
+        #[test]
+        fn request_streams_parse_or_fail_cleanly() {
+            let mut base = Vec::new();
+            for req in &requests() {
+                proto::write_request(&mut base, req).unwrap();
+            }
+            for bytes in corruptions(&base, 0x5EED_0300) {
+                bounded("request stream", &bytes, |mut rest| {
+                    while let Ok(Some((op, body, used))) = proto::try_parse_frame(rest) {
+                        assert!(used <= rest.len());
+                        let _ = proto::decode_request(op, &body);
+                        rest = &rest[used..];
+                    }
+                });
+            }
+        }
     }
 }

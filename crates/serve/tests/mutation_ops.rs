@@ -7,6 +7,8 @@
 //! mix of add/label/remove the server's selection must be bitwise equal to
 //! the serial reference computed on the shadow — i.e. the O(Δpool)
 //! streaming path is indistinguishable from re-uploading the whole pool.
+//! Deletes ride the same log, so a pool the worker holds is dropped there
+//! too.
 
 use std::time::Duration;
 
@@ -155,11 +157,9 @@ fn mutations_ship_deltas_and_match_a_full_rebuild() {
 }
 
 #[test]
-fn ttl_eviction_reclaims_idle_pools_between_rounds() {
+fn deleting_a_shipped_pool_drops_it_on_every_rank() {
     let addr = free_rendezvous_addr().expect("free port");
-    let config = ServeConfig::new(addr.clone())
-        .with_batch_wait(Duration::from_millis(5))
-        .with_pool_ttl(Duration::from_millis(100));
+    let config = ServeConfig::new(addr.clone()).with_batch_wait(Duration::from_millis(5));
     let server = std::thread::spawn({
         let config = config.clone();
         move || socket_launch(2, move |comm| run(comm, &config))
@@ -168,24 +168,22 @@ fn ttl_eviction_reclaims_idle_pools_between_rounds() {
     let base = problem();
     let mut client = connect(&addr);
 
-    // Pool A is shipped to the mesh by a select; pool B never leaves the
-    // hub. Both go idle past the TTL.
+    // Pool A reaches the worker with its first round; then it is deleted.
     let pool_a = client.upload_pool(&base).expect("upload a");
-    client.select(&spec(pool_a, "entropy", 3)).expect("warm a");
-    let pool_b = client.upload_pool(&base).expect("upload b");
-    std::thread::sleep(Duration::from_millis(400));
-
-    for (handle, what) in [(pool_a, "shipped pool"), (pool_b, "unshipped pool")] {
-        match client.select(&spec(handle, "entropy", 3)) {
-            Err(ClientError::Server(e)) => {
-                assert_eq!(e.code, ERR_UNKNOWN_POOL, "{what}: {}", e.message)
-            }
-            other => panic!("{what} must be evicted after the TTL, got {other:?}"),
-        }
+    let outcome = client.select(&spec(pool_a, "entropy", 3)).expect("warm a");
+    assert_eq!(outcome.selected, serial_reference(&base, "entropy", 3));
+    client.delete_pool(pool_a).expect("delete a");
+    match client.select(&spec(pool_a, "entropy", 3)) {
+        Err(ClientError::Server(e)) => assert_eq!(e.code, ERR_UNKNOWN_POOL, "{}", e.message),
+        other => panic!("a deleted pool must be unknown, got {other:?}"),
     }
 
-    // A fresh upload is served normally; its round also carries pool A's
-    // eviction to the worker.
+    // Pool B never leaves the hub: deleted before any round ships it.
+    let pool_b = client.upload_pool(&base).expect("upload b");
+    client.delete_pool(pool_b).expect("delete b");
+
+    // A fresh pool's round also carries pool A's delete to the worker (a
+    // delete of B, which the worker never installed, would desync it).
     let pool_c = client.upload_pool(&base).expect("upload c");
     let outcome = client
         .select(&spec(pool_c, "entropy", 3))
