@@ -20,9 +20,9 @@ use std::fmt::Write as _;
 use firal_comm::{CommStats, Communicator, CostModel, SelfComm};
 use firal_core::hessian::{dense_hessian, fast_matvec, BlockJacobi, PoolHessian, SigmaZ};
 use firal_core::{
-    exact_relax, exact_round, run_experiment, ApproxFiral, DistStrategy, EigSolver,
-    EntropyStrategy, ExactFiral, Executor, KMeansStrategy, MirrorDescentConfig, PhaseTimer,
-    RandomStrategy, RelaxConfig, SelectionProblem, ShardedProblem,
+    exact_relax, exact_round, run_experiment, ApproxFiral, DistStrategy, EntropyStrategy,
+    ExactFiral, Executor, KMeansStrategy, MirrorDescentConfig, PhaseTimer, RandomStrategy,
+    RelaxConfig, SelectionProblem, ShardedProblem,
 };
 use firal_data::{ExperimentPreset, PresetName, SyntheticConfig};
 use firal_linalg::{counters, Matrix};
@@ -171,7 +171,6 @@ fn run() -> Vec<Row> {
             .flat_map(|&(name, s, b)| fig4(&preset(name, s, 1, b)))
             .collect()
     });
-    section("lanczos", &|| lanczos(Shape::new(2000, 48, 12)));
     // Figs. 2–3: the c = 10 presets at half the host-scaled pool (Exact-FIRAL
     // runs there); ImageNet-50 at half the pool and 3 of 6 rounds; the
     // 100-class presets at 2 rounds of 20.
@@ -316,7 +315,7 @@ fn table2(base: Shape) -> Vec<Row> {
         let relax = counters::measure(|| exec.relax(budget, &cfg)).1.flops;
         let z = vec![budget as f64 / s.n as f64; s.n];
         let eta = 4.0 * (problem.ehat() as f64).sqrt();
-        let round = counters::measure(|| exec.round(&z, FIG7_BUDGET, eta, EigSolver::Exact))
+        let round = counters::measure(|| exec.round(&z, FIG7_BUDGET, eta))
             .1
             .flops;
         let exact = counters::measure(|| exact_relax(&problem, budget, &fixed_iterations(1)))
@@ -442,7 +441,7 @@ fn table6(cases: [Shape; 2]) -> Vec<Row> {
         let ((_, approx_flops), approx_s) = timed(|| {
             counters::measure(|| {
                 let relax = exec.relax(budget, &cfg);
-                exec.round(&relax.z_local, budget, eta, EigSolver::Exact)
+                exec.round(&relax.z_local, budget, eta)
             })
         });
         (
@@ -541,40 +540,6 @@ fn fig4(preset: &ExperimentPreset) -> Vec<Row> {
         ));
     }
     rows
-}
-
-/// §V future work: ROUND with Lanczos Ritz values in place of the exact
-/// per-block eigensolve. At Krylov dimension k = d the Ritz values are the
-/// spectrum, so the selection must equal the exact ROUND's; smaller k are
-/// recorded.
-fn lanczos(shape: Shape) -> Vec<Row> {
-    let budget = shape.c;
-    let problem = shape.problem(0);
-    let z = vec![budget as f64 / shape.n as f64; shape.n];
-    let eta = 4.0 * (problem.ehat() as f64).sqrt();
-    let (comm, shard) = serial(&problem);
-    let exec = Executor::new(&comm, &shard);
-    let exact = exec.round(&z, budget, eta, EigSolver::Exact).selected;
-    let d = shape.d;
-    [d / 4, d / 2, d]
-        .into_iter()
-        .map(|steps| {
-            let run = exec.round(&z, budget, eta, EigSolver::Lanczos { steps });
-            let overlap = run.selected.iter().filter(|i| exact.contains(i)).count();
-            let form = if steps == d { Form::Abs } else { Form::Info };
-            Row::new(
-                format!("lanczos.k{steps}.overlap"),
-                "§V (Lanczos ROUND)",
-                format!(
-                    "selection overlap with the exact ROUND at Krylov dimension k = {steps}{} [{} b={budget}]",
-                    if steps == d { " = d equals b" } else { ", recorded" },
-                    shape.label()
-                ),
-                form,
-                (overlap as f64, budget as f64, 0.0),
-            )
-        })
-        .collect()
 }
 
 /// `imb-CIFAR-10` → `imb_cifar10`.
@@ -866,7 +831,6 @@ mod tests {
             Shape::new(40, 4, 4),
         ])));
         rows.extend(fig4(&preset));
-        rows.extend(lanczos(Shape::new(40, 6, 3)));
         rows.extend(accuracy(&preset));
         rows
     }

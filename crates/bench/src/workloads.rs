@@ -5,8 +5,7 @@
 
 use firal_comm::{CommStats, Communicator};
 use firal_core::{
-    EigSolver, Executor, MirrorDescentConfig, PhaseTimer, RelaxConfig, SelectionProblem,
-    ShardedProblem,
+    Executor, MirrorDescentConfig, PhaseTimer, RelaxConfig, SelectionProblem, ShardedProblem,
 };
 use firal_data::{Dataset, SyntheticConfig};
 use firal_linalg::{Matrix, Scalar};
@@ -107,10 +106,9 @@ pub fn fig7_rank_body(
     let eta = 4.0 * (problem.ehat() as f32).sqrt();
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
-    let out =
-        Executor::new(comm, &shard)
-            .with_threads(1)
-            .round(&z_local, budget, eta, EigSolver::Exact);
+    let out = Executor::new(comm, &shard)
+        .with_threads(1)
+        .round(&z_local, budget, eta);
     (out.timer, out.comm_stats)
 }
 

@@ -89,9 +89,7 @@ pub use communicator::{CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
 pub use cost::CostModel;
 pub use error::{comm_catch, comm_timeout, CommError, COMM_TIMEOUT_ENV};
 pub use fault::FAULT_ENV;
-pub use socket_comm::{
-    fork_self, free_rendezvous_addr, poll_accept, socket_launch, SocketComm, RENDEZVOUS_TIMEOUT_ENV,
-};
+pub use socket_comm::{fork_self, free_rendezvous_addr, poll_accept, socket_launch, SocketComm};
 pub use thread_comm::{launch, ThreadComm};
 pub use verify::{verify_enabled, CollectiveKind, Dtype, Fingerprint, VERIFY_ENV};
 

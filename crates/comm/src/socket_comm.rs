@@ -29,12 +29,12 @@
 //!    through rank 0 makes construction a synchronization point, like
 //!    `MPI_Init`.
 //!
-//! Every step is bounded by the rendezvous deadline
-//! ([`RENDEZVOUS_TIMEOUT_ENV`], default 30 s): connect and bind retries
-//! back off exponentially against it, accept loops poll nonblockingly
-//! against it, and check-in reads inherit the remaining budget. A stray
-//! connection that fails its check-in (bad magic, invalid or duplicate
-//! rank, or silence) is dropped without consuming a rendezvous slot.
+//! Every step is bounded by one fixed 30 s rendezvous deadline: connect
+//! and bind retries back off exponentially against it, accept loops poll
+//! nonblockingly against it, and check-in reads inherit the remaining
+//! budget. A stray connection that fails its check-in (bad magic, invalid
+//! or duplicate rank, or silence) is dropped without consuming a
+//! rendezvous slot.
 //!
 //! # Data phase
 //!
@@ -91,7 +91,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::process::{Child, Command};
 use std::rc::Rc;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::collective::{Collective, Trace, Transport};
@@ -108,36 +108,14 @@ pub const ENV_SIZE: &str = "FIRAL_SPMD_SIZE";
 /// Env var carrying the rank-0 rendezvous address (`host:port`).
 pub const ENV_ADDR: &str = "FIRAL_SPMD_ADDR";
 
-/// Env var overriding the total rendezvous deadline in milliseconds
-/// (default 30 000). Every connect retry, bind retry, accept loop, and
-/// check-in read during mesh construction is bounded by this budget, so a
-/// rank that dies before the mesh is wired cannot hang the survivors.
-pub const RENDEZVOUS_TIMEOUT_ENV: &str = "FIRAL_RENDEZVOUS_TIMEOUT";
-
-/// Default rendezvous deadline when [`RENDEZVOUS_TIMEOUT_ENV`] is unset.
-const DEFAULT_RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
+/// The total rendezvous deadline. Every connect retry, bind retry, accept
+/// loop, and check-in read during mesh construction is bounded by this
+/// budget, so a rank that dies before the mesh is wired cannot hang the
+/// survivors.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(30);
 /// Initial retry pause; doubles per attempt up to [`RETRY_PAUSE_CAP`].
 const RETRY_PAUSE: Duration = Duration::from_millis(20);
 const RETRY_PAUSE_CAP: Duration = Duration::from_millis(500);
-
-/// The process-wide rendezvous deadline from [`RENDEZVOUS_TIMEOUT_ENV`],
-/// cached on first use.
-fn rendezvous_timeout() -> Duration {
-    static TIMEOUT: OnceLock<Duration> = OnceLock::new();
-    *TIMEOUT.get_or_init(|| match std::env::var(RENDEZVOUS_TIMEOUT_ENV) {
-        Ok(raw) => {
-            let ms: u64 = raw.trim().parse().unwrap_or_else(|_| {
-                panic!("{RENDEZVOUS_TIMEOUT_ENV} must be an integer (ms), got {raw:?}")
-            });
-            if ms == 0 {
-                DEFAULT_RENDEZVOUS_TIMEOUT
-            } else {
-                Duration::from_millis(ms)
-            }
-        }
-        Err(_) => DEFAULT_RENDEZVOUS_TIMEOUT,
-    })
-}
 
 /// Time left until `deadline`, floored so it is always a valid socket
 /// timeout (`set_read_timeout(Some(0))` is an error).
@@ -194,7 +172,7 @@ fn retry_until_deadline<T>(
     what: &str,
     mut attempt: impl FnMut() -> io::Result<T>,
 ) -> io::Result<T> {
-    let deadline = Instant::now() + rendezvous_timeout();
+    let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     let mut pause = RETRY_PAUSE;
     loop {
         match attempt() {
@@ -206,7 +184,7 @@ fn retry_until_deadline<T>(
             Err(e) => {
                 return Err(io::Error::new(
                     e.kind(),
-                    format!("{what} failed within {:?}: {e}", rendezvous_timeout()),
+                    format!("{what} failed within {RENDEZVOUS_TIMEOUT:?}: {e}"),
                 ))
             }
         }
@@ -237,7 +215,7 @@ fn accept_within(listener: &TcpListener, deadline: Instant) -> io::Result<TcpStr
                         format!(
                             "rendezvous deadline ({:?}) expired while waiting for peers \
                              to check in (a rank likely died before connecting)",
-                            rendezvous_timeout()
+                            RENDEZVOUS_TIMEOUT
                         ),
                     ));
                 }
@@ -424,7 +402,7 @@ impl SocketComm {
             let aborts = (0..size).map(|_| None).collect();
             return Ok(Self::over(root(peers, aborts), wire::ROOT_SCOPE));
         }
-        let deadline = Instant::now() + rendezvous_timeout();
+        let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
 
         if rank == 0 {
             let listener = match pre_bound {
@@ -459,7 +437,7 @@ impl SocketComm {
 
             // The table read below waits for *all* ranks to check in, so
             // it is bounded by the full rendezvous budget, not a remainder.
-            let mut p0 = Peer::new(connect_retry(rendezvous)?, Some(rendezvous_timeout()))?;
+            let mut p0 = Peer::new(connect_retry(rendezvous)?, Some(RENDEZVOUS_TIMEOUT))?;
             wire::write_u64(&mut p0.writer, MAGIC)?;
             wire::write_u64(&mut p0.writer, rank as u64)?;
             wire::write_str(&mut p0.writer, &my_addr)?;
@@ -481,7 +459,7 @@ impl SocketComm {
 
             // Connect towards lower ranks, accept from higher ones.
             for i in 1..rank {
-                let mut p = Peer::new(connect_retry(&table[i - 1])?, Some(rendezvous_timeout()))?;
+                let mut p = Peer::new(connect_retry(&table[i - 1])?, Some(RENDEZVOUS_TIMEOUT))?;
                 wire::write_u64(&mut p.writer, MAGIC)?;
                 wire::write_u64(&mut p.writer, rank as u64)?;
                 p.writer.flush()?;
@@ -640,7 +618,7 @@ impl TcpMesh {
                 size,
                 op,
                 seq,
-                after: comm_timeout().unwrap_or_else(rendezvous_timeout),
+                after: comm_timeout().unwrap_or(RENDEZVOUS_TIMEOUT),
             },
             io::ErrorKind::InvalidData => CommError::Protocol {
                 rank,

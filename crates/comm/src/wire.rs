@@ -237,8 +237,29 @@ pub fn read_f64s(r: &mut impl Read) -> io::Result<Vec<f64>> {
             format!("unreasonable frame length {n} on the wire (stream desync?)"),
         ));
     }
-    let mut out = vec![0.0; n];
-    read_f64_payload(r, &mut out)?;
+    read_growing(n, |block| read_f64_payload(r, block))
+}
+
+/// Bytes a length-prefixed read reserves ahead of the data that has
+/// arrived. The prefix is the sender's claim, so the buffer grows with the
+/// payload instead: a lying prefix on a short stream allocates at most
+/// this much before the read fails.
+const READ_CHUNK_BYTES: usize = 8 << 10;
+
+/// Read `n` elements through `fill`, one [`READ_CHUNK_BYTES`] chunk at a
+/// time, into a vector that grows as they arrive. A frame within one chunk
+/// gets its single exact allocation.
+fn read_growing<T: Copy + Default>(
+    n: usize,
+    mut fill: impl FnMut(&mut [T]) -> io::Result<()>,
+) -> io::Result<Vec<T>> {
+    let chunk = READ_CHUNK_BYTES / std::mem::size_of::<T>();
+    let mut out = Vec::with_capacity(n.min(chunk));
+    while out.len() < n {
+        let start = out.len();
+        out.resize(n.min(start + chunk), T::default());
+        fill(&mut out[start..])?;
+    }
     Ok(out)
 }
 
@@ -281,9 +302,7 @@ pub fn read_bytes(r: &mut impl Read) -> io::Result<Vec<u8>> {
             format!("unreasonable byte-frame length {n} on the wire (stream desync?)"),
         ));
     }
-    let mut out = vec![0u8; n];
-    r.read_exact(&mut out)?;
-    Ok(out)
+    read_growing(n, |block| r.read_exact(block))
 }
 
 /// Ceiling on the byte length of a wire string (rendezvous addresses,

@@ -48,8 +48,7 @@
 use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
 use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
-    cg_solve_panel, lanczos_spectrum, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry,
-    DenseOperator, LinearOperator,
+    cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry, LinearOperator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +57,7 @@ use crate::config::{FiralConfig, RelaxConfig};
 use crate::exact::RelaxTelemetry;
 use crate::hessian::{hutchinson_gradients_shared, probe_products_into, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
-use crate::round::{pad_spectrum, EigSolver, WhitenedFtrl, Whitening};
+use crate::round::{WhitenedFtrl, Whitening};
 use crate::timing::PhaseTimer;
 
 /// One rank's shard of a selection problem.
@@ -622,12 +621,12 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// ranks and Allgathered before the `ν` bisection — after every
     /// selection but the last, whose `ν` nothing would read: `3·budget − 1`
     /// collectives in all.
-    pub fn round(&self, z_local: &[T], budget: usize, eta: T, eig: EigSolver) -> RoundRun<T> {
+    pub fn round(&self, z_local: &[T], budget: usize, eta: T) -> RoundRun<T> {
         self.install(|| {
             let stats0 = self.comm.stats();
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
-            self.round_over(&scratch, budget, eta, eig, timer, stats0)
+            self.round_over(&scratch, budget, eta, timer, stats0)
         })
     }
 
@@ -647,23 +646,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// pool this executor's shard was materialized from. The [`Whitening`]
     /// prologue is not part of the persistent state: it is derived here,
     /// per call, from the factors the state carries.
-    pub fn round_with_state(
-        &self,
-        state: &RoundState<T>,
-        budget: usize,
-        eta: T,
-        eig: EigSolver,
-    ) -> RoundRun<T> {
-        self.install(|| {
-            self.round_over(
-                state,
-                budget,
-                eta,
-                eig,
-                PhaseTimer::new(),
-                self.comm.stats(),
-            )
-        })
+    pub fn round_with_state(&self, state: &RoundState<T>, budget: usize, eta: T) -> RoundRun<T> {
+        self.install(|| self.round_over(state, budget, eta, PhaseTimer::new(), self.comm.stats()))
     }
 
     /// One fixed-η run over `state`: the whitening prologue, then the loop.
@@ -674,12 +658,11 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         state: &RoundState<T>,
         budget: usize,
         eta: T,
-        eig: EigSolver,
         mut timer: PhaseTimer,
         stats0: CommStats,
     ) -> RoundRun<T> {
         let white = timer.time("other", || Whitening::new(state));
-        self.round_body(&white, budget, eta, eig, timer, stats0)
+        self.round_body(&white, budget, eta, timer, stats0)
     }
 
     fn round_scratch(&self, z_local: &[T], timer: &mut PhaseTimer) -> RoundState<T> {
@@ -741,7 +724,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         white: &Whitening<'_, T>,
         budget: usize,
         eta: T,
-        eig: EigSolver,
         mut timer: PhaseTimer,
         stats0: CommStats,
     ) -> RoundRun<T> {
@@ -801,21 +783,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let lambdas = timer.time("eig", || {
                 let mut local_vals = Vec::with_capacity(my_blocks.len() * d);
                 for k in my_blocks.clone() {
-                    let c = ftrl.c_t().block(k);
-                    match eig {
-                        EigSolver::Exact => {
-                            local_vals.extend(eigvalsh(c).expect("generalized eigensolve"));
-                        }
-                        EigSolver::Lanczos { steps } => {
-                            let op = DenseOperator::new(c.clone());
-                            // Seeded per (block, step) so the Ritz values are
-                            // identical no matter which rank owns the block.
-                            let mut rng =
-                                StdRng::seed_from_u64((k as u64) << 32 | selected.len() as u64);
-                            let ritz = lanczos_spectrum(&op, steps.min(d), &mut rng);
-                            local_vals.extend(pad_spectrum(&ritz.ritz_values, d));
-                        }
-                    }
+                    local_vals
+                        .extend(eigvalsh(ftrl.c_t().block(k)).expect("generalized eigensolve"));
                 }
                 T::allgatherv(self.comm, &local_vals)
             });
@@ -938,7 +907,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                     &white,
                     budget,
                     grid[gi] * scale,
-                    EigSolver::Exact,
                     PhaseTimer::new(),
                     self.comm.stats(),
                 );
@@ -998,7 +966,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ) -> (RelaxRun<T>, RoundRun<T>) {
         let relax = self.relax(budget, &config.relax);
         let round = match config.round.eta {
-            Some(eta) => self.round(&relax.z_local, budget, eta, EigSolver::Exact),
+            Some(eta) => self.round(&relax.z_local, budget, eta),
             None => self.select_eta(&relax.z_local, budget, &config.round.eta_grid),
         };
         (relax, round)
@@ -1180,16 +1148,14 @@ mod tests {
         let z: Vec<f64> = (0..24).map(|i| (1.0 + (i % 5) as f64) / 24.0).collect();
         let eta = 8.0 * (p.ehat() as f64).sqrt();
         let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let serial = Executor::new(&comm, &shard).round(&z, b, eta, EigSolver::Exact);
+        let serial = Executor::new(&comm, &shard).round(&z, b, eta);
         for procs in [1usize, 2, 3] {
             let problem = p.clone();
             let zc = z.clone();
             let results = launch(procs, move |comm| {
                 let shard = ShardedProblem::shard(&problem, comm.rank(), comm.size());
                 let local_z = zc[shard.offset..shard.offset + shard.local_n()].to_vec();
-                Executor::new(comm, &shard)
-                    .round(&local_z, b, eta, EigSolver::Exact)
-                    .selected
+                Executor::new(comm, &shard).round(&local_z, b, eta).selected
             });
             for sel in &results {
                 assert_eq!(
@@ -1208,7 +1174,7 @@ mod tests {
             let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
             let exec = Executor::new(comm, &shard);
             let relax = exec.relax(6, &RelaxConfig::default());
-            let round = exec.round(&relax.z_local, 6, eta, EigSolver::Exact);
+            let round = exec.round(&relax.z_local, 6, eta);
             (round.selected, relax.comm_stats, round.comm_stats)
         });
         for (sel, relax_stats, round_stats) in &results {

@@ -67,11 +67,10 @@ pub use driver::{run_experiment, ExperimentResult, RoundRecord};
 pub use exact::{exact_firal, exact_relax, exact_round, RelaxTelemetry};
 pub use exec::{EtaGroupGeometry, Executor, RelaxRun, RoundRun, RoundState, ShardedProblem};
 pub use problem::SelectionProblem;
-pub use round::EigSolver;
 pub use strategies::{
     select_serial, strategy_by_name, ApproxFiral, BayesBatchStrategy, DistStrategy,
     EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy, SelectError, SelectionRun,
     UpalStrategy, STRATEGY_NAMES,
 };
-pub use stream::{PoolUpdate, StreamCommit, StreamingState};
+pub use stream::{EigSolver, PoolUpdate, StreamCommit, StreamingState};
 pub use timing::PhaseTimer;

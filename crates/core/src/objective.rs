@@ -1,14 +1,13 @@
 //! Fisher-information-ratio objective evaluation.
 //!
-//! `f(z) = Tr[(H_o + H_z)^{-1} H_p]` (Eq. 4–5). The dense evaluator is used
-//! by the exact algorithm, by the Fig. 4 sensitivity study and by tests;
-//! the estimated evaluator is the Hutchinson/CG version the fast RELAX
-//! solver tracks for its stopping rule.
+//! `f(z) = Tr[(H_o + H_z)^{-1} H_p]` (Eq. 4–5), evaluated densely. Used by
+//! the exact algorithm, by the Fig. 4 sensitivity study and by tests; the
+//! fast RELAX solver builds its own Hutchinson/CG estimate from the probe
+//! panel it already holds.
 
-use firal_linalg::{Cholesky, Matrix, Scalar};
-use firal_solvers::{cg_solve_panel, CgConfig, LinearOperator};
+use firal_linalg::{Cholesky, Scalar};
 
-use crate::hessian::{BlockJacobi, PoolHessian, SigmaZ};
+use crate::hessian::PoolHessian;
 use crate::problem::SelectionProblem;
 
 /// Exact objective `Tr(Σ_z^{-1} H_p)` with `Σ_z = H_o + H_z` assembled
@@ -66,48 +65,10 @@ pub fn selection_objective_ridged<T: Scalar>(
     ch.solve_mat(&hp.to_dense()).trace()
 }
 
-/// Hutchinson estimate of the objective:
-/// `f ≈ (1/s) Σ_j v_jᵀ Σ_z^{-1} (H_p v_j)` with preconditioned-CG solves.
-/// This is the cheap tracker the fast RELAX stopping rule uses.
-pub fn estimated_objective<T: Scalar>(
-    problem: &SelectionProblem<T>,
-    z: &[T],
-    probes: &Matrix<T>,
-    cg_tol: T,
-) -> T {
-    let ho = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h);
-    let hz = PoolHessian::weighted(&problem.pool_x, &problem.pool_h, z.to_vec());
-    let hp = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h);
-    let sigma = SigmaZ::new(ho, hz);
-
-    let prec = BlockJacobi::new_with_ridge(&sigma.block_diagonal(), T::from_f64(1e-10))
-        .expect("preconditioner blocks must factor");
-
-    // Y = H_p V, then W = Σ^{-1} Y; f ≈ mean_j v_jᵀ w_j … careful: we want
-    // vᵀΣ⁻¹(H_p v) = (Σ⁻¹v)ᵀ(H_p v); either grouping works because Σ is
-    // symmetric. Solving against H_pV keeps one CG panel solve.
-    let y = hp.apply_panel(probes);
-    let (w, _tel) = cg_solve_panel(&sigma, &prec, &y, &CgConfig::with_tol(cg_tol));
-
-    let s = probes.cols();
-    let mut acc = T::ZERO;
-    for j in 0..s {
-        let mut colsum = T::ZERO;
-        for i in 0..probes.rows() {
-            colsum += probes[(i, j)] * w[(i, j)];
-        }
-        acc += colsum;
-    }
-    acc / T::from_usize(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::tiny_problem;
-    use firal_solvers::rademacher_panel;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn objective_decreases_with_more_weight() {
@@ -133,22 +94,5 @@ mod tests {
         }
         let f2 = exact_objective(&p, &z);
         assert!((f1 - f2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn estimate_tracks_exact_objective() {
-        let p = tiny_problem(3, 40, 4, 3);
-        let n = p.pool_size();
-        let z = vec![3.0 / n as f64; n];
-        let exact = exact_objective(&p, &z);
-        let mut rng = StdRng::seed_from_u64(7);
-        // Plenty of probes and a tight CG for a statistical comparison.
-        let probes = rademacher_panel(p.ehat(), 200, &mut rng);
-        let est = estimated_objective(&p, &z, &probes, 1e-8);
-        let rel = ((est - exact) / exact).abs();
-        assert!(
-            rel < 0.15,
-            "estimate {est} vs exact {exact} (rel err {rel})"
-        );
     }
 }

@@ -16,8 +16,7 @@
 //!   lower-triangular `L_k⁻¹` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
 //! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
 //!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
-//! * **Line 9** is `eigvalsh(C_t,k)` as is (the Lanczos variant applies the
-//!   same dense block);
+//! * **Line 9** is `eigvalsh(C_t,k)` as is;
 //! * **Lines 4/11**: `B = L_kM_kL_kᵀ` with
 //!   `M_k = νI + η·C_t,k + (η/b)·C_o,k` is never formed or inverted. Line
 //!   11 only records `ν`; the next scoring pass factors `M_k = N_kN_kᵀ`,
@@ -37,40 +36,11 @@
 //! flops next to the pool products (factor `M_k`, `N_k⁻¹`,
 //! `R_k⁻¹ = N_k⁻¹L_k⁻¹`, a third each) in one `2d²` scratch.
 //!
-//! Also here: the Line-9 eigensolver choice ([`EigSolver`], `pad_spectrum`).
-//!
 //! Storage is `O(n(d+c) + cd²)` and compute `O(bncd²)` (Table II).
 
 use firal_linalg::{counters, gemm, gemm_at_b, invert_lower, BlockDiag, Matrix, QuadSweep, Scalar};
 
 use crate::exec::RoundState;
-
-/// Which eigensolver backs Line 9 of Algorithm 3.
-///
-/// `Exact` is the paper's configuration (`cupy.linalg.eigvalsh` →
-/// tridiagonal QL here). `Lanczos { steps }` is the §V future-work variant:
-/// a matrix-free Krylov estimate of each block's spectrum in `steps ≪ d`
-/// operator applications, density-padded to `d` values before the `ν`
-/// bisection. The `lanczos.*` rows of `BENCH_paper.json` record the
-/// selection fidelity per Krylov dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EigSolver {
-    /// Dense tridiagonal-QL eigensolve per block (paper configuration).
-    Exact,
-    /// Lanczos Ritz-value estimate with the given Krylov dimension.
-    Lanczos {
-        /// Krylov steps per block (clamped to the block order).
-        steps: usize,
-    },
-}
-
-/// Stretch `k` Ritz values into a surrogate for a `d`-point spectrum by
-/// proportional repetition (a piecewise-constant spectral density), so the
-/// `Σ_j (ν+ηλ_j)^{-2} = 1` bisection sees the right measure.
-pub(crate) fn pad_spectrum<T: Scalar>(ritz: &[T], d: usize) -> Vec<T> {
-    assert!(!ritz.is_empty());
-    (0..d).map(|i| ritz[i * ritz.len() / d]).collect()
-}
 
 /// The η-independent whitening prologue of a ROUND sweep: per block the
 /// lower-triangular `L_k⁻¹` of `(Σ⋄)_k = L_kL_kᵀ` and
@@ -157,10 +127,10 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// with the state's `g_ik` panel — the kernel is purely local. `scores`
     /// is overwritten.
     ///
-    /// With an approximate (Lanczos) spectrum — or in f32 — ν can come out
-    /// too small for `M_k = νI + η·C_t,k + (η/b)·C_o,k` to be positive
-    /// definite; back off by growing ν geometrically and scoring again from
-    /// block 0: a conservative FTRL regularizer is always admissible.
+    /// In f32, ν can come out too small for
+    /// `M_k = νI + η·C_t,k + (η/b)·C_o,k` to be positive definite; back off
+    /// by growing ν geometrically and scoring again from block 0: a
+    /// conservative FTRL regularizer is always admissible.
     pub fn scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) {
         let floor = T::from_usize(self.c_t.order()).sqrt() * T::from_f64(1e-3);
         let nu = self.nu;
@@ -250,7 +220,7 @@ mod tests {
         let z = vec![6.0 / 50.0; 50];
         let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
         let eta = 8.0 * (p.ehat() as f64).sqrt();
-        let out = Executor::new(&comm, &shard).round(&z, 6, eta, EigSolver::Exact);
+        let out = Executor::new(&comm, &shard).round(&z, 6, eta);
         assert_eq!(out.selected.len(), 6);
         let mut sorted = out.selected.clone();
         sorted.sort_unstable();
@@ -261,54 +231,91 @@ mod tests {
 
     #[test]
     fn proposition_4_equivalence_with_dense_trace() {
-        // The Eq. 17 score ordering must match the exact block-diagonal
-        // trace objective r_i = Tr[(B_t + ηH_i^{bd})⁻¹ Σ⋄] at t = 1.
-        let p = tiny_problem(2, 12, 3, 3);
-        let n = p.pool_size();
-        let cm1 = p.nblocks();
-        let ehat = p.ehat();
-        let eta = 4.0 * (ehat as f64).sqrt();
-        let z = vec![3.0 / n as f64; n];
+        // At t = 1 the Eq. 17 score must be the per-candidate decrease of
+        // the exact block-diagonal trace objective,
+        // (Tr(B₁⁻¹Σ⋄) − Tr((B₁ + ηB(H_i))⁻¹Σ⋄))/η. Per block,
+        // Sherman–Morrison puts (Σ⋄)_k between the two B_k⁻¹ (Eqs. 18–20);
+        // the published Eq. 17 prints (Σ⋄)_k⁻¹ there. The second problem
+        // scales the feature columns by 0.05, 1 and 20, so Σ⋄ is far from
+        // I (block condition numbers near 10⁵) and the published form must
+        // miss the decrease there.
+        let cases = [(2, 12, [1.0; 3], false), (11, 16, [0.05, 1.0, 20.0], true)];
+        for (seed, n, col_scale, far_from_identity) in cases {
+            let mut p = tiny_problem(seed, n, 3, 3);
+            for x in [&mut p.pool_x, &mut p.labeled_x] {
+                for i in 0..x.rows() {
+                    for (v, s) in x.row_mut(i).iter_mut().zip(col_scale) {
+                        *v *= s;
+                    }
+                }
+            }
+            let (cm1, budget) = (p.nblocks(), 3);
+            let ehat = p.ehat() as f64;
+            let eta = 4.0 * ehat.sqrt();
+            let z = vec![budget as f64 / n as f64; n];
 
-        let bho = PoolHessian::unweighted(&p.labeled_x, &p.labeled_h).block_diagonal();
-        let mut sigma = PoolHessian::weighted(&p.pool_x, &p.pool_h, z.clone()).block_diagonal();
-        sigma.add_scaled(1.0, &bho);
-        // B₁ = √ê Σ⋄ + (η/3) H_o
-        let mut b1 = sigma.clone();
-        for k in 0..cm1 {
-            b1.block_mut(k).scale_inplace((ehat as f64).sqrt());
-            b1.block_mut(k).add_scaled(eta / 3.0, bho.block(k));
-        }
+            let bho = PoolHessian::unweighted(&p.labeled_x, &p.labeled_h).block_diagonal();
+            let mut sigma = PoolHessian::weighted(&p.pool_x, &p.pool_h, z.clone()).block_diagonal();
+            sigma.add_scaled(1.0, &bho);
+            // B₁ = √ê Σ⋄ + (η/b) H_o
+            let mut b1 = sigma.clone();
+            for k in 0..cm1 {
+                b1.block_mut(k).scale_inplace(ehat.sqrt());
+                b1.block_mut(k)
+                    .add_scaled(eta / budget as f64, bho.block(k));
+            }
+            let chol = |m: &Matrix<f64>| firal_linalg::Cholesky::new(m).unwrap();
+            let (b1_dense, sigma_dense) = (b1.to_dense(), sigma.to_dense());
+            let base = chol(&b1_dense).solve_mat(&sigma_dense).trace();
+            let b_chol: Vec<_> = b1.blocks().iter().map(chol).collect();
+            let sigma_chol: Vec<_> = sigma.blocks().iter().map(chol).collect();
 
-        // The whitened score function at t = 1, budget 3 (M = √ê·I + (η/3)·C_o).
-        let comm = SelfComm::new();
-        let shard = ShardedProblem::replicate(&p);
-        let state = Executor::new(&comm, &shard).build_round_state(&z);
-        let white = Whitening::new(&state);
-        let mut scores = vec![0.0; n];
-        WhitenedFtrl::new(&white, 3, eta).scores(&p.pool_x, &mut scores);
+            // The whitened score function (M = √ê·I + (η/b)·C_o).
+            let comm = SelfComm::new();
+            let shard = ShardedProblem::replicate(&p);
+            let state = Executor::new(&comm, &shard).build_round_state(&z);
+            let white = Whitening::new(&state);
+            let mut scores = vec![0.0; n];
+            WhitenedFtrl::new(&white, budget, eta).scores(&p.pool_x, &mut scores);
 
-        // Dense reference: r_i = Tr[(B₁ + η B(H_i))⁻¹ Σ⋄].
-        let b1_dense = b1.to_dense();
-        let sigma_dense = sigma.to_dense();
-        for i in 0..n {
-            let hi = dense_hessian(p.pool_x.row(i), p.pool_h.row(i));
-            let hi_bd = firal_linalg::BlockDiag::from_dense(&hi, cm1).to_dense();
-            let mut m = b1_dense.clone();
-            m.add_scaled(eta, &hi_bd);
-            let ch = firal_linalg::Cholesky::new(&m).unwrap();
-            let r_i = ch.solve_mat(&sigma_dense).trace();
-            // Eq. 20: r_i = Tr(B⁻¹Σ⋄) - η·score_i
-            let base = firal_linalg::Cholesky::new(&b1_dense)
-                .unwrap()
-                .solve_mat(&sigma_dense)
-                .trace();
-            let expect_score = (base - r_i) / eta;
-            assert!(
-                (scores[i] - expect_score).abs() < 1e-6 * expect_score.abs().max(1.0),
-                "point {i}: score {} vs derived {expect_score}",
-                scores[i]
-            );
+            let mut published_gap = 0.0f64;
+            for i in 0..n {
+                let hi = dense_hessian(p.pool_x.row(i), p.pool_h.row(i));
+                let mut m = b1_dense.clone();
+                m.add_scaled(
+                    eta,
+                    &firal_linalg::BlockDiag::from_dense(&hi, cm1).to_dense(),
+                );
+                let decrease = (base - chol(&m).solve_mat(&sigma_dense).trace()) / eta;
+
+                let (mut derived, mut published) = (0.0, 0.0);
+                let x = p.pool_x.row(i);
+                for k in 0..cm1 {
+                    let g = p.pool_h[(i, k)] * (1.0 - p.pool_h[(i, k)]);
+                    let y = b_chol[k].solve(x);
+                    let denom = 1.0 + eta * g * firal_linalg::dot(x, &y);
+                    derived += g * firal_linalg::dot(&y, &sigma.block(k).matvec(&y)) / denom;
+                    published += g * firal_linalg::dot(&y, &sigma_chol[k].solve(&y)) / denom;
+                }
+                let tol = 1e-6 * decrease.abs().max(1.0);
+                assert!(
+                    (derived - decrease).abs() < tol,
+                    "point {i}: derived form {derived} vs {decrease}"
+                );
+                assert!(
+                    (scores[i] - decrease).abs() < tol,
+                    "point {i}: score {} vs {decrease}",
+                    scores[i]
+                );
+                published_gap = published_gap.max((published - decrease).abs() / decrease.abs());
+            }
+            if far_from_identity {
+                assert!(
+                    published_gap > 1.0,
+                    "the published (Σ⋄)⁻¹ numerator should miss the trace decrease, \
+                     worst relative gap {published_gap}"
+                );
+            }
         }
     }
 
@@ -329,7 +336,7 @@ mod tests {
         let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
         let exec = Executor::new(&comm, &shard);
         let eta = 8.0 * (p.ehat() as f64).sqrt();
-        let out = exec.round(&z, 8, eta, EigSolver::Exact);
+        let out = exec.round(&z, 8, eta);
         let m4 = exec.selection_min_eig(&out.selected[..4]);
         let m8 = exec.selection_min_eig(&out.selected);
         assert!(m8 >= m4 - 1e-12, "adding PSD terms cannot shrink λ_min");
@@ -360,7 +367,7 @@ mod tests {
         let exec = Executor::new(&comm, &shard);
         let relax = exec.relax(4, &RelaxConfig::default());
         let eta = 8.0 * (p.ehat() as f64).sqrt();
-        let out = exec.round(&relax.z_local, 4, eta, EigSolver::Exact);
+        let out = exec.round(&relax.z_local, 4, eta);
         let classes: std::collections::BTreeSet<usize> =
             out.selected.iter().map(|&i| ds.pool_labels[i]).collect();
         assert!(
@@ -371,73 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn lanczos_round_matches_exact_round_selection() {
-        // Future-work variant (§V): with a generous Krylov dimension the
-        // Lanczos-backed ROUND must reproduce the exact ROUND's selection.
-        let p = tiny_problem(7, 40, 6, 3);
-        let z = vec![5.0 / 40.0; 40];
-        let eta = 4.0 * (p.ehat() as f64).sqrt();
-        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let exec = Executor::new(&comm, &shard);
-        let exact = exec.round(&z, 5, eta, EigSolver::Exact);
-        let lanczos = exec.round(&z, 5, eta, EigSolver::Lanczos { steps: 6 });
-        assert_eq!(exact.selected, lanczos.selected);
-        // With an aggressive (tiny) Krylov dimension, selections may drift
-        // but must remain a valid batch.
-        let rough = exec.round(&z, 5, eta, EigSolver::Lanczos { steps: 2 });
-        assert_eq!(rough.selected.len(), 5);
-        let mut sorted = rough.selected.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
-    }
-
-    #[test]
-    fn pad_spectrum_preserves_range_and_length() {
-        let ritz = vec![1.0f64, 5.0, 9.0];
-        let padded = pad_spectrum(&ritz, 9);
-        assert_eq!(padded.len(), 9);
-        assert_eq!(padded[0], 1.0);
-        assert_eq!(padded[8], 9.0);
-        // Monotone non-decreasing.
-        assert!(padded.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn pad_spectrum_single_ritz_value_floods_the_spectrum() {
-        // k = 1: the density surrogate is a point mass — every padded entry
-        // is the lone Ritz value.
-        let padded = pad_spectrum(&[2.5f64], 6);
-        assert_eq!(padded, vec![2.5; 6]);
-    }
-
-    #[test]
-    fn pad_spectrum_full_krylov_is_identity() {
-        // k = d: proportional repetition reduces to the identity, so an
-        // exact Krylov spectrum passes through untouched.
-        let ritz = vec![0.5f64, 1.0, 2.0, 4.0];
-        assert_eq!(pad_spectrum(&ritz, 4), ritz);
-    }
-
-    #[test]
-    fn pad_spectrum_more_ritz_values_than_dims_subsamples_monotonically() {
-        // k > d (possible when a caller does not clamp the Krylov
-        // dimension): the padding must subsample without going out of
-        // bounds, keep the extreme values' order, and stay monotone.
-        let ritz = vec![1.0f64, 2.0, 3.0, 4.0, 5.0];
-        let padded = pad_spectrum(&ritz, 3);
-        assert_eq!(padded.len(), 3);
-        assert_eq!(padded[0], ritz[0]);
-        assert!(padded.windows(2).all(|w| w[0] <= w[1]));
-        assert!(*padded.last().unwrap() <= *ritz.last().unwrap());
-    }
-
-    #[test]
     fn timer_covers_round_phases() {
         let p = tiny_problem(6, 20, 3, 3);
         let z = vec![2.0 / 20.0; 20];
         let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let out = Executor::new(&comm, &shard).round(&z, 2, 10.0, EigSolver::Exact);
+        let out = Executor::new(&comm, &shard).round(&z, 2, 10.0);
         for phase in ["objective", "eig", "other"] {
             assert!(
                 out.timer.phases().any(|(n, _)| n == phase),

@@ -65,7 +65,17 @@ use firal_solvers::delta_allreduce_blocks;
 use crate::config::FiralConfig;
 use crate::exec::{Executor, RoundRun, RoundState, ShardedProblem};
 use crate::problem::SelectionProblem;
-use crate::round::EigSolver;
+
+/// Line 9 of Algorithm 3 is always the dense `eigvalsh` of each block, so
+/// this type has the one variant `Exact`. It stays only as the ignored last
+/// argument of [`StreamingState::select`], because the repo benchmark's
+/// `stream_churn` workload (`benchmark/src/workloads/stream.rs`) passes
+/// `EigSolver::Exact`; it goes when that file next changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EigSolver {
+    /// Dense tridiagonal-QL eigensolve per block (paper configuration).
+    Exact,
+}
 
 /// Default refactor cadence when `FiralConfig::refactor_interval == 0`.
 const DEFAULT_REFACTOR_INTERVAL: usize = 64;
@@ -300,18 +310,18 @@ impl<T: CommScalar> StreamingState<T> {
     /// the `O(Δpool)`-maintained counterpart of [`Executor::round`].
     /// Returns the selected **registry positions** (indices into the live
     /// insertion order; map through [`StreamingState::ids`] for stable
-    /// ids).
+    /// ids). The [`EigSolver`] argument is ignored.
     pub fn select(
         &self,
         comm: &dyn Communicator,
         budget: usize,
         eta: T,
-        eig: EigSolver,
+        _eig: EigSolver,
     ) -> RoundRun<T> {
         let shard = self.materialize_shard(comm.rank(), comm.size());
         let state = self.round_state(comm.rank(), comm.size());
         let exec = Executor::new(comm, &shard);
-        exec.round_with_state(&state, budget, eta, eig)
+        exec.round_with_state(&state, budget, eta)
     }
 
     /// Materialize this rank's [`RoundState`] view: the replicated block
@@ -671,7 +681,7 @@ mod tests {
         let shard = st.materialize_shard(0, 1);
         let z: Vec<f64> = (0..st.live()).map(|i| st.points[i].weight).collect();
         let exec = Executor::new(&comm, &shard);
-        let reference = exec.round(&z, 4, eta, EigSolver::Exact);
+        let reference = exec.round(&z, 4, eta);
         assert_eq!(run.selected, reference.selected);
     }
 

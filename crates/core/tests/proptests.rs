@@ -14,7 +14,8 @@
 //!   the Cholesky factor of `B` equal `w·y`, `y·y` from a dense `M⁻¹`
 //!   (ridge-path `Σ⋄` blocks and `g = 0` picks included), the SPD back-off
 //!   restarts cleanly, and the degenerate shapes (`d = 1`, `c = 2`,
-//!   `budget ∈ {1, n}`, one-hot `h`) yield well-formed batches;
+//!   `budget ∈ {1, n}`, one-hot `h`, zeros in `z`, duplicated pool rows)
+//!   yield well-formed batches;
 //! * mirror descent preserves the simplex;
 //! * Eq. 13 — the fused panel matvec equals the dense operator applied to
 //!   the panel, at degenerate and ragged shapes, in both precisions.
@@ -22,7 +23,7 @@
 use firal_comm::{CommScalar, SelfComm};
 use firal_core::hessian::{dense_hessian, fast_matvec, PoolHessian};
 use firal_core::round::{WhitenedFtrl, Whitening};
-use firal_core::{EigSolver, Executor, SelectionProblem, ShardedProblem};
+use firal_core::{Executor, SelectionProblem, ShardedProblem};
 use firal_linalg::{BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::LinearOperator;
 use rand::rngs::StdRng;
@@ -191,7 +192,7 @@ fn proposition4_score_ordering_matches_trace_objective() {
     let z = vec![2.0 / n as f64; n];
     let eta = 4.0 * (problem.ehat() as f64).sqrt();
     let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
-    let algo = Executor::new(&comm, &shard).round(&z, 1, eta, EigSolver::Exact);
+    let algo = Executor::new(&comm, &shard).round(&z, 1, eta);
 
     // Brute force r_i = Tr[(B₁ + ηB(H_i))⁻¹ Σ⋄] over the block-diagonal
     // matrices.
@@ -536,7 +537,10 @@ fn backoff_restarts_scoring_from_block_zero_f32() {
 
 /// Degenerate ROUND shapes through the public entry points: a batch is
 /// `budget` distinct in-range indices. (A NaN score never wins the MAXLOC,
-/// so a poisoned loop runs out of candidates and panics instead.)
+/// so a poisoned loop runs out of candidates and panics instead.) Each
+/// shape also runs with exact zeros in `z` (every third point, the rest
+/// reweighted to keep the sum at `budget`) and with a pool whose odd rows
+/// duplicate the row before them, so every score ties with a twin.
 fn round_edge_cases_are_well_formed<T: CommScalar>() {
     // (n, d, c, budget): d = 1, c = 2, budget = 1, budget = n, all three.
     let shapes = [
@@ -548,27 +552,50 @@ fn round_edge_cases_are_well_formed<T: CommScalar>() {
     ];
     for (case, &(n, d, c, budget)) in shapes.iter().enumerate() {
         for one_hot_every in [1usize, 3] {
-            let mut rng = StdRng::seed_from_u64(800 + case as u64);
-            let problem = round_problem::<T>(&mut rng, (n, d, c), one_hot_every, false);
-            let z = vec![T::from_f64(budget as f64 / n as f64); n];
-            let eta = T::from_f64(8.0 * (problem.ehat() as f64).sqrt());
-            let grid = [T::from_f64(1.0), T::from_f64(8.0)];
-            let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
-            let exec = Executor::new(&comm, &shard);
-            let batches = [
-                exec.round(&z, budget, eta, EigSolver::Exact).selected,
-                exec.select_eta(&z, budget, &grid).selected,
-                exec.round(&z, budget, eta, EigSolver::Lanczos { steps: 2 })
-                    .selected,
-            ];
-            for sel in &batches {
-                let mut sorted = sel.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                assert!(
-                    sel.len() == budget && sorted.len() == budget && sorted[budget - 1] < n,
-                    "n={n} d={d} c={c} b={budget} one-hot every {one_hot_every}: {sel:?}"
-                );
+            for input in ["uniform z", "zeros in z", "duplicated rows"] {
+                let mut rng = StdRng::seed_from_u64(800 + case as u64);
+                let mut problem = round_problem::<T>(&mut rng, (n, d, c), one_hot_every, false);
+                let mut z = vec![T::from_f64(budget as f64 / n as f64); n];
+                match input {
+                    "zeros in z" => {
+                        let kept = n - n.div_ceil(3);
+                        for (i, zi) in z.iter_mut().enumerate() {
+                            *zi = if i % 3 == 0 {
+                                T::ZERO
+                            } else {
+                                T::from_f64(budget as f64 / kept as f64)
+                            };
+                        }
+                    }
+                    "duplicated rows" => {
+                        for i in (1..n).step_by(2) {
+                            let (x, h) = (
+                                problem.pool_x.row(i - 1).to_vec(),
+                                problem.pool_h.row(i - 1).to_vec(),
+                            );
+                            problem.pool_x.row_mut(i).copy_from_slice(&x);
+                            problem.pool_h.row_mut(i).copy_from_slice(&h);
+                        }
+                    }
+                    _ => {}
+                }
+                let eta = T::from_f64(8.0 * (problem.ehat() as f64).sqrt());
+                let grid = [T::from_f64(1.0), T::from_f64(8.0)];
+                let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&problem));
+                let exec = Executor::new(&comm, &shard);
+                let batches = [
+                    exec.round(&z, budget, eta).selected,
+                    exec.select_eta(&z, budget, &grid).selected,
+                ];
+                for sel in &batches {
+                    let mut sorted = sel.clone();
+                    sorted.sort_unstable();
+                    sorted.dedup();
+                    assert!(
+                        sel.len() == budget && sorted.len() == budget && sorted[budget - 1] < n,
+                        "n={n} d={d} c={c} b={budget} one-hot every {one_hot_every}, {input}: {sel:?}"
+                    );
+                }
             }
         }
     }

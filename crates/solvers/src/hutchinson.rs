@@ -1,21 +1,11 @@
-//! Hutchinson randomized trace estimation with Rademacher probes.
+//! Rademacher probes for Hutchinson randomized trace estimation.
 //!
 //! Eq. 12 of the paper: `g_i ≈ -(1/s) Σ_j v_jᵀ H_i (Σ_z⁻¹ H_p Σ_z⁻¹ v_j)`
-//! with `v_j ∈ {±1}^ê`. This module provides the probe generation and the
-//! generic estimator `Tr(A) ≈ (1/s) Σ_j v_jᵀ A v_j`; the RELAX solver
-//! assembles the full gradient pipeline on top.
+//! with `v_j ∈ {±1}^ê`. This module provides the probe panel; the RELAX
+//! solver assembles the estimate on top.
 
 use firal_linalg::{Matrix, Scalar};
 use rand::Rng;
-
-use crate::op::LinearOperator;
-
-/// One Rademacher probe vector (entries ±1, each with probability ½).
-pub fn rademacher_vector<T: Scalar, R: Rng>(dim: usize, rng: &mut R) -> Vec<T> {
-    (0..dim)
-        .map(|_| if rng.gen::<bool>() { T::ONE } else { -T::ONE })
-        .collect()
-}
 
 /// An `dim × s` panel of Rademacher probes (Line 4 of Algorithm 2).
 pub fn rademacher_panel<T: Scalar, R: Rng>(dim: usize, s: usize, rng: &mut R) -> Matrix<T> {
@@ -29,37 +19,19 @@ pub fn rademacher_panel<T: Scalar, R: Rng>(dim: usize, s: usize, rng: &mut R) ->
     m
 }
 
-/// Estimate `Tr(A)` with `s` Rademacher probes: `(1/s) Σ_j v_jᵀ A v_j`.
-///
-/// Unbiased for any square `A`; variance `2(‖A‖_F² - Σ A_ii²)/s` for
-/// symmetric `A` (Hutchinson 1990).
-pub fn hutchinson_trace<T: Scalar, R: Rng>(op: &dyn LinearOperator<T>, s: usize, rng: &mut R) -> T {
-    assert!(s > 0, "hutchinson_trace needs at least one probe");
-    let n = op.dim();
-    let mut acc = T::ZERO;
-    let mut av = vec![T::ZERO; n];
-    for _ in 0..s {
-        let v: Vec<T> = rademacher_vector(n, rng);
-        op.apply(&v, &mut av);
-        acc += firal_linalg::dot(&v, &av);
-    }
-    acc / T::from_usize(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::DenseOperator;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn probes_are_plus_minus_one() {
         let mut rng = StdRng::seed_from_u64(1);
-        let v: Vec<f64> = rademacher_vector(1000, &mut rng);
-        assert!(v.iter().all(|&x| x == 1.0 || x == -1.0));
+        let v: Matrix<f64> = rademacher_panel(1000, 1, &mut rng);
+        assert!(v.as_slice().iter().all(|&x| x == 1.0 || x == -1.0));
         // Roughly balanced.
-        let sum: f64 = v.iter().sum();
+        let sum: f64 = v.as_slice().iter().sum();
         assert!(sum.abs() < 150.0, "suspiciously unbalanced: {sum}");
     }
 
@@ -72,41 +44,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_estimate_is_exact_for_diagonal_with_many_probes() {
-        // For diagonal A, vᵀAv = Σ A_ii v_i² = Tr(A) exactly, per probe.
-        let a = Matrix::from_diag(&[1.0, 2.0, 3.0, 4.0]);
-        let op = DenseOperator::new(a);
-        let mut rng = StdRng::seed_from_u64(3);
-        let t = hutchinson_trace(&op, 1, &mut rng);
-        assert!((t - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn trace_estimate_converges_statistically() {
-        // Dense symmetric matrix: estimator is unbiased; with s=2000 probes
-        // the deviation should be well within a few std deviations.
-        let n = 6;
-        let mut a = Matrix::from_fn(n, n, |i, j| ((i * n + j) % 5) as f64 * 0.2 - 0.4);
-        a.symmetrize();
-        for i in 0..n {
-            a[(i, i)] += 2.0;
-        }
-        let tr = a.trace();
-        let op = DenseOperator::new(a);
-        let mut rng = StdRng::seed_from_u64(4);
-        let t = hutchinson_trace(&op, 2000, &mut rng);
-        assert!(
-            (t - tr).abs() < 0.25,
-            "estimate {t} too far from true trace {tr}"
-        );
-    }
-
-    #[test]
     fn deterministic_given_seed() {
-        let a = Matrix::from_diag(&[5.0f32, 1.0]);
-        let op = DenseOperator::new(a);
-        let t1 = hutchinson_trace(&op, 4, &mut StdRng::seed_from_u64(9));
-        let t2 = hutchinson_trace(&op, 4, &mut StdRng::seed_from_u64(9));
-        assert_eq!(t1, t2);
+        let p1: Matrix<f32> = rademacher_panel(6, 4, &mut StdRng::seed_from_u64(9));
+        let p2: Matrix<f32> = rademacher_panel(6, 4, &mut StdRng::seed_from_u64(9));
+        assert_eq!(p1.as_slice(), p2.as_slice());
     }
 }

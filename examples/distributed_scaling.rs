@@ -21,8 +21,7 @@
 
 use firal::comm::{launch_backend, Backend, CostModel};
 use firal::core::{
-    EigSolver, EtaGroupGeometry, Executor, RelaxConfig, RoundConfig, SelectionProblem,
-    ShardedProblem,
+    EtaGroupGeometry, Executor, RelaxConfig, RoundConfig, SelectionProblem, ShardedProblem,
 };
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
@@ -90,7 +89,7 @@ fn main() {
             let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
             let exec = Executor::new(comm, &shard);
             let relax = exec.relax(budget, &cfg);
-            let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
+            let round = exec.round(&relax.z_local, budget, eta);
             let mut stats = relax.comm_stats;
             stats.merge(&round.comm_stats);
             (relax.timer, round.timer, stats, round.selected)

@@ -31,7 +31,7 @@
 //!                                             rank-0 rendezvous; launched
 //!                                             by `spmd_launch`)
 //!                          │
-//!        firal_solvers (CG / Lanczos / Hutchinson / bisection;
+//!        firal_solvers (CG / Hutchinson probes / bisection;
 //!        `AllreduceOperator` puts the §III-C matvec reduction
 //!        behind the ordinary LinearOperator trait)
 //!                          │
@@ -89,7 +89,7 @@
 //!
 //! ```
 //! use firal::comm::SelfComm;
-//! use firal::core::{EigSolver, Executor, RelaxConfig, ShardedProblem};
+//! use firal::core::{Executor, RelaxConfig, ShardedProblem};
 //! # use firal::core::SelectionProblem;
 //! # use firal::data::SyntheticConfig;
 //! # use firal::logreg::LogisticRegression;
@@ -106,7 +106,7 @@
 //! let shard = ShardedProblem::replicate(&problem);
 //! let exec = Executor::new(&comm, &shard);
 //! let relax = exec.relax(6, &RelaxConfig::default());
-//! let round = exec.round(&relax.z_local, 6, 8.0 * (problem.ehat() as f64).sqrt(), EigSolver::Exact);
+//! let round = exec.round(&relax.z_local, 6, 8.0 * (problem.ehat() as f64).sqrt());
 //! assert_eq!(round.selected.len(), 6);
 //! ```
 //!
@@ -117,7 +117,7 @@
 /// Dense linear algebra kernels (matrices, GEMM, Cholesky, eigensolvers).
 pub use firal_linalg as linalg;
 
-/// Iterative solvers: preconditioned CG, Hutchinson traces, bisection,
+/// Iterative solvers: preconditioned CG, Hutchinson probes, bisection,
 /// L-BFGS, and the communicator-aware `AllreduceOperator`.
 pub use firal_solvers as solvers;
 

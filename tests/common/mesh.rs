@@ -7,9 +7,9 @@
 //! genuine TCP mesh through `SocketComm::from_env`. The child entry returns
 //! immediately when no rank coordinates are set (an ordinary `cargo test`).
 //!
-//! Every rank runs with the collective-order verifier on, a 15 s rendezvous
-//! deadline and no injected fault; the caller's env entries are applied
-//! after those defaults and override them. Each child's stdout and stderr
+//! Every rank runs with the collective-order verifier on and no injected
+//! fault; the caller's env entries are applied after those defaults and
+//! override them. Each child's stdout and stderr
 //! are drained on their own threads while it runs, so a rank that writes
 //! more than a pipe buffer never blocks. [`Mesh::supervise`] polls with a
 //! hard cap and reports a rank still running at the cap with the
@@ -22,7 +22,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use firal::comm::socket_comm::{ENV_ADDR, ENV_RANK, ENV_SIZE};
-use firal::comm::{free_rendezvous_addr, FAULT_ENV, RENDEZVOUS_TIMEOUT_ENV, VERIFY_ENV};
+use firal::comm::{free_rendezvous_addr, FAULT_ENV, VERIFY_ENV};
 
 /// Exit code reported for a rank the supervisor had to kill at the cap.
 pub const DEADLOCKED: i32 = -99;
@@ -78,7 +78,6 @@ impl Mesh {
                     .env(ENV_SIZE, size.to_string())
                     .env(ENV_ADDR, &rendezvous)
                     .env(VERIFY_ENV, "1")
-                    .env(RENDEZVOUS_TIMEOUT_ENV, "15000")
                     .env_remove(FAULT_ENV)
                     .envs(env.iter().map(|(k, v)| (*k, v)))
                     .stdin(Stdio::null())

@@ -38,12 +38,9 @@ use std::time::{Duration, Instant};
 
 use firal::comm::fault::KILL_EXIT_CODE;
 use firal::comm::socket_comm::ENV_RANK;
-use firal::comm::{
-    comm_catch, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV,
-    RENDEZVOUS_TIMEOUT_ENV,
-};
+use firal::comm::{comm_catch, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV};
 use firal::core::{
-    dispatch_select, select_serial, strategy_by_name, EigSolver, EtaGroupGeometry, Executor,
+    dispatch_select, select_serial, strategy_by_name, EtaGroupGeometry, Executor,
     MirrorDescentConfig, RelaxConfig, RoundConfig, RoundRun, SelectRequest, SelectionProblem,
     ShardedProblem,
 };
@@ -63,10 +60,9 @@ const STRATEGY_SEED: u64 = 5;
 const DEADLINE_MS: u64 = 700;
 /// The stall injected in the stall scenario must exceed the deadline.
 const STALL_MS: u64 = 2500;
-/// Rendezvous deadline for the mid-rendezvous kill scenario (ms).
-const RENDEZVOUS_MS: u64 = 2000;
 /// Hard per-scenario bound: if any child is still alive after this, the
-/// mesh deadlocked — kill the stragglers and fail the test.
+/// mesh deadlocked — kill the stragglers and fail the test. It must exceed
+/// the 30 s rendezvous deadline the mid-rendezvous kill runs into.
 const SCENARIO_CAP: Duration = Duration::from_secs(45);
 
 const CODE_RENDEZVOUS_FAILED: i32 = 41;
@@ -169,7 +165,7 @@ fn child_main() -> i32 {
         }
     };
     let relax_seq = comm.collective_seq();
-    let round = match comm_catch(|| exec.round(&relax.z_local, BUDGET, eta(&p), EigSolver::Exact)) {
+    let round = match comm_catch(|| exec.round(&relax.z_local, BUDGET, eta(&p))) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("rank {rank}: ROUND failed: {e}");
@@ -260,7 +256,6 @@ struct Scenario<'a> {
     name: &'a str,
     /// `FIRAL_FAULT` spec, or `None` for the fault-free probe.
     fault: Option<String>,
-    rendezvous_ms: u64,
     /// Expected exit code per rank.
     expect: Vec<i32>,
 }
@@ -268,11 +263,8 @@ struct Scenario<'a> {
 /// Run one `size`-rank mesh of the child entry with deadlines and
 /// verification on and the given fault armed, returning each rank's exit
 /// code and output.
-fn run_mesh(size: usize, fault: Option<&str>, rendezvous_ms: u64) -> Vec<ChildResult> {
-    let mut env = vec![
-        (COMM_TIMEOUT_ENV, DEADLINE_MS.to_string()),
-        (RENDEZVOUS_TIMEOUT_ENV, rendezvous_ms.to_string()),
-    ];
+fn run_mesh(size: usize, fault: Option<&str>) -> Vec<ChildResult> {
+    let mut env = vec![(COMM_TIMEOUT_ENV, DEADLINE_MS.to_string())];
     if let Some(spec) = fault {
         env.push((FAULT_ENV, spec.to_string()));
     }
@@ -287,7 +279,7 @@ fn serial_fields() -> Vec<(&'static str, String)> {
     let shard = ShardedProblem::replicate(&p);
     let exec = Executor::new(&comm, &shard);
     let relax = exec.relax(BUDGET, &relax_config());
-    let round = exec.round(&relax.z_local, BUDGET, eta(&p), EigSolver::Exact);
+    let round = exec.round(&relax.z_local, BUDGET, eta(&p));
     let grid = RoundConfig::<f64>::default().eta_grid;
     let sweep = exec.select_eta(&uniform_z(&p, p.pool_size()), BUDGET, &grid);
     let picks = STRATEGIES.into_iter().map(|name| {
@@ -306,7 +298,7 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
     // Pins every rank's results bitwise to the SelfComm references and
     // yields the schedule coordinates (per-rank collective sequence
     // numbers) the fault specs below address.
-    let probe = run_mesh(P, None, 15_000);
+    let probe = run_mesh(P, None);
     let probe_dump = || format!("scenario probe:\n{}", dump(&probe));
     for (rank, r) in probe.iter().enumerate() {
         assert_eq!(r.code, 0, "probe rank {rank}\n{}", probe_dump());
@@ -354,7 +346,6 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
         scenarios.push(Scenario {
             name: "kill mid-round",
             fault: Some(format!("kill:rank={victim},op={mid_round}")),
-            rendezvous_ms: 15_000,
             expect,
         });
     }
@@ -365,7 +356,6 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
         scenarios.push(Scenario {
             name: "kill mid-relax",
             fault: Some(format!("kill:rank=1,op={mid_relax}")),
-            rendezvous_ms: 15_000,
             expect,
         });
     }
@@ -375,33 +365,30 @@ fn fault_matrix_survivors_return_structured_errors_with_no_orphans() {
     scenarios.push(Scenario {
         name: "stall past deadline mid-round",
         fault: Some(format!("stall:rank=2,op={mid_round},ms={STALL_MS}")),
-        rendezvous_ms: 15_000,
         expect: vec![CODE_COMM_ERROR; P],
     });
     // Severed connections: the dropping rank's own collectives fail too.
     scenarios.push(Scenario {
         name: "drop-conn mid-round",
         fault: Some(format!("drop-conn:rank=3,op={mid_round}")),
-        rendezvous_ms: 15_000,
         expect: vec![CODE_COMM_ERROR; P],
     });
     // Mid-rendezvous kill: no mesh exists yet, so the survivors fail the
-    // rendezvous itself — bounded by the rendezvous deadline, not the
-    // (unset-able) collective deadline.
+    // rendezvous itself — bounded by the fixed 30 s rendezvous deadline
+    // (inside `SCENARIO_CAP`), not the (unset-able) collective deadline.
     {
         let mut expect = vec![CODE_RENDEZVOUS_FAILED; P];
         expect[3] = KILL_EXIT_CODE;
         scenarios.push(Scenario {
             name: "kill mid-rendezvous",
             fault: Some("kill:rank=3".to_string()),
-            rendezvous_ms: RENDEZVOUS_MS,
             expect,
         });
     }
 
     for sc in &scenarios {
         let started = Instant::now();
-        let results = run_mesh(P, sc.fault.as_deref(), sc.rendezvous_ms);
+        let results = run_mesh(P, sc.fault.as_deref());
         let elapsed = started.elapsed();
         let codes: Vec<i32> = results.iter().map(|r| r.code).collect();
         let report = || format!("scenario {}:\n{}", sc.name, dump(&results));

@@ -56,7 +56,7 @@ fn consistency_matrix_case<T: CommScalar>(seed: u64, obj_tol: f64) {
     let shard = ShardedProblem::replicate(&p);
     let exec = Executor::new(&comm, &shard);
     let ref_relax = exec.relax(budget, &cfg);
-    let ref_round = exec.round(&ref_relax.z_local, budget, eta, EigSolver::Exact);
+    let ref_round = exec.round(&ref_relax.z_local, budget, eta);
     let ref_obj: Vec<f64> = ref_relax
         .telemetry
         .objective_history
@@ -68,7 +68,7 @@ fn consistency_matrix_case<T: CommScalar>(seed: u64, obj_tol: f64) {
         let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
         let exec = Executor::new(comm, &shard);
         let relax = exec.relax(budget, &cfg);
-        let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
+        let round = exec.round(&relax.z_local, budget, eta);
         let obj: Vec<f64> = relax
             .telemetry
             .objective_history
@@ -222,7 +222,7 @@ fn thread_determinism_matrix() {
                 let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
                 let exec = Executor::new(comm, &shard).with_threads(threads);
                 let relax = exec.relax(budget, &config);
-                let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
+                let round = exec.round(&relax.z_local, budget, eta);
                 let obj_bits: Vec<u64> = relax
                     .telemetry
                     .objective_history
@@ -276,7 +276,7 @@ fn simd_fingerprint() -> (Vec<usize>, Vec<u64>) {
     let shard = ShardedProblem::replicate(&p);
     let exec = Executor::new(&comm, &shard);
     let relax = exec.relax(budget, &cfg);
-    let round = exec.round(&relax.z_local, budget, eta, EigSolver::Exact);
+    let round = exec.round(&relax.z_local, budget, eta);
     let obj_bits = relax
         .telemetry
         .objective_history
@@ -474,7 +474,7 @@ fn eta_sweep_matches_independent_rounds_case<T: CommScalar>(seed: u64) {
             let scale = T::from_usize(shard.ehat()).sqrt();
             let mut best: Option<(T, T, Vec<usize>)> = None;
             for &mult in &grid {
-                let run = exec.round(z_local, budget, mult * scale, EigSolver::Exact);
+                let run = exec.round(z_local, budget, mult * scale);
                 assert_eq!(run.criterion, None, "a fixed-η run records no criterion");
                 let crit = exec.selection_min_eig(&run.selected);
                 match &best {
@@ -634,8 +634,7 @@ fn full_pipeline_rank_invariance() {
             let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
             let exec = Executor::new(comm, &shard);
             let relax = exec.relax(8, &config);
-            exec.round(&relax.z_local, 8, eta, EigSolver::Exact)
-                .selected
+            exec.round(&relax.z_local, 8, eta).selected
         });
         // Identical on every rank.
         for sel in &results[1..] {
