@@ -27,9 +27,9 @@
 //!   `--check FILE` re-runs it and exits 1 naming every claim whose
 //!   verdict differs from `FILE`'s.
 //!
-//! The multi-process consistency gate (Approx-FIRAL, the η grid over
-//! η groups and the executor-generic strategies, each bitwise against the
-//! serial `SelfComm` run) is the fault-free probe of `tests/fault_matrix.rs`.
+//! The multi-process consistency gate (Approx-FIRAL, the η sweep and the
+//! executor-generic strategies, each bitwise against the serial `SelfComm`
+//! run) is the fault-free probe of `tests/fault_matrix.rs`.
 //!
 //! Examples:
 //! ```text

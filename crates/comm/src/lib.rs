@@ -47,10 +47,11 @@
 //!
 //! [`Communicator::split`] (MPI's `MPI_Comm_split`) partitions a group into
 //! disjoint sub-groups, each a full `Communicator` satisfying the same
-//! deterministic reduction contract as a root group of the same size. This
-//! is what the execution layer's 2D rank geometry (`p = p_shard × p_eta`,
-//! see `firal_core::exec::EtaGroupGeometry`) is built on: η-grid groups and
-//! the cross-group picker are sub-communicators, not a second code path. On
+//! deterministic reduction contract as a root group of the same size. The
+//! serving layer (`firal-serve`) is its user: each scheduling round splits
+//! the serve mesh into one sub-group per admitted request, and every
+//! selection runs on its sub-group through the same code path as on a root
+//! group. On
 //! [`SocketComm`] every sub-group stamps its frames with a scope tag
 //! ([`wire::derive_scope`]) so collectives of different groups sharing mesh
 //! links cannot cross-talk.

@@ -14,10 +14,11 @@
 //! traffic is accounted correctly).
 //!
 //! Determinism: the strategy contract (`crates/core/src/strategies.rs`)
-//! guarantees the selected *indices* are identical across rank counts, so a
-//! dispatched request returns the same selection on a 1-rank, 2-rank, or
-//! p-rank (sub-)communicator — the property the serving layer's
-//! bitwise-vs-serial soak test pins.
+//! makes a dispatched request bitwise reproducible on any (sub-)communicator
+//! of the same size, whatever the backend or kernel-thread count. Across
+//! rank counts only the five replicated-state strategies are invariant;
+//! Approx-FIRAL and Bayes-batch may select a different batch at a
+//! different `p` (ROADMAP item 5).
 
 use firal_comm::{CommScalar, CommStats, Communicator};
 

@@ -34,18 +34,8 @@
 //! the comm layer's catch boundary, as
 //! [`crate::strategies::DistStrategy::try_select_dist`] does for a whole
 //! selection.
-//!
-//! On top of the rank × thread tiers sits the **η-group tier**
-//! ([`EtaGroupGeometry`], `p = p_shard × p_eta`): the §IV-A η grid — an
-//! embarrassingly parallel sweep of independent ROUND runs — distributes
-//! over sub-communicator groups carved out with
-//! [`EtaGroupGeometry::split`]. Each group holds the full `p_shard`-way pool
-//! partition, sweeps a contiguous slice of the grid via
-//! [`Executor::select_eta_grouped`], and a single cross-group MAXLOC picks
-//! the winning η — bitwise identical to the sequential sweep at every
-//! layout, which is its `p_eta = 1` call ([`Executor::select_eta`]).
 
-use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
+use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp};
 use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
     cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry, LinearOperator,
@@ -175,96 +165,13 @@ pub struct RoundRun<T> {
     pub eta: T,
     /// The §IV-A grid criterion `min_k λ_min((H)_k)` of the selection —
     /// `Some` when this run came from an η grid sweep
-    /// ([`Executor::select_eta`] / [`Executor::select_eta_grouped`]),
+    /// ([`Executor::select_eta`]),
     /// `None` for a fixed-η [`Executor::round`].
     pub criterion: Option<T>,
     /// Phase timings (objective / eig / other).
     pub timer: PhaseTimer,
     /// Collective calls/bytes/time this rank spent inside the solve.
     pub comm_stats: CommStats,
-}
-
-/// The 2D rank geometry `p = p_shard × p_eta` that distributes the §IV-A η
-/// grid over sub-communicator groups.
-///
-/// World rank `r` maps to **η-group** `r / p_shard` and **shard rank**
-/// `r % p_shard`: ranks split into `p_eta` contiguous groups, each group
-/// holding the full `p_shard`-way pool partition and sweeping its
-/// contiguous slice of the η grid ([`firal_comm::shard_range`] over grid
-/// indices). Contiguous-by-group assignment is load-bearing: the final
-/// cross-group `allreduce_maxloc` breaks criterion ties towards the lower
-/// group, which is then guaranteed to own the lower grid index — exactly
-/// the first-maximum rule of the sequential sweep, so the grouped winner is
-/// bitwise the sequential winner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EtaGroupGeometry {
-    /// Ranks per η group (the intra-group pool-shard dimension).
-    pub p_shard: usize,
-    /// Number of η groups (the grid dimension).
-    pub p_eta: usize,
-}
-
-impl EtaGroupGeometry {
-    /// Geometry for a world of `world_size` ranks split into `eta_groups`
-    /// groups (`eta_groups = 0` is accepted as "off" and means one group).
-    /// The world must factor exactly: `world_size = p_shard · p_eta`.
-    pub fn new(world_size: usize, eta_groups: usize) -> Self {
-        let p_eta = eta_groups.max(1);
-        assert!(
-            world_size.is_multiple_of(p_eta),
-            "η-group geometry needs p_eta ({p_eta}) to divide the world size ({world_size})"
-        );
-        Self {
-            p_shard: world_size / p_eta,
-            p_eta,
-        }
-    }
-
-    /// Total world size `p = p_shard · p_eta`.
-    pub fn world_size(&self) -> usize {
-        self.p_shard * self.p_eta
-    }
-
-    /// η group of a world rank (the `split` color of the group communicator).
-    pub fn group_of(&self, world_rank: usize) -> usize {
-        world_rank / self.p_shard
-    }
-
-    /// Shard rank of a world rank within its group (the `split` color of
-    /// the cross-group communicator).
-    pub fn shard_rank_of(&self, world_rank: usize) -> usize {
-        world_rank % self.p_shard
-    }
-
-    /// The contiguous slice of grid indices owned by `group` (empty when
-    /// there are more groups than grid points).
-    pub fn grid_slice(&self, group: usize, grid_len: usize) -> std::ops::Range<usize> {
-        shard_range(grid_len, group, self.p_eta)
-    }
-
-    /// Carve `world` into this geometry: returns `(group_comm, cross_comm)`
-    /// — this rank's η group (color = [`EtaGroupGeometry::group_of`]) and
-    /// the perpendicular communicator joining its shard rank across all
-    /// groups (color = [`EtaGroupGeometry::shard_rank_of`]). Both splits key
-    /// on the world rank, so group ranks keep world order (shard `r` of
-    /// group `g` is world rank `g·p_shard + r`) and `cross_comm.rank()` *is*
-    /// the group id — the ordering the cross-group MAXLOC tie-break of
-    /// [`Executor::select_eta_grouped`] relies on. Collective over `world`.
-    pub fn split(
-        &self,
-        world: &dyn Communicator,
-    ) -> (Box<dyn Communicator>, Box<dyn Communicator>) {
-        assert_eq!(
-            world.size(),
-            self.world_size(),
-            "world does not match the geometry"
-        );
-        let rank = world.rank();
-        (
-            world.split(self.group_of(rank), rank),
-            world.split(self.shard_rank_of(rank), rank),
-        )
-    }
 }
 
 /// η-independent per-`z⋄` ROUND state: `B(H_o)`, the assembled `Σ⋄` block
@@ -308,7 +215,7 @@ impl<T: Scalar> RoundState<T> {
 /// optional intra-rank kernel pool.
 ///
 /// All of Approx-FIRAL routes through here; `p = 1` callers pass a
-/// [`SelfComm`] and the collectives reduce to no-ops. With
+/// [`firal_comm::SelfComm`] and the collectives reduce to no-ops. With
 /// [`Executor::with_threads`] the rank owns a private kernel sub-pool and
 /// the dense kernels fan out on it — the ranks × threads hybrid tier
 /// mirroring the paper's GPU-per-rank layout. Kernel results are bitwise
@@ -829,130 +736,41 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// Run ROUND for every η in `grid · √ê` and keep the run maximizing
     /// [`Executor::selection_min_eig`] — "we execute the ROUND step with
     /// different η values, and then select the one that maximizes
-    /// min_k λ_min(H)_k" (§IV-A). Every rank evaluates the identical
-    /// criterion, so the grid choice is rank-invariant. This is the
-    /// `p_eta = 1` call of [`Executor::select_eta_grouped`]: one group, the
-    /// whole grid, a cross communicator of one.
+    /// min_k λ_min(H)_k" (§IV-A). The η-independent scratch (Σ⋄ Allreduce,
+    /// Cholesky sweep, `g_ik`, and the [`Whitening`] prologue) is built
+    /// **once** and shared by every grid point; the grid runs in order and
+    /// the first maximum wins. Every rank evaluates the identical
+    /// criterion, so the grid choice is rank-invariant. The returned
+    /// `timer` and `comm_stats` cover the whole sweep.
     pub fn select_eta(&self, z_local: &[T], budget: usize, grid: &[T]) -> RoundRun<T> {
-        self.select_eta_grouped(z_local, budget, grid, &SelfComm::new())
-    }
-
-    /// The η sweep, distributed over η-group sub-communicators — the 2D
-    /// tier `p = p_shard × p_eta` of [`EtaGroupGeometry`].
-    ///
-    /// `self` must be the **group-level** executor: its communicator is one
-    /// η group of `p_shard` ranks and its shard is this rank's `p_shard`-way
-    /// slice of the pool. `cross` is the perpendicular sub-communicator
-    /// connecting the same shard rank across all `p_eta` groups, with
-    /// `cross.rank()` the group id — the pair [`EtaGroupGeometry::split`]
-    /// returns.
-    ///
-    /// The sweep:
-    /// 1. **setup** — the group-0 copy of this shard's `z⋄` slice is
-    ///    broadcast along `cross`, pinning every group to identical bits
-    ///    (in-memory harnesses replicate `z⋄` anyway; a distributed-memory
-    ///    caller gets the §III-C data distribution for free);
-    /// 2. each group builds the η-independent ROUND scratch (Σ⋄ Allreduce +
-    ///    Cholesky sweep + `g_ik`, and the [`Whitening`] prologue) **once** and
-    ///    runs the FTRL loop only for its contiguous grid slice
-    ///    ([`EtaGroupGeometry::grid_slice`]), scoring each selection with
-    ///    [`Executor::selection_min_eig`] over the group communicator;
-    /// 3. a single cross-group [`allreduce_maxloc`] with the grid index as
-    ///    payload picks the winner. Ties go to the lower cross rank =
-    ///    lower group = lower grid index — the sequential sweep's
-    ///    first-maximum rule — so for any fixed `p_shard` the returned
-    ///    (η★, selection, criterion) is **bitwise identical** to the
-    ///    `p_eta = 1` sequential sweep on the same group size;
-    /// 4. the winning group broadcasts its selection along `cross`; η★ is
-    ///    recomputed locally from the winning index (same `T` arithmetic on
-    ///    every rank, hence bit-identical).
-    ///
-    /// The returned `timer` and `comm_stats` cover **this rank's whole
-    /// share of the sweep** (scratch, every slice η, criterion reductions,
-    /// and the cross-group collectives): that is the quantity the scaling
-    /// harnesses bill per group.
-    ///
-    /// [`allreduce_maxloc`]: firal_comm::Communicator::allreduce_maxloc
-    pub fn select_eta_grouped(
-        &self,
-        z_local: &[T],
-        budget: usize,
-        grid: &[T],
-        cross: &dyn Communicator,
-    ) -> RoundRun<T> {
-        assert!(!grid.is_empty(), "η grid must be non-empty");
-        let geometry = EtaGroupGeometry {
-            p_shard: self.size(),
-            p_eta: cross.size(),
-        };
         self.install(|| {
             let scale = T::from_usize(self.shard.ehat()).sqrt();
-            let group_stats0 = self.comm.stats();
-            let cross_stats0 = cross.stats();
-            let mut sweep_timer = PhaseTimer::new();
-
-            // Step 1: pin every group to the group-0 bits of this shard's
-            // z⋄ slice.
-            let mut z_group = z_local.to_vec();
-            T::bcast(cross, &mut z_group, 0);
-
-            // Step 2: η-independent scratch once, then only this group's
-            // contiguous slice of the grid.
-            let scratch = self.round_scratch(&z_group, &mut sweep_timer);
-            let white = sweep_timer.time("other", || Whitening::new(&scratch));
-            let my_group = cross.rank();
-            let mut best: Option<(T, usize, RoundRun<T>)> = None;
-            for gi in geometry.grid_slice(my_group, grid.len()) {
+            let stats0 = self.comm.stats();
+            let mut timer = PhaseTimer::new();
+            let scratch = self.round_scratch(z_local, &mut timer);
+            let white = timer.time("other", || Whitening::new(&scratch));
+            let mut best: Option<(T, RoundRun<T>)> = None;
+            for &g in grid {
                 let out = self.round_body(
                     &white,
                     budget,
-                    grid[gi] * scale,
+                    g * scale,
                     PhaseTimer::new(),
                     self.comm.stats(),
                 );
-                sweep_timer.merge(&out.timer);
+                timer.merge(&out.timer);
                 let crit = self.selection_min_eig(&out.selected);
                 match &best {
-                    Some((c, _, _)) if *c >= crit => {}
-                    _ => best = Some((crit, gi, out)),
+                    Some((c, _)) if *c >= crit => {}
+                    _ => best = Some((crit, out)),
                 }
             }
-
-            // Step 3: cross-group argmax. A group with an empty slice
-            // contributes the -inf sentinel; group 0's slice is never empty
-            // for a non-empty grid, so a real winner always exists.
-            let (local_val, local_idx) = match &best {
-                Some((crit, gi, _)) => (crit.to_f64(), *gi as u64),
-                None => (f64::NEG_INFINITY, u64::MAX),
-            };
-            let (best_val, best_idx) = cross.allreduce_maxloc(local_val, local_idx);
-            assert!(best_idx != u64::MAX, "η grid produced no result");
-            let win = best_idx as usize;
-            let winner_group = (0..geometry.p_eta)
-                .find(|&g| geometry.grid_slice(g, grid.len()).contains(&win))
-                .expect("winning grid index outside every group's slice");
-
-            // Step 4: the winner's selection travels along the cross
-            // communicator (pool indices are exact in the f64 lane); η★ and
-            // the criterion are reconstructed locally / from the MAXLOC.
-            let mut sel_buf = vec![0.0f64; budget];
-            if my_group == winner_group {
-                let (_, _, run) = best.as_ref().expect("winner group lost its run");
-                for (slot, &idx) in sel_buf.iter_mut().zip(&run.selected) {
-                    *slot = idx as f64;
-                }
-            }
-            cross.bcast_f64(&mut sel_buf, winner_group);
-            let selected: Vec<usize> = sel_buf.iter().map(|&v| v as usize).collect();
-
-            let mut comm_stats = self.comm.stats().since(&group_stats0);
-            comm_stats.merge(&cross.stats().since(&cross_stats0));
+            let (crit, run) = best.expect("η grid must be non-empty");
             RoundRun {
-                selected,
-                eta: grid[win] * scale,
-                criterion: Some(T::from_f64(best_val)),
-                timer: sweep_timer,
-                comm_stats,
+                criterion: Some(crit),
+                timer,
+                comm_stats: self.comm.stats().since(&stats0),
+                ..run
             }
         })
     }
@@ -979,7 +797,7 @@ mod tests {
     use crate::config::MirrorDescentConfig;
     use crate::exact::exact_relax;
     use crate::problem::tiny_problem;
-    use firal_comm::launch;
+    use firal_comm::{launch, SelfComm};
 
     #[test]
     fn sharding_partitions_the_pool() {
@@ -1192,115 +1010,6 @@ mod tests {
         // Rank-independent result.
         for (sel, _, _) in &results[1..] {
             assert_eq!(sel, &results[0].0);
-        }
-    }
-
-    #[test]
-    fn eta_group_geometry_maps_ranks_and_slices() {
-        let g = EtaGroupGeometry::new(6, 3);
-        assert_eq!((g.p_shard, g.p_eta), (2, 3));
-        assert_eq!(g.world_size(), 6);
-        let coords: Vec<(usize, usize)> = (0..6)
-            .map(|r| (g.group_of(r), g.shard_rank_of(r)))
-            .collect();
-        assert_eq!(coords, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
-        // Contiguous grid slices covering the grid in group order.
-        assert_eq!(g.grid_slice(0, 4), 0..2);
-        assert_eq!(g.grid_slice(1, 4), 2..3);
-        assert_eq!(g.grid_slice(2, 4), 3..4);
-        // More groups than grid points: trailing groups go idle.
-        assert_eq!(g.grid_slice(2, 2), 2..2);
-        // eta_groups = 0 means "off" = one group.
-        assert_eq!(EtaGroupGeometry::new(4, 0).p_eta, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "divide the world size")]
-    fn eta_group_geometry_rejects_nondivisible_world() {
-        let _ = EtaGroupGeometry::new(5, 2);
-    }
-
-    #[test]
-    fn eta_group_split_orders_group_and_cross_ranks() {
-        // The ordering the cross-group MAXLOC tie-break relies on: group
-        // ranks in world order, cross rank = group id.
-        for (p_shard, p_eta) in [(2usize, 2usize), (1, 3), (3, 1)] {
-            let coords = launch(p_shard * p_eta, |world| {
-                let geo = EtaGroupGeometry::new(world.size(), p_eta);
-                let (group, cross) = geo.split(world);
-                (group.rank(), group.size(), cross.rank(), cross.size())
-            });
-            for (r, &(group_rank, group_size, cross_rank, cross_size)) in coords.iter().enumerate()
-            {
-                assert_eq!(
-                    (group_rank, group_size),
-                    (r % p_shard, p_shard),
-                    "({p_shard}x{p_eta}) world rank {r}: group ranks out of world order"
-                );
-                assert_eq!(
-                    (cross_rank, cross_size),
-                    (r / p_shard, p_eta),
-                    "({p_shard}x{p_eta}) world rank {r}: cross rank is not the group id"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn grouped_eta_sweep_matches_sequential_sweep_bitwise() {
-        // (p_shard, p_eta) = (1, 2): two singleton groups each sweep half
-        // the grid; the result must be bit-for-bit the serial sweep —
-        // winner index, η★, selection, and criterion.
-        let p = tiny_problem(8, 28, 3, 3);
-        let b = 4;
-        let z: Vec<f64> = (0..28).map(|i| (1.0 + (i % 3) as f64) / 28.0).collect();
-        let grid = [2.0, 8.0];
-
-        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let serial = Executor::new(&comm, &shard).select_eta(&z, b, &grid);
-
-        let results = launch(2, |comm| {
-            let geo = EtaGroupGeometry::new(comm.size(), 2);
-            let (group_comm, cross_comm) = geo.split(comm);
-            let shard = ShardedProblem::shard(&p, geo.shard_rank_of(comm.rank()), geo.p_shard);
-            let exec = Executor::new(&*group_comm, &shard);
-            let out = exec.select_eta_grouped(&z, b, &grid, &*cross_comm);
-            (
-                out.selected,
-                out.eta.to_bits(),
-                out.criterion.unwrap().to_bits(),
-            )
-        });
-        for (sel, eta_bits, crit_bits) in &results {
-            assert_eq!(sel, &serial.selected);
-            assert_eq!(*eta_bits, serial.eta.to_bits());
-            assert_eq!(*crit_bits, serial.criterion.unwrap().to_bits());
-        }
-    }
-
-    #[test]
-    fn grouped_sweep_with_more_groups_than_grid_points_leaves_groups_idle() {
-        // 3 groups, 2 grid values: group 2's slice is empty and it must
-        // still agree on the winner through the sentinel MAXLOC path.
-        let p = tiny_problem(9, 24, 3, 3);
-        let b = 3;
-        let z: Vec<f64> = vec![b as f64 / 24.0; 24];
-        let grid = [2.0, 8.0];
-
-        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let serial = Executor::new(&comm, &shard).select_eta(&z, b, &grid);
-
-        let results = launch(3, |comm| {
-            let geo = EtaGroupGeometry::new(comm.size(), 3);
-            let (group_comm, cross_comm) = geo.split(comm);
-            let shard = ShardedProblem::shard(&p, geo.shard_rank_of(comm.rank()), geo.p_shard);
-            let exec = Executor::new(&*group_comm, &shard);
-            let out = exec.select_eta_grouped(&z, b, &grid, &*cross_comm);
-            (out.selected, out.eta.to_bits())
-        });
-        for (sel, eta_bits) in &results {
-            assert_eq!(sel, &serial.selected);
-            assert_eq!(*eta_bits, serial.eta.to_bits());
         }
     }
 

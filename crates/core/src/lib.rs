@@ -41,8 +41,7 @@
 //! * [`timing`] — the phase timers behind the Figs. 5–7 breakdowns.
 //!
 //! The repo-root `ARCHITECTURE.md` maps paper sections/equations to these
-//! modules in detail, including the η-group (`p = p_shard × p_eta`)
-//! geometry and the determinism contracts.
+//! modules in detail, including the determinism contracts.
 
 #![deny(missing_docs)]
 
@@ -65,7 +64,7 @@ pub use config::{
 pub use dispatch::{dispatch_select, SelectReport, SelectRequest};
 pub use driver::{run_experiment, ExperimentResult, RoundRecord};
 pub use exact::{exact_firal, exact_relax, exact_round, RelaxTelemetry};
-pub use exec::{EtaGroupGeometry, Executor, RelaxRun, RoundRun, RoundState, ShardedProblem};
+pub use exec::{Executor, RelaxRun, RoundRun, RoundState, ShardedProblem};
 pub use problem::SelectionProblem;
 pub use strategies::{
     select_serial, strategy_by_name, ApproxFiral, BayesBatchStrategy, DistStrategy,

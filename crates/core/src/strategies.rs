@@ -31,12 +31,12 @@
 //! chunking contract). Across rank counts, Random / K-Means / Entropy /
 //! Exact-FIRAL / UPAL make every decision from *replicated* state
 //! (Allgather in rank order = global order, owner-Bcast exact rows), so
-//! their selections are bitwise rank-count-invariant by construction;
+//! their selections are bitwise rank-count-invariant by construction.
 //! Approx-FIRAL and BayesBatch reduce partial sums across shard
-//! boundaries (Allreduce), so their floats can drift in the last ulp
-//! across `p` while the selected indices stay identical — the same
-//! contract the Approx-FIRAL consistency matrix has always pinned
-//! (`tests/parallel_consistency.rs`).
+//! boundaries (Allreduce), so their floats drift in the last ulp across
+//! `p`, and a near-tied argmax can then pick a different batch: their
+//! selections are bitwise identical at a fixed `p` only. A rank-count
+//! oracle for them is open work (ROADMAP item 5).
 
 use firal_cluster::{kmeans, nearest_to_centroids, KMeansConfig};
 use firal_comm::{comm_catch, CommError, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};

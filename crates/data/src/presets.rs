@@ -199,7 +199,7 @@ impl ExperimentPreset {
     /// class count and dimension) so the full Fig. 2/3 sweeps run on a
     /// 2-core host in minutes. Class/dimension shape and imbalance profile
     /// are preserved for all but the 1k-class row, whose reduction is
-    /// documented in EXPERIMENTS.md.
+    /// documented in ARCHITECTURE.md § Experiments.
     pub fn host_scaled(name: PresetName) -> Self {
         let mut p = Self::paper(name);
         match name {

@@ -683,6 +683,15 @@ fn validate_spec(
             },
         ));
     }
+    // Each worker spawns `threads − 1` kernel threads for the request, so
+    // an unbounded count could exhaust the host.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if spec.threads > cpus {
+        return Err(RemoteError::new(
+            ERR_PROTOCOL,
+            format!("threads {} exceeds the host's {cpus} CPUs", spec.threads),
+        ));
+    }
     Ok(())
 }
 
@@ -1319,12 +1328,27 @@ mod tests {
             proto::ERR_ZERO_BUDGET
         );
 
-        let mut bad = base;
+        let mut bad = base.clone();
         bad.budget = 100;
         assert_eq!(
             validate_spec(&bad, &problems).unwrap_err().code,
             proto::ERR_BUDGET_TOO_LARGE
         );
+
+        // A thread count beyond the host's CPUs would have every worker
+        // spawn that many kernel threads; one per CPU is still accepted.
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut ok = base.clone();
+        ok.threads = cpus;
+        assert!(validate_spec(&ok, &problems).is_ok());
+        for threads in [cpus + 1, 1 << 40] {
+            let mut bad = base.clone();
+            bad.threads = threads;
+            assert_eq!(
+                validate_spec(&bad, &problems).unwrap_err().code,
+                ERR_PROTOCOL
+            );
+        }
     }
 
     /// Seeded decode fuzz over every frame the serve layer parses: the

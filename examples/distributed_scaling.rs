@@ -7,22 +7,14 @@
 //! `--socket` the same rank bodies run over the real localhost-TCP
 //! `SocketComm` mesh, so the measured comm column is actual wire time.
 //!
-//! Run with: `cargo run --release --example distributed_scaling [--socket]
-//! [--eta-groups G]`
-//!
-//! With `--eta-groups G > 1` a second table follows: the full pipeline
-//! (RELAX + the §IV-A η-grid sweep) over the 2D rank geometry
-//! `p = p_shard × G`, one row per η group with that group's own
-//! communication counters.
+//! Run with: `cargo run --release --example distributed_scaling [--socket]`
 //!
 //! For one OS process per rank, the fault-free probe of
-//! `tests/fault_matrix.rs` runs the same η-grouped sweep over a 4-process
-//! `SocketComm` mesh: `cargo test --release --test fault_matrix`.
+//! `tests/fault_matrix.rs` runs RELAX, ROUND and the §IV-A η sweep over a
+//! 4-process `SocketComm` mesh: `cargo test --release --test fault_matrix`.
 
 use firal::comm::{launch_backend, Backend, CostModel};
-use firal::core::{
-    EtaGroupGeometry, Executor, RelaxConfig, RoundConfig, SelectionProblem, ShardedProblem,
-};
+use firal::core::{Executor, RelaxConfig, SelectionProblem, ShardedProblem};
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
 
@@ -119,93 +111,10 @@ fn main() {
         }
     }
 
-    // Optional second act: distribute the η grid over sub-communicator
-    // groups (the ranks × η-groups tier).
-    let eta_groups: usize = {
-        let args: Vec<String> = std::env::args().collect();
-        args.iter()
-            .position(|a| a == "--eta-groups")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
-    };
-    if eta_groups > 1 {
-        println!(
-            "\nη grid distributed over {eta_groups} groups (grid {:?}·√ê, backend {}):",
-            RoundConfig::<f32>::default().eta_grid,
-            backend.tag(),
-        );
-        println!(
-            "{:<10} {:>4} {:>10} {:>16} {:>10} {:>10} {:>16}",
-            "p", "grp", "eta*", "grp calls", "grp MB", "grp comm", "cross ar/bc/ag"
-        );
-        for p in [1usize, 2, 4]
-            .into_iter()
-            .filter(|p| p.is_multiple_of(eta_groups))
-        {
-            let prob = problem.clone();
-            let cfg = RelaxConfig {
-                seed: 1,
-                md: firal::core::MirrorDescentConfig {
-                    max_iters: 3,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let grid = RoundConfig::<f32>::default().eta_grid;
-            let results = launch_backend(backend, p, move |world| {
-                // RELAX inside each group on its p_shard-way partition
-                // (every group computes bit-identical z⋄), then the η grid
-                // distributed across the groups.
-                let geometry = EtaGroupGeometry::new(world.size(), eta_groups);
-                let (group_comm, cross_comm) = geometry.split(world);
-                let shard = ShardedProblem::shard(&prob, group_comm.rank(), geometry.p_shard);
-                let exec = Executor::new(&*group_comm, &shard);
-                let relax = exec.relax(budget, &cfg);
-                let round = exec.select_eta_grouped(&relax.z_local, budget, &grid, &*cross_comm);
-                (
-                    cross_comm.rank(),
-                    round.eta,
-                    round.selected,
-                    group_comm.stats(),
-                    cross_comm.stats(),
-                )
-            });
-            // One row per group (its shard-rank-0 endpoint), plus a
-            // cross-rank agreement check.
-            let p_shard = p / eta_groups;
-            for (g, (group, eta_star, selected, grp, cross)) in
-                results.iter().step_by(p_shard).enumerate()
-            {
-                assert_eq!(*group, g);
-                assert_eq!(
-                    selected, &results[0].2,
-                    "groups disagreed on the winning selection!"
-                );
-                println!(
-                    "{:<10} {:>4} {:>10.3} {:>16} {:>10.2} {:>9.3}s {:>16}",
-                    format!("{}={}x{}", p, p_shard, eta_groups),
-                    g,
-                    eta_star,
-                    format!(
-                        "{}/{}/{}",
-                        grp.allreduce_calls, grp.bcast_calls, grp.allgather_calls
-                    ),
-                    grp.total_bytes() as f64 / 1e6,
-                    grp.time.as_secs_f64(),
-                    format!(
-                        "{}/{}/{}",
-                        cross.allreduce_calls, cross.bcast_calls, cross.allgather_calls
-                    ),
-                );
-            }
-        }
-    }
-
     println!(
         "\nNote: this host oversubscribes ranks onto a few cores, so measured \
          times flatten beyond the physical core count; the model column shows \
          what the paper's IB-HDR/A100 constants predict for the same message \
-         pattern (see EXPERIMENTS.md)."
+         pattern (see ARCHITECTURE.md § Experiments)."
     );
 }

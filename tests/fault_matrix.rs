@@ -18,8 +18,8 @@
 //! The fault-free probe pins the flip side and is the process-mesh
 //! consistency gate: with no fault, on every rank of the 4-process mesh,
 //! - Approx-FIRAL RELAX + ROUND selects bitwise the `SelfComm` batch;
-//! - the η grid over the 2×2 [`EtaGroupGeometry`] returns bitwise the
-//!   `SelfComm` sequential sweep's (η★, selection);
+//! - the η grid sweep [`Executor::select_eta`] returns bitwise the
+//!   `SelfComm` sweep's (η★, selection);
 //! - UPAL and Bayes-batch through [`dispatch_select`] return bitwise the
 //!   [`select_serial`] batch;
 //! - the rank measured nonzero wire time.
@@ -40,17 +40,14 @@ use firal::comm::fault::KILL_EXIT_CODE;
 use firal::comm::socket_comm::ENV_RANK;
 use firal::comm::{comm_catch, Communicator, SelfComm, SocketComm, COMM_TIMEOUT_ENV, FAULT_ENV};
 use firal::core::{
-    dispatch_select, select_serial, strategy_by_name, EtaGroupGeometry, Executor,
-    MirrorDescentConfig, RelaxConfig, RoundConfig, RoundRun, SelectRequest, SelectionProblem,
-    ShardedProblem,
+    dispatch_select, select_serial, strategy_by_name, Executor, MirrorDescentConfig, RelaxConfig,
+    RoundConfig, RoundRun, SelectRequest, SelectionProblem, ShardedProblem,
 };
 use firal::data::SyntheticConfig;
 use firal::logreg::LogisticRegression;
 use mesh::{dump, ChildResult, Mesh, DEADLOCKED};
 
 const BUDGET: usize = 5;
-/// η groups of the probe's grid sweep: `p = 2 × 2` on the 4-rank mesh.
-const ETA_GROUPS: usize = 2;
 /// Executor-generic strategies the probe checks against `select_serial`.
 const STRATEGIES: [&str; 2] = ["upal", "bayes-batch"];
 const STRATEGY_SEED: u64 = 5;
@@ -174,18 +171,8 @@ fn child_main() -> i32 {
     };
     let total_seq = comm.collective_seq();
 
-    let sweep = comm_catch(|| {
-        let geometry = EtaGroupGeometry::new(comm.size(), ETA_GROUPS);
-        let (group_comm, cross_comm) = geometry.split(&comm);
-        let shard = ShardedProblem::shard(&p, group_comm.rank(), geometry.p_shard);
-        let grid = RoundConfig::<f64>::default().eta_grid;
-        Executor::new(&*group_comm, &shard).select_eta_grouped(
-            &uniform_z(&p, shard.local_n()),
-            BUDGET,
-            &grid,
-            &*cross_comm,
-        )
-    });
+    let grid = RoundConfig::<f64>::default().eta_grid;
+    let sweep = comm_catch(|| exec.select_eta(&uniform_z(&p, shard.local_n()), BUDGET, &grid));
     let sweep = match sweep {
         Ok(r) => r,
         Err(e) => {

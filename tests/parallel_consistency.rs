@@ -9,8 +9,8 @@ use firal::comm::{
     launch, launch_backend, socket_launch, Backend, CommScalar, Communicator, ReduceOp, SelfComm,
 };
 use firal::core::{
-    dispatch_select, select_serial, strategy_by_name, EigSolver, EtaGroupGeometry, Executor,
-    RelaxConfig, RoundConfig, SelectRequest, SelectionProblem, ShardedProblem,
+    dispatch_select, select_serial, strategy_by_name, EigSolver, Executor, RelaxConfig,
+    RoundConfig, SelectRequest, SelectionProblem, ShardedProblem,
 };
 use firal::data::SyntheticConfig;
 use firal::linalg::Scalar;
@@ -361,17 +361,14 @@ fn simd_off_selection_is_bitwise_identical() {
     );
 }
 
-/// The η-group consistency matrix: the full grouped pipeline (RELAX on
-/// each group's p_shard-way partition, then the η grid distributed over
-/// p_eta sub-communicator groups) must return the **bitwise identical**
-/// (η★, selection) as the serial SelfComm grid sweep at every layout
-/// (p_shard, p_eta) ∈ {(1,1), (2,1), (1,2), (2,2)} on both multi-rank
-/// backends — and the criterion bits must be invariant along the η-group
-/// axis for a fixed group size p_shard (the only permitted float
-/// difference across layouts is shard-boundary partial sums along the
-/// p_shard axis).
+/// The η sweep consistency matrix: the full pipeline (RELAX on a p-way
+/// partition, then [`Executor::select_eta`]) must return the **bitwise
+/// identical** (η★, selection) as the serial SelfComm grid sweep at
+/// p ∈ {1, 2} on both multi-rank backends — and the criterion bits must
+/// agree across backends and ranks at each p (the only permitted float
+/// difference across p is shard-boundary partial sums).
 #[test]
-fn eta_group_matrix_matches_serial_grid_sweep() {
+fn eta_sweep_matrix_matches_serial_grid_sweep() {
     let p: SelectionProblem<f64> = problem(41, 36, 4, 3);
     let budget = 5;
     let relax_cfg = RelaxConfig {
@@ -384,7 +381,7 @@ fn eta_group_matrix_matches_serial_grid_sweep() {
     };
     let grid = RoundConfig::<f64>::default().eta_grid;
 
-    // Serial reference: SelfComm RELAX + sequential grid sweep.
+    // Serial reference: SelfComm RELAX + grid sweep.
     let comm = SelfComm::new();
     let shard = ShardedProblem::replicate(&p);
     let exec = Executor::new(&comm, &shard);
@@ -392,69 +389,51 @@ fn eta_group_matrix_matches_serial_grid_sweep() {
     let ref_round = exec.select_eta(&ref_relax.z_local, budget, &grid);
     let ref_crit = ref_round.criterion.expect("grid sweep records criterion");
 
-    // criterion bits per p_shard: layouts with the same group size must
-    // agree exactly, whatever p_eta is.
-    let mut crit_bits_by_shard: std::collections::HashMap<usize, u64> = Default::default();
-    for (p_shard, p_eta) in [(1usize, 1usize), (2, 1), (1, 2), (2, 2)] {
-        let world = p_shard * p_eta;
+    for world in [1usize, 2] {
+        let mut crit_bits_at_p: Option<u64> = None;
         for backend in [Backend::Thread, Backend::Socket] {
             let (prob, grid) = (p.clone(), grid.clone());
-            let results = launch_backend(backend, world, move |world| {
-                // RELAX inside each group on its p_shard-way partition
-                // (the probe panels are seeded and group collectives reduce
-                // in rank order, so every group computes bit-identical z⋄),
-                // then the η grid distributed across the groups.
-                let geometry = EtaGroupGeometry::new(world.size(), p_eta);
-                let (group_comm, cross_comm) = geometry.split(world);
-                let shard = ShardedProblem::shard(&prob, group_comm.rank(), geometry.p_shard);
-                let exec = Executor::new(&*group_comm, &shard);
+            let results = launch_backend(backend, world, move |comm| {
+                let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
+                let exec = Executor::new(comm, &shard);
                 let relax = exec.relax(budget, &relax_cfg);
-                let round = exec.select_eta_grouped(&relax.z_local, budget, &grid, &*cross_comm);
+                let round = exec.select_eta(&relax.z_local, budget, &grid);
                 (
                     round.selected,
                     round.eta.to_bits(),
                     round.criterion.unwrap().to_bits(),
-                    cross_comm.rank(),
-                    geometry,
                 )
             });
-            for (rank, (selected, eta_bits, crit_bits, group, geometry)) in
-                results.iter().enumerate()
-            {
-                assert_eq!((geometry.p_shard, geometry.p_eta), (p_shard, p_eta));
-                assert_eq!(*group, rank / p_shard);
+            for (rank, (selected, eta_bits, crit_bits)) in results.iter().enumerate() {
                 assert_eq!(
                     selected, &ref_round.selected,
-                    "{backend:?} ({p_shard}x{p_eta}) rank {rank}: selection diverged from serial"
+                    "{backend:?} p={world} rank {rank}: selection diverged from serial"
                 );
                 assert_eq!(
                     *eta_bits,
                     ref_round.eta.to_bits(),
-                    "{backend:?} ({p_shard}x{p_eta}) rank {rank}: η★ bits diverged from serial"
+                    "{backend:?} p={world} rank {rank}: η★ bits diverged from serial"
                 );
-                match crit_bits_by_shard.get(&p_shard) {
-                    None => {
-                        crit_bits_by_shard.insert(p_shard, *crit_bits);
-                    }
-                    Some(&bits) => assert_eq!(
-                        *crit_bits, bits,
-                        "{backend:?} ({p_shard}x{p_eta}) rank {rank}: criterion bits changed \
-                         along the η-group axis"
-                    ),
-                }
+                let bits = *crit_bits_at_p.get_or_insert(*crit_bits);
+                assert_eq!(
+                    *crit_bits, bits,
+                    "{backend:?} p={world} rank {rank}: criterion bits differ within p"
+                );
             }
         }
+        // p = 1 is exactly the serial computation: same criterion bits.
+        if world == 1 {
+            assert_eq!(crit_bits_at_p, Some(ref_crit.to_bits()));
+        }
     }
-    // p_shard = 1 is exactly the serial computation: same criterion bits.
-    assert_eq!(crit_bits_by_shard[&1], ref_crit.to_bits());
 }
 
 /// The shared-scratch η sweep against the unshared composition: for a
 /// 3-point grid, [`Executor::select_eta`]'s winner must equal the first
 /// maximum of `selection_min_eig` over three independent
 /// `round(z, b, ηᵢ·√ê)` runs — selection, η★ and criterion **bitwise** — at
-/// p ∈ {1, 2}. The grouped rows above pin the sweep against itself across
-/// layouts; this one pins it against runs that share nothing.
+/// p ∈ {1, 2}. The matrix above pins the sweep against the serial sweep;
+/// this one pins it against runs that share nothing.
 fn eta_sweep_matches_independent_rounds_case<T: CommScalar>(seed: u64) {
     let (n, budget) = (40usize, 4usize);
     let p: SelectionProblem<T> = problem(seed, n, 4, 3);

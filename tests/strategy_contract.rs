@@ -1,6 +1,7 @@
 //! The strategy contract, pinned for every registered strategy × seed ×
-//! dtype: `select` returns exactly `budget` distinct in-range pool
-//! indices, repeat calls with the same seed are bitwise identical, the
+//! dtype, on generated and degenerate pools (duplicated rows, one point
+//! repeated, single-class `h`): `select` returns exactly `budget` distinct
+//! in-range pool indices, repeat calls with the same seed are bitwise identical, the
 //! seed-free strategies ignore the seed entirely, and the `SelectError`
 //! edges (zero budget, empty pool, oversized budget) are rejected with
 //! their dedicated variants instead of panicking downstream.
@@ -53,20 +54,76 @@ fn select<T: CommScalar>(
     Ok(select_serial(s.as_ref(), p, budget, seed)?.selected)
 }
 
-/// budget-distinct-in-range + bitwise seed stability, for one dtype.
+/// `p` with its pool panels rewritten row by row by `edit(i, x_row, h_row)`
+/// (the labeled panel is kept, so the problem stays well posed).
+fn edit_pool<T: CommScalar>(
+    p: &SelectionProblem<T>,
+    edit: impl Fn(usize, &mut [T], &mut [T]),
+) -> SelectionProblem<T> {
+    let (mut x, mut h) = (p.pool_x.clone(), p.pool_h.clone());
+    for i in 0..x.rows() {
+        edit(i, x.row_mut(i), h.row_mut(i));
+    }
+    SelectionProblem::new(
+        x,
+        h,
+        p.labeled_x.clone(),
+        p.labeled_h.clone(),
+        p.num_classes,
+    )
+}
+
+/// The degenerate pools every strategy must still select from: duplicated
+/// rows, one point repeated, and single-class pools (every `h` row one-hot
+/// on class 0, or all zero — the reference class).
+fn edge_pools<T: CommScalar>(p: &SelectionProblem<T>) -> Vec<(&'static str, SelectionProblem<T>)> {
+    let row = |i: usize| (p.pool_x.row(i).to_vec(), p.pool_h.row(i).to_vec());
+    let copy_row = |j: usize, x: &mut [T], h: &mut [T]| {
+        let (xj, hj) = row(j);
+        x.copy_from_slice(&xj);
+        h.copy_from_slice(&hj);
+    };
+    vec![
+        (
+            "duplicated rows",
+            edit_pool(p, |i, x, h| copy_row(i & !1, x, h)),
+        ),
+        (
+            "one point repeated",
+            edit_pool(p, |_, x, h| copy_row(0, x, h)),
+        ),
+        (
+            "one-hot class 0",
+            edit_pool(p, |_, _, h| {
+                h.fill(T::ZERO);
+                h[0] = T::ONE;
+            }),
+        ),
+        (
+            "reference class only",
+            edit_pool(p, |_, _, h| h.fill(T::ZERO)),
+        ),
+    ]
+}
+
+/// budget-distinct-in-range + bitwise seed stability, for one dtype, on
+/// two generated pools and the degenerate [`edge_pools`].
 fn contract_case<T: CommScalar>() {
     let pool = 48;
     let budget = 5;
-    for problem_seed in [1u64, 2] {
-        let p: SelectionProblem<T> = problem(problem_seed, pool);
+    let mut inputs: Vec<(&str, SelectionProblem<T>)> =
+        vec![("seed 1", problem(1, pool)), ("seed 2", problem(2, pool))];
+    inputs.extend(edge_pools(&inputs[0].1));
+    for (input, p) in &inputs {
         for name in STRATEGY_NAMES {
+            let case = format!("{name} on {input}");
             for seed in [0u64, 7, 1234] {
-                let sel = select(name, &p, budget, seed).unwrap_or_else(|e| panic!("{name}: {e}"));
-                assert_valid(name, &sel, budget, pool);
+                let sel = select(name, p, budget, seed).unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert_valid(&case, &sel, budget, pool);
                 // Determinism given (problem, budget, seed): bitwise
                 // seed-stable on a repeat call.
-                let again = select(name, &p, budget, seed).unwrap();
-                assert_eq!(sel, again, "{name}: repeat call with seed {seed} diverged");
+                let again = select(name, p, budget, seed).unwrap();
+                assert_eq!(sel, again, "{case}: repeat call with seed {seed} diverged");
             }
         }
     }
