@@ -233,7 +233,6 @@ fn fixed_iterations<T: firal_linalg::Scalar>(iters: usize) -> MirrorDescentConfi
     MirrorDescentConfig {
         max_iters: iters,
         obj_rel_tol: T::ZERO,
-        ..Default::default()
     }
 }
 
@@ -602,7 +601,7 @@ fn accuracy(preset: &ExperimentPreset) -> Vec<Row> {
         ));
     }
     if dense_affordable(preset) {
-        let exact = final_accuracy(&ExactFiral::default(), 0);
+        let exact = final_accuracy(&ExactFiral, 0);
         rows.push(Row::new(
             format!("acc.{key}.vs_exact_firal"),
             artifact,

@@ -76,13 +76,11 @@ pub fn fig6_rank_body(
         md: MirrorDescentConfig {
             max_iters: 1,
             obj_rel_tol: 0.0,
-            ..Default::default()
         },
         probes: 10,
         cg_tol: 0.0,
         cg_max_iter: 10,
         seed: 3,
-        ..Default::default()
     };
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let out = Executor::new(comm, &shard).with_threads(1).relax(10, &cfg);

@@ -5,6 +5,8 @@
 //! pool with `k = b` and labels the point nearest each centroid. The
 //! assignment step is rayon-parallel over pool points, mirroring how
 //! "scalable and easy to implement" the paper calls this family of methods.
+//! [`kmeans`] takes only `k` and the seed: Lloyd runs at most 50 iterations
+//! and stops once the relative inertia improvement is at most 1e-6.
 
 use firal_linalg::{Matrix, Scalar};
 use rand::rngs::StdRng;
@@ -24,36 +26,11 @@ pub struct KMeansResult<T: Scalar> {
     pub iterations: usize,
 }
 
-/// k-means hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct KMeansConfig {
-    /// Number of clusters `k`.
-    pub k: usize,
-    /// Maximum Lloyd iterations.
-    pub max_iter: usize,
-    /// Stop when relative inertia improvement falls below this.
-    pub tol: f64,
-    /// RNG seed for the k-means++ seeding.
-    pub seed: u64,
-}
+/// Lloyd iteration cap.
+const MAX_ITER: usize = 50;
 
-impl KMeansConfig {
-    /// Config with `k` clusters and sensible defaults.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            max_iter: 50,
-            tol: 1e-6,
-            seed: 0,
-        }
-    }
-
-    /// Override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
+/// Stop when the relative inertia improvement falls to this or below.
+const TOL: f64 = 1e-6;
 
 #[inline]
 fn sq_dist<T: Scalar>(a: &[T], b: &[T]) -> T {
@@ -107,13 +84,13 @@ fn kmeanspp_seed<T: Scalar>(points: &Matrix<T>, k: usize, rng: &mut StdRng) -> V
     chosen
 }
 
-/// Run k-means (k-means++ then Lloyd) on the row-point panel `points`.
-pub fn kmeans<T: Scalar>(points: &Matrix<T>, config: &KMeansConfig) -> KMeansResult<T> {
+/// Run k-means with `k` clusters on the row-point panel `points`:
+/// k-means++ seeding from `seed`, then Lloyd iterations.
+pub fn kmeans<T: Scalar>(points: &Matrix<T>, k: usize, seed: u64) -> KMeansResult<T> {
     let (n, d) = points.shape();
-    let k = config.k;
     assert!(k >= 1 && k <= n, "invalid k = {k} for n = {n}");
 
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let seeds = kmeanspp_seed(points, k, &mut rng);
     let mut centroids = Matrix::zeros(k, d);
     for (c, &i) in seeds.iter().enumerate() {
@@ -124,7 +101,7 @@ pub fn kmeans<T: Scalar>(points: &Matrix<T>, config: &KMeansConfig) -> KMeansRes
     let mut inertia = T::INFINITY;
     let mut iterations = 0usize;
 
-    for it in 0..config.max_iter {
+    for it in 0..MAX_ITER {
         iterations = it + 1;
         // Assignment step (parallel over points).
         let new: Vec<(usize, T)> = (0..n)
@@ -184,7 +161,7 @@ pub fn kmeans<T: Scalar>(points: &Matrix<T>, config: &KMeansConfig) -> KMeansRes
         let old = inertia.to_f64();
         let newv = new_inertia.to_f64();
         inertia = new_inertia;
-        if old.is_finite() && (old - newv).abs() <= config.tol * old.abs().max(1e-30) {
+        if old.is_finite() && (old - newv).abs() <= TOL * old.abs().max(1e-30) {
             break;
         }
     }
@@ -254,7 +231,7 @@ mod tests {
     #[test]
     fn recovers_separated_blobs() {
         let (pts, labels) = blobs();
-        let res = kmeans(&pts, &KMeansConfig::new(3).with_seed(1));
+        let res = kmeans(&pts, 3, 1);
         // All points in a blob share an assignment, and blobs get distinct
         // clusters.
         for k in 0..3 {
@@ -278,9 +255,9 @@ mod tests {
     #[test]
     fn inertia_nonincreasing_with_more_clusters() {
         let (pts, _) = blobs();
-        let i2 = kmeans(&pts, &KMeansConfig::new(2).with_seed(3)).inertia;
-        let i3 = kmeans(&pts, &KMeansConfig::new(3).with_seed(3)).inertia;
-        let i6 = kmeans(&pts, &KMeansConfig::new(6).with_seed(3)).inertia;
+        let i2 = kmeans(&pts, 2, 3).inertia;
+        let i3 = kmeans(&pts, 3, 3).inertia;
+        let i6 = kmeans(&pts, 6, 3).inertia;
         assert!(i3 <= i2 + 1e-9);
         assert!(i6 <= i3 + 1e-9);
     }
@@ -288,8 +265,8 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (pts, _) = blobs();
-        let a = kmeans(&pts, &KMeansConfig::new(3).with_seed(7));
-        let b = kmeans(&pts, &KMeansConfig::new(3).with_seed(7));
+        let a = kmeans(&pts, 3, 7);
+        let b = kmeans(&pts, 3, 7);
         assert_eq!(a.assignments, b.assignments);
         assert_eq!(a.inertia, b.inertia);
     }
@@ -297,7 +274,7 @@ mod tests {
     #[test]
     fn nearest_to_centroids_returns_distinct_points() {
         let (pts, _) = blobs();
-        let res = kmeans(&pts, &KMeansConfig::new(5).with_seed(2));
+        let res = kmeans(&pts, 5, 2);
         let picks = nearest_to_centroids(&pts, &res.centroids);
         assert_eq!(picks.len(), 5);
         let mut sorted = picks.clone();
@@ -309,7 +286,7 @@ mod tests {
     #[test]
     fn k_equals_n_assigns_each_point_its_own_cluster() {
         let pts = Matrix::from_fn(4, 1, |i, _| i as f64 * 10.0);
-        let res = kmeans(&pts, &KMeansConfig::new(4).with_seed(4));
+        let res = kmeans(&pts, 4, 4);
         let mut assignments = res.assignments.clone();
         assignments.sort_unstable();
         assignments.dedup();
@@ -320,7 +297,7 @@ mod tests {
     #[test]
     fn single_cluster_centroid_is_mean() {
         let pts = Matrix::from_fn(5, 2, |i, j| (i + j) as f64);
-        let res = kmeans(&pts, &KMeansConfig::new(1).with_seed(5));
+        let res = kmeans(&pts, 1, 5);
         assert!((res.centroids[(0, 0)] - 2.0).abs() < 1e-12);
         assert!((res.centroids[(0, 1)] - 3.0).abs() < 1e-12);
     }
@@ -329,7 +306,7 @@ mod tests {
     fn f32_runs() {
         let (pts, _) = blobs();
         let pts32: Matrix<f32> = pts.cast();
-        let res = kmeans(&pts32, &KMeansConfig::new(3).with_seed(6));
+        let res = kmeans(&pts32, 3, 6);
         assert_eq!(res.assignments.len(), 60);
     }
 }

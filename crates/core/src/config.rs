@@ -1,11 +1,13 @@
-//! Hyperparameter bundles for the RELAX and ROUND solvers and the
-//! non-FIRAL selection strategies.
+//! Hyperparameter bundles for the RELAX and ROUND solvers: only the
+//! settings a caller changes. Everything else is a constant beside the
+//! code that uses it.
 
 use firal_linalg::Scalar;
-use firal_logreg::TrainConfig;
 
 /// Entropic-mirror-descent controls (shared by the exact and fast RELAX
-/// solvers, Algorithms 1–2).
+/// solvers, Algorithms 1–2). Both solvers take the same step
+/// (`crate::md::mirror_step`, step `1/√t` over the max gradient magnitude)
+/// and stop on the same rule (`crate::md::objective_converged`).
 #[derive(Debug, Clone, Copy)]
 pub struct MirrorDescentConfig<T> {
     /// Maximum iterations `T` ("fewer than 100 mirror descent iterations"
@@ -14,9 +16,6 @@ pub struct MirrorDescentConfig<T> {
     /// Stop when the relative objective change drops below this
     /// (paper: `1.0E-4`).
     pub obj_rel_tol: T,
-    /// Base step scale; the effective step is `β₀/√t`, normalized by the
-    /// max gradient magnitude so one constant works across datasets.
-    pub beta0: T,
 }
 
 impl<T: Scalar> Default for MirrorDescentConfig<T> {
@@ -24,7 +23,6 @@ impl<T: Scalar> Default for MirrorDescentConfig<T> {
         Self {
             max_iters: 100,
             obj_rel_tol: T::from_f64(1e-4),
-            beta0: T::ONE,
         }
     }
 }
@@ -40,10 +38,6 @@ pub struct RelaxConfig<T> {
     pub cg_tol: T,
     /// CG iteration cap (0 ⇒ 2·dimension).
     pub cg_max_iter: usize,
-    /// Diagonal ridge added to preconditioner blocks if a block is not SPD
-    /// (numerical safety; `0` keeps the paper's formulation and falls back
-    /// lazily only on factorization failure).
-    pub ridge: T,
     /// RNG seed for the probe panel.
     pub seed: u64,
 }
@@ -55,7 +49,6 @@ impl<T: Scalar> Default for RelaxConfig<T> {
             probes: 10,
             cg_tol: T::from_f64(0.1),
             cg_max_iter: 0,
-            ridge: T::ZERO,
             seed: 0,
         }
     }
@@ -64,29 +57,16 @@ impl<T: Scalar> Default for RelaxConfig<T> {
 /// Diagonal-ROUND (Algorithm 3) controls.
 #[derive(Debug, Clone)]
 pub struct RoundConfig<T> {
-    /// FTRL learning rate `η`. `None` selects it by the paper's rule:
-    /// run ROUND for each grid value and keep the `η` maximizing
+    /// Multipliers on `√ê` of the η grid. The paper's rule picks `η`
+    /// by running ROUND for each grid value and keeping the one maximizing
     /// `min_k λ_min((H)_k)` over the selected points' Hessian sum (§IV-A).
-    pub eta: Option<T>,
-    /// Grid of multipliers on `√ê` tried when `eta` is `None`.
     pub eta_grid: Vec<T>,
 }
 
 impl<T: Scalar> Default for RoundConfig<T> {
     fn default() -> Self {
         Self {
-            eta: None,
             eta_grid: vec![T::from_f64(2.0), T::from_f64(4.0), T::from_f64(8.0)],
-        }
-    }
-}
-
-impl<T: Scalar> RoundConfig<T> {
-    /// Fix `η` explicitly (skips the selection grid).
-    pub fn with_eta(eta: T) -> Self {
-        Self {
-            eta: Some(eta),
-            eta_grid: Vec::new(),
         }
     }
 }
@@ -109,54 +89,9 @@ pub struct FiralConfig<T: Scalar> {
     pub refactor_interval: usize,
 }
 
-/// Controls for [`crate::strategies::UpalStrategy`] — the UPAL-style
-/// unbiased pool sampler (Ganti & Gray, arXiv:1111.1784; see PAPERS.md).
-#[derive(Debug, Clone, Copy)]
-pub struct UpalConfig<T: Scalar> {
-    /// Uniform mixing weight `ε` of the sampling distribution
-    /// `p_t = (1-ε)·uncertainty + ε·uniform`: UPAL's minimum-probability
-    /// floor, which bounds every importance weight by `n/ε`.
-    pub mix: T,
-    /// Cap on any single importance weight (numerical safety for the
-    /// weighted re-fit; `∞` disables).
-    pub max_weight: T,
-    /// Training configuration of the per-step weighted re-fit.
-    pub train: TrainConfig<T>,
-}
-
-impl<T: Scalar> Default for UpalConfig<T> {
-    fn default() -> Self {
-        Self {
-            mix: T::from_f64(0.1),
-            max_weight: T::from_f64(1e6),
-            train: TrainConfig::default(),
-        }
-    }
-}
-
-/// Controls for [`crate::strategies::BayesBatchStrategy`] — Bayesian batch
-/// selection as sparse subset approximation via Frank–Wolfe (Pinsler et
-/// al., arXiv:1908.02144; see PAPERS.md).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BayesBatchConfig<T: Scalar> {
-    /// Ridge added to every point's squared embedding norm `σ_i²` before
-    /// the score division (guards pool points whose predictive
-    /// probabilities are numerically one-hot, i.e. `σ_i = 0`).
-    pub norm_ridge: T,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_defaults_are_sane() {
-        let u = UpalConfig::<f64>::default();
-        assert!((0.0..1.0).contains(&u.mix));
-        assert!(u.max_weight > 1.0);
-        let b = BayesBatchConfig::<f32>::default();
-        assert_eq!(b.norm_ridge, 0.0);
-    }
 
     #[test]
     fn defaults_match_paper() {
@@ -165,12 +100,5 @@ mod tests {
         assert!((r.cg_tol - 0.1).abs() < 1e-12);
         assert_eq!(r.md.max_iters, 100);
         assert!((r.md.obj_rel_tol - 1e-4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn round_with_eta_skips_grid() {
-        let r = RoundConfig::with_eta(3.0f32);
-        assert_eq!(r.eta, Some(3.0));
-        assert!(r.eta_grid.is_empty());
     }
 }

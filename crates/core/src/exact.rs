@@ -20,18 +20,7 @@ use crate::config::MirrorDescentConfig;
 use crate::hessian::{gmat, PoolHessian};
 use crate::objective::exact_objective;
 use crate::problem::SelectionProblem;
-
-/// Convergence record of a RELAX solve (exact or fast).
-#[derive(Debug, Clone)]
-pub struct RelaxTelemetry<T> {
-    /// Objective value `f(b·z)` after each mirror-descent iteration —
-    /// the series plotted in Fig. 4.
-    pub objective_history: Vec<T>,
-    /// Iterations performed.
-    pub iterations: usize,
-    /// Whether the relative-change stopping rule fired.
-    pub converged: bool,
-}
+use crate::procedure::{mirror_step, RelaxTelemetry};
 
 /// `G_i^{1/2}` for one point: symmetric square root of `diag(h)-hhᵀ`.
 fn g_half<T: Scalar>(h: &[T]) -> Matrix<T> {
@@ -75,23 +64,17 @@ pub fn exact_relax<T: Scalar>(
     let n = problem.pool_size();
     let d = problem.dim();
     let cm1 = problem.nblocks();
-    let ehat = problem.ehat();
     let b = T::from_usize(budget);
 
     let ho_dense = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h).to_dense();
     let hp_dense = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h).to_dense();
 
     let mut z = vec![T::ONE / T::from_usize(n); n];
-    let mut telemetry = RelaxTelemetry {
-        objective_history: Vec::new(),
-        iterations: 0,
-        converged: false,
-    };
+    let mut telemetry = RelaxTelemetry::new();
 
-    let mut g = vec![T::ZERO; n];
+    // The negated gradient −g_i, the direction the mirror step ascends.
+    let mut neg_g = vec![T::ZERO; n];
     for t in 1..=config.max_iters {
-        telemetry.iterations = t;
-
         // Σ_z = H_o + H_{b·z}: z lives on the unit simplex for the
         // multiplicative update, but the gradient is evaluated at the
         // feasible point ‖b·z‖₁ = b of the relaxed problem (Eq. 5).
@@ -120,8 +103,7 @@ pub fn exact_relax<T: Scalar>(
                 }
             }
         }
-        let mut max_abs_g = T::ZERO;
-        for i in 0..n {
+        for (i, ng) in neg_g.iter_mut().enumerate() {
             let gm = gmat(problem.pool_h.row(i));
             let mut acc = T::ZERO;
             for k in 0..cm1 {
@@ -129,35 +111,18 @@ pub fn exact_relax<T: Scalar>(
                     acc += gm[(k, l)] * quads[(i, l * cm1 + k)];
                 }
             }
-            g[i] = -acc;
-            max_abs_g = max_abs_g.maxv(acc.abs());
+            *ng = acc;
         }
 
-        // Entropic mirror-descent update with a √t-decaying, magnitude-
-        // normalized step.
-        let beta = config.beta0 / T::from_usize(t).sqrt() / max_abs_g.maxv(T::MIN_POSITIVE);
-        let mut total = T::ZERO;
-        for (zi, &gi) in z.iter_mut().zip(g.iter()) {
-            *zi *= (-beta * gi).exp();
-            total += *zi;
-        }
-        for zi in z.iter_mut() {
-            *zi /= total;
-        }
+        // Entropic mirror-descent update over the whole (replicated) pool.
+        mirror_step(&mut z, &neg_g, t, |v, _| v);
 
         // Track f(b·z) and apply the paper's relative-change stopping rule.
         let scaled: Vec<T> = z.iter().map(|&v| v * b).collect();
-        let f = exact_objective(problem, &scaled);
-        if let Some(&prev) = telemetry.objective_history.last() {
-            if ((f - prev) / prev.abs().maxv(T::MIN_POSITIVE)).abs() < config.obj_rel_tol {
-                telemetry.objective_history.push(f);
-                telemetry.converged = true;
-                break;
-            }
+        if telemetry.record(t, exact_objective(problem, &scaled), config.obj_rel_tol) {
+            break;
         }
-        telemetry.objective_history.push(f);
     }
-    let _ = ehat;
 
     let z_diamond: Vec<T> = z.iter().map(|&v| v * b).collect();
     (z_diamond, telemetry)
@@ -218,8 +183,8 @@ pub fn exact_round<T: Scalar>(
                 continue;
             }
             let xi = problem.pool_x.row(i);
-            // M1 = (P·W)(G½⊗x) = P·U_i ; M2 = (W·P·W)(G½⊗x) = W P U_i? No:
-            // U_i = W·(G½⊗x) so UᵢᵀP Uᵢ = (G½⊗x)ᵀ(WPW)(G½⊗x).
+            // With U_i = W·(G½⊗x): P·U_i = (P·W)(G½⊗x), and
+            // U_iᵀP U_i = (G½⊗x)ᵀ(W·P·W)(G½⊗x).
             let pu = kron_apply(&pw, &ghalves[i], xi);
             let wpwu = kron_apply(&wpw, &ghalves[i], xi);
             // S1[k,l] = (G½⊗x)ᵀ_col k · wpwu_col l
@@ -271,14 +236,8 @@ pub fn exact_round<T: Scalar>(
         // H̃ ← H̃ + (1/b)H̃_o + H̃_{i_t}
         h_acc.add_scaled(binv, &ho_tilde);
         let ui = kron_apply(&w, &ghalves[it], problem.pool_x.row(it));
-        let hi_tilde = firal_linalg::gemm_a_bt(
-            &{
-                // (U Uᵀ) via U as rows: gemm_a_bt wants row panels; U is ê×cm1
-                // so U·Uᵀ = gemm_a_bt(U, U) with U treated as ê rows of cm1.
-                ui.clone()
-            },
-            &ui,
-        );
+        // U is ê × (c-1), so U·Uᵀ is gemm_a_bt over its ê rows.
+        let hi_tilde = firal_linalg::gemm_a_bt(&ui, &ui);
         h_acc.add_scaled(T::ONE, &hi_tilde);
         h_acc.symmetrize();
 
@@ -291,18 +250,6 @@ pub fn exact_round<T: Scalar>(
         a_t.add_diag(nu);
     }
     selected
-}
-
-/// Full Exact-FIRAL: RELAX then ROUND.
-pub fn exact_firal<T: Scalar>(
-    problem: &SelectionProblem<T>,
-    budget: usize,
-    md: &MirrorDescentConfig<T>,
-    eta: T,
-) -> (Vec<usize>, RelaxTelemetry<T>) {
-    let (z_diamond, telemetry) = exact_relax(problem, budget, md);
-    let selected = exact_round(problem, &z_diamond, budget, eta);
-    (selected, telemetry)
 }
 
 #[cfg(test)]

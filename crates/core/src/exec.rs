@@ -38,15 +38,15 @@
 use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp};
 use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
-    cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, CgTelemetry, LinearOperator,
+    cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, LinearOperator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{FiralConfig, RelaxConfig};
-use crate::exact::RelaxTelemetry;
 use crate::hessian::{hutchinson_gradients_shared, probe_products_into, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
+use crate::procedure::{mirror_step, sweep_eta, RelaxTelemetry};
 use crate::round::{WhitenedFtrl, Whitening};
 use crate::timing::PhaseTimer;
 
@@ -145,9 +145,6 @@ pub struct RelaxRun<T> {
     pub z_diamond: Vec<T>,
     /// Objective history / convergence record (identical on all ranks).
     pub telemetry: RelaxTelemetry<T>,
-    /// CG telemetry of the first mirror-descent iteration's first solve
-    /// (the residual curves plotted in Fig. 1).
-    pub first_cg: Vec<CgTelemetry<T>>,
     /// Phase timings (precond / cg / matvec / gradient / other).
     pub timer: PhaseTimer,
     /// Total CG iterations across the whole solve.
@@ -252,14 +249,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 .expect("failed to build the rank kernel pool")
         });
         self
-    }
-
-    /// Intra-rank kernel threads solves on this executor will use.
-    pub fn threads(&self) -> usize {
-        self.pool
-            .as_ref()
-            // lint: allow(thread-count) telemetry-only accessor: the value feeds logs and Fig. 5/7 table columns, never a kernel shape (chunking is shape-only)
-            .map_or_else(rayon::current_num_threads, rayon::ThreadPool::threads)
     }
 
     /// Run `f` with this rank's sub-pool installed (no-op without one).
@@ -381,17 +370,10 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let mut xv = Matrix::zeros(shard.local_n(), shard.nblocks() * config.probes);
 
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut telemetry = RelaxTelemetry {
-            objective_history: Vec::new(),
-            iterations: 0,
-            converged: false,
-        };
-        let mut first_cg: Vec<CgTelemetry<T>> = Vec::new();
+        let mut telemetry = RelaxTelemetry::new();
         let mut total_cg_iters = 0usize;
 
         for t in 1..=config.md.max_iters {
-            telemetry.iterations = t;
-
             // Line 4: probe panel drawn on rank 0, Bcast to the group.
             let mut v: Matrix<T> = if self.rank() == 0 {
                 rademacher_panel(ehat, config.probes, &mut rng)
@@ -413,24 +395,15 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 let mut bsz = local_hz.block_diagonal();
                 self.allreduce_block_diag(&mut bsz);
                 bsz.add_scaled(T::ONE, &bho);
-                if config.ridge > T::ZERO {
-                    BlockJacobi::new_with_ridge(&bsz, config.ridge)
-                } else {
-                    BlockJacobi::new(&bsz).or_else(|_| {
-                        // Lazy ridge fallback for numerically semidefinite
-                        // blocks.
-                        BlockJacobi::new_with_ridge(&bsz, T::from_f64(1e-8))
-                    })
-                }
-                .expect("preconditioner factorization failed")
+                // Lazy ridge fallback for numerically semidefinite blocks.
+                BlockJacobi::new(&bsz)
+                    .or_else(|_| BlockJacobi::new_with_ridge(&bsz, T::from_f64(1e-8)))
+                    .expect("preconditioner factorization failed")
             });
 
             // Line 6: W ← Σ_z⁻¹ V.
             let (w1, tel1) = timer.time("cg", || cg_solve_panel(&sigma, &prec, &v, &cg_cfg));
             total_cg_iters += tel1.iter().map(|t| t.iterations).sum::<usize>();
-            if t == 1 {
-                first_cg = tel1;
-            }
 
             // Line 7: W ← H_p W (plus H_p·V for the objective estimate).
             // X·V_wide is formed once: H_p·V sweeps over it here and Line 9
@@ -454,28 +427,12 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 hutchinson_gradients_shared(&shard.local_x, &shard.local_h, &xv, &w3)
             });
 
-            // Lines 10–11: multiplicative update + simplex normalization,
-            // with a √t-decaying magnitude-normalized step. The max |g| and
-            // the normalizer are the two scalar collectives of the step.
+            // Lines 10–11: multiplicative update + simplex normalization.
+            // g here is +(1/s)Σvᵀ H w, the negated objective gradient; the
+            // max |g| and the normalizer are the step's two scalar
+            // collectives.
             timer.time("other", || {
-                let mut local_max = T::ZERO;
-                for &gi in &g {
-                    local_max = local_max.maxv(gi.abs());
-                }
-                let max_abs = self.allreduce_scalar(local_max, ReduceOp::Max);
-                let beta =
-                    config.md.beta0 / T::from_usize(t).sqrt() / max_abs.maxv(T::MIN_POSITIVE);
-                let mut local_sum = T::ZERO;
-                for (zi, &gi) in z_local.iter_mut().zip(g.iter()) {
-                    // Gradients enter negated: g here is +(1/s)Σvᵀ H w, and
-                    // the objective gradient is its negation, so ascent on g.
-                    *zi *= (beta * gi).exp();
-                    local_sum += *zi;
-                }
-                let total = self.allreduce_scalar(local_sum, ReduceOp::Sum);
-                for zi in z_local.iter_mut() {
-                    *zi /= total;
-                }
+                mirror_step(&mut z_local, &g, t, |v, op| self.allreduce_scalar(v, op));
             });
 
             // Objective estimate f ≈ (1/s) Σ_j (Σ⁻¹v_j)ᵀ(H_p v_j) from
@@ -492,15 +449,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 }
                 acc / T::from_usize(config.probes)
             });
-            if let Some(&prev) = telemetry.objective_history.last() {
-                if ((f_est - prev) / prev.abs().maxv(T::MIN_POSITIVE)).abs() < config.md.obj_rel_tol
-                {
-                    telemetry.objective_history.push(f_est);
-                    telemetry.converged = true;
-                    break;
-                }
+            if telemetry.record(t, f_est, config.md.obj_rel_tol) {
+                break;
             }
-            telemetry.objective_history.push(f_est);
         }
 
         // Assemble the global z⋄ (Allgatherv in rank order = global order).
@@ -512,7 +463,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             z_local,
             z_diamond,
             telemetry,
-            first_cg,
             timer,
             total_cg_iters,
             comm_stats: self.comm.stats().since(&stats0),
@@ -749,23 +699,13 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
             let white = timer.time("other", || Whitening::new(&scratch));
-            let mut best: Option<(T, RoundRun<T>)> = None;
-            for &g in grid {
-                let out = self.round_body(
-                    &white,
-                    budget,
-                    g * scale,
-                    PhaseTimer::new(),
-                    self.comm.stats(),
-                );
+            let (crit, run) = sweep_eta(grid, scale, |eta| {
+                let out =
+                    self.round_body(&white, budget, eta, PhaseTimer::new(), self.comm.stats());
                 timer.merge(&out.timer);
                 let crit = self.selection_min_eig(&out.selected);
-                match &best {
-                    Some((c, _)) if *c >= crit => {}
-                    _ => best = Some((crit, out)),
-                }
-            }
-            let (crit, run) = best.expect("η grid must be non-empty");
+                (out, crit)
+            });
             RoundRun {
                 criterion: Some(crit),
                 timer,
@@ -775,18 +715,15 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         })
     }
 
-    /// Full Approx-FIRAL (RELAX then ROUND) under one configuration,
-    /// including the η grid rule when `config.round.eta` is `None`.
+    /// Full Approx-FIRAL under one configuration: RELAX, then the η grid
+    /// sweep of ROUND.
     pub fn approx_firal(
         &self,
         budget: usize,
         config: &FiralConfig<T>,
     ) -> (RelaxRun<T>, RoundRun<T>) {
         let relax = self.relax(budget, &config.relax);
-        let round = match config.round.eta {
-            Some(eta) => self.round(&relax.z_local, budget, eta),
-            None => self.select_eta(&relax.z_local, budget, &config.round.eta_grid),
-        };
+        let round = self.select_eta(&relax.z_local, budget, &config.round.eta_grid);
         (relax, round)
     }
 }
@@ -838,7 +775,6 @@ mod tests {
         let sum: f64 = out.z_diamond.iter().sum();
         assert!((sum - 8.0).abs() < 1e-8, "‖z⋄‖₁ = {sum}");
         assert!(out.telemetry.iterations >= 1);
-        assert!(!out.first_cg.is_empty());
         assert!(out.total_cg_iters > 0);
     }
 

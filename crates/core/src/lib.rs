@@ -17,6 +17,9 @@
 //!   instantiation (collectives are no-ops); the SPMD path is the same
 //!   code over a real rank group — shared-memory `ThreadComm` threads or
 //!   `SocketComm` processes on a TCP mesh (`spmd_launch`);
+//! * `procedure` — the §IV-A steps both FIRALs share: one entropic
+//!   mirror-descent step (`β₀ = 1`), one relative-change stopping rule, and
+//!   one first-maximum η sweep;
 //! * [`round`] — the replicated FTRL state ROUND's loop carries, in
 //!   whitened coordinates;
 //! * [`strategies`] — Random / K-Means / Entropy / Exact-FIRAL /
@@ -53,19 +56,19 @@ pub mod exec;
 pub mod hessian;
 pub mod objective;
 pub mod problem;
+mod procedure;
 pub mod round;
 pub mod strategies;
 pub mod stream;
 pub mod timing;
 
-pub use config::{
-    BayesBatchConfig, FiralConfig, MirrorDescentConfig, RelaxConfig, RoundConfig, UpalConfig,
-};
+pub use config::{FiralConfig, MirrorDescentConfig, RelaxConfig, RoundConfig};
 pub use dispatch::{dispatch_select, SelectReport, SelectRequest};
 pub use driver::{run_experiment, ExperimentResult, RoundRecord};
-pub use exact::{exact_firal, exact_relax, exact_round, RelaxTelemetry};
+pub use exact::{exact_relax, exact_round};
 pub use exec::{Executor, RelaxRun, RoundRun, RoundState, ShardedProblem};
 pub use problem::SelectionProblem;
+pub use procedure::RelaxTelemetry;
 pub use strategies::{
     select_serial, strategy_by_name, ApproxFiral, BayesBatchStrategy, DistStrategy,
     EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy, SelectError, SelectionRun,

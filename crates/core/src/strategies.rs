@@ -38,17 +38,18 @@
 //! selections are bitwise identical at a fixed `p` only. A rank-count
 //! oracle for them is open work (ROADMAP item 5).
 
-use firal_cluster::{kmeans, nearest_to_centroids, KMeansConfig};
+use firal_cluster::{kmeans, nearest_to_centroids};
 use firal_comm::{comm_catch, CommError, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
 use firal_linalg::{gemm, gemm_at_b, Matrix, Scalar};
-use firal_logreg::LogisticRegression;
+use firal_logreg::{LogisticRegression, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::{BayesBatchConfig, FiralConfig, MirrorDescentConfig, RoundConfig, UpalConfig};
+use crate::config::{FiralConfig, MirrorDescentConfig, RoundConfig};
 use crate::exact::{exact_relax, exact_round};
 use crate::exec::{Executor, ShardedProblem};
 use crate::problem::SelectionProblem;
+use crate::procedure::sweep_eta;
 
 /// Selection failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -289,7 +290,7 @@ impl<T: CommScalar> DistStrategy<T> for KMeansStrategy {
         // (Allgather in global order) and run the seeded clustering
         // identically on every rank.
         let full_x = gather_rows(exec, &shard.local_x, shard.global_n);
-        let result = exec.install(|| kmeans(&full_x, &KMeansConfig::new(budget).with_seed(seed)));
+        let result = exec.install(|| kmeans(&full_x, budget, seed));
         Ok(nearest_to_centroids(&full_x, &result.centroids))
     }
 }
@@ -352,53 +353,32 @@ impl<T: CommScalar> DistStrategy<T> for EntropyStrategy {
     }
 }
 
-/// Exact-FIRAL (Algorithm 1) as a strategy. Small problems only (dense
-/// `ê × ê` algebra; the distributed path replicates the pool).
-#[derive(Debug, Clone)]
-pub struct ExactFiral<T: Scalar> {
-    /// Mirror-descent controls for the RELAX phase.
-    pub md: MirrorDescentConfig<T>,
-    /// ROUND learning rate (with the grid rule when `None`).
-    pub round: RoundConfig<T>,
-}
+/// Exact-FIRAL (Algorithm 1) as a strategy, under the default
+/// [`MirrorDescentConfig`] and η grid ([`RoundConfig`]). Small problems only
+/// (dense `ê × ê` algebra; the distributed path replicates the pool).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExactFiral;
 
-impl<T: Scalar> Default for ExactFiral<T> {
-    fn default() -> Self {
-        Self {
-            md: MirrorDescentConfig::default(),
-            round: RoundConfig::default(),
-        }
-    }
-}
-
-impl<T: CommScalar> ExactFiral<T> {
-    /// The serial Algorithm-1 pipeline on a full (replicated) problem.
-    fn exact_select(&self, problem: &SelectionProblem<T>, budget: usize) -> Vec<usize> {
-        let (z, _) = exact_relax(problem, budget, &self.md);
+impl ExactFiral {
+    /// The serial Algorithm-1 pipeline on a full (replicated) problem: the
+    /// §IV-A η rule over the exact ROUND, with the executor's criterion on
+    /// the replicated `SelfComm` problem (so the pick is rank-count
+    /// invariant).
+    fn exact_select<T: CommScalar>(problem: &SelectionProblem<T>, budget: usize) -> Vec<usize> {
+        let (z, _) = exact_relax(problem, budget, &MirrorDescentConfig::default());
+        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(problem));
+        let exec = Executor::new(&comm, &shard);
         let scale = T::from_usize(problem.ehat()).sqrt();
-        match self.round.eta {
-            Some(eta) => exact_round(problem, &z, budget, eta),
-            None => {
-                // Grid rule on the exact ROUND, mirroring §IV-A; the
-                // criterion is the executor's, on the replicated problem.
-                let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(problem));
-                let exec = Executor::new(&comm, &shard);
-                let mut best: Option<(T, Vec<usize>)> = None;
-                for &mult in &self.round.eta_grid {
-                    let sel = exact_round(problem, &z, budget, mult * scale);
-                    let crit = exec.selection_min_eig(&sel);
-                    match &best {
-                        Some((c, _)) if *c >= crit => {}
-                        _ => best = Some((crit, sel)),
-                    }
-                }
-                best.expect("non-empty η grid").1
-            }
-        }
+        let (_, selected) = sweep_eta(&RoundConfig::default().eta_grid, scale, |eta| {
+            let sel = exact_round(problem, &z, budget, eta);
+            let crit = exec.selection_min_eig(&sel);
+            (sel, crit)
+        });
+        selected
     }
 }
 
-impl<T: CommScalar> DistStrategy<T> for ExactFiral<T> {
+impl<T: CommScalar> DistStrategy<T> for ExactFiral {
     fn name(&self) -> &'static str {
         "Exact-FIRAL"
     }
@@ -413,7 +393,7 @@ impl<T: CommScalar> DistStrategy<T> for ExactFiral<T> {
         // The dense ê × ê algebra is inherently centralized: replicate the
         // pool and run the identical serial pipeline on every rank.
         let problem = replicate_problem(exec);
-        Ok(exec.install(|| self.exact_select(&problem, budget)))
+        Ok(exec.install(|| Self::exact_select(&problem, budget)))
     }
 }
 
@@ -478,24 +458,25 @@ impl<T: CommScalar> DistStrategy<T> for ApproxFiral<T> {
 /// of the current classifier's belief — which is the standard surrogate
 /// for look-ahead style strategies in this setting.
 ///
+/// The mixing weight is `ε = 0.1`, each importance weight is capped at
+/// `1e6`, and the re-fit trains under [`TrainConfig::default`].
+///
 /// Every decision is made from replicated state, so the selection is
 /// bitwise identical across backends **and** rank counts.
-#[derive(Debug, Clone, Default)]
-pub struct UpalStrategy<T: Scalar> {
-    /// Sampler + re-fit configuration.
-    pub config: UpalConfig<T>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct UpalStrategy;
 
-impl<T: Scalar> UpalStrategy<T> {
-    /// Strategy with explicit configuration.
-    pub fn new(config: UpalConfig<T>) -> Self {
-        Self { config }
-    }
-}
+/// UPAL's uniform mixing weight `ε` in `p_t = (1-ε)·uncertainty +
+/// ε·uniform`: the minimum-probability floor that bounds every importance
+/// weight by `n/ε`.
+const UPAL_MIX: f64 = 0.1;
 
-impl<T: CommScalar> UpalStrategy<T> {
-    fn select_impl(
-        &self,
+/// Cap on any single UPAL importance weight (numerical safety for the
+/// weighted re-fit).
+const UPAL_MAX_WEIGHT: f64 = 1e6;
+
+impl UpalStrategy {
+    fn select_impl<T: CommScalar>(
         exec: &Executor<'_, T>,
         budget: usize,
         seed: u64,
@@ -505,6 +486,9 @@ impl<T: CommScalar> UpalStrategy<T> {
         let d = shard.dim();
         let c = shard.num_classes;
         let mut rng = StdRng::seed_from_u64(seed);
+        let train = TrainConfig::default();
+        let mix = T::from_f64(UPAL_MIX);
+        let max_weight = T::from_f64(UPAL_MAX_WEIGHT);
 
         // Replicated weighted training set, seeded from the labeled panel
         // (weight 1, pseudo-labels from the classifier's belief).
@@ -526,14 +510,8 @@ impl<T: CommScalar> UpalStrategy<T> {
             // search (possible on adversarial weights) falls back to
             // uniform sampling for this step instead of failing the run.
             let train_x = Matrix::from_vec(labels.len(), d, train_rows.clone());
-            let model = LogisticRegression::fit_weighted(
-                &train_x,
-                &labels,
-                &weights,
-                c,
-                &self.config.train,
-            )
-            .ok();
+            let model =
+                LogisticRegression::fit_weighted(&train_x, &labels, &weights, c, &train).ok();
 
             // 2. Local uncertainty scores: the re-fit model's prediction
             // entropy over this rank's shard rows.
@@ -565,7 +543,6 @@ impl<T: CommScalar> UpalStrategy<T> {
                     total += s;
                 }
             }
-            let mix = self.config.mix;
             let uniform = T::ONE / T::from_usize(n_rem);
             let u = T::from_f64(rng.gen::<f64>());
             let mut acc = T::ZERO;
@@ -600,7 +577,7 @@ impl<T: CommScalar> UpalStrategy<T> {
 
             // 4. Importance weight from the cumulative acceptance
             // probability; the owner replicates the winner's rows.
-            let w = (T::ONE / cumulative[pick]).minv(self.config.max_weight);
+            let w = (T::ONE / cumulative[pick]).minv(max_weight);
             let (x_row, h_row) = exec.bcast_pool_point(pick);
             train_rows.extend_from_slice(&x_row);
             labels.push(pseudo_label(&h_row));
@@ -610,7 +587,7 @@ impl<T: CommScalar> UpalStrategy<T> {
     }
 }
 
-impl<T: CommScalar> DistStrategy<T> for UpalStrategy<T> {
+impl<T: CommScalar> DistStrategy<T> for UpalStrategy {
     fn name(&self) -> &'static str {
         "UPAL"
     }
@@ -622,7 +599,7 @@ impl<T: CommScalar> DistStrategy<T> for UpalStrategy<T> {
         seed: u64,
     ) -> Result<Vec<usize>, SelectError> {
         check_budget(exec.shard().global_n, budget)?;
-        exec.install(|| self.select_impl(exec, budget, seed))
+        exec.install(|| Self::select_impl(exec, budget, seed))
     }
 }
 
@@ -648,21 +625,11 @@ impl<T: CommScalar> DistStrategy<T> for UpalStrategy<T> {
 ///   `d_f = (σ̄/σ_f)·ψ_f`) on replicated arithmetic.
 ///
 /// Deterministic — the seed is ignored, like [`EntropyStrategy`].
-#[derive(Debug, Clone, Default)]
-pub struct BayesBatchStrategy<T: Scalar> {
-    /// Numerical controls.
-    pub config: BayesBatchConfig<T>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BayesBatchStrategy;
 
-impl<T: Scalar> BayesBatchStrategy<T> {
-    /// Strategy with explicit configuration.
-    pub fn new(config: BayesBatchConfig<T>) -> Self {
-        Self { config }
-    }
-}
-
-impl<T: CommScalar> BayesBatchStrategy<T> {
-    fn select_impl(&self, exec: &Executor<'_, T>, budget: usize) -> Vec<usize> {
+impl BayesBatchStrategy {
+    fn select_impl<T: CommScalar>(exec: &Executor<'_, T>, budget: usize) -> Vec<usize> {
         let shard = exec.shard();
         let n_local = shard.local_n();
         let d = shard.dim();
@@ -703,7 +670,7 @@ impl<T: CommScalar> BayesBatchStrategy<T> {
             for &sv in s.row(i) {
                 g += sv * sv;
             }
-            sigma[i] = (x2 * g + self.config.norm_ridge).sqrt();
+            sigma[i] = (x2 * g).sqrt();
             sigma_sum += sigma[i];
         }
         let sigma_bar = exec.allreduce_scalar(sigma_sum, ReduceOp::Sum);
@@ -773,7 +740,7 @@ impl<T: CommScalar> BayesBatchStrategy<T> {
                     psi_f[k * d + p] = sk * x;
                 }
             }
-            let sigma_f = (x2 * g_sum + self.config.norm_ridge).sqrt();
+            let sigma_f = (x2 * g_sum).sqrt();
             if sigma_f > T::ZERO && sigma_bar > T::ZERO {
                 let scale = sigma_bar / sigma_f;
                 let mut num = T::ZERO;
@@ -795,7 +762,7 @@ impl<T: CommScalar> BayesBatchStrategy<T> {
     }
 }
 
-impl<T: CommScalar> DistStrategy<T> for BayesBatchStrategy<T> {
+impl<T: CommScalar> DistStrategy<T> for BayesBatchStrategy {
     fn name(&self) -> &'static str {
         "Bayes-Batch"
     }
@@ -807,7 +774,7 @@ impl<T: CommScalar> DistStrategy<T> for BayesBatchStrategy<T> {
         _seed: u64,
     ) -> Result<Vec<usize>, SelectError> {
         check_budget(exec.shard().global_n, budget)?;
-        Ok(exec.install(|| self.select_impl(exec, budget)))
+        Ok(exec.install(|| Self::select_impl(exec, budget)))
     }
 }
 
@@ -832,10 +799,10 @@ pub fn strategy_by_name<T: CommScalar>(
         "random" => Box::new(RandomStrategy),
         "kmeans" | "k-means" => Box::new(KMeansStrategy),
         "entropy" => Box::new(EntropyStrategy),
-        "exact-firal" => Box::new(ExactFiral::default()),
+        "exact-firal" => Box::new(ExactFiral),
         "approx-firal" => Box::new(ApproxFiral::default()),
-        "upal" => Box::new(UpalStrategy::default()),
-        "bayes-batch" => Box::new(BayesBatchStrategy::default()),
+        "upal" => Box::new(UpalStrategy),
+        "bayes-batch" => Box::new(BayesBatchStrategy),
         _ => {
             return Err(SelectError::UnknownStrategy {
                 name: name.to_string(),
@@ -984,7 +951,7 @@ mod tests {
     #[test]
     fn upal_seed_varies_and_weights_stay_bounded() {
         let p = tiny_problem(8, 60, 4, 3);
-        let s = UpalStrategy::<f64>::default();
+        let s = UpalStrategy;
         let a = select_serial(&s, &p, 6, 1).unwrap().selected;
         let b = select_serial(&s, &p, 6, 2).unwrap().selected;
         assert_valid_selection(&a, 6, 60);
@@ -998,7 +965,7 @@ mod tests {
     #[test]
     fn bayes_batch_is_deterministic_and_spreads_over_classes() {
         let p = tiny_problem(9, 60, 4, 3);
-        let s = BayesBatchStrategy::<f64>::default();
+        let s = BayesBatchStrategy;
         let a = select_serial(&s, &p, 6, 1).unwrap().selected;
         let b = select_serial(&s, &p, 6, 99).unwrap().selected;
         assert_valid_selection(&a, 6, 60);
@@ -1010,7 +977,7 @@ mod tests {
         // With a = 0 the first FW score is ⟨ψ_i, t⟩/σ_i; verify the pick
         // against a dense recomputation of the embeddings.
         let p = tiny_problem(10, 60, 4, 3);
-        let sel = select_serial(&BayesBatchStrategy::default(), &p, 1, 0)
+        let sel = select_serial(&BayesBatchStrategy, &p, 1, 0)
             .unwrap()
             .selected;
         let n = p.pool_size();

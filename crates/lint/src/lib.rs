@@ -94,7 +94,7 @@ impl Rule {
         match self {
             Rule::UnsafeSafety => "every `unsafe` needs an adjacent or attached SAFETY comment",
             Rule::HashOrder => {
-                "no HashMap/HashSet in crates/{comm,core,linalg,serve,solvers}: \
+                "no HashMap/HashSet in crates/{cluster,comm,core,linalg,logreg,serve,solvers}: \
                  iteration order is unspecified"
             }
             Rule::ThreadCount => {
@@ -446,10 +446,14 @@ fn placeholder_reason(reason: &str) -> bool {
 /// Crates whose `src/` trees are in scope for the hash-order rule: the
 /// layers where an unspecified iteration order could leak into numeric
 /// results, collective schedules, or the serve layer's replicated pool log.
-const HASH_ORDER_SCOPE: [&str; 5] = [
+/// K-Means clustering and UPAL's per-step logistic re-fit run inside the
+/// bitwise strategy contract, so their crates are in scope too.
+const HASH_ORDER_SCOPE: [&str; 7] = [
+    "crates/cluster/src/",
     "crates/comm/src/",
     "crates/core/src/",
     "crates/linalg/src/",
+    "crates/logreg/src/",
     "crates/serve/src/",
     "crates/solvers/src/",
 ];

@@ -37,9 +37,20 @@ fn hash_containers_are_scoped_to_determinism_critical_crates() {
         "{findings:?}"
     );
     assert_eq!(findings.len(), 2);
-    // The serve layer's replayed pool log is a bitwise contract too.
-    let serve = lint_source("crates/serve/src/fixture.rs", src);
-    assert_eq!(lines_of(&serve, Rule::HashOrder), vec![1, 4], "{serve:?}");
+    // The serve layer's replayed pool log is a bitwise contract too, and so
+    // are K-Means and UPAL's logistic re-fit inside the strategy contract.
+    for path in [
+        "crates/serve/src/fixture.rs",
+        "crates/cluster/src/fixture.rs",
+        "crates/logreg/src/fixture.rs",
+    ] {
+        let scoped = lint_source(path, src);
+        assert_eq!(
+            lines_of(&scoped, Rule::HashOrder),
+            vec![1, 4],
+            "{path}: {scoped:?}"
+        );
+    }
     // Outside the scoped crates the rule is silent.
     let outside = lint_source("crates/bench/src/fixture.rs", src);
     assert!(lines_of(&outside, Rule::HashOrder).is_empty());

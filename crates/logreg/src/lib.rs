@@ -37,7 +37,6 @@ impl<T: Scalar> Default for TrainConfig<T> {
             lbfgs: LbfgsConfig {
                 max_iter: 300,
                 grad_tol: T::from_f64(1e-5),
-                ..Default::default()
             },
         }
     }

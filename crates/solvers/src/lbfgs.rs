@@ -10,32 +10,29 @@
 
 use firal_linalg::Scalar;
 
-/// L-BFGS hyperparameters.
+/// History length `m` (number of (s, y) correction pairs kept).
+const MEMORY: usize = 10;
+/// Armijo sufficient-decrease constant (Wolfe `c₁`).
+const ARMIJO_C1: f64 = 1e-4;
+/// Curvature constant (Wolfe `c₂`, with `c₁ < c₂ < 1`).
+const WOLFE_C2: f64 = 0.9;
+/// Maximum line-search steps per iteration.
+const MAX_LINE_SEARCH: usize = 50;
+
+/// L-BFGS stopping controls (history and line search are fixed above).
 #[derive(Debug, Clone, Copy)]
 pub struct LbfgsConfig<T> {
-    /// History length (number of (s, y) pairs kept).
-    pub memory: usize,
     /// Maximum outer iterations.
     pub max_iter: usize,
     /// Gradient-norm stopping tolerance (relative to max(1, ‖x‖)).
     pub grad_tol: T,
-    /// Armijo sufficient-decrease constant (Wolfe `c₁`).
-    pub armijo_c1: T,
-    /// Curvature constant (Wolfe `c₂`, with `c₁ < c₂ < 1`).
-    pub wolfe_c2: T,
-    /// Maximum line-search steps per iteration.
-    pub max_line_search: usize,
 }
 
 impl<T: Scalar> Default for LbfgsConfig<T> {
     fn default() -> Self {
         Self {
-            memory: 10,
             max_iter: 200,
             grad_tol: T::from_f64(1e-6),
-            armijo_c1: T::from_f64(1e-4),
-            wolfe_c2: T::from_f64(0.9),
-            max_line_search: 50,
         }
     }
 }
@@ -76,7 +73,8 @@ pub fn lbfgs_minimize<T: Scalar>(
     config: &LbfgsConfig<T>,
 ) -> LbfgsResult<T> {
     let n = x0.len();
-    let m = config.memory.max(1);
+    let m = MEMORY;
+    let (c1, c2) = (T::from_f64(ARMIJO_C1), T::from_f64(WOLFE_C2));
 
     let mut x = x0.to_vec();
     let mut grad = vec![T::ZERO; n];
@@ -143,19 +141,18 @@ pub fn lbfgs_minimize<T: Scalar>(
         let mut new_x = x.clone();
         let mut new_grad = vec![T::ZERO; n];
         let mut ls_ok = false;
-        for _ in 0..config.max_line_search {
+        for _ in 0..MAX_LINE_SEARCH {
             new_x.copy_from_slice(&x);
             firal_linalg::axpy(step, &dir, &mut new_x);
             let new_value = f(&new_x, &mut new_grad);
-            let armijo = new_value.is_finite()
-                && new_value <= value + config.armijo_c1 * step * dir_dot_grad;
+            let armijo = new_value.is_finite() && new_value <= value + c1 * step * dir_dot_grad;
             if !armijo {
                 hi = step;
                 step = (lo + hi) * T::HALF;
                 continue;
             }
             let dg_new = firal_linalg::dot(&dir, &new_grad);
-            if dg_new < config.wolfe_c2 * dir_dot_grad {
+            if dg_new < c2 * dir_dot_grad {
                 // Not enough curvature captured: move right.
                 lo = step;
                 step = if hi == T::INFINITY {

@@ -12,7 +12,8 @@
 //!   `ν_t` with `Σ_j (ν + ηλ_j)^{-2} = 1` (Algorithm 1 line 17 /
 //!   Algorithm 3 line 10);
 //! * **L-BFGS** ([`lbfgs`]) — the classifier trainer standing in for
-//!   scikit-learn's `LogisticRegression(solver="lbfgs")` used in §IV-A;
+//!   scikit-learn's `LogisticRegression(solver="lbfgs")` used in §IV-A
+//!   (fixed `m = 10`, `c₁ = 1e-4`, `c₂ = 0.9`, ≤ 50 line-search steps);
 //! * **distributed operators** ([`dist`]) — [`AllreduceOperator`] composes
 //!   a rank-local operator shard with the §III-C partial-sum Allreduce (and
 //!   an optional replicated term) behind the ordinary [`LinearOperator`]

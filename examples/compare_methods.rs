@@ -39,8 +39,8 @@ fn run_suite(title: &str, imbalance: f64) {
         Box::new(RandomStrategy),
         Box::new(KMeansStrategy),
         Box::new(EntropyStrategy),
-        Box::new(UpalStrategy::default()),
-        Box::new(BayesBatchStrategy::default()),
+        Box::new(UpalStrategy),
+        Box::new(BayesBatchStrategy),
         Box::new(ApproxFiral::default()),
     ];
     for strategy in &strategies {

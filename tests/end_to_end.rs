@@ -125,7 +125,7 @@ fn approx_and_exact_firal_agree_on_small_problems() {
 
     let select =
         |s: &dyn firal::core::DistStrategy<f64>| select_serial(s, &problem, b, 0).unwrap().selected;
-    let exact = select(&ExactFiral::default());
+    let exact = select(&ExactFiral);
     let approx = {
         let mut cfg = firal::core::FiralConfig::<f64>::default();
         cfg.relax.probes = 60;
