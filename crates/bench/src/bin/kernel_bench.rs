@@ -40,7 +40,12 @@
 //! thread counts {1, 2, 4}. The `quad_sweep` rows run at the per-rank pool
 //! shapes of the repo benchmark's ROUND workloads, (n, d) ∈ {(600, 50),
 //! (3000, 20), (8000, 16)}, and quote GF/s on the *dense* `4nd²` count for
-//! both paths, so the pair reads as a speed-up.
+//! both paths, so the pair reads as a speed-up. The `eigvalsh_*` and
+//! `round_factor_*` rows time ROUND's per-pick block kernels — Line 9's
+//! eigensolves and the Eq. 17 `M_k` factor chain — over `n = c − 1`
+//! blocks of order `d`, per block (`m = 1`) and in lane groups
+//! (`m = Scalar::BLOCK_LANES`), at (c − 1, d) = (49, 50) and (9, 20) in
+//! f32 and (2, 16) in f64; `--quick` keeps (9, 20).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -50,9 +55,9 @@ use firal_bench::workloads::lcg_matrix;
 use firal_linalg::autotune::lane_count;
 use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
 use firal_linalg::{
-    cache_geometry, counters, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier, gemm_into,
-    gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, Matrix, QuadSweep, Scalar,
-    SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
+    cache_geometry, counters, eigvalsh_blocks, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier,
+    gemm_into, gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, Matrix, QuadSweep,
+    Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Probes per panel: the `(c-1)·s` column counts below are `(c-1)` blocks
@@ -327,11 +332,12 @@ fn run_quad_shape<T: Scalar>(
             lane_multiple: d % lane_count(tier, std::mem::size_of::<T>()) == 0,
         };
         let mut sweep = QuadSweep::<T>::on_tier(tier, QUAD_BLOCK_ROWS, d);
-        for i in 0..d {
-            sweep.m_row_mut(i).copy_from_slice(&m_blk.row(i)[..=i]);
-        }
-        sweep.factor(&l_inv).expect("seeded SPD");
-        let (r_inv_t, n_inv) = sweep.triangles();
+        sweep
+            .factor_group(std::slice::from_ref(&l_inv), |_, i, row| {
+                row.copy_from_slice(&m_blk.row(i)[..=i]);
+            })
+            .expect("seeded SPD");
+        let (r_inv_t, n_inv) = sweep.triangles(0);
         let sweep = std::cell::RefCell::new(sweep);
         for &threads in tier_threads {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -343,7 +349,9 @@ fn run_quad_shape<T: Scalar>(
                     reps,
                     || {
                         let mut scores = vec![T::ZERO; n];
-                        sweep.borrow_mut().accumulate(&x, &g, 0, eta, &mut scores);
+                        sweep
+                            .borrow_mut()
+                            .accumulate(0, &x, &g, 0, eta, &mut scores);
                         scores
                     },
                     |s| slice_bits(s),
@@ -385,6 +393,90 @@ fn run_quad_shape<T: Scalar>(
     }
 }
 
+/// ROUND's per-pick block kernels at one `(c−1, d)`: Line 9's
+/// eigensolves and the Eq. 17 `M_k` factor chain, each timed per block
+/// (a group of one, the scalar path) and in lane groups of
+/// `Scalar::BLOCK_LANES`. The two must produce the same bits; GF/s is on
+/// the pinned counts, `4d³` per eigensolve and `d³` per factor chain.
+fn run_block_lanes<T: Scalar>(
+    dtype: &'static str,
+    (blocks, d): (usize, usize),
+    reps: usize,
+    rows: &mut Vec<Row>,
+    mismatches: &mut usize,
+) {
+    let spd = |seed| {
+        let a = lcg_matrix::<T>(d, d, seed);
+        let mut m = gemm_a_bt(&a, &a);
+        m.add_diag(T::from_usize(d));
+        m
+    };
+    let ms: Vec<Matrix<T>> = (0..blocks).map(|k| spd(100 + k as u64)).collect();
+    let l_invs: Vec<Matrix<T>> = (0..blocks)
+        .map(|k| {
+            let l = Cholesky::new(&spd(300 + k as u64)).expect("seeded SPD");
+            let mut l_inv = Matrix::zeros(d, d);
+            invert_lower(l.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
+            l_inv
+        })
+        .collect();
+    let lanes = T::BLOCK_LANES;
+    let cell = Cell {
+        dtype,
+        n: blocks,
+        d,
+        threads: 1,
+        tier: active_tier(),
+        class_block: None,
+        lane_multiple: false,
+    };
+
+    let mut eig_ref = None;
+    for (kernel, width) in [("eigvalsh_per_block", 1), ("eigvalsh_blocks", lanes)] {
+        let timed = bench(
+            reps,
+            || {
+                ms.chunks(width)
+                    .flat_map(|g| eigvalsh_blocks(g).expect("SPD spectra"))
+                    .collect::<Vec<T>>()
+            },
+            |v| slice_bits(v),
+        );
+        let flops = blocks * 4 * d * d * d;
+        *mismatches += cell.record(rows, kernel, width, &mut eig_ref, timed, flops);
+    }
+
+    let mut factor_ref = None;
+    let sweep = std::cell::RefCell::new(QuadSweep::<T>::new(d));
+    for (kernel, width) in [
+        ("round_factor_per_block", 1),
+        ("round_factor_blocks", lanes),
+    ] {
+        let timed = bench(
+            reps,
+            || {
+                let mut sweep = sweep.borrow_mut();
+                let mut bits = 0u64;
+                for (mg, lg) in ms.chunks(width).zip(l_invs.chunks(width)) {
+                    sweep
+                        .factor_group(lg, |lane, i, row| {
+                            row.copy_from_slice(&mg[lane].row(i)[..=i]);
+                        })
+                        .expect("seeded SPD");
+                    for lane in 0..mg.len() {
+                        let (r_inv_t, n_inv) = sweep.triangles(lane);
+                        bits = bits.rotate_left(3) ^ matrix_bits(&r_inv_t) ^ matrix_bits(&n_inv);
+                    }
+                }
+                bits
+            },
+            |&b| b,
+        );
+        let flops = blocks * d * d * d;
+        *mismatches += cell.record(rows, kernel, width, &mut factor_ref, timed, flops);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = has_flag(&args, "--quick");
@@ -416,6 +508,13 @@ fn main() {
         &[(600, 50)]
     } else {
         &[(600, 50), (3_000, 20), (8_000, 16)]
+    };
+    // (c−1, d, dtype): `round_bound`'s blocks, CIFAR-10's, and
+    // `stream_churn`'s f64 pair.
+    let lane_shapes: &[(usize, usize, &str)] = if quick {
+        &[(9, 20, "f32")]
+    } else {
+        &[(49, 50, "f32"), (9, 20, "f32"), (2, 16, "f64")]
     };
     let threads_list = [1usize, 2, 4];
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -462,6 +561,15 @@ fn main() {
             &mut rows,
             &mut mismatches,
         );
+    }
+
+    for &(blocks, d, dtype) in lane_shapes {
+        eprintln!("[kernel_bench] block lanes (c-1, d) = ({blocks}, {d}) {dtype} ...");
+        let (rows, mm) = (&mut rows, &mut mismatches);
+        match dtype {
+            "f32" => run_block_lanes::<f32>("f32", (blocks, d), reps, rows, mm),
+            _ => run_block_lanes::<f64>("f64", (blocks, d), reps, rows, mm),
+        }
     }
 
     let mut json = String::new();

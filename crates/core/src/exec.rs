@@ -36,7 +36,7 @@
 //! selection.
 
 use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp};
-use firal_linalg::{eigvalsh, BlockDiag, Cholesky, Matrix, Scalar};
+use firal_linalg::{eigvalsh_blocks, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
     cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, LinearOperator,
 };
@@ -585,7 +585,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         stats0: CommStats,
     ) -> RoundRun<T> {
         let shard = self.shard;
-        let d = shard.dim();
         let n_local = shard.local_n();
         assert!(
             budget <= shard.global_n,
@@ -638,11 +637,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             // which are those of the whitened accumulator C_t,k; each rank
             // does its block share, then Allgather.
             let lambdas = timer.time("eig", || {
-                let mut local_vals = Vec::with_capacity(my_blocks.len() * d);
-                for k in my_blocks.clone() {
-                    local_vals
-                        .extend(eigvalsh(ftrl.c_t().block(k)).expect("generalized eigensolve"));
-                }
+                let local_vals = eigvalsh_blocks(&ftrl.c_t().blocks()[my_blocks.clone()])
+                    .expect("generalized eigensolve");
                 T::allgatherv(self.comm, &local_vals)
             });
 

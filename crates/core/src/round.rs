@@ -16,7 +16,9 @@
 //!   lower-triangular `L_k⁻¹` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
 //! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
 //!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
-//! * **Line 9** is `eigvalsh(C_t,k)` as is;
+//! * **Line 9** is the spectrum of `C_t,k` as is, [`Scalar::BLOCK_LANES`]
+//!   blocks at a time ([`firal_linalg::eigvalsh_blocks`], one SIMD lane
+//!   per block, bitwise the one-block solve);
 //! * **Lines 4/11**: `B = L_kM_kL_kᵀ` with
 //!   `M_k = νI + η·C_t,k + (η/b)·C_o,k` is never formed or inverted. Line
 //!   11 only records `ν`; the next scoring pass factors `M_k = N_kN_kᵀ`,
@@ -34,7 +36,9 @@
 //! [`WhitenedFtrl`] holds `C_t`; with the two prologue sets that is three
 //! `cd²` working sets. Per block and pick the scoring pass spends `d³`
 //! flops next to the pool products (factor `M_k`, `N_k⁻¹`,
-//! `R_k⁻¹ = N_k⁻¹L_k⁻¹`, a third each) in one `2d²` scratch.
+//! `R_k⁻¹ = N_k⁻¹L_k⁻¹`, a third each), [`Scalar::BLOCK_LANES`] blocks in
+//! lockstep ([`firal_linalg::QuadSweep::factor_group`]) in one `3d²`-per-lane
+//! scratch.
 //!
 //! Storage is `O(n(d+c) + cd²)` and compute `O(bncd²)` (Table II).
 
@@ -148,23 +152,30 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
 
     /// One scoring pass at the current ν; `false` as soon as some `M_k`
     /// fails to factor (`scores` is then partial and must be recomputed).
+    /// The `M_k` factor in groups of [`Scalar::BLOCK_LANES`], one block per
+    /// lane; a group is swept block by block, `k` ascending, only once all
+    /// of it has factored.
     fn try_scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) -> bool {
         let gik = &self.white.state.gik;
-        let eta_over_b = self.eta * self.inv_budget;
+        let (eta, nu) = (self.eta, self.nu);
+        let eta_over_b = eta * self.inv_budget;
+        let (c_t, c_o, l_inv) = (&self.c_t, &self.white.c_o, self.white.l_inv.blocks());
         scores.fill(T::ZERO);
-        for k in 0..self.c_t.nblocks() {
-            let (ct, co) = (self.c_t.block(k), self.white.c_o.block(k));
-            for i in 0..ct.rows() {
-                let m = self.quad.m_row_mut(i);
-                for ((mv, &ctv), &cov) in m.iter_mut().zip(ct.row(i)).zip(co.row(i)) {
-                    *mv = self.eta * ctv + eta_over_b * cov;
+        for k0 in (0..c_t.nblocks()).step_by(T::BLOCK_LANES) {
+            let ks = k0..(k0 + T::BLOCK_LANES).min(c_t.nblocks());
+            let m_row = |lane: usize, i: usize, row: &mut [T]| {
+                let (ct, co) = (c_t.block(k0 + lane).row(i), c_o.block(k0 + lane).row(i));
+                for ((mv, &ctv), &cov) in row.iter_mut().zip(ct).zip(co) {
+                    *mv = eta * ctv + eta_over_b * cov;
                 }
-                m[i] += self.nu;
-            }
-            if self.quad.factor(self.white.l_inv.block(k)).is_err() {
+                row[i] += nu;
+            };
+            if self.quad.factor_group(&l_inv[ks.clone()], m_row).is_err() {
                 return false;
             }
-            self.quad.accumulate(pool_x, gik, k, self.eta, scores);
+            for (lane, k) in ks.enumerate() {
+                self.quad.accumulate(lane, pool_x, gik, k, eta, scores);
+            }
         }
         true
     }

@@ -184,14 +184,20 @@ impl<T: Scalar> BlockDiag<T> {
     }
 
     /// Sum of per-block minimum eigenvalues' minimum — the η-selection
-    /// criterion of §IV-A (`max_η min_k λ_min((H)_k)`).
+    /// criterion of §IV-A (`max_η min_k λ_min((H)_k)`). Lane groups of
+    /// [`Scalar::BLOCK_LANES`] blocks ([`crate::eigen::eigvalsh_blocks`])
+    /// are the parallel tasks.
     pub fn min_block_eigenvalue(&self) -> Result<T> {
-        let mins: Result<Vec<T>> = self
+        let d = self.dim;
+        let groups: Result<Vec<Vec<T>>> = self
             .blocks
-            .par_iter()
-            .map(|b| crate::eigen::eigvalsh(b).map(|v| v[0]))
+            .par_chunks(T::BLOCK_LANES)
+            .map(crate::eigen::eigvalsh_blocks)
             .collect();
-        Ok(mins?.into_iter().fold(T::INFINITY, |acc, v| acc.minv(v)))
+        let mins = groups?
+            .into_iter()
+            .flat_map(|v| v.into_iter().step_by(d.max(1)));
+        Ok(mins.fold(T::INFINITY, |acc, v| acc.minv(v)))
     }
 }
 

@@ -268,10 +268,31 @@ impl<T: Scalar> Cholesky<T> {
 ///
 /// Per element `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]`,
 /// the subtractions `k`-ascending — the one factorization loop of the
-/// crate ([`Cholesky::new`] runs it on a copy).
+/// crate ([`Cholesky::new`] runs it on a copy, the grouped `M_k` chain of
+/// [`crate::QuadSweep::factor_group`] on `L` interleaved blocks).
 pub(crate) fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize) -> Result<()> {
     check_square(a.len(), ld, n);
     counters::add_flops(n * n * n / 3);
+    match factor_lower_lanes(a.as_chunks_mut::<1>().0, ld, n)[0] {
+        Some(pivot) => Err(LinalgError::NotPositiveDefinite { pivot }),
+        None => Ok(()),
+    }
+}
+
+/// [`factor_lower_in_place`] on `L` matrices at once, one lane each
+/// (element `(i, j)` of lane `l` is `a[i·ld + j][l]`), each lane exactly
+/// the one-matrix loop. Returns each lane's failing pivot: a lane that
+/// fails goes on computing garbage its caller must not read, and the loop
+/// stops once every lane has failed (for one lane: at the failing pivot,
+/// before it is written). Books no flops; the callers do.
+#[inline(always)]
+pub(crate) fn factor_lower_lanes<T: Scalar, const L: usize>(
+    a: &mut [[T; L]],
+    ld: usize,
+    n: usize,
+) -> [Option<usize>; L] {
+    check_square(a.len(), ld, n);
+    let mut failed = [None; L];
     for i in 0..n {
         let (above, rest) = a.split_at_mut(i * ld);
         let li = &mut rest[..=i];
@@ -279,20 +300,33 @@ pub(crate) fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize)
             let lj = &above[j * ld..j * ld + j + 1];
             let mut acc = li[j];
             for (&x, &y) in li[..j].iter().zip(lj) {
-                acc -= x * y;
+                for l in 0..L {
+                    acc[l] -= x[l] * y[l];
+                }
             }
-            li[j] = acc / lj[j];
+            let ljj = lj[j];
+            for l in 0..L {
+                acc[l] /= ljj[l];
+            }
+            li[j] = acc;
         }
         let mut acc = li[i];
         for &x in &li[..i] {
-            acc -= x * x;
+            for l in 0..L {
+                acc[l] -= x[l] * x[l];
+            }
         }
-        if acc <= T::ZERO || !acc.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite { pivot: i });
+        for l in 0..L {
+            if failed[l].is_none() && (acc[l] <= T::ZERO || !acc[l].is_finite()) {
+                failed[l] = Some(i);
+            }
         }
-        li[i] = acc.sqrt();
+        if failed.iter().all(Option::is_some) {
+            break;
+        }
+        li[i] = acc.map(T::sqrt);
     }
-    Ok(())
+    failed
 }
 
 /// `out ← L⁻¹` for a lower-triangular `L` with a non-zero diagonal: both
@@ -309,20 +343,49 @@ pub fn invert_lower<T: Scalar>(l: &[T], ldl: usize, out: &mut [T], ldo: usize, n
     check_square(l.len(), ldl, n);
     check_square(out.len(), ldo, n);
     counters::add_flops(n * n * n / 3);
+    invert_lower_lanes(
+        l.as_chunks::<1>().0,
+        ldl,
+        out.as_chunks_mut::<1>().0,
+        ldo,
+        n,
+    );
+}
+
+/// [`invert_lower`] on `L` triangles at once (the lane layout of
+/// [`factor_lower_lanes`]), each lane exactly the one-matrix loop. Books
+/// no flops.
+#[inline(always)]
+pub(crate) fn invert_lower_lanes<T: Scalar, const L: usize>(
+    l: &[[T; L]],
+    ldl: usize,
+    out: &mut [[T; L]],
+    ldo: usize,
+    n: usize,
+) {
     for i in 0..n {
         let li = &l[i * ldl..i * ldl + i + 1];
         let (above, rest) = out.split_at_mut(i * ldo);
         let xi = &mut rest[..=i];
-        xi.fill(T::ZERO);
-        xi[i] = T::ONE;
+        xi.fill([T::ZERO; L]);
+        xi[i] = [T::ONE; L];
         for (k, &lik) in li[..i].iter().enumerate() {
             let xk = &above[k * ldo..k * ldo + k + 1];
             for (x, &y) in xi.iter_mut().zip(xk) {
-                *x -= lik * y;
+                let mut v = *x;
+                for l in 0..L {
+                    v[l] -= lik[l] * y[l];
+                }
+                *x = v;
             }
         }
+        let lii = li[i];
         for x in xi.iter_mut() {
-            *x /= li[i];
+            let mut v = *x;
+            for l in 0..L {
+                v[l] /= lii[l];
+            }
+            *x = v;
         }
     }
 }

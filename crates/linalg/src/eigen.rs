@@ -5,34 +5,62 @@
 //! in the paper) and Exact-FIRAL needs full eigendecompositions for
 //! `Σ_⋄^{-1/2}` and the FTRL update. Two implementations are provided:
 //!
-//! * [`eigh`]/[`eigvalsh`] — Householder tridiagonalization followed by
-//!   implicit-shift QL (the classical EISPACK `tred2`/`tql2` pair). `O(d³)`
-//!   with a small constant; the production path.
+//! * [`eigh`] — Householder tridiagonalization followed by implicit-shift
+//!   QL (the classical EISPACK `tred2`/`tql2` pair). `O(d³)` with a small
+//!   constant.
+//! * [`eigvalsh_blocks`]/[`eigvalsh`] — the same two steps, values only,
+//!   on a group of blocks in SIMD lockstep (below); the production path.
 //! * [`jacobi_eigh`] — cyclic Jacobi rotations. Slower but independently
 //!   derived; used as a cross-check oracle in tests.
 //!
 //! Eigenvalues are returned in ascending order; eigenvectors are the
 //! *columns* of the returned matrix.
 //!
-//! Both entry points read the **lower triangle** of their argument only.
+//! Every entry point reads the **lower triangle** of their argument only.
 //! That is part of the contract: `BlockDiag::rank_one_update` produces
 //! blocks whose two triangles differ in the last bit
 //! (`(g·x_a)·x_b ≠ (g·x_b)·x_a`), and the §IV-A η criterion is an argmax
 //! over such spectra.
 //!
-//! [`eigvalsh`] does not run `tred2`. Without the transform to accumulate,
-//! `tred2`'s work is a symmetric matvec and a rank-two update per
-//! Householder step, both written against the lower triangle — so half of
-//! the matvec walks a column with stride `d`. `tridiagonalize` mirrors the
-//! lower triangle up once and then does the same arithmetic over full,
-//! contiguous rows: the matvec as row AXPYs, the update on whole rows. Every
-//! output element sees the products `tred2` forms, added in `tred2`'s
-//! `k`-ascending order, so the tridiagonal — and the spectrum — is bit for
-//! bit `tred2(.., false)`'s (pinned by the unit tests below).
+//! # The values-only path: one lane per block
+//!
+//! [`eigvalsh_blocks`] (and [`eigvalsh`], a group of one) does not run
+//! `tred2`/`tql2`. Line 9 solves `c − 1` independent `d × d` problems per
+//! pick, and one block's `tql2` is a latency-bound scalar chain (a
+//! `hypot`, two divides and a handful of products per rotation, each
+//! waiting on the last). So blocks go in groups of
+//! [`Scalar::BLOCK_LANES`] (8 `f32`, 4 `f64`), interleaved so that element
+//! `(i, j)` of the group is one `[T; L]` — lane `l` is block `l` — and every
+//! step of the reduction and of the QL sweep is one operation on all `L`
+//! blocks. The lanes are plain fixed-width arrays, compiled under the
+//! active tier's target features through the SIMD dispatch seam so they
+//! vectorise at its width; Rust neither contracts nor reassociates them, so
+//! multiply-then-add stays unfused and every tier gives the same bits.
+//!
+//! * **Reduction.** Without the transform to accumulate, `tred2`'s work is
+//!   a symmetric matvec and a rank-two update per Householder step, both
+//!   written against the lower triangle — so half of the matvec walks a
+//!   column with stride `d`. `tridiagonalize_lanes` mirrors the lower
+//!   triangle up once and then does the same arithmetic over full,
+//!   contiguous rows: the matvec as row AXPYs, the update on whole rows.
+//!   Every output element sees the products `tred2` forms, added in
+//!   `tred2`'s `k`-ascending order.
+//! * **QL.** `tql_lanes` is `tql2` without vectors, lane by lane.
+//! * **Masks.** What `tred2`/`tql2` decide per block — a `scale == 0`
+//!   Householder row, each block's split point and sweep count, the early
+//!   exit on `r == 0` — is a per-lane mask: a masked lane writes nothing.
+//!   `hypot` is [`Scalar::hypot`], the same function in a lane as in the
+//!   scalar code (for `f32` the crate's own formula, not the host libm).
+//!
+//! So each block's spectrum is **bit for bit `tred2(.., false)` + `tql2`'s**
+//! whatever group it lands in, at which lane, beside which neighbours
+//! (pinned here and by `tests/block_lanes.rs`). Scratch is one group,
+//! `O(L·d²)`, never `O(c·d²)`.
 
 use crate::counters;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::simd;
 use crate::{LinalgError, Result};
 
 /// Result of a symmetric eigendecomposition: `A = V diag(λ) Vᵀ`.
@@ -150,76 +178,264 @@ fn tred2<T: Scalar>(z: &mut Matrix<T>, d: &mut [T], e: &mut [T], want_vectors: b
     }
 }
 
-/// The values-only Householder reduction behind [`eigvalsh`]: `tred2`
-/// without the transform, over full contiguous rows (see the module docs).
-/// On return `d` holds the diagonal and `e` the sub-diagonal (in `e[1..]`);
-/// `z` is scratch.
-fn tridiagonalize<T: Scalar>(z: &mut Matrix<T>, d: &mut [T], e: &mut [T]) {
-    let n = d.len();
-    // The lower triangle is the input; from here on the leading
-    // `i × i` submatrix is kept exactly symmetric.
-    for i in 0..n {
-        for j in 0..i {
-            z[(j, i)] = z[(i, j)];
-        }
-    }
-    let a = z.as_mut_slice();
+/// The values-only Householder reduction behind [`eigvalsh_blocks`], on
+/// `L` blocks at once: `tred2` without the transform, over full
+/// contiguous rows (see the module docs). `a` is `n × n` elements of one
+/// lane per block (element `(i, j)` of block `l` is `a[i·n + j][l]`), lower
+/// triangle mirrored up; `d` and `e` hold `n` elements the same way. On
+/// return `d` holds the diagonals and `e` the sub-diagonals (in `e[1..]`);
+/// `a` is scratch.
+///
+/// Every lane runs the scalar reduction's operations in its order. The
+/// one data-dependent branch, a Householder row with `scale == 0`, is a
+/// lane mask: such a lane takes `e[i] = v[i−1]`, and the row update that
+/// follows leaves its `A` as it was. The garbage the masked lane computes
+/// on the way lands in its row `i` and in `e[..i]`, which nothing reads
+/// again.
+#[inline(always)]
+fn tridiagonalize_lanes<T: Scalar, const L: usize>(
+    a: &mut [[T; L]],
+    d: &mut [[T; L]],
+    e: &mut [[T; L]],
+    n: usize,
+) {
+    // Lane arrays are read into locals and written back whole, so no
+    // store can alias a later load and every lane loop is one vector op.
     for i in (1..n).rev() {
-        // Row `i` holds the Householder vector `v`; rows `0..i` are `A`.
+        // Row `i` holds the Householder vectors `v`; rows `0..i` are `A`.
         let (lead, tail) = a.split_at_mut(i * n);
         let v = &mut tail[..i];
-        let mut scale = T::ZERO;
+        let mut scale = [T::ZERO; L];
         if i > 1 {
             for &vk in v.iter() {
-                scale += vk.abs();
+                for l in 0..L {
+                    scale[l] += vk[l].abs();
+                }
             }
         }
-        if scale == T::ZERO {
-            e[i] = v[i - 1];
+        let skip = scale.map(|s| s == T::ZERO);
+        e[i] = v[i - 1];
+        if skip.iter().all(|&z| z) {
             continue;
         }
-        let mut h = T::ZERO;
+        let mut h = [T::ZERO; L];
         for vk in v.iter_mut() {
-            *vk /= scale;
-            h += *vk * *vk;
+            let mut x = *vk;
+            for l in 0..L {
+                x[l] /= scale[l];
+                h[l] += x[l] * x[l];
+            }
+            *vk = x;
         }
-        let f = v[i - 1];
-        let g = if f > T::ZERO { -h.sqrt() } else { h.sqrt() };
-        e[i] = scale * g;
-        h -= f * g;
-        v[i - 1] = f - g;
+        let (f, mut ei, mut vl) = (v[i - 1], e[i], v[i - 1]);
+        for l in 0..L {
+            let g = if f[l] > T::ZERO {
+                -h[l].sqrt()
+            } else {
+                h[l].sqrt()
+            };
+            ei[l] = if skip[l] { ei[l] } else { scale[l] * g };
+            h[l] -= f[l] * g;
+            vl[l] = f[l] - g;
+        }
+        (e[i], v[i - 1]) = (ei, vl);
 
         // p = A·v as row AXPYs: p_j gathers A[k][j]·v[k] for k ascending,
         // which is tred2's row-then-column walk with A[j][k] = A[k][j].
         let p = &mut e[..i];
-        p.fill(T::ZERO);
+        p.fill([T::ZERO; L]);
         for (row, &vk) in lead.chunks_exact(n).zip(v.iter()) {
             for (pj, &akj) in p.iter_mut().zip(&row[..i]) {
-                *pj += akj * vk;
+                let mut x = *pj;
+                for l in 0..L {
+                    x[l] += akj[l] * vk[l];
+                }
+                *pj = x;
             }
         }
-        let mut f_acc = T::ZERO;
+        let mut f_acc = [T::ZERO; L];
         for (pj, &vj) in p.iter_mut().zip(v.iter()) {
-            *pj /= h;
-            f_acc += *pj * vj;
+            let mut x = *pj;
+            for l in 0..L {
+                x[l] /= h[l];
+                f_acc[l] += x[l] * vj[l];
+            }
+            *pj = x;
         }
-        let hh = f_acc / (h + h);
+        let mut hh = [T::ZERO; L];
+        for l in 0..L {
+            hh[l] = f_acc[l] / (h[l] + h[l]);
+        }
         for (pj, &vj) in p.iter_mut().zip(v.iter()) {
-            *pj -= hh * vj;
+            let mut x = *pj;
+            for l in 0..L {
+                x[l] -= hh[l] * vj[l];
+            }
+            *pj = x;
         }
         // A -= v·qᵀ + q·vᵀ on whole rows. The mirrored entry forms the same
         // two products and adds them in the other order, so symmetry holds
         // to the bit.
-        for (j, row) in lead.chunks_exact_mut(n).enumerate() {
-            let (f, g) = (v[j], p[j]);
-            for ((ajk, &qk), &vk) in row[..i].iter_mut().zip(p.iter()).zip(v.iter()) {
-                *ajk -= f * qk + g * vk;
+        let q = &*p;
+        for (row, (&fj, &gj)) in lead.chunks_exact_mut(n).zip(v.iter().zip(q)) {
+            for (ajk, (&qk, &vk)) in row[..i].iter_mut().zip(q.iter().zip(v.iter())) {
+                let mut x = *ajk;
+                for l in 0..L {
+                    let upd = x[l] - (fj[l] * qk[l] + gj[l] * vk[l]);
+                    x[l] = if skip[l] { x[l] } else { upd };
+                }
+                *ajk = x;
             }
         }
     }
-    e[0] = T::ZERO;
+    e[0] = [T::ZERO; L];
     for i in 0..n {
         d[i] = a[i * n + i];
+    }
+}
+
+/// `tql2` without vectors on `L` tridiagonals at once (`d`, `e` as
+/// [`tridiagonalize_lanes`] leaves them): per lane exactly `tql2`'s
+/// operations in `tql2`'s order. Each lane keeps its own place in `tql2`'s
+/// loop — the eigenvalue `l` it is converging, that eigenvalue's sweep
+/// count and its split point `m` — so a lane that has converged moves on
+/// while its neighbours still sweep. A round is one sweep for every lane
+/// that needs one: the rotations walk the rows from the highest `m` down
+/// to the lowest `l`, and a lane takes part in row `i` only for
+/// `l ≤ i < m` and until its own early exit on `r == 0`. Everything a
+/// lane does not take part in, it does not write.
+#[inline(always)]
+fn tql_lanes<T: Scalar, const L: usize>(
+    d: &mut [[T; L]],
+    e: &mut [[T; L]],
+    n: usize,
+) -> Result<()> {
+    if n == 0 {
+        return Ok(());
+    }
+    e.copy_within(1..n, 0);
+    e[n - 1] = [T::ZERO; L];
+
+    // Each lane's `l` and its sweep count. The row positions lanes are
+    // tested against (`from`, `mf`, `until`) are values of `T` — exact, `n`
+    // being a matrix order — so every lane test is a compare of one type.
+    let mut l0 = [0usize; L];
+    let mut iter = [0usize; L];
+    loop {
+        // Each lane's split point: the first small sub-diagonal element at
+        // or after its `l`. A lane whose `m` is its `l` has converged that
+        // eigenvalue and scans again from the next.
+        let m = loop {
+            let from = l0.map(T::from_usize);
+            let mut mf = [T::from_usize(n - 1); L];
+            let mut open = l0.map(|l| l + 1 < n);
+            for mm in l0.iter().copied().min().unwrap_or(n)..n - 1 {
+                let (dm, dm1, em, at) = (d[mm], d[mm + 1], e[mm], T::from_usize(mm));
+                for l in 0..L {
+                    let small = em[l].abs() <= T::EPSILON * (dm[l].abs() + dm1[l].abs());
+                    let hit = open[l] & small & (at >= from[l]);
+                    mf[l] = if hit { at } else { mf[l] };
+                    open[l] &= !hit;
+                }
+                if !open.iter().any(|&o| o) {
+                    break;
+                }
+            }
+            let m = mf.map(|v| v.to_f64() as usize);
+            let mut again = false;
+            for l in 0..L {
+                if l0[l] < n && m[l] == l0[l] {
+                    l0[l] += 1;
+                    iter[l] = 0;
+                    again = true;
+                }
+            }
+            if !again {
+                break m;
+            }
+        };
+        let act: [bool; L] = std::array::from_fn(|l| l0[l] < n);
+        if !act.iter().any(|&a| a) {
+            return Ok(());
+        }
+        for l in 0..L {
+            iter[l] += act[l] as usize;
+            if iter[l] > 64 {
+                return Err(LinalgError::EigenNoConvergence { index: l0[l] });
+            }
+        }
+        // Form each lane's implicit Wilkinson shift.
+        let at_l = |v: &[[T; L]], at: [usize; L]| -> [T; L] {
+            std::array::from_fn(|l| v[at[l].min(n - 1)][l])
+        };
+        let (dl, el, dm) = (at_l(d, l0), at_l(e, l0), at_l(d, m));
+        let dl1 = at_l(d, l0.map(|l| l + 1));
+        let mut g = [T::ZERO; L];
+        for l in 0..L {
+            let gl = (dl1[l] - dl[l]) / (el[l] + el[l]);
+            let r = Scalar::hypot(gl, T::ONE);
+            g[l] = dm[l] - dl[l] + el[l] / (gl + r.abs().copysign(gl));
+        }
+        let mut s = [T::ONE; L];
+        let mut c = [T::ONE; L];
+        let mut p = [T::ZERO; L];
+        // Lane `l` rotates rows `from[l] ≤ i < until[l]`; `until` drops to
+        // zero when the lane exits early.
+        let from = l0.map(T::from_usize);
+        let mut until: [T; L] =
+            std::array::from_fn(|l| if act[l] { T::from_usize(m[l]) } else { T::ZERO });
+        // Lanes that left the sweep on `r == 0` above their `l`: they skip
+        // the closing update and sweep the same `l` again.
+        let mut again = [false; L];
+        let lo = (0..L).filter(|&l| act[l]).map(|l| l0[l]).min().unwrap_or(0);
+        let top = (0..L).filter(|&l| act[l]).map(|l| m[l]).max().unwrap_or(0);
+        for i in (lo..top).rev() {
+            let at = T::from_usize(i);
+            let on: [bool; L] = std::array::from_fn(|l| (at < until[l]) & (at >= from[l]));
+            let (ei, di, ei1, di1) = (e[i], d[i], e[i + 1], d[i + 1]);
+            let f: [T; L] = std::array::from_fn(|l| s[l] * ei[l]);
+            let b: [T; L] = std::array::from_fn(|l| c[l] * ei[l]);
+            let r: [T; L] = std::array::from_fn(|l| Scalar::hypot(f[l], g[l]));
+            let hit: [bool; L] = std::array::from_fn(|l| on[l] & (r[l] == T::ZERO));
+            let go: [bool; L] = std::array::from_fn(|l| on[l] & !hit[l]);
+            let sn: [T; L] = std::array::from_fn(|l| f[l] / r[l]);
+            let cn: [T; L] = std::array::from_fn(|l| g[l] / r[l]);
+            let gn: [T; L] = std::array::from_fn(|l| di1[l] - p[l]);
+            let rn: [T; L] =
+                std::array::from_fn(|l| (di[l] - gn[l]) * sn[l] + T::TWO * cn[l] * b[l]);
+            let pn: [T; L] = std::array::from_fn(|l| sn[l] * rn[l]);
+            e[i + 1] = std::array::from_fn(|l| if on[l] { r[l] } else { ei1[l] });
+            // On `r == 0` the lane's `d[i+1] -= p`, which is `gn`.
+            d[i + 1] = std::array::from_fn(|l| {
+                if go[l] {
+                    gn[l] + pn[l]
+                } else if on[l] {
+                    gn[l]
+                } else {
+                    di1[l]
+                }
+            });
+            s = std::array::from_fn(|l| if go[l] { sn[l] } else { s[l] });
+            c = std::array::from_fn(|l| if go[l] { cn[l] } else { c[l] });
+            p = std::array::from_fn(|l| if go[l] { pn[l] } else { p[l] });
+            g = std::array::from_fn(|l| if go[l] { cn[l] * rn[l] - b[l] } else { g[l] });
+            if hit.iter().any(|&h| h) {
+                for l in 0..L {
+                    if hit[l] {
+                        e[m[l]][l] = T::ZERO;
+                        until[l] = T::ZERO;
+                        again[l] = i > l0[l];
+                    }
+                }
+            }
+        }
+        for l in 0..L {
+            if act[l] && !again[l] {
+                d[l0[l]][l] -= p[l];
+                e[l0[l]][l] = g[l];
+                e[m[l]][l] = T::ZERO;
+            }
+        }
     }
 }
 
@@ -325,21 +541,110 @@ pub fn eigh<T: Scalar>(a: &Matrix<T>) -> Result<EigDecomposition<T>> {
     Ok(EigDecomposition { values, vectors })
 }
 
-/// Eigenvalues only (ascending), from the lower triangle of `a`. Skips
-/// transform accumulation — this is the kernel behind Line 9 of
-/// Algorithm 3, where only the spectrum feeds the bisection for `ν_{t+1}`.
+/// Eigenvalues only (ascending), from the lower triangle of `a`: a group
+/// of one for [`eigvalsh_blocks`].
 pub fn eigvalsh<T: Scalar>(a: &Matrix<T>) -> Result<Vec<T>> {
-    let n = a.rows();
-    assert_eq!(a.rows(), a.cols(), "eigvalsh needs a square matrix");
-    counters::add_flops(4 * n * n * n);
+    eigvalsh_blocks(std::slice::from_ref(a))
+}
 
-    let mut z = a.clone();
-    let mut d = vec![T::ZERO; n];
-    let mut e = vec![T::ZERO; n];
-    tridiagonalize(&mut z, &mut d, &mut e);
-    tql2(&mut z, &mut d, &mut e, false)?;
-    d.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(d)
+/// Eigenvalues only of every block, each block's ascending, concatenated in
+/// block order — the kernel behind Line 9 of Algorithm 3, where only the
+/// spectra feed the bisection for `ν_{t+1}`. Reads each block's lower
+/// triangle only; all blocks are `n × n`.
+///
+/// Blocks run in groups of [`Scalar::BLOCK_LANES`], one lane per block
+/// (module docs); a last group of one runs at one lane, a last group of
+/// two or more at full width with zero blocks in the spare lanes (they
+/// reduce and converge without one sweep). Scratch is one group,
+/// `(n² + 2n)·BLOCK_LANES` elements, whatever the block count. Each
+/// block's spectrum is bit for bit the one-block path's.
+pub fn eigvalsh_blocks<T: Scalar>(blocks: &[Matrix<T>]) -> Result<Vec<T>> {
+    let n = blocks.first().map_or(0, Matrix::rows);
+    for b in blocks {
+        assert_eq!(
+            b.shape(),
+            (n, n),
+            "eigvalsh_blocks needs square blocks of one order"
+        );
+    }
+    counters::add_flops(4 * n * n * n * blocks.len());
+    let mut out = Vec::with_capacity(blocks.len() * n);
+    let mut scratch = Vec::new();
+    for group in blocks.chunks(T::BLOCK_LANES) {
+        match (group.len(), T::BLOCK_LANES) {
+            (1, _) => eig_group::<T, 1>(group, &mut scratch, &mut out)?,
+            (_, 8) => eig_group::<T, 8>(group, &mut scratch, &mut out)?,
+            (_, 4) => eig_group::<T, 4>(group, &mut scratch, &mut out)?,
+            (_, lanes) => unreachable!("no {lanes}-lane instantiation"),
+        }
+    }
+    Ok(out)
+}
+
+/// One group of at most `L` blocks through [`tridiagonalize_lanes`] and
+/// [`tql_lanes`], appending each block's sorted spectrum to `out`.
+fn eig_group<T: Scalar, const L: usize>(
+    group: &[Matrix<T>],
+    scratch: &mut Vec<T>,
+    out: &mut Vec<T>,
+) -> Result<()> {
+    let n = group[0].rows();
+    scratch.resize((n * n + 2 * n) * L, T::ZERO);
+    let (lanes, _) = scratch.as_chunks_mut::<L>();
+    let (a, de) = lanes.split_at_mut(n * n);
+    let (d, e) = de.split_at_mut(n);
+    // The lower triangles, mirrored up: from here on the leading `i × i`
+    // submatrix of every lane is kept exactly symmetric.
+    if group.len() < L {
+        a.fill([T::ZERO; L]);
+    }
+    for (l, b) in group.iter().enumerate() {
+        for i in 0..n {
+            for (aij, &v) in a[i * n..=i * n + i].iter_mut().zip(&b.row(i)[..=i]) {
+                aij[l] = v;
+            }
+        }
+    }
+    for i in 0..n {
+        for j in 0..i {
+            a[j * n + i] = a[i * n + j];
+        }
+    }
+    let mut solved = Ok(());
+    simd::run_lanes::<T>(
+        simd::active_tier(),
+        EigLanes {
+            a,
+            d: &mut *d,
+            e,
+            n,
+            solved: &mut solved,
+        },
+    );
+    solved?;
+    for l in 0..group.len() {
+        let start = out.len();
+        out.extend(d.iter().map(|dl| dl[l]));
+        out[start..].sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    }
+    Ok(())
+}
+
+/// One group's reduction and QL sweep, as one lane body.
+struct EigLanes<'a, T, const L: usize> {
+    a: &'a mut [[T; L]],
+    d: &'a mut [[T; L]],
+    e: &'a mut [[T; L]],
+    n: usize,
+    solved: &'a mut Result<()>,
+}
+
+impl<T: Scalar, const L: usize> simd::LaneBody for EigLanes<'_, T, L> {
+    #[inline(always)]
+    fn run(self) {
+        tridiagonalize_lanes(self.a, self.d, self.e, self.n);
+        *self.solved = tql_lanes(self.d, self.e, self.n);
+    }
 }
 
 /// Cyclic Jacobi eigendecomposition — independent reference implementation

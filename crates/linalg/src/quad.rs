@@ -15,6 +15,19 @@
 //! triangular), `q2 = Σ_j y_j²`, `score += g·q2 / (1 + η·g·q1)`. `Z` and `Y`
 //! live in two cache-resident `rows × ld` panels.
 //!
+//! # The factor chain, one lane per block
+//!
+//! [`QuadSweep::factor_group`] runs the `M → N → N⁻¹ → R⁻¹` chain of up
+//! to [`Scalar::BLOCK_LANES`] blocks at once: the group's `M`, `N⁻¹` and
+//! `L⁻¹` are `d × d` elements of one `[T; L]` each (lane `l` = block `l`),
+//! and every step of the one-block chain — the Cholesky dot products, the
+//! forward substitution, the lower × lower product — is one operation on
+//! all lanes (`crate::simd::run_lanes`; the `crate::eigen` module docs have
+//! the scheme). A block that does not factor is a lane mask, and each
+//! block's triangles are bit for bit the one-block chain's. The group's
+//! scratch is `3·d²·L` elements; [`QuadSweep::accumulate`] unpacks one
+//! block's triangles into the layout below and sweeps the pool with them.
+//!
 //! # Layout and the triangles
 //!
 //! Both triangles are `d × ld` row-major with `ld` = `d` rounded up to the
@@ -39,14 +52,14 @@
 use rayon::prelude::*;
 
 use crate::autotune;
-use crate::cholesky::{factor_lower_in_place, invert_lower};
+use crate::cholesky::{factor_lower_lanes, invert_lower_lanes};
 use crate::counters;
 use crate::gemm::{gemm_panel, PAR_THRESHOLD};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::simd::{self, check_tier, Tier};
 use crate::sweep::grown;
-use crate::Result;
+use crate::{LinalgError, Result};
 
 /// Pool rows per block of the sweep: two `64 × ld` panels plus the block's
 /// points stay cache-resident up to the paper's `d = 50`.
@@ -77,23 +90,31 @@ fn row_norm<T: Scalar>(v: &[T]) -> T {
     v.iter().fold(T::ZERO, |q, &e| q + e * e)
 }
 
-/// One block of `B = L·M·Lᵀ` in the factored inverse form the Eq. 17 sweep
-/// consumes (see the module docs), plus the sweep's scratch. Reused across
-/// blocks and picks: [`QuadSweep::m_row_mut`] × `d` →
-/// [`QuadSweep::factor`] → [`QuadSweep::accumulate`].
+/// A group of blocks of `B = L·M·Lᵀ` in the factored inverse form the
+/// Eq. 17 sweep consumes (see the module docs), plus the sweep's scratch.
+/// Reused across groups and picks: [`QuadSweep::factor_group`] → one
+/// [`QuadSweep::accumulate`] per block of the group.
 #[derive(Debug)]
 pub struct QuadSweep<T: Scalar> {
     tier: Tier,
     block_rows: usize,
     d: usize,
     ld: usize,
-    /// `d × ld`. The lower triangle is the work area of
-    /// [`QuadSweep::factor`] (`M`, then `N`, then `R⁻¹`); after it the slot
-    /// holds the upper-triangular `R⁻ᵀ`, zero below the diagonal.
+    /// `d × ld`: the upper-triangular `R⁻ᵀ` of the block being swept, zero
+    /// below the diagonal.
     r_inv_t: Vec<T>,
-    /// `d × ld`: the lower-triangular `N⁻¹`; nothing above the diagonal is
-    /// ever written.
+    /// `d × ld`: the lower-triangular `N⁻¹` of the block being swept;
+    /// nothing above the diagonal is ever written.
     n_inv: Vec<T>,
+    /// The factored group, `width` blocks interleaved (module docs): `M`,
+    /// then `N`, then `R⁻¹` in one `d·d·width` slot, `N⁻¹` in the next, the
+    /// group's `L⁻¹` in the last.
+    group: Vec<T>,
+    /// Lanes of the factored group: 1 for a group of one, else
+    /// [`Scalar::BLOCK_LANES`].
+    width: usize,
+    /// Blocks of the factored group (0 until one factors).
+    loaded: usize,
     /// One `Z`/`Y` panel pair (`2·block_rows·ld`) per row task.
     panels: Vec<T>,
 }
@@ -119,62 +140,163 @@ impl<T: Scalar> QuadSweep<T> {
             ld,
             r_inv_t: vec![T::ZERO; d * ld],
             n_inv: vec![T::ZERO; d * ld],
+            group: Vec::new(),
+            width: 0,
+            loaded: 0,
             panels: Vec::new(),
         }
     }
 
-    /// Row `i` of the lower triangle of `M` (`i + 1` entries, diagonal
-    /// last). Every row must be written before [`QuadSweep::factor`]; what
-    /// an earlier block left there is garbage.
-    pub fn m_row_mut(&mut self, i: usize) -> &mut [T] {
-        &mut self.r_inv_t[i * self.ld..i * self.ld + i + 1]
-    }
-
-    /// Factor the assembled `M = N·Nᵀ` and load the block: `N⁻¹` by forward
-    /// substitution on the identity and `R⁻¹ = N⁻¹·L⁻¹` (lower × lower) for
-    /// the given lower-triangular `l_inv = L⁻¹` — `d³/3` flops each, as is
-    /// the factorization. Fails, leaving the block unusable until the next
-    /// successful call, when `M` is not positive definite.
-    pub fn factor(&mut self, l_inv: &Matrix<T>) -> Result<()> {
-        let (d, ld) = (self.d, self.ld);
-        assert_eq!(l_inv.shape(), (d, d), "QuadSweep::factor: L⁻¹ is not d × d");
-        factor_lower_in_place(&mut self.r_inv_t, ld, d)?;
-        invert_lower(&self.r_inv_t, ld, &mut self.n_inv, ld, d);
-
-        // Row j of R⁻¹ = Σ_k N⁻¹[j][k] · (row k of L⁻¹), k ascending from
-        // zero, over the slot's lower triangle (N is dead).
-        counters::add_flops(d * d * d / 3);
-        for j in 0..d {
-            let row = &mut self.r_inv_t[j * ld..j * ld + j + 1];
-            row.fill(T::ZERO);
-            for (k, &njk) in self.n_inv[j * ld..j * ld + j + 1].iter().enumerate() {
-                for (r, &l) in row.iter_mut().zip(&l_inv.row(k)[..=k]) {
-                    *r += njk * l;
-                }
-            }
+    /// Factor the `M_k = N_k·N_kᵀ` of up to [`Scalar::BLOCK_LANES`] blocks
+    /// and load them: per block `N⁻¹` by forward substitution on the
+    /// identity and `R⁻¹ = N⁻¹·L⁻¹` (lower × lower) for its lower-triangular
+    /// `l_invs[lane] = L⁻¹`. `m_row(lane, i, row)` writes row `i` of block
+    /// `lane`'s `M` into `row` (`i + 1` entries, diagonal last); nothing
+    /// above the diagonal is asked for.
+    ///
+    /// The blocks run one per lane in lockstep (module docs), each exactly
+    /// the one-block chain, and book what that chain books: `d³/3` flops
+    /// for the factorization, the inverse and the product each. Fails with
+    /// the first failing block's error, leaving the group unusable until
+    /// the next successful call, when some `M` is not positive definite;
+    /// the flops booked are then those of the one-block chain up to that
+    /// block's failure.
+    pub fn factor_group(
+        &mut self,
+        l_invs: &[Matrix<T>],
+        m_row: impl FnMut(usize, usize, &mut [T]),
+    ) -> Result<()> {
+        let g = l_invs.len();
+        assert!(
+            (1..=T::BLOCK_LANES).contains(&g),
+            "QuadSweep::factor_group: {g} blocks in a group of at most {}",
+            T::BLOCK_LANES
+        );
+        for l_inv in l_invs {
+            assert_eq!(
+                l_inv.shape(),
+                (self.d, self.d),
+                "QuadSweep: L⁻¹ is not d × d"
+            );
         }
-        // Mirror it into the upper triangle and clear what is below.
-        for i in 0..d {
-            for j in 0..i {
-                self.r_inv_t[j * ld + i] = self.r_inv_t[i * ld + j];
-                self.r_inv_t[i * ld + j] = T::ZERO;
-            }
-        }
+        self.loaded = 0;
+        match (g, T::BLOCK_LANES) {
+            (1, _) => self.factor_lanes::<1>(l_invs, m_row),
+            (_, 8) => self.factor_lanes::<8>(l_invs, m_row),
+            (_, 4) => self.factor_lanes::<4>(l_invs, m_row),
+            (_, lanes) => unreachable!("no {lanes}-lane instantiation"),
+        }?;
+        self.loaded = g;
         Ok(())
     }
 
-    /// Dense `d × d` copies of the loaded triangles, `(R⁻ᵀ, N⁻¹)` — what
-    /// the harnesses feed the two-GEMM oracle.
-    pub fn triangles(&self) -> (Matrix<T>, Matrix<T>) {
-        let dense = |t: &[T]| Matrix::from_fn(self.d, self.d, |i, j| t[i * self.ld + j]);
-        (dense(&self.r_inv_t), dense(&self.n_inv))
+    fn factor_lanes<const L: usize>(
+        &mut self,
+        l_invs: &[Matrix<T>],
+        mut m_row: impl FnMut(usize, usize, &mut [T]),
+    ) -> Result<()> {
+        let (d, g) = (self.d, l_invs.len());
+        let (lanes, _) = grown(&mut self.group, 3 * d * d * L).as_chunks_mut::<L>();
+        let (a, rest) = lanes.split_at_mut(d * d);
+        let (n_inv, l_inv) = rest.split_at_mut(d * d);
+        self.width = L;
+        // Spare lanes hold the identity: they factor, and idle, cleanly.
+        for l in g..L {
+            for i in 0..d {
+                for j in 0..=i {
+                    let v = T::from_usize((i == j) as usize);
+                    (a[i * d + j][l], l_inv[i * d + j][l]) = (v, v);
+                }
+            }
+        }
+        // Row i of lane l's M, staged in its slot of `n_inv` (written
+        // below only after the factorization).
+        let row = n_inv[..d].as_flattened_mut();
+        let row = &mut row[..d];
+        for (l, li) in l_invs.iter().enumerate() {
+            for i in 0..d {
+                m_row(l, i, &mut row[..=i]);
+                for (j, (&mv, &lv)) in row[..=i].iter().zip(&li.row(i)[..=i]).enumerate() {
+                    (a[i * d + j][l], l_inv[i * d + j][l]) = (mv, lv);
+                }
+            }
+        }
+        let mut failed = [None; L];
+        let chain = FactorLanes {
+            a,
+            n_inv,
+            l_inv,
+            d,
+            failed: &mut failed,
+        };
+        simd::run_lanes::<T>(self.tier, chain);
+        let third = d * d * d / 3;
+        if let Some(l) = (0..g).find(|&l| failed[l].is_some()) {
+            counters::add_flops((3 * l + 1) * third);
+            let pivot = failed[l].expect("found above");
+            return Err(LinalgError::NotPositiveDefinite { pivot });
+        }
+        counters::add_flops(3 * g * third);
+        Ok(())
+    }
+
+    /// Block `lane` of the factored group as `(R⁻¹, N⁻¹)` entry readers.
+    fn lane(
+        &self,
+        lane: usize,
+    ) -> (
+        impl Fn(usize, usize) -> T + '_,
+        impl Fn(usize, usize) -> T + '_,
+    ) {
+        assert!(
+            lane < self.loaded,
+            "QuadSweep: block {lane} of the group is not loaded"
+        );
+        let (d, w) = (self.d, self.width);
+        let (r_inv, n_inv) = self.group.split_at(d * d * w);
+        let at = move |i: usize, j: usize| (i * d + j) * w + lane;
+        (move |i, j| r_inv[at(i, j)], move |i, j| n_inv[at(i, j)])
+    }
+
+    /// Dense `d × d` copies of block `lane`'s triangles, `(R⁻ᵀ, N⁻¹)` —
+    /// what the harnesses feed the two-GEMM oracle.
+    pub fn triangles(&self, lane: usize) -> (Matrix<T>, Matrix<T>) {
+        let (r_inv, n_inv) = self.lane(lane);
+        let tri = |keep: bool, v: T| if keep { v } else { T::ZERO };
+        (
+            Matrix::from_fn(self.d, self.d, |i, j| tri(i <= j, r_inv(j, i))),
+            Matrix::from_fn(self.d, self.d, |i, j| tri(j <= i, n_inv(i, j))),
+        )
     }
 
     /// `scores[i] += g·q2 / (1 + η·g·q1)` for every row `x_i` of `x`
     /// (`n × d`), with `g = g[(i, k)]` and `q1`, `q2` the two quadratic
-    /// forms of the loaded block (module docs). Books the two triangular
-    /// products at `n·d·(d+1)` flops each.
-    pub fn accumulate(&mut self, x: &Matrix<T>, g: &Matrix<T>, k: usize, eta: T, scores: &mut [T]) {
+    /// forms of block `lane` of the factored group (module docs). Books the
+    /// two triangular products at `n·d·(d+1)` flops each.
+    pub fn accumulate(
+        &mut self,
+        lane: usize,
+        x: &Matrix<T>,
+        g: &Matrix<T>,
+        k: usize,
+        eta: T,
+        scores: &mut [T],
+    ) {
+        // Unpack the block into the sweep's `d × ld` triangles.
+        let (mut r_inv_t, mut n_inv) = (
+            std::mem::take(&mut self.r_inv_t),
+            std::mem::take(&mut self.n_inv),
+        );
+        {
+            let (r_inv, n_lanes) = self.lane(lane);
+            for i in 0..self.d {
+                for j in 0..=i {
+                    r_inv_t[j * self.ld + i] = r_inv(i, j);
+                    n_inv[i * self.ld + j] = n_lanes(i, j);
+                }
+            }
+        }
+        (self.r_inv_t, self.n_inv) = (r_inv_t, n_inv);
         let (n, d) = x.shape();
         let (ld, block_rows, tier) = (self.ld, self.block_rows, self.tier);
         assert_eq!(d, self.d, "QuadSweep: points are not d-dimensional");
@@ -271,10 +393,55 @@ impl<T: Scalar> QuadSweep<T> {
     }
 }
 
+/// The `M_k` chain of one group, as one lane body: `N` in place of `M`,
+/// `N⁻¹`, then `R⁻¹ = N⁻¹·L⁻¹` over `a`'s lower triangle (`N` is dead by
+/// then). Lanes that fail to factor leave `failed` set; nothing past the
+/// factorization runs if one does.
+struct FactorLanes<'a, T, const L: usize> {
+    a: &'a mut [[T; L]],
+    n_inv: &'a mut [[T; L]],
+    l_inv: &'a [[T; L]],
+    d: usize,
+    failed: &'a mut [Option<usize>; L],
+}
+
+impl<T: Scalar, const L: usize> simd::LaneBody for FactorLanes<'_, T, L> {
+    #[inline(always)]
+    fn run(self) {
+        let Self {
+            a,
+            n_inv,
+            l_inv,
+            d,
+            failed,
+        } = self;
+        *failed = factor_lower_lanes(a, d, d);
+        if failed.iter().any(Option::is_some) {
+            return;
+        }
+        invert_lower_lanes(a, d, n_inv, d, d);
+        // Row j of R⁻¹ = Σ_k N⁻¹[j][k] · (row k of L⁻¹), k ascending from
+        // zero.
+        for j in 0..d {
+            let row = &mut a[j * d..j * d + j + 1];
+            row.fill([T::ZERO; L]);
+            for (k, &njk) in n_inv[j * d..j * d + j + 1].iter().enumerate() {
+                for (r, &lkc) in row.iter_mut().zip(&l_inv[k * d..k * d + k + 1]) {
+                    let mut v = *r;
+                    for l in 0..L {
+                        v[l] += njk[l] * lkc[l];
+                    }
+                    *r = v;
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cholesky::Cholesky;
+    use crate::cholesky::{invert_lower, Cholesky};
     use crate::gemm::{gemm, gemm_a_bt};
 
     fn lcg(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
@@ -304,10 +471,9 @@ mod tests {
     }
 
     fn load(sweep: &mut QuadSweep<f64>, m: &Matrix<f64>, l_inv: &Matrix<f64>) -> Result<()> {
-        for i in 0..m.rows() {
-            sweep.m_row_mut(i).copy_from_slice(&m.row(i)[..=i]);
-        }
-        sweep.factor(l_inv)
+        sweep.factor_group(std::slice::from_ref(l_inv), |_, i, row| {
+            row.copy_from_slice(&m.row(i)[..=i]);
+        })
     }
 
     #[test]
@@ -331,7 +497,7 @@ mod tests {
             assert!(load(&mut sweep, &bad, &l_inv).is_err());
             load(&mut sweep, &m, &l_inv).unwrap();
             let mut scores = vec![1.0; n];
-            sweep.accumulate(&x, &g, 1, eta, &mut scores);
+            sweep.accumulate(0, &x, &g, 1, eta, &mut scores);
             for i in 0..n {
                 let xi = x.row(i);
                 let q1 = crate::dot(xi, &b_inv.matvec(xi));
@@ -353,7 +519,7 @@ mod tests {
         let m = spd(d, 8);
         let mut sweep = QuadSweep::new(d);
         load(&mut sweep, &m, &l_inv).unwrap();
-        let (r_inv_t, n_inv) = sweep.triangles();
+        let (r_inv_t, n_inv) = sweep.triangles(0);
         for i in 0..d {
             for j in 0..d {
                 if j < i {
@@ -379,9 +545,16 @@ mod tests {
         let (l_inv, _) = whitening(4, 1);
         let mut sweep = QuadSweep::<f64>::new(4);
         load(&mut sweep, &spd(4, 2), &l_inv).unwrap();
-        sweep.accumulate(&Matrix::zeros(0, 4), &Matrix::zeros(0, 1), 0, 1.0, &mut []);
+        sweep.accumulate(
+            0,
+            &Matrix::zeros(0, 4),
+            &Matrix::zeros(0, 1),
+            0,
+            1.0,
+            &mut [],
+        );
         let mut scores = vec![3.0; 5];
-        sweep.accumulate(&lcg(5, 4, 3), &Matrix::zeros(5, 1), 0, 1.0, &mut scores);
+        sweep.accumulate(0, &lcg(5, 4, 3), &Matrix::zeros(5, 1), 0, 1.0, &mut scores);
         assert_eq!(scores, vec![3.0; 5]);
     }
 }

@@ -52,6 +52,11 @@ pub trait Scalar:
     const MIN_POSITIVE: Self;
     /// Positive infinity.
     const INFINITY: Self;
+    /// Blocks a lane group holds: one block per lane of a 256-bit vector
+    /// (8 `f32`, 4 `f64`). The grouped eigensolver and `M_k` factor chain
+    /// ([`crate::eigen::eigvalsh_blocks`], [`crate::QuadSweep::factor_group`])
+    /// run this many independent blocks in lockstep.
+    const BLOCK_LANES: usize;
 
     /// Lossy conversion from `f64` (used for constants and tolerances).
     fn from_f64(x: f64) -> Self;
@@ -74,7 +79,10 @@ pub trait Scalar:
     fn maxv(self, other: Self) -> Self;
     /// `min` that propagates the non-NaN operand.
     fn minv(self, other: Self) -> Self;
-    /// Euclidean norm of (self, other) without overflow.
+    /// Euclidean norm of (self, other) without overflow. `f32` uses the
+    /// crate's own formula (`hypot_f32`) rather than the host libm, so
+    /// the lane eigensolver's per-lane `hypot` and the scalar path are one
+    /// function; `f64` is `f64::hypot`.
     fn hypot(self, other: Self) -> Self;
     /// True when finite (not NaN/inf).
     fn is_finite(self) -> bool;
@@ -82,8 +90,24 @@ pub trait Scalar:
     fn copysign(self, sign: Self) -> Self;
 }
 
+/// `√(x² + y²)` for `f32`, evaluated in `f64` and rounded once more:
+/// `((x as f64)² + (y as f64)²).sqrt() as f32`. Both squares are exact in
+/// `f64` and no `f32` operand can overflow or underflow them, so the only
+/// special case is C99's: an infinite operand gives `+∞` even beside a NaN.
+#[inline(always)]
+fn hypot_f32(x: f32, y: f32) -> f32 {
+    let (a, b) = (x as f64, y as f64);
+    let h = (a * a + b * b).sqrt() as f32;
+    // `|`, not `||`: no branch, so a lane loop stays one basic block.
+    if (x.abs() == f32::INFINITY) | (y.abs() == f32::INFINITY) {
+        f32::INFINITY
+    } else {
+        h
+    }
+}
+
 macro_rules! impl_scalar {
-    ($t:ty) => {
+    ($t:ty, $lanes:literal, $hypot:expr) => {
         impl Scalar for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -92,6 +116,7 @@ macro_rules! impl_scalar {
             const EPSILON: Self = <$t>::EPSILON;
             const MIN_POSITIVE: Self = <$t>::MIN_POSITIVE;
             const INFINITY: Self = <$t>::INFINITY;
+            const BLOCK_LANES: usize = $lanes;
 
             #[inline(always)]
             fn from_f64(x: f64) -> Self {
@@ -135,7 +160,7 @@ macro_rules! impl_scalar {
             }
             #[inline(always)]
             fn hypot(self, other: Self) -> Self {
-                self.hypot(other)
+                $hypot(self, other)
             }
             #[inline(always)]
             fn is_finite(self) -> bool {
@@ -149,8 +174,8 @@ macro_rules! impl_scalar {
     };
 }
 
-impl_scalar!(f32);
-impl_scalar!(f64);
+impl_scalar!(f32, 8, hypot_f32);
+impl_scalar!(f64, 4, f64::hypot);
 
 #[cfg(test)]
 mod tests {
@@ -179,6 +204,37 @@ mod tests {
     fn copysign_and_hypot() {
         assert_eq!(3.0f64.copysign(-1.0), -3.0);
         assert!((Scalar::hypot(3.0f32, 4.0f32) - 5.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn f32_hypot_special_cases() {
+        let h = |x: f32, y: f32| Scalar::hypot(x, y);
+        let bits = |x: f32| x.to_bits();
+        // Signed zeros give +0.
+        for (x, y) in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] {
+            assert_eq!(bits(h(x, y)), bits(0.0), "hypot({x}, {y})");
+        }
+        // Subnormals are exact in f64: no flush, no spurious underflow.
+        let tiny = f32::from_bits(1);
+        assert_eq!(h(tiny, 0.0), tiny);
+        assert_eq!(h(-tiny, -0.0), tiny);
+        assert_eq!(h(3.0 * tiny, 4.0 * tiny), 5.0 * tiny);
+        assert_eq!(h(f32::MIN_POSITIVE, 0.0), f32::MIN_POSITIVE);
+        // f32::MAX squared fits in f64: the result rounds, never overflows
+        // on the way, and a sum that exceeds f32::MAX rounds to +∞.
+        assert_eq!(h(f32::MAX, 0.0), f32::MAX);
+        assert_eq!(h(-f32::MAX, 1.0), f32::MAX);
+        assert_eq!(h(f32::MAX, f32::MAX), f32::INFINITY);
+        // C99: an infinite operand wins over NaN.
+        for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(h(inf, 1.0), f32::INFINITY);
+            assert_eq!(h(2.0, inf), f32::INFINITY);
+            assert_eq!(h(inf, f32::NAN), f32::INFINITY);
+            assert_eq!(h(f32::NAN, inf), f32::INFINITY);
+        }
+        assert!(h(f32::NAN, 1.0).is_nan());
+        assert!(h(0.0, f32::NAN).is_nan());
+        assert_eq!(h(3.0, -4.0), 5.0);
     }
 
     #[test]

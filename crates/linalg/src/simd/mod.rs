@@ -12,7 +12,11 @@
 //! struct, [`Dispatch::simd_run`] hands it to the `#[target_feature]`
 //! wrapper of the (tier, dtype), and the wrapper runs the struct's
 //! width-generic body at its vector type. A new kernel is a body and a
-//! struct; the seam does not grow.
+//! struct; the seam does not grow. The grouped ROUND kernels (Line 9's
+//! eigensolves, the Eq. 17 factor chain) use the same seam without a
+//! vector type: their bodies are plain `[T; L]` lane loops, one block per
+//! lane (`run_lanes`), which the wrapper's feature set lets the compiler
+//! vectorise.
 //!
 //! # The canonical-summation-tree determinism contract
 //!
@@ -234,6 +238,40 @@ pub trait Dispatch: Copy {
     /// running host.
     #[doc(hidden)]
     fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool;
+}
+
+/// A lane-group body: one block per lane of plain `[T; L]` arrays (the
+/// grouped ROUND kernels of [`mod@crate::eigen`] and [`mod@crate::quad`]).
+/// It names no vector type: [`run_lanes`] only inlines it into the tier's
+/// `#[target_feature]` wrapper, where the compiler vectorises the lane
+/// loops at the tier's width. Array arithmetic is neither contracted nor
+/// reassociated, so every tier — the scalar one, which runs the body as
+/// is — produces the same bits.
+pub(crate) trait LaneBody {
+    /// Run the body; implementations are `#[inline(always)]`, down to every
+    /// lane loop they call, so all of it compiles under the wrapper.
+    fn run(self);
+}
+
+/// [`LaneBody`] as a [`SimdKernel`]: the vector type is ignored.
+struct LaneKernel<B>(B);
+
+impl<T: Copy, B: LaneBody> SimdKernel<T> for LaneKernel<B> {
+    // SAFETY: unsafe by `SimdKernel::run`'s contract; the body is plain
+    // safe code and needs no feature.
+    #[inline(always)]
+    unsafe fn run<V: SimdVec<T>>(self) {
+        self.0.run();
+    }
+}
+
+/// Run `body` under `tier`'s target features, or as is on [`Tier::Scalar`].
+pub(crate) fn run_lanes<T: Dispatch>(tier: Tier, body: impl LaneBody) {
+    if tier == Tier::Scalar {
+        body.run();
+    } else {
+        T::simd_run(tier, LaneKernel(body));
+    }
 }
 
 /// One `#[target_feature]` wrapper per (tier, dtype), generic in the kernel:

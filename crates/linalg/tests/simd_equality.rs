@@ -252,10 +252,11 @@ fn loaded_quad<T: Scalar>(tier: Tier, block_rows: usize, d: usize) -> QuadSweep<
     invert_lower(l.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
     let m = spd_mat::<T>(d, 9200 + d as u64);
     let mut sweep = QuadSweep::on_tier(tier, block_rows, d);
-    for i in 0..d {
-        sweep.m_row_mut(i).copy_from_slice(&m.row(i)[..=i]);
-    }
-    sweep.factor(&l_inv).unwrap();
+    sweep
+        .factor_group(std::slice::from_ref(&l_inv), |_, i, row| {
+            row.copy_from_slice(&m.row(i)[..=i]);
+        })
+        .unwrap();
     sweep
 }
 
@@ -271,7 +272,7 @@ fn quad_sweep_equals_dense_oracle<T: Scalar>() {
 
             // The oracle: Z = X·R⁻ᵀ and Y = Z·N⁻¹ as dense products on the
             // zero-filled triangles, q = Σ_j v_j² ascending from zero.
-            let (r_inv_t, n_inv) = loaded_quad::<T>(Tier::Scalar, QUAD_BLOCK_ROWS, d).triangles();
+            let (r_inv_t, n_inv) = loaded_quad::<T>(Tier::Scalar, QUAD_BLOCK_ROWS, d).triangles(0);
             let mut z = vec![T::ZERO; n * d];
             let mut y = vec![T::ZERO; n * d];
             gemm_into(x.as_slice(), &r_inv_t, &mut z);
@@ -295,12 +296,12 @@ fn quad_sweep_equals_dense_oracle<T: Scalar>() {
                     for block_rows in [1usize, 4, 30, QUAD_BLOCK_ROWS] {
                         let mut sweep = loaded_quad::<T>(tier, block_rows, d);
                         assert_eq!(
-                            bits(&sweep.triangles().0),
+                            bits(&sweep.triangles(0).0),
                             bits(&r_inv_t),
                             "the loaded block is tier-independent"
                         );
                         let mut scores = start.as_slice().to_vec();
-                        pool.install(|| sweep.accumulate(&x, &g, 2, eta, &mut scores));
+                        pool.install(|| sweep.accumulate(0, &x, &g, 2, eta, &mut scores));
                         let got: Vec<u64> = scores.iter().map(|s| s.to_f64().to_bits()).collect();
                         assert_eq!(
                             got, want,
