@@ -45,7 +45,11 @@
 //! eigensolves and the Eq. 17 `M_k` factor chain — over `n = c − 1`
 //! blocks of order `d`, per block (`m = 1`) and in lane groups
 //! (`m = Scalar::BLOCK_LANES`), at (c − 1, d) = (49, 50) and (9, 20) in
-//! f32 and (2, 16) in f64; `--quick` keeps (9, 20).
+//! f32 and (2, 16) in f64; `--quick` keeps (9, 20). At the same shapes the
+//! `block_jacobi_*` rows time one application of RELAX's block-Jacobi
+//! preconditioner `B(Σ_z)⁻¹` to an `ê × s` panel of `s = 10` probes: per
+//! block (`Cholesky::solve_panel_in_place` on each block's rows) and in
+//! lane groups (`CholeskyBlocks`), on the pinned `2d²s` per block.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -56,8 +60,8 @@ use firal_linalg::autotune::lane_count;
 use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
 use firal_linalg::{
     cache_geometry, counters, eigvalsh_blocks, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier,
-    gemm_into, gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, Matrix, QuadSweep,
-    Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
+    gemm_into, gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, CholeskyBlocks,
+    Matrix, QuadSweep, Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Probes per panel: the `(c-1)·s` column counts below are `(c-1)` blocks
@@ -311,6 +315,8 @@ fn run_quad_shape<T: Scalar>(
     invert_lower(sigma.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
     let m_blk = spd(6);
     let x = lcg_matrix::<T>(n, d, 7);
+    // The sweep reads the pool transposed, formed once per ROUND call.
+    let xt = x.transpose();
     let g = {
         let raw = lcg_matrix::<T>(n, 1, 8);
         Matrix::from_fn(n, 1, |i, _| raw[(i, 0)].abs() * T::from_f64(0.25))
@@ -349,9 +355,7 @@ fn run_quad_shape<T: Scalar>(
                     reps,
                     || {
                         let mut scores = vec![T::ZERO; n];
-                        sweep
-                            .borrow_mut()
-                            .accumulate(0, &x, &g, 0, eta, &mut scores);
+                        sweep.borrow_mut().accumulate(&xt, &g, 0, eta, &mut scores);
                         scores
                     },
                     |s| slice_bits(s),
@@ -396,8 +400,10 @@ fn run_quad_shape<T: Scalar>(
 /// ROUND's per-pick block kernels at one `(c−1, d)`: Line 9's
 /// eigensolves and the Eq. 17 `M_k` factor chain, each timed per block
 /// (a group of one, the scalar path) and in lane groups of
-/// `Scalar::BLOCK_LANES`. The two must produce the same bits; GF/s is on
-/// the pinned counts, `4d³` per eigensolve and `d³` per factor chain.
+/// `Scalar::BLOCK_LANES`; and RELAX's block-Jacobi apply on `PROBES`
+/// columns, per block and in lane groups. Each pair must produce the same
+/// bits; GF/s is on the pinned counts, `4d³` per eigensolve, `d³` per
+/// factor chain and `2d²s` per block solve.
 fn run_block_lanes<T: Scalar>(
     dtype: &'static str,
     (blocks, d): (usize, usize),
@@ -474,6 +480,35 @@ fn run_block_lanes<T: Scalar>(
         );
         let flops = blocks * d * d * d;
         *mismatches += cell.record(rows, kernel, width, &mut factor_ref, timed, flops);
+    }
+
+    let rhs = lcg_matrix::<T>(blocks * d, PROBES, 400);
+    let per_block: Vec<Cholesky<T>> = ms.iter().map(|m| Cholesky::new(m).expect("SPD")).collect();
+    let grouped = std::cell::RefCell::new(CholeskyBlocks::new(&ms, T::ZERO).expect("SPD"));
+    let panel = std::cell::RefCell::new(rhs.clone());
+    let mut jacobi_ref = None;
+    for (kernel, width) in [("block_jacobi_per_block", 1), ("block_jacobi_lanes", lanes)] {
+        let timed = bench(
+            reps,
+            || {
+                let mut z = panel.borrow_mut();
+                z.as_mut_slice().copy_from_slice(rhs.as_slice());
+                if width == 1 {
+                    let rows = z.as_mut_slice().chunks_exact_mut(d * PROBES);
+                    for (ch, block) in per_block.iter().zip(rows) {
+                        ch.solve_panel_in_place(block, PROBES);
+                    }
+                } else {
+                    grouped
+                        .borrow_mut()
+                        .solve_panel_in_place(z.as_mut_slice(), PROBES);
+                }
+                matrix_bits(&z)
+            },
+            |&b| b,
+        );
+        let flops = blocks * 2 * d * d * PROBES;
+        *mismatches += cell.record(rows, kernel, width, &mut jacobi_ref, timed, flops);
     }
 }
 

@@ -518,7 +518,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         mut timer: PhaseTimer,
         stats0: CommStats,
     ) -> RoundRun<T> {
-        let white = timer.time("other", || Whitening::new(state));
+        let white = timer.time("other", || Whitening::new(state, &self.shard.local_x));
         self.round_body(&white, budget, eta, timer, stats0)
     }
 
@@ -602,7 +602,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
         for t in 0..budget {
             // Line 7: local Eq. 17 scores; global argmax via MAXLOC.
-            timer.time("objective", || ftrl.scores(&shard.local_x, &mut scores));
+            timer.time("objective", || ftrl.scores(&mut scores));
             let mut local_best = (f64::NEG_INFINITY, u64::MAX);
             for (i, &s) in scores.iter().enumerate() {
                 if !taken_local[i] {
@@ -694,7 +694,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let stats0 = self.comm.stats();
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
-            let white = timer.time("other", || Whitening::new(&scratch));
+            let white = timer.time("other", || Whitening::new(&scratch, &self.shard.local_x));
             let (crit, run) = sweep_eta(grid, scale, |eta| {
                 let out =
                     self.round_body(&white, budget, eta, PhaseTimer::new(), self.comm.stats());

@@ -15,8 +15,8 @@ use std::cell::RefCell;
 /// the Eq. 13 GEMMs (wide column `k·s + j` is probe `j`'s block `k`).
 pub use firal_linalg::to_wide;
 use firal_linalg::{
-    fisher_sweep, gemm_into, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, Matrix, Scalar,
-    SweepInput, SweepWorkspace,
+    fisher_sweep, gemm_into, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, CholeskyBlocks,
+    Matrix, Scalar, SweepInput, SweepWorkspace,
 };
 use firal_solvers::{LinearOperator, PanelScratch, Preconditioner};
 use rayon::prelude::*;
@@ -302,53 +302,41 @@ impl<T: Scalar> LinearOperator<T> for SigmaZ<'_, T> {
     }
 }
 
-/// Block-Jacobi preconditioner: per-block Cholesky solves with
-/// `B(Σ_z)^{-1}` (the preconditioner of §III-A, Fig. 1).
+/// Block-Jacobi preconditioner: `B(Σ_z)⁻¹` (the preconditioner of
+/// §III-A, Fig. 1) by Cholesky solves, [`Scalar::BLOCK_LANES`] blocks at a
+/// time ([`CholeskyBlocks`]: one SIMD lane per block, each block bit for
+/// bit its own factor and solve). The gathered group panel is sized by the
+/// first application, so CG iterations after it allocate nothing.
 pub struct BlockJacobi<T: Scalar> {
-    factors: Vec<firal_linalg::Cholesky<T>>,
-    dim: usize,
+    factors: RefCell<CholeskyBlocks<T>>,
 }
 
 impl<T: Scalar> BlockJacobi<T> {
     /// Factor every block of `B(Σ_z)`. Fails if any block is not SPD.
     pub fn new(bd: &BlockDiag<T>) -> firal_linalg::Result<Self> {
-        Ok(Self {
-            factors: bd.cholesky()?,
-            dim: bd.dim(),
-        })
+        Self::new_with_ridge(bd, T::ZERO)
     }
 
-    /// Factor with a diagonal ridge fallback for near-singular blocks.
+    /// Factor every block of `B(Σ_z) + ridge·I`: the ridge goes on every
+    /// block, the fallback for near-singular ones.
     pub fn new_with_ridge(bd: &BlockDiag<T>, ridge: T) -> firal_linalg::Result<Self> {
-        let factors: firal_linalg::Result<Vec<_>> = bd
-            .blocks()
-            .iter()
-            .map(|b| firal_linalg::Cholesky::new_with_ridge(b, ridge))
-            .collect();
         Ok(Self {
-            factors: factors?,
-            dim: bd.dim(),
+            factors: RefCell::new(CholeskyBlocks::new(bd.blocks(), ridge)?),
         })
     }
 }
 
 impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
     fn apply(&self, r: &[T], z: &mut [T]) {
-        debug_assert_eq!(r.len(), self.dim * self.factors.len());
         z.copy_from_slice(r);
-        for (ch, seg) in self.factors.iter().zip(z.chunks_exact_mut(self.dim)) {
-            ch.solve_in_place(seg);
-        }
+        self.factors.borrow_mut().solve_panel_in_place(z, 1);
     }
 
     fn apply_panel(&self, r: &Matrix<T>, z: &mut Matrix<T>) {
-        let s = r.cols();
-        debug_assert_eq!(r.rows(), self.dim * self.factors.len());
         z.as_mut_slice().copy_from_slice(r.as_slice());
-        let blocks = z.as_mut_slice().chunks_exact_mut(self.dim * s);
-        for (ch, rows) in self.factors.iter().zip(blocks) {
-            ch.solve_panel_in_place(rows, s);
-        }
+        self.factors
+            .borrow_mut()
+            .solve_panel_in_place(z.as_mut_slice(), r.cols());
     }
 }
 

@@ -13,7 +13,8 @@
 //! `(Σ⋄)_k` is the identity:
 //!
 //! * once per sweep, shared by the whole η grid ([`Whitening`]): the
-//!   lower-triangular `L_k⁻¹` and `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`;
+//!   lower-triangular `L_k⁻¹`, `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`, and the pool
+//!   shard's transpose `Xᵀ`, which the Eq. 17 sweep reads;
 //! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
 //!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
 //! * **Line 9** is the spectrum of `C_t,k` as is, [`Scalar::BLOCK_LANES`]
@@ -48,18 +49,27 @@ use crate::exec::RoundState;
 
 /// The η-independent whitening prologue of a ROUND sweep: per block the
 /// lower-triangular `L_k⁻¹` of `(Σ⋄)_k = L_kL_kᵀ` and
-/// `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ` (exactly symmetric). Derived once from a
-/// [`RoundState`], which it keeps borrowed, and shared by every η of a grid
-/// sweep.
+/// `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ` (exactly symmetric), plus the pool shard as
+/// `Xᵀ` (`d × n`), the layout [`QuadSweep::accumulate`] reads. Derived once
+/// from a [`RoundState`], which it keeps borrowed, and shared by every η of
+/// a grid sweep.
 pub struct Whitening<'a, T: Scalar> {
     state: &'a RoundState<T>,
     l_inv: BlockDiag<T>,
     c_o: BlockDiag<T>,
+    pool_xt: Matrix<T>,
 }
 
 impl<'a, T: Scalar> Whitening<'a, T> {
-    /// Derive the prologue from the state's `Σ⋄` factors and `B(H_o)`.
-    pub fn new(state: &'a RoundState<T>) -> Self {
+    /// Derive the prologue from the state's `Σ⋄` factors and `B(H_o)`, and
+    /// transpose `pool_x`, the pool shard row-aligned with the state's
+    /// `g_ik` panel (the copy is booked to the byte counter).
+    pub fn new(state: &'a RoundState<T>, pool_x: &Matrix<T>) -> Self {
+        assert_eq!(
+            pool_x.rows(),
+            state.gik.rows(),
+            "Whitening: one pool row per g_ik row"
+        );
         let bho = state.bho();
         let (cm1, d) = (bho.nblocks(), bho.dim());
         let mut l_inv = BlockDiag::zeros(cm1, d);
@@ -72,7 +82,15 @@ impl<'a, T: Scalar> Whitening<'a, T> {
             *co = gemm_at_b(&lit, &gemm(bho.block(k), &lit));
             co.symmetrize();
         }
-        Self { state, l_inv, c_o }
+        let pool_xt = pool_x.transpose();
+        let elem = std::mem::size_of::<T>();
+        counters::add_bytes(counters::pack_panel_bytes(d, pool_x.rows(), elem));
+        Self {
+            state,
+            l_inv,
+            c_o,
+            pool_xt,
+        }
     }
 }
 
@@ -127,19 +145,19 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// Per-candidate scores for one ROUND iteration (Eq. 17, derived form):
     /// `score_i = Σ_k g_ik · x_iᵀ B_k⁻¹ (Σ⋄)_k B_k⁻¹ x_i / (1 + η g_ik x_iᵀ B_k⁻¹ x_i)`
     /// with `g_ik = h_ik(1-h_ik)`, through the Cholesky factor of each
-    /// `B_k` (module docs). `pool_x` is this rank's pool shard, row-aligned
-    /// with the state's `g_ik` panel — the kernel is purely local. `scores`
+    /// `B_k` (module docs), for every point of the pool shard the
+    /// [`Whitening`] was built with — the kernel is purely local. `scores`
     /// is overwritten.
     ///
     /// In f32, ν can come out too small for
     /// `M_k = νI + η·C_t,k + (η/b)·C_o,k` to be positive definite; back off
     /// by growing ν geometrically and scoring again from block 0: a
     /// conservative FTRL regularizer is always admissible.
-    pub fn scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) {
+    pub fn scores(&mut self, scores: &mut [T]) {
         let floor = T::from_usize(self.c_t.order()).sqrt() * T::from_f64(1e-3);
         let nu = self.nu;
         for _attempt in 0..60 {
-            if self.try_scores(pool_x, scores) {
+            if self.try_scores(scores) {
                 return;
             }
             // Clamp to the floor, then keep doubling: the growth must
@@ -153,10 +171,10 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// One scoring pass at the current ν; `false` as soon as some `M_k`
     /// fails to factor (`scores` is then partial and must be recomputed).
     /// The `M_k` factor in groups of [`Scalar::BLOCK_LANES`], one block per
-    /// lane; a group is swept block by block, `k` ascending, only once all
-    /// of it has factored.
-    fn try_scores(&mut self, pool_x: &Matrix<T>, scores: &mut [T]) -> bool {
-        let gik = &self.white.state.gik;
+    /// lane; a group is swept, each row taking its blocks' terms `k`
+    /// ascending, only once all of it has factored.
+    fn try_scores(&mut self, scores: &mut [T]) -> bool {
+        let (gik, pool_xt) = (&self.white.state.gik, &self.white.pool_xt);
         let (eta, nu) = (self.eta, self.nu);
         let eta_over_b = eta * self.inv_budget;
         let (c_t, c_o, l_inv) = (&self.c_t, &self.white.c_o, self.white.l_inv.blocks());
@@ -170,12 +188,10 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
                 }
                 row[i] += nu;
             };
-            if self.quad.factor_group(&l_inv[ks.clone()], m_row).is_err() {
+            if self.quad.factor_group(&l_inv[ks], m_row).is_err() {
                 return false;
             }
-            for (lane, k) in ks.enumerate() {
-                self.quad.accumulate(lane, pool_x, gik, k, eta, scores);
-            }
+            self.quad.accumulate(pool_xt, gik, k0, eta, scores);
         }
         true
     }
@@ -285,9 +301,9 @@ mod tests {
             let comm = SelfComm::new();
             let shard = ShardedProblem::replicate(&p);
             let state = Executor::new(&comm, &shard).build_round_state(&z);
-            let white = Whitening::new(&state);
+            let white = Whitening::new(&state, &p.pool_x);
             let mut scores = vec![0.0; n];
-            WhitenedFtrl::new(&white, budget, eta).scores(&p.pool_x, &mut scores);
+            WhitenedFtrl::new(&white, budget, eta).scores(&mut scores);
 
             let mut published_gap = 0.0f64;
             for i in 0..n {

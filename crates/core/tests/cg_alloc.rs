@@ -2,9 +2,9 @@
 //!
 //! `cg_solve_panel` sizes its panels before the loop, `Σ_z = H_o + H_z`
 //! applies through the fused sweep's reusable workspace, and block-Jacobi
-//! solves in place — so once the first solve has sized the workspaces, a
-//! solve's allocation count must not depend on how many iterations it
-//! runs. Counted with a thread-local tally in the global allocator; the
+//! solves in place through one lane group's gathered panel — so once the
+//! first solve has sized the workspaces, a solve's allocation count must
+//! not depend on how many iterations it runs. Counted with a thread-local tally in the global allocator; the
 //! pool is kept to one reduction chunk, because past that the kernels
 //! dispatch through rayon, whose work-item lists are its own.
 
@@ -45,9 +45,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Three blocks fill less than one f32 lane group of the preconditioner;
+/// nine fill one group and leave one block in a second.
 #[test]
 fn cg_panel_iterations_do_not_allocate() {
-    let (n, labeled, d, blocks, probes) = (200usize, 12usize, 6usize, 3usize, 4usize);
+    for blocks in [3usize, 9] {
+        cg_iterations_do_not_allocate(blocks);
+    }
+}
+
+fn cg_iterations_do_not_allocate(blocks: usize) {
+    let (n, labeled, d, probes) = (200usize, 12usize, 6usize, 4usize);
     let point = |i: usize, p: usize| ((i * 31 + p * 17) % 23) as f32 / 11.5 - 1.0;
     let prob = |i: usize, k: usize| (1 + (i * 7 + k * 5) % 9) as f32 / 10.0 / (blocks + 1) as f32;
     let xu = Matrix::from_fn(n, d, point);
@@ -81,5 +89,5 @@ fn cg_panel_iterations_do_not_allocate() {
         after - before
     };
     allocations(1); // sizes the sweep workspaces and `Σ_z`'s temporary
-    assert_eq!(allocations(2), allocations(12));
+    assert_eq!(allocations(2), allocations(12), "{blocks} blocks");
 }

@@ -389,7 +389,7 @@ fn whitened_loop_matches_from_scratch<T: CommScalar>(tol: f64) {
             flat,
             "case {case}: the flat pool is what takes the ridge path"
         );
-        let white = Whitening::new(&state);
+        let white = Whitening::new(&state, &problem.pool_x);
         let mut ftrl = WhitenedFtrl::new(&white, budget, eta);
 
         let mut gik = Matrix::<T>::zeros(n, cm1);
@@ -407,7 +407,7 @@ fn whitened_loop_matches_from_scratch<T: CommScalar>(tol: f64) {
         // Pick 0 is a one-hot row: the g = 0 branch of Line 8.
         for t in 0..budget {
             let i = (4 * t) % n;
-            ftrl.scores(&problem.pool_x, &mut scores);
+            ftrl.scores(&mut scores);
 
             let mut want = vec![0.0f64; n];
             for (k, ch) in state.sigma_chol().iter().enumerate() {
@@ -481,7 +481,7 @@ fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&problem);
         let state = Executor::new(&comm, &shard).build_round_state(&z);
-        let white = Whitening::new(&state);
+        let white = Whitening::new(&state, &problem.pool_x);
 
         // At t = 1, M_k = νI + (η/b)·C_o,k: definite iff ν > -(η/b)·λ_min.
         let shift: Vec<f64> = (state.sigma_chol().iter().zip(state.bho().blocks()))
@@ -501,7 +501,7 @@ fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
         let mut backed_off = WhitenedFtrl::new(&white, budget, eta);
         backed_off.set_nu(nu);
         let mut scores = vec![T::ZERO; n];
-        backed_off.scores(&problem.pool_x, &mut scores);
+        backed_off.scores(&mut scores);
         let floor = T::from_usize(problem.ehat()).sqrt() * T::from_f64(1e-3);
         assert!(
             backed_off.nu() == floor * T::TWO,
@@ -512,7 +512,7 @@ fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
         let mut direct = WhitenedFtrl::new(&white, budget, eta);
         direct.set_nu(backed_off.nu());
         let mut want = vec![T::ZERO; n];
-        direct.scores(&problem.pool_x, &mut want);
+        direct.scores(&mut want);
         assert!(direct.nu() == backed_off.nu(), "case {case}");
         assert!(
             scores == want,

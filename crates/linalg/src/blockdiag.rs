@@ -144,11 +144,6 @@ impl<T: Scalar> BlockDiag<T> {
         })
     }
 
-    /// Per-block Cholesky factorizations (kept for repeated solves).
-    pub fn cholesky(&self) -> Result<Vec<Cholesky<T>>> {
-        self.blocks.par_iter().map(Cholesky::new).collect()
-    }
-
     /// Trace of the full represented matrix.
     pub fn trace(&self) -> T {
         let mut t = T::ZERO;

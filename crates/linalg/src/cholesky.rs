@@ -1,13 +1,15 @@
 //! Cholesky factorization of symmetric positive-definite matrices.
 //!
-//! Used for: inverting the `d × d` preconditioner blocks of Definition 1
-//! (`cupy.linalg.inv` in the paper, Line 5 of Algorithm 2 and Lines 4/11 of
-//! Algorithm 3), the whitening transform `Σ_⋄^{-1/2}` factors, and the dense
-//! solves inside Exact-FIRAL.
+//! Used for: the `d × d` preconditioner blocks of Definition 1 (Line 5 of
+//! Algorithm 2, factored and solved [`Scalar::BLOCK_LANES`] blocks at a
+//! time by [`CholeskyBlocks`]), the whitening transform `Σ_⋄^{-1/2}`
+//! factors, and the dense solves inside Exact-FIRAL.
 
 use crate::counters;
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
+use crate::simd::{self, Tier};
+use crate::sweep::grown;
 use crate::{LinalgError, Result};
 
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
@@ -130,68 +132,28 @@ impl<T: Scalar> Cholesky<T> {
         x
     }
 
-    /// In-place `A x = b` solve.
+    /// In-place `A x = b` solve: [`Cholesky::solve_panel_in_place`] on a
+    /// one-column panel.
     pub fn solve_in_place(&self, x: &mut [T]) {
-        let n = self.order();
-        assert_eq!(x.len(), n, "Cholesky::solve dimension mismatch");
-        counters::add_flops(2 * n * n);
-        // L y = b
-        for i in 0..n {
-            let li = self.l.row(i);
-            let mut acc = x[i];
-            for k in 0..i {
-                acc -= li[k] * x[k];
-            }
-            x[i] = acc / li[i];
-        }
-        // Lᵀ x = y
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for k in (i + 1)..n {
-                acc -= self.l[(k, i)] * x[k];
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
+        self.solve_panel_in_place(x, 1);
     }
 
     /// In-place `A X = B` solve on an `n × s` row-major panel (`x` holds
-    /// `B` on entry, `X` on return). The substitutions run along panel
-    /// rows, so all `s` right-hand sides advance together over contiguous
-    /// memory; per column the operations and their order are exactly those
-    /// of [`Cholesky::solve_in_place`].
+    /// `B` on entry, `X` on return): forward then back substitution, per
+    /// element one accumulator over `k` ascending, then divided by the
+    /// pivot. This is the one-lane instance of the loop [`CholeskyBlocks`]
+    /// runs one block per lane, so every column is bit for bit
+    /// [`Cholesky::solve_in_place`] of that column.
     pub fn solve_panel_in_place(&self, x: &mut [T], s: usize) {
         let n = self.order();
         assert_eq!(x.len(), n * s, "Cholesky::solve_panel dimension mismatch");
         counters::add_flops(2 * n * n * s);
-        // L Y = B
-        for i in 0..n {
-            let li = self.l.row(i);
-            let (above, rest) = x.split_at_mut(i * s);
-            let xi = &mut rest[..s];
-            for (k, xk) in above.chunks_exact(s.max(1)).enumerate() {
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= li[k] * b;
-                }
-            }
-            for a in xi.iter_mut() {
-                *a /= li[i];
-            }
-        }
-        // Lᵀ X = Y
-        for i in (0..n).rev() {
-            let (head, below) = x.split_at_mut((i + 1) * s);
-            let xi = &mut head[i * s..];
-            for (k, xk) in below.chunks_exact(s.max(1)).enumerate() {
-                let lki = self.l[(i + 1 + k, i)];
-                for (a, &b) in xi.iter_mut().zip(xk) {
-                    *a -= lki * b;
-                }
-            }
-            let lii = self.l[(i, i)];
-            for a in xi.iter_mut() {
-                *a /= lii;
-            }
-        }
+        solve_panel_lanes(
+            self.l.as_slice().as_chunks::<1>().0,
+            n,
+            x.as_chunks_mut::<1>().0,
+            s,
+        );
     }
 
     /// Solve `A X = B` column-by-column for a multi-RHS panel.
@@ -269,7 +231,8 @@ impl<T: Scalar> Cholesky<T> {
 /// Per element `L[i][j] = (A[i][j] − Σ_{k<j} L[i][k]·L[j][k]) / L[j][j]`,
 /// the subtractions `k`-ascending — the one factorization loop of the
 /// crate ([`Cholesky::new`] runs it on a copy, the grouped `M_k` chain of
-/// [`crate::QuadSweep::factor_group`] on `L` interleaved blocks).
+/// [`crate::QuadSweep::factor_group`] and [`CholeskyBlocks`] on `L`
+/// interleaved blocks).
 pub(crate) fn factor_lower_in_place<T: Scalar>(a: &mut [T], ld: usize, n: usize) -> Result<()> {
     check_square(a.len(), ld, n);
     counters::add_flops(n * n * n / 3);
@@ -387,6 +350,248 @@ pub(crate) fn invert_lower_lanes<T: Scalar, const L: usize>(
             }
             *x = v;
         }
+    }
+}
+
+/// `X ← A⁻¹X` for `L` factored matrices at once, one lane each (the lane
+/// layout of [`factor_lower_lanes`], row stride `n`), on their `n × s`
+/// row-major panels interleaved the same way: `L Y = B`, then `Lᵀ X = Y`.
+/// Per element one accumulator starts at the right-hand side, takes its
+/// subtractions `k` ascending, and is divided by the pivot; columns go in
+/// tiles, so independent accumulators share each factor load. Books no
+/// flops.
+#[inline(always)]
+pub(crate) fn solve_panel_lanes<T: Scalar, const L: usize>(
+    l: &[[T; L]],
+    n: usize,
+    x: &mut [[T; L]],
+    s: usize,
+) {
+    check_square(l.len(), n, n);
+    assert_eq!(x.len(), n * s, "panel solve: {} lanes for {n}x{s}", x.len());
+    for i in 0..n {
+        let li = &l[i * n..i * n + i + 1];
+        substitute_row(x, s, i, li[i], li[..i].iter().copied().enumerate());
+    }
+    for i in (0..n).rev() {
+        let below = (i + 1..n).map(|k| (k, l[k * n + i]));
+        substitute_row(x, s, i, l[i * n + i], below);
+    }
+}
+
+/// Row `i` of a panel substitution: `x[i][j] ← (x[i][j] − Σ c_k·x[k][j]) /
+/// pivot` over the `(k, c_k)` of `terms`, in their order, every column.
+/// The columns go in the fewest tiles of at most eight, of near-equal
+/// widths, so that no tile is left with one latency-bound accumulator.
+#[inline(always)]
+fn substitute_row<T: Scalar, const L: usize>(
+    x: &mut [[T; L]],
+    s: usize,
+    i: usize,
+    pivot: [T; L],
+    terms: impl Iterator<Item = (usize, [T; L])> + Clone,
+) {
+    let width = s.div_ceil(s.div_ceil(8).max(1));
+    let mut j = 0;
+    while j < s {
+        let w = width.min(s - j);
+        let t = terms.clone();
+        match w {
+            8 => substitute_tile::<T, L, 8>(x, s, i, j, pivot, t),
+            7 => substitute_tile::<T, L, 7>(x, s, i, j, pivot, t),
+            6 => substitute_tile::<T, L, 6>(x, s, i, j, pivot, t),
+            5 => substitute_tile::<T, L, 5>(x, s, i, j, pivot, t),
+            4 => substitute_tile::<T, L, 4>(x, s, i, j, pivot, t),
+            3 => substitute_tile::<T, L, 3>(x, s, i, j, pivot, t),
+            2 => substitute_tile::<T, L, 2>(x, s, i, j, pivot, t),
+            _ => substitute_tile::<T, L, 1>(x, s, i, j, pivot, t),
+        }
+        j += w;
+    }
+}
+
+/// [`substitute_row`] on columns `j0..j0 + W`, the accumulators in
+/// registers.
+#[inline(always)]
+fn substitute_tile<T: Scalar, const L: usize, const W: usize>(
+    x: &mut [[T; L]],
+    s: usize,
+    i: usize,
+    j0: usize,
+    pivot: [T; L],
+    terms: impl Iterator<Item = (usize, [T; L])>,
+) {
+    let mut acc: [[T; L]; W] = std::array::from_fn(|w| x[i * s + j0 + w]);
+    for (k, c) in terms {
+        let xk = &x[k * s + j0..k * s + j0 + W];
+        for (a, v) in acc.iter_mut().zip(xk) {
+            for l in 0..L {
+                a[l] -= c[l] * v[l];
+            }
+        }
+    }
+    for (dst, a) in x[i * s + j0..i * s + j0 + W].iter_mut().zip(acc) {
+        *dst = std::array::from_fn(|l| a[l] / pivot[l]);
+    }
+}
+
+/// The Cholesky factors of equal-order SPD blocks (the `B(Σ_z)` blocks of
+/// the RELAX preconditioner), [`Scalar::BLOCK_LANES`] blocks per lane
+/// group: block `k` is lane `k mod L` of group `k / L`, and both the
+/// factorization (the loop of [`Cholesky::new`]) and the panel solve run
+/// every lane of a group in lockstep (`crate::simd::run_lanes`; the
+/// `crate::eigen` module docs have the scheme). Spare lanes of the last
+/// group hold the identity. Each block's factor is bit for bit
+/// [`Cholesky::new_with_ridge`]'s, and each solve bit for bit
+/// [`Cholesky::solve_panel_in_place`]'s.
+#[derive(Debug)]
+pub struct CholeskyBlocks<T: Scalar> {
+    tier: Tier,
+    d: usize,
+    nblocks: usize,
+    /// The groups' lower triangles, `d·d·L` elements each, lanes
+    /// interleaved; nothing above a diagonal is read.
+    factors: Vec<T>,
+    /// One group's gathered `d × s` panel, `d·s·L` elements, sized by the
+    /// first solve.
+    panel: Vec<T>,
+}
+
+impl<T: Scalar> CholeskyBlocks<T> {
+    /// Factor `blocks[k] + ridge·I` for every `k` on the process-wide
+    /// dispatch tier, the ridge folded into the diagonal as
+    /// [`Cholesky::new_with_ridge`] folds it. Every group is factored, and
+    /// `d³/3` flops are booked per block; fails with the pivot of the
+    /// first block (in block order) that is not positive definite.
+    pub fn new(blocks: &[Matrix<T>], ridge: T) -> Result<Self> {
+        let d = blocks.first().map_or(0, Matrix::rows);
+        for b in blocks {
+            assert_eq!(b.shape(), (d, d), "CholeskyBlocks: blocks are not d × d");
+        }
+        let mut this = Self {
+            tier: simd::active_tier(),
+            d,
+            nblocks: blocks.len(),
+            factors: Vec::new(),
+            panel: Vec::new(),
+        };
+        counters::add_flops(blocks.len() * (d * d * d / 3));
+        match T::BLOCK_LANES {
+            8 => this.factor::<8>(blocks, ridge),
+            4 => this.factor::<4>(blocks, ridge),
+            lanes => unreachable!("no {lanes}-lane instantiation"),
+        }?;
+        Ok(this)
+    }
+
+    fn factor<const L: usize>(&mut self, blocks: &[Matrix<T>], ridge: T) -> Result<()> {
+        let d = self.d;
+        if d == 0 {
+            return Ok(());
+        }
+        self.factors = vec![T::ZERO; blocks.len().div_ceil(L) * d * d * L];
+        let (lanes, _) = self.factors.as_chunks_mut::<L>();
+        let mut first_failure = None;
+        for (a, group) in lanes.chunks_mut(d * d).zip(blocks.chunks(L)) {
+            for i in 0..d {
+                for j in 0..=i {
+                    for (l, v) in a[i * d + j].iter_mut().enumerate() {
+                        *v = match group.get(l) {
+                            Some(b) if i == j && ridge != T::ZERO => b[(i, i)] + ridge,
+                            Some(b) => b[(i, j)],
+                            // Spare lanes factor the identity, and idle.
+                            None => T::from_usize((i == j) as usize),
+                        };
+                    }
+                }
+            }
+            let mut failed = [None; L];
+            let body = FactorLanes {
+                a,
+                d,
+                failed: &mut failed,
+            };
+            simd::run_lanes::<T>(self.tier, body);
+            first_failure = first_failure.or(failed.into_iter().flatten().next());
+        }
+        match first_failure {
+            Some(pivot) => Err(LinalgError::NotPositiveDefinite { pivot }),
+            None => Ok(()),
+        }
+    }
+
+    /// `X ← A⁻¹X` for the block-diagonal `A` on an `(nblocks·d) × s`
+    /// row-major panel, block `k` on rows `k·d..(k+1)·d`: per group the
+    /// blocks' rows are gathered into one lane each, solved by the loop of
+    /// [`Cholesky::solve_panel_in_place`] and scattered back. Books
+    /// `2·d²·s` flops per block. Allocates only when `s` grows.
+    pub fn solve_panel_in_place(&mut self, x: &mut [T], s: usize) {
+        assert_eq!(
+            x.len(),
+            self.nblocks * self.d * s,
+            "CholeskyBlocks: panel is not (nblocks·d) × s"
+        );
+        counters::add_flops(self.nblocks * 2 * self.d * self.d * s);
+        match T::BLOCK_LANES {
+            8 => self.solve::<8>(x, s),
+            4 => self.solve::<4>(x, s),
+            lanes => unreachable!("no {lanes}-lane instantiation"),
+        }
+    }
+
+    fn solve<const L: usize>(&mut self, x: &mut [T], s: usize) {
+        let (d, tier) = (self.d, self.tier);
+        if d == 0 || s == 0 {
+            return;
+        }
+        let (panel, _) = grown(&mut self.panel, d * s * L).as_chunks_mut::<L>();
+        let (factors, _) = self.factors.as_chunks::<L>();
+        for (l, rows) in factors.chunks(d * d).zip(x.chunks_mut(L * d * s)) {
+            // A last group short of `L` blocks: its spare lanes solve zeros.
+            if rows.len() < L * d * s {
+                panel.fill([T::ZERO; L]);
+            }
+            for (lane, block) in rows.chunks(d * s).enumerate() {
+                for (p, &v) in panel.iter_mut().zip(block) {
+                    p[lane] = v;
+                }
+            }
+            simd::run_lanes::<T>(tier, SolveLanes { l, d, x: panel, s });
+            for (lane, block) in rows.chunks_mut(d * s).enumerate() {
+                for (v, p) in block.iter_mut().zip(panel.iter()) {
+                    *v = p[lane];
+                }
+            }
+        }
+    }
+}
+
+/// [`factor_lower_lanes`] on one group, as a lane body.
+struct FactorLanes<'a, T, const L: usize> {
+    a: &'a mut [[T; L]],
+    d: usize,
+    failed: &'a mut [Option<usize>; L],
+}
+
+impl<T: Scalar, const L: usize> simd::LaneBody for FactorLanes<'_, T, L> {
+    #[inline(always)]
+    fn run(self) {
+        *self.failed = factor_lower_lanes(self.a, self.d, self.d);
+    }
+}
+
+/// [`solve_panel_lanes`] on one group, as a lane body.
+struct SolveLanes<'a, T, const L: usize> {
+    l: &'a [[T; L]],
+    d: usize,
+    x: &'a mut [[T; L]],
+    s: usize,
+}
+
+impl<T: Scalar, const L: usize> simd::LaneBody for SolveLanes<'_, T, L> {
+    #[inline(always)]
+    fn run(self) {
+        solve_panel_lanes(self.l, self.d, self.x, self.s);
     }
 }
 

@@ -42,7 +42,7 @@ pub mod vecops;
 
 pub use autotune::{cache_geometry, plan_for, CacheGeometry, KernelPlan};
 pub use blockdiag::BlockDiag;
-pub use cholesky::{invert_lower, Cholesky};
+pub use cholesky::{invert_lower, Cholesky, CholeskyBlocks};
 pub use eigen::{eigh, eigvalsh, eigvalsh_blocks, jacobi_eigh, EigDecomposition};
 pub use gemm::{
     gemm, gemm_a_bt, gemm_a_bt_tier, gemm_at_b, gemm_at_b_tier, gemm_into, gemm_tier,

@@ -10,10 +10,12 @@
 //! * `q2 = ‖N⁻ᵀR⁻¹x‖²`   (`B⁻¹ΣB⁻¹ = R⁻ᵀ·N⁻¹N⁻ᵀ·R⁻¹`),
 //!
 //! two *triangular* products per row. [`QuadSweep`] holds the two
-//! triangles and walks the pool once in blocks of [`QUAD_BLOCK_ROWS`] rows:
-//! `Z = X_blk·R⁻ᵀ` (upper triangular), `q1 = Σ_j z_j²`, `Y = Z·N⁻¹` (lower
-//! triangular), `q2 = Σ_j y_j²`, `score += g·q2 / (1 + η·g·q1)`. `Z` and `Y`
-//! live in two cache-resident `rows × ld` panels.
+//! triangles and walks the pool once in blocks of [`QUAD_BLOCK_ROWS`] rows,
+//! transposed so that pool rows are the vector lanes throughout:
+//! `Zᵀ = R⁻¹·Xᵀ_blk` (lower triangular), `q1 = Σ_j z_j²`, `Yᵀ = N⁻ᵀ·Zᵀ`
+//! (upper triangular), `q2 = Σ_j y_j²`, `score += g·q2 / (1 + η·g·q1)`.
+//! `Zᵀ` and `Yᵀ` live in two cache-resident `d × rows` panels, and the row
+//! sums are vector adds down their `d` rows.
 //!
 //! # The factor chain, one lane per block
 //!
@@ -25,18 +27,22 @@
 //! all lanes (`crate::simd::run_lanes`; the `crate::eigen` module docs have
 //! the scheme). A block that does not factor is a lane mask, and each
 //! block's triangles are bit for bit the one-block chain's. The group's
-//! scratch is `3·d²·L` elements; [`QuadSweep::accumulate`] unpacks one
-//! block's triangles into the layout below and sweeps the pool with them.
+//! scratch is `3·d²·L` elements; [`QuadSweep::accumulate`] unpacks the
+//! group's triangles into the layout below and sweeps the pool with every
+//! block of the group, one pool block at a time.
 //!
 //! # Layout and the triangles
 //!
-//! Both triangles are `d × ld` row-major with `ld` = `d` rounded up to the
-//! tier's lane count and exact zeros outside the triangle, so the panel
-//! body never reaches its scalar column tail. The triangular shape is
-//! exploited with the crate's one GEMM body, called per column window of
-//! two vectors (at least 8 columns): window `[j0, j0+w)` of `X·R⁻ᵀ` reads depth `0..min(j0+w, d)`
-//! and of `Z·N⁻¹` depth `j0..d` — everything skipped is a product with a
-//! stored zero.
+//! The sweep reads the pool as `Xᵀ` (`d × n`, row-major), which its caller
+//! forms once per ROUND call: it depends on neither η nor the pick, so the
+//! one copy serves every block, pick and η of a grid sweep. Both triangles
+//! are `d × d` row-major with exact zeros outside the triangle — above
+//! `R⁻¹`'s diagonal, below `N⁻ᵀ`'s. The triangular shape is exploited with
+//! the crate's one GEMM body, called per band of `BAND_ROWS` triangle
+//! rows (its 4-row register tile): band `[j0, j0+h)` of `R⁻¹·Xᵀ` reads depth
+//! `0..j0+h`, and of `N⁻ᵀ·Zᵀ` depth `j0..d` — everything skipped is a
+//! product with a stored zero. The pool block's rows are the panel's
+//! columns, so a vector spans pool rows and never a reduction axis.
 //!
 //! # Determinism
 //!
@@ -45,13 +51,13 @@
 //! non-negative zeros or an exact cancellation is `+0`). For finite
 //! operands the sweep is therefore **bit for bit two dense
 //! [`crate::gemm::gemm_into`] products on the zero-filled triangles**
-//! followed by `q = Σ_j v_j²`, one accumulator per row ascending `j` from
-//! zero — on every tier, thread count and row blocking. Rows are
-//! independent; lanes span output columns only.
+//! (`Z = X·R⁻ᵀ`, `Y = Z·N⁻¹`: the same products, in the same depth order,
+//! as their transposes) followed by `q = Σ_j v_j²`, one accumulator per row
+//! ascending `j` from zero — on every tier, thread count and row blocking.
+//! Rows are independent; lanes span pool rows only.
 
 use rayon::prelude::*;
 
-use crate::autotune;
 use crate::cholesky::{factor_lower_lanes, invert_lower_lanes};
 use crate::counters;
 use crate::gemm::{gemm_panel, PAR_THRESHOLD};
@@ -61,9 +67,13 @@ use crate::simd::{self, check_tier, Tier};
 use crate::sweep::grown;
 use crate::{LinalgError, Result};
 
-/// Pool rows per block of the sweep: two `64 × ld` panels plus the block's
+/// Pool rows per block of the sweep: two `d × 64` panels plus the block's
 /// points stay cache-resident up to the paper's `d = 50`.
 pub const QUAD_BLOCK_ROWS: usize = 64;
+
+/// Triangle rows per GEMM call: the panel body's register tile, so a band
+/// skips all of the triangle's zeros but those inside the tile.
+const BAND_ROWS: usize = 4;
 
 /// Most row tasks a sweep is cut into (each owns one pair of panels).
 const MAX_TASKS: usize = 8;
@@ -71,41 +81,19 @@ const MAX_TASKS: usize = 8;
 /// Fewest rows worth a task of their own.
 const MIN_TASK_ROWS: usize = 256;
 
-/// `Σ_j v_j²` over the first `d` entries of four consecutive `ld`-strided
-/// rows: four independent chains, each ascending `j` from zero (a single
-/// chain is latency-bound).
-fn row_norms4<T: Scalar>(v: &[T], ld: usize, d: usize) -> [T; 4] {
-    let rows: [&[T]; 4] = std::array::from_fn(|r| &v[r * ld..r * ld + d]);
-    let mut q = [T::ZERO; 4];
-    for j in 0..d {
-        for r in 0..4 {
-            q[r] += rows[r][j] * rows[r][j];
-        }
-    }
-    q
-}
-
-/// `Σ_j v_j²`, ascending `j` from zero.
-fn row_norm<T: Scalar>(v: &[T]) -> T {
-    v.iter().fold(T::ZERO, |q, &e| q + e * e)
-}
-
 /// A group of blocks of `B = L·M·Lᵀ` in the factored inverse form the
 /// Eq. 17 sweep consumes (see the module docs), plus the sweep's scratch.
 /// Reused across groups and picks: [`QuadSweep::factor_group`] → one
-/// [`QuadSweep::accumulate`] per block of the group.
+/// [`QuadSweep::accumulate`] over every block of the group.
 #[derive(Debug)]
 pub struct QuadSweep<T: Scalar> {
     tier: Tier,
     block_rows: usize,
     d: usize,
-    ld: usize,
-    /// `d × ld`: the upper-triangular `R⁻ᵀ` of the block being swept, zero
-    /// below the diagonal.
-    r_inv_t: Vec<T>,
-    /// `d × ld`: the lower-triangular `N⁻¹` of the block being swept;
-    /// nothing above the diagonal is ever written.
-    n_inv: Vec<T>,
+    /// Per loaded block, two `d × d` triangles: the lower-triangular
+    /// `R⁻¹`, zero above the diagonal, then the upper-triangular `N⁻ᵀ`,
+    /// zero below it.
+    triangles: Vec<T>,
     /// The factored group, `width` blocks interleaved (module docs): `M`,
     /// then `N`, then `R⁻¹` in one `d·d·width` slot, `N⁻¹` in the next, the
     /// group's `L⁻¹` in the last.
@@ -115,7 +103,8 @@ pub struct QuadSweep<T: Scalar> {
     width: usize,
     /// Blocks of the factored group (0 until one factors).
     loaded: usize,
-    /// One `Z`/`Y` panel pair (`2·block_rows·ld`) per row task.
+    /// One `Zᵀ`/`Yᵀ` panel pair and its two row sums
+    /// (`2·(d + 1)·block_rows`) per row task.
     panels: Vec<T>,
 }
 
@@ -130,16 +119,11 @@ impl<T: Scalar> QuadSweep<T> {
     pub fn on_tier(tier: Tier, block_rows: usize, d: usize) -> Self {
         check_tier(tier);
         assert!(block_rows > 0, "QuadSweep: empty row blocks");
-        let elem = std::mem::size_of::<T>();
-        let ld = d.next_multiple_of(autotune::lane_count(tier, elem));
-        counters::add_bytes(2 * d * ld * elem);
         Self {
             tier,
             block_rows,
             d,
-            ld,
-            r_inv_t: vec![T::ZERO; d * ld],
-            n_inv: vec![T::ZERO; d * ld],
+            triangles: Vec::new(),
             group: Vec::new(),
             width: 0,
             loaded: 0,
@@ -269,106 +253,89 @@ impl<T: Scalar> QuadSweep<T> {
         )
     }
 
-    /// `scores[i] += g·q2 / (1 + η·g·q1)` for every row `x_i` of `x`
-    /// (`n × d`), with `g = g[(i, k)]` and `q1`, `q2` the two quadratic
-    /// forms of block `lane` of the factored group (module docs). Books the
-    /// two triangular products at `n·d·(d+1)` flops each.
+    /// `scores[i] += g·q2 / (1 + η·g·q1)` for every pool row `x_i`, given
+    /// as column `i` of `xt = Xᵀ` (`d × n`), and every block `lane` of the
+    /// factored group, lanes ascending per row: `g = g[(i, k0 + lane)]` and
+    /// `q1`, `q2` the block's two quadratic forms (module docs). Each row
+    /// block of the pool is swept by every block of the group in turn, so it
+    /// stays in cache and the group costs one fork of the row tasks. Books
+    /// the two triangular products at `n·d·(d+1)` flops each, per block.
     pub fn accumulate(
         &mut self,
-        lane: usize,
-        x: &Matrix<T>,
+        xt: &Matrix<T>,
         g: &Matrix<T>,
-        k: usize,
+        k0: usize,
         eta: T,
         scores: &mut [T],
     ) {
-        // Unpack the block into the sweep's `d × ld` triangles.
-        let (mut r_inv_t, mut n_inv) = (
-            std::mem::take(&mut self.r_inv_t),
-            std::mem::take(&mut self.n_inv),
-        );
+        let (loaded, tri) = (self.loaded, 2 * self.d * self.d);
+        assert!(loaded > 0, "QuadSweep: no factored group to sweep");
+        // Unpack the group into `d × d` triangles; nothing outside a
+        // triangle is ever written, so it stays zero.
+        let mut triangles = std::mem::take(&mut self.triangles);
+        for (lane, pair) in grown(&mut triangles, loaded * tri)
+            .chunks_mut(tri)
+            .enumerate()
         {
-            let (r_inv, n_lanes) = self.lane(lane);
+            let (r_inv, n_inv_t) = pair.split_at_mut(tri / 2);
+            let (r_lanes, n_lanes) = self.lane(lane);
             for i in 0..self.d {
                 for j in 0..=i {
-                    r_inv_t[j * self.ld + i] = r_inv(i, j);
-                    n_inv[i * self.ld + j] = n_lanes(i, j);
+                    r_inv[i * self.d + j] = r_lanes(i, j);
+                    n_inv_t[j * self.d + i] = n_lanes(i, j);
                 }
             }
         }
-        (self.r_inv_t, self.n_inv) = (r_inv_t, n_inv);
-        let (n, d) = x.shape();
-        let (ld, block_rows, tier) = (self.ld, self.block_rows, self.tier);
+        self.triangles = triangles;
+        let (d, n) = xt.shape();
+        let (block_rows, tier) = (self.block_rows, self.tier);
         assert_eq!(d, self.d, "QuadSweep: points are not d-dimensional");
         assert_eq!(g.rows(), n, "QuadSweep: one weight row per point");
-        assert!(k < g.cols(), "QuadSweep: weight column out of range");
+        assert!(
+            k0 + loaded <= g.cols(),
+            "QuadSweep: weight column out of range"
+        );
         assert_eq!(scores.len(), n, "QuadSweep: one score per point");
-        counters::add_flops(2 * n * d * (d + 1));
+        counters::add_flops(loaded * 2 * n * d * (d + 1));
         if n == 0 || d == 0 {
             return;
         }
 
-        let (r_inv_t, n_inv) = (&self.r_inv_t[..], &self.n_inv[..]);
-        // Two vectors per window, and never less than the scalar panel's
-        // two 4-wide steps.
-        let w = (2 * autotune::lane_count(tier, std::mem::size_of::<T>())).max(8);
+        let triangles = &self.triangles[..loaded * tri];
+        let panel = d * block_rows;
         let task = |r0: usize, scores: &mut [T], panels: &mut [T]| {
-            let (zbuf, ybuf) = panels.split_at_mut(block_rows * ld);
+            let (zt, rest) = panels.split_at_mut(panel);
+            let (yt, q) = rest.split_at_mut(panel);
             for (b, sblk) in scores.chunks_mut(block_rows).enumerate() {
                 let (b0, rows) = (r0 + b * block_rows, sblk.len());
-                let xs = &x.as_slice()[b0 * d..(b0 + rows) * d];
-                let (z, y) = (&mut zbuf[..rows * ld], &mut ybuf[..rows * ld]);
-                z.fill(T::ZERO);
-                y.fill(T::ZERO);
-                for j0 in (0..ld).step_by(w) {
-                    let wn = w.min(ld - j0);
-                    let depth = (j0 + wn).min(d);
-                    gemm_panel(
-                        tier,
-                        &mut z[j0..],
-                        ld,
-                        xs,
-                        d,
-                        &r_inv_t[j0..],
-                        ld,
-                        rows,
-                        depth,
-                        wn,
-                    );
-                }
-                for j0 in (0..d).step_by(w) {
-                    let wn = w.min(ld - j0);
-                    let tri = &n_inv[j0 * ld + j0..];
-                    gemm_panel(
-                        tier,
-                        &mut y[j0..],
-                        ld,
-                        &z[j0..],
-                        ld,
-                        tri,
-                        ld,
-                        rows,
-                        d - j0,
-                        wn,
-                    );
-                }
-                let mut fold = |i: usize, q1: T, q2: T| {
-                    let gi = g[(b0 + i, k)];
-                    sblk[i] += gi * q2 / (T::ONE + eta * gi * q1);
-                };
-                let mut i = 0;
-                while i + 4 <= rows {
-                    let q1 = row_norms4(&z[i * ld..], ld, d);
-                    let q2 = row_norms4(&y[i * ld..], ld, d);
-                    for t in 0..4 {
-                        fold(i + t, q1[t], q2[t]);
+                let xs = &xt.as_slice()[b0..];
+                for (lane, pair) in triangles.chunks(tri).enumerate() {
+                    let (r_inv, n_inv_t) = pair.split_at(tri / 2);
+                    zt.fill(T::ZERO);
+                    yt.fill(T::ZERO);
+                    for j0 in (0..d).step_by(BAND_ROWS) {
+                        let h = BAND_ROWS.min(d - j0);
+                        let (z, a) = (&mut zt[j0 * block_rows..], &r_inv[j0 * d..]);
+                        gemm_panel(tier, z, block_rows, a, d, xs, n, h, j0 + h, rows);
                     }
-                    i += 4;
-                }
-                while i < rows {
-                    let row = i * ld..i * ld + d;
-                    fold(i, row_norm(&z[row.clone()]), row_norm(&y[row]));
-                    i += 1;
+                    for j0 in (0..d).step_by(BAND_ROWS) {
+                        let h = BAND_ROWS.min(d - j0);
+                        let (y, a) = (&mut yt[j0 * block_rows..], &n_inv_t[j0 * d + j0..]);
+                        let z = &zt[j0 * block_rows..];
+                        gemm_panel(tier, y, block_rows, a, d, z, block_rows, h, d - j0, rows);
+                    }
+                    let fold = ScoreFold {
+                        zt,
+                        yt,
+                        ld: block_rows,
+                        d,
+                        g: &g.as_slice()[b0 * g.cols() + k0 + lane..],
+                        g_stride: g.cols(),
+                        eta,
+                        q: &mut q[..2 * rows],
+                        scores: &mut *sblk,
+                    };
+                    simd::run_lanes::<T>(tier, fold);
                 }
             }
         };
@@ -379,7 +346,7 @@ impl<T: Scalar> QuadSweep<T> {
             .max(MIN_TASK_ROWS)
             .next_multiple_of(block_rows);
         let ntasks = n.div_ceil(task_rows);
-        let panel_len = 2 * block_rows * ld;
+        let panel_len = 2 * (panel + block_rows);
         if ntasks > 1 && n * d * d >= PAR_THRESHOLD {
             let panels = grown(&mut self.panels, ntasks * panel_len);
             scores
@@ -389,6 +356,53 @@ impl<T: Scalar> QuadSweep<T> {
                 .for_each(|((s, p), t)| task(t * task_rows, s, p));
         } else {
             task(0, scores, grown(&mut self.panels, panel_len));
+        }
+    }
+}
+
+/// The row sums and the score update of one pool block, as one lane body
+/// whose lanes are the block's rows: `q1 = Σ_j (Zᵀ)_j²` and
+/// `q2 = Σ_j (Yᵀ)_j²`, one accumulator per row from `+0`, `j` ascending,
+/// then `score += g·q2 / (1 + η·g·q1)`.
+struct ScoreFold<'a, T> {
+    zt: &'a [T],
+    yt: &'a [T],
+    ld: usize,
+    d: usize,
+    /// Row `i`'s weight is `g[i·g_stride]`.
+    g: &'a [T],
+    g_stride: usize,
+    eta: T,
+    /// `2·rows` accumulators, `q1` then `q2`.
+    q: &'a mut [T],
+    scores: &'a mut [T],
+}
+
+impl<T: Scalar> simd::LaneBody for ScoreFold<'_, T> {
+    #[inline(always)]
+    fn run(self) {
+        let rows = self.scores.len();
+        let (q1, q2) = self.q.split_at_mut(rows);
+        q1.fill(T::ZERO);
+        q2.fill(T::ZERO);
+        for j in 0..self.d {
+            let row = j * self.ld..j * self.ld + rows;
+            for (q, &z) in q1.iter_mut().zip(&self.zt[row.clone()]) {
+                *q += z * z;
+            }
+            for (q, &y) in q2.iter_mut().zip(&self.yt[row]) {
+                *q += y * y;
+            }
+        }
+        let eta = self.eta;
+        let weights = self.g.iter().step_by(self.g_stride);
+        let folded = self
+            .scores
+            .iter_mut()
+            .zip(weights)
+            .zip(q1.iter().zip(q2.iter()));
+        for ((s, &gi), (&q1, &q2)) in folded {
+            *s += gi * q2 / (T::ONE + eta * gi * q1);
         }
     }
 }
@@ -497,7 +511,7 @@ mod tests {
             assert!(load(&mut sweep, &bad, &l_inv).is_err());
             load(&mut sweep, &m, &l_inv).unwrap();
             let mut scores = vec![1.0; n];
-            sweep.accumulate(0, &x, &g, 1, eta, &mut scores);
+            sweep.accumulate(&x.transpose(), &g, 1, eta, &mut scores);
             for i in 0..n {
                 let xi = x.row(i);
                 let q1 = crate::dot(xi, &b_inv.matvec(xi));
@@ -545,16 +559,10 @@ mod tests {
         let (l_inv, _) = whitening(4, 1);
         let mut sweep = QuadSweep::<f64>::new(4);
         load(&mut sweep, &spd(4, 2), &l_inv).unwrap();
-        sweep.accumulate(
-            0,
-            &Matrix::zeros(0, 4),
-            &Matrix::zeros(0, 1),
-            0,
-            1.0,
-            &mut [],
-        );
+        sweep.accumulate(&Matrix::zeros(4, 0), &Matrix::zeros(0, 1), 0, 1.0, &mut []);
         let mut scores = vec![3.0; 5];
-        sweep.accumulate(0, &lcg(5, 4, 3), &Matrix::zeros(5, 1), 0, 1.0, &mut scores);
+        let xt = lcg(5, 4, 3).transpose();
+        sweep.accumulate(&xt, &Matrix::zeros(5, 1), 0, 1.0, &mut scores);
         assert_eq!(scores, vec![3.0; 5]);
     }
 }

@@ -53,9 +53,10 @@ pub trait Scalar:
     /// Positive infinity.
     const INFINITY: Self;
     /// Blocks a lane group holds: one block per lane of a 256-bit vector
-    /// (8 `f32`, 4 `f64`). The grouped eigensolver and `M_k` factor chain
-    /// ([`crate::eigen::eigvalsh_blocks`], [`crate::QuadSweep::factor_group`])
-    /// run this many independent blocks in lockstep.
+    /// (8 `f32`, 4 `f64`). The grouped eigensolver, `M_k` factor chain and
+    /// block-Jacobi factors ([`crate::eigen::eigvalsh_blocks`],
+    /// [`crate::QuadSweep::factor_group`], [`crate::CholeskyBlocks`]) run
+    /// this many independent blocks in lockstep.
     const BLOCK_LANES: usize;
 
     /// Lossy conversion from `f64` (used for constants and tolerances).

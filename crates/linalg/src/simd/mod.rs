@@ -12,10 +12,12 @@
 //! struct, [`Dispatch::simd_run`] hands it to the `#[target_feature]`
 //! wrapper of the (tier, dtype), and the wrapper runs the struct's
 //! width-generic body at its vector type. A new kernel is a body and a
-//! struct; the seam does not grow. The grouped ROUND kernels (Line 9's
-//! eigensolves, the Eq. 17 factor chain) use the same seam without a
-//! vector type: their bodies are plain `[T; L]` lane loops, one block per
-//! lane (`run_lanes`), which the wrapper's feature set lets the compiler
+//! struct; the seam does not grow. The grouped block kernels (ROUND's
+//! Line 9 eigensolves and Eq. 17 factor chain, RELAX's block-Jacobi
+//! factors and solves) and the Eq. 17 row sums use the same seam without a
+//! vector type: their bodies are plain lane loops — `[T; L]` arrays, one
+//! block per lane, or slices whose elements are independent pool rows —
+//! (`run_lanes`), which the wrapper's feature set lets the compiler
 //! vectorise.
 //!
 //! # The canonical-summation-tree determinism contract
@@ -38,7 +40,7 @@
 //!   element of `XᵀΓ` within each shape-derived reduction chunk (spelled
 //!   out in the `crate::sweep` module docs);
 //! * [`crate::quad::QuadSweep`]: the `gemm` tree for both triangular
-//!   products — the panel body itself, per column window — then a
+//!   products — the panel body itself, per band of triangle rows — then a
 //!   column-ascending row sum of squares (`crate::quad` module docs).
 //!
 //! Lane-width independence holds because vector lanes always span
@@ -240,9 +242,10 @@ pub trait Dispatch: Copy {
     fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool;
 }
 
-/// A lane-group body: one block per lane of plain `[T; L]` arrays (the
-/// grouped ROUND kernels of [`mod@crate::eigen`] and [`mod@crate::quad`]).
-/// It names no vector type: [`run_lanes`] only inlines it into the tier's
+/// A lane body: plain loops whose lanes are independent — one block per
+/// lane of `[T; L]` arrays (the grouped kernels of [`mod@crate::eigen`],
+/// [`mod@crate::quad`] and [`mod@crate::cholesky`]) or one pool row per
+/// element (the Eq. 17 row sums). It names no vector type: [`run_lanes`] only inlines it into the tier's
 /// `#[target_feature]` wrapper, where the compiler vectorises the lane
 /// loops at the tier's width. Array arithmetic is neither contracted nor
 /// reassociated, so every tier — the scalar one, which runs the body as

@@ -1,14 +1,18 @@
-//! The grouped ROUND kernels against the per-block scalar path, bit for
-//! bit: [`eigvalsh_blocks`] against [`eigh`]'s `tred2`/`tql2` spectrum, and
-//! [`QuadSweep::factor_group`] against a textbook per-block Cholesky →
-//! `N⁻¹` → `R⁻¹ = N⁻¹·L⁻¹` chain written out below. Every block is checked
-//! at every lane position a group of its size gives it, beside neighbours
+//! The lane-group block kernels against the per-block scalar path, bit
+//! for bit: [`eigvalsh_blocks`] against [`eigh`]'s `tred2`/`tql2`
+//! spectrum, [`QuadSweep::factor_group`] against a textbook per-block
+//! Cholesky → `N⁻¹` → `R⁻¹ = N⁻¹·L⁻¹` chain written out below, and the
+//! block-Jacobi solves of [`CholeskyBlocks`] against a textbook per-block
+//! Cholesky with forward and back substitution. Every block is checked at
+//! every lane position a group of its size gives it, beside neighbours
 //! that take different branches: early QL splits, zero-scale Householder
 //! rows, repeated eigenvalues, blocks that need more sweeps than the rest,
 //! subnormal blocks whose rotations underflow to `tql2`'s `r == 0` exit,
-//! and an `M_k` that does not factor.
+//! and an `M_k` or a preconditioner block that does not factor.
 
-use firal_linalg::{eigh, eigvalsh_blocks, gemm_a_bt, LinalgError, Matrix, QuadSweep, Scalar};
+use firal_linalg::{
+    eigh, eigvalsh_blocks, gemm_a_bt, CholeskyBlocks, LinalgError, Matrix, QuadSweep, Scalar,
+};
 
 const ORDERS: [usize; 6] = [1, 2, 3, 16, 20, 50];
 const GROUPS: [usize; 5] = [1, 7, 8, 9, 49];
@@ -307,8 +311,9 @@ fn factor_group_is_bitwise_the_per_block_scalar_chain_f64() {
     factor_chain_matches::<f64>();
 }
 
-/// The Eq. 17 sweep of a block loaded through a full group is the sweep of
-/// the same block loaded alone.
+/// The Eq. 17 sweep of a full group is, bit for bit, its blocks loaded and
+/// swept alone one after the other: each block's term lands on every score
+/// in lane order, whatever lane the block held.
 #[test]
 fn a_block_sweeps_alike_in_any_lane() {
     let (d, n) = (20usize, 70usize);
@@ -316,7 +321,7 @@ fn a_block_sweeps_alike_in_any_lane() {
     let l_invs: Vec<Matrix<f32>> = (0..8)
         .map(|k| l_inv_block(d, 40 + k as u64).cast())
         .collect();
-    let x = lcg(n, d, 3).cast::<f32>();
+    let xt = lcg(n, d, 3).cast::<f32>().transpose();
     let g = Matrix::from_fn(n, 8, |i, k| 0.01 * ((i + 3 * k) % 7) as f32);
     let mut group = QuadSweep::<f32>::new(d);
     group
@@ -324,16 +329,141 @@ fn a_block_sweeps_alike_in_any_lane() {
             row.copy_from_slice(&ms[lane].row(i)[..=i])
         })
         .unwrap();
+    let mut swept = vec![1.0f32; n];
+    group.accumulate(&xt, &g, 0, 2.5, &mut swept);
+    let mut alone = QuadSweep::<f32>::new(d);
+    let mut one_by_one = vec![1.0f32; n];
     for lane in 0..8 {
-        let mut alone = QuadSweep::<f32>::new(d);
         alone
             .factor_group(&l_invs[lane..=lane], |_, i, row| {
                 row.copy_from_slice(&ms[lane].row(i)[..=i]);
             })
             .unwrap();
-        let (mut s1, mut s2) = (vec![1.0f32; n], vec![1.0f32; n]);
-        group.accumulate(lane, &x, &g, lane, 2.5, &mut s1);
-        alone.accumulate(0, &x, &g, lane, 2.5, &mut s2);
-        assert_eq!(bits(&s1), bits(&s2), "lane {lane}");
+        alone.accumulate(&xt, &g, lane, 2.5, &mut one_by_one);
     }
+    assert_eq!(bits(&swept), bits(&one_by_one));
+}
+
+/// The block-Jacobi solve of one block, written out: the Cholesky factor
+/// of `A + ridge·I` (`k`-ascending subtractions), then per column the
+/// forward substitution `L y = b` and the back substitution `Lᵀ x = y`,
+/// each entry one accumulator from the right-hand side, `k` ascending,
+/// divided by the pivot. `b` is the block's `d × s` rows, solved in place;
+/// returns the failing pivot if the block is not positive definite.
+fn textbook_solve<T: Scalar>(a: &Matrix<T>, ridge: T, b: &mut [T], s: usize) -> Result<(), usize> {
+    let d = a.rows();
+    let mut l = Matrix::<T>::zeros(d, d);
+    for i in 0..d {
+        for j in 0..=i {
+            let mut acc = a[(i, j)];
+            if i == j && ridge != T::ZERO {
+                acc += ridge;
+            }
+            for k in 0..j {
+                acc -= l[(i, k)] * l[(j, k)];
+            }
+            if i == j {
+                if acc <= T::ZERO || !acc.is_finite() {
+                    return Err(i);
+                }
+                l[(i, i)] = acc.sqrt();
+            } else {
+                l[(i, j)] = acc / l[(j, j)];
+            }
+        }
+    }
+    for c in 0..s {
+        for i in 0..d {
+            let mut acc = b[i * s + c];
+            for k in 0..i {
+                acc -= l[(i, k)] * b[k * s + c];
+            }
+            b[i * s + c] = acc / l[(i, i)];
+        }
+        for i in (0..d).rev() {
+            let mut acc = b[i * s + c];
+            for k in i + 1..d {
+                acc -= l[(k, i)] * b[k * s + c];
+            }
+            b[i * s + c] = acc / l[(i, i)];
+        }
+    }
+    Ok(())
+}
+
+/// Solve a seeded panel through `blocks` grouped and block by block, and
+/// compare every entry; or, if some block is not positive definite, check
+/// that the grouped factorization fails with the first such block's pivot.
+fn jacobi_matches<T: Scalar>(blocks: &[Matrix<T>], ridge: T, what: &str) {
+    let d = blocks[0].rows();
+    for s in [1usize, 3, 10] {
+        let rhs = lcg(blocks.len() * d, s, 7000 + (d * s) as u64).cast::<T>();
+        let mut want = rhs.as_slice().to_vec();
+        let failure = want
+            .chunks_mut(d * s)
+            .zip(blocks)
+            .map(|(b, a)| textbook_solve(a, ridge, b, s))
+            .find_map(Result::err);
+        match (CholeskyBlocks::new(blocks, ridge), failure) {
+            (Err(e), Some(pivot)) => assert_eq!(
+                e,
+                LinalgError::NotPositiveDefinite { pivot },
+                "{what}: fails at the first failing block's pivot"
+            ),
+            (Ok(mut grouped), None) => {
+                let mut got = rhs.as_slice().to_vec();
+                grouped.solve_panel_in_place(&mut got, s);
+                assert_eq!(bits(&got), bits(&want), "{what}, s={s}");
+                // A second solve through the same scratch, at a width it
+                // already holds.
+                let mut again = rhs.as_slice().to_vec();
+                grouped.solve_panel_in_place(&mut again, s);
+                assert_eq!(bits(&again), bits(&want), "{what}, s={s}, second solve");
+            }
+            (got, want) => panic!("{what}: grouped {:?} against per block {want:?}", got.err()),
+        }
+    }
+}
+
+fn block_jacobi_matches<T: Scalar>() {
+    for d in ORDERS {
+        let ms: Vec<Matrix<T>> = (0..49).map(|k| m_block(d, k).cast()).collect();
+        for g in GROUPS {
+            jacobi_matches(&ms[..g], T::ZERO, &format!("d={d}, {g} blocks"));
+            let ridge = T::from_f64(0.125);
+            jacobi_matches(&ms[..g], ridge, &format!("d={d}, {g} blocks, ridge"));
+        }
+        // Lane 3 of a full group is semidefinite (row and column `pivot`
+        // zero): the factorization fails with that block's pivot, and with
+        // a ridge on every block it factors and solves.
+        let full = 2 * T::BLOCK_LANES;
+        let mut bad = ms[..full].to_vec();
+        let pivot = d / 2;
+        for j in 0..d {
+            bad[3][(pivot, j)] = T::ZERO;
+            bad[3][(j, pivot)] = T::ZERO;
+        }
+        assert_eq!(
+            CholeskyBlocks::new(&bad, T::ZERO).err(),
+            Some(LinalgError::NotPositiveDefinite { pivot }),
+            "d={d}: lane 3's pivot"
+        );
+        jacobi_matches(&bad, T::ZERO, &format!("d={d}, semidefinite lane 3"));
+        let ridge = T::from_f64(1e-3);
+        assert!(
+            CholeskyBlocks::new(&bad, ridge).is_ok(),
+            "d={d}: the ridge recovers"
+        );
+        jacobi_matches(&bad, ridge, &format!("d={d}, semidefinite lane 3, ridge"));
+    }
+}
+
+#[test]
+fn block_jacobi_lanes_are_bitwise_the_per_block_textbook_solve_f32() {
+    block_jacobi_matches::<f32>();
+}
+
+#[test]
+fn block_jacobi_lanes_are_bitwise_the_per_block_textbook_solve_f64() {
+    block_jacobi_matches::<f64>();
 }

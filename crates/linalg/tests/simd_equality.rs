@@ -301,7 +301,7 @@ fn quad_sweep_equals_dense_oracle<T: Scalar>() {
                             "the loaded block is tier-independent"
                         );
                         let mut scores = start.as_slice().to_vec();
-                        pool.install(|| sweep.accumulate(0, &x, &g, 2, eta, &mut scores));
+                        pool.install(|| sweep.accumulate(&x.transpose(), &g, 2, eta, &mut scores));
                         let got: Vec<u64> = scores.iter().map(|s| s.to_f64().to_bits()).collect();
                         assert_eq!(
                             got, want,
