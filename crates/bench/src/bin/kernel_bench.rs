@@ -37,7 +37,9 @@
 //! `--quick` shrinks to two CI smoke shapes (one lane multiple, one not);
 //! default shapes are n ∈ {10⁴, 10⁵} × d ∈ {64, 128} at m = 40 plus
 //! n = 10⁴ × d ∈ {20, 50, 100, 383} at m = (c-1)·s ∈ {90, 490}, with
-//! thread counts {1, 2, 4}. The `quad_sweep` rows run at the per-rank pool
+//! thread counts {1, 2, 4}; `fisher_sweep` alone also runs at n = 10⁴,
+//! d = 20, m = 180, the `[W | V]` panel RELAX's Line 7 sweeps at once.
+//! The `quad_sweep` rows run at the per-rank pool
 //! shapes of the repo benchmark's ROUND workloads, (n, d) ∈ {(600, 50),
 //! (3000, 20), (8000, 16)}, and quote GF/s on the *dense* `4nd²` count for
 //! both paths, so the pair reads as a speed-up. The `eigvalsh_*` and
@@ -61,7 +63,7 @@ use firal_linalg::simd::{active_tier, available_tiers, cpu_features, Tier};
 use firal_linalg::{
     cache_geometry, counters, eigvalsh_blocks, fisher_sweep_planned, gemm_a_bt, gemm_at_b_tier,
     gemm_into, gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, CholeskyBlocks,
-    Matrix, QuadSweep, Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
+    Matrix, QuadSweep, Scalar, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Probes per panel: the `(c-1)·s` column counts below are `(c-1)` blocks
@@ -172,10 +174,15 @@ impl Cell {
     }
 }
 
+/// `gemm_at_b`, `gram_weighted_multi` and `fisher_sweep` at one shape
+/// (`dense = false`: `fisher_sweep` only); the sweep's `m` columns are
+/// `m / probes` class blocks of `probes` columns each.
 #[allow(clippy::too_many_arguments)]
 fn run_shape<T: Scalar>(
     dtype: &'static str,
     (n, d, m): (usize, usize, usize),
+    probes: usize,
+    dense: bool,
     threads_list: &[usize],
     reps: usize,
     rows: &mut Vec<Row>,
@@ -191,11 +198,11 @@ fn run_shape<T: Scalar>(
     };
 
     // The fused sweep applies Σᵢ zᵢ·G(hᵢ)⊗xᵢxᵢᵀ to a stacked d·c × s panel.
-    let blocks = m / PROBES;
+    let blocks = m / probes;
     assert_eq!(
-        blocks * PROBES,
+        blocks * probes,
         m,
-        "m must be whole blocks of {PROBES} probes"
+        "m must be whole blocks of {probes} probes"
     );
     let h = Matrix::from_fn(n, blocks, |i, k| {
         T::from_f64(0.9 * (1 + (i * 7 + k * 3) % 11) as f64 / 12.0 / blocks as f64)
@@ -203,7 +210,7 @@ fn run_shape<T: Scalar>(
     let z: Vec<T> = (0..n)
         .map(|i| T::from_f64((1 + i % 5) as f64 / n as f64))
         .collect();
-    let v = lcg_matrix::<T>(d * blocks, PROBES, 4);
+    let v = lcg_matrix::<T>(d * blocks, probes, 4);
 
     // One bit reference per kernel, shared across the tier AND thread axes:
     // every (tier, threads) cell must reproduce it exactly.
@@ -238,45 +245,48 @@ fn run_shape<T: Scalar>(
                 *mismatches += cell.record(rows, kernel, m, reference, timed, flops);
             };
 
-            let timed = pool.install(|| bench(reps, || gemm_at_b_tier(tier, &x, &b), matrix_bits));
-            let flops = counters::gemm_at_b_flops(n, d, m);
-            record(cell, "gemm_at_b", m, &mut at_b_ref, timed, flops);
+            if dense {
+                let timed =
+                    pool.install(|| bench(reps, || gemm_at_b_tier(tier, &x, &b), matrix_bits));
+                let flops = counters::gemm_at_b_flops(n, d, m);
+                record(cell, "gemm_at_b", m, &mut at_b_ref, timed, flops);
 
-            let timed = pool.install(|| {
-                bench(
-                    reps,
-                    || gram_weighted_multi_planned(tier, plan, &x, &w),
-                    |gs| gs.iter().fold(0u64, |acc, g| acc ^ matrix_bits(g)),
-                )
-            });
-            let flops = counters::gram_weighted_multi_flops(GRAM_CLASSES, n, d);
-            let gram_cell = Cell {
-                class_block: Some(plan.class_block),
-                ..cell
-            };
-            record(
-                gram_cell,
-                "gram_weighted_multi",
-                GRAM_CLASSES,
-                &mut gram_ref,
-                timed,
-                flops,
-            );
+                let timed = pool.install(|| {
+                    bench(
+                        reps,
+                        || gram_weighted_multi_planned(tier, plan, &x, &w),
+                        |gs| gs.iter().fold(0u64, |acc, g| acc ^ matrix_bits(g)),
+                    )
+                });
+                let flops = counters::gram_weighted_multi_flops(GRAM_CLASSES, n, d);
+                let gram_cell = Cell {
+                    class_block: Some(plan.class_block),
+                    ..cell
+                };
+                record(
+                    gram_cell,
+                    "gram_weighted_multi",
+                    GRAM_CLASSES,
+                    &mut gram_ref,
+                    timed,
+                    flops,
+                );
+            }
 
             let ws = std::cell::RefCell::new(SweepWorkspace::new());
             let timed = pool.install(|| {
                 bench(
                     reps,
                     || {
-                        let mut out = Matrix::zeros(d * blocks, PROBES);
+                        let mut out = Matrix::zeros(d * blocks, probes);
                         fisher_sweep_planned(
                             tier,
                             plan,
                             &x,
                             &h,
                             Some(&z),
-                            SweepInput::Panel(v.as_slice()),
-                            PROBES,
+                            v.as_slice(),
+                            probes,
                             &mut ws.borrow_mut(),
                             out.as_mut_slice(),
                         );
@@ -537,6 +547,9 @@ fn main() {
             (10_000, 383, 90),
         ]
     };
+    // (n, d, m) for `fisher_sweep` alone, at `2·PROBES` columns per class
+    // block: CIFAR-10's `[W | V]`.
+    let wide_sweeps: &[(usize, usize, usize)] = if quick { &[] } else { &[(10_000, 20, 180)] };
     // (n, d): the per-rank pools of `round_bound`, `relax_bound` and
     // `stream_churn`.
     let quad_shapes: &[(usize, usize)] = if quick {
@@ -558,24 +571,13 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
-    for &shape in &shapes {
+    let dense_shapes = shapes.iter().map(|&shape| (shape, PROBES, true));
+    let sweep_shapes = wide_sweeps.iter().map(|&shape| (shape, 2 * PROBES, false));
+    for (shape, probes, dense) in dense_shapes.chain(sweep_shapes) {
         eprintln!("[kernel_bench] (n, d, m) = {shape:?} ...");
-        run_shape::<f32>(
-            "f32",
-            shape,
-            &threads_list,
-            reps,
-            &mut rows,
-            &mut mismatches,
-        );
-        run_shape::<f64>(
-            "f64",
-            shape,
-            &threads_list,
-            reps,
-            &mut rows,
-            &mut mismatches,
-        );
+        let (rows, mm) = (&mut rows, &mut mismatches);
+        run_shape::<f32>("f32", shape, probes, dense, &threads_list, reps, rows, mm);
+        run_shape::<f64>("f64", shape, probes, dense, &threads_list, reps, rows, mm);
     }
 
     for &shape in quad_shapes {

@@ -38,13 +38,14 @@
 use firal_comm::{shard_range, CommScalar, CommStats, Communicator, ReduceOp};
 use firal_linalg::{eigvalsh_blocks, BlockDiag, Cholesky, Matrix, Scalar};
 use firal_solvers::{
-    cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig, LinearOperator,
+    allreduce_block_diag, cg_solve_panel, rademacher_panel, AllreduceOperator, CgConfig,
+    LinearOperator,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{FiralConfig, RelaxConfig};
-use crate::hessian::{hutchinson_gradients_shared, probe_products_into, BlockJacobi, PoolHessian};
+use crate::hessian::{hutchinson_gradients, side_by_side, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
 use crate::procedure::{mirror_step, sweep_eta, RelaxTelemetry};
 use crate::round::{WhitenedFtrl, Whitening};
@@ -307,23 +308,6 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         (payload, h)
     }
 
-    /// Allreduce-sum a block diagonal in place (the §III-C partial-sum
-    /// pattern for `B(Σ_z)` and `(Σ⋄)_k`).
-    fn allreduce_block_diag(&self, bd: &mut BlockDiag<T>) {
-        let d = bd.dim();
-        let cm1 = bd.nblocks();
-        let mut flat: Vec<T> = Vec::with_capacity(cm1 * d * d);
-        for k in 0..cm1 {
-            flat.extend_from_slice(bd.block(k).as_slice());
-        }
-        T::allreduce(self.comm, &mut flat, ReduceOp::Sum);
-        for k in 0..cm1 {
-            bd.block_mut(k)
-                .as_mut_slice()
-                .copy_from_slice(&flat[k * d * d..(k + 1) * d * d]);
-        }
-    }
-
     /// Scalar allreduce through the f64 wire format.
     pub(crate) fn allreduce_scalar(&self, value: T, op: ReduceOp) -> T {
         let mut buf = [value.to_f64()];
@@ -335,13 +319,25 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     ///
     /// Per mirror-descent iteration: Bcast a fresh `ê × s` Rademacher panel
     /// from rank 0; build and factor the block-Jacobi preconditioner
-    /// `B(Σ_z)⁻¹` from Allreduced partial block sums; run batched
-    /// preconditioned CG `W ← Σ_z⁻¹V`, `W ← H_pW`, `W ← Σ_z⁻¹W` with the
-    /// matvec Allreduce inside [`AllreduceOperator`]; take purely local
-    /// Hutchinson gradients; and close with the entropic mirror-descent
-    /// update (global max-|g| and normalizer are scalar Allreduces). The
-    /// objective estimate and its 1e-4 relative stopping rule are evaluated
-    /// from replicated panels, so every rank decides identically.
+    /// `B(Σ_z)⁻¹` from Allreduced partial block sums (lower triangles only,
+    /// [`allreduce_block_diag`]); run batched preconditioned CG
+    /// `W ← Σ_z⁻¹V`, `W ← H_pW`, `W ← Σ_z⁻¹W` with the matvec Allreduce
+    /// inside [`AllreduceOperator`] — `H_p` is applied once to the `2s`
+    /// columns `[W | V]`, so `H_pV` for the objective estimate costs no
+    /// extra pass or collective; take purely local Hutchinson gradients,
+    /// which form `X·[V | W]` one bounded row tile at a time; and close with
+    /// the entropic mirror-descent update (global max-|g| and normalizer are
+    /// scalar Allreduces). The objective estimate and its 1e-4 relative
+    /// stopping rule are evaluated from replicated panels, so every rank
+    /// decides identically.
+    ///
+    /// Storage per rank, in elements, with `t` kernel-pool threads (Table
+    /// II's `O(n(d + c) + c·d²)`, no `n × (c−1)·s` term):
+    /// `n_local·(d + 2(c−1) + 3) + n + O((c−1)·d² + 64·d·(c−1)·s + t·64·(c−1)·s)`
+    /// — the shard's `X` and `h`; `z`, `b·z` and `g`; the weight panel of
+    /// `B(H_{b·z})` while it is built; the assembled `z⋄`; the replicated
+    /// blocks and factors; the fused sweeps' chunk partials (at most 64
+    /// chunks); one gradient tile per worker.
     pub fn relax(&self, budget: usize, config: &RelaxConfig<T>) -> RelaxRun<T> {
         self.install(|| self.relax_impl(budget, config))
     }
@@ -350,6 +346,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let shard = self.shard;
         let n = shard.global_n;
         let ehat = shard.ehat();
+        let s = config.probes;
         let b = T::from_usize(budget);
         let stats0 = self.comm.stats();
         let mut timer = PhaseTimer::new();
@@ -366,8 +363,13 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let bho = timer.time("precond", || ho.block_diagonal());
         let hp_local = PoolHessian::unweighted(&shard.local_x, &shard.local_h);
         let hp = AllreduceOperator::new(self.comm, &hp_local, None);
-        // X·V_wide of the iteration's probe panel (see Line 7).
-        let mut xv = Matrix::zeros(shard.local_n(), shard.nblocks() * config.probes);
+        // H_{b·z}, reweighted in place every iteration so that its sweep
+        // workspace is sized once.
+        let mut local_hz = PoolHessian::weighted(
+            &shard.local_x,
+            &shard.local_h,
+            vec![T::ZERO; shard.local_n()],
+        );
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut telemetry = RelaxTelemetry::new();
@@ -376,24 +378,23 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         for t in 1..=config.md.max_iters {
             // Line 4: probe panel drawn on rank 0, Bcast to the group.
             let mut v: Matrix<T> = if self.rank() == 0 {
-                rademacher_panel(ehat, config.probes, &mut rng)
+                rademacher_panel(ehat, s, &mut rng)
             } else {
-                Matrix::zeros(ehat, config.probes)
+                Matrix::zeros(ehat, s)
             };
             T::bcast(self.comm, v.as_mut_slice(), 0);
 
             // Gradients are evaluated at the feasible point b·z of Eq. 5 (z
             // itself stays on the unit simplex for the multiplicative
             // update).
-            let zb_local: Vec<T> = z_local.iter().map(|&v| v * b).collect();
-            let local_hz = PoolHessian::weighted(&shard.local_x, &shard.local_h, zb_local);
+            local_hz.set_weights(z_local.iter().map(|&v| v * b));
             let sigma = AllreduceOperator::new(self.comm, &local_hz, Some(&ho));
 
             // Line 5: B(Σ_z) = B(H_o) + allreduce(B(H_{b·z})_local),
             // factored per block on every rank.
             let prec = timer.time("precond", || {
                 let mut bsz = local_hz.block_diagonal();
-                self.allreduce_block_diag(&mut bsz);
+                allreduce_block_diag(self.comm, &mut bsz);
                 bsz.add_scaled(T::ONE, &bho);
                 // Lazy ridge fallback for numerically semidefinite blocks.
                 BlockJacobi::new(&bsz)
@@ -405,18 +406,11 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let (w1, tel1) = timer.time("cg", || cg_solve_panel(&sigma, &prec, &v, &cg_cfg));
             total_cg_iters += tel1.iter().map(|t| t.iterations).sum::<usize>();
 
-            // Line 7: W ← H_p W (plus H_p·V for the objective estimate).
-            // X·V_wide is formed once: H_p·V sweeps over it here and Line 9
-            // reads it again.
-            let w2 = timer.time("matvec", || hp.apply_panel(&w1));
-            timer.time("matvec", || {
-                probe_products_into(&shard.local_x, &v, shard.nblocks(), &mut xv);
-            });
-            let hpv = timer.time("matvec", || {
-                let mut y = hp_local.apply_products(&xv);
-                T::allreduce(self.comm, y.as_mut_slice(), ReduceOp::Sum);
-                y
-            });
+            // Line 7: W ← H_p W, and H_p·V for the objective estimate, as
+            // one sweep and one Allreduce of [W | V]: no column of the sweep
+            // depends on its neighbours, so each is the bits of its own.
+            let hp_wv = timer.time("matvec", || hp.apply_panel(&side_by_side(&w1, &v)));
+            let w2 = Matrix::from_fn(ehat, s, |i, j| hp_wv[(i, j)]);
 
             // Line 8: W ← Σ_z⁻¹ W.
             let (w3, tel2) = timer.time("cg", || cg_solve_panel(&sigma, &prec, &w2, &cg_cfg));
@@ -424,7 +418,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
             // Line 9: local Hutchinson gradients (no communication).
             let g = timer.time("gradient", || {
-                hutchinson_gradients_shared(&shard.local_x, &shard.local_h, &xv, &w3)
+                hutchinson_gradients(&shard.local_x, &shard.local_h, &v, &w3)
             });
 
             // Lines 10–11: multiplicative update + simplex normalization.
@@ -436,18 +430,19 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             });
 
             // Objective estimate f ≈ (1/s) Σ_j (Σ⁻¹v_j)ᵀ(H_p v_j) from
-            // replicated panels (identical on all ranks) and the stopping
-            // rule on its relative change.
+            // replicated panels (identical on all ranks; H_p·V is the right
+            // half of Line 7's product) and the stopping rule on its
+            // relative change.
             let f_est = timer.time("other", || {
                 let mut acc = T::ZERO;
-                for j in 0..config.probes {
+                for j in 0..s {
                     let mut col = T::ZERO;
                     for i in 0..ehat {
-                        col += w1[(i, j)] * hpv[(i, j)];
+                        col += w1[(i, j)] * hp_wv[(i, s + j)];
                     }
                     acc += col;
                 }
-                acc / T::from_usize(config.probes)
+                acc / T::from_usize(s)
             });
             if telemetry.record(t, f_est, config.md.obj_rel_tol) {
                 break;
@@ -534,7 +529,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let mut sigma = timer.time("other", || {
             let mut local = PoolHessian::weighted(&shard.local_x, &shard.local_h, z_local.to_vec())
                 .block_diagonal();
-            self.allreduce_block_diag(&mut local);
+            allreduce_block_diag(self.comm, &mut local);
             local
         });
         sigma.add_scaled(T::ONE, &bho);
@@ -674,7 +669,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 acc.rank_one_update(&gammas, shard.local_x.row(l));
             }
         }
-        self.allreduce_block_diag(&mut acc);
+        allreduce_block_diag(self.comm, &mut acc);
         self.install(|| acc.min_block_eigenvalue())
             .expect("eigenvalues of selection")
     }

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 pub use firal_linalg::to_wide;
 use firal_linalg::{
     fisher_sweep, gemm_into, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, CholeskyBlocks,
-    Matrix, Scalar, SweepInput, SweepWorkspace,
+    Matrix, Scalar, SweepWorkspace,
 };
 use firal_solvers::{LinearOperator, PanelScratch, Preconditioner};
 use rayon::prelude::*;
@@ -157,6 +157,16 @@ impl<'a, T: Scalar> PoolHessian<'a, T> {
         }
     }
 
+    /// Replace the weights of a weighted sum in place, one per point. The
+    /// sweep's workspace stays, so a loop that reweights one operator
+    /// (RELAX's `H_{b·z}`, every mirror-descent iteration) sizes it once.
+    pub fn set_weights(&mut self, z: impl IntoIterator<Item = T>) {
+        let weights = self.z.as_mut().expect("set_weights on an unweighted sum");
+        weights.clear();
+        weights.extend(z);
+        assert_eq!(weights.len(), self.x.rows(), "weights length mismatch");
+    }
+
     /// Number of points in the panel.
     pub fn len(&self) -> usize {
         self.x.rows()
@@ -178,20 +188,9 @@ impl<'a, T: Scalar> PoolHessian<'a, T> {
     }
 
     /// `out ← H(z)·V` for `s` stacked columns, through the fused sweep.
-    fn sweep(&self, input: SweepInput<'_, T>, s: usize, out: &mut [T]) {
+    fn sweep(&self, v: &[T], s: usize, out: &mut [T]) {
         let mut ws = self.ws.borrow_mut();
-        fisher_sweep(self.x, self.h, self.z.as_deref(), input, s, &mut ws, out);
-    }
-
-    /// `H(z)·V` from `P = X·V_wide` as [`probe_products`] forms it over
-    /// this operator's points — the same bits as `apply_panel(V)` without
-    /// repeating the product, for callers that need `P` anyway (RELAX
-    /// shares it with [`hutchinson_gradients_shared`]).
-    pub fn apply_products(&self, products: &Matrix<T>) -> Matrix<T> {
-        let s = products.cols() / self.nblocks().max(1);
-        let mut out = Matrix::zeros(self.dim(), s);
-        self.sweep(SweepInput::Products(products), s, out.as_mut_slice());
-        out
+        fisher_sweep(self.x, self.h, self.z.as_deref(), v, s, &mut ws, out);
     }
 
     /// Block diagonal `B(H(z))` (Definition 1 / Eq. 15): block `k` is
@@ -231,12 +230,12 @@ impl<T: Scalar> LinearOperator<T> for PoolHessian<'_, T> {
     }
 
     fn apply(&self, x: &[T], y: &mut [T]) {
-        self.sweep(SweepInput::Panel(x), 1, y);
+        self.sweep(x, 1, y);
     }
 
     fn apply_panel_into(&self, x: &Matrix<T>, y: &mut Matrix<T>) {
         assert_eq!(x.shape(), y.shape(), "apply_panel_into shape mismatch");
-        self.sweep(SweepInput::Panel(x.as_slice()), x.cols(), y.as_mut_slice());
+        self.sweep(x.as_slice(), x.cols(), y.as_mut_slice());
     }
 }
 
@@ -351,113 +350,96 @@ pub fn unstack<T: Scalar>(v: &[T], d: usize, c: usize) -> Matrix<T> {
     unvec(v, d, c)
 }
 
-/// `P = X·V_wide` (`n × c·s`, [`to_wide`] column order): the first GEMM of
-/// Eq. 13 for a stacked probe panel, as a matrix of its own for the
-/// consumers that read it per point.
-pub fn probe_products<T: Scalar>(x: &Matrix<T>, panel: &Matrix<T>, c: usize) -> Matrix<T> {
-    let mut out = Matrix::zeros(x.rows(), c * panel.cols());
-    probe_products_into(x, panel, c, &mut out);
+/// `[A | B]`: two panels of the same height, side by side (`A`'s columns
+/// first).
+pub(crate) fn side_by_side<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+    assert_eq!(a.rows(), b.rows(), "side_by_side: panels differ in height");
+    let mut out = Matrix::zeros(a.rows(), a.cols() + b.cols());
+    for i in 0..a.rows() {
+        let (left, right) = out.row_mut(i).split_at_mut(a.cols());
+        left.copy_from_slice(a.row(i));
+        right.copy_from_slice(b.row(i));
+    }
     out
 }
 
-/// [`probe_products`] into a caller-owned `n × c·s` matrix (overwritten),
-/// for a loop that forms the products of a fresh panel every iteration.
-pub fn probe_products_into<T: Scalar>(
-    x: &Matrix<T>,
-    panel: &Matrix<T>,
-    c: usize,
-    out: &mut Matrix<T>,
-) {
-    assert_eq!(
-        out.shape(),
-        (x.rows(), c * panel.cols()),
-        "products have the wrong shape"
-    );
-    gemm_into(
-        x.as_slice(),
-        &to_wide(panel, x.cols(), c),
-        out.as_mut_slice(),
-    );
-}
+/// Pool points per tile of [`hutchinson_gradients`].
+const GRADIENT_TILE_ROWS: usize = 64;
 
 /// Batched Hutchinson gradient kernel (Algorithm 2 line 9):
-/// returns `g_i = (1/s) Σ_j v_jᵀ H_i w_j` for every pool point, evaluated
-/// through two `n × (c·s)` GEMMs: `P = X·V_wide`, `Q = X·W_wide`, then
-/// `v_jᵀH_iw_j = Σ_k P_{ikj} (Q_{ikj} - Q_{i·j}·h_i) h_{ik}` per point.
-/// (The caller negates for the descent direction.)
+/// returns `g_i = (1/s) Σ_j v_jᵀ H_i w_j` for every pool point, with
+/// `v_jᵀH_iw_j = Σ_k P_{ikj} (Q_{ikj} - Q_{i·j}·h_i) h_{ik}`, `P = X·V_wide`
+/// and `Q = X·W_wide`. (The caller negates for the descent direction.)
+///
+/// `P` and `Q` are formed together, `X·[V | W]_wide` by one GEMM per tile
+/// of `GRADIENT_TILE_ROWS` points, into a tile buffer that each worker
+/// reuses, and consumed on the spot: nothing `n × c·s` is ever held. A
+/// product row is bit for bit the same whatever rows and columns share its
+/// GEMM, so the tiling is bit-neutral. Per point the probes stay apart
+/// until the end: `(Q·h)_j` and the probe's quadratic form each ascend the
+/// class blocks, lanes across `j`, and the `s` forms are summed in probe
+/// order last.
 pub fn hutchinson_gradients<T: Scalar>(
     x: &Matrix<T>,
     h: &Matrix<T>,
     v_panel: &Matrix<T>,
     w_panel: &Matrix<T>,
 ) -> Vec<T> {
-    assert_eq!(w_panel.shape(), v_panel.shape(), "panels disagree");
-    hutchinson_gradients_shared(x, h, &probe_products(x, v_panel, h.cols()), w_panel)
-}
-
-/// Points per task of [`hutchinson_gradients_shared`]; each task holds
-/// `Q = X·W_wide` for its own points only.
-const HUTCHINSON_ROWS: usize = 256;
-
-/// [`hutchinson_gradients`] with `P = X·V_wide` supplied by the caller
-/// ([`probe_products`]), who has another use for it. Bitwise the same.
-///
-/// `Q = X·W_wide` is formed `HUTCHINSON_ROWS` points at a time and
-/// consumed on the spot, so only `P` is ever `n × c·s`. Per point the
-/// probes stay apart until the end: `(Q·h)_j` and the probe's quadratic
-/// form each ascend the class blocks, lanes across `j`, and the `s` forms
-/// are summed in probe order last.
-pub fn hutchinson_gradients_shared<T: Scalar>(
-    x: &Matrix<T>,
-    h: &Matrix<T>,
-    p: &Matrix<T>,
-    w_panel: &Matrix<T>,
-) -> Vec<T> {
     let (n, d) = x.shape();
     let c = h.cols();
     let s = w_panel.cols();
     let m = c * s;
+    assert_eq!(w_panel.shape(), v_panel.shape(), "panels disagree");
     assert_eq!(w_panel.rows(), d * c, "probe panel has wrong height");
-    assert_eq!(p.shape(), (n, m), "products have the wrong shape");
     firal_linalg::counters::add_flops(4 * n * m);
 
     let mut g = vec![T::ZERO; n];
     if n == 0 || m == 0 || d == 0 {
         return g;
     }
-    let w_wide = to_wide(w_panel, d, c);
+    // Wide column `k·2s + j` is probe `j`'s block `k` of `V`, and
+    // `k·2s + s + j` the same of `W`: one `2s` segment per class.
+    let vw = to_wide(&side_by_side(v_panel, w_panel), d, c);
+    let tiles = n.div_ceil(GRADIENT_TILE_ROWS);
+    // lint: allow(thread-count) sizes the per-worker tile buffers only; every point's gradient is its own, so any split gives the same bits
+    let workers = rayon::current_num_threads().clamp(1, tiles);
+    let span = tiles.div_ceil(workers) * GRADIENT_TILE_ROWS;
     let inv_s = T::ONE / T::from_usize(s);
-    g.par_chunks_mut(HUTCHINSON_ROWS)
-        .zip(x.as_slice().par_chunks(HUTCHINSON_ROWS * d))
-        .zip(h.as_slice().par_chunks(HUTCHINSON_ROWS * c))
-        .zip(p.as_slice().par_chunks(HUTCHINSON_ROWS * m))
-        .for_each(|(((gs, xs), hs), ps)| {
-            let mut q = vec![T::ZERO; gs.len() * m];
-            gemm_into(xs, &w_wide, &mut q);
+    g.par_chunks_mut(span)
+        .zip(x.as_slice().par_chunks(span * d))
+        .zip(h.as_slice().par_chunks(span * c))
+        .for_each(|((gs, xs), hs)| {
+            let mut pq = vec![T::ZERO; GRADIENT_TILE_ROWS.min(gs.len()) * 2 * m];
             let mut qh = vec![T::ZERO; s];
             let mut form = vec![T::ZERO; s];
-            let points = hs
-                .chunks_exact(c)
-                .zip(ps.chunks_exact(m).zip(q.chunks_exact(m)));
-            for (gi, (hrow, (prow, qrow))) in gs.iter_mut().zip(points) {
-                qh.fill(T::ZERO);
-                for (qseg, &hk) in qrow.chunks_exact(s).zip(hrow) {
-                    for (a, &qv) in qh.iter_mut().zip(qseg) {
-                        *a += qv * hk;
+            let tiles = gs
+                .chunks_mut(GRADIENT_TILE_ROWS)
+                .zip(xs.chunks(GRADIENT_TILE_ROWS * d))
+                .zip(hs.chunks(GRADIENT_TILE_ROWS * c));
+            for ((gt, xt), ht) in tiles {
+                let pq = &mut pq[..gt.len() * 2 * m];
+                gemm_into(xt, &vw, pq);
+                let points = ht.chunks_exact(c).zip(pq.chunks_exact(2 * m));
+                for (gi, (hrow, row)) in gt.iter_mut().zip(points) {
+                    qh.fill(T::ZERO);
+                    for (seg, &hk) in row.chunks_exact(2 * s).zip(hrow) {
+                        for (a, &qv) in qh.iter_mut().zip(&seg[s..]) {
+                            *a += qv * hk;
+                        }
                     }
-                }
-                form.fill(T::ZERO);
-                let segments = prow.chunks_exact(s).zip(qrow.chunks_exact(s));
-                for ((pseg, qseg), &hk) in segments.zip(hrow) {
-                    for (((f, &pv), &qv), &a) in form.iter_mut().zip(pseg).zip(qseg).zip(&qh) {
-                        *f += pv * (qv - a) * hk;
+                    form.fill(T::ZERO);
+                    for (seg, &hk) in row.chunks_exact(2 * s).zip(hrow) {
+                        let (pseg, qseg) = seg.split_at(s);
+                        for (((f, &pv), &qv), &a) in form.iter_mut().zip(pseg).zip(qseg).zip(&qh) {
+                            *f += pv * (qv - a) * hk;
+                        }
                     }
+                    let mut acc = T::ZERO;
+                    for &f in &form {
+                        acc += f;
+                    }
+                    *gi = acc * inv_s;
                 }
-                let mut acc = T::ZERO;
-                for &f in &form {
-                    acc += f;
-                }
-                *gi = acc * inv_s;
             }
         });
     g
@@ -699,25 +681,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn shared_probe_products_change_no_bit() {
-        // n spans several sweep chunks and Hutchinson tasks.
-        let (x, h) = test_pool(700, 5, 4, 11);
+    /// The gradient from the whole `P = X·V_wide` and `Q = X·W_wide`,
+    /// each one `n × c·s` GEMM, per point as the kernel's docs write it.
+    fn full_products_gradients<T: Scalar>(
+        x: &Matrix<T>,
+        h: &Matrix<T>,
+        v: &Matrix<T>,
+        w: &Matrix<T>,
+    ) -> Vec<T> {
+        let (d, c, s) = (x.cols(), h.cols(), v.cols());
+        let p = firal_linalg::gemm(x, &to_wide(v, d, c));
+        let q = firal_linalg::gemm(x, &to_wide(w, d, c));
+        (0..x.rows())
+            .map(|i| {
+                let (prow, qrow, hrow) = (p.row(i), q.row(i), h.row(i));
+                let mut qh = vec![T::ZERO; s];
+                for k in 0..c {
+                    for j in 0..s {
+                        qh[j] += qrow[k * s + j] * hrow[k];
+                    }
+                }
+                let mut form = vec![T::ZERO; s];
+                for k in 0..c {
+                    for j in 0..s {
+                        form[j] += prow[k * s + j] * (qrow[k * s + j] - qh[j]) * hrow[k];
+                    }
+                }
+                let mut acc = T::ZERO;
+                for f in form {
+                    acc += f;
+                }
+                acc * (T::ONE / T::from_usize(s))
+            })
+            .collect()
+    }
+
+    fn tiled_gradients_case<T: Scalar>() {
+        let t = GRADIENT_TILE_ROWS;
         let s = 10;
-        let v = Matrix::from_fn(15, s, |i, j| ((i * 5 + j * 11) % 7) as f64 - 3.0);
-        let w = Matrix::from_fn(15, s, |i, j| ((i * 3 + j * 13) % 5) as f64 * 0.25 - 0.5);
-        let xv = probe_products(&x, &v, 3);
-        assert_eq!(
-            hutchinson_gradients_shared(&x, &h, &xv, &w),
-            hutchinson_gradients(&x, &h, &v, &w)
-        );
-        let z: Vec<f64> = (0..700).map(|i| (i % 3) as f64 * 0.01).collect();
-        for op in [
-            PoolHessian::unweighted(&x, &h),
-            PoolHessian::weighted(&x, &h, z),
-        ] {
-            assert_eq!(op.apply_products(&xv), op.apply_panel(&v));
+        let v = Matrix::from_fn(15, s, |i, j| ((i * 5 + j * 11) % 7) as f64 - 3.0).cast::<T>();
+        let w =
+            Matrix::from_fn(15, s, |i, j| ((i * 3 + j * 13) % 5) as f64 * 0.25 - 0.5).cast::<T>();
+        for n in [0, 1, t - 1, t + 1, 3 * t + 5] {
+            let (x, h) = test_pool(n, 5, 4, 11 + n as u64);
+            let (x, h) = (x.cast::<T>(), h.cast::<T>());
+            let want = full_products_gradients(&x, &h, &v, &w);
+            for threads in [1, 2, 3] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let got = pool.install(|| hutchinson_gradients(&x, &h, &v, &w));
+                let bits = |g: &[T]| g.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "n={n} threads={threads}");
+            }
         }
+    }
+
+    #[test]
+    fn tiled_gradients_equal_the_full_product_formula_f64() {
+        tiled_gradients_case::<f64>();
+    }
+
+    #[test]
+    fn tiled_gradients_equal_the_full_product_formula_f32() {
+        tiled_gradients_case::<f32>();
     }
 
     #[test]

@@ -65,8 +65,11 @@ pub(crate) const PAR_THRESHOLD: usize = 1 << 15;
 /// 4-row micro-tile so full tasks never hit the scalar tail.
 const ROW_BLOCK: usize = 32;
 
-/// Cap on the number of reduction chunks, bounding partial-accumulator
-/// memory at `MAX_REDUCE_CHUNKS` copies of the output block.
+/// Cap on the number of reduction chunks: the most ways a reduction's sum
+/// is ever split. Memory does not scale with it — `reduce_row_chunks`
+/// holds one wave of partials, one per pool thread, plus the running
+/// total — except in [`crate::sweep::fisher_sweep`], whose `d × c·s`
+/// partials stay in its reusable workspace, one per chunk.
 const MAX_REDUCE_CHUNKS: usize = 64;
 
 /// Fewest rows in a reduction chunk of the Gram kernels. A chunk zeroes and
@@ -83,8 +86,12 @@ pub(crate) fn reduce_chunk_rows(n: usize, min_rows: usize) -> usize {
 }
 
 /// The map-reduce shared by the reduction kernels: `partial(rows)` for the
-/// shape-fixed row chunks of `0..n`, mapped on the pool and then added
-/// **in chunk order** onto a zero accumulator of `len` elements.
+/// shape-fixed row chunks of `0..n`, added **in chunk order** onto a zero
+/// accumulator of `len` elements. Chunks are mapped one wave at a time, as
+/// many per wave as the pool has threads, and each wave is folded in before
+/// the next starts, so at most one wave of partials is alive. The wave
+/// width only bounds memory: chunk boundaries and the fold order are the
+/// shape's, so the sum is the same bits at every thread count.
 fn reduce_row_chunks<T: Scalar>(
     n: usize,
     chunk_rows: usize,
@@ -95,15 +102,18 @@ fn reduce_row_chunks<T: Scalar>(
         .step_by(chunk_rows)
         .map(|start| start..(start + chunk_rows).min(n))
         .collect();
-    chunks.into_par_iter().map(partial).reduce(
-        || vec![T::ZERO; len],
-        |mut total, part| {
-            for (t, v) in total.iter_mut().zip(&part) {
+    // lint: allow(thread-count) sizes the wave of live partials only; chunks and fold order are shape-fixed
+    let wave = rayon::current_num_threads().max(1);
+    let mut total = vec![T::ZERO; len];
+    for group in chunks.chunks(wave) {
+        let parts: Vec<Vec<T>> = group.to_vec().into_par_iter().map(&partial).collect();
+        for part in &parts {
+            for (t, v) in total.iter_mut().zip(part) {
                 *t += *v;
             }
-            total
-        },
-    )
+        }
+    }
+    total
 }
 
 /// `C = A · B` on the process-wide dispatch tier.

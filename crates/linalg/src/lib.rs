@@ -54,7 +54,7 @@ pub use quad::{QuadSweep, QUAD_BLOCK_ROWS};
 pub use scalar::Scalar;
 pub use simd::{active_tier, available_tiers, cpu_features, Tier};
 pub use spd::{spd_condition_number, spd_inv_sqrt, spd_inverse};
-pub use sweep::{fisher_sweep, fisher_sweep_planned, to_wide, SweepInput, SweepWorkspace};
+pub use sweep::{fisher_sweep, fisher_sweep_planned, to_wide, SweepWorkspace};
 pub use vecops::{axpy, dot, nrm2, scale};
 
 /// Error type for linear-algebra failures (non-SPD matrices, convergence

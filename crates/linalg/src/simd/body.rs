@@ -420,7 +420,10 @@ impl<T: Scalar> SimdKernel<T> for AtBChunk<'_, T> {
 ///
 /// Per class the chunk is staged as two packed panels — `S = diag(w)·X`
 /// (`rows × d`) and `X` itself zero-padded to `dp` columns — leaving out
-/// the rows whose weight is exactly zero, and the block is then
+/// the rows whose weight is exactly zero. When no weight of the chunk's
+/// classes is zero the padded `X` is the same for every class and is
+/// packed once for all of them; the operands, and so the bits, are those
+/// of the per-class packing. The block is then
 /// `acc += Sᵀ·X` through [`gemm_panel`], four accumulator rows at a time,
 /// each tile starting at the vector that holds its diagonal. So the
 /// accumulator tile stays in registers across the chunk's rows, no column
@@ -450,28 +453,47 @@ pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
 ) {
     let l = V::LANES;
     let dp = d.next_multiple_of(l);
-    let mut packbuf = Vec::new();
+    let pad = |buf: &mut Vec<T>, xi: &[T]| {
+        buf.extend_from_slice(xi);
+        buf.resize(buf.len() + dp - d, T::ZERO);
+    };
+    // Every row live in every class: one padded `X` serves them all.
+    let all_live = w
+        .chunks(wstride)
+        .take(x.len() / d)
+        .all(|wi| wi[k0..k1].iter().all(|&wik| wik != T::ZERO));
+    let mut shared = Vec::new();
+    if all_live {
+        for xi in x.chunks_exact(d) {
+            pad(&mut shared, xi);
+        }
+    }
+    let mut scaled = Vec::new();
+    let mut own = Vec::new();
     for k in k0..k1 {
-        // `packbuf` = S (live × d) followed by padded X (live × dp).
-        packbuf.clear();
+        scaled.clear();
         let mut live = 0;
         for (xi, wi) in x.chunks_exact(d).zip(w.chunks(wstride)) {
             let wik = wi[k];
             if wik != T::ZERO {
-                packbuf.extend(xi.iter().map(|&xv| wik * xv));
+                scaled.extend(xi.iter().map(|&xv| wik * xv));
                 live += 1;
             }
         }
         if live == 0 {
             continue;
         }
-        for (xi, wi) in x.chunks_exact(d).zip(w.chunks(wstride)) {
-            if wi[k] != T::ZERO {
-                packbuf.extend_from_slice(xi);
-                packbuf.resize(packbuf.len() + dp - d, T::ZERO);
+        let padded: &[T] = if all_live {
+            &shared
+        } else {
+            own.clear();
+            for (xi, wi) in x.chunks_exact(d).zip(w.chunks(wstride)) {
+                if wi[k] != T::ZERO {
+                    pad(&mut own, xi);
+                }
             }
-        }
-        let (scaled, padded) = packbuf.split_at(live * d);
+            &own
+        };
         let blk = &mut acc[(k - k0) * d * dp..(k - k0 + 1) * d * dp];
         for p0 in (0..d).step_by(4) {
             let tile = 4.min(d - p0);

@@ -134,15 +134,13 @@ unsafe fn scale_rows<T: Scalar, V: SimdVec<T>>(
 /// with `S` the Lemma-2 scaling (see the module docs for the three steps
 /// and the canonical tree).
 ///
-/// `vpad` is the `d × mp` zero-padded wide panel; `None` means `gamma`
-/// already holds `X_blk · V` in its first `c·s` columns (products shared
-/// with another consumer) and step 1 is skipped.
+/// `vpad` is the `d × mp` zero-padded wide panel.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
 /// `x.len() = rows·d`, `h.len() = rows·c`, `z.len() = rows` when present,
-/// `gamma.len() = rows·mp`, `partial.len() = d·mp`, `vpad.len() = d·mp`
-/// when present, `alpha.len() ≥ s`, with `mp ≥ c·s` a non-zero multiple of
+/// `gamma.len() = rows·mp`, `partial.len() = d·mp`, `vpad.len() = d·mp`,
+/// `alpha.len() ≥ s`, with `mp ≥ c·s` a non-zero multiple of
 /// `V::LANES`, `d > 0`, `c > 0` and `rows > 0`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -153,7 +151,7 @@ pub(crate) unsafe fn sweep_block<T: Scalar, V: SimdVec<T>>(
     x: &[T],
     h: &[T],
     z: Option<&[T]>,
-    vpad: Option<&[T]>,
+    vpad: &[T],
     d: usize,
     c: usize,
     s: usize,
@@ -167,10 +165,8 @@ pub(crate) unsafe fn sweep_block<T: Scalar, V: SimdVec<T>>(
     // (`(d-1)·1 + (rows-1)·d < rows·d`) against the same block. The target
     // feature backing `V` is held by the caller.
     unsafe {
-        if let Some(v) = vpad {
-            gamma.fill(T::ZERO);
-            gemm_panel::<T, V>(gamma, mp, x, d, 1, v, mp, rows, d, mp);
-        }
+        gamma.fill(T::ZERO);
+        gemm_panel::<T, V>(gamma, mp, x, d, 1, vpad, mp, rows, d, mp);
         scale_rows::<T, V>(gamma, mp, alpha, h, z, c, s);
         gemm_panel::<T, V>(partial, mp, x, 1, d, gamma, mp, d, rows, mp);
     }
@@ -185,7 +181,7 @@ pub(crate) struct SweepBlock<'a, T> {
     pub(crate) x: &'a [T],
     pub(crate) h: &'a [T],
     pub(crate) z: Option<&'a [T]>,
-    pub(crate) vpad: Option<&'a [T]>,
+    pub(crate) vpad: &'a [T],
     pub(crate) d: usize,
     pub(crate) c: usize,
     pub(crate) s: usize,
@@ -208,7 +204,7 @@ impl<T: Scalar> SimdKernel<T> for SweepBlock<'_, T> {
                 && k.z.is_none_or(|z| z.len() == rows)
                 && k.gamma.len() == rows * mp
                 && k.partial.len() == d * mp
-                && k.vpad.is_none_or(|v| v.len() == d * mp)
+                && k.vpad.len() == d * mp
                 && k.alpha.len() >= k.s
                 && mp >= k.c * k.s
                 && mp % V::LANES == 0,

@@ -28,14 +28,16 @@
 //! shape alone (`reduce_chunk_rows`), each chunk accumulates from zero into
 //! its own partial, and partials are added in chunk order. Per element the
 //! canonical tree is: `Γ[i][q]` one accumulator over `t = 0..d` from zero
-//! (the [`crate::gemm::gemm`] tree — a `Γ` taken from `gemm` is the same
-//! bits, see [`SweepInput::Products`]); `α[i][j] = Σ_k Γ[i][k·s+j]·h[i][k]`
+//! (the [`crate::gemm::gemm`] tree); `α[i][j] = Σ_k Γ[i][k·s+j]·h[i][k]`
 //! over `k` ascending from zero; `Γ'[i][k·s+j] = ((Γ − α)·zᵢ)·h[i][k]`, the
 //! `zᵢ` factor absent for an unweighted panel; `partial[p][q]` one
 //! accumulator over the chunk's rows ascending. All products are rounded
 //! before they are summed. The row-block size ([`KernelPlan::sweep_bytes`])
 //! only decides how often an accumulator passes through memory, so it is
-//! bit-neutral, as are the tier and the thread count.
+//! bit-neutral, as are the tier and the thread count. No step of the tree
+//! mixes probe columns and the chunks depend on `n` alone, so a panel's
+//! column `j` comes out the same whatever other columns share the call:
+//! sweeping `[W | V]` once is bit for bit sweeping `W` and `V` apart.
 
 use rayon::prelude::*;
 
@@ -49,17 +51,6 @@ use crate::simd::{self, check_tier, SweepBlock, Tier};
 /// Fewest rows in a reduction chunk of the sweep. Larger than the other
 /// reduction kernels' because a chunk's partial is `d × c·s`, not `d × d`.
 const SWEEP_CHUNK_ROWS: usize = 256;
-
-/// What the sweep multiplies the point panel with.
-#[derive(Clone, Copy)]
-pub enum SweepInput<'a, T> {
-    /// A stacked `ê × s` panel, row-major (`s = 1` for a single vector).
-    Panel(&'a [T]),
-    /// `X·V_wide` already formed by [`crate::gemm::gemm`] (`n × c·s`, wide
-    /// column order): the first GEMM stage is skipped and its flops are
-    /// not booked. Bitwise the same result as passing the panel.
-    Products(&'a Matrix<T>),
-}
 
 /// Scratch of [`fisher_sweep`], reusable across calls: buffers only ever
 /// grow, so a caller that applies one operator many times (a CG solve)
@@ -109,8 +100,7 @@ fn fill_wide<T: Scalar>(wide: &mut [T], ld: usize, panel: &[T], d: usize, c: usi
 }
 
 /// The `d × (c·s)` wide form of an `ê × s` stacked panel (see the module
-/// docs): wide column `k·s + j` is probe `j`'s block `k`. `X·to_wide(V)` is
-/// what [`SweepInput::Products`] takes.
+/// docs): wide column `k·s + j` is probe `j`'s block `k`.
 pub fn to_wide<T: Scalar>(panel: &Matrix<T>, d: usize, c: usize) -> Matrix<T> {
     let s = panel.cols();
     assert_eq!(panel.rows(), d * c, "to_wide: panel is not ê × s");
@@ -169,16 +159,14 @@ fn sweep_block_scalar<T: Scalar>(
     x: &[T],
     h: &[T],
     z: Option<&[T]>,
-    vpad: Option<&[T]>,
+    vpad: &[T],
     d: usize,
     c: usize,
     s: usize,
     mp: usize,
 ) {
-    if let Some(v) = vpad {
-        gamma.fill(T::ZERO);
-        gemm_rows(gamma, mp, x, d, v, mp, x.len() / d, d, mp);
-    }
+    gamma.fill(T::ZERO);
+    gemm_rows(gamma, mp, x, d, vpad, mp, x.len() / d, d, mp);
     scale_rows_scalar(gamma, mp, alpha, h, z, c, s);
     for (xrow, grow) in x.chunks_exact(d).zip(gamma.chunks_exact(mp)) {
         for (prow, &xv) in partial.chunks_exact_mut(mp).zip(xrow) {
@@ -191,24 +179,25 @@ fn sweep_block_scalar<T: Scalar>(
 
 /// `out ← Σᵢ zᵢ·(G(hᵢ) ⊗ xᵢxᵢᵀ)·V` on the process-wide dispatch tier with
 /// this host's blocking plan. `x` is `n × d`, `h` is `n × c` (`c` class
-/// blocks), `z` the optional per-point weights, `s` the probe count, `out`
-/// the stacked `ê × s` result (fully overwritten).
+/// blocks), `z` the optional per-point weights, `v` the stacked `ê × s`
+/// panel (row-major, `s = 1` for a single vector), `out` the stacked
+/// `ê × s` result (fully overwritten).
 ///
 /// Books the flops of the two GEMMs it fuses
-/// ([`counters::gemm_flops`]`(n, c·s, d)` unless the products were passed
-/// in, and [`counters::gemm_at_b_flops`]`(n, d, c·s)`).
+/// ([`counters::gemm_flops`]`(n, c·s, d)` and
+/// [`counters::gemm_at_b_flops`]`(n, d, c·s)`).
 pub fn fisher_sweep<T: Scalar>(
     x: &Matrix<T>,
     h: &Matrix<T>,
     z: Option<&[T]>,
-    input: SweepInput<'_, T>,
+    v: &[T],
     s: usize,
     ws: &mut SweepWorkspace<T>,
     out: &mut [T],
 ) {
     let tier = simd::active_tier();
     let plan = autotune::plan_for::<T>(x.cols());
-    fisher_sweep_planned(tier, plan, x, h, z, input, s, ws, out);
+    fisher_sweep_planned(tier, plan, x, h, z, v, s, ws, out);
 }
 
 /// [`fisher_sweep`] on an explicit tier and blocking plan (the equality
@@ -220,7 +209,7 @@ pub fn fisher_sweep_planned<T: Scalar>(
     x: &Matrix<T>,
     h: &Matrix<T>,
     z: Option<&[T]>,
-    input: SweepInput<'_, T>,
+    v: &[T],
     s: usize,
     ws: &mut SweepWorkspace<T>,
     out: &mut [T],
@@ -235,15 +224,8 @@ pub fn fisher_sweep_planned<T: Scalar>(
         "fisher_sweep: weights length mismatch"
     );
     assert_eq!(out.len(), d * m, "fisher_sweep: output is not ê × s");
-    match input {
-        SweepInput::Panel(v) => {
-            assert_eq!(v.len(), d * m, "fisher_sweep: panel is not ê × s");
-            counters::add_flops(counters::gemm_flops(n, m, d));
-        }
-        SweepInput::Products(p) => {
-            assert_eq!(p.shape(), (n, m), "fisher_sweep: products are not n × c·s");
-        }
-    }
+    assert_eq!(v.len(), d * m, "fisher_sweep: panel is not ê × s");
+    counters::add_flops(counters::gemm_flops(n, m, d));
     counters::add_flops(counters::gemm_at_b_flops(n, d, m));
     if n == 0 || d == 0 || m == 0 {
         out.fill(T::ZERO);
@@ -257,14 +239,9 @@ pub fn fisher_sweep_planned<T: Scalar>(
     let nchunks = n.div_ceil(reduce_chunk_rows(n, SWEEP_CHUNK_ROWS));
     let chunk_rows = n.div_ceil(nchunks);
 
-    let vpad = match input {
-        SweepInput::Panel(v) => {
-            let vpad = grown(&mut ws.vpad, d * mp);
-            fill_wide(vpad, mp, v, d, c, s);
-            Some(&*vpad)
-        }
-        SweepInput::Products(_) => None,
-    };
+    let vpad = grown(&mut ws.vpad, d * mp);
+    fill_wide(vpad, mp, v, d, c, s);
+    let vpad = &*vpad;
     let gamma = grown(&mut ws.gamma, nchunks * block_rows * mp);
     let alpha = grown(&mut ws.alpha, nchunks * s);
     let partials = grown(&mut ws.partials, nchunks * d * mp);
@@ -276,14 +253,6 @@ pub fn fisher_sweep_planned<T: Scalar>(
         while r0 < chunk_end {
             let r1 = (r0 + block_rows).min(chunk_end);
             let g = &mut gamma[..(r1 - r0) * mp];
-            if let SweepInput::Products(p) = input {
-                for (grow, prow) in g
-                    .chunks_exact_mut(mp)
-                    .zip(p.as_slice()[r0 * m..].chunks_exact(m))
-                {
-                    grow[..m].copy_from_slice(prow);
-                }
-            }
             let xs = &x.as_slice()[r0 * d..r1 * d];
             let hs = &h.as_slice()[r0 * c..r1 * c];
             let zs = z.map(|z| &z[r0..r1]);
@@ -392,15 +361,7 @@ mod tests {
             let v = lcg(d * c, s, seed + 10);
             for z in [None, Some(z.as_slice())] {
                 let mut out = vec![f64::NAN; d * c * s];
-                fisher_sweep(
-                    &x,
-                    &h,
-                    z,
-                    SweepInput::Panel(v.as_slice()),
-                    s,
-                    &mut ws,
-                    &mut out,
-                );
+                fisher_sweep(&x, &h, z, v.as_slice(), s, &mut ws, &mut out);
                 let want = reference(&x, &h, z, &v);
                 for (got, want) in out.iter().zip(want.as_slice()) {
                     assert!((got - want).abs() < 1e-9, "n={n} d={d}: {got} vs {want}");
@@ -416,7 +377,7 @@ mod tests {
         let v = vec![1.0f32; 4 * 3 * 2];
         let mut out = vec![7.0f32; 4 * 3 * 2];
         let mut ws = SweepWorkspace::new();
-        fisher_sweep(&x, &h, None, SweepInput::Panel(&v), 2, &mut ws, &mut out);
+        fisher_sweep(&x, &h, None, &v, 2, &mut ws, &mut out);
         assert!(out.iter().all(|&o| o == 0.0));
     }
 }

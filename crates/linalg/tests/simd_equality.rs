@@ -22,8 +22,8 @@
 use firal_linalg::simd::{available_tiers, Tier};
 use firal_linalg::{
     fisher_sweep_planned, gemm_a_bt, gemm_a_bt_tier, gemm_at_b_tier, gemm_into, gemm_tier,
-    gram_weighted_multi_planned, invert_lower, plan_for, to_wide, Cholesky, KernelPlan, Matrix,
-    QuadSweep, Scalar, SweepInput, SweepWorkspace, QUAD_BLOCK_ROWS,
+    gram_weighted_multi_planned, invert_lower, plan_for, Cholesky, KernelPlan, Matrix, QuadSweep,
+    Scalar, SweepWorkspace, QUAD_BLOCK_ROWS,
 };
 
 /// Deterministic LCG test matrix, generic over dtype. A sprinkling of
@@ -130,6 +130,54 @@ fn block_plan_is_bit_neutral() {
     }
 }
 
+/// The SIMD Gram body packs a chunk's zero-padded `X` once for all of a
+/// class block's classes when none of their weights in the chunk is zero,
+/// and once per class otherwise; both must give the canonical per-class
+/// bits of the scalar tier. One zero weight (class 0, one row) sends its
+/// chunk down the per-class path for every class of its class block; with
+/// one class per block the other classes still pack once.
+fn gram_pack_once_case<T: Scalar>() {
+    let n = 777; // seven reduction chunks of 128 rows
+    for d in [3usize, 20, 50] {
+        let a = test_mat::<T>(n, d, 51, false);
+        let live = Matrix::from_fn(n, 5, |i, k| {
+            T::from_f64(0.1 + ((i * 3 + k * 7) % 11) as f64 / 11.0)
+        });
+        let mut one_zero = live.clone();
+        one_zero[(300, 0)] = T::ZERO;
+        for (label, w) in [("no zero weight", &live), ("one zero weight", &one_zero)] {
+            let host = plan_for::<T>(d);
+            let reference = gram_weighted_multi_planned(Tier::Scalar, host, &a, w);
+            for tier in available_tiers() {
+                for class_block in [1usize, 16] {
+                    let plan = KernelPlan {
+                        class_block,
+                        ..host
+                    };
+                    let gs = gram_weighted_multi_planned(tier, plan, &a, w);
+                    for (k, (g, r)) in gs.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            bits(g),
+                            bits(r),
+                            "gram {label}: tier {tier} d={d} class_block={class_block} block {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gram_pack_once_matches_per_class_packing_f64() {
+    gram_pack_once_case::<f64>();
+}
+
+#[test]
+fn gram_pack_once_matches_per_class_packing_f32() {
+    gram_pack_once_case::<f32>();
+}
+
 /// Probabilities shaped like `c` entries of a softmax row, with a
 /// sprinkling of exact zeros in the weights.
 fn sweep_operands<T: Scalar>(n: usize, d: usize, c: usize) -> (Matrix<T>, Matrix<T>, Vec<T>) {
@@ -144,43 +192,53 @@ fn sweep_operands<T: Scalar>(n: usize, d: usize, c: usize) -> (Matrix<T>, Matrix
 }
 
 /// Bits of the fused sweep on one tier and plan, for the weighted and the
-/// unweighted panel, formed from the stacked panel and from `X·V` computed
-/// by `gemm` on the same tier (all four must agree pairwise too).
+/// unweighted panel. Each is also swept as the left half of `[W | V]`, the
+/// `2s`-column panel RELAX's Line 7 sweeps once: both halves must equal
+/// their own sweeps column for column, bit for bit.
 fn sweep_bits<T: Scalar>(
     tier: Tier,
     plan: KernelPlan,
     (n, d, c, s): (usize, usize, usize, usize),
 ) -> Vec<u64> {
     let (x, h, z) = sweep_operands::<T>(n, d, c);
-    let v = test_mat::<T>(d * c, s, 8000 + (c * s) as u64, false);
-    let products = gemm_tier(tier, &x, &to_wide(&v, d, c));
+    let w = test_mat::<T>(d * c, s, 8000 + (c * s) as u64, false);
+    let v = test_mat::<T>(d * c, s, 9000 + (c * s) as u64, false);
+    let both = Matrix::from_fn(
+        d * c,
+        2 * s,
+        |i, j| {
+            if j < s {
+                w[(i, j)]
+            } else {
+                v[(i, j - s)]
+            }
+        },
+    );
+    let to_bits = |vals: &[T]| {
+        vals.iter()
+            .map(|v| v.to_f64().to_bits())
+            .collect::<Vec<_>>()
+    };
     let mut ws = SweepWorkspace::new();
     let mut out = Vec::new();
     for z in [None, Some(z.as_slice())] {
-        let mut from_panel = vec![T::ZERO; d * c * s];
-        let mut from_products = vec![T::ZERO; d * c * s];
-        let panel = SweepInput::Panel(v.as_slice());
-        fisher_sweep_planned(tier, plan, &x, &h, z, panel, s, &mut ws, &mut from_panel);
-        let shared = SweepInput::Products(&products);
-        fisher_sweep_planned(
-            tier,
-            plan,
-            &x,
-            &h,
-            z,
-            shared,
-            s,
-            &mut ws,
-            &mut from_products,
-        );
-        assert!(
-            from_panel
-                .iter()
-                .zip(&from_products)
-                .all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits()),
-            "tier {tier}: shared X·V changes the sweep at n={n} d={d} c={c} s={s}"
-        );
-        out.extend(from_panel.iter().map(|v| v.to_f64().to_bits()));
+        let mut sweep = |panel: &Matrix<T>| {
+            let cols = panel.cols();
+            let mut y = Matrix::zeros(d * c, cols);
+            let (panel, y_out) = (panel.as_slice(), y.as_mut_slice());
+            fisher_sweep_planned(tier, plan, &x, &h, z, panel, cols, &mut ws, y_out);
+            y
+        };
+        let (alone_w, alone_v, stacked) = (sweep(&w), sweep(&v), sweep(&both));
+        for (j, alone) in (0..2 * s).map(|j| (j, if j < s { &alone_w } else { &alone_v })) {
+            assert_eq!(
+                to_bits(&stacked.col(j)),
+                to_bits(&alone.col(j % s)),
+                "tier {tier}: column {j} of [W | V] differs from its own sweep at \
+                 n={n} d={d} c={c} s={s}"
+            );
+        }
+        out.extend(to_bits(alone_w.as_slice()));
     }
     out
 }

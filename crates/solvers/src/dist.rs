@@ -14,6 +14,39 @@ use firal_linalg::{BlockDiag, Matrix};
 
 use crate::op::{LinearOperator, PanelScratch};
 
+/// Allreduce-sum a block diagonal in place: the §III-C partial-sum pattern
+/// for `B(Σ_z)`, `(Σ⋄)_k` and the η-criterion blocks. One Sum-Allreduce of
+/// the blocks' lower triangles, `nblocks·d(d+1)/2` entries packed straight
+/// into the `f64` wire buffer, then mirrored back into the upper triangles.
+///
+/// Determinism: each packed entry is reduced exactly as a full-block
+/// reduction would reduce it (rank-ordered Sum on the `f64` wire, narrowed
+/// once), so the lower triangles are those bits. The upper triangles are
+/// too wherever the partial blocks are exactly symmetric, which the Gram
+/// kernels guarantee (`firal_linalg::gram_weighted_multi` mirrors its upper
+/// triangle); the eigensolvers read the lower triangle only.
+pub fn allreduce_block_diag<T: CommScalar>(comm: &dyn Communicator, bd: &mut BlockDiag<T>) {
+    let d = bd.dim();
+    let mut packed: Vec<f64> = Vec::with_capacity(bd.nblocks() * d * (d + 1) / 2);
+    for blk in bd.blocks() {
+        for p in 0..d {
+            packed.extend(blk.row(p)[..=p].iter().map(|v| v.to_f64()));
+        }
+    }
+    comm.allreduce_f64(&mut packed, ReduceOp::Sum);
+    let mut sums = packed.into_iter();
+    for k in 0..bd.nblocks() {
+        let blk = bd.block_mut(k);
+        for p in 0..d {
+            for q in 0..=p {
+                let v = T::from_f64(sums.next().expect("packed triangle entry"));
+                blk[(p, q)] = v;
+                blk[(q, p)] = v;
+            }
+        }
+    }
+}
+
 /// Delta-Allreduce of block-diagonal partial sums: the **streaming**
 /// counterpart of the [`AllreduceOperator`] full-sum seam. Where the full
 /// seam reduces every block of a §III-C partial sum on every call, this one

@@ -700,6 +700,98 @@ fn collectives_compose_under_load_socket() {
     assert_eq!(socket, thread);
 }
 
+/// One rank's partial block sums over its shard of an `n`-point pool, two
+/// kinds: the weighted Gram blocks `B(H_z)` (exactly symmetric — the Gram
+/// kernel mirrors its upper triangle) and rank-one accumulations as the
+/// η criterion builds them (symmetric only up to rounding).
+fn partial_blocks<T: CommScalar>(
+    n: usize,
+    comm: &dyn Communicator,
+) -> [firal::linalg::BlockDiag<T>; 2] {
+    let (d, cm1) = (5usize, 3usize);
+    let value = |i: usize, j: usize| ((i * 37 + j * 11) % 17) as f64 / 8.5 - 1.0;
+    let x = firal::linalg::Matrix::from_fn(n, d, |i, j| T::from_f64(value(i, j)));
+    let h = firal::linalg::Matrix::from_fn(n, cm1, |i, k| {
+        T::from_f64(0.05 + ((i * 5 + k * 3) % 7) as f64 / 30.0)
+    });
+    let p: SelectionProblem<T> = SelectionProblem::new(x.clone(), h.clone(), x, h, cm1 + 1);
+    let shard = ShardedProblem::shard(&p, comm.rank(), comm.size());
+    let z: Vec<T> = (0..shard.local_n())
+        .map(|i| T::from_f64(0.5 + (i % 3) as f64 * 0.25))
+        .collect();
+    let gram = firal::core::hessian::PoolHessian::weighted(&shard.local_x, &shard.local_h, z)
+        .block_diagonal();
+    let mut rank_one = firal::linalg::BlockDiag::<T>::zeros(cm1, d);
+    for i in 0..shard.local_n() {
+        let hrow = shard.local_h.row(i);
+        let gammas: Vec<T> = hrow.iter().map(|&hk| hk * (T::ONE - hk)).collect();
+        rank_one.rank_one_update(&gammas, shard.local_x.row(i));
+    }
+    [gram, rank_one]
+}
+
+/// `allreduce_block_diag` puts only the blocks' lower triangles on the wire
+/// and mirrors them back. Against the full-block reduction it replaced
+/// (every entry of every block), on every rank: the lower triangles are
+/// the same bits for any partial blocks, and the whole blocks are wherever
+/// the partials are exactly symmetric. At p ∈ {1, 2, 3} on both multi-rank
+/// backends, and with a 2-point pool, so that at p = 3 one rank's shard is
+/// empty.
+fn triangle_packed_block_reduction_case<T: CommScalar>() {
+    for n in [2usize, 40] {
+        let rank_body = |comm: &dyn Communicator| {
+            partial_blocks::<T>(n, comm).map(|mut packed| {
+                let mut full = packed.clone();
+                firal::solvers::allreduce_block_diag(comm, &mut packed);
+                let mut flat: Vec<T> = full
+                    .blocks()
+                    .iter()
+                    .flat_map(|b| b.as_slice().to_vec())
+                    .collect();
+                T::allreduce(comm, &mut flat, ReduceOp::Sum);
+                let len = flat.len() / full.nblocks().max(1);
+                for (k, chunk) in flat.chunks_exact(len).enumerate() {
+                    full.block_mut(k).as_mut_slice().copy_from_slice(chunk);
+                }
+                (packed, full)
+            })
+        };
+        for backend in [Backend::Thread, Backend::Socket] {
+            for procs in [1usize, 2, 3] {
+                for (rank, [gram, rank_one]) in
+                    launch_backend(backend, procs, rank_body).iter().enumerate()
+                {
+                    let at = format!("{backend:?} n={n} p={procs} rank {rank}");
+                    for (kind, (packed, full)) in [("gram", gram), ("rank-one", rank_one)] {
+                        for (k, (a, b)) in packed.blocks().iter().zip(full.blocks()).enumerate() {
+                            for p in 0..a.rows() {
+                                for q in 0..=p {
+                                    assert_eq!(
+                                        a[(p, q)].to_f64().to_bits(),
+                                        b[(p, q)].to_f64().to_bits(),
+                                        "{at}: {kind} block {k} entry ({p}, {q})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    assert!(gram.0 == gram.1, "{at}: symmetric Gram blocks changed");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn triangle_packed_block_reduction_matches_full_blocks_f64() {
+    triangle_packed_block_reduction_case::<f64>();
+}
+
+#[test]
+fn triangle_packed_block_reduction_matches_full_blocks_f32() {
+    triangle_packed_block_reduction_case::<f32>();
+}
+
 #[test]
 fn sharded_problem_covers_pool_for_odd_sizes() {
     let p: SelectionProblem<f64> = problem(3, 53, 6, 4); // deliberately not divisible
