@@ -45,7 +45,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::config::{FiralConfig, RelaxConfig};
-use crate::hessian::{hutchinson_gradients, side_by_side, BlockJacobi, PoolHessian};
+use crate::hessian::{fisher_g, hutchinson_gradients, side_by_side, BlockJacobi, PoolHessian};
 use crate::problem::SelectionProblem;
 use crate::procedure::{mirror_step, sweep_eta, RelaxTelemetry};
 use crate::round::{WhitenedFtrl, Whitening};
@@ -172,23 +172,23 @@ pub struct RoundRun<T> {
     pub comm_stats: CommStats,
 }
 
-/// η-independent per-`z⋄` ROUND state: `B(H_o)`, the assembled `Σ⋄` block
-/// diagonal (one Allreduce), its per-block Cholesky factors, and the
-/// `g_ik` panel. The η sweep builds this **once** and shares it across
+/// η-independent per-`z⋄` ROUND state, replicated on every rank: `B(H_o)`,
+/// the assembled `Σ⋄` block diagonal (one Allreduce) and its per-block
+/// Cholesky factors. The η sweep builds this **once** and shares it across
 /// every grid re-run instead of reassembling (and re-communicating) it per
-/// value.
+/// value; what depends on the pool shard (`Xᵀ` and the `g_ik` panel) is the
+/// [`Whitening`]'s.
 ///
-/// Since the streaming layer landed this state is **persistent**:
-/// [`crate::stream::StreamingState`] advances it incrementally under point
-/// add/remove/label mutations (rank-one Cholesky up/downdates plus a
-/// delta-Allreduce of changed partial sums) instead of rebuilding it per
-/// round. See ARCHITECTURE.md § "Streaming round state" for the ownership
-/// and invalidation rules.
+/// [`crate::stream::StreamingState`] keeps one of these **persistent** and
+/// advances it under point add/remove/label mutations (rank-one Cholesky
+/// up/downdates plus a delta-Allreduce of changed partial sums) instead of
+/// rebuilding it per round. See ARCHITECTURE.md § "Streaming round state"
+/// for the ownership and invalidation rules.
+#[derive(Debug, Clone)]
 pub struct RoundState<T: Scalar> {
     pub(crate) bho: BlockDiag<T>,
     pub(crate) sigma: BlockDiag<T>,
     pub(crate) sigma_chol: Vec<Cholesky<T>>,
-    pub(crate) gik: Matrix<T>,
 }
 
 impl<T: Scalar> RoundState<T> {
@@ -482,8 +482,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         })
     }
 
-    /// Build the η-independent ROUND state (Line 3 of Algorithm 3 plus the
-    /// `g_ik` panel) from scratch: one Allreduce, one Cholesky sweep.
+    /// Build the η-independent ROUND state (Line 3 of Algorithm 3) from
+    /// scratch: one Allreduce, one Cholesky sweep.
     /// This is the **from-scratch rebuild** the streaming
     /// refactor boundary is defined against: at a refactor the incremental
     /// state must equal this build bitwise.
@@ -495,9 +495,9 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// Run the FTRL selection loop of Algorithm 3 over a prebuilt (possibly
     /// incrementally maintained) [`RoundState`] — the persistent-state
     /// counterpart of [`Executor::round`]. The state must describe the same
-    /// pool this executor's shard was materialized from. The [`Whitening`]
+    /// pool this executor's shard was taken from. The [`Whitening`]
     /// prologue is not part of the persistent state: it is derived here,
-    /// per call, from the factors the state carries.
+    /// per call, from the factors the state carries and the shard.
     pub fn round_with_state(&self, state: &RoundState<T>, budget: usize, eta: T) -> RoundRun<T> {
         self.install(|| self.round_over(state, budget, eta, PhaseTimer::new(), self.comm.stats()))
     }
@@ -513,15 +513,14 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         mut timer: PhaseTimer,
         stats0: CommStats,
     ) -> RoundRun<T> {
-        let white = timer.time("other", || Whitening::new(state, &self.shard.local_x));
+        let (x, h) = (&self.shard.local_x, &self.shard.local_h);
+        let white = timer.time("other", || Whitening::new(state, x, h));
         self.round_body(&white, budget, eta, timer, stats0)
     }
 
     fn round_scratch(&self, z_local: &[T], timer: &mut PhaseTimer) -> RoundState<T> {
         let shard = self.shard;
-        let n_local = shard.local_n();
-        let cm1 = shard.nblocks();
-        assert_eq!(z_local.len(), n_local, "z shard length mismatch");
+        assert_eq!(z_local.len(), shard.local_n(), "z shard length mismatch");
 
         // Line 3: block diagonals of Σ⋄ = H_o + H_{z⋄} (Allreduce of local
         // partial sums) and of H_o.
@@ -546,24 +545,10 @@ impl<'a, T: CommScalar> Executor<'a, T> {
                 .expect("Σ⋄ blocks must be SPD")
         });
 
-        // g_ik = h_ik (1 - h_ik) for every local pool point.
-        let gik = {
-            let mut g = Matrix::zeros(n_local, cm1);
-            for i in 0..n_local {
-                let hrow = shard.local_h.row(i);
-                let grow = g.row_mut(i);
-                for k in 0..cm1 {
-                    grow[k] = hrow[k] * (T::ONE - hrow[k]);
-                }
-            }
-            g
-        };
-
         RoundState {
             bho,
             sigma,
             sigma_chol,
-            gik,
         }
     }
 
@@ -573,7 +558,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// collectives around it.
     fn round_body(
         &self,
-        white: &Whitening<'_, T>,
+        white: &Whitening<T>,
         budget: usize,
         eta: T,
         mut timer: PhaseTimer,
@@ -664,8 +649,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
         let mut acc = BlockDiag::<T>::zeros(cm1, d);
         for &i in selected {
             if let Some(l) = i.checked_sub(shard.offset).filter(|&l| l < shard.local_n()) {
-                let hrow = shard.local_h.row(l);
-                let gammas: Vec<T> = (0..cm1).map(|k| hrow[k] * (T::ONE - hrow[k])).collect();
+                let gammas: Vec<T> = shard.local_h.row(l).iter().map(|&h| fisher_g(h)).collect();
                 acc.rank_one_update(&gammas, shard.local_x.row(l));
             }
         }
@@ -678,7 +662,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
     /// [`Executor::selection_min_eig`] — "we execute the ROUND step with
     /// different η values, and then select the one that maximizes
     /// min_k λ_min(H)_k" (§IV-A). The η-independent scratch (Σ⋄ Allreduce,
-    /// Cholesky sweep, `g_ik`, and the [`Whitening`] prologue) is built
+    /// Cholesky sweep, and the [`Whitening`] prologue with `g_ik`) is built
     /// **once** and shared by every grid point; the grid runs in order and
     /// the first maximum wins. Every rank evaluates the identical
     /// criterion, so the grid choice is rank-invariant. The returned
@@ -689,7 +673,8 @@ impl<'a, T: CommScalar> Executor<'a, T> {
             let stats0 = self.comm.stats();
             let mut timer = PhaseTimer::new();
             let scratch = self.round_scratch(z_local, &mut timer);
-            let white = timer.time("other", || Whitening::new(&scratch, &self.shard.local_x));
+            let (x, h) = (&self.shard.local_x, &self.shard.local_h);
+            let white = timer.time("other", || Whitening::new(&scratch, x, h));
             let (crit, run) = sweep_eta(grid, scale, |eta| {
                 let out =
                     self.round_body(&white, budget, eta, PhaseTimer::new(), self.comm.stats());

@@ -2,12 +2,13 @@
 //! fast matvec (Lemma 2), pooled operators (`H_p`, `H_z`, `Σ_z`), and the
 //! block-diagonal extraction of Definition 1 (Eqs. 14–15).
 //!
-//! Conventions (see DESIGN.md): the classifier uses the `c-1` block
-//! parameterization, so a "probability vector" `h ∈ R^{c-1}` holds the first
-//! `c-1` softmax probabilities, `G(h) = diag(h) - hhᵀ` is `(c-1)×(c-1)` SPD,
-//! and every Fisher-information matrix is `H = G(h) ⊗ (xxᵀ)` of order
-//! `ê = d(c-1)`. Stacked vectors `v ∈ R^ê` are the column-stacking `vec(V)`
-//! of `V ∈ R^{d×(c-1)}`, matching the paper's notation.
+//! Conventions (the classifier is `firal_logreg`'s, see its crate docs):
+//! the `c-1` block parameterization, so a "probability vector"
+//! `h ∈ R^{c-1}` holds the first `c-1` softmax probabilities,
+//! `G(h) = diag(h) - hhᵀ` is `(c-1)×(c-1)` SPD, and every
+//! Fisher-information matrix is `H = G(h) ⊗ (xxᵀ)` of order `ê = d(c-1)`.
+//! Stacked vectors `v ∈ R^ê` are the column-stacking `vec(V)` of
+//! `V ∈ R^{d×(c-1)}`, matching the paper's notation.
 
 use std::cell::RefCell;
 
@@ -20,6 +21,13 @@ use firal_linalg::{
 };
 use firal_solvers::{LinearOperator, PanelScratch, Preconditioner};
 use rayon::prelude::*;
+
+/// `g_ik = h_ik(1 − h_ik)`, the diagonal of `G(h_i)` that Definition 1
+/// keeps: block `k`'s weight of point `i` in `B(H_i)`.
+#[inline(always)]
+pub(crate) fn fisher_g<T: Scalar>(h: T) -> T {
+    h * (T::ONE - h)
+}
 
 /// `G(h) = diag(h) - hhᵀ` — the class-coupling factor of Eq. 2.
 pub fn gmat<T: Scalar>(h: &[T]) -> Matrix<T> {
@@ -486,7 +494,8 @@ mod tests {
     #[test]
     fn gmat_full_softmax_is_singular() {
         // With the FULL softmax (sums to 1) G is singular — this is the
-        // reason the implementation uses c-1 blocks (see DESIGN.md).
+        // reason the implementation uses c-1 blocks (the `firal_logreg` crate
+        // docs: class c is the reference).
         let h = [0.5, 0.3, 0.2];
         let g = gmat(&h);
         let eig = firal_linalg::eigvalsh(&g).unwrap();

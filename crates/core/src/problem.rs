@@ -73,6 +73,31 @@ impl<T: Scalar> SelectionProblem<T> {
     pub fn ehat(&self) -> usize {
         self.dim() * self.nblocks()
     }
+
+    /// Append `rows` pool rows in place: `x` holds their `d` features, `h`
+    /// their `c-1` probabilities, both row-major.
+    pub fn append_pool_rows(&mut self, rows: usize, x: &[T], h: &[T]) {
+        self.pool_x.extend_rows(rows, x);
+        self.pool_h.extend_rows(rows, h);
+    }
+
+    /// Drop the pool rows whose `drop` entry is set, in place; the
+    /// survivors keep their order.
+    pub fn remove_pool_rows(&mut self, drop: &[bool]) {
+        self.pool_x.remove_rows(drop);
+        self.pool_h.remove_rows(drop);
+    }
+
+    /// Move the pool rows whose `label` entry is set to the end of the
+    /// labeled panels in ascending pool order, then drop them from the
+    /// pool (the §IV-A step that turns bought points into labeled ones).
+    pub fn label_pool_rows(&mut self, label: &[bool]) {
+        for (i, _) in label.iter().enumerate().filter(|(_, &l)| l) {
+            self.labeled_x.extend_rows(1, self.pool_x.row(i));
+            self.labeled_h.extend_rows(1, self.pool_h.row(i));
+        }
+        self.remove_pool_rows(label);
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +139,22 @@ mod tests {
         assert_eq!(p.dim(), 4);
         assert_eq!(p.nblocks(), 2);
         assert_eq!(p.ehat(), 8);
+    }
+
+    #[test]
+    fn label_moves_rows_in_ascending_pool_order() {
+        let x = |n: usize, base: f64| Matrix::from_fn(n, 2, |i, j| base + (2 * i + j) as f64);
+        let h = |n: usize, base: f64| Matrix::from_fn(n, 1, |i, _| base + i as f64);
+        let mut p = SelectionProblem::new(x(5, 0.0), h(5, 0.0), x(1, 100.0), h(1, 100.0), 2);
+        p.label_pool_rows(&[false, false, true, false, true]);
+        assert_eq!(p.pool_x.as_slice(), &[0.0, 1.0, 2.0, 3.0, 6.0, 7.0]);
+        assert_eq!(p.pool_h.as_slice(), &[0.0, 1.0, 3.0]);
+        assert_eq!(p.labeled_x.as_slice(), &[100.0, 101.0, 4.0, 5.0, 8.0, 9.0]);
+        assert_eq!(p.labeled_h.as_slice(), &[100.0, 2.0, 4.0]);
+        p.append_pool_rows(1, &[-1.0, -2.0], &[0.5]);
+        p.remove_pool_rows(&[true, false, false, false]);
+        assert_eq!(p.pool_x.as_slice(), &[2.0, 3.0, 6.0, 7.0, -1.0, -2.0]);
+        assert_eq!(p.pool_h.as_slice(), &[1.0, 3.0, 0.5]);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! `(Σ⋄)_k` is the identity:
 //!
 //! * once per sweep, shared by the whole η grid ([`Whitening`]): the
-//!   lower-triangular `L_k⁻¹`, `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`, and the pool
-//!   shard's transpose `Xᵀ`, which the Eq. 17 sweep reads;
+//!   lower-triangular `L_k⁻¹`, `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ`, and from the
+//!   pool shard its transpose `Xᵀ` and its `g_ik` panel, which the Eq. 17
+//!   sweep reads;
 //! * **Line 8** is `C_t,k += (1/b)·C_o,k + g·uuᵀ` with `u = L_k⁻¹x_{i_t}` —
 //!   `O(d²)`, where whitening `(H)_k` afresh costs `2d` triangular solves;
 //! * **Line 9** is the spectrum of `C_t,k` as is, [`Scalar::BLOCK_LANES`]
@@ -46,32 +47,33 @@
 use firal_linalg::{counters, gemm, gemm_at_b, invert_lower, BlockDiag, Matrix, QuadSweep, Scalar};
 
 use crate::exec::RoundState;
+use crate::hessian::fisher_g;
 
 /// The η-independent whitening prologue of a ROUND sweep: per block the
 /// lower-triangular `L_k⁻¹` of `(Σ⋄)_k = L_kL_kᵀ` and
-/// `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ` (exactly symmetric), plus the pool shard as
-/// `Xᵀ` (`d × n`), the layout [`QuadSweep::accumulate`] reads. Derived once
-/// from a [`RoundState`], which it keeps borrowed, and shared by every η of
-/// a grid sweep.
-pub struct Whitening<'a, T: Scalar> {
-    state: &'a RoundState<T>,
+/// `C_o,k = L_k⁻¹(H_o)_kL_k⁻ᵀ` (exactly symmetric), plus what the pool shard
+/// contributes: `Xᵀ` (`d × n`), the layout [`QuadSweep::accumulate`] reads,
+/// and the `g_ik = h_ik(1−h_ik)` panel (`n × (c−1)`). Derived once from a
+/// [`RoundState`] and the shard, and shared by every η of a grid sweep.
+pub struct Whitening<T: Scalar> {
     l_inv: BlockDiag<T>,
     c_o: BlockDiag<T>,
     pool_xt: Matrix<T>,
+    gik: Matrix<T>,
 }
 
-impl<'a, T: Scalar> Whitening<'a, T> {
-    /// Derive the prologue from the state's `Σ⋄` factors and `B(H_o)`, and
-    /// transpose `pool_x`, the pool shard row-aligned with the state's
-    /// `g_ik` panel (the copy is booked to the byte counter).
-    pub fn new(state: &'a RoundState<T>, pool_x: &Matrix<T>) -> Self {
-        assert_eq!(
-            pool_x.rows(),
-            state.gik.rows(),
-            "Whitening: one pool row per g_ik row"
-        );
+impl<T: Scalar> Whitening<T> {
+    /// Derive the prologue from the state's `Σ⋄` factors and `B(H_o)`,
+    /// transpose the pool shard's `pool_x` and form `g_ik` from its row-aligned
+    /// `pool_h` (both copies are booked to the byte counter).
+    pub fn new(state: &RoundState<T>, pool_x: &Matrix<T>, pool_h: &Matrix<T>) -> Self {
         let bho = state.bho();
         let (cm1, d) = (bho.nblocks(), bho.dim());
+        assert_eq!(
+            pool_h.shape(),
+            (pool_x.rows(), cm1),
+            "Whitening: one row of c-1 probabilities per pool row"
+        );
         let mut l_inv = BlockDiag::zeros(cm1, d);
         let mut c_o = BlockDiag::zeros(cm1, d);
         for (k, ch) in state.sigma_chol().iter().enumerate() {
@@ -85,11 +87,15 @@ impl<'a, T: Scalar> Whitening<'a, T> {
         let pool_xt = pool_x.transpose();
         let elem = std::mem::size_of::<T>();
         counters::add_bytes(counters::pack_panel_bytes(d, pool_x.rows(), elem));
+        let mut gik = Matrix::zeros(pool_h.rows(), cm1);
+        for (g, &h) in gik.as_mut_slice().iter_mut().zip(pool_h.as_slice()) {
+            *g = fisher_g(h);
+        }
         Self {
-            state,
             l_inv,
             c_o,
             pool_xt,
+            gik,
         }
     }
 }
@@ -98,7 +104,7 @@ impl<'a, T: Scalar> Whitening<'a, T> {
 /// of a [`Whitening`] (see the module docs): the accumulator `C_t`, the
 /// regularizer weight `ν`, and the scratch of the scoring pass.
 pub struct WhitenedFtrl<'a, T: Scalar> {
-    white: &'a Whitening<'a, T>,
+    white: &'a Whitening<T>,
     eta: T,
     inv_budget: T,
     nu: T,
@@ -111,7 +117,7 @@ pub struct WhitenedFtrl<'a, T: Scalar> {
 impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// Lines 4–5: `(H)_k ← 0` and `B₁ = √ê·Σ⋄ + (η/b)·H_o`, i.e.
     /// `M = √ê·I + (η/b)·C_o`.
-    pub fn new(white: &'a Whitening<'a, T>, budget: usize, eta: T) -> Self {
+    pub fn new(white: &'a Whitening<T>, budget: usize, eta: T) -> Self {
         let (cm1, d) = (white.c_o.nblocks(), white.c_o.dim());
         Self {
             white,
@@ -174,7 +180,7 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
     /// lane; a group is swept, each row taking its blocks' terms `k`
     /// ascending, only once all of it has factored.
     fn try_scores(&mut self, scores: &mut [T]) -> bool {
-        let (gik, pool_xt) = (&self.white.state.gik, &self.white.pool_xt);
+        let (gik, pool_xt) = (&self.white.gik, &self.white.pool_xt);
         let (eta, nu) = (self.eta, self.nu);
         let eta_over_b = eta * self.inv_budget;
         let (c_t, c_o, l_inv) = (&self.c_t, &self.white.c_o, self.white.l_inv.blocks());
@@ -204,7 +210,7 @@ impl<'a, T: Scalar> WhitenedFtrl<'a, T> {
         for (k, &hk) in h.iter().enumerate() {
             let c = self.c_t.block_mut(k);
             c.add_scaled(self.inv_budget, self.white.c_o.block(k));
-            let g = hk * (T::ONE - hk);
+            let g = fisher_g(hk);
             if g == T::ZERO {
                 continue;
             }
@@ -301,7 +307,7 @@ mod tests {
             let comm = SelfComm::new();
             let shard = ShardedProblem::replicate(&p);
             let state = Executor::new(&comm, &shard).build_round_state(&z);
-            let white = Whitening::new(&state, &p.pool_x);
+            let white = Whitening::new(&state, &p.pool_x, &p.pool_h);
             let mut scores = vec![0.0; n];
             WhitenedFtrl::new(&white, budget, eta).scores(&mut scores);
 

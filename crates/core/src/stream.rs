@@ -1,12 +1,12 @@
 //! Streaming round state: incremental maintenance of the ROUND state under
 //! pool mutations.
 //!
-//! Every batch selection round historically rebuilt `Σ⋄`, its Cholesky
-//! sweep, and the `g_ik` panel from scratch — `O(n·c·d²)` work and a full
-//! block-diagonal Allreduce even when the pool changed by a handful of
-//! points. [`StreamingState`] closes that gap (ROADMAP item 2): it owns a
-//! **persistent** [`RoundState`] keyed by a pool
-//! version and advances it under [`PoolUpdate`] batches in `O(Δpool)`:
+//! Every batch selection round rebuilds `Σ⋄` and its Cholesky sweep from
+//! scratch — `O(n·c·d²)` work and a full block-diagonal Allreduce even
+//! when the pool changed by a handful of points. [`StreamingState`] closes
+//! that gap (ROADMAP item 6): it owns a **persistent** [`RoundState`]
+//! keyed by a pool version and advances it under [`PoolUpdate`] batches in
+//! `O(Δpool)`:
 //!
 //! - the dense `Σ⋄` block diagonal advances by a **delta-Allreduce** of
 //!   changed partial sums ([`firal_solvers::delta_allreduce_blocks`], the
@@ -19,20 +19,25 @@
 //!   rank in canonical batch order. A downdate that destroys positive
 //!   definiteness triggers the documented **ridge-refactor fallback**: the
 //!   block is refactored from the current dense `Σ⋄` with a `1e-8` ridge;
-//! - the per-point Fisher coefficients `g_ik = h_ik(1−h_ik)` are cached on
-//!   each registry point and invalidated (recomputed) only when the point's
-//!   probabilities change — adds compute them once, removals drop them,
-//!   labels move them into the `B(H_o)` term.
+//! - a `Label` folds the point's Fisher term into `B(H_o)` by a replicated
+//!   rank-one update and moves its row to the labeled panels.
 //!
 //! # State ownership and replication
 //!
-//! The point registry (features, probabilities, weights, Fisher caches) is
-//! **replicated** on every rank — exactly like the serve layer, where every
-//! rank decodes the uploaded pool. Compute stays sharded: selections shard
-//! the live registry contiguously ([`firal_comm::shard_range`] over the
-//! live insertion order) and the delta partial sums partition each update
-//! batch round-robin by batch index. Because the registry is replicated,
-//! `Remove`/`Label` mutations need no data movement at all.
+//! The registry is a [`SelectionProblem`] (the live pool and the labeled
+//! set as row-major panels), a stable id and a `z⋄` weight per pool row,
+//! and the [`RoundState`]; all of it is **replicated** on every rank —
+//! exactly like the serve layer, where every rank decodes the uploaded pool
+//! and edits it through the same [`SelectionProblem`] row edits. Ids are
+//! issued in increasing order and the edits keep row order, so the ids stay
+//! strictly increasing and a lookup is a binary search. No Fisher row is
+//! cached: an update's `g_ik = h_ik(1−h_ik)` is formed from its pool row
+//! when the update is applied, and a selection's `g_ik` panel is the
+//! [`Whitening`](crate::round::Whitening)'s. Compute stays sharded:
+//! selections take the contiguous [`ShardedProblem::shard`] of the live
+//! pool and the delta partial sums partition each update batch round-robin
+//! by batch index. Because the registry is replicated, `Remove`/`Label`
+//! mutations move no data between ranks.
 //!
 //! # Determinism contract
 //!
@@ -59,11 +64,12 @@
 //! boundaries.
 
 use firal_comm::{shard_range, CommScalar, Communicator};
-use firal_linalg::{BlockDiag, Cholesky, Matrix, Scalar};
+use firal_linalg::{BlockDiag, Cholesky, Scalar};
 use firal_solvers::delta_allreduce_blocks;
 
 use crate::config::FiralConfig;
 use crate::exec::{Executor, RoundRun, RoundState, ShardedProblem};
+use crate::hessian::fisher_g;
 use crate::problem::SelectionProblem;
 
 /// Line 9 of Algorithm 3 is always the dense `eigvalsh` of each block, so
@@ -109,18 +115,6 @@ pub enum PoolUpdate<T: Scalar> {
     },
 }
 
-/// One replicated registry point with its cached Fisher coefficients.
-#[derive(Debug, Clone)]
-struct StreamPoint<T: Scalar> {
-    id: u64,
-    x: Vec<T>,
-    h: Vec<T>,
-    weight: T,
-    /// Cached `g_ik = h_ik(1−h_ik)` row — invalidated only when `h`
-    /// changes (never, for now: labels keep the probabilities).
-    g: Vec<T>,
-}
-
 /// Summary of one committed update batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamCommit {
@@ -136,29 +130,33 @@ pub struct StreamCommit {
     pub downdate_fallbacks: usize,
 }
 
+/// One update's `Σ⋄` term: the point's features, its Fisher row `g_k`, and
+/// the signed weight its rank-one term carries (`+w` add, `−w` remove,
+/// `1−w` label).
+type Term<T> = (Vec<T>, Vec<T>, T);
+
 /// Persistent streaming round state (see the module docs for the full
 /// ownership/determinism/drift contract).
 #[derive(Debug, Clone)]
 pub struct StreamingState<T: CommScalar> {
-    points: Vec<StreamPoint<T>>,
-    labeled_x: Matrix<T>,
-    labeled_h: Matrix<T>,
-    num_classes: usize,
-    dim: usize,
+    /// The live pool and the labeled set.
+    problem: SelectionProblem<T>,
+    /// Stable id of each pool row, strictly increasing.
+    ids: Vec<u64>,
+    /// `z⋄` weight of each pool row.
+    weights: Vec<T>,
+    state: RoundState<T>,
     version: u64,
     next_id: u64,
     commits_since_refactor: usize,
     refactor_interval: usize,
-    bho: BlockDiag<T>,
-    sigma: BlockDiag<T>,
-    sigma_chol: Vec<Cholesky<T>>,
 }
 
 impl<T: CommScalar> StreamingState<T> {
     /// Seed a streaming state from a full problem and its per-point `z⋄`
-    /// weights (one per pool row, e.g. `RelaxRun::z_diamond`). Collective:
-    /// the initial state is built through [`Executor::build_round_state`]
-    /// on every rank.
+    /// weights (one per pool row, e.g. `RelaxRun::z_diamond`). The pool
+    /// rows get the ids `0..n`. Collective: the initial state is built
+    /// through [`Executor::build_round_state`] on every rank.
     pub fn new(
         comm: &dyn Communicator,
         problem: &SelectionProblem<T>,
@@ -170,73 +168,65 @@ impl<T: CommScalar> StreamingState<T> {
             problem.pool_size(),
             "one z⋄ weight per pool point"
         );
-        let cm1 = problem.nblocks();
-        let d = problem.dim();
-        let points = (0..problem.pool_size())
-            .map(|i| {
-                let h = problem.pool_h.row(i).to_vec();
-                let g = fisher_row(&h);
-                StreamPoint {
-                    id: i as u64,
-                    x: problem.pool_x.row(i).to_vec(),
-                    h,
-                    weight: weights[i],
-                    g,
-                }
-            })
-            .collect();
-        let mut state = Self {
-            points,
-            labeled_x: problem.labeled_x.clone(),
-            labeled_h: problem.labeled_h.clone(),
-            num_classes: problem.num_classes,
-            dim: d,
+        let n = problem.pool_size() as u64;
+        Self {
+            problem: problem.clone(),
+            ids: (0..n).collect(),
+            weights: weights.to_vec(),
+            state: build_state(comm, problem, weights),
             version: 0,
-            next_id: problem.pool_size() as u64,
+            next_id: n,
             commits_since_refactor: 0,
             refactor_interval: match config.refactor_interval {
                 0 => DEFAULT_REFACTOR_INTERVAL,
                 k => k,
             },
-            bho: BlockDiag::zeros(cm1, d),
-            sigma: BlockDiag::zeros(cm1, d),
-            sigma_chol: Vec::new(),
-        };
-        state.rebuild(comm);
-        state
+        }
     }
 
     /// Live pool size.
     pub fn live(&self) -> usize {
-        self.points.len()
+        self.problem.pool_size()
     }
 
     /// Labeled-set size.
     pub fn labeled(&self) -> usize {
-        self.labeled_x.rows()
+        self.problem.labeled_x.rows()
     }
 
-    /// Stable ids of the live points in insertion order.
+    /// Stable ids of the live points in pool-row order (ascending).
     pub fn ids(&self) -> Vec<u64> {
-        self.points.iter().map(|p| p.id).collect()
+        self.ids.clone()
+    }
+
+    /// The live pool and the labeled set, rows in [`StreamingState::ids`]
+    /// order.
+    pub fn problem(&self) -> &SelectionProblem<T> {
+        &self.problem
+    }
+
+    /// The replicated ROUND state: `B(H_o)`, `Σ⋄` and its factors.
+    pub fn round_state(&self) -> &RoundState<T> {
+        &self.state
     }
 
     /// Apply one update batch — collective; every rank must pass the
-    /// identical batch (see the module determinism contract). Returns the
-    /// commit summary, including whether this commit hit the refactor
-    /// boundary.
+    /// identical batch (see the module determinism contract). The updates
+    /// apply in order, so an update may name a point an earlier `Add` of
+    /// the same batch created. Returns the commit summary, including
+    /// whether this commit hit the refactor boundary.
     pub fn commit(&mut self, comm: &dyn Communicator, updates: &[PoolUpdate<T>]) -> StreamCommit {
-        let cm1 = self.nblocks();
-        let d = self.dim;
-        let size = comm.size();
-        let rank = comm.rank();
+        let cm1 = self.problem.nblocks();
+        let (size, rank) = (comm.size(), comm.rank());
 
-        // Phase 1 — delta partial sums for the dense Σ⋄: this rank owns the
-        // batch entries with index ≡ rank (mod size).
-        let mut delta = BlockDiag::<T>::zeros(cm1, d);
+        // Pass 1 — apply each update's row edit in order and record its Σ⋄
+        // term; this rank sums the delta partial sums of the batch entries
+        // with index ≡ rank (mod size).
+        let mut delta = BlockDiag::<T>::zeros(cm1, self.problem.dim());
         let mut changed = vec![false; cm1];
+        let mut terms: Vec<Term<T>> = Vec::with_capacity(updates.len());
         for (u, upd) in updates.iter().enumerate() {
-            let (x, g, coeff) = self.update_term(upd);
+            let (x, g, coeff) = self.apply(upd);
             if u % size == rank {
                 let gammas: Vec<T> = g.iter().map(|&gk| coeff * gk).collect();
                 delta.rank_one_update(&gammas, &x);
@@ -244,23 +234,21 @@ impl<T: CommScalar> StreamingState<T> {
             for (k, &gk) in g.iter().enumerate() {
                 changed[k] |= coeff * gk != T::ZERO;
             }
+            terms.push((x, g, coeff));
         }
 
-        // Phase 2 — ship only the changed partial sums (the streaming
+        // Pass 2 — ship only the changed partial sums (the streaming
         // Allreduce seam) and fold them into the replicated Σ⋄.
         delta_allreduce_blocks(comm, &mut delta, &mut changed);
-        for k in 0..cm1 {
-            if changed[k] {
-                let blk = delta.block(k).clone();
-                self.sigma.block_mut(k).add_scaled(T::ONE, &blk);
-            }
+        let state = &mut self.state;
+        for k in (0..cm1).filter(|&k| changed[k]) {
+            state.sigma.block_mut(k).add_scaled(T::ONE, delta.block(k));
         }
 
-        // Phase 3 — advance the Cholesky factors by canonical rank-one
-        // sweeps (every rank, identical order), then mutate the registry.
+        // Pass 3 — advance the Cholesky factors by the recorded terms'
+        // rank-one sweeps (every rank, identical order).
         let mut fallbacks = 0usize;
-        for upd in updates {
-            let (x, g, coeff) = self.update_term(upd);
+        for (x, g, coeff) in &terms {
             let magnitude = coeff.abs();
             for k in 0..cm1 {
                 let scale = (magnitude * g[k]).sqrt();
@@ -268,20 +256,19 @@ impl<T: CommScalar> StreamingState<T> {
                     continue;
                 }
                 let v: Vec<T> = x.iter().map(|&xi| scale * xi).collect();
-                if coeff > T::ZERO {
-                    self.sigma_chol[k].update(&v);
-                } else if self.sigma_chol[k].downdate(&v).is_err() {
+                if *coeff > T::ZERO {
+                    state.sigma_chol[k].update(&v);
+                } else if state.sigma_chol[k].downdate(&v).is_err() {
                     // Documented fallback: the downdate destroyed positive
-                    // definiteness, so refactor this block from the current
-                    // dense Σ⋄ with a ridge instead of trusting the
+                    // definiteness, so refactor this block from the fully
+                    // updated dense Σ⋄ with a ridge instead of trusting the
                     // poisoned factor.
                     fallbacks += 1;
-                    self.sigma_chol[k] =
-                        Cholesky::new_with_ridge(self.sigma.block(k), T::from_f64(FALLBACK_RIDGE))
+                    state.sigma_chol[k] =
+                        Cholesky::new_with_ridge(state.sigma.block(k), T::from_f64(FALLBACK_RIDGE))
                             .expect("ridge refactor of a Σ⋄ block");
                 }
             }
-            self.apply_to_registry(upd);
         }
 
         self.version += 1;
@@ -308,9 +295,9 @@ impl<T: CommScalar> StreamingState<T> {
 
     /// Run one FTRL selection round over the current streaming state —
     /// the `O(Δpool)`-maintained counterpart of [`Executor::round`].
-    /// Returns the selected **registry positions** (indices into the live
-    /// insertion order; map through [`StreamingState::ids`] for stable
-    /// ids). The [`EigSolver`] argument is ignored.
+    /// Returns the selected **pool rows** (map through
+    /// [`StreamingState::ids`] for stable ids). The [`EigSolver`] argument
+    /// is ignored.
     pub fn select(
         &self,
         comm: &dyn Communicator,
@@ -318,50 +305,8 @@ impl<T: CommScalar> StreamingState<T> {
         eta: T,
         _eig: EigSolver,
     ) -> RoundRun<T> {
-        let shard = self.materialize_shard(comm.rank(), comm.size());
-        let state = self.round_state(comm.rank(), comm.size());
-        let exec = Executor::new(comm, &shard);
-        exec.round_with_state(&state, budget, eta)
-    }
-
-    /// Materialize this rank's [`RoundState`] view: the replicated block
-    /// state plus the local slice of the cached Fisher panel.
-    pub fn round_state(&self, rank: usize, size: usize) -> RoundState<T> {
-        let range = shard_range(self.live(), rank, size);
-        let cm1 = self.nblocks();
-        let mut gik = Matrix::zeros(range.len(), cm1);
-        for (row, i) in range.enumerate() {
-            gik.row_mut(row).copy_from_slice(&self.points[i].g);
-        }
-        RoundState {
-            bho: self.bho.clone(),
-            sigma: self.sigma.clone(),
-            sigma_chol: self.sigma_chol.clone(),
-            gik,
-        }
-    }
-
-    /// Materialize this rank's contiguous shard of the live registry (the
-    /// same [`firal_comm::shard_range`] decomposition batch callers use).
-    pub fn materialize_shard(&self, rank: usize, size: usize) -> ShardedProblem<T> {
-        let range = shard_range(self.live(), rank, size);
-        let d = self.dim;
-        let cm1 = self.nblocks();
-        let mut local_x = Matrix::zeros(range.len(), d);
-        let mut local_h = Matrix::zeros(range.len(), cm1);
-        for (row, i) in range.clone().enumerate() {
-            local_x.row_mut(row).copy_from_slice(&self.points[i].x);
-            local_h.row_mut(row).copy_from_slice(&self.points[i].h);
-        }
-        ShardedProblem {
-            local_x,
-            local_h,
-            labeled_x: self.labeled_x.clone(),
-            labeled_h: self.labeled_h.clone(),
-            num_classes: self.num_classes,
-            global_n: self.live(),
-            offset: range.start,
-        }
+        let shard = ShardedProblem::shard(&self.problem, comm.rank(), comm.size());
+        Executor::new(comm, &shard).round_with_state(&self.state, budget, eta)
     }
 
     /// Bit-exact fingerprint of the replicated state (`Σ⋄`, `B(H_o)`, and
@@ -375,14 +320,15 @@ impl<T: CommScalar> StreamingState<T> {
         eat(self.version);
         eat(self.live() as u64);
         eat(self.labeled() as u64);
-        for k in 0..self.nblocks() {
-            for &v in self.sigma.block(k).as_slice() {
+        let state = &self.state;
+        for k in 0..self.problem.nblocks() {
+            for &v in state.sigma.block(k).as_slice() {
                 eat(v.to_f64().to_bits());
             }
-            for &v in self.bho.block(k).as_slice() {
+            for &v in state.bho.block(k).as_slice() {
                 eat(v.to_f64().to_bits());
             }
-            for &v in self.sigma_chol[k].l().as_slice() {
+            for &v in state.sigma_chol[k].l().as_slice() {
                 eat(v.to_f64().to_bits());
             }
         }
@@ -394,12 +340,16 @@ impl<T: CommScalar> StreamingState<T> {
     /// The drift test pins this against the refactor contract.
     pub fn factor_drift(&self) -> f64 {
         let mut worst = 0.0f64;
-        for k in 0..self.nblocks() {
-            let l = self.sigma_chol[k].l();
+        for (l, sig) in self
+            .state
+            .sigma_chol
+            .iter()
+            .map(Cholesky::l)
+            .zip(self.state.sigma.blocks())
+        {
             let recon = firal_linalg::gemm_a_bt(l, l);
             let mut num = 0.0f64;
             let mut den = 0.0f64;
-            let sig = self.sigma.block(k);
             for i in 0..recon.rows() {
                 for j in 0..recon.cols() {
                     let diff = (recon[(i, j)] - sig[(i, j)]).to_f64();
@@ -412,102 +362,77 @@ impl<T: CommScalar> StreamingState<T> {
         worst
     }
 
-    fn nblocks(&self) -> usize {
-        self.num_classes - 1
-    }
-
-    /// `(x, g, coeff)` of one update's Σ⋄ contribution: the point's
-    /// features, Fisher row, and the signed weight its rank-one term
-    /// carries (`+w` add, `−w` remove, `1−w` label).
-    fn update_term(&self, upd: &PoolUpdate<T>) -> (Vec<T>, Vec<T>, T) {
+    /// Apply one update's row edit to the registry and return its `Σ⋄`
+    /// term. A `Label` also folds the point's Fisher term into `B(H_o)`:
+    /// replicated rank-one on every rank, canonical order, no
+    /// communication.
+    fn apply(&mut self, upd: &PoolUpdate<T>) -> Term<T> {
         match upd {
             PoolUpdate::Add { x, h, weight } => {
-                assert_eq!(x.len(), self.dim, "Add: feature dim mismatch");
-                assert_eq!(h.len(), self.nblocks(), "Add: probability dim mismatch");
-                (x.clone(), fisher_row(h), *weight)
-            }
-            PoolUpdate::Remove { id } => {
-                let p = self.lookup(*id);
-                (p.x.clone(), p.g.clone(), T::ZERO - p.weight)
-            }
-            PoolUpdate::Label { id } => {
-                let p = self.lookup(*id);
-                (p.x.clone(), p.g.clone(), T::ONE - p.weight)
-            }
-        }
-    }
-
-    fn lookup(&self, id: u64) -> &StreamPoint<T> {
-        self.points
-            .iter()
-            .find(|p| p.id == id)
-            .unwrap_or_else(|| panic!("unknown or dead pool point id {id}"))
-    }
-
-    fn position(&self, id: u64) -> usize {
-        self.points
-            .iter()
-            .position(|p| p.id == id)
-            .unwrap_or_else(|| panic!("unknown or dead pool point id {id}"))
-    }
-
-    fn apply_to_registry(&mut self, upd: &PoolUpdate<T>) {
-        match upd {
-            PoolUpdate::Add { x, h, weight } => {
-                let g = fisher_row(h);
-                self.points.push(StreamPoint {
-                    id: self.next_id,
-                    x: x.clone(),
-                    h: h.clone(),
-                    weight: *weight,
-                    g,
-                });
+                assert_eq!(x.len(), self.problem.dim(), "Add: feature dim mismatch");
+                assert_eq!(
+                    h.len(),
+                    self.problem.nblocks(),
+                    "Add: probability dim mismatch"
+                );
+                self.problem.append_pool_rows(1, x, h);
+                self.ids.push(self.next_id);
+                self.weights.push(*weight);
                 self.next_id += 1;
+                (
+                    x.clone(),
+                    h.iter().map(|&hk| fisher_g(hk)).collect(),
+                    *weight,
+                )
             }
-            PoolUpdate::Remove { id } => {
-                let pos = self.position(*id);
-                self.points.remove(pos);
-            }
-            PoolUpdate::Label { id } => {
-                let pos = self.position(*id);
-                let p = self.points.remove(pos);
-                // The point's Fisher term joins B(H_o): replicated rank-one
-                // on every rank, canonical order, no communication.
-                self.bho.rank_one_update(&p.g, &p.x);
-                self.labeled_x = append_row(&self.labeled_x, &p.x);
-                self.labeled_h = append_row(&self.labeled_h, &p.h);
+            PoolUpdate::Remove { id } | PoolUpdate::Label { id } => {
+                let pos = self
+                    .ids
+                    .binary_search(id)
+                    .unwrap_or_else(|_| panic!("unknown or dead pool point id {id}"));
+                let x = self.problem.pool_x.row(pos).to_vec();
+                let g: Vec<T> = self
+                    .problem
+                    .pool_h
+                    .row(pos)
+                    .iter()
+                    .map(|&hk| fisher_g(hk))
+                    .collect();
+                let w = self.weights.remove(pos);
+                self.ids.remove(pos);
+                let mut mask = vec![false; self.live()];
+                mask[pos] = true;
+                if let PoolUpdate::Label { .. } = upd {
+                    self.state.bho.rank_one_update(&g, &x);
+                    self.problem.label_pool_rows(&mask);
+                    (x, g, T::ONE - w)
+                } else {
+                    self.problem.remove_pool_rows(&mask);
+                    (x, g, T::ZERO - w)
+                }
             }
         }
     }
 
     /// From-scratch rebuild through the exact one-shot build path
-    /// (collective): materialize this rank's shard + weight slice and run
-    /// [`Executor::build_round_state`], then adopt its blocks.
+    /// (collective).
     fn rebuild(&mut self, comm: &dyn Communicator) {
-        let shard = self.materialize_shard(comm.rank(), comm.size());
-        let range = shard_range(self.live(), comm.rank(), comm.size());
-        let z_local: Vec<T> = range.map(|i| self.points[i].weight).collect();
-        let exec = Executor::new(comm, &shard);
-        let built = exec.build_round_state(&z_local);
-        self.bho = built.bho;
-        self.sigma = built.sigma;
-        self.sigma_chol = built.sigma_chol;
+        self.state = build_state(comm, &self.problem, &self.weights);
         self.commits_since_refactor = 0;
     }
 }
 
-/// `g_k = h_k (1 − h_k)` for one probability row.
-fn fisher_row<T: Scalar>(h: &[T]) -> Vec<T> {
-    h.iter().map(|&hk| hk * (T::ONE - hk)).collect()
-}
-
-/// Append one row to a row-major matrix (the labeled panel grows by one
-/// point per label).
-fn append_row<T: Scalar>(m: &Matrix<T>, row: &[T]) -> Matrix<T> {
-    assert_eq!(m.cols(), row.len(), "append_row width mismatch");
-    let mut data = m.as_slice().to_vec();
-    data.extend_from_slice(row);
-    Matrix::from_vec(m.rows() + 1, m.cols(), data)
+/// Run [`Executor::build_round_state`] on this rank's shard of `problem`
+/// and its slice of `weights` (collective).
+fn build_state<T: CommScalar>(
+    comm: &dyn Communicator,
+    problem: &SelectionProblem<T>,
+    weights: &[T],
+) -> RoundState<T> {
+    let (rank, size) = (comm.rank(), comm.size());
+    let shard = ShardedProblem::shard(problem, rank, size);
+    let range = shard_range(problem.pool_size(), rank, size);
+    Executor::new(comm, &shard).build_round_state(&weights[range])
 }
 
 #[cfg(test)]
@@ -583,18 +508,17 @@ mod tests {
         // Refactor boundary: bitwise equal to the one-shot build.
         let mut refreshed = st.clone();
         refreshed.refactor(&comm);
-        let shard = st.materialize_shard(0, 1);
-        let z: Vec<f64> = (0..st.live()).map(|i| st.points[i].weight).collect();
+        let shard = ShardedProblem::replicate(st.problem());
         let exec = Executor::new(&comm, &shard);
-        let built = exec.build_round_state(&z);
-        for k in 0..st.nblocks() {
+        let built = exec.build_round_state(&st.weights);
+        for k in 0..st.problem.nblocks() {
             assert_eq!(
-                refreshed.sigma.block(k).as_slice(),
+                refreshed.state.sigma.block(k).as_slice(),
                 built.sigma.block(k).as_slice(),
                 "refactored Σ⋄ block {k} must be bitwise the one-shot build"
             );
             assert_eq!(
-                refreshed.sigma_chol[k].l().as_slice(),
+                refreshed.state.sigma_chol[k].l().as_slice(),
                 built.sigma_chol[k].l().as_slice(),
                 "refactored factor {k} must be bitwise the one-shot build"
             );
@@ -632,6 +556,58 @@ mod tests {
         assert_eq!(st.live(), problem2.pool_size());
     }
 
+    /// An update may name a point an earlier `Add` of the same batch
+    /// created: the batch applies in order, so `[Add, Remove{its id}]`
+    /// leaves the registry as it was and, after a refactor, the state
+    /// bitwise equal to a fresh build of the unchanged problem.
+    #[test]
+    fn an_update_can_name_a_point_added_earlier_in_the_batch() {
+        let comm = SelfComm::new();
+        let (problem, weights) = tiny(5, 16, 3, 3);
+        let cfg = cfg_interval(usize::MAX);
+        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg);
+        let add = |x: Vec<f64>| PoolUpdate::Add {
+            x,
+            h: vec![0.3, 0.25],
+            weight: 0.125,
+        };
+        let commit = st.commit(
+            &comm,
+            &[
+                add(vec![0.4, -0.2, 0.9]),
+                PoolUpdate::Remove { id: 16 },
+                add(vec![-0.1, 0.5, 0.3]),
+                PoolUpdate::Label { id: 17 },
+            ],
+        );
+        assert_eq!(commit.applied, 4);
+        assert_eq!(st.ids(), (0..16).collect::<Vec<u64>>());
+        assert_eq!(st.labeled(), problem.labeled_x.rows() + 1);
+        assert_eq!(
+            st.problem().labeled_x.row(problem.labeled_x.rows()),
+            &[-0.1, 0.5, 0.3]
+        );
+        assert_eq!(st.problem().pool_x, problem.pool_x);
+        assert!(st.factor_drift() < 1e-12);
+
+        st.commit(
+            &comm,
+            &[add(vec![0.2, 0.2, -0.6]), PoolUpdate::Remove { id: 18 }],
+        );
+        let fresh = StreamingState::new(&comm, st.problem(), &weights, &cfg);
+        st.refactor(&comm);
+        for k in 0..2 {
+            assert_eq!(
+                st.state.sigma.block(k).as_slice(),
+                fresh.state.sigma.block(k).as_slice()
+            );
+            assert_eq!(
+                st.state.bho.block(k).as_slice(),
+                fresh.state.bho.block(k).as_slice()
+            );
+        }
+    }
+
     /// Labeling moves a point's Fisher term from H_z⋄ to H_o: the labeled
     /// count grows, bho gains the term, and Σ⋄ stays consistent.
     #[test]
@@ -640,13 +616,13 @@ mod tests {
         let (problem, weights) = tiny(7, 16, 3, 3);
         let mut st = StreamingState::new(&comm, &problem, &weights, &cfg_interval(usize::MAX));
         let labeled0 = st.labeled();
-        let bho_before = st.bho.block(0).trace();
+        let bho_before = st.state.bho.block(0).trace();
         let id = st.ids()[4];
         let commit = st.commit(&comm, &[PoolUpdate::Label { id }]);
         assert_eq!(commit.applied, 1);
         assert_eq!(st.labeled(), labeled0 + 1);
         assert_eq!(st.live(), 15);
-        assert!(st.bho.block(0).trace() >= bho_before);
+        assert!(st.state.bho.block(0).trace() >= bho_before);
         assert!(st.factor_drift() < 1e-12);
     }
 
@@ -674,14 +650,13 @@ mod tests {
             ],
         );
         st.refactor(&comm);
-        let eta = 6.0 * (st.materialize_shard(0, 1).ehat() as f64).sqrt();
+        let eta = 6.0 * (st.problem.ehat() as f64).sqrt();
         let run = st.select(&comm, 4, eta, EigSolver::Exact);
 
         // One-shot reference: the same mutated pool as a static problem.
-        let shard = st.materialize_shard(0, 1);
-        let z: Vec<f64> = (0..st.live()).map(|i| st.points[i].weight).collect();
+        let shard = ShardedProblem::replicate(st.problem());
         let exec = Executor::new(&comm, &shard);
-        let reference = exec.round(&z, 4, eta);
+        let reference = exec.round(&st.weights, 4, eta);
         assert_eq!(run.selected, reference.selected);
     }
 

@@ -389,7 +389,7 @@ fn whitened_loop_matches_from_scratch<T: CommScalar>(tol: f64) {
             flat,
             "case {case}: the flat pool is what takes the ridge path"
         );
-        let white = Whitening::new(&state, &problem.pool_x);
+        let white = Whitening::new(&state, &problem.pool_x, &problem.pool_h);
         let mut ftrl = WhitenedFtrl::new(&white, budget, eta);
 
         let mut gik = Matrix::<T>::zeros(n, cm1);
@@ -481,7 +481,7 @@ fn backoff_restarts_scoring_from_block_zero<T: CommScalar>() {
         let comm = SelfComm::new();
         let shard = ShardedProblem::replicate(&problem);
         let state = Executor::new(&comm, &shard).build_round_state(&z);
-        let white = Whitening::new(&state, &problem.pool_x);
+        let white = Whitening::new(&state, &problem.pool_x, &problem.pool_h);
 
         // At t = 1, M_k = νI + (η/b)·C_o,k: definite iff ν > -(η/b)·λ_min.
         let shift: Vec<f64> = (state.sigma_chol().iter().zip(state.bho().blocks()))

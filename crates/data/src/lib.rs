@@ -9,7 +9,7 @@
 //! presets mirroring every row of Table V and the "extended CIFAR-10"
 //! noise-replication trick of §IV-C.
 //!
-//! Substitution note (see DESIGN.md): the *relative* behaviour of selection
+//! Substitution note (ARCHITECTURE.md § Experiments — §IV): the *relative* behaviour of selection
 //! strategies — FIRAL's robustness, random/k-means variance at small
 //! budgets, baseline degradation under imbalance — is driven by pool
 //! geometry, which these generators control directly; no label information

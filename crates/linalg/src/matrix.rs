@@ -115,6 +115,42 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Append `rows` whole rows in place, given row-major in `data`
+    /// (`rows × cols` values).
+    pub fn extend_rows(&mut self, rows: usize, data: &[T]) {
+        assert_eq!(
+            data.len(),
+            rows * self.cols,
+            "extend_rows: {rows} rows of {} need {} values",
+            self.cols,
+            rows * self.cols
+        );
+        self.data.extend_from_slice(data);
+        self.rows += rows;
+    }
+
+    /// Drop the rows whose `drop` entry is set, in place; the survivors
+    /// keep their order.
+    pub fn remove_rows(&mut self, drop: &[bool]) {
+        assert_eq!(drop.len(), self.rows, "remove_rows: one flag per row");
+        let c = self.cols;
+        let (mut kept, mut i) = (0, 0);
+        while i < self.rows {
+            // Move each run of kept rows with one copy.
+            let start = i;
+            while i < self.rows && !drop[i] {
+                i += 1;
+            }
+            if kept != start {
+                self.data.copy_within(start * c..i * c, kept * c);
+            }
+            kept += i - start;
+            i += 1;
+        }
+        self.data.truncate(kept * c);
+        self.rows = kept;
+    }
+
     /// Copy column `j` out into a `Vec`.
     pub fn col(&self, j: usize) -> Vec<T> {
         debug_assert!(j < self.cols);
@@ -364,6 +400,52 @@ mod tests {
         let a = Matrix::from_fn(2, 2, |i, j| (i + j) as f64 + 0.25);
         let b: Matrix<f32> = a.cast();
         assert_eq!(b[(1, 1)], 2.25f32);
+    }
+
+    fn rows_of(m: &Matrix<f64>) -> Vec<Vec<f64>> {
+        (0..m.rows()).map(|i| m.row(i).to_vec()).collect()
+    }
+
+    #[test]
+    fn remove_rows_keeps_survivors_in_order() {
+        let a = Matrix::from_fn(5, 3, |i, j| (10 * i + j) as f64);
+        let cases: [(&[bool], &[usize]); 4] = [
+            (&[false; 5], &[0, 1, 2, 3, 4]),
+            (&[true; 5], &[]),
+            (&[true, false, false, false, true], &[1, 2, 3]),
+            (&[false, true, false, true, false], &[0, 2, 4]),
+        ];
+        for (drop, kept) in cases {
+            let mut m = a.clone();
+            m.remove_rows(drop);
+            assert_eq!(m.shape(), (kept.len(), 3), "drop {drop:?}");
+            let want: Vec<Vec<f64>> = kept.iter().map(|&i| a.row(i).to_vec()).collect();
+            assert_eq!(rows_of(&m), want, "drop {drop:?}");
+            assert_eq!(m.as_slice().len(), kept.len() * 3);
+        }
+    }
+
+    #[test]
+    fn extend_rows_appends_in_place() {
+        let mut m = Matrix::from_fn(2, 3, |i, j| (i + j) as f64);
+        m.extend_rows(0, &[]);
+        assert_eq!(m, Matrix::from_fn(2, 3, |i, j| (i + j) as f64));
+        m.extend_rows(2, &[7.0, 8.0, 9.0, 1.0, 2.0, 3.0]);
+        assert_eq!(m.shape(), (4, 3));
+        assert_eq!(m.row(2), &[7.0, 8.0, 9.0]);
+        assert_eq!(m.row(3), &[1.0, 2.0, 3.0]);
+        let mut empty = Matrix::<f64>::zeros(0, 3);
+        empty.extend_rows(1, &[4.0, 5.0, 6.0]);
+        assert_eq!(rows_of(&empty), vec![vec![4.0, 5.0, 6.0]]);
+        let mut no_cols = Matrix::<f64>::zeros(1, 0);
+        no_cols.extend_rows(2, &[]);
+        assert_eq!(no_cols.shape(), (3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "extend_rows")]
+    fn extend_rows_rejects_a_partial_row() {
+        Matrix::<f64>::zeros(1, 3).extend_rows(1, &[1.0, 2.0]);
     }
 
     #[test]

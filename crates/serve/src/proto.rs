@@ -265,32 +265,15 @@ pub fn apply_mutation(p: &mut SelectionProblem<f64>, m: &PoolMutation) -> Result
                     p.nblocks()
                 ));
             }
-            p.pool_x = append_rows(&p.pool_x, xs);
-            p.pool_h = append_rows(&p.pool_h, hs);
+            p.append_pool_rows(xs.rows(), xs.as_slice(), hs.as_slice());
             Ok(())
         }
         PoolMutation::Remove { indices } => {
-            let drop = checked_index_set(indices, p.pool_size())?;
-            p.pool_x = filter_rows(&p.pool_x, &drop);
-            p.pool_h = filter_rows(&p.pool_h, &drop);
+            p.remove_pool_rows(&checked_index_set(indices, p.pool_size())?);
             Ok(())
         }
         PoolMutation::Label { indices } => {
-            let drop = checked_index_set(indices, p.pool_size())?;
-            let mut lx = p.labeled_x.as_slice().to_vec();
-            let mut lh = p.labeled_h.as_slice().to_vec();
-            let mut moved = 0;
-            for (i, &dropped) in drop.iter().enumerate() {
-                if dropped {
-                    lx.extend_from_slice(p.pool_x.row(i));
-                    lh.extend_from_slice(p.pool_h.row(i));
-                    moved += 1;
-                }
-            }
-            p.labeled_x = Matrix::from_vec(p.labeled_x.rows() + moved, p.labeled_x.cols(), lx);
-            p.labeled_h = Matrix::from_vec(p.labeled_h.rows() + moved, p.labeled_h.cols(), lh);
-            p.pool_x = filter_rows(&p.pool_x, &drop);
-            p.pool_h = filter_rows(&p.pool_h, &drop);
+            p.label_pool_rows(&checked_index_set(indices, p.pool_size())?);
             Ok(())
         }
     }
@@ -310,23 +293,6 @@ fn checked_index_set(indices: &[usize], n: usize) -> Result<Vec<bool>, String> {
         mask[i] = true;
     }
     Ok(mask)
-}
-
-fn append_rows(m: &Matrix<f64>, extra: &Matrix<f64>) -> Matrix<f64> {
-    let mut data = m.as_slice().to_vec();
-    data.extend_from_slice(extra.as_slice());
-    Matrix::from_vec(m.rows() + extra.rows(), m.cols(), data)
-}
-
-fn filter_rows(m: &Matrix<f64>, drop: &[bool]) -> Matrix<f64> {
-    let kept = drop.iter().filter(|&&d| !d).count();
-    let mut data = Vec::with_capacity(kept * m.cols());
-    for (i, &dropped) in drop.iter().enumerate() {
-        if !dropped {
-            data.extend_from_slice(m.row(i));
-        }
-    }
-    Matrix::from_vec(kept, m.cols(), data)
 }
 
 /// What a successful pool mutation left behind, answered to the mutating

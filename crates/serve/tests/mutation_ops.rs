@@ -8,12 +8,15 @@
 //! the serial reference computed on the shadow — i.e. the O(Δpool)
 //! streaming path is indistinguishable from re-uploading the whole pool.
 //! Deletes ride the same log, so a pool the worker holds is dropped there
-//! too.
+//! too. The last test pins that `StreamingState` edits its pool through the
+//! same row edits as `apply_mutation`.
 
 use std::time::Duration;
 
-use firal_comm::{free_rendezvous_addr, socket_launch};
-use firal_core::{select_serial, strategy_by_name, SelectionProblem};
+use firal_comm::{free_rendezvous_addr, socket_launch, SelfComm};
+use firal_core::{
+    select_serial, strategy_by_name, FiralConfig, PoolUpdate, SelectionProblem, StreamingState,
+};
 use firal_data::SyntheticConfig;
 use firal_linalg::Matrix;
 use firal_serve::proto::{self, PoolMutation, ERR_PROTOCOL, ERR_UNKNOWN_POOL};
@@ -198,4 +201,84 @@ fn deleting_a_shipped_pool_drops_it_on_every_rank() {
     for s in server.join().expect("server thread") {
         assert!(s.expect("rank summary").degraded.is_none());
     }
+}
+
+fn bits(m: &Matrix<f64>) -> Vec<u64> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// One pool-mutation path: a seeded Add / Remove / Label script, committed
+/// in batches of one to three updates through `StreamingState::commit` and
+/// replayed update by update through `apply_mutation` (each id mapped to
+/// its pool position at that point of the batch), leaves bitwise-equal pool
+/// and labeled panels after every batch.
+#[test]
+fn streaming_commits_and_serve_mutations_edit_the_pool_alike() {
+    let comm = SelfComm::new();
+    let mut shadow = problem();
+    let (d, cm1) = (shadow.dim(), shadow.nblocks());
+    let weights = vec![0.05; shadow.pool_size()];
+    let mut st = StreamingState::new(&comm, &shadow, &weights, &FiralConfig::default());
+    let mut ids = st.ids();
+    let mut next_id = ids.len() as u64;
+    // splitmix64: a seeded script without a dependency.
+    let mut state = 0x5eed_u64;
+    let mut draw = move || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let unit = |v: u64| (v >> 11) as f64 / (1u64 << 53) as f64;
+    for step in 0..40 {
+        let mut batch = Vec::new();
+        let mut mutations = Vec::new();
+        for _ in 0..1 + draw() % 3 {
+            let kind = if ids.len() <= 8 { 0 } else { draw() % 3 };
+            if kind == 0 {
+                let x: Vec<f64> = (0..d).map(|_| 2.0 * unit(draw()) - 1.0).collect();
+                let h: Vec<f64> = (0..cm1).map(|_| 0.1 + 0.3 * unit(draw())).collect();
+                mutations.push(PoolMutation::Add {
+                    xs: Matrix::from_vec(1, d, x.clone()),
+                    hs: Matrix::from_vec(1, cm1, h.clone()),
+                });
+                batch.push(PoolUpdate::Add { x, h, weight: 0.05 });
+                ids.push(next_id);
+                next_id += 1;
+            } else {
+                let pos = (draw() % ids.len() as u64) as usize;
+                let id = ids.remove(pos);
+                if kind == 1 {
+                    batch.push(PoolUpdate::Remove { id });
+                    mutations.push(PoolMutation::Remove { indices: vec![pos] });
+                } else {
+                    batch.push(PoolUpdate::Label { id });
+                    mutations.push(PoolMutation::Label { indices: vec![pos] });
+                }
+            }
+        }
+        st.commit(&comm, &batch);
+        for m in &mutations {
+            proto::apply_mutation(&mut shadow, m).unwrap();
+        }
+        let p = st.problem();
+        assert_eq!(st.ids(), ids, "step {step}: ids");
+        assert_eq!(bits(&p.pool_x), bits(&shadow.pool_x), "step {step}: pool_x");
+        assert_eq!(bits(&p.pool_h), bits(&shadow.pool_h), "step {step}: pool_h");
+        assert_eq!(
+            bits(&p.labeled_x),
+            bits(&shadow.labeled_x),
+            "step {step}: labeled_x"
+        );
+        assert_eq!(
+            bits(&p.labeled_h),
+            bits(&shadow.labeled_h),
+            "step {step}: labeled_h"
+        );
+    }
+    assert!(
+        shadow.labeled_x.rows() > problem().labeled_x.rows(),
+        "the script labeled nothing"
+    );
 }

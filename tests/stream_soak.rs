@@ -20,7 +20,7 @@
 //! 2. after the final refactor the state is **bitwise equal to a
 //!    from-scratch rebuild** of the same registry (`Σ⋄` and `B(H_o)`
 //!    compared block-by-block against a fresh `StreamingState` built from
-//!    the materialized pool), and `factor_drift` is at rounding level;
+//!    its pool), and `factor_drift` is at rounding level;
 //! 3. interleaved selections agree across ranks (the parent diffs the
 //!    per-rank markers), and all 4 ranks exit 0 with no stragglers.
 
@@ -171,20 +171,10 @@ fn child_main() -> i32 {
     // Refactor, then rebuild the identical registry from scratch through
     // the public construction path: Σ⋄ and B(H_o) must be bitwise equal.
     st.refactor(&comm);
-    let full = st.materialize_shard(0, 1);
-    let rebuilt_problem = SelectionProblem::new(
-        full.local_x.clone(),
-        full.local_h.clone(),
-        full.labeled_x.clone(),
-        full.labeled_h.clone(),
-        3,
-    );
+    let rebuilt_problem = st.problem().clone();
     let rebuilt_weights: Vec<f64> = shadow.iter().map(|&(_, w)| w).collect();
     let fresh = StreamingState::new(&comm, &rebuilt_problem, &rebuilt_weights, &cfg);
-    let (mine, theirs) = (
-        st.round_state(comm.rank(), comm.size()),
-        fresh.round_state(comm.rank(), comm.size()),
-    );
+    let (mine, theirs) = (st.round_state(), fresh.round_state());
     for k in 0..2 {
         if mine.sigma().block(k).as_slice() != theirs.sigma().block(k).as_slice() {
             eprintln!(
