@@ -78,15 +78,6 @@ pub struct FiralConfig<T: Scalar> {
     pub relax: RelaxConfig<T>,
     /// ROUND-step controls.
     pub round: RoundConfig<T>,
-    /// Streaming refactor cadence: every `refactor_interval` committed
-    /// update batches, `firal_core::stream::StreamingState` discards its
-    /// incrementally maintained round state and rebuilds it from scratch
-    /// (`Executor::build_round_state`), bounding the floating-point drift
-    /// the rank-one Cholesky up/downdates accumulate between boundaries.
-    /// At the boundary the streaming state is **bitwise equal** to the
-    /// from-scratch build. `0` (the default) means a sensible cadence of
-    /// 64 batches; usize::MAX disables refactoring (drift tests only).
-    pub refactor_interval: usize,
 }
 
 #[cfg(test)]

@@ -180,10 +180,10 @@ pub struct RoundRun<T> {
 /// [`Whitening`]'s.
 ///
 /// [`crate::stream::StreamingState`] keeps one of these **persistent** and
-/// advances it under point add/remove/label mutations (rank-one Cholesky
-/// up/downdates plus a delta-Allreduce of changed partial sums) instead of
-/// rebuilding it per round. See ARCHITECTURE.md § "Streaming round state"
-/// for the ownership and invalidation rules.
+/// advances it under point add/remove/label mutations (rank-one updates of
+/// the blocks and rank-one Cholesky up/downdates, local on every rank)
+/// instead of rebuilding it per round. See ARCHITECTURE.md § "Streaming
+/// round state" for the ownership and invalidation rules.
 #[derive(Debug, Clone)]
 pub struct RoundState<T: Scalar> {
     pub(crate) bho: BlockDiag<T>,
@@ -207,6 +207,15 @@ impl<T: Scalar> RoundState<T> {
     pub fn sigma_chol(&self) -> &[Cholesky<T>] {
         &self.sigma_chol
     }
+}
+
+/// Factor one `(Σ⋄)_k`, with a `1e-8` ridge if the block is only
+/// semidefinite: the build below and the streaming downdate fallback
+/// factor a block this one way.
+pub(crate) fn factor_sigma_block<T: Scalar>(blk: &Matrix<T>) -> Cholesky<T> {
+    Cholesky::new(blk)
+        .or_else(|_| Cholesky::new_with_ridge(blk, T::from_f64(1e-8)))
+        .expect("Σ⋄ blocks must be SPD")
 }
 
 /// One rank's execution context: communicator endpoint + shard geometry +
@@ -535,14 +544,7 @@ impl<'a, T: CommScalar> Executor<'a, T> {
 
         // Cholesky of each (Σ⋄)_k — reused for every generalized eigensolve.
         let sigma_chol: Vec<Cholesky<T>> = timer.time("other", || {
-            sigma
-                .blocks()
-                .iter()
-                .map(|blk| {
-                    Cholesky::new(blk).or_else(|_| Cholesky::new_with_ridge(blk, T::from_f64(1e-8)))
-                })
-                .collect::<firal_linalg::Result<Vec<_>>>()
-                .expect("Σ⋄ blocks must be SPD")
+            sigma.blocks().iter().map(factor_sigma_block).collect()
         });
 
         RoundState {

@@ -37,9 +37,9 @@
 //! * [`driver`] — the §IV-A multi-round active-learning loop;
 //! * [`stream`] — **streaming round state**: a persistent, pool-versioned
 //!   [`exec::RoundState`] advanced incrementally under point
-//!   add/remove/label mutations (rank-one Cholesky up/downdates + a
-//!   delta-Allreduce of changed partial sums) instead of rebuilt per
-//!   round — see ARCHITECTURE.md § "Streaming round state" for ownership,
+//!   add/remove/label mutations (rank-one block updates and Cholesky
+//!   up/downdates, local on every rank) instead of rebuilt per round —
+//!   see ARCHITECTURE.md § "Streaming round state" for ownership,
 //!   invalidation, and the drift/refactor contract;
 //! * [`timing`] — the phase timers behind the Figs. 5–7 breakdowns.
 //!

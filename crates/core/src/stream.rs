@@ -6,21 +6,19 @@
 //! when the pool changed by a handful of points. [`StreamingState`] closes
 //! that gap (ROADMAP item 6): it owns a **persistent** [`RoundState`]
 //! keyed by a pool version and advances it under [`PoolUpdate`] batches in
-//! `O(Δpool)`:
+//! `O(Δpool)`, one update at a time, in batch order:
 //!
-//! - the dense `Σ⋄` block diagonal advances by a **delta-Allreduce** of
-//!   changed partial sums ([`firal_solvers::delta_allreduce_blocks`], the
-//!   streaming counterpart of the
-//!   [`AllreduceOperator`](firal_solvers::AllreduceOperator) full-sum
-//!   seam): each rank contributes the delta blocks of the batch entries it
-//!   owns, and only globally changed blocks travel;
-//! - the per-block Cholesky factors advance by rank-one
-//!   [`Cholesky::update`]/[`Cholesky::downdate`] sweeps applied by every
-//!   rank in canonical batch order. A downdate that destroys positive
-//!   definiteness triggers the documented **ridge-refactor fallback**: the
-//!   block is refactored from the current dense `Σ⋄` with a `1e-8` ridge;
-//! - a `Label` folds the point's Fisher term into `B(H_o)` by a replicated
-//!   rank-one update and moves its row to the labeled panels.
+//! - the update's row edit: an `Add` appends its row, a `Label` appends the
+//!   row to the labeled panels; the rows a `Remove` or `Label` drops leave
+//!   the pool in one compaction at the end of the batch;
+//! - its rank-one term joins the dense `Σ⋄` block diagonal (a `Label`'s
+//!   Fisher term also joins `B(H_o)`);
+//! - each block's Cholesky factor advances by a rank-one
+//!   [`Cholesky::update`]/[`Cholesky::downdate`]. A downdate that destroys
+//!   positive definiteness takes the documented **fallback**: the block is
+//!   refactored from `Σ⋄` as it stands after this update, the way the
+//!   from-scratch build factors a block (a `1e-8` ridge if it is only
+//!   semidefinite).
 //!
 //! # State ownership and replication
 //!
@@ -33,42 +31,39 @@
 //! strictly increasing and a lookup is a binary search. No Fisher row is
 //! cached: an update's `g_ik = h_ik(1−h_ik)` is formed from its pool row
 //! when the update is applied, and a selection's `g_ik` panel is the
-//! [`Whitening`](crate::round::Whitening)'s. Compute stays sharded:
-//! selections take the contiguous [`ShardedProblem::shard`] of the live
-//! pool and the delta partial sums partition each update batch round-robin
-//! by batch index. Because the registry is replicated, `Remove`/`Label`
-//! mutations move no data between ranks.
+//! [`Whitening`](crate::round::Whitening)'s. Because every rank holds the
+//! whole registry and the whole batch, a commit is local arithmetic and
+//! moves no data between ranks. The only streaming collectives are
+//! `select` (ROUND on the contiguous [`ShardedProblem::shard`] of the live
+//! pool) and the rebuild at the refactor boundary.
 //!
 //! # Determinism contract
 //!
-//! `commit` is **collective**: every rank must call it with the identical
-//! update batch (the serve layer guarantees this by shipping mutations in
-//! rank-0-ordered round frames; tests pass identical literal batches).
-//! Under that contract, for a fixed rank count the advanced state is
-//! bitwise identical across ranks, backends (thread vs. socket), and
-//! kernel thread counts: the delta-Allreduce inherits the rank-ordered
-//! deterministic reduction, and the factor sweeps are sequential canonical
-//! order on every rank. Across *different* rank counts the usual shard
-//! convention applies: selections agree while partial-sum bits may differ
-//! at shard boundaries (`tests/parallel_consistency.rs` pins the row).
+//! Every rank must call `commit` with the identical update batch (the
+//! serve layer guarantees this by shipping mutations in rank-0-ordered
+//! round frames; tests pass identical literal batches). Under that
+//! contract the advanced state is bitwise identical across ranks, backends
+//! (thread vs. socket), and kernel thread counts: every rank runs the same
+//! sequential arithmetic in batch order. Across *different* rank counts
+//! the usual shard convention applies to the builds: selections agree
+//! while partial-sum bits may differ at shard boundaries
+//! (`tests/parallel_consistency.rs` pins the row).
 //!
 //! # Drift and the refactor boundary
 //!
 //! Incremental factors drift from `chol(Σ⋄)` by accumulated rounding.
-//! Every [`FiralConfig::refactor_interval`] commits the state is rebuilt
-//! from scratch through the exact same code one-shot callers use
-//! ([`Executor::build_round_state`]), so at a refactor boundary the
-//! streaming state is **bitwise equal to a from-scratch rebuild** by
-//! construction — `tests/stream_soak.rs` asserts it over a 4-process mesh
-//! and the drift test in this module bounds the divergence between
-//! boundaries.
+//! Every 64th commit rebuilds the state from scratch through the exact
+//! same code one-shot callers use ([`Executor::build_round_state`], one
+//! Allreduce), so at a refactor boundary the streaming state is **bitwise
+//! equal to a from-scratch rebuild** by construction —
+//! `tests/stream_soak.rs` asserts it over a 4-process mesh and the drift
+//! test in this module bounds the divergence between boundaries.
 
 use firal_comm::{shard_range, CommScalar, Communicator};
-use firal_linalg::{BlockDiag, Cholesky, Scalar};
-use firal_solvers::delta_allreduce_blocks;
+use firal_linalg::{Cholesky, Scalar};
 
 use crate::config::FiralConfig;
-use crate::exec::{Executor, RoundRun, RoundState, ShardedProblem};
+use crate::exec::{factor_sigma_block, Executor, RoundRun, RoundState, ShardedProblem};
 use crate::hessian::fisher_g;
 use crate::problem::SelectionProblem;
 
@@ -83,10 +78,8 @@ pub enum EigSolver {
     Exact,
 }
 
-/// Default refactor cadence when `FiralConfig::refactor_interval == 0`.
-const DEFAULT_REFACTOR_INTERVAL: usize = 64;
-/// Ridge used by the downdate-failure refactor fallback.
-const FALLBACK_RIDGE: f64 = 1e-8;
+/// Commits between two from-scratch rebuilds of the state.
+const REFACTOR_INTERVAL: usize = 64;
 
 /// One pool mutation. Batches of these advance a [`StreamingState`]
 /// through [`StreamingState::commit`].
@@ -126,14 +119,9 @@ pub struct StreamCommit {
     /// scratch, drift reset to zero).
     pub refactored: bool,
     /// Downdates that destroyed positive definiteness and fell back to a
-    /// ridge refactor of their block.
+    /// refactor of their block.
     pub downdate_fallbacks: usize,
 }
-
-/// One update's `Σ⋄` term: the point's features, its Fisher row `g_k`, and
-/// the signed weight its rank-one term carries (`+w` add, `−w` remove,
-/// `1−w` label).
-type Term<T> = (Vec<T>, Vec<T>, T);
 
 /// Persistent streaming round state (see the module docs for the full
 /// ownership/determinism/drift contract).
@@ -149,7 +137,6 @@ pub struct StreamingState<T: CommScalar> {
     version: u64,
     next_id: u64,
     commits_since_refactor: usize,
-    refactor_interval: usize,
 }
 
 impl<T: CommScalar> StreamingState<T> {
@@ -157,11 +144,15 @@ impl<T: CommScalar> StreamingState<T> {
     /// weights (one per pool row, e.g. `RelaxRun::z_diamond`). The pool
     /// rows get the ids `0..n`. Collective: the initial state is built
     /// through [`Executor::build_round_state`] on every rank.
+    ///
+    /// `config` is not read: the argument stays only because the repo
+    /// benchmark's `stream_churn` workload passes it, like
+    /// [`EigSolver`], and goes when that file next changes.
     pub fn new(
         comm: &dyn Communicator,
         problem: &SelectionProblem<T>,
         weights: &[T],
-        config: &FiralConfig<T>,
+        _config: &FiralConfig<T>,
     ) -> Self {
         assert_eq!(
             weights.len(),
@@ -177,10 +168,6 @@ impl<T: CommScalar> StreamingState<T> {
             version: 0,
             next_id: n,
             commits_since_refactor: 0,
-            refactor_interval: match config.refactor_interval {
-                0 => DEFAULT_REFACTOR_INTERVAL,
-                k => k,
-            },
         }
     }
 
@@ -210,70 +197,26 @@ impl<T: CommScalar> StreamingState<T> {
         &self.state
     }
 
-    /// Apply one update batch — collective; every rank must pass the
-    /// identical batch (see the module determinism contract). The updates
-    /// apply in order, so an update may name a point an earlier `Add` of
-    /// the same batch created. Returns the commit summary, including
-    /// whether this commit hit the refactor boundary.
+    /// Apply one update batch. Every rank must pass the identical batch
+    /// (see the module determinism contract); the commit is local and
+    /// issues no collective, except the rebuild on every 64th commit. The
+    /// updates apply in order, so an update may name a point an earlier
+    /// `Add` of the same batch created. Returns the commit summary,
+    /// including whether this commit hit the refactor boundary.
     pub fn commit(&mut self, comm: &dyn Communicator, updates: &[PoolUpdate<T>]) -> StreamCommit {
-        let cm1 = self.problem.nblocks();
-        let (size, rank) = (comm.size(), comm.rank());
-
-        // Pass 1 — apply each update's row edit in order and record its Σ⋄
-        // term; this rank sums the delta partial sums of the batch entries
-        // with index ≡ rank (mod size).
-        let mut delta = BlockDiag::<T>::zeros(cm1, self.problem.dim());
-        let mut changed = vec![false; cm1];
-        let mut terms: Vec<Term<T>> = Vec::with_capacity(updates.len());
-        for (u, upd) in updates.iter().enumerate() {
-            let (x, g, coeff) = self.apply(upd);
-            if u % size == rank {
-                let gammas: Vec<T> = g.iter().map(|&gk| coeff * gk).collect();
-                delta.rank_one_update(&gammas, &x);
-            }
-            for (k, &gk) in g.iter().enumerate() {
-                changed[k] |= coeff * gk != T::ZERO;
-            }
-            terms.push((x, g, coeff));
-        }
-
-        // Pass 2 — ship only the changed partial sums (the streaming
-        // Allreduce seam) and fold them into the replicated Σ⋄.
-        delta_allreduce_blocks(comm, &mut delta, &mut changed);
-        let state = &mut self.state;
-        for k in (0..cm1).filter(|&k| changed[k]) {
-            state.sigma.block_mut(k).add_scaled(T::ONE, delta.block(k));
-        }
-
-        // Pass 3 — advance the Cholesky factors by the recorded terms'
-        // rank-one sweeps (every rank, identical order).
-        let mut fallbacks = 0usize;
-        for (x, g, coeff) in &terms {
-            let magnitude = coeff.abs();
-            for k in 0..cm1 {
-                let scale = (magnitude * g[k]).sqrt();
-                if scale == T::ZERO {
-                    continue;
-                }
-                let v: Vec<T> = x.iter().map(|&xi| scale * xi).collect();
-                if *coeff > T::ZERO {
-                    state.sigma_chol[k].update(&v);
-                } else if state.sigma_chol[k].downdate(&v).is_err() {
-                    // Documented fallback: the downdate destroyed positive
-                    // definiteness, so refactor this block from the fully
-                    // updated dense Σ⋄ with a ridge instead of trusting the
-                    // poisoned factor.
-                    fallbacks += 1;
-                    state.sigma_chol[k] =
-                        Cholesky::new_with_ridge(state.sigma.block(k), T::from_f64(FALLBACK_RIDGE))
-                            .expect("ridge refactor of a Σ⋄ block");
-                }
-            }
-        }
+        let mut dropped = vec![false; self.live()];
+        let downdate_fallbacks = updates
+            .iter()
+            .map(|upd| self.apply(upd, &mut dropped))
+            .sum();
+        // One compaction for every row the batch removed or labeled.
+        self.problem.remove_pool_rows(&dropped);
+        retain_kept(&mut self.ids, &dropped);
+        retain_kept(&mut self.weights, &dropped);
 
         self.version += 1;
         self.commits_since_refactor += 1;
-        let refactored = self.commits_since_refactor >= self.refactor_interval;
+        let refactored = self.commits_since_refactor >= REFACTOR_INTERVAL;
         if refactored {
             self.rebuild(comm);
         }
@@ -281,7 +224,7 @@ impl<T: CommScalar> StreamingState<T> {
             version: self.version,
             applied: updates.len(),
             refactored,
-            downdate_fallbacks: fallbacks,
+            downdate_fallbacks,
         }
     }
 
@@ -362,12 +305,15 @@ impl<T: CommScalar> StreamingState<T> {
         worst
     }
 
-    /// Apply one update's row edit to the registry and return its `Σ⋄`
-    /// term. A `Label` also folds the point's Fisher term into `B(H_o)`:
-    /// replicated rank-one on every rank, canonical order, no
-    /// communication.
-    fn apply(&mut self, upd: &PoolUpdate<T>) -> Term<T> {
-        match upd {
+    /// Apply one update: its row edit (a dropped row is only marked in
+    /// `dropped`; `commit` compacts the pool once per batch), its rank-one
+    /// term on `Σ⋄` (and on `B(H_o)` for a `Label`), and its rank-one sweep
+    /// of each block's factor. Returns the downdates that fell back to a
+    /// refactor.
+    fn apply(&mut self, upd: &PoolUpdate<T>, dropped: &mut Vec<bool>) -> usize {
+        // The row the update adds or drops, and the signed weight its
+        // rank-one term carries: `+w` add, `−w` remove, `1−w` label.
+        let (row, coeff) = match upd {
             PoolUpdate::Add { x, h, weight } => {
                 assert_eq!(x.len(), self.problem.dim(), "Add: feature dim mismatch");
                 assert_eq!(
@@ -378,40 +324,62 @@ impl<T: CommScalar> StreamingState<T> {
                 self.problem.append_pool_rows(1, x, h);
                 self.ids.push(self.next_id);
                 self.weights.push(*weight);
+                dropped.push(false);
                 self.next_id += 1;
-                (
-                    x.clone(),
-                    h.iter().map(|&hk| fisher_g(hk)).collect(),
-                    *weight,
-                )
+                (self.ids.len() - 1, *weight)
             }
             PoolUpdate::Remove { id } | PoolUpdate::Label { id } => {
-                let pos = self
+                let row = self
                     .ids
                     .binary_search(id)
-                    .unwrap_or_else(|_| panic!("unknown or dead pool point id {id}"));
-                let x = self.problem.pool_x.row(pos).to_vec();
-                let g: Vec<T> = self
-                    .problem
-                    .pool_h
-                    .row(pos)
-                    .iter()
-                    .map(|&hk| fisher_g(hk))
-                    .collect();
-                let w = self.weights.remove(pos);
-                self.ids.remove(pos);
-                let mut mask = vec![false; self.live()];
-                mask[pos] = true;
-                if let PoolUpdate::Label { .. } = upd {
-                    self.state.bho.rank_one_update(&g, &x);
-                    self.problem.label_pool_rows(&mask);
-                    (x, g, T::ONE - w)
+                    .ok()
+                    .filter(|&row| !dropped[row])
+                    .unwrap_or_else(|| panic!("unknown or dead pool point id {id}"));
+                dropped[row] = true;
+                // The point's weight in Σ⋄ after the update: 1 in H_o for
+                // a Label, 0 for a Remove.
+                let after = if matches!(upd, PoolUpdate::Label { .. }) {
+                    T::ONE
                 } else {
-                    self.problem.remove_pool_rows(&mask);
-                    (x, g, T::ZERO - w)
-                }
+                    T::ZERO
+                };
+                (row, after - self.weights[row])
+            }
+        };
+
+        let (problem, state) = (&mut self.problem, &mut self.state);
+        let x = problem.pool_x.row(row);
+        let g: Vec<T> = problem
+            .pool_h
+            .row(row)
+            .iter()
+            .map(|&hk| fisher_g(hk))
+            .collect();
+        if let PoolUpdate::Label { .. } = upd {
+            problem.labeled_x.extend_rows(1, x);
+            problem.labeled_h.extend_rows(1, problem.pool_h.row(row));
+            state.bho.rank_one_update(&g, x);
+        }
+        let gammas: Vec<T> = g.iter().map(|&gk| coeff * gk).collect();
+        state.sigma.rank_one_update(&gammas, x);
+
+        let mut fallbacks = 0;
+        for (k, &gamma) in gammas.iter().enumerate() {
+            let scale = gamma.abs().sqrt();
+            if scale == T::ZERO {
+                continue;
+            }
+            let v: Vec<T> = x.iter().map(|&xi| scale * xi).collect();
+            if coeff > T::ZERO {
+                state.sigma_chol[k].update(&v);
+            } else if state.sigma_chol[k].downdate(&v).is_err() {
+                // The downdate destroyed positive definiteness: refactor
+                // this block from Σ⋄ as it stands after this update.
+                fallbacks += 1;
+                state.sigma_chol[k] = factor_sigma_block(state.sigma.block(k));
             }
         }
+        fallbacks
     }
 
     /// From-scratch rebuild through the exact one-shot build path
@@ -420,6 +388,12 @@ impl<T: CommScalar> StreamingState<T> {
         self.state = build_state(comm, &self.problem, &self.weights);
         self.commits_since_refactor = 0;
     }
+}
+
+/// Keep the entries of `v` whose `dropped` flag is clear, in order.
+fn retain_kept<V>(v: &mut Vec<V>, dropped: &[bool]) {
+    let mut flags = dropped.iter();
+    v.retain(|_| !flags.next().expect("one flag per entry"));
 }
 
 /// Run [`Executor::build_round_state`] on this rank's shard of `problem`
@@ -438,8 +412,8 @@ fn build_state<T: CommScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RelaxConfig;
-    use firal_comm::SelfComm;
+    use firal_comm::{launch, SelfComm};
+    use firal_linalg::Matrix;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn tiny(seed: u64, n: usize, d: usize, c: usize) -> (SelectionProblem<f64>, Vec<f64>) {
@@ -447,14 +421,6 @@ mod tests {
         // Plausible z⋄-style weights: positive, O(b/n)-scaled.
         let weights: Vec<f64> = (0..n).map(|i| 0.05 + 0.01 * (i % 7) as f64).collect();
         (problem, weights)
-    }
-
-    fn cfg_interval(k: usize) -> FiralConfig<f64> {
-        FiralConfig {
-            relax: RelaxConfig::default(),
-            refactor_interval: k,
-            ..Default::default()
-        }
     }
 
     fn random_update(
@@ -485,18 +451,18 @@ mod tests {
     }
 
     /// The incremental state must track the from-scratch rebuild closely
-    /// between refactor boundaries (interval high enough never to trigger),
+    /// between refactor boundaries (40 commits stay short of the 64th),
     /// and snap to it bitwise at a forced refactor.
     #[test]
     fn drift_is_bounded_and_refactor_snaps_bitwise() {
         let comm = SelfComm::new();
         let (problem, weights) = tiny(3, 24, 4, 3);
-        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg_interval(usize::MAX));
+        let mut st = StreamingState::new(&comm, &problem, &weights, &FiralConfig::default());
         let mut rng = StdRng::seed_from_u64(77);
         for round in 0..40 {
             let batch: Vec<_> = (0..3).map(|_| random_update(&mut rng, &st, 4, 2)).collect();
             let commit = st.commit(&comm, &batch);
-            assert!(!commit.refactored, "interval MAX must never refactor");
+            assert!(!commit.refactored, "40 commits must not reach the boundary");
             assert_eq!(commit.version, round + 1);
         }
         let drift = st.factor_drift();
@@ -533,7 +499,7 @@ mod tests {
     fn add_then_remove_round_trips() {
         let comm = SelfComm::new();
         let (problem, weights) = tiny(5, 16, 3, 3);
-        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg_interval(usize::MAX));
+        let mut st = StreamingState::new(&comm, &problem, &weights, &FiralConfig::default());
         let before = st.fingerprint();
         let live0 = st.live();
         st.commit(
@@ -564,7 +530,7 @@ mod tests {
     fn an_update_can_name_a_point_added_earlier_in_the_batch() {
         let comm = SelfComm::new();
         let (problem, weights) = tiny(5, 16, 3, 3);
-        let cfg = cfg_interval(usize::MAX);
+        let cfg = FiralConfig::default();
         let mut st = StreamingState::new(&comm, &problem, &weights, &cfg);
         let add = |x: Vec<f64>| PoolUpdate::Add {
             x,
@@ -614,7 +580,7 @@ mod tests {
     fn label_moves_mass_into_bho() {
         let comm = SelfComm::new();
         let (problem, weights) = tiny(7, 16, 3, 3);
-        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg_interval(usize::MAX));
+        let mut st = StreamingState::new(&comm, &problem, &weights, &FiralConfig::default());
         let labeled0 = st.labeled();
         let bho_before = st.state.bho.block(0).trace();
         let id = st.ids()[4];
@@ -634,7 +600,7 @@ mod tests {
     fn streaming_select_matches_one_shot_round_after_refactor() {
         let comm = SelfComm::new();
         let (problem, weights) = tiny(11, 30, 4, 3);
-        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg_interval(usize::MAX));
+        let mut st = StreamingState::new(&comm, &problem, &weights, &FiralConfig::default());
         // Mutate: drop two points, add one.
         let ids = st.ids();
         st.commit(
@@ -665,24 +631,99 @@ mod tests {
     #[test]
     fn downdate_failure_takes_the_ridge_fallback() {
         let comm = SelfComm::new();
-        let (problem, _) = tiny(13, 12, 3, 3);
-        // Huge weights make removal catastrophic for the factor.
+        let (mut problem, _) = tiny(13, 12, 3, 3);
+        // Every row lies in the (x₀, x₁) plane except pool row 4, which alone
+        // carries x₂ (with h = 1/2 and weight 1, so its entries in both
+        // blocks are exact): removing it leaves both blocks singular.
+        for m in [&mut problem.pool_x, &mut problem.labeled_x] {
+            for i in 0..m.rows() {
+                m[(i, 2)] = 0.0;
+            }
+        }
+        problem.pool_x.row_mut(4).copy_from_slice(&[0.0, 0.0, 1.0]);
+        problem.pool_h.row_mut(4).copy_from_slice(&[0.5, 0.5]);
         let weights = vec![1.0; 12];
-        let cfg = cfg_interval(usize::MAX);
-        let mut st = StreamingState::new(&comm, &problem, &weights, &cfg);
-        // Remove many heavy points in one batch; at least one downdate is
-        // likely to trip. Whether or not it does, the state must stay
-        // finite and consistent.
+        let mut st = StreamingState::new(&comm, &problem, &weights, &FiralConfig::default());
         let ids = st.ids();
         let batch: Vec<_> = ids[..9]
             .iter()
             .map(|&id| PoolUpdate::Remove { id })
             .collect();
         let commit = st.commit(&comm, &batch);
+        assert_eq!(commit.downdate_fallbacks, 2, "one fallback per block");
         assert_eq!(st.live(), 3);
         assert!(st.factor_drift() < 1e-6, "drift {}", st.factor_drift());
-        // The summary reports the fallbacks it took (possibly zero on this
-        // data, but the path is exercised by the linalg error test too).
-        let _ = commit.downdate_fallbacks;
+    }
+
+    /// The fallback refactors from Σ⋄ as it stands after the failing
+    /// update, so a later update of the same batch enters the factor once:
+    /// `Remove` empties the x₁ direction (the downdate fails), the `Add`
+    /// restores it, and `LLᵀ` ends as `Σ⋄ + 1e-8·I`, the ridge and nothing
+    /// else. Refactoring from the batch's final Σ⋄ and then applying the
+    /// `Add` again would leave `LLᵀ = diag(1/4, 1/2)` against
+    /// `Σ⋄ = diag(1/4, 1/4)`, a drift of 0.7071.
+    #[test]
+    fn the_ridge_fallback_does_not_double_count_later_updates() {
+        let comm = SelfComm::new();
+        let row = |v: &[f64]| Matrix::from_vec(1, v.len(), v.to_vec());
+        let problem = SelectionProblem::new(
+            row(&[0.0, 1.0]),
+            row(&[0.5]),
+            row(&[1.0, 0.0]),
+            row(&[0.5]),
+            2,
+        );
+        let mut st = StreamingState::new(&comm, &problem, &[1.0], &FiralConfig::default());
+        let commit = st.commit(
+            &comm,
+            &[
+                PoolUpdate::Remove { id: 0 },
+                PoolUpdate::Add {
+                    x: vec![0.0, 1.0],
+                    h: vec![0.5],
+                    weight: 1.0,
+                },
+            ],
+        );
+        assert_eq!(commit.downdate_fallbacks, 1);
+        let drift = st.factor_drift();
+        assert!(drift < 1e-7, "drift {drift}");
+        let l = st.state.sigma_chol[0].l();
+        let llt = firal_linalg::gemm_a_bt(l, l);
+        let sigma = st.state.sigma.block(0);
+        assert_eq!(sigma.as_slice(), &[0.25, 0.0, 0.0, 0.25]);
+        for i in 0..2 {
+            for j in 0..2 {
+                let ridge = if i == j { 1e-8 } else { 0.0 };
+                let excess = llt[(i, j)] - sigma[(i, j)] - ridge;
+                assert!(excess.abs() < 1e-15, "LLᵀ − Σ⋄ at ({i},{j}): {excess}");
+            }
+        }
+    }
+
+    /// Every rank holds the whole registry and the whole batch, so a commit
+    /// short of the refactor boundary issues no collective at all.
+    #[test]
+    fn a_commit_off_the_boundary_issues_no_collective() {
+        let (problem, weights) = tiny(5, 16, 3, 3);
+        let calls = launch(2, |comm| {
+            let mut st = StreamingState::new(comm, &problem, &weights, &FiralConfig::default());
+            let before = comm.stats().total_calls();
+            let commit = st.commit(
+                comm,
+                &[
+                    PoolUpdate::Add {
+                        x: vec![0.4, -0.2, 0.9],
+                        h: vec![0.3, 0.25],
+                        weight: 0.125,
+                    },
+                    PoolUpdate::Label { id: 3 },
+                    PoolUpdate::Remove { id: 7 },
+                ],
+            );
+            assert!(!commit.refactored);
+            comm.stats().total_calls() - before
+        });
+        assert_eq!(calls, vec![0, 0]);
     }
 }

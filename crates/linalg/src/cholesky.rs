@@ -86,11 +86,10 @@ impl<T: Scalar> Cholesky<T> {
     /// [`LinalgError::NotPositiveDefinite`] when the downdate destroys
     /// positive definiteness (the subtracted matrix is only guaranteed
     /// semidefinite); **on error the factor is left partially mutated and
-    /// must not be reused** — callers recover by refactoring from scratch,
-    /// conventionally via [`Cholesky::new_with_ridge`] on the downdated
-    /// matrix (the documented ridge-refactor fallback used by
-    /// `firal_core::stream`). Same sequential determinism contract as
-    /// [`Cholesky::update`].
+    /// must not be reused** — callers recover by refactoring the downdated
+    /// matrix from scratch (`firal_core::stream` takes [`Cholesky::new`],
+    /// or [`Cholesky::new_with_ridge`] if the matrix is only semidefinite).
+    /// Same sequential determinism contract as [`Cholesky::update`].
     pub fn downdate(&mut self, x: &[T]) -> Result<()> {
         let n = self.order();
         assert_eq!(x.len(), n, "Cholesky::downdate dimension mismatch");

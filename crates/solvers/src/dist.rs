@@ -47,58 +47,6 @@ pub fn allreduce_block_diag<T: CommScalar>(comm: &dyn Communicator, bd: &mut Blo
     }
 }
 
-/// Delta-Allreduce of block-diagonal partial sums: the **streaming**
-/// counterpart of the [`AllreduceOperator`] full-sum seam. Where the full
-/// seam reduces every block of a §III-C partial sum on every call, this one
-/// ships only the blocks some rank actually changed since the last sync.
-///
-/// Protocol (collective — every rank must call with the same block
-/// geometry): first the per-block changed flags are agreed with one small
-/// Max-Allreduce, then the union of flagged blocks is packed in ascending
-/// block order and Sum-Allreduced in a single payload. On return `deltas`
-/// holds the **reduced** delta for every globally flagged block (unflagged
-/// blocks are untouched) and `changed` holds the global flag union.
-///
-/// Determinism: the flag union is order-insensitive (Max over {0,1}) and
-/// the payload reduction inherits the backend's rank-ordered deterministic
-/// Sum, so for a fixed rank count the reduced deltas are bitwise identical
-/// across backends, threads, and repeated runs; block packing order is
-/// ascending block index on every rank by construction.
-pub fn delta_allreduce_blocks<T: CommScalar>(
-    comm: &dyn Communicator,
-    deltas: &mut BlockDiag<T>,
-    changed: &mut [bool],
-) {
-    let cm1 = deltas.nblocks();
-    assert_eq!(changed.len(), cm1, "changed mask / block count mismatch");
-    let d = deltas.dim();
-
-    // Agree on the union of changed blocks.
-    let mut flags: Vec<f64> = changed.iter().map(|&c| if c { 1.0 } else { 0.0 }).collect();
-    comm.allreduce_f64(&mut flags, ReduceOp::Max);
-    for (c, f) in changed.iter_mut().zip(flags.iter()) {
-        *c = *f > 0.5;
-    }
-
-    // Pack only the flagged blocks (ascending block order) and reduce them
-    // in one payload.
-    let flagged: Vec<usize> = (0..cm1).filter(|&k| changed[k]).collect();
-    if flagged.is_empty() {
-        return;
-    }
-    let mut flat: Vec<T> = Vec::with_capacity(flagged.len() * d * d);
-    for &k in &flagged {
-        flat.extend_from_slice(deltas.block(k).as_slice());
-    }
-    T::allreduce(comm, &mut flat, ReduceOp::Sum);
-    for (slot, &k) in flagged.iter().enumerate() {
-        deltas
-            .block_mut(k)
-            .as_mut_slice()
-            .copy_from_slice(&flat[slot * d * d..(slot + 1) * d * d]);
-    }
-}
-
 /// `A = allreduce(A_local) + A_replicated`: a distributed operator whose
 /// matvec performs the §III-C partial-sum Allreduce.
 ///
@@ -212,41 +160,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn delta_allreduce_ships_only_flagged_blocks() {
-        use firal_linalg::BlockDiag;
-        let results = launch(3, |comm| {
-            let mut bd = BlockDiag::<f64>::zeros(4, 2);
-            let mut changed = [false; 4];
-            // Rank r changed block r only; block 3 is touched by nobody.
-            let r = comm.rank();
-            changed[r] = true;
-            bd.block_mut(r).add_diag((r + 1) as f64);
-            super::delta_allreduce_blocks(comm, &mut bd, &mut changed);
-            (bd, changed)
-        });
-        for (bd, changed) in &results {
-            assert_eq!(changed, &[true, true, true, false]);
-            for k in 0..3 {
-                for i in 0..2 {
-                    assert_eq!(bd.block(k)[(i, i)], (k + 1) as f64, "block {k}");
-                }
-            }
-            // The unflagged block was never shipped nor written.
-            assert_eq!(bd.block(3).max_abs(), 0.0);
-        }
-    }
-
-    #[test]
-    fn delta_allreduce_with_no_changes_is_a_cheap_no_op() {
-        let comm = SelfComm::new();
-        let mut bd = firal_linalg::BlockDiag::<f64>::zeros(2, 3);
-        let mut changed = [false; 2];
-        super::delta_allreduce_blocks(&comm, &mut bd, &mut changed);
-        assert_eq!(changed, [false, false]);
-        assert_eq!(bd.block(0).max_abs(), 0.0);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod op;
 
 pub use bisection::{bisect, solve_nu};
 pub use cg::{cg_solve, cg_solve_panel, CgConfig, CgTelemetry};
-pub use dist::{allreduce_block_diag, delta_allreduce_blocks, AllreduceOperator};
+pub use dist::{allreduce_block_diag, AllreduceOperator};
 pub use hutchinson::rademacher_panel;
 pub use lbfgs::{lbfgs_minimize, LbfgsConfig, LbfgsResult, LbfgsStatus};
 pub use op::{DenseOperator, IdentityPreconditioner, LinearOperator, PanelScratch, Preconditioner};

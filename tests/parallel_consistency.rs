@@ -495,8 +495,8 @@ fn eta_sweep_matches_independent_rounds_f32() {
 }
 
 /// The streaming-state consistency row: one fixed update sequence committed
-/// through [`StreamingState`] (including a refactor boundary — interval 3
-/// over 3 batches) must leave every rank of every backend with the
+/// through [`StreamingState`] (64 batches, so the last one crosses the
+/// refactor boundary) must leave every rank of every backend with the
 /// **bitwise-identical** replicated fingerprint (`Σ⋄`, `B(H_o)`, factors) at
 /// a fixed rank count, fingerprints must agree **across backends** at that
 /// rank count, and the post-stream selection must equal the SelfComm
@@ -511,15 +511,13 @@ fn streaming_state_consistency_row() {
     let weights: Vec<f64> = (0..p.pool_size())
         .map(|i| 0.04 + 0.01 * (i % 5) as f64)
         .collect();
-    let cfg = FC {
-        refactor_interval: 3,
-        ..Default::default()
-    };
+    let cfg = FC::default();
     let budget = 4;
     // Initial points carry ids 0..40; the batch-0 Add mints id 40, which
-    // batch 2 then removes — exercising add/label/remove plus the refactor
-    // boundary on the final commit.
-    let updates: Vec<Vec<PoolUpdate<f64>>> = vec![
+    // batch 2 then removes. Batches 3..64 each add one point (id 39 + j)
+    // and label or remove the one the batch before added, so the 64th
+    // commit, the refactor boundary, comes after add/label/remove traffic.
+    let mut updates: Vec<Vec<PoolUpdate<f64>>> = vec![
         vec![
             PoolUpdate::Add {
                 x: vec![0.2, -0.1, 0.4, 0.05],
@@ -539,26 +537,46 @@ fn streaming_state_consistency_row() {
             PoolUpdate::Remove { id: 40 },
         ],
     ];
+    for j in 3..64u64 {
+        let t = j as f64;
+        let prev = 38 + j;
+        updates.push(vec![
+            PoolUpdate::Add {
+                x: vec![0.3 - 0.01 * t, 0.1, -0.2 + 0.007 * t, 0.05 * (j % 7) as f64],
+                h: vec![0.2 + 0.002 * t, 0.3 - 0.001 * t],
+                weight: 0.04 + 0.001 * (j % 9) as f64,
+            },
+            if j % 2 == 0 {
+                PoolUpdate::Label { id: prev }
+            } else {
+                PoolUpdate::Remove { id: prev }
+            },
+        ]);
+    }
 
     let rank_body = {
         let (p, weights, cfg, updates) = (p.clone(), weights.clone(), cfg.clone(), updates.clone());
-        move |comm: &dyn Communicator| -> (u64, bool, Vec<usize>) {
+        move |comm: &dyn Communicator| -> (u64, Vec<u64>, Vec<usize>) {
             let mut st = StreamingState::new(comm, &p, &weights, &cfg);
-            let mut refactored = false;
+            let mut refactored_at = Vec::new();
             for batch in &updates {
-                refactored = st.commit(comm, batch).refactored;
+                let commit = st.commit(comm, batch);
+                if commit.refactored {
+                    refactored_at.push(commit.version);
+                }
             }
             let eta = 6.0 * (p.ehat() as f64).sqrt();
             let run = st.select(comm, budget, eta, EigSolver::Exact);
-            (st.fingerprint(), refactored, run.selected)
+            (st.fingerprint(), refactored_at, run.selected)
         }
     };
 
     // p = 1 reference: the SelfComm instantiation of the same sequence.
     let (ref_fp, ref_refactored, ref_sel) = rank_body(&SelfComm::new());
-    assert!(
+    assert_eq!(
         ref_refactored,
-        "third commit must hit the interval-3 boundary"
+        [64],
+        "the 64th commit, and only it, must hit the refactor boundary"
     );
     assert_eq!(ref_sel.len(), budget);
 
@@ -569,7 +587,10 @@ fn streaming_state_consistency_row() {
         for &procs in rank_counts {
             let results = launch_backend(backend, procs, rank_body.clone());
             for (rank, (fp, refactored, selected)) in results.iter().enumerate() {
-                assert!(refactored, "{backend:?} p={procs} rank {rank}: no refactor");
+                assert_eq!(
+                    refactored, &ref_refactored,
+                    "{backend:?} p={procs} rank {rank}: refactor boundaries"
+                );
                 assert_eq!(
                     selected, &ref_sel,
                     "{backend:?} p={procs} rank {rank}: streaming selection diverged \

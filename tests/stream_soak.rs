@@ -7,21 +7,23 @@
 //! 4-process `SocketComm` mesh with schedule verification
 //! (`FIRAL_COMM_VERIFY=1`) and read deadlines armed. Every rank commits
 //! the identical scripted sequence of interleaved add/label/remove batches
-//! with periodic selections, crossing the `refactor_interval` boundary
-//! twice.
+//! with periodic selections, crossing the refactor boundary (every 64th
+//! commit) twice.
 //!
 //! The contract pinned here is the streaming tentpole's acceptance
 //! criterion:
 //!
 //! 1. each rank's replicated-state **fingerprint** (`Σ⋄`, `B(H_o)`, every
 //!    Cholesky factor) is bitwise identical across all 4 ranks after every
-//!    phase — the delta-Allreduce and the canonical factor sweeps never
-//!    let replicas diverge;
-//! 2. after the final refactor the state is **bitwise equal to a
+//!    phase — every rank applies the batch by the same local arithmetic,
+//!    so replicas never diverge;
+//! 2. a commit short of the refactor boundary issues **no collective**:
+//!    the rank's `SocketComm::collective_seq` does not move across it;
+//! 3. after the final refactor the state is **bitwise equal to a
 //!    from-scratch rebuild** of the same registry (`Σ⋄` and `B(H_o)`
 //!    compared block-by-block against a fresh `StreamingState` built from
 //!    its pool), and `factor_drift` is at rounding level;
-//! 3. interleaved selections agree across ranks (the parent diffs the
+//! 4. interleaved selections agree across ranks (the parent diffs the
 //!    per-rank markers), and all 4 ranks exit 0 with no stragglers.
 
 #[path = "common/mesh.rs"]
@@ -37,8 +39,9 @@ use firal::logreg::LogisticRegression;
 use mesh::{dump, Mesh, DEADLOCKED};
 
 const P: usize = 4;
-const ROUNDS: usize = 10;
-const REFACTOR_INTERVAL: usize = 4;
+const ROUNDS: usize = 150;
+/// `StreamingState` rebuilds from scratch on every 64th commit.
+const COMMITS_PER_REFACTOR: usize = 64;
 const DEADLINE_MS: u64 = 5000;
 const SUPERVISE_CAP: Duration = Duration::from_secs(120);
 
@@ -107,10 +110,7 @@ fn child_main() -> i32 {
     comm.install_panic_abort();
 
     let (problem, weights) = soak_problem();
-    let cfg = FiralConfig {
-        refactor_interval: REFACTOR_INTERVAL,
-        ..Default::default()
-    };
+    let cfg = FiralConfig::default();
     let mut st = StreamingState::new(&comm, &problem, &weights, &cfg);
 
     // Shadow id → weight ledger, kept in live insertion order so the final
@@ -139,9 +139,17 @@ fn child_main() -> i32 {
                 }
             }
         }
+        let seq = comm.collective_seq();
         let commit = st.commit(&comm, &batch);
         if commit.refactored {
             refactors += 1;
+        } else if comm.collective_seq() != seq {
+            eprintln!(
+                "rank {}: commit {round} ran {} collectives off the refactor boundary",
+                comm.rank(),
+                comm.collective_seq() - seq
+            );
+            return CODE_CONTRACT;
         }
         fingerprints.push(st.fingerprint());
         if round % 3 == 2 {
@@ -150,11 +158,11 @@ fn child_main() -> i32 {
             selections.push(run.selected);
         }
     }
-    if refactors != ROUNDS / REFACTOR_INTERVAL {
+    if refactors != ROUNDS / COMMITS_PER_REFACTOR {
         eprintln!(
             "rank {}: expected {} refactor boundaries, saw {refactors}",
             comm.rank(),
-            ROUNDS / REFACTOR_INTERVAL
+            ROUNDS / COMMITS_PER_REFACTOR
         );
         return CODE_CONTRACT;
     }
