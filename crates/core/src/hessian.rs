@@ -16,8 +16,8 @@ use std::cell::RefCell;
 /// the Eq. 13 GEMMs (wide column `k·s + j` is probe `j`'s block `k`).
 pub use firal_linalg::to_wide;
 use firal_linalg::{
-    fisher_sweep, gemm_into, gram_weighted_multi, kron, unvec, vec_of, BlockDiag, CholeskyBlocks,
-    Matrix, Scalar, SweepWorkspace,
+    fisher_sweep, gemm_into, gram_weighted_multi, kron, BlockDiag, CholeskyBlocks, Matrix, Scalar,
+    SweepWorkspace,
 };
 use firal_solvers::{LinearOperator, PanelScratch, Preconditioner};
 use rayon::prelude::*;
@@ -89,37 +89,6 @@ pub fn fast_matvec<T: Scalar>(x: &[T], h: &[T], v: &[T]) -> Vec<T> {
         for (o, &xv) in block.iter_mut().zip(x.iter()) {
             *o = coeff * xv;
         }
-    }
-    out
-}
-
-/// Quadratic form `vᵀ H_i w` via the factored Lemma-2 pieces — the inner
-/// kernel of the Hutchinson gradient estimate (Algorithm 2, line 9):
-/// `vᵀH_iw = Σ_k p_k (q_k - qᵀh) h_k` with `p = Vᵀx`, `q = Wᵀx`.
-pub fn bilinear_form<T: Scalar>(x: &[T], h: &[T], v: &[T], w: &[T]) -> T {
-    let d = x.len();
-    let c = h.len();
-    debug_assert_eq!(v.len(), d * c);
-    debug_assert_eq!(w.len(), d * c);
-    let mut qh = T::ZERO;
-    let mut q = vec![T::ZERO; c];
-    for k in 0..c {
-        let block = &w[k * d..(k + 1) * d];
-        let mut acc = T::ZERO;
-        for (bv, &xv) in block.iter().zip(x.iter()) {
-            acc += *bv * xv;
-        }
-        q[k] = acc;
-        qh += acc * h[k];
-    }
-    let mut out = T::ZERO;
-    for k in 0..c {
-        let block = &v[k * d..(k + 1) * d];
-        let mut p = T::ZERO;
-        for (bv, &xv) in block.iter().zip(x.iter()) {
-            p += *bv * xv;
-        }
-        out += p * (q[k] - qh) * h[k];
     }
     out
 }
@@ -347,17 +316,6 @@ impl<T: Scalar> Preconditioner<T> for BlockJacobi<T> {
     }
 }
 
-/// Convert between a stacked `ê`-vector and its `d × (c-1)` matrix form
-/// (re-exported vec/unvec with the crate's block convention).
-pub fn stack<T: Scalar>(v: &Matrix<T>) -> Vec<T> {
-    vec_of(v)
-}
-
-/// Inverse of [`stack`].
-pub fn unstack<T: Scalar>(v: &[T], d: usize, c: usize) -> Matrix<T> {
-    unvec(v, d, c)
-}
-
 /// `[A | B]`: two panels of the same height, side by side (`A`'s columns
 /// first).
 pub(crate) fn side_by_side<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
@@ -517,19 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn bilinear_form_matches_dense() {
-        let (x, h) = test_pool(3, 3, 3, 2);
-        let v: Vec<f64> = (0..6).map(|j| (j as f64 * 0.7).cos()).collect();
-        let w: Vec<f64> = (0..6).map(|j| (j as f64 * 1.3).sin()).collect();
-        for i in 0..3 {
-            let dense = dense_hessian(x.row(i), h.row(i));
-            let expect = firal_linalg::dot(&v, &dense.matvec(&w));
-            let got = bilinear_form(x.row(i), h.row(i), &v, &w);
-            assert!((got - expect).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn pool_hessian_apply_matches_dense_sum() {
         let (x, h) = test_pool(20, 3, 4, 3);
         let op = PoolHessian::unweighted(&x, &h);
@@ -661,14 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_unstack_roundtrip() {
-        let m = Matrix::from_fn(3, 2, |i, j| (i * 10 + j) as f64);
-        let v = stack(&m);
-        let back = unstack(&v, 3, 2);
-        assert_eq!(m, back);
-    }
-
-    #[test]
     fn hutchinson_gradients_match_per_point_bilinear_forms() {
         let (x, h) = test_pool(9, 4, 3, 10);
         let ehat = 4 * 2;
@@ -677,9 +614,10 @@ mod tests {
         let w = Matrix::from_fn(ehat, s, |i, j| ((i * 3 + j * 13) % 5) as f64 - 2.0);
         let g = hutchinson_gradients(&x, &h, &v, &w);
         for i in 0..9 {
+            let dense = dense_hessian(x.row(i), h.row(i));
             let mut expect = 0.0;
             for j in 0..s {
-                expect += bilinear_form(x.row(i), h.row(i), &v.col(j), &w.col(j));
+                expect += firal_linalg::dot(&v.col(j), &dense.matvec(&w.col(j)));
             }
             expect /= s as f64;
             assert!(

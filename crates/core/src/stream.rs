@@ -15,10 +15,11 @@
 //!   Fisher term also joins `B(H_o)`);
 //! - each block's Cholesky factor advances by a rank-one
 //!   [`Cholesky::update`]/[`Cholesky::downdate`]. A downdate that destroys
-//!   positive definiteness takes the documented **fallback**: the block is
-//!   refactored from `Σ⋄` as it stands after this update, the way the
-//!   from-scratch build factors a block (a `1e-8` ridge if it is only
-//!   semidefinite).
+//!   positive definiteness takes the documented **fallback**: the block
+//!   skips the batch's remaining factor updates and, after the batch's
+//!   last update, is refactored once from the final `Σ⋄`, the way the
+//!   from-scratch build factors a block (a `1e-8` ridge only if that `Σ⋄`
+//!   block is semidefinite).
 //!
 //! # State ownership and replication
 //!
@@ -118,8 +119,8 @@ pub struct StreamCommit {
     /// Whether the commit ended on a refactor boundary (state rebuilt from
     /// scratch, drift reset to zero).
     pub refactored: bool,
-    /// Downdates that destroyed positive definiteness and fell back to a
-    /// refactor of their block.
+    /// Blocks whose downdate destroyed positive definiteness and that
+    /// were refactored from the batch's final `Σ⋄`.
     pub downdate_fallbacks: usize,
 }
 
@@ -205,10 +206,16 @@ impl<T: CommScalar> StreamingState<T> {
     /// including whether this commit hit the refactor boundary.
     pub fn commit(&mut self, comm: &dyn Communicator, updates: &[PoolUpdate<T>]) -> StreamCommit {
         let mut dropped = vec![false; self.live()];
-        let downdate_fallbacks = updates
-            .iter()
-            .map(|upd| self.apply(upd, &mut dropped))
-            .sum();
+        let mut fell_back = vec![false; self.problem.nblocks()];
+        for upd in updates {
+            self.apply(upd, &mut dropped, &mut fell_back);
+        }
+        // A block whose downdate failed is factored once, from its final Σ⋄.
+        let state = &mut self.state;
+        for k in (0..fell_back.len()).filter(|&k| fell_back[k]) {
+            state.sigma_chol[k] = factor_sigma_block(state.sigma.block(k));
+        }
+        let downdate_fallbacks = fell_back.iter().filter(|&&f| f).count();
         // One compaction for every row the batch removed or labeled.
         self.problem.remove_pool_rows(&dropped);
         retain_kept(&mut self.ids, &dropped);
@@ -308,9 +315,9 @@ impl<T: CommScalar> StreamingState<T> {
     /// Apply one update: its row edit (a dropped row is only marked in
     /// `dropped`; `commit` compacts the pool once per batch), its rank-one
     /// term on `Σ⋄` (and on `B(H_o)` for a `Label`), and its rank-one sweep
-    /// of each block's factor. Returns the downdates that fell back to a
-    /// refactor.
-    fn apply(&mut self, upd: &PoolUpdate<T>, dropped: &mut Vec<bool>) -> usize {
+    /// of each block's factor. A block whose downdate fails is marked in
+    /// `fell_back` and skips its factor sweeps until `commit` refactors it.
+    fn apply(&mut self, upd: &PoolUpdate<T>, dropped: &mut Vec<bool>, fell_back: &mut [bool]) {
         // The row the update adds or drops, and the signed weight its
         // rank-one term carries: `+w` add, `−w` remove, `1−w` label.
         let (row, coeff) = match upd {
@@ -363,23 +370,18 @@ impl<T: CommScalar> StreamingState<T> {
         let gammas: Vec<T> = g.iter().map(|&gk| coeff * gk).collect();
         state.sigma.rank_one_update(&gammas, x);
 
-        let mut fallbacks = 0;
         for (k, &gamma) in gammas.iter().enumerate() {
             let scale = gamma.abs().sqrt();
-            if scale == T::ZERO {
+            if scale == T::ZERO || fell_back[k] {
                 continue;
             }
             let v: Vec<T> = x.iter().map(|&xi| scale * xi).collect();
             if coeff > T::ZERO {
                 state.sigma_chol[k].update(&v);
             } else if state.sigma_chol[k].downdate(&v).is_err() {
-                // The downdate destroyed positive definiteness: refactor
-                // this block from Σ⋄ as it stands after this update.
-                fallbacks += 1;
-                state.sigma_chol[k] = factor_sigma_block(state.sigma.block(k));
+                fell_back[k] = true;
             }
         }
-        fallbacks
     }
 
     /// From-scratch rebuild through the exact one-shot build path
@@ -655,13 +657,14 @@ mod tests {
         assert!(st.factor_drift() < 1e-6, "drift {}", st.factor_drift());
     }
 
-    /// The fallback refactors from Σ⋄ as it stands after the failing
-    /// update, so a later update of the same batch enters the factor once:
-    /// `Remove` empties the x₁ direction (the downdate fails), the `Add`
-    /// restores it, and `LLᵀ` ends as `Σ⋄ + 1e-8·I`, the ridge and nothing
-    /// else. Refactoring from the batch's final Σ⋄ and then applying the
-    /// `Add` again would leave `LLᵀ = diag(1/4, 1/2)` against
-    /// `Σ⋄ = diag(1/4, 1/4)`, a drift of 0.7071.
+    /// The fallback factors the block once, from the batch's final Σ⋄, so
+    /// a later update of the same batch enters the factor once and no
+    /// ridge outlives the batch: `Remove` empties the x₁ direction (the
+    /// downdate fails, Σ⋄ = diag(1/4, 0) is singular), the `Add` restores
+    /// it, and `LLᵀ` ends as the plain factor of `Σ⋄ = diag(1/4, 1/4)`.
+    /// Applying the `Add` to that factor again would leave
+    /// `LLᵀ = diag(1/4, 1/2)`, a drift of 0.7071; a ridged mid-batch
+    /// refactor updated by the `Add` would leave `Σ⋄ + 1e-8·I`, 4.0e-8.
     #[test]
     fn the_ridge_fallback_does_not_double_count_later_updates() {
         let comm = SelfComm::new();
@@ -687,15 +690,14 @@ mod tests {
         );
         assert_eq!(commit.downdate_fallbacks, 1);
         let drift = st.factor_drift();
-        assert!(drift < 1e-7, "drift {drift}");
+        assert!(drift < 1e-12, "drift {drift}");
         let l = st.state.sigma_chol[0].l();
         let llt = firal_linalg::gemm_a_bt(l, l);
         let sigma = st.state.sigma.block(0);
         assert_eq!(sigma.as_slice(), &[0.25, 0.0, 0.0, 0.25]);
         for i in 0..2 {
             for j in 0..2 {
-                let ridge = if i == j { 1e-8 } else { 0.0 };
-                let excess = llt[(i, j)] - sigma[(i, j)] - ridge;
+                let excess = llt[(i, j)] - sigma[(i, j)];
                 assert!(excess.abs() < 1e-15, "LLᵀ − Σ⋄ at ({i},{j}): {excess}");
             }
         }

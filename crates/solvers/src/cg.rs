@@ -35,14 +35,6 @@ impl<T: Scalar> Default for CgConfig<T> {
 }
 
 impl<T: Scalar> CgConfig<T> {
-    /// Config with a given relative tolerance.
-    pub fn with_tol(rel_tol: T) -> Self {
-        Self {
-            rel_tol,
-            max_iter: 0,
-        }
-    }
-
     fn resolved_max_iter(&self, dim: usize) -> usize {
         if self.max_iter == 0 {
             // Exact arithmetic terminates in `dim` steps; leave slack for
