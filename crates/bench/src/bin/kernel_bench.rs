@@ -16,8 +16,8 @@
 //!
 //! The host's best tier gets the full thread sweep; every other available
 //! tier contributes single-thread rows so the JSON records the
-//! scalar → SSE2 → AVX2 (or NEON) trajectory without tripling the sweep
-//! time. Each row carries the tier and `lane_multiple` — whether `d` is a
+//! scalar → SSE2 → AVX2 → AVX-512 (or NEON) trajectory without
+//! multiplying the sweep time. Each row carries the tier and `lane_multiple` — whether `d` is a
 //! whole number of that tier's vectors for that dtype —, the
 //! `gram_weighted_multi` rows the `class_block` of this host's plan, and
 //! the header records the detected CPU features and cache geometry, so a
@@ -617,9 +617,9 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"lane_multiple\": \"per row: d is a whole number of the row's tier vectors \
-         (off 1 lane; sse2/neon 4 f32 or 2 f64; avx2 8 f32 or 4 f64). d = 64 and 128 \
-         are lane multiples on every tier; d = 20, 50, 100 and 383 (Table V) are not \
-         on avx2 f32\","
+         (off 1 lane; sse2/neon 4 f32 or 2 f64; avx2 8 f32 or 4 f64; avx512 16 f32 or \
+         8 f64). d = 64 and 128 are lane multiples on every tier; d = 20, 50, 100 and \
+         383 (Table V) are not on avx2 or avx512 f32\","
     );
     let _ = writeln!(json, "  \"cpu_features\": \"{}\",", cpu_features());
     let _ = writeln!(json, "  \"simd_tier\": \"{}\",", active_tier().name());

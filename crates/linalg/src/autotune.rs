@@ -138,6 +138,7 @@ pub fn lane_count(tier: Tier, elem: usize) -> usize {
         Tier::Scalar => return 1,
         Tier::Sse2 | Tier::Neon => 16,
         Tier::Avx2 => 32,
+        Tier::Avx512 => 64,
     };
     (bytes / elem).max(1)
 }
@@ -197,6 +198,8 @@ mod tests {
         assert_eq!(lane_count(Tier::Sse2, 8), 2);
         assert_eq!(lane_count(Tier::Avx2, 4), 8);
         assert_eq!(lane_count(Tier::Avx2, 8), 4);
+        assert_eq!(lane_count(Tier::Avx512, 4), 16);
+        assert_eq!(lane_count(Tier::Avx512, 8), 8);
         assert_eq!(lane_count(Tier::Neon, 4), 4);
     }
 }

@@ -20,7 +20,7 @@
 //! arithmetic is unfused multiply-then-add, matching the scalar fallback's
 //! two-rounding semantics.
 
-use super::vector::SimdVec;
+use super::vector::{Quarter, SimdVec};
 use super::SimdKernel;
 use crate::scalar::Scalar;
 
@@ -37,10 +37,12 @@ use crate::scalar::Scalar;
 /// dimensions `ldb`, `ldc ≥ n`, so a caller can address a column window of
 /// a wider matrix.
 ///
-/// 4-row × 2-vector register tile: the `C` tile lives in registers across
-/// the whole depth loop, each `B` row vector is reused by all four `A`
-/// rows. Per element the accumulation is depth-ascending onto the incoming
-/// `C` value — bitwise identical to the scalar `gemm_rows` panel.
+/// Columns run in whole vectors of `V`, then of each narrower width of
+/// its feature set ([`gemm_cols`] per width, [`Quarter`]); only the
+/// columns no vector covers run in scalar code. Per element the
+/// accumulation is depth-ascending onto the incoming `C` value — bitwise
+/// identical to the scalar `gemm_rows` panel whichever width a column ran
+/// at.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass consistent
@@ -60,19 +62,61 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
     k: usize,
     n: usize,
 ) {
+    let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
+    // SAFETY: the caller's shape contract is `gemm_cols`'s, and the
+    // narrower types' features are implied by `V`'s, which the caller
+    // holds; the scalar loop stays inside the columns `j..n`.
+    unsafe {
+        let j = gemm_cols::<T, V>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, 0, n);
+        let j = gemm_cols::<T, V::Half>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, j, n);
+        let j = gemm_cols::<T, Quarter<T, V>>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, j, n);
+        for r in 0..rows {
+            for jj in j..n {
+                let mut s = *cp.add(r * ldc + jj);
+                for p in 0..k {
+                    s += *ap.add(r * ars + p * acs) * *bp.add(p * ldb + jj);
+                }
+                *cp.add(r * ldc + jj) = s;
+            }
+        }
+    }
+}
+
+/// The whole vectors of [`gemm_panel`] at `V`'s width from column `j0`:
+/// columns `j0..j1` with `j1 = n - (n - j0) % LANES`, which it returns.
+///
+/// 4-row × 2-vector register tile: the `C` tile lives in registers across
+/// the whole depth loop, each `B` row vector is reused by all four `A`
+/// rows; a last single vector per 4-row tile, and trailing rows one vector
+/// at a time.
+///
+/// # Safety
+/// As [`gemm_panel`], on raw pointers.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_cols<T: Scalar, V: SimdVec<T>>(
+    cp: *mut T,
+    ldc: usize,
+    ap: *const T,
+    ars: usize,
+    acs: usize,
+    bp: *const T,
+    ldb: usize,
+    rows: usize,
+    k: usize,
+    j0: usize,
+    n: usize,
+) -> usize {
     let l = V::LANES;
-    let cp = c.as_mut_ptr();
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    // SAFETY: the caller's shape contract (`(rows-1)·ldc + n ≤ c.len()`,
-    // `(k-1)·ldb + n ≤ b.len()`, `(rows-1)·ars + (k-1)·acs < a.len()`)
-    // bounds every index below: `r < rows`, `j + l ≤ n` (vector steps) or
-    // `j < n` (scalar tail), `p < k`, so all pointer offsets stay inside
-    // their slices; the target feature backing `V` is held by the caller.
+    // SAFETY: the caller's shape contract (`(rows-1)·ldc + n` elements of
+    // `C`, `(k-1)·ldb + n` of `B`, `(rows-1)·ars + (k-1)·acs < len(A)`)
+    // bounds every index below: `r < rows`, `j + l ≤ n`, `p < k`, so all
+    // pointer offsets stay inside their operands; the target feature
+    // backing `V` is held by the caller.
     unsafe {
         let mut r = 0;
         while r + 4 <= rows {
-            let mut j = 0;
+            let mut j = j0;
             while j + 2 * l <= n {
                 let mut c00 = V::load(cp.add(r * ldc + j));
                 let mut c01 = V::load(cp.add(r * ldc + j + l));
@@ -126,20 +170,10 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
                 c3.store(cp.add((r + 3) * ldc + j));
                 j += l;
             }
-            while j < n {
-                for i in 0..4 {
-                    let mut s = *cp.add((r + i) * ldc + j);
-                    for p in 0..k {
-                        s += *ap.add((r + i) * ars + p * acs) * *bp.add(p * ldb + j);
-                    }
-                    *cp.add((r + i) * ldc + j) = s;
-                }
-                j += 1;
-            }
             r += 4;
         }
         while r < rows {
-            let mut j = 0;
+            let mut j = j0;
             while j + l <= n {
                 let mut cv = V::load(cp.add(r * ldc + j));
                 for p in 0..k {
@@ -150,17 +184,10 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
                 cv.store(cp.add(r * ldc + j));
                 j += l;
             }
-            while j < n {
-                let mut s = *cp.add(r * ldc + j);
-                for p in 0..k {
-                    s += *ap.add(r * ars + p * acs) * *bp.add(p * ldb + j);
-                }
-                *cp.add(r * ldc + j) = s;
-                j += 1;
-            }
             r += 1;
         }
     }
+    n - (n - j0) % l
 }
 
 /// [`gemm_panel`] on non-empty row-major operands (`ars = lda`, `acs = 1`),

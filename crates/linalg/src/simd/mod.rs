@@ -2,23 +2,32 @@
 //!
 //! The four kernels in [`mod@crate::gemm`], the fused Fisher-panel sweep
 //! in [`mod@crate::sweep`] and the Eq. 17 sweep in [`mod@crate::quad`] are
-//! implemented at three levels:
-//! the always-available scalar register-tiled panels (the reference
-//! semantics), and explicit-`std::arch` SIMD bodies for x86-64 (AVX2 and
-//! the SSE2 baseline) and AArch64 (NEON). The tier is picked **once** at
-//! first kernel use — best detected feature set, overridable with
-//! `FIRAL_SIMD=off|sse2|avx2|neon` — and every subsequent call dispatches
-//! through it, by one seam: a kernel call is a [`SimdKernel`] operand
-//! struct, [`Dispatch::simd_run`] hands it to the `#[target_feature]`
-//! wrapper of the (tier, dtype), and the wrapper runs the struct's
-//! width-generic body at its vector type. A new kernel is a body and a
-//! struct; the seam does not grow. The grouped block kernels (ROUND's
-//! Line 9 eigensolves and Eq. 17 factor chain, RELAX's block-Jacobi
-//! factors and solves) and the Eq. 17 row sums use the same seam without a
-//! vector type: their bodies are plain lane loops — `[T; L]` arrays, one
-//! block per lane, or slices whose elements are independent pool rows —
-//! (`run_lanes`), which the wrapper's feature set lets the compiler
-//! vectorise.
+//! implemented as the always-available scalar register-tiled panels (the
+//! reference semantics) and explicit-`std::arch` SIMD bodies for x86-64
+//! (AVX-512F, AVX2 and the SSE2 baseline) and AArch64 (NEON). The tier is
+//! picked **once** at first kernel use — best detected feature set,
+//! overridable with `FIRAL_SIMD=off|sse2|avx2|avx512|neon` — and every
+//! subsequent call dispatches through it, by one seam: a kernel call is a
+//! [`SimdKernel`] operand struct, [`Dispatch::simd_run`] hands it to the
+//! `#[target_feature]` wrapper of the (tier, dtype), and the wrapper runs
+//! the struct's width-generic body at its vector type. A new kernel is a
+//! body and a struct; the seam does not grow. The grouped block kernels
+//! (ROUND's Line 9 eigensolves and Eq. 17 factor chain, RELAX's
+//! block-Jacobi factors and solves) and the Eq. 17 row sums use the same
+//! seam without a vector type: their bodies are plain lane loops — `[T; L]`
+//! arrays, one block per lane, or slices whose elements are independent
+//! pool rows — (`run_lanes`), which the wrapper's feature set lets the
+//! compiler vectorise.
+//!
+//! Two width rules:
+//!
+//! * where a body would otherwise drop to scalar code — the GEMM panel's
+//!   column remainder, the Lemma-2 scaling of a probe axis shorter than
+//!   one vector — it first runs at the narrower widths of the same feature
+//!   set (`SimdVec::Half`, twice: AVX-512 → AVX2 → SSE2), so RELAX's
+//!   `s = 10` CG panels scale at 8 lanes on the 16-lane tier;
+//! * lane bodies run under the AVX2 wrapper when the tier is avx512
+//!   (`run_lanes` has the measurement).
 //!
 //! # The canonical-summation-tree determinism contract
 //!
@@ -74,6 +83,8 @@ pub enum Tier {
     Sse2,
     /// x86-64 AVX2: 8×f32 / 4×f64 lanes.
     Avx2,
+    /// x86-64 AVX-512F: 16×f32 / 8×f64 lanes.
+    Avx512,
     /// AArch64 NEON (baseline on every AArch64 CPU): 4×f32 / 2×f64 lanes.
     Neon,
 }
@@ -86,6 +97,7 @@ impl Tier {
             Tier::Scalar => "off",
             Tier::Sse2 => "sse2",
             Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
             Tier::Neon => "neon",
         }
     }
@@ -106,6 +118,9 @@ pub fn available_tiers() -> Vec<Tier> {
         tiers.push(Tier::Sse2);
         if std::arch::is_x86_feature_detected!("avx2") {
             tiers.push(Tier::Avx2);
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier::Avx512);
+            }
         }
     }
     #[cfg(target_arch = "aarch64")]
@@ -135,11 +150,12 @@ pub fn active_tier() -> Tier {
                 "off" | "scalar" | "0" => Some(Tier::Scalar),
                 "sse2" => Some(Tier::Sse2),
                 "avx2" => Some(Tier::Avx2),
+                "avx512" => Some(Tier::Avx512),
                 "neon" => Some(Tier::Neon),
                 other => {
                     eprintln!(
                         "[firal_linalg] FIRAL_SIMD={other:?} not recognized \
-                         (expected off|sse2|avx2|neon); using detected best"
+                         (expected off|sse2|avx2|avx512|neon); using detected best"
                     );
                     None
                 }
@@ -172,6 +188,11 @@ pub(crate) fn check_tier(tier: Tier) {
         Tier::Sse2 => true,
         #[cfg(target_arch = "x86_64")]
         Tier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx512 => {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f")
+        }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => true,
         #[allow(unreachable_patterns)]
@@ -269,11 +290,18 @@ impl<T: Copy, B: LaneBody> SimdKernel<T> for LaneKernel<B> {
 }
 
 /// Run `body` under `tier`'s target features, or as is on [`Tier::Scalar`].
+///
+/// [`Tier::Avx512`] runs lane bodies under the AVX2 wrapper. Compiled for
+/// `avx512f`, the compiler's vectorisation of the `[T; L]` lane loops was
+/// slower: on a 2-vCPU AVX-512F Xeon, `kernel_bench`'s `eigvalsh_blocks`
+/// row (9 blocks, d = 20, f32) read 68–78 µs against 46–48 µs under the
+/// AVX2 wrapper, and traced `round_bound` 11.7 against 9.1 ms per ROUND
+/// pick. The bodies name no vector type, so the bits do not depend on it.
 pub(crate) fn run_lanes<T: Dispatch>(tier: Tier, body: impl LaneBody) {
-    if tier == Tier::Scalar {
-        body.run();
-    } else {
-        T::simd_run(tier, LaneKernel(body));
+    match tier {
+        Tier::Scalar => body.run(),
+        Tier::Avx512 => _ = T::simd_run(Tier::Avx2, LaneKernel(body)),
+        _ => _ = T::simd_run(tier, LaneKernel(body)),
     }
 }
 
@@ -295,8 +323,10 @@ macro_rules! feature_wrapper {
 
 #[cfg(target_arch = "x86_64")]
 mod wrap {
-    use super::vector::x86::{Avx2F32, Avx2F64, Sse2F32, Sse2F64};
+    use super::vector::x86::{Avx2F32, Avx2F64, Avx512F32, Avx512F64, Sse2F32, Sse2F64};
 
+    feature_wrapper!("avx512f", avx512_f32, f32, Avx512F32);
+    feature_wrapper!("avx512f", avx512_f64, f64, Avx512F64);
     feature_wrapper!("avx2", avx2_f32, f32, Avx2F32);
     feature_wrapper!("avx2", avx2_f64, f64, Avx2F64);
     feature_wrapper!("sse2", sse2_f32, f32, Sse2F32);
@@ -314,11 +344,14 @@ mod wrap {
 /// Implements [`Dispatch`] for one dtype by routing each tier to its
 /// wrapper.
 macro_rules! dispatch {
-    ($t:ty, $avx2:ident, $sse2:ident, $neon:ident) => {
+    ($t:ty, $avx512:ident, $avx2:ident, $sse2:ident, $neon:ident) => {
         impl Dispatch for $t {
             fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool {
                 check_tier(tier);
                 match tier {
+                    // SAFETY: `check_tier` just verified AVX-512F at runtime.
+                    #[cfg(target_arch = "x86_64")]
+                    Tier::Avx512 => unsafe { wrap::$avx512(k) },
                     // SAFETY: `check_tier` just verified AVX2 at runtime.
                     #[cfg(target_arch = "x86_64")]
                     Tier::Avx2 => unsafe { wrap::$avx2(k) },
@@ -336,8 +369,8 @@ macro_rules! dispatch {
     };
 }
 
-dispatch!(f32, avx2_f32, sse2_f32, neon_f32);
-dispatch!(f64, avx2_f64, sse2_f64, neon_f64);
+dispatch!(f32, avx512_f32, avx2_f32, sse2_f32, neon_f32);
+dispatch!(f64, avx512_f64, avx2_f64, sse2_f64, neon_f64);
 
 #[cfg(test)]
 mod tests {
@@ -355,6 +388,7 @@ mod tests {
         assert_eq!(Tier::Scalar.name(), "off");
         assert_eq!(Tier::Sse2.name(), "sse2");
         assert_eq!(Tier::Avx2.name(), "avx2");
+        assert_eq!(Tier::Avx512.name(), "avx512");
         assert_eq!(Tier::Neon.name(), "neon");
     }
 

@@ -22,7 +22,7 @@
 //! only — and every product is rounded before its sum.
 
 use super::body::gemm_panel;
-use super::vector::SimdVec;
+use super::vector::{Quarter, SimdVec};
 use super::SimdKernel;
 use crate::scalar::Scalar;
 
@@ -65,12 +65,9 @@ unsafe fn alpha_at<T: Scalar, V: SimdVec<T>>(g: *const T, h: *const T, c: usize,
 /// `j`, class block `k`), `h` is `rows × c`, `alpha` is `s` elements of
 /// scratch.
 ///
-/// Lanes run along `j` inside one class segment. A segment is covered by
-/// whole vectors from `j = 0` and, when `s % LANES ≠ 0`, one more vector
-/// ending at `s`; that closing vector is computed before the segment's
-/// first store and stored last, so the lanes it shares with its neighbour
-/// hold the same value. `s < LANES` has no whole vector and runs
-/// [`crate::sweep::scale_rows_scalar`].
+/// Runs [`scale_rows_at`] at the widest of `V`, `V::Half` and [`Quarter`]
+/// that `s` holds a whole vector of (RELAX's CG panels, `s = 10`, scale at
+/// 8 lanes on the 16-lane tier), else [`crate::sweep::scale_rows_scalar`].
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
@@ -86,11 +83,44 @@ unsafe fn scale_rows<T: Scalar, V: SimdVec<T>>(
     c: usize,
     s: usize,
 ) {
-    let l = V::LANES;
-    if s < l {
-        crate::sweep::scale_rows_scalar(gamma, ld, alpha, h, z, c, s);
-        return;
+    // SAFETY: the caller's contract is `scale_rows_at`'s, whose `s ≥ LANES`
+    // each branch checks; the narrower types' features are implied by
+    // `V`'s.
+    unsafe {
+        if s >= V::LANES {
+            scale_rows_at::<T, V>(gamma, ld, alpha, h, z, c, s);
+        } else if s >= <V::Half as SimdVec<T>>::LANES {
+            scale_rows_at::<T, V::Half>(gamma, ld, alpha, h, z, c, s);
+        } else if s >= <Quarter<T, V> as SimdVec<T>>::LANES {
+            scale_rows_at::<T, Quarter<T, V>>(gamma, ld, alpha, h, z, c, s);
+        } else {
+            crate::sweep::scale_rows_scalar(gamma, ld, alpha, h, z, c, s);
+        }
     }
+}
+
+/// [`scale_rows`] at `V`'s width, for `s ≥ V::LANES`.
+///
+/// Lanes run along `j` inside one class segment. A segment is covered by
+/// whole vectors from `j = 0` and, when `s % LANES ≠ 0`, one more vector
+/// ending at `s`; that closing vector is computed before the segment's
+/// first store and stored last, so the lanes it shares with its neighbour
+/// hold the same value.
+///
+/// # Safety
+/// As [`scale_rows`], and `s ≥ V::LANES`.
+#[inline(always)]
+unsafe fn scale_rows_at<T: Scalar, V: SimdVec<T>>(
+    gamma: &mut [T],
+    ld: usize,
+    alpha: &mut [T],
+    h: &[T],
+    z: Option<&[T]>,
+    c: usize,
+    s: usize,
+) {
+    let l = V::LANES;
+    debug_assert!(s >= l);
     let rows = h.len() / c;
     let full = s - s % l;
     let ragged = full != s;

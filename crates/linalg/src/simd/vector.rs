@@ -1,8 +1,12 @@
 //! Minimal SIMD vector abstraction over `std::arch` intrinsics.
 //!
-//! Each implementation wraps one hardware register type and exposes exactly
-//! the operations the kernel bodies in [`super::body`] and [`super::sweep`]
-//! need: unaligned load/store, lane broadcast, multiply, add and subtract.
+//! Each implementation wraps one hardware register type — an AVX-512F zmm,
+//! an AVX2 ymm or an SSE2 xmm register on x86-64, a NEON q register on
+//! AArch64 — and exposes exactly the operations the kernel bodies in
+//! [`super::body`] and [`super::sweep`] need: unaligned load/store, lane
+//! broadcast, multiply, add and subtract. It also names the next narrower
+//! register of its family (`Half`: zmm → ymm → xmm), so a body can run a
+//! vector axis shorter than its own width at a narrower one.
 //! Multiplication and addition are deliberately **unfused** (`mulps` + `addps`, never FMA):
 //! the crate-wide determinism contract pins two-rounding multiply-then-add
 //! semantics so every dispatch tier — the scalar fallback included —
@@ -25,6 +29,12 @@
 pub trait SimdVec<T: Copy>: Copy {
     /// Number of `T` lanes in the register.
     const LANES: usize;
+    /// The next narrower register of the same ISA family, usable under
+    /// this type's feature set (AVX-512 → AVX2 → SSE2); the narrowest type
+    /// names itself. A body whose vector axis is shorter than `LANES` runs
+    /// it at this width, or at [`Quarter`], before falling back to scalar
+    /// code.
+    type Half: SimdVec<T>;
 
     /// Unaligned load of `LANES` elements starting at `p`.
     ///
@@ -60,14 +70,19 @@ pub trait SimdVec<T: Copy>: Copy {
     unsafe fn sub(self, o: Self) -> Self;
 }
 
+/// `V::Half::Half`: the narrowest width a body tries before scalar code
+/// (SSE2 under AVX-512; the type itself at and below SSE2).
+pub(crate) type Quarter<T, V> = <<V as SimdVec<T>>::Half as SimdVec<T>>::Half;
+
 /// Implements the six [`SimdVec`] methods for one register newtype by
 /// routing each to its intrinsic. Factored as a macro so the per-intrinsic
 /// `SAFETY` reasoning is stated once, next to the only `unsafe` blocks.
 macro_rules! simd_vec_impl {
-    ($ty:ty, $t:ty, $lanes:literal, $feat:literal,
+    ($ty:ty, $t:ty, $lanes:literal, $half:ty,
         $load:ident, $store:ident, $splat:ident, $mul:ident, $add:ident, $sub:ident) => {
         impl SimdVec<$t> for $ty {
             const LANES: usize = $lanes;
+            type Half = $half;
             #[inline(always)]
             unsafe fn load(p: *const $t) -> Self {
                 // SAFETY: the caller holds the backing feature and `p` is
@@ -116,6 +131,40 @@ pub(crate) mod x86 {
     use super::SimdVec;
     use std::arch::x86_64::*;
 
+    /// 16 × f32 in one AVX-512 zmm register.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx512F32(__m512);
+
+    simd_vec_impl!(
+        Avx512F32,
+        f32,
+        16,
+        Avx2F32,
+        _mm512_loadu_ps,
+        _mm512_storeu_ps,
+        _mm512_set1_ps,
+        _mm512_mul_ps,
+        _mm512_add_ps,
+        _mm512_sub_ps
+    );
+
+    /// 8 × f64 in one AVX-512 zmm register.
+    #[derive(Clone, Copy)]
+    pub(crate) struct Avx512F64(__m512d);
+
+    simd_vec_impl!(
+        Avx512F64,
+        f64,
+        8,
+        Avx2F64,
+        _mm512_loadu_pd,
+        _mm512_storeu_pd,
+        _mm512_set1_pd,
+        _mm512_mul_pd,
+        _mm512_add_pd,
+        _mm512_sub_pd
+    );
+
     /// 8 × f32 in one AVX ymm register.
     #[derive(Clone, Copy)]
     pub(crate) struct Avx2F32(__m256);
@@ -124,7 +173,7 @@ pub(crate) mod x86 {
         Avx2F32,
         f32,
         8,
-        "avx2",
+        Sse2F32,
         _mm256_loadu_ps,
         _mm256_storeu_ps,
         _mm256_set1_ps,
@@ -141,7 +190,7 @@ pub(crate) mod x86 {
         Avx2F64,
         f64,
         4,
-        "avx2",
+        Sse2F64,
         _mm256_loadu_pd,
         _mm256_storeu_pd,
         _mm256_set1_pd,
@@ -150,7 +199,8 @@ pub(crate) mod x86 {
         _mm256_sub_pd
     );
 
-    /// 4 × f32 in one SSE xmm register (x86-64 baseline).
+    /// 4 × f32 in one SSE xmm register (x86-64 baseline; the narrowest
+    /// x86 type, so its own `Half`).
     #[derive(Clone, Copy)]
     pub(crate) struct Sse2F32(__m128);
 
@@ -158,7 +208,7 @@ pub(crate) mod x86 {
         Sse2F32,
         f32,
         4,
-        "sse2",
+        Sse2F32,
         _mm_loadu_ps,
         _mm_storeu_ps,
         _mm_set1_ps,
@@ -167,7 +217,7 @@ pub(crate) mod x86 {
         _mm_sub_ps
     );
 
-    /// 2 × f64 in one SSE xmm register (x86-64 baseline).
+    /// 2 × f64 in one SSE xmm register (x86-64 baseline; its own `Half`).
     #[derive(Clone, Copy)]
     pub(crate) struct Sse2F64(__m128d);
 
@@ -175,7 +225,7 @@ pub(crate) mod x86 {
         Sse2F64,
         f64,
         2,
-        "sse2",
+        Sse2F64,
         _mm_loadu_pd,
         _mm_storeu_pd,
         _mm_set1_pd,
@@ -190,7 +240,7 @@ pub(crate) mod arm {
     use super::SimdVec;
     use std::arch::aarch64::*;
 
-    /// 4 × f32 in one NEON q register (AArch64 baseline).
+    /// 4 × f32 in one NEON q register (AArch64 baseline; its own `Half`).
     #[derive(Clone, Copy)]
     pub(crate) struct NeonF32(float32x4_t);
 
@@ -198,7 +248,7 @@ pub(crate) mod arm {
         NeonF32,
         f32,
         4,
-        "neon",
+        NeonF32,
         vld1q_f32,
         vst1q_f32,
         vdupq_n_f32,
@@ -207,7 +257,7 @@ pub(crate) mod arm {
         vsubq_f32
     );
 
-    /// 2 × f64 in one NEON q register (AArch64 baseline).
+    /// 2 × f64 in one NEON q register (AArch64 baseline; its own `Half`).
     #[derive(Clone, Copy)]
     pub(crate) struct NeonF64(float64x2_t);
 
@@ -215,7 +265,7 @@ pub(crate) mod arm {
         NeonF64,
         f64,
         2,
-        "neon",
+        NeonF64,
         vld1q_f64,
         vst1q_f64,
         vdupq_n_f64,

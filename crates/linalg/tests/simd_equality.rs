@@ -15,7 +15,8 @@
 //! (`class_block`, `sweep_bytes`), which differs between hosts, is
 //! bit-neutral, and that the fused sweep gives one answer on every tier, at
 //! 1, 2 and 4 pool threads, under every plan, whether it forms `X·V`
-//! itself or is handed it. The quadratic-form sweep is held to a dense
+//! itself or is handed it, with probe counts `s` that straddle both vector
+//! widths of the 8- and 16-lane tiers. The quadratic-form sweep is held to a dense
 //! oracle: two `gemm_into` products on its zero-filled triangles and a row
 //! sum, bit for bit, on every tier, thread count and row blocking.
 
@@ -246,14 +247,22 @@ fn sweep_bits<T: Scalar>(
 fn fused_sweep_equality<T: Scalar>() {
     // n < 4, n % 4 ≠ 0, several reduction chunks (n > 256); d and c·s off
     // every lane multiple; s below, at and above the lane counts.
-    let shapes = [
+    let mut shapes = vec![
         (1usize, 3usize, 2usize, 1usize),
         (3, 20, 9, 10),
         (7, 5, 4, 3),
-        (301, 20, 9, 10),
         (1003, 50, 2, 16),
         (777, 100, 1, 9),
     ];
+    // Probe counts straddling both vector widths of the wide tiers (8 and
+    // 16 lanes in f32, 4 and 8 in f64), so the Lemma-2 scaling runs at
+    // full, half and scalar width; at c = 9, s = 20 is the m = 180 panel,
+    // padded to 184 at 8 lanes and to 192 at 16.
+    for d in [20usize, 50] {
+        for s in [1usize, 7, 8, 9, 10, 15, 16, 17, 20] {
+            shapes.push((301, d, 9, s));
+        }
+    }
     for shape in shapes {
         let d = shape.1;
         let serial = rayon::ThreadPoolBuilder::new()
