@@ -8,6 +8,10 @@
 //! Kept both as the accuracy oracle for Approx-FIRAL tests and as the
 //! baseline for the Table VI timing comparison.
 //!
+//! Every dense `Σ` is `SigmaZ::to_dense`, as in the objective. RELAX forms
+//! one `Σ`, factor and `Σ⁻¹H_p` per iterate, whose trace is the iterate's
+//! objective; the next gradient reuses them.
+//!
 //! Both halves read a dense `ê × ê` matrix `M` through one pass of block
 //! quadratic forms `x_iᵀ M_(l,k) x_i` (one GEMM per block pair, then row
 //! dots): RELAX's gradient on `M = Σ⁻¹H_pΣ⁻¹`, and ROUND's per-candidate
@@ -19,7 +23,7 @@ use firal_solvers::solve_nu;
 
 use crate::config::MirrorDescentConfig;
 use crate::hessian::{gmat, PoolHessian};
-use crate::objective::exact_objective;
+use crate::objective::sigma_z;
 use crate::problem::SelectionProblem;
 use crate::procedure::{mirror_step, RelaxTelemetry};
 
@@ -61,27 +65,27 @@ pub fn exact_relax<T: Scalar>(
     let cm1 = problem.nblocks();
     let b = T::from_usize(budget);
 
-    let ho_dense = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h).to_dense();
     let hp_dense = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h).to_dense();
+    let mut sigma = sigma_z(problem, vec![T::ZERO; n]);
+    // Σ_z = H_o + H_{b·z}, its factor and Σ⁻¹H_p: z lives on the unit
+    // simplex for the multiplicative update, but the gradient and objective
+    // are taken at the feasible point ‖b·z‖₁ = b of the relaxation (Eq. 5).
+    let mut factor = |z: &[T]| {
+        sigma.hz.set_weights(z.iter().map(|&v| v * b));
+        let ch = Cholesky::new(&sigma.to_dense()).expect("Σ_z must be SPD");
+        let m1 = ch.solve_mat(&hp_dense);
+        (ch, m1)
+    };
 
     let mut z = vec![T::ONE / T::from_usize(n); n];
+    let (mut ch, mut m1) = factor(&z);
     let mut telemetry = RelaxTelemetry::new();
 
     // The negated gradient −g_i, the direction the mirror step ascends.
     let mut neg_g = vec![T::ZERO; n];
     for t in 1..=config.max_iters {
-        // Σ_z = H_o + H_{b·z}: z lives on the unit simplex for the
-        // multiplicative update, but the gradient is evaluated at the
-        // feasible point ‖b·z‖₁ = b of the relaxed problem (Eq. 5).
-        let zb: Vec<T> = z.iter().map(|&v| v * b).collect();
-        let hz = PoolHessian::weighted(&problem.pool_x, &problem.pool_h, zb).to_dense();
-        let mut sigma = ho_dense.clone();
-        sigma.add_scaled(T::ONE, &hz);
-        let ch = Cholesky::new(&sigma).expect("Σ_z must be SPD");
-
-        // M = Σ⁻¹ H_p Σ⁻¹ (dense).
-        let m1 = ch.solve_mat(&hp_dense); // Σ⁻¹H_p
-        let m = ch.solve_mat_t(&m1); // Σ⁻¹(Σ⁻¹H_p)ᵀ = Σ⁻¹H_pΣ⁻¹
+        // M = Σ⁻¹(Σ⁻¹H_p)ᵀ = Σ⁻¹H_pΣ⁻¹ (dense).
+        let m = ch.solve_mat_t(&m1);
 
         // g_i = -Σ_{k,l} G_i[k,l] · x_iᵀ M_{(l,k)} x_i.
         let quads = block_quads(&problem.pool_x, &m, cm1);
@@ -100,8 +104,8 @@ pub fn exact_relax<T: Scalar>(
         mirror_step(&mut z, &neg_g, t, |v, _| v);
 
         // Track f(b·z) and apply the paper's relative-change stopping rule.
-        let scaled: Vec<T> = z.iter().map(|&v| v * b).collect();
-        if telemetry.record(t, exact_objective(problem, &scaled), config.obj_rel_tol) {
+        (ch, m1) = factor(&z);
+        if telemetry.record(t, m1.trace(), config.obj_rel_tol) {
             break;
         }
     }
@@ -165,14 +169,9 @@ pub fn exact_round<T: Scalar>(
     let binv = T::ONE / T::from_usize(budget);
 
     // Σ⋄ = H_o + H_{z⋄}; whitening W = Σ⋄^{-1/2} (Eq. 8).
-    let ho_dense = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h).to_dense();
-    let mut sigma = ho_dense.clone();
-    sigma.add_scaled(
-        T::ONE,
-        &PoolHessian::weighted(&problem.pool_x, &problem.pool_h, z_diamond.to_vec()).to_dense(),
-    );
-    let w = spd_inv_sqrt(&sigma).expect("Σ⋄ must be SPD");
-    let ho_tilde = gemm(&gemm(&w, &ho_dense), &w);
+    let sigma = sigma_z(problem, z_diamond.to_vec());
+    let w = spd_inv_sqrt(&sigma.to_dense()).expect("Σ⋄ must be SPD");
+    let ho_tilde = gemm(&gemm(&w, &sigma.ho.to_dense()), &w);
 
     // Per-point G_i^{1/2} factors (cheap, reused every round).
     let ghalves: Vec<Matrix<T>> = (0..n).map(|i| g_half(problem.pool_h.row(i))).collect();
@@ -466,6 +465,30 @@ mod tests {
             "objective went up: {first} → {last} ({:?})",
             tel.objective_history
         );
+    }
+
+    /// The objective RELAX records for its last iterate is, bit for bit,
+    /// `exact_objective` of the `z⋄` it returns: the one `Σ` per iterate
+    /// is the iterate's own, not the one before it.
+    #[test]
+    fn relax_records_the_objective_of_the_weights_it_returns() {
+        use crate::objective::exact_objective;
+        let p = tiny_problem(4, 30, 3, 3);
+        for t in 1..=4 {
+            let md = MirrorDescentConfig {
+                max_iters: t,
+                obj_rel_tol: 0.0,
+            };
+            let (z, tel) = exact_relax(&p, 5, &md);
+            assert_eq!(tel.objective_history.len(), t);
+            let last = *tel.objective_history.last().unwrap();
+            assert_eq!(
+                last.to_bits(),
+                exact_objective(&p, &z).to_bits(),
+                "max_iters = {t}: recorded {last} vs {}",
+                exact_objective(&p, &z)
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Fisher-information machinery: dense Hessians (Eq. 2), the matrix-free
 //! fast matvec (Lemma 2), pooled operators (`H_p`, `H_z`, `Σ_z`), and the
-//! block-diagonal extraction of Definition 1 (Eqs. 14–15).
+//! block-diagonal extraction of Definition 1 (Eqs. 14–15). A pooled
+//! operator's blocks, diagonal and dense alike, are weighted Grams on
+//! [`firal_linalg::gram_weighted_multi`].
 //!
 //! Conventions (the classifier is `firal_logreg`'s, see its crate docs):
 //! the `c-1` block parameterization, so a "probability vector"
@@ -46,7 +48,7 @@ pub fn gmat<T: Scalar>(h: &[T]) -> Matrix<T> {
 }
 
 /// Dense Fisher-information matrix `H = G(h) ⊗ (xxᵀ)` (Eq. 2).
-/// `O(d²c²)` storage — exact-FIRAL / test path only.
+/// `O(d²c²)` storage — the tests' and the Table III ledger's oracle only.
 pub fn dense_hessian<T: Scalar>(x: &[T], h: &[T]) -> Matrix<T> {
     let d = x.len();
     let mut xxt = Matrix::zeros(d, d);
@@ -170,34 +172,44 @@ impl<'a, T: Scalar> PoolHessian<'a, T> {
         fisher_sweep(self.x, self.h, self.z.as_deref(), v, s, &mut ws, out);
     }
 
+    /// The weighted Grams `Σ_i z_i·G(h_i)_{kl}·x_ix_iᵀ`, block `(k, l)` of
+    /// `H(z)`, for every `(k, l)` in `pairs`, in one kernel pass.
+    fn grams(&self, pairs: &[(usize, usize)]) -> Vec<Matrix<T>> {
+        let mut w = Matrix::zeros(self.len(), pairs.len());
+        for i in 0..self.len() {
+            let zi = self.z.as_ref().map_or(T::ONE, |z| z[i]);
+            let hrow = self.h.row(i);
+            for (wv, &(k, l)) in w.row_mut(i).iter_mut().zip(pairs) {
+                let g = if k == l { T::ONE - hrow[k] } else { -hrow[l] };
+                *wv = zi * hrow[k] * g;
+            }
+        }
+        gram_weighted_multi(self.x, &w)
+    }
+
     /// Block diagonal `B(H(z))` (Definition 1 / Eq. 15): block `k` is
     /// `Σ_i z_i h_ik (1-h_ik) x_i x_iᵀ`, built in one fused pass.
     pub fn block_diagonal(&self) -> BlockDiag<T> {
-        let n = self.len();
-        let c = self.nblocks();
-        let mut w = Matrix::zeros(n, c);
-        for i in 0..n {
-            let zi = self.z.as_ref().map_or(T::ONE, |z| z[i]);
-            let hrow = self.h.row(i);
-            let wrow = w.row_mut(i);
-            for k in 0..c {
-                wrow[k] = zi * hrow[k] * (T::ONE - hrow[k]);
-            }
-        }
-        BlockDiag::from_blocks(gram_weighted_multi(self.x, &w))
+        let diagonal: Vec<_> = (0..self.nblocks()).map(|k| (k, k)).collect();
+        BlockDiag::from_blocks(self.grams(&diagonal))
     }
 
-    /// Assemble the dense `ê × ê` operator (test / exact-FIRAL path).
+    /// The dense `ê × ê` operator: [`Self::block_diagonal`] on the diagonal
+    /// (its own pass: the kernel's summation split depends on the column
+    /// count), one Gram pass over the pairs `k < l` into `(k, l)`, `(l, k)`.
     pub fn to_dense(&self) -> Matrix<T> {
-        let d = self.point_dim();
-        let c = self.nblocks();
-        let mut acc = Matrix::zeros(d * c, d * c);
-        for i in 0..self.len() {
-            let zi = self.z.as_ref().map_or(T::ONE, |z| z[i]);
-            let hi = dense_hessian(self.x.row(i), self.h.row(i));
-            acc.add_scaled(zi, &hi);
+        let (d, c) = (self.point_dim(), self.nblocks());
+        let mut out = self.block_diagonal().to_dense();
+        let pairs: Vec<_> = (0..c)
+            .flat_map(|k| (k + 1..c).map(move |l| (k, l)))
+            .collect();
+        for (&(k, l), gram) in pairs.iter().zip(self.grams(&pairs)) {
+            for p in 0..d {
+                out.row_mut(k * d + p)[l * d..(l + 1) * d].copy_from_slice(gram.row(p));
+                out.row_mut(l * d + p)[k * d..(k + 1) * d].copy_from_slice(gram.row(p));
+            }
         }
-        acc
+        out
     }
 }
 
@@ -246,7 +258,7 @@ impl<'a, T: Scalar> SigmaZ<'a, T> {
         b
     }
 
-    /// Dense assembly (test path).
+    /// Dense assembly: every dense `Σ` of Exact-FIRAL and its objectives.
     pub fn to_dense(&self) -> Matrix<T> {
         let mut m = self.ho.to_dense();
         m.add_scaled(T::ONE, &self.hz.to_dense());
@@ -521,22 +533,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn block_diagonal_matches_dense_extraction() {
-        let (x, h) = test_pool(12, 3, 4, 6);
-        let z: Vec<f64> = (0..12).map(|i| 0.05 * (i + 1) as f64).collect();
+    /// The dense assembly's diagonal blocks are `block_diagonal`'s bits, at
+    /// `(n, d, c)` = (150, 5, 5) too, where the Gram kernel splits its sum
+    /// differently for the 4 diagonal columns than for all 10 pairs `k ≤ l`.
+    fn block_diagonal_case<T: Scalar>(n: usize, d: usize, c: usize) {
+        let (x, h) = test_pool(n, d, c, 6);
+        let (x, h) = (x.cast::<T>(), h.cast::<T>());
+        let z: Vec<T> = (0..n)
+            .map(|i| T::from_f64(0.05 * (i % 12 + 1) as f64))
+            .collect();
         let op = PoolHessian::weighted(&x, &h, z);
         let bd = op.block_diagonal();
-        let dense_bd = BlockDiag::from_dense(&op.to_dense(), 3);
-        for k in 0..3 {
-            for p in 0..3 {
-                for q in 0..3 {
-                    assert!(
-                        (bd.block(k)[(p, q)] - dense_bd.block(k)[(p, q)]).abs() < 1e-10,
-                        "block {k} ({p},{q})"
-                    );
-                }
-            }
+        let dense_bd = BlockDiag::from_dense(&op.to_dense(), c - 1);
+        let bits = |m: &Matrix<T>| {
+            m.as_slice()
+                .iter()
+                .map(|v| v.to_f64().to_bits())
+                .collect::<Vec<_>>()
+        };
+        for k in 0..c - 1 {
+            assert_eq!(bits(bd.block(k)), bits(dense_bd.block(k)), "block {k}");
+        }
+    }
+
+    #[test]
+    fn block_diagonal_matches_dense_extraction() {
+        for (n, d, c) in [(12, 3, 4), (150, 5, 5)] {
+            block_diagonal_case::<f64>(n, d, c);
+            block_diagonal_case::<f32>(n, d, c);
         }
     }
 

@@ -4,28 +4,39 @@
 //! the exact algorithm, by the Fig. 4 sensitivity study and by tests; the
 //! fast RELAX solver builds its own Hutchinson/CG estimate from the probe
 //! panel it already holds.
+//!
+//! Every dense `Σ` of Exact-FIRAL is `sigma_z`'s `to_dense`: the
+//! objectives' (one body, the unridged forms at ridge zero), Exact RELAX's
+//! and Exact ROUND's.
 
 use firal_linalg::{Cholesky, Scalar};
 
-use crate::hessian::PoolHessian;
+use crate::hessian::{PoolHessian, SigmaZ};
 use crate::problem::SelectionProblem;
 
-/// Exact objective `Tr(Σ_z^{-1} H_p)` with `Σ_z = H_o + H_z` assembled
-/// densely. `z` are the (already `b`-scaled) pool weights. `O(ê³ + nê²)`.
-pub fn exact_objective<T: Scalar>(problem: &SelectionProblem<T>, z: &[T]) -> T {
-    assert_eq!(z.len(), problem.pool_size(), "weight length mismatch");
-    let ho = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h);
-    let hz = PoolHessian::weighted(&problem.pool_x, &problem.pool_h, z.to_vec());
-    let hp = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h);
+/// `Σ_z = H_o + H_z` of `problem` at the pool weights `z`.
+pub(crate) fn sigma_z<T: Scalar>(problem: &SelectionProblem<T>, z: Vec<T>) -> SigmaZ<'_, T> {
+    SigmaZ::new(
+        PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h),
+        PoolHessian::weighted(&problem.pool_x, &problem.pool_h, z),
+    )
+}
 
-    let mut sigma = ho.to_dense();
-    sigma.add_scaled(T::ONE, &hz.to_dense());
-    let hp_dense = hp.to_dense();
-
-    let ch = Cholesky::new(&sigma).expect("Σ_z must be SPD (is the pool degenerate?)");
+/// `Tr[(H_o + H_z + ridge·I)^{-1} H_p]`, `O(ê³ + nê²)`: the body of every
+/// objective here (`x + 0 = x`, so ridge zero is the unridged value).
+fn ridged_objective<T: Scalar>(problem: &SelectionProblem<T>, z: Vec<T>, ridge: T) -> T {
+    let mut sigma = sigma_z(problem, z).to_dense();
+    sigma.add_diag(ridge);
+    let hp = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h).to_dense();
+    let ch = Cholesky::new(&sigma).expect("Σ must be SPD (is the pool degenerate?)");
     // Tr(Σ⁻¹ H_p) = Σ_j (Σ⁻¹ H_p)_{jj}: solve column-by-column.
-    let solved = ch.solve_mat(&hp_dense);
-    solved.trace()
+    ch.solve_mat(&hp).trace()
+}
+
+/// Exact objective `Tr(Σ_z^{-1} H_p)` with `Σ_z = H_o + H_z` assembled
+/// densely. `z` are the (already `b`-scaled) pool weights.
+pub fn exact_objective<T: Scalar>(problem: &SelectionProblem<T>, z: &[T]) -> T {
+    ridged_objective(problem, z.to_vec(), T::ZERO)
 }
 
 /// Objective for a *discrete* selection: `f(selection) = Tr[(H_o +
@@ -36,11 +47,7 @@ pub fn exact_objective<T: Scalar>(problem: &SelectionProblem<T>, z: &[T]) -> T {
 /// regime requires `b ≫ ê`). Use [`selection_objective_ridged`] for small
 /// selections.
 pub fn selection_objective<T: Scalar>(problem: &SelectionProblem<T>, selected: &[usize]) -> T {
-    let mut z = vec![T::ZERO; problem.pool_size()];
-    for &i in selected {
-        z[i] += T::ONE;
-    }
-    exact_objective(problem, &z)
+    selection_objective_ridged(problem, selected, T::ZERO)
 }
 
 /// Ridge-regularized selection objective `Tr[(H_o + H_sel + δI)^{-1} H_p]`
@@ -55,14 +62,7 @@ pub fn selection_objective_ridged<T: Scalar>(
     for &i in selected {
         z[i] += T::ONE;
     }
-    let ho = PoolHessian::unweighted(&problem.labeled_x, &problem.labeled_h);
-    let hz = PoolHessian::weighted(&problem.pool_x, &problem.pool_h, z);
-    let hp = PoolHessian::unweighted(&problem.pool_x, &problem.pool_h);
-    let mut sigma = ho.to_dense();
-    sigma.add_scaled(T::ONE, &hz.to_dense());
-    sigma.add_diag(ridge);
-    let ch = Cholesky::new(&sigma).expect("ridged Σ must be SPD");
-    ch.solve_mat(&hp.to_dense()).trace()
+    ridged_objective(problem, z, ridge)
 }
 
 #[cfg(test)]
@@ -94,5 +94,30 @@ mod tests {
         }
         let f2 = exact_objective(&p, &z);
         assert!((f1 - f2).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ridged_selection_objective_is_the_plain_one_at_ridge_zero() {
+        let p = tiny_problem(2, 40, 4, 3);
+        let sel = [0usize, 3, 7];
+        assert_eq!(
+            selection_objective_ridged(&p, &sel, 0.0).to_bits(),
+            selection_objective(&p, &sel).to_bits()
+        );
+    }
+
+    #[test]
+    fn ridged_selection_objective_on_a_rank_deficient_selection() {
+        // 2 labeled points per class and 2 picks span at most
+        // (6 + 2)·(c−1) of ê = 10·(c−1) directions: Σ is singular.
+        let p = tiny_problem(3, 40, 10, 3);
+        let sel = [1usize, 5];
+        let mut previous = f64::INFINITY;
+        for ridge in [1e-4, 1e-3, 1e-2, 1e-1, 1.0] {
+            let f = selection_objective_ridged(&p, &sel, ridge);
+            assert!(f.is_finite() && f > 0.0, "ridge {ridge}: f = {f}");
+            assert!(f <= previous, "ridge {ridge}: f = {f} > {previous}");
+            previous = f;
+        }
     }
 }

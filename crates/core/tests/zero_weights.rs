@@ -1,18 +1,19 @@
 //! Mirror-descent weights with exact zeros, through the two kernels RELAX
 //! runs on them: the fused Fisher sweep behind `PoolHessian`'s panel
 //! application and the weighted Gram kernel behind
-//! `PoolHessian::block_diagonal`.
+//! `PoolHessian::block_diagonal` and `PoolHessian::to_dense`.
 //!
 //! Two weight vectors: one holds a run of 150 exact zeros, longer than any
 //! sweep row block (at most 64 rows), the other is all zeros. On every
 //! available SIMD tier both kernels must give the bits the operator gives
-//! on the process-wide tier, and the all-zero vector must give an all-zero
-//! panel product and block diagonal.
+//! on the process-wide tier; the dense assembly's diagonal blocks must be
+//! the block diagonal's bits; and the all-zero vector must give an
+//! all-zero panel product, block diagonal and dense matrix.
 
 use firal_core::hessian::PoolHessian;
 use firal_linalg::{
-    available_tiers, fisher_sweep_planned, gram_weighted_multi_planned, plan_for, Matrix, Scalar,
-    SweepWorkspace,
+    available_tiers, fisher_sweep_planned, gram_weighted_multi_planned, plan_for, BlockDiag,
+    Matrix, Scalar, SweepWorkspace,
 };
 use firal_solvers::LinearOperator;
 
@@ -56,6 +57,21 @@ fn zero_weight_case<T: Scalar>() {
         let mut want = Matrix::zeros(d * c, s);
         op.apply_panel_into(&v, &mut want);
         let want_blocks = op.block_diagonal();
+        let dense = op.to_dense();
+        let dense_blocks = BlockDiag::from_dense(&dense, c);
+        for (k, (g, b)) in dense_blocks
+            .blocks()
+            .iter()
+            .zip(want_blocks.blocks())
+            .enumerate()
+        {
+            assert_eq!(
+                bits(g.as_slice()),
+                bits(b.as_slice()),
+                "{label}: diagonal block {k} of PoolHessian::to_dense differs \
+                 from PoolHessian::block_diagonal"
+            );
+        }
         let gram_w = Matrix::from_fn(n, c, |i, k| z[i] * h[(i, k)] * (T::ONE - h[(i, k)]));
 
         for tier in available_tiers() {
@@ -101,6 +117,10 @@ fn zero_weight_case<T: Scalar>() {
                     .iter()
                     .all(|b| b.as_slice().iter().all(|&e| e == T::ZERO)),
                 "an all-zero weight vector gives a non-zero block diagonal"
+            );
+            assert!(
+                dense.as_slice().iter().all(|&e| e == T::ZERO),
+                "an all-zero weight vector gives a non-zero dense matrix"
             );
         } else {
             assert!(
