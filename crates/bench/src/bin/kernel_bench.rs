@@ -31,6 +31,13 @@
 //! `firal_linalg::counters`, so numbers stay comparable across PRs even if
 //! kernel internals change.
 //!
+//! The cells that a row compares against — every (tier, threads) cell of
+//! one kernel at one shape, or the two paths of a pair — are timed
+//! round-robin, two back-to-back calls of each per round with the second
+//! timed, and each keeps its best timed call:
+//! this host's speed drifts by 10–20 % over minutes, so cells timed one
+//! after another can read the opposite of the kernels' order.
+//!
 //! Usage: cargo run --release -p firal-bench --bin kernel_bench
 //!   [--quick] [--out PATH] [--reps N]
 //!
@@ -86,27 +93,20 @@ struct Row {
     gflops: f64,
 }
 
-/// Shortest time a cell is measured for: a millisecond kernel timed three
-/// times catches whatever the host was doing in those three milliseconds.
+/// Shortest time a cell is measured for, on average over the cells of one
+/// round-robin: a millisecond kernel timed three times catches whatever
+/// the host was doing in those three milliseconds.
 const MIN_CELL_SECS: f64 = 0.05;
 
-/// Time `f` over at least `reps` calls and [`MIN_CELL_SECS`] (after one
-/// warm-up), returning the best per-call seconds and the result checksum
-/// bits from the last call.
-fn bench<R>(reps: usize, f: impl Fn() -> R, checksum: impl Fn(&R) -> u64) -> (f64, u64) {
-    let warm = f();
-    let mut bits = checksum(&warm);
-    let mut best = f64::INFINITY;
-    let started = Instant::now();
-    let mut calls = 0;
-    while calls < reps || started.elapsed().as_secs_f64() < MIN_CELL_SECS {
-        let t0 = Instant::now();
-        let out = f();
-        best = best.min(t0.elapsed().as_secs_f64());
-        bits = checksum(&out);
-        calls += 1;
-    }
-    (best, bits)
+/// One timed call: its seconds and its result's checksum.
+type TimedCall<'a> = Box<dyn Fn() -> (f64, u64) + 'a>;
+
+/// One timed call of `f` (the checksum is taken off the clock).
+fn time_call<R>(f: impl FnOnce() -> R, checksum: impl Fn(&R) -> u64) -> (f64, u64) {
+    let t0 = Instant::now();
+    let out = f();
+    let secs = t0.elapsed().as_secs_f64();
+    (secs, checksum(&out))
 }
 
 fn slice_bits<T: Scalar>(v: &[T]) -> u64 {
@@ -174,6 +174,77 @@ impl Cell {
     }
 }
 
+/// One entry of a round-robin: the row it files (cell, kernel, width `m`)
+/// and the call it times.
+struct Entry<'a> {
+    cell: Cell,
+    kernel: &'static str,
+    m: usize,
+    call: TimedCall<'a>,
+}
+
+/// Time `entries` round-robin: rounds of two back-to-back calls per entry,
+/// the second timed, until there have been at least `reps` rounds and
+/// [`MIN_CELL_SECS`] per entry. The untimed call refills the caches the
+/// other entries evicted, so each timed call starts warm, as in a loop of
+/// calls. Files each entry's best call as a row, every checksum (of its
+/// last call) checked against one bit reference, and returns the number of
+/// mismatches.
+fn round_robin(entries: &[Entry<'_>], reps: usize, flops: usize, rows: &mut Vec<Row>) -> usize {
+    let mut best = vec![(f64::INFINITY, 0); entries.len()];
+    let budget = MIN_CELL_SECS * entries.len() as f64;
+    let started = Instant::now();
+    let mut rounds = 0;
+    while rounds < reps || started.elapsed().as_secs_f64() < budget {
+        for (slot, e) in best.iter_mut().zip(entries) {
+            (e.call)();
+            let (secs, bits) = (e.call)();
+            *slot = (slot.0.min(secs), bits);
+        }
+        rounds += 1;
+    }
+    let mut reference = None;
+    (entries.iter().zip(best))
+        .map(|(e, timed)| {
+            e.cell
+                .record(rows, e.kernel, e.m, &mut reference, timed, flops)
+        })
+        .sum()
+}
+
+/// The (tier, threads) cells of one shape, each with its pool: the full
+/// thread sweep on the active tier, one thread on the others (enough for
+/// the trajectory and the bit cross-check).
+fn tier_cells<T: Scalar>(
+    dtype: &'static str,
+    n: usize,
+    d: usize,
+    threads_list: &[usize],
+) -> Vec<(Cell, rayon::ThreadPool)> {
+    let best = active_tier();
+    let mut cells = Vec::new();
+    for tier in available_tiers() {
+        let tier_threads: &[usize] = if tier == best { threads_list } else { &[1] };
+        for &threads in tier_threads {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool build");
+            let cell = Cell {
+                dtype,
+                n,
+                d,
+                threads,
+                tier,
+                class_block: None,
+                lane_multiple: d.is_multiple_of(lane_count(tier, std::mem::size_of::<T>())),
+            };
+            cells.push((cell, pool));
+        }
+    }
+    cells
+}
+
 /// `gemm_at_b`, `gram_weighted_multi` and `fisher_sweep` at one shape
 /// (`dense = false`: `fisher_sweep` only); the sweep's `m` columns are
 /// `m / probes` class blocks of `probes` columns each.
@@ -188,9 +259,9 @@ fn run_shape<T: Scalar>(
     rows: &mut Vec<Row>,
     mismatches: &mut usize,
 ) {
-    let x = lcg_matrix::<T>(n, d, 1);
-    let b = lcg_matrix::<T>(n, m, 2);
-    let w = {
+    let x = &lcg_matrix::<T>(n, d, 1);
+    let b = &lcg_matrix::<T>(n, m, 2);
+    let w = &{
         let raw = lcg_matrix::<T>(n, GRAM_CLASSES, 3);
         Matrix::from_fn(n, GRAM_CLASSES, |i, j| {
             raw[(i, j)].abs() + T::from_f64(0.05)
@@ -204,101 +275,75 @@ fn run_shape<T: Scalar>(
         m,
         "m must be whole blocks of {probes} probes"
     );
-    let h = Matrix::from_fn(n, blocks, |i, k| {
+    let h = &Matrix::from_fn(n, blocks, |i, k| {
         T::from_f64(0.9 * (1 + (i * 7 + k * 3) % 11) as f64 / 12.0 / blocks as f64)
     });
-    let z: Vec<T> = (0..n)
+    let z = &(0..n)
         .map(|i| T::from_f64((1 + i % 5) as f64 / n as f64))
-        .collect();
-    let v = lcg_matrix::<T>(d * blocks, probes, 4);
+        .collect::<Vec<T>>();
+    let v = &lcg_matrix::<T>(d * blocks, probes, 4);
 
-    // One bit reference per kernel, shared across the tier AND thread axes:
-    // every (tier, threads) cell must reproduce it exactly.
-    let mut at_b_ref: Option<u64> = None;
-    let mut gram_ref: Option<u64> = None;
-    let mut sweep_ref: Option<u64> = None;
-    let best = active_tier();
     // This host's blocking plan: `class_block` for the Gram kernel,
     // `sweep_bytes` for the fused sweep; `gemm_at_b` reads neither.
     let plan = plan_for::<T>(d);
-    for tier in available_tiers() {
-        // Full thread sweep on the active tier; single-thread rows on the
-        // others (enough for the trajectory and the bit cross-check).
-        let tier_threads: &[usize] = if tier == best { threads_list } else { &[1] };
-        let lane_multiple = d % lane_count(tier, std::mem::size_of::<T>()) == 0;
-        for &threads in tier_threads {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool build");
+    let cells = tier_cells::<T>(dtype, n, d, threads_list);
+    // Each kernel has one bit reference, shared across the tier AND thread
+    // axes: every (tier, threads) cell must reproduce it exactly.
+    if dense {
+        let at_b: Vec<Entry> = (cells.iter())
+            .map(|(cell, pool)| Entry {
+                cell: *cell,
+                kernel: "gemm_at_b",
+                m,
+                call: Box::new(move || {
+                    pool.install(|| time_call(|| gemm_at_b_tier(cell.tier, x, b), matrix_bits))
+                }),
+            })
+            .collect();
+        *mismatches += round_robin(&at_b, reps, counters::gemm_at_b_flops(n, d, m), rows);
 
-            let cell = Cell {
-                dtype,
-                n,
-                d,
-                threads,
-                tier,
-                class_block: None,
-                lane_multiple,
-            };
-            let mut record = |cell: Cell, kernel, m, reference: &mut Option<u64>, timed, flops| {
-                *mismatches += cell.record(rows, kernel, m, reference, timed, flops);
-            };
-
-            if dense {
-                let timed =
-                    pool.install(|| bench(reps, || gemm_at_b_tier(tier, &x, &b), matrix_bits));
-                let flops = counters::gemm_at_b_flops(n, d, m);
-                record(cell, "gemm_at_b", m, &mut at_b_ref, timed, flops);
-
-                let timed = pool.install(|| {
-                    bench(
-                        reps,
-                        || gram_weighted_multi_planned(tier, plan, &x, &w),
-                        |gs| gs.iter().fold(0u64, |acc, g| acc ^ matrix_bits(g)),
-                    )
-                });
-                let flops = counters::gram_weighted_multi_flops(GRAM_CLASSES, n, d);
-                let gram_cell = Cell {
+        let gram: Vec<Entry> = (cells.iter())
+            .map(|(cell, pool)| Entry {
+                cell: Cell {
                     class_block: Some(plan.class_block),
-                    ..cell
-                };
-                record(
-                    gram_cell,
-                    "gram_weighted_multi",
-                    GRAM_CLASSES,
-                    &mut gram_ref,
-                    timed,
-                    flops,
-                );
-            }
-
-            let ws = std::cell::RefCell::new(SweepWorkspace::new());
-            let timed = pool.install(|| {
-                bench(
-                    reps,
-                    || {
-                        let mut out = Matrix::zeros(d * blocks, probes);
-                        fisher_sweep_planned(
-                            tier,
-                            plan,
-                            &x,
-                            &h,
-                            Some(&z),
-                            v.as_slice(),
-                            probes,
-                            &mut ws.borrow_mut(),
-                            out.as_mut_slice(),
-                        );
-                        out
-                    },
-                    matrix_bits,
-                )
-            });
-            let flops = counters::gemm_flops(n, m, d) + counters::gemm_at_b_flops(n, d, m);
-            record(cell, "fisher_sweep", m, &mut sweep_ref, timed, flops);
-        }
+                    ..*cell
+                },
+                kernel: "gram_weighted_multi",
+                m: GRAM_CLASSES,
+                call: Box::new(move || {
+                    pool.install(|| {
+                        time_call(
+                            || gram_weighted_multi_planned(cell.tier, plan, x, w),
+                            |gs| gs.iter().fold(0u64, |acc, g| acc ^ matrix_bits(g)),
+                        )
+                    })
+                }),
+            })
+            .collect();
+        let flops = counters::gram_weighted_multi_flops(GRAM_CLASSES, n, d);
+        *mismatches += round_robin(&gram, reps, flops, rows);
     }
+
+    let sweep: Vec<Entry> = (cells.iter())
+        .map(|(cell, pool)| {
+            let ws = std::cell::RefCell::new(SweepWorkspace::new());
+            let sweep = move || {
+                let mut out = Matrix::zeros(d * blocks, probes);
+                let y = out.as_mut_slice();
+                let ws = &mut ws.borrow_mut();
+                fisher_sweep_planned(cell.tier, plan, x, h, Some(z), v.as_slice(), probes, ws, y);
+                out
+            };
+            Entry {
+                cell: *cell,
+                kernel: "fisher_sweep",
+                m,
+                call: Box::new(move || pool.install(|| time_call(&sweep, matrix_bits))),
+            }
+        })
+        .collect();
+    let flops = counters::gemm_flops(n, m, d) + counters::gemm_at_b_flops(n, d, m);
+    *mismatches += round_robin(&sweep, reps, flops, rows);
 }
 
 /// The Eq. 17 sweep at one per-rank pool shape: `quad_sweep` on every
@@ -324,96 +369,74 @@ fn run_quad_shape<T: Scalar>(
     let mut l_inv = Matrix::zeros(d, d);
     invert_lower(sigma.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
     let m_blk = spd(6);
-    let x = lcg_matrix::<T>(n, d, 7);
+    let x = &lcg_matrix::<T>(n, d, 7);
     // The sweep reads the pool transposed, formed once per ROUND call.
-    let xt = x.transpose();
-    let g = {
+    let xt = &x.transpose();
+    let g = &{
         let raw = lcg_matrix::<T>(n, 1, 8);
         Matrix::from_fn(n, 1, |i, _| raw[(i, 0)].abs() * T::from_f64(0.25))
     };
     let eta = T::from_f64(8.0);
-    let dense_flops = 2 * counters::gemm_flops(n, d, d);
-
-    let mut reference: Option<u64> = None;
-    let best = active_tier();
-    for tier in available_tiers() {
-        let tier_threads: &[usize] = if tier == best { threads_list } else { &[1] };
-        let cell = |threads| Cell {
-            dtype,
-            n,
-            d,
-            threads,
-            tier,
-            class_block: None,
-            lane_multiple: d % lane_count(tier, std::mem::size_of::<T>()) == 0,
-        };
+    let loaded = |tier| {
         let mut sweep = QuadSweep::<T>::on_tier(tier, QUAD_BLOCK_ROWS, d);
         sweep
             .factor_group(std::slice::from_ref(&l_inv), |_, i, row| {
                 row.copy_from_slice(&m_blk.row(i)[..=i]);
             })
             .expect("seeded SPD");
-        let (r_inv_t, n_inv) = sweep.triangles(0);
-        let sweep = std::cell::RefCell::new(sweep);
-        for &threads in tier_threads {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool build");
-            let timed = pool.install(|| {
-                bench(
-                    reps,
-                    || {
-                        let mut scores = vec![T::ZERO; n];
-                        sweep.borrow_mut().accumulate(&xt, &g, 0, eta, &mut scores);
-                        scores
-                    },
-                    |s| slice_bits(s),
-                )
-            });
-            *mismatches +=
-                cell(threads).record(rows, "quad_sweep", d, &mut reference, timed, dense_flops);
-            if tier != best {
-                continue;
-            }
-            let buffers = std::cell::RefCell::new((vec![T::ZERO; n * d], vec![T::ZERO; n * d]));
-            let timed = pool.install(|| {
-                bench(
-                    reps,
-                    || {
-                        let (z, y) = &mut *buffers.borrow_mut();
-                        gemm_into(x.as_slice(), &r_inv_t, z);
-                        gemm_into(z, &n_inv, y);
-                        let norm = |v: &[T]| v.iter().fold(T::ZERO, |q, &e| q + e * e);
-                        (z.chunks_exact(d).zip(y.chunks_exact(d)).enumerate())
-                            .map(|(i, (zi, yi))| {
-                                let gi = g[(i, 0)];
-                                gi * norm(yi) / (T::ONE + eta * gi * norm(zi))
-                            })
-                            .collect::<Vec<T>>()
-                    },
-                    |s| slice_bits(s),
-                )
-            });
-            *mismatches += cell(threads).record(
-                rows,
-                "quad_two_gemm_into",
-                d,
-                &mut reference,
-                timed,
-                dense_flops,
-            );
+        sweep
+    };
+    // The loaded block is tier-independent.
+    let (r_inv_t, n_inv) = &loaded(Tier::Scalar).triangles(0);
+
+    let cells = tier_cells::<T>(dtype, n, d, threads_list);
+    let mut entries = Vec::new();
+    for (cell, pool) in &cells {
+        let sweep = std::cell::RefCell::new(loaded(cell.tier));
+        let quad = move || {
+            let mut scores = vec![T::ZERO; n];
+            sweep.borrow_mut().accumulate(xt, g, 0, eta, &mut scores);
+            scores
+        };
+        entries.push(Entry {
+            cell: *cell,
+            kernel: "quad_sweep",
+            m: d,
+            call: Box::new(move || pool.install(|| time_call(&quad, |s| slice_bits(s)))),
+        });
+        if cell.tier != active_tier() {
+            continue;
         }
+        let buffers = std::cell::RefCell::new((vec![T::ZERO; n * d], vec![T::ZERO; n * d]));
+        let two_gemm = move || {
+            let (z, y) = &mut *buffers.borrow_mut();
+            gemm_into(x.as_slice(), r_inv_t, z);
+            gemm_into(z, n_inv, y);
+            let norm = |v: &[T]| v.iter().fold(T::ZERO, |q, &e| q + e * e);
+            (z.chunks_exact(d).zip(y.chunks_exact(d)).enumerate())
+                .map(|(i, (zi, yi))| {
+                    let gi = g[(i, 0)];
+                    gi * norm(yi) / (T::ONE + eta * gi * norm(zi))
+                })
+                .collect::<Vec<T>>()
+        };
+        entries.push(Entry {
+            cell: *cell,
+            kernel: "quad_two_gemm_into",
+            m: d,
+            call: Box::new(move || pool.install(|| time_call(&two_gemm, |s| slice_bits(s)))),
+        });
     }
+    *mismatches += round_robin(&entries, reps, 2 * counters::gemm_flops(n, d, d), rows);
 }
 
 /// ROUND's per-pick block kernels at one `(c−1, d)`: Line 9's
 /// eigensolves and the Eq. 17 `M_k` factor chain, each timed per block
 /// (a group of one, the scalar path) and in lane groups of
 /// `Scalar::BLOCK_LANES`; and RELAX's block-Jacobi apply on `PROBES`
-/// columns, per block and in lane groups. Each pair must produce the same
-/// bits; GF/s is on the pinned counts, `4d³` per eigensolve, `d³` per
-/// factor chain and `2d²s` per block solve.
+/// columns, per block and in lane groups. Each pair is timed round-robin
+/// and must produce the same bits; GF/s is on the pinned counts, `4d³`
+/// per eigensolve, `d³` per factor chain and `2d²s` per block solve.
 fn run_block_lanes<T: Scalar>(
     dtype: &'static str,
     (blocks, d): (usize, usize),
@@ -427,15 +450,17 @@ fn run_block_lanes<T: Scalar>(
         m.add_diag(T::from_usize(d));
         m
     };
-    let ms: Vec<Matrix<T>> = (0..blocks).map(|k| spd(100 + k as u64)).collect();
-    let l_invs: Vec<Matrix<T>> = (0..blocks)
+    let ms = &(0..blocks)
+        .map(|k| spd(100 + k as u64))
+        .collect::<Vec<Matrix<T>>>();
+    let l_invs = &(0..blocks)
         .map(|k| {
             let l = Cholesky::new(&spd(300 + k as u64)).expect("seeded SPD");
             let mut l_inv = Matrix::zeros(d, d);
             invert_lower(l.l().as_slice(), d, l_inv.as_mut_slice(), d, d);
             l_inv
         })
-        .collect();
+        .collect::<Vec<Matrix<T>>>();
     let lanes = T::BLOCK_LANES;
     let cell = Cell {
         dtype,
@@ -446,80 +471,108 @@ fn run_block_lanes<T: Scalar>(
         class_block: None,
         lane_multiple: false,
     };
-
-    let mut eig_ref = None;
-    for (kernel, width) in [("eigvalsh_per_block", 1), ("eigvalsh_blocks", lanes)] {
-        let timed = bench(
-            reps,
-            || {
-                ms.chunks(width)
-                    .flat_map(|g| eigvalsh_blocks(g).expect("SPD spectra"))
-                    .collect::<Vec<T>>()
-            },
-            |v| slice_bits(v),
-        );
-        let flops = blocks * 4 * d * d * d;
-        *mismatches += cell.record(rows, kernel, width, &mut eig_ref, timed, flops);
+    // One block kernel per block (`m = 1`) and in lane groups.
+    fn pair<'a>(
+        cell: Cell,
+        kernels: [&'static str; 2],
+        lanes: usize,
+        timed: impl Fn(usize) -> TimedCall<'a>,
+    ) -> Vec<Entry<'a>> {
+        (kernels.into_iter().zip([1, lanes]))
+            .map(|(kernel, width)| Entry {
+                cell,
+                kernel,
+                m: width,
+                call: timed(width),
+            })
+            .collect()
     }
 
-    let mut factor_ref = None;
-    let sweep = std::cell::RefCell::new(QuadSweep::<T>::new(d));
-    for (kernel, width) in [
-        ("round_factor_per_block", 1),
-        ("round_factor_blocks", lanes),
-    ] {
-        let timed = bench(
-            reps,
-            || {
+    let eig = pair(
+        cell,
+        ["eigvalsh_per_block", "eigvalsh_blocks"],
+        lanes,
+        |width| {
+            Box::new(move || {
+                time_call(
+                    || {
+                        ms.chunks(width)
+                            .flat_map(|g| eigvalsh_blocks(g).expect("SPD spectra"))
+                            .collect::<Vec<T>>()
+                    },
+                    |v| slice_bits(v),
+                )
+            })
+        },
+    );
+    *mismatches += round_robin(&eig, reps, blocks * 4 * d * d * d, rows);
+
+    let factor = pair(
+        cell,
+        ["round_factor_per_block", "round_factor_blocks"],
+        lanes,
+        |width| {
+            let sweep = std::cell::RefCell::new(QuadSweep::<T>::new(d));
+            Box::new(move || {
                 let mut sweep = sweep.borrow_mut();
-                let mut bits = 0u64;
-                for (mg, lg) in ms.chunks(width).zip(l_invs.chunks(width)) {
-                    sweep
-                        .factor_group(lg, |lane, i, row| {
-                            row.copy_from_slice(&mg[lane].row(i)[..=i]);
-                        })
-                        .expect("seeded SPD");
-                    for lane in 0..mg.len() {
-                        let (r_inv_t, n_inv) = sweep.triangles(lane);
-                        bits = bits.rotate_left(3) ^ matrix_bits(&r_inv_t) ^ matrix_bits(&n_inv);
-                    }
-                }
-                bits
-            },
-            |&b| b,
-        );
-        let flops = blocks * d * d * d;
-        *mismatches += cell.record(rows, kernel, width, &mut factor_ref, timed, flops);
-    }
+                time_call(
+                    || {
+                        let mut bits = 0u64;
+                        for (mg, lg) in ms.chunks(width).zip(l_invs.chunks(width)) {
+                            sweep
+                                .factor_group(lg, |lane, i, row| {
+                                    row.copy_from_slice(&mg[lane].row(i)[..=i]);
+                                })
+                                .expect("seeded SPD");
+                            for lane in 0..mg.len() {
+                                let (r_inv_t, n_inv) = sweep.triangles(lane);
+                                bits = bits.rotate_left(3)
+                                    ^ matrix_bits(&r_inv_t)
+                                    ^ matrix_bits(&n_inv);
+                            }
+                        }
+                        bits
+                    },
+                    |&b| b,
+                )
+            })
+        },
+    );
+    *mismatches += round_robin(&factor, reps, blocks * d * d * d, rows);
 
-    let rhs = lcg_matrix::<T>(blocks * d, PROBES, 400);
-    let per_block: Vec<Cholesky<T>> = ms.iter().map(|m| Cholesky::new(m).expect("SPD")).collect();
-    let grouped = std::cell::RefCell::new(CholeskyBlocks::new(&ms, T::ZERO).expect("SPD"));
-    let panel = std::cell::RefCell::new(rhs.clone());
-    let mut jacobi_ref = None;
-    for (kernel, width) in [("block_jacobi_per_block", 1), ("block_jacobi_lanes", lanes)] {
-        let timed = bench(
-            reps,
-            || {
+    let rhs = &lcg_matrix::<T>(blocks * d, PROBES, 400);
+    let per_block = &ms
+        .iter()
+        .map(|m| Cholesky::new(m).expect("SPD"))
+        .collect::<Vec<Cholesky<T>>>();
+    let jacobi = pair(
+        cell,
+        ["block_jacobi_per_block", "block_jacobi_lanes"],
+        lanes,
+        |width| {
+            let grouped = std::cell::RefCell::new(CholeskyBlocks::new(ms, T::ZERO).expect("SPD"));
+            let panel = std::cell::RefCell::new(rhs.clone());
+            Box::new(move || {
                 let mut z = panel.borrow_mut();
-                z.as_mut_slice().copy_from_slice(rhs.as_slice());
-                if width == 1 {
-                    let rows = z.as_mut_slice().chunks_exact_mut(d * PROBES);
-                    for (ch, block) in per_block.iter().zip(rows) {
-                        ch.solve_panel_in_place(block, PROBES);
+                let solve = || {
+                    z.as_mut_slice().copy_from_slice(rhs.as_slice());
+                    if width == 1 {
+                        let rows = z.as_mut_slice().chunks_exact_mut(d * PROBES);
+                        for (ch, block) in per_block.iter().zip(rows) {
+                            ch.solve_panel_in_place(block, PROBES);
+                        }
+                    } else {
+                        grouped
+                            .borrow_mut()
+                            .solve_panel_in_place(z.as_mut_slice(), PROBES);
                     }
-                } else {
-                    grouped
-                        .borrow_mut()
-                        .solve_panel_in_place(z.as_mut_slice(), PROBES);
-                }
-                matrix_bits(&z)
-            },
-            |&b| b,
-        );
-        let flops = blocks * 2 * d * d * PROBES;
-        *mismatches += cell.record(rows, kernel, width, &mut jacobi_ref, timed, flops);
-    }
+                };
+                let (secs, _) = time_call(solve, |()| 0);
+                (secs, matrix_bits(&z))
+            })
+        },
+    );
+    *mismatches += round_robin(&jacobi, reps, blocks * 2 * d * d * PROBES, rows);
 }
 
 fn main() {

@@ -194,15 +194,12 @@ impl<'a, T: Scalar> PoolHessian<'a, T> {
         BlockDiag::from_blocks(self.grams(&diagonal))
     }
 
-    /// The dense `ê × ê` operator: [`Self::block_diagonal`] on the diagonal
-    /// (its own pass: the kernel's summation split depends on the column
-    /// count), one Gram pass over the pairs `k < l` into `(k, l)`, `(l, k)`.
+    /// The dense `ê × ê` operator: one Gram pass over the pairs `k ≤ l`,
+    /// each Gram written to blocks `(k, l)` and `(l, k)`.
     pub fn to_dense(&self) -> Matrix<T> {
         let (d, c) = (self.point_dim(), self.nblocks());
-        let mut out = self.block_diagonal().to_dense();
-        let pairs: Vec<_> = (0..c)
-            .flat_map(|k| (k + 1..c).map(move |l| (k, l)))
-            .collect();
+        let mut out = Matrix::zeros(d * c, d * c);
+        let pairs: Vec<_> = (0..c).flat_map(|k| (k..c).map(move |l| (k, l))).collect();
         for (&(k, l), gram) in pairs.iter().zip(self.grams(&pairs)) {
             for p in 0..d {
                 out.row_mut(k * d + p)[l * d..(l + 1) * d].copy_from_slice(gram.row(p));
@@ -534,8 +531,9 @@ mod tests {
     }
 
     /// The dense assembly's diagonal blocks are `block_diagonal`'s bits, at
-    /// `(n, d, c)` = (150, 5, 5) too, where the Gram kernel splits its sum
-    /// differently for the 4 diagonal columns than for all 10 pairs `k ≤ l`.
+    /// `(n, d, c)` = (150, 5, 5) too, where the 10 pairs `k ≤ l` of
+    /// `to_dense` cross the Gram kernel's parallel threshold and the 4
+    /// diagonal columns of `block_diagonal` do not.
     fn block_diagonal_case<T: Scalar>(n: usize, d: usize, c: usize) {
         let (x, h) = test_pool(n, d, c, 6);
         let (x, h) = (x.cast::<T>(), h.cast::<T>());

@@ -16,10 +16,11 @@
 //! which runs on the process-wide SIMD tier picked once by
 //! [`crate::simd::active_tier`], and one explicit `*_tier` (or, where a
 //! blocking plan is read, `*_planned`) variant that the equality harnesses
-//! use to cross-check every available tier bitwise. The SIMD bodies live in
-//! `crate::simd`; the scalar register-tiled panels in this module remain
-//! the always-available fallback and the reference semantics. The class
-//! blocking of [`gram_weighted_multi`] comes from [`crate::autotune`].
+//! use to cross-check every available tier bitwise. This module holds the
+//! shape checks, the row and chunk loops and the reductions; the one
+//! body of each kernel lives in `crate::simd` and runs on every tier, `off`
+//! included (at one lane). The class blocking of [`gram_weighted_multi`]
+//! comes from [`crate::autotune`].
 //!
 //! # Determinism contract
 //!
@@ -29,23 +30,23 @@
 //! * **row-parallel kernels** ([`gemm`], [`gemm_a_bt`]) produce each output
 //!   row in exactly one task with a fixed depth-ascending accumulation
 //!   order, so any row grouping yields identical bits;
-//! * **reduction kernels** ([`gemm_at_b`], [`gram_weighted_multi`]) fix
-//!   their chunk boundaries from the problem shape alone
-//!   (`reduce_chunk_rows` — never `rayon::current_num_threads()`) and
-//!   combine partial accumulators in chunk-index order (the shim's ordered
-//!   `reduce`);
-//! * the sequential small-shape fallback uses the same accumulation order,
-//!   and the parallel/sequential branch is a pure shape predicate
-//!   (`PAR_THRESHOLD`);
-//! * every SIMD tier implements the same canonical per-element summation
-//!   tree as the scalar panels (lane-width independent because lanes span
-//!   output elements, never a reduction axis; all arithmetic unfused — see
-//!   the `crate::simd` module docs), and the cache-derived blocking plan is
+//! * **reduction kernels** ([`gemm_at_b`], [`gram_weighted_multi`]) split
+//!   their rows at chunk boundaries fixed by the row count alone
+//!   (`reduce_chunk_rows` — never `rayon::current_num_threads()`, nor the
+//!   number of output columns) and add the chunks' partial accumulators in
+//!   chunk-index order; a pure shape predicate (`PAR_THRESHOLD`) decides
+//!   only whether the chunks are mapped on the pool or one after another.
+//!   So an output column's bits do not depend on which other columns
+//!   share the call;
+//! * every tier runs the same body, which implements one canonical
+//!   per-element summation tree at any lane width (lanes span output
+//!   elements, never a reduction axis; all arithmetic unfused — see the
+//!   `crate::simd` module docs), and the cache-derived blocking plan is
 //!   bit-neutral by construction.
 //!
 //! Consequence: `FIRAL_NUM_THREADS ∈ {1, 2, …}` (or any
 //! `ThreadPool::install` scope) crossed with `FIRAL_SIMD ∈ {off, sse2,
-//! avx2, neon}` produces bitwise-identical numerics, which the SPMD
+//! avx2, avx512, neon}` produces bitwise-identical numerics, which the SPMD
 //! consistency matrix in `tests/parallel_consistency.rs` and the
 //! `simd_equality` suite rely on.
 
@@ -62,7 +63,7 @@ use crate::simd::{self, check_tier, AtBChunk, GemmPanel, GramRows, Tier};
 pub(crate) const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Rows per parallel task in the row-parallel kernels — a multiple of the
-/// 4-row micro-tile so full tasks never hit the scalar tail.
+/// 4-row micro-tile so full tasks never run single-row tiles.
 const ROW_BLOCK: usize = 32;
 
 /// Cap on the number of reduction chunks: the most ways a reduction's sum
@@ -86,24 +87,29 @@ pub(crate) fn reduce_chunk_rows(n: usize, min_rows: usize) -> usize {
 }
 
 /// The map-reduce shared by the reduction kernels: `partial(rows)` for the
-/// shape-fixed row chunks of `0..n`, added **in chunk order** onto a zero
-/// accumulator of `len` elements. Chunks are mapped one wave at a time, as
-/// many per wave as the pool has threads, and each wave is folded in before
-/// the next starts, so at most one wave of partials is alive. The wave
-/// width only bounds memory: chunk boundaries and the fold order are the
-/// shape's, so the sum is the same bits at every thread count.
+/// row chunks of `0..n` that [`reduce_chunk_rows`] fixes, added **in chunk
+/// order** onto a zero accumulator of `len` elements. With `par`, chunks
+/// are mapped one wave at a time, as many per wave as the pool has
+/// threads, and each wave is folded in before the next starts, so at most
+/// one wave of partials is alive; without it, waves of one chunk, which
+/// the pool maps inline on the calling thread. Neither `par` nor the wave
+/// width changes the chunk boundaries or the fold order, so the sum is the
+/// same bits either way.
 fn reduce_row_chunks<T: Scalar>(
     n: usize,
-    chunk_rows: usize,
+    min_rows: usize,
     len: usize,
+    par: bool,
     partial: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
 ) -> Vec<T> {
+    let chunk_rows = reduce_chunk_rows(n, min_rows);
     let chunks: Vec<std::ops::Range<usize>> = (0..n)
         .step_by(chunk_rows)
         .map(|start| start..(start + chunk_rows).min(n))
         .collect();
     // lint: allow(thread-count) sizes the wave of live partials only; chunks and fold order are shape-fixed
-    let wave = rayon::current_num_threads().max(1);
+    let threads = rayon::current_num_threads().max(1);
+    let wave = if par { threads } else { 1 };
     let mut total = vec![T::ZERO; len];
     for group in chunks.chunks(wave) {
         let parts: Vec<Vec<T>> = group.to_vec().into_par_iter().map(&partial).collect();
@@ -184,9 +190,12 @@ fn gemm_row_blocks<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
     }
 }
 
-/// [`gemm_rows`] on `tier`: its SIMD body, or the scalar panel itself on
-/// [`Tier::Scalar`]. Same bits either way. Panics if a slice is too short
-/// for its shape.
+/// `C[r] += A[r] · B` for a panel of `rows` rows on `tier` (`A` is
+/// `rows × k`, `B` is `k × n`, all row-major with leading dimensions
+/// `lda`, `ldb`, `ldc`): the GEMM panel body of `crate::simd`. Per element
+/// one accumulator, depth-ascending (`p`) onto the incoming `C` value, the
+/// same for every row, so the result does not depend on how rows are
+/// grouped into panels. Panics if a slice is too short for its shape.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_panel<T: Scalar>(
     tier: Tier,
@@ -204,7 +213,7 @@ pub(crate) fn gemm_panel<T: Scalar>(
         return;
     }
     let panel = GemmPanel {
-        c: &mut *c,
+        c,
         ldc,
         a,
         lda,
@@ -214,85 +223,7 @@ pub(crate) fn gemm_panel<T: Scalar>(
         k,
         n,
     };
-    if !T::simd_run(tier, panel) {
-        gemm_rows(c, ldc, a, lda, b, ldb, rows, k, n);
-    }
-}
-
-/// `C[r] += A[r] · B` for a panel of `rows` rows (`A` is `rows × k`, `B` is
-/// `k × n`, all row-major with leading dimensions `lda`, `ldb`, `ldc`);
-/// 4-row register-tiled body with a depth-ascending (`p`) accumulation
-/// order identical for every row, so the result is independent of how rows
-/// are grouped into panels. This is the canonical summation tree the SIMD
-/// panel bodies replicate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_rows<T: Scalar>(
-    crows: &mut [T],
-    ldc: usize,
-    arows: &[T],
-    lda: usize,
-    b: &[T],
-    ldb: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-) {
-    let mut r = 0;
-    while r + 4 <= rows {
-        let (c0, rest) = crows[r * ldc..].split_at_mut(ldc);
-        let (c1, rest) = rest.split_at_mut(ldc);
-        let (c2, c3) = rest.split_at_mut(ldc);
-        let (c0, c1, c2, c3) = (&mut c0[..n], &mut c1[..n], &mut c2[..n], &mut c3[..n]);
-        let a0 = &arows[r * lda..r * lda + k];
-        let a1 = &arows[(r + 1) * lda..(r + 1) * lda + k];
-        let a2 = &arows[(r + 2) * lda..(r + 2) * lda + k];
-        let a3 = &arows[(r + 3) * lda..(r + 3) * lda + k];
-        for p in 0..k {
-            let (x0, x1, x2, x3) = (a0[p], a1[p], a2[p], a3[p]);
-            let brow = &b[p * ldb..p * ldb + n];
-            let mut j = 0;
-            while j + 4 <= n {
-                let (b0, b1, b2, b3) = (brow[j], brow[j + 1], brow[j + 2], brow[j + 3]);
-                c0[j] += x0 * b0;
-                c0[j + 1] += x0 * b1;
-                c0[j + 2] += x0 * b2;
-                c0[j + 3] += x0 * b3;
-                c1[j] += x1 * b0;
-                c1[j + 1] += x1 * b1;
-                c1[j + 2] += x1 * b2;
-                c1[j + 3] += x1 * b3;
-                c2[j] += x2 * b0;
-                c2[j + 1] += x2 * b1;
-                c2[j + 2] += x2 * b2;
-                c2[j + 3] += x2 * b3;
-                c3[j] += x3 * b0;
-                c3[j + 1] += x3 * b1;
-                c3[j + 2] += x3 * b2;
-                c3[j + 3] += x3 * b3;
-                j += 4;
-            }
-            while j < n {
-                let bj = brow[j];
-                c0[j] += x0 * bj;
-                c1[j] += x1 * bj;
-                c2[j] += x2 * bj;
-                c3[j] += x3 * bj;
-                j += 1;
-            }
-        }
-        r += 4;
-    }
-    while r < rows {
-        let crow = &mut crows[r * ldc..r * ldc + n];
-        let arow = &arows[r * lda..r * lda + k];
-        for (p, &apk) in arow.iter().enumerate() {
-            let brow = &b[p * ldb..p * ldb + n];
-            for (cj, &bpj) in crow.iter_mut().zip(brow.iter()) {
-                *cj += apk * bpj;
-            }
-        }
-        r += 1;
-    }
+    T::simd_run(tier, panel);
 }
 
 /// `C = Aᵀ · B` where `A` is `n × d` and `B` is `n × m` (both tall-skinny),
@@ -303,11 +234,9 @@ pub(crate) fn gemm_rows<T: Scalar>(
 /// as a map-reduce over shape-fixed row chunks with per-chunk `d × m`
 /// accumulators combined in chunk order — the shared-memory analogue of the
 /// paper's per-GPU partial sums followed by `MPI_Allreduce`. The chunk body
-/// consumes rows in 4-row tiles so each accumulator row takes four
-/// multiply-adds per pass over it; on SIMD tiers the chunk body is the
-/// reduction microkernel of `simd/body.rs` (eight output columns per pass,
-/// `A` read in place), the last `d % lanes` columns riding in a staged
-/// zero-padded strip of their own.
+/// is the reduction microkernel of `simd/body.rs`: rows in 4-row groups,
+/// eight output columns per pass, `A` read in place, the last `d % lanes`
+/// columns riding in a staged zero-padded strip of their own.
 pub fn gemm_at_b<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     gemm_at_b_tier(simd::active_tier(), a, b)
 }
@@ -323,9 +252,6 @@ pub fn gemm_at_b_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Ma
     if d == 0 || m == 0 {
         return Matrix::zeros(d, m);
     }
-    if tier == Tier::Scalar {
-        return gemm_at_b_scalar(a, b);
-    }
 
     let elem = std::mem::size_of::<T>();
     let lanes = autotune::lane_count(tier, elem);
@@ -337,103 +263,29 @@ pub fn gemm_at_b_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Ma
         counters::add_bytes(counters::gemm_at_b_pack_bytes(n, staged, elem));
     }
 
-    // The SIMD microkernel accumulates into a j-major m×dp scratch (`dp` =
-    // `d` rounded up to whole vectors) so the contiguous d axis of each A
-    // row is the vector axis; the reduced result is transposed once into
-    // the row-major d×m output, dropping the padded columns.
-    let chunk_body = |a: &[T], b: &[T]| -> Vec<T> {
+    // The microkernel accumulates into a j-major m×dp scratch (`dp` = `d`
+    // rounded up to whole vectors) so the contiguous d axis of each A row
+    // is the vector axis; the reduced result is transposed once into the
+    // row-major d×m output, dropping the padded columns.
+    let par = n * d * m >= PAR_THRESHOLD;
+    let jmajor = reduce_row_chunks(n, 64, m * dp, par, |rows| {
         let mut acc = vec![T::ZERO; m * dp];
         let chunk = AtBChunk {
             acc: &mut acc,
-            a,
-            b,
+            a: &a.as_slice()[rows.start * d..rows.end * d],
+            b: &b.as_slice()[rows.start * m..rows.end * m],
             d,
             m,
         };
-        let handled = T::simd_run(tier, chunk);
-        debug_assert!(handled);
+        T::simd_run(tier, chunk);
         acc
-    };
-    let jmajor = if n * d * m >= PAR_THRESHOLD && n > 1 {
-        reduce_row_chunks(n, reduce_chunk_rows(n, 64), m * dp, |rows| {
-            chunk_body(
-                &a.as_slice()[rows.start * d..rows.end * d],
-                &b.as_slice()[rows.start * m..rows.end * m],
-            )
-        })
-    } else {
-        chunk_body(a.as_slice(), b.as_slice())
-    };
+    });
     let mut data = vec![T::ZERO; d * m];
     for j in 0..m {
         for (i, row) in data.chunks_exact_mut(m).enumerate() {
             row[j] = jmajor[j * dp + i];
         }
     }
-    Matrix::from_vec(d, m, data)
-}
-
-/// Scalar reference path of [`gemm_at_b`]: per-chunk row-major `d × m`
-/// accumulators, rows consumed in the canonical 4-row groups.
-fn gemm_at_b_scalar<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let (n, d) = a.shape();
-    let m = b.cols();
-
-    let accumulate = |chunk_a: &[T], chunk_b: &[T]| -> Vec<T> {
-        let rows = chunk_a.len() / d.max(1);
-        let mut acc = vec![T::ZERO; d * m];
-        let mut r = 0;
-        while r + 4 <= rows {
-            let a0 = &chunk_a[r * d..(r + 1) * d];
-            let a1 = &chunk_a[(r + 1) * d..(r + 2) * d];
-            let a2 = &chunk_a[(r + 2) * d..(r + 3) * d];
-            let a3 = &chunk_a[(r + 3) * d..(r + 4) * d];
-            let b0 = &chunk_b[r * m..(r + 1) * m];
-            let b1 = &chunk_b[(r + 1) * m..(r + 2) * m];
-            let b2 = &chunk_b[(r + 2) * m..(r + 3) * m];
-            let b3 = &chunk_b[(r + 3) * m..(r + 4) * m];
-            for i in 0..d {
-                let (x0, x1, x2, x3) = (a0[i], a1[i], a2[i], a3[i]);
-                let dst = &mut acc[i * m..(i + 1) * m];
-                let mut j = 0;
-                while j + 4 <= m {
-                    dst[j] += x0 * b0[j] + x1 * b1[j] + x2 * b2[j] + x3 * b3[j];
-                    dst[j + 1] += x0 * b0[j + 1] + x1 * b1[j + 1] + x2 * b2[j + 1] + x3 * b3[j + 1];
-                    dst[j + 2] += x0 * b0[j + 2] + x1 * b1[j + 2] + x2 * b2[j + 2] + x3 * b3[j + 2];
-                    dst[j + 3] += x0 * b0[j + 3] + x1 * b1[j + 3] + x2 * b2[j + 3] + x3 * b3[j + 3];
-                    j += 4;
-                }
-                while j < m {
-                    dst[j] += x0 * b0[j] + x1 * b1[j] + x2 * b2[j] + x3 * b3[j];
-                    j += 1;
-                }
-            }
-            r += 4;
-        }
-        while r < rows {
-            let arow = &chunk_a[r * d..(r + 1) * d];
-            let brow = &chunk_b[r * m..(r + 1) * m];
-            for (i, &ai) in arow.iter().enumerate() {
-                let dst = &mut acc[i * m..(i + 1) * m];
-                for (dj, &bj) in dst.iter_mut().zip(brow.iter()) {
-                    *dj += ai * bj;
-                }
-            }
-            r += 1;
-        }
-        acc
-    };
-
-    let data = if n * d * m >= PAR_THRESHOLD && n > 1 {
-        reduce_row_chunks(n, reduce_chunk_rows(n, 64), d * m, |rows| {
-            accumulate(
-                &a.as_slice()[rows.start * d..rows.end * d],
-                &b.as_slice()[rows.start * m..rows.end * m],
-            )
-        })
-    } else {
-        accumulate(a.as_slice(), b.as_slice())
-    };
     Matrix::from_vec(d, m, data)
 }
 
@@ -470,49 +322,6 @@ pub fn gemm_a_bt_tier<T: Scalar>(tier: Tier, a: &Matrix<T>, b: &Matrix<T>) -> Ma
     ));
     gemm_row_blocks(tier, a.as_slice(), &bt, c.as_mut_slice());
     c
-}
-
-/// Scalar chunk body of [`gram_weighted_multi`]: for every class
-/// `k` in `k0..k1`, accumulate `Σᵢ W[i][k]·xᵢxᵢᵀ` (upper triangle) over the
-/// chunk's rows into `acc` (one `d × d` block per class, flattened). Rows
-/// accumulate strictly sequentially — the canonical summation tree the SIMD
-/// Gram body replicates.
-fn gram_rows_scalar<T: Scalar>(
-    acc: &mut [T],
-    x: &[T],
-    w: &[T],
-    wstride: usize,
-    k0: usize,
-    k1: usize,
-    d: usize,
-) {
-    let rows = x.len() / d;
-    for i in 0..rows {
-        let xi = &x[i * d..(i + 1) * d];
-        for k in k0..k1 {
-            let wik = w[i * wstride + k];
-            if wik == T::ZERO {
-                continue;
-            }
-            let blk = &mut acc[(k - k0) * d * d..(k - k0 + 1) * d * d];
-            for p in 0..d {
-                let s = wik * xi[p];
-                let dst = &mut blk[p * d..(p + 1) * d];
-                let mut q = p;
-                while q + 4 <= d {
-                    dst[q] += s * xi[q];
-                    dst[q + 1] += s * xi[q + 1];
-                    dst[q + 2] += s * xi[q + 2];
-                    dst[q + 3] += s * xi[q + 3];
-                    q += 4;
-                }
-                while q < d {
-                    dst[q] += s * xi[q];
-                    q += 1;
-                }
-            }
-        }
-    }
 }
 
 /// The symmetric `d × d` matrix whose upper triangle is the upper triangle
@@ -570,13 +379,11 @@ pub fn gram_weighted_multi_planned<T: Scalar>(
     }
 
     let kb = plan.class_block.max(1);
-    // The parallel predicate and chunking depend on the full problem shape
-    // only — not on the class blocking — so partial-sum splits are
-    // identical whatever `class_block` the host's caches give.
-    let par = n * c * d * d >= PAR_THRESHOLD && n > 1;
-    let chunk = reduce_chunk_rows(n, GRAM_CHUNK_ROWS);
-    // Row stride of an accumulator block: the SIMD body keeps `d` rounded
-    // up to whole vectors per row, the scalar panel exactly `d`.
+    // The chunks depend on `n` alone, so partial-sum splits are identical
+    // whatever `class_block` the host's caches give and however many
+    // weight columns share the call.
+    let par = n * c * d * d >= PAR_THRESHOLD;
+    // Row stride of an accumulator block: `d` rounded up to whole vectors.
     let ld = d.next_multiple_of(autotune::lane_count(tier, std::mem::size_of::<T>()));
     let mut blocks = Vec::with_capacity(c);
     for k0 in (0..c).step_by(kb) {
@@ -584,27 +391,19 @@ pub fn gram_weighted_multi_planned<T: Scalar>(
         let bw = (k1 - k0) * d * ld;
         let accumulate = |rows: std::ops::Range<usize>| -> Vec<T> {
             let mut acc = vec![T::ZERO; bw];
-            let xs = &x.as_slice()[rows.start * d..rows.end * d];
-            let ws = &w.as_slice()[rows.start * c..rows.end * c];
             let gram = GramRows {
                 acc: &mut acc,
-                x: xs,
-                w: ws,
+                x: &x.as_slice()[rows.start * d..rows.end * d],
+                w: &w.as_slice()[rows.start * c..rows.end * c],
                 wstride: c,
                 k0,
                 k1,
                 d,
             };
-            if !T::simd_run(tier, gram) {
-                gram_rows_scalar(&mut acc, xs, ws, c, k0, k1, d);
-            }
+            T::simd_run(tier, gram);
             acc
         };
-        let pass = if par {
-            reduce_row_chunks(n, chunk, bw, accumulate)
-        } else {
-            accumulate(0..n)
-        };
+        let pass = reduce_row_chunks(n, GRAM_CHUNK_ROWS, bw, par, accumulate);
         blocks.extend(
             pass.chunks_exact(d * ld)
                 .map(|acc| gram_from_upper(acc, d, ld)),

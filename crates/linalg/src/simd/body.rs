@@ -1,26 +1,26 @@
-//! Width-generic SIMD kernel bodies.
+//! Width-generic kernel bodies: the only implementation of each kernel.
 //!
 //! Each body is written once against the [`SimdVec`] abstraction, next to
 //! the operand struct that carries one call of it through
 //! [`crate::simd::Dispatch::simd_run`], and is monomorphized per (tier,
-//! dtype) by the `#[target_feature]` wrappers in the parent module;
-//! `#[inline(always)]` guarantees the body collapses into the wrapper so
-//! the intrinsics compile under the wrapper's feature set.
+//! dtype): at a register type inside the `#[target_feature]` wrappers in
+//! the parent module, where `#[inline(always)]` collapses the body into
+//! the wrapper so the intrinsics compile under its feature set, and at
+//! the one-lane [`One`] on the `off` tier.
 //!
 //! # Canonical summation trees
 //!
-//! Every body reproduces the exact per-element accumulation order of the
-//! scalar register-tiled panels in `firal_linalg::gemm` — the pinned
-//! canonical tree of each kernel (see the `simd` module docs). That works
+//! Every body computes the pinned canonical per-element tree of its kernel
+//! (see the `simd` module docs) at any width. That works
 //! because vector lanes always span an **output-element** dimension (the
 //! columns of `C` in the GEMM panel, the columns of `G` in the Gram rows,
 //! the `d` rows of `C = AᵀB` in the reduction microkernel), never a
 //! summation axis: changing the lane width regroups which independent
 //! output elements share a register, but never re-associates any sum. All
-//! arithmetic is unfused multiply-then-add, matching the scalar fallback's
-//! two-rounding semantics.
+//! arithmetic is unfused multiply-then-add: two roundings per term, as a
+//! plain scalar loop computes it.
 
-use super::vector::{Quarter, SimdVec};
+use super::vector::{One, Quarter, SimdVec};
 use super::SimdKernel;
 use crate::scalar::Scalar;
 
@@ -38,11 +38,9 @@ use crate::scalar::Scalar;
 /// a wider matrix.
 ///
 /// Columns run in whole vectors of `V`, then of each narrower width of
-/// its feature set ([`gemm_cols`] per width, [`Quarter`]); only the
-/// columns no vector covers run in scalar code. Per element the
-/// accumulation is depth-ascending onto the incoming `C` value — bitwise
-/// identical to the scalar `gemm_rows` panel whichever width a column ran
-/// at.
+/// its feature set ([`gemm_cols`] per width, [`Quarter`]), then one at a
+/// time ([`One`]). Per element the accumulation is depth-ascending onto
+/// the incoming `C` value, whichever width a column ran at.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass consistent
@@ -65,20 +63,12 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
     let (cp, ap, bp) = (c.as_mut_ptr(), a.as_ptr(), b.as_ptr());
     // SAFETY: the caller's shape contract is `gemm_cols`'s, and the
     // narrower types' features are implied by `V`'s, which the caller
-    // holds; the scalar loop stays inside the columns `j..n`.
+    // holds (`One` needs none).
     unsafe {
         let j = gemm_cols::<T, V>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, 0, n);
         let j = gemm_cols::<T, V::Half>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, j, n);
         let j = gemm_cols::<T, Quarter<T, V>>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, j, n);
-        for r in 0..rows {
-            for jj in j..n {
-                let mut s = *cp.add(r * ldc + jj);
-                for p in 0..k {
-                    s += *ap.add(r * ars + p * acs) * *bp.add(p * ldb + jj);
-                }
-                *cp.add(r * ldc + jj) = s;
-            }
-        }
+        gemm_cols::<T, One<T>>(cp, ldc, ap, ars, acs, bp, ldb, rows, k, j, n);
     }
 }
 
@@ -349,10 +339,10 @@ const AT_B_JB: usize = 8;
 /// `d % LANES` columns are staged once into a strip of their own,
 /// zero-padded to a full vector: they run the same microkernel as every
 /// other strip and the padded lanes land in the `dp - d` accumulator
-/// columns nobody reads, so no output row is left to scalar code. Per
-/// element the row-accumulation order is the canonical 4-row grouping of
-/// the scalar kernel; the [`AT_B_JB`]-column blocking only regroups
-/// independent output columns.
+/// columns nobody reads, so every output row runs at the full width. Per
+/// element the row-accumulation order is the canonical 4-row grouping;
+/// the [`AT_B_JB`]-column blocking only regroups independent output
+/// columns.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
@@ -453,14 +443,13 @@ impl<T: Scalar> SimdKernel<T> for AtBChunk<'_, T> {
 /// of the per-class packing. The block is then
 /// `acc += Sᵀ·X` through [`gemm_panel`], four accumulator rows at a time,
 /// each tile starting at the vector that holds its diagonal. So the
-/// accumulator tile stays in registers across the chunk's rows, no column
-/// is left to scalar code whatever `d` is, and the lanes left of the
-/// diagonal or right of `d` land in entries the caller's mirror overwrites
-/// or never reads.
+/// accumulator tile stays in registers across the chunk's rows, every
+/// column runs at the full width whatever `d` is, and the lanes left of
+/// the diagonal or right of `d` land in entries the caller's mirror
+/// overwrites or never reads.
 ///
-/// Per element this is the canonical row-sequential tree of the scalar
-/// Gram panels, bit for bit: `acc[p][q] += (w·x_p)·x_q`, rows ascending,
-/// zero-weight rows skipped.
+/// Per element this is the canonical row-sequential Gram tree:
+/// `acc[p][q] += (w·x_p)·x_q`, rows ascending, zero-weight rows skipped.
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass

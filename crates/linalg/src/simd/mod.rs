@@ -2,16 +2,18 @@
 //!
 //! The four kernels in [`mod@crate::gemm`], the fused Fisher-panel sweep
 //! in [`mod@crate::sweep`] and the Eq. 17 sweep in [`mod@crate::quad`] are
-//! implemented as the always-available scalar register-tiled panels (the
-//! reference semantics) and explicit-`std::arch` SIMD bodies for x86-64
-//! (AVX-512F, AVX2 and the SSE2 baseline) and AArch64 (NEON). The tier is
+//! each one width-generic body over a vector type: the explicit-`std::arch`
+//! registers of x86-64 (AVX-512F, AVX2 and the SSE2 baseline) and AArch64
+//! (NEON), or the one-lane plain value of the `off` tier, which runs the
+//! same bodies with no target feature. The tier is
 //! picked **once** at first kernel use — best detected feature set,
 //! overridable with `FIRAL_SIMD=off|sse2|avx2|avx512|neon` — and every
 //! subsequent call dispatches through it, by one seam: a kernel call is a
 //! [`SimdKernel`] operand struct, [`Dispatch::simd_run`] hands it to the
-//! `#[target_feature]` wrapper of the (tier, dtype), and the wrapper runs
-//! the struct's width-generic body at its vector type. A new kernel is a
-//! body and a struct; the seam does not grow. The grouped block kernels
+//! `#[target_feature]` wrapper of the (tier, dtype) — on `off`, to a plain
+//! wrapper with no target feature — and the struct's body runs at the
+//! tier's vector type. A new
+//! kernel is a body and a struct; the seam does not grow. The grouped block kernels
 //! (ROUND's Line 9 eigensolves and Eq. 17 factor chain, RELAX's
 //! block-Jacobi factors and solves) and the Eq. 17 row sums use the same
 //! seam without a vector type: their bodies are plain lane loops — `[T; L]`
@@ -21,20 +23,23 @@
 //!
 //! Two width rules:
 //!
-//! * where a body would otherwise drop to scalar code — the GEMM panel's
-//!   column remainder, the Lemma-2 scaling of a probe axis shorter than
-//!   one vector — it first runs at the narrower widths of the same feature
-//!   set (`SimdVec::Half`, twice: AVX-512 → AVX2 → SSE2), so RELAX's
-//!   `s = 10` CG panels scale at 8 lanes on the 16-lane tier;
+//! * where a body's vector axis is not a whole number of vectors — the
+//!   GEMM panel's column remainder, the Lemma-2 scaling of a probe axis
+//!   shorter than one vector — it runs at the narrower widths of the same
+//!   feature set (`SimdVec::Half`, twice: AVX-512 → AVX2 → SSE2), so
+//!   RELAX's `s = 10` CG panels scale at 8 lanes on the 16-lane tier, and
+//!   what is left at one lane;
 //! * lane bodies run under the AVX2 wrapper when the tier is avx512
 //!   (`run_lanes` has the measurement).
 //!
 //! # The canonical-summation-tree determinism contract
 //!
-//! Every tier of every kernel produces **bitwise identical** results — to
-//! the scalar fallback and to each other — because each kernel pins one
-//! canonical summation tree that is independent of the vector lane width,
-//! and every backend implements exactly that tree:
+//! Every tier of every kernel produces **bitwise identical** results
+//! because each kernel pins one canonical summation tree that is
+//! independent of the vector lane width, and the one body of the kernel
+//! implements exactly that tree at every width, one lane included (the
+//! `simd_equality` suite holds every tier to a plain-loop oracle of these
+//! trees):
 //!
 //! * [`crate::gemm::gemm`] / [`crate::gemm::gemm_a_bt`]: each output
 //!   element is a single accumulator updated in depth-ascending order;
@@ -56,8 +61,8 @@
 //! independent *output elements* (columns of `C`/`G`, the `d` rows of
 //! `AᵀB`), never a summation axis, and all arithmetic is unfused
 //! multiply-then-add (no FMA: fusing would change the rounding of every
-//! product and break scalar equivalence — and the SSE2 baseline has no FMA
-//! at all). Consequently `FIRAL_SIMD` composes orthogonally with
+//! product and break the one-lane equivalence — and the SSE2 baseline has
+//! no FMA at all). Consequently `FIRAL_SIMD` composes orthogonally with
 //! `FIRAL_NUM_THREADS`: any tier at any thread count yields the same bits,
 //! which `kernel_bench` and the `simd_equality` test matrix re-verify.
 
@@ -67,17 +72,19 @@ mod vector;
 
 use std::sync::OnceLock;
 
+use crate::scalar::Scalar;
+
 pub(crate) use body::{AtBChunk, GemmPanel, GramRows};
 pub(crate) use sweep::SweepBlock;
-use vector::SimdVec;
+use vector::{One, SimdVec};
 
 /// A SIMD dispatch tier. All variants exist on every architecture (so
 /// harnesses can name and report them); only the tiers in
 /// [`available_tiers`] can ever be active on the running host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Tier {
-    /// Scalar register-tiled panels — the reference semantics, always
-    /// available.
+    /// The SIMD bodies at one lane, with no target feature; always
+    /// available (`FIRAL_SIMD=off`).
     Scalar,
     /// x86-64 SSE2 (baseline on every x86-64 CPU): 4×f32 / 2×f64 lanes.
     Sse2,
@@ -109,7 +116,7 @@ impl std::fmt::Display for Tier {
     }
 }
 
-/// Every tier usable on the running host, scalar first, best last. The
+/// Every tier usable on the running host, `off` first, best last. The
 /// equality harnesses iterate this list to cross-check all tiers bitwise.
 pub fn available_tiers() -> Vec<Tier> {
     let mut tiers = vec![Tier::Scalar];
@@ -134,7 +141,7 @@ pub fn available_tiers() -> Vec<Tier> {
 fn detect_best() -> Tier {
     *available_tiers()
         .last()
-        .expect("the scalar tier is always there")
+        .expect("the `off` tier is always there")
 }
 
 /// The dispatch tier used by the plain kernel entry points
@@ -247,7 +254,7 @@ pub trait SimdKernel<T: Copy> {
     unsafe fn run<V: SimdVec<T>>(self);
 }
 
-/// Per-dtype routing from a [`Tier`] to the monomorphized SIMD bodies.
+/// Per-dtype routing from a [`Tier`] to the monomorphized kernel bodies.
 ///
 /// This is the dispatch seam between the shape/chunking logic in
 /// [`mod@crate::gemm`], [`mod@crate::sweep`] and [`mod@crate::quad`]
@@ -255,12 +262,12 @@ pub trait SimdKernel<T: Copy> {
 /// `#[target_feature]` wrappers (necessarily monomorphic per dtype and ISA,
 /// but generic in the kernel they run).
 pub trait Dispatch: Copy {
-    /// Run `k` on `tier`'s vector type for this dtype. Returns `false`,
-    /// leaving the operands untouched, for [`Tier::Scalar`]: the caller
-    /// then runs its scalar panel. Panics if `tier` is unavailable on the
-    /// running host.
+    /// Run `k` on `tier`'s vector type for this dtype: a register under
+    /// the tier's `#[target_feature]` wrapper, or the one-lane value on
+    /// [`Tier::Scalar`]. Panics if `tier` is unavailable on the running
+    /// host.
     #[doc(hidden)]
-    fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool;
+    fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K);
 }
 
 /// A lane body: plain loops whose lanes are independent — one block per
@@ -269,8 +276,8 @@ pub trait Dispatch: Copy {
 /// element (the Eq. 17 row sums). It names no vector type: [`run_lanes`] only inlines it into the tier's
 /// `#[target_feature]` wrapper, where the compiler vectorises the lane
 /// loops at the tier's width. Array arithmetic is neither contracted nor
-/// reassociated, so every tier — the scalar one, which runs the body as
-/// is — produces the same bits.
+/// reassociated, so every tier — `off`, which runs the body as is —
+/// produces the same bits.
 pub(crate) trait LaneBody {
     /// Run the body; implementations are `#[inline(always)]`, down to every
     /// lane loop they call, so all of it compiles under the wrapper.
@@ -289,7 +296,7 @@ impl<T: Copy, B: LaneBody> SimdKernel<T> for LaneKernel<B> {
     }
 }
 
-/// Run `body` under `tier`'s target features, or as is on [`Tier::Scalar`].
+/// Run `body` under `tier`'s target features (as is on [`Tier::Scalar`]).
 ///
 /// [`Tier::Avx512`] runs lane bodies under the AVX2 wrapper. Compiled for
 /// `avx512f`, the compiler's vectorisation of the `[T; L]` lane loops was
@@ -299,10 +306,18 @@ impl<T: Copy, B: LaneBody> SimdKernel<T> for LaneKernel<B> {
 /// pick. The bodies name no vector type, so the bits do not depend on it.
 pub(crate) fn run_lanes<T: Dispatch>(tier: Tier, body: impl LaneBody) {
     match tier {
-        Tier::Scalar => body.run(),
-        Tier::Avx512 => _ = T::simd_run(Tier::Avx2, LaneKernel(body)),
-        _ => _ = T::simd_run(tier, LaneKernel(body)),
+        Tier::Avx512 => T::simd_run(Tier::Avx2, LaneKernel(body)),
+        _ => T::simd_run(tier, LaneKernel(body)),
     }
+}
+
+/// The `off` tier's wrapper: the body at [`One`], with no target feature.
+/// Kept out of line like the feature wrappers, so [`Dispatch::simd_run`]
+/// stays a small dispatch that inlines into its callers.
+#[inline(never)]
+fn off<T: Scalar, K: SimdKernel<T>>(k: K) {
+    // SAFETY: the one-lane type needs no target feature.
+    unsafe { k.run::<One<T>>() }
 }
 
 /// One `#[target_feature]` wrapper per (tier, dtype), generic in the kernel:
@@ -346,9 +361,10 @@ mod wrap {
 macro_rules! dispatch {
     ($t:ty, $avx512:ident, $avx2:ident, $sse2:ident, $neon:ident) => {
         impl Dispatch for $t {
-            fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) -> bool {
+            fn simd_run<K: SimdKernel<Self>>(tier: Tier, k: K) {
                 check_tier(tier);
                 match tier {
+                    Tier::Scalar => off(k),
                     // SAFETY: `check_tier` just verified AVX-512F at runtime.
                     #[cfg(target_arch = "x86_64")]
                     Tier::Avx512 => unsafe { wrap::$avx512(k) },
@@ -361,9 +377,8 @@ macro_rules! dispatch {
                     // SAFETY: NEON is the AArch64 compile-time baseline.
                     #[cfg(target_arch = "aarch64")]
                     Tier::Neon => unsafe { wrap::$neon(k) },
-                    _ => return false,
+                    _ => unreachable!("check_tier admits only this host's tiers"),
                 }
-                true
             }
         }
     };
@@ -397,24 +412,5 @@ mod tests {
     fn x86_baseline_includes_sse2() {
         assert!(available_tiers().contains(&Tier::Sse2));
         assert!(cpu_features().contains("sse2"));
-    }
-
-    #[test]
-    fn scalar_dispatch_reports_unhandled() {
-        let mut c = [0.0f64; 4];
-        let (a, b) = ([1.0; 4], [1.0; 4]);
-        let panel = body::GemmPanel {
-            c: &mut c,
-            ldc: 2,
-            a: &a,
-            lda: 2,
-            b: &b,
-            ldb: 2,
-            rows: 2,
-            k: 2,
-            n: 2,
-        };
-        assert!(!f64::simd_run(Tier::Scalar, panel));
-        assert_eq!(c, [0.0; 4]);
     }
 }

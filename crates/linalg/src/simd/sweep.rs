@@ -4,15 +4,15 @@
 //! that never leave the block's scratch:
 //!
 //! 1. `Γ = X_blk · V` — the [`gemm_panel`] body on the zero-padded wide
-//!    panel (`mp` columns, a multiple of the lane count, so the panel body
-//!    never reaches its scalar column tail);
+//!    panel (`mp` columns, a multiple of the lane count, so every column
+//!    runs at the full width);
 //! 2. the Lemma-2 scaling `γ ← z·(γ − γᵀh)·h`, in place ([`scale_rows`]);
 //! 3. `partial += X_blkᵀ · Γ` — the same [`gemm_panel`] body reading `X_blk`
 //!    through transposed strides, lanes on the contiguous `c·s` axis.
 //!
 //! # Canonical tree
 //!
-//! Per element, exactly what [`crate::sweep`]'s scalar reference computes:
+//! Per element, the tree of the [`crate::sweep`] module docs:
 //! `Γ[i][q]` is one accumulator updated depth-ascending from zero (the
 //! [`crate::gemm::gemm`] tree, so a `Γ` formed here equals one formed by
 //! `gemm`); `α[i][j] = Σ_k Γ[i][k·s+j]·h[i][k]` ascends `k` from zero;
@@ -22,7 +22,7 @@
 //! only — and every product is rounded before its sum.
 
 use super::body::gemm_panel;
-use super::vector::{Quarter, SimdVec};
+use super::vector::{One, Quarter, SimdVec};
 use super::SimdKernel;
 use crate::scalar::Scalar;
 
@@ -65,14 +65,14 @@ unsafe fn alpha_at<T: Scalar, V: SimdVec<T>>(g: *const T, h: *const T, c: usize,
 /// `j`, class block `k`), `h` is `rows × c`, `alpha` is `s` elements of
 /// scratch.
 ///
-/// Runs [`scale_rows_at`] at the widest of `V`, `V::Half` and [`Quarter`]
-/// that `s` holds a whole vector of (RELAX's CG panels, `s = 10`, scale at
-/// 8 lanes on the 16-lane tier), else [`crate::sweep::scale_rows_scalar`].
+/// Runs [`scale_rows_at`] at the widest of `V`, `V::Half`, [`Quarter`] and
+/// [`One`] that `s` holds a whole vector of (RELAX's CG panels, `s = 10`,
+/// scale at 8 lanes on the 16-lane tier).
 ///
 /// # Safety
 /// Caller must hold the target feature backing `V` and pass
 /// `gamma.len() = rows·ld` with `ld ≥ c·s`, `h.len() = rows·c`,
-/// `alpha.len() ≥ s`, and `z.len() = rows` when present.
+/// `alpha.len() ≥ s`, `z.len() = rows` when present, and `s > 0`.
 #[inline(always)]
 unsafe fn scale_rows<T: Scalar, V: SimdVec<T>>(
     gamma: &mut [T],
@@ -84,8 +84,8 @@ unsafe fn scale_rows<T: Scalar, V: SimdVec<T>>(
     s: usize,
 ) {
     // SAFETY: the caller's contract is `scale_rows_at`'s, whose `s ≥ LANES`
-    // each branch checks; the narrower types' features are implied by
-    // `V`'s.
+    // each branch checks (`s > 0` covers `One`); the narrower types'
+    // features are implied by `V`'s.
     unsafe {
         if s >= V::LANES {
             scale_rows_at::<T, V>(gamma, ld, alpha, h, z, c, s);
@@ -94,7 +94,7 @@ unsafe fn scale_rows<T: Scalar, V: SimdVec<T>>(
         } else if s >= <Quarter<T, V> as SimdVec<T>>::LANES {
             scale_rows_at::<T, Quarter<T, V>>(gamma, ld, alpha, h, z, c, s);
         } else {
-            crate::sweep::scale_rows_scalar(gamma, ld, alpha, h, z, c, s);
+            scale_rows_at::<T, One<T>>(gamma, ld, alpha, h, z, c, s);
         }
     }
 }
@@ -171,7 +171,7 @@ unsafe fn scale_rows_at<T: Scalar, V: SimdVec<T>>(
 /// `x.len() = rows·d`, `h.len() = rows·c`, `z.len() = rows` when present,
 /// `gamma.len() = rows·mp`, `partial.len() = d·mp`, `vpad.len() = d·mp`,
 /// `alpha.len() ≥ s`, with `mp ≥ c·s` a non-zero multiple of
-/// `V::LANES`, `d > 0`, `c > 0` and `rows > 0`.
+/// `V::LANES`, `d > 0`, `c > 0`, `s > 0` and `rows > 0`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn sweep_block<T: Scalar, V: SimdVec<T>>(
@@ -228,6 +228,7 @@ impl<T: Scalar> SimdKernel<T> for SweepBlock<'_, T> {
         assert!(
             d > 0
                 && k.c > 0
+                && k.s > 0
                 && rows > 0
                 && k.x.len() == rows * d
                 && k.h.len() == rows * k.c

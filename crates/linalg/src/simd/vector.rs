@@ -1,21 +1,26 @@
 //! Minimal SIMD vector abstraction over `std::arch` intrinsics.
 //!
-//! Each implementation wraps one hardware register type — an AVX-512F zmm,
-//! an AVX2 ymm or an SSE2 xmm register on x86-64, a NEON q register on
-//! AArch64 — and exposes exactly the operations the kernel bodies in
+//! Each hardware implementation wraps one register type — an AVX-512F
+//! zmm, an AVX2 ymm or an SSE2 xmm register on x86-64, a NEON q register
+//! on AArch64 — and exposes exactly the operations the kernel bodies in
 //! [`super::body`] and [`super::sweep`] need: unaligned load/store, lane
 //! broadcast, multiply, add and subtract. It also names the next narrower
 //! register of its family (`Half`: zmm → ymm → xmm), so a body can run a
-//! vector axis shorter than its own width at a narrower one.
+//! vector axis shorter than its own width at a narrower one. [`One`] is
+//! the one-lane vector, a plain `T`: the `off` tier runs the bodies on it,
+//! and every narrowing chain ends at it, so no body has a scalar loop of
+//! its own.
 //! Multiplication and addition are deliberately **unfused** (`mulps` + `addps`, never FMA):
 //! the crate-wide determinism contract pins two-rounding multiply-then-add
-//! semantics so every dispatch tier — the scalar fallback included —
+//! semantics so every dispatch tier — the one-lane `off` tier included —
 //! produces bitwise identical results (see `firal_linalg::simd`).
 //!
 //! All methods are `unsafe` because they compile to target-feature-gated
 //! intrinsics: callers must only invoke them from a context where the
 //! corresponding feature is known to be available (the `#[target_feature]`
 //! wrappers in the parent module establish exactly that).
+
+use crate::scalar::Scalar;
 
 /// One SIMD register of `T` lanes.
 ///
@@ -32,8 +37,7 @@ pub trait SimdVec<T: Copy>: Copy {
     /// The next narrower register of the same ISA family, usable under
     /// this type's feature set (AVX-512 → AVX2 → SSE2); the narrowest type
     /// names itself. A body whose vector axis is shorter than `LANES` runs
-    /// it at this width, or at [`Quarter`], before falling back to scalar
-    /// code.
+    /// it at this width, or at [`Quarter`], and what is left at [`One`].
     type Half: SimdVec<T>;
 
     /// Unaligned load of `LANES` elements starting at `p`.
@@ -70,9 +74,50 @@ pub trait SimdVec<T: Copy>: Copy {
     unsafe fn sub(self, o: Self) -> Self;
 }
 
-/// `V::Half::Half`: the narrowest width a body tries before scalar code
+/// `V::Half::Half`: the narrowest register a body tries before [`One`]
 /// (SSE2 under AVX-512; the type itself at and below SSE2).
 pub(crate) type Quarter<T, V> = <<V as SimdVec<T>>::Half as SimdVec<T>>::Half;
+
+/// One `T` lane in a plain value: the vector of the `off` tier, which
+/// holds no target feature, and the last width of every narrowing chain.
+/// Its arithmetic is the scalar operators, unfused like the registers'.
+#[derive(Clone, Copy)]
+pub(crate) struct One<T>(T);
+
+impl<T: Scalar> SimdVec<T> for One<T> {
+    const LANES: usize = 1;
+    type Half = Self;
+    #[inline(always)]
+    unsafe fn load(p: *const T) -> Self {
+        // SAFETY: `p` is valid for one read (SimdVec trait contract).
+        Self(unsafe { *p })
+    }
+    #[inline(always)]
+    unsafe fn store(self, p: *mut T) {
+        // SAFETY: `p` is valid for one write (SimdVec trait contract).
+        unsafe { *p = self.0 }
+    }
+    // SAFETY: `unsafe` by the trait's signature only; plain arithmetic.
+    #[inline(always)]
+    unsafe fn splat(x: T) -> Self {
+        Self(x)
+    }
+    // SAFETY: `unsafe` by the trait's signature only; plain arithmetic.
+    #[inline(always)]
+    unsafe fn mul(self, o: Self) -> Self {
+        Self(self.0 * o.0)
+    }
+    // SAFETY: `unsafe` by the trait's signature only; plain arithmetic.
+    #[inline(always)]
+    unsafe fn add(self, o: Self) -> Self {
+        Self(self.0 + o.0)
+    }
+    // SAFETY: `unsafe` by the trait's signature only; plain arithmetic.
+    #[inline(always)]
+    unsafe fn sub(self, o: Self) -> Self {
+        Self(self.0 - o.0)
+    }
+}
 
 /// Implements the six [`SimdVec`] methods for one register newtype by
 /// routing each to its intrinsic. Factored as a macro so the per-intrinsic

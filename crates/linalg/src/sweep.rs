@@ -17,10 +17,10 @@
 //! `ê × s` row-major with `ê = d·c`. Inside the sweep the panel is held
 //! *wide*, `d × (c·s)` with column `k·s + j` = probe `j`'s block `k`, so a
 //! wide row is `c` stacked-panel rows laid end to end and the `c·s` axis —
-//! the vector axis of both GEMM stages — is contiguous. On SIMD tiers the
-//! wide width is zero-padded to a lane multiple (`mp`); padded columns are
-//! computed and dropped, which is what keeps every real column out of a
-//! scalar tail whatever `c·s` is.
+//! the vector axis of both GEMM stages — is contiguous. The wide width is
+//! zero-padded to a multiple of the tier's lane count (`mp`); padded
+//! columns are computed and dropped, which is what keeps every real column
+//! at the full vector width whatever `c·s` is.
 //!
 //! # Determinism
 //!
@@ -43,7 +43,7 @@ use rayon::prelude::*;
 
 use crate::autotune::{self, KernelPlan};
 use crate::counters;
-use crate::gemm::{gemm_rows, reduce_chunk_rows, PAR_THRESHOLD};
+use crate::gemm::{reduce_chunk_rows, PAR_THRESHOLD};
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
 use crate::simd::{self, check_tier, SweepBlock, Tier};
@@ -114,67 +114,6 @@ pub fn to_wide<T: Scalar>(panel: &Matrix<T>, d: usize, c: usize) -> Matrix<T> {
         s,
     );
     wide
-}
-
-/// Scalar reference of the Lemma-2 scaling of a row block, in place (see
-/// the module docs for the layout and the tree). `alpha` is `s` elements
-/// of scratch.
-pub(crate) fn scale_rows_scalar<T: Scalar>(
-    gamma: &mut [T],
-    ld: usize,
-    alpha: &mut [T],
-    h: &[T],
-    z: Option<&[T]>,
-    c: usize,
-    s: usize,
-) {
-    let alpha = &mut alpha[..s];
-    for (i, hrow) in h.chunks_exact(c).enumerate() {
-        let grow = &mut gamma[i * ld..i * ld + c * s];
-        alpha.fill(T::ZERO);
-        for (seg, &hk) in grow.chunks_exact(s).zip(hrow) {
-            for (a, &g) in alpha.iter_mut().zip(seg) {
-                *a += g * hk;
-            }
-        }
-        for (seg, &hk) in grow.chunks_exact_mut(s).zip(hrow) {
-            for (g, &a) in seg.iter_mut().zip(alpha.iter()) {
-                let t = *g - a;
-                *g = match z {
-                    Some(z) => t * z[i] * hk,
-                    None => t * hk,
-                };
-            }
-        }
-    }
-}
-
-/// Scalar reference of one row block of the sweep — the semantics every
-/// SIMD tier reproduces bit for bit.
-#[allow(clippy::too_many_arguments)]
-fn sweep_block_scalar<T: Scalar>(
-    partial: &mut [T],
-    gamma: &mut [T],
-    alpha: &mut [T],
-    x: &[T],
-    h: &[T],
-    z: Option<&[T]>,
-    vpad: &[T],
-    d: usize,
-    c: usize,
-    s: usize,
-    mp: usize,
-) {
-    gamma.fill(T::ZERO);
-    gemm_rows(gamma, mp, x, d, vpad, mp, x.len() / d, d, mp);
-    scale_rows_scalar(gamma, mp, alpha, h, z, c, s);
-    for (xrow, grow) in x.chunks_exact(d).zip(gamma.chunks_exact(mp)) {
-        for (prow, &xv) in partial.chunks_exact_mut(mp).zip(xrow) {
-            for (acc, &g) in prow.iter_mut().zip(grow) {
-                *acc += xv * g;
-            }
-        }
-    }
 }
 
 /// `out ← Σᵢ zᵢ·(G(hᵢ) ⊗ xᵢxᵢᵀ)·V` on the process-wide dispatch tier with
@@ -252,26 +191,20 @@ pub fn fisher_sweep_planned<T: Scalar>(
         let mut r0 = ci * chunk_rows;
         while r0 < chunk_end {
             let r1 = (r0 + block_rows).min(chunk_end);
-            let g = &mut gamma[..(r1 - r0) * mp];
-            let xs = &x.as_slice()[r0 * d..r1 * d];
-            let hs = &h.as_slice()[r0 * c..r1 * c];
-            let zs = z.map(|z| &z[r0..r1]);
             let block = SweepBlock {
                 partial: &mut *partial,
-                gamma: &mut *g,
+                gamma: &mut gamma[..(r1 - r0) * mp],
                 alpha: &mut *alpha,
-                x: xs,
-                h: hs,
-                z: zs,
+                x: &x.as_slice()[r0 * d..r1 * d],
+                h: &h.as_slice()[r0 * c..r1 * c],
+                z: z.map(|z| &z[r0..r1]),
                 vpad,
                 d,
                 c,
                 s,
                 mp,
             };
-            if !T::simd_run(tier, block) {
-                sweep_block_scalar(partial, g, alpha, xs, hs, zs, vpad, d, c, s, mp);
-            }
+            T::simd_run(tier, block);
             r0 = r1;
         }
     };

@@ -1,10 +1,14 @@
 //! Cross-tier bitwise equality matrix for the four hot kernels, the fused
 //! Fisher-panel sweep and the Eq. 17 quadratic-form sweep.
 //!
-//! The determinism contract of `firal_linalg::gemm` says every available
-//! SIMD tier implements the same canonical per-element summation tree as
-//! the scalar panels, so results are **bitwise** identical — not merely
-//! close — across tiers, for both dtypes, at any shape. This suite sweeps
+//! The determinism contract of `firal_linalg::gemm` says every tier runs
+//! one body per kernel that implements the kernel's canonical per-element
+//! summation tree (the `firal_linalg::simd` module docs) at any lane
+//! width, so results are **bitwise** identical — not merely close —
+//! across tiers, for both dtypes, at any shape. The reference is a
+//! plain-loop oracle written here from those trees, one output element at
+//! a time and untiled: every tier, `off` (the bodies at one lane)
+//! included, must equal it bit for bit. This suite sweeps
 //! deliberately awkward shapes: `n` values that are not multiples of any
 //! lane width (and straddle the parallel threshold and the 4-row tile),
 //! `d ∈ {1, 3, 64, 65}` (sub-lane, odd, lane-aligned, lane-misaligned),
@@ -16,7 +20,9 @@
 //! bit-neutral, and that the fused sweep gives one answer on every tier, at
 //! 1, 2 and 4 pool threads, under every plan, whether it forms `X·V`
 //! itself or is handed it, with probe counts `s` that straddle both vector
-//! widths of the 8- and 16-lane tiers. The quadratic-form sweep is held to a dense
+//! widths of the 8- and 16-lane tiers. The reduction kernels' chunking
+//! depends on the row count alone, so the leading columns of a call equal
+//! a narrower call's. The quadratic-form sweep is held to a dense
 //! oracle: two `gemm_into` products on its zero-filled triangles and a row
 //! sum, bit for bit, on every tier, thread count and row blocking.
 
@@ -51,20 +57,164 @@ fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
     m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
 }
 
+/// The plain-loop oracle of the canonical summation trees: each output
+/// element summed on its own, in the order the `firal_linalg::simd` module
+/// docs pin, with every product rounded before it is added.
+mod oracle {
+    use super::{Matrix, Scalar};
+    use std::ops::Range;
+
+    /// The reduction chunks of `n` rows: `max(⌈n/64⌉, min_rows)` rows
+    /// each, the last one short — a function of `n` alone.
+    fn chunks(n: usize, min_rows: usize) -> Vec<Range<usize>> {
+        let rows = n.div_ceil(64).max(min_rows);
+        (0..n).step_by(rows).map(|r| r..(r + rows).min(n)).collect()
+    }
+
+    /// `Σ_p a_p·b_p` over `p = 0..k`, ascending from zero.
+    fn dot<T: Scalar>(k: usize, term: impl Fn(usize) -> (T, T)) -> T {
+        (0..k).fold(T::ZERO, |acc, p| {
+            let (a, b) = term(p);
+            acc + a * b
+        })
+    }
+
+    /// `C = A·B`: one accumulator per element, depth ascending.
+    pub fn gemm<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
+            dot(a.cols(), |p| (a[(i, p)], b[(p, j)]))
+        })
+    }
+
+    /// `C = A·Bᵀ`: the `gemm` tree on `Bᵀ`.
+    pub fn gemm_a_bt<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        Matrix::from_fn(a.rows(), b.rows(), |i, j| {
+            dot(a.cols(), |p| (a[(i, p)], b[(j, p)]))
+        })
+    }
+
+    /// `C = AᵀB`: per chunk of at least 64 rows, rows join in groups of
+    /// four from the chunk's first row, `acc += ((a₀b₀ + a₁b₁) + a₂b₂) +
+    /// a₃b₃`, trailing rows singly; chunk sums added in order from zero.
+    pub fn gemm_at_b<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
+        let chunks = chunks(a.rows(), 64);
+        Matrix::from_fn(a.cols(), b.cols(), |i, j| {
+            let term = |r: usize| a[(r, i)] * b[(r, j)];
+            chunks.iter().fold(T::ZERO, |total, rows| {
+                let rows: Vec<usize> = rows.clone().collect();
+                let groups = rows.chunks_exact(4);
+                let tail = groups.remainder();
+                let acc = groups.fold(T::ZERO, |acc, g| {
+                    acc + (((term(g[0]) + term(g[1])) + term(g[2])) + term(g[3]))
+                });
+                total + tail.iter().fold(acc, |acc, &r| acc + term(r))
+            })
+        })
+    }
+
+    /// `G_k = Xᵀdiag(W[:, k])X`: element `(p, q)`, `p ≤ q`, is per chunk of
+    /// at least 128 rows `acc += (w·x_p)·x_q` over the rows of non-zero
+    /// weight ascending; chunk sums added in order from zero; mirrored.
+    pub fn gram<T: Scalar>(x: &Matrix<T>, w: &Matrix<T>) -> Vec<Matrix<T>> {
+        let chunks = chunks(x.rows(), 128);
+        (0..w.cols())
+            .map(|k| {
+                Matrix::from_fn(x.cols(), x.cols(), |p, q| {
+                    let (p, q) = (p.min(q), p.max(q));
+                    chunks.iter().fold(T::ZERO, |total, rows| {
+                        let live = rows.clone().filter(|&i| w[(i, k)] != T::ZERO);
+                        total
+                            + live.fold(T::ZERO, |acc, i| acc + (w[(i, k)] * x[(i, p)]) * x[(i, q)])
+                    })
+                })
+            })
+            .collect()
+    }
+
+    /// `Σᵢ zᵢ·(G(hᵢ) ⊗ xᵢxᵢᵀ)·V` for the stacked `ê × s` panel `v`, as the
+    /// `firal_linalg::sweep` module docs pin it: `Γ[i][k·s+j]` in the `gemm`
+    /// tree, `α[i][j]` over `k` ascending from zero,
+    /// `Γ' = ((Γ − α)·zᵢ)·h[i][k]` (no `zᵢ` factor when unweighted), then
+    /// `Σᵢ x[i][p]·Γ'[i][q]` rows ascending per chunk — `⌈n / r⌉` chunks of
+    /// `⌈n / ⌈n / r⌉⌉` rows, `r = max(⌈n/64⌉, 256)` — chunk sums in order.
+    pub fn fisher_sweep<T: Scalar>(
+        x: &Matrix<T>,
+        h: &Matrix<T>,
+        z: Option<&[T]>,
+        v: &Matrix<T>,
+    ) -> Vec<T> {
+        let ((n, d), c, s) = (x.shape(), h.cols(), v.cols());
+        let scaled: Vec<Vec<T>> = (0..n)
+            .map(|i| {
+                let gamma: Vec<T> = (0..c * s)
+                    .map(|q| dot(d, |t| (x[(i, t)], v[((q / s) * d + t, q % s)])))
+                    .collect();
+                (0..c * s)
+                    .map(|q| {
+                        let (k, j) = (q / s, q % s);
+                        let alpha = dot(c, |k| (gamma[k * s + j], h[(i, k)]));
+                        let t = gamma[q] - alpha;
+                        match z {
+                            Some(z) => (t * z[i]) * h[(i, k)],
+                            None => t * h[(i, k)],
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let nchunks = n.div_ceil(n.div_ceil(64).max(256));
+        let rows = n.div_ceil(nchunks);
+        let mut out = vec![T::ZERO; d * c * s];
+        for (e, o) in out.iter_mut().enumerate() {
+            // Stacked element `e` is probe `j` of row `p` of block `k`.
+            let (k, p, j) = (e / (d * s), e / s % d, e % s);
+            *o = (0..nchunks).fold(T::ZERO, |total, ci| {
+                let chunk = ci * rows..((ci + 1) * rows).min(n);
+                total + chunk.fold(T::ZERO, |acc, i| acc + x[(i, p)] * scaled[i][k * s + j])
+            });
+        }
+        out
+    }
+}
+
+/// The operands of [`kernel_bits`] at one shape.
+#[allow(clippy::type_complexity)]
+fn kernel_operands<T: Scalar>(
+    n: usize,
+    d: usize,
+    m: usize,
+) -> (Matrix<T>, Matrix<T>, Matrix<T>, Matrix<T>, Matrix<T>) {
+    (
+        test_mat::<T>(n, d, 1000 + n as u64, false),
+        test_mat::<T>(n, m, 2000 + d as u64, false),
+        test_mat::<T>(d, m, 3000 + m as u64, false),
+        test_mat::<T>(m, d, 4000 + n as u64, false),
+        // `m` class blocks of order `d` would dominate the suite at m = 90.
+        test_mat::<T>(n, m.min(9), 6000 + n as u64, true),
+    )
+}
+
 /// All four kernels at one shape on one tier, concatenated bit patterns.
 fn kernel_bits<T: Scalar>(tier: Tier, n: usize, d: usize, m: usize) -> Vec<u64> {
-    let a = test_mat::<T>(n, d, 1000 + n as u64, false);
-    let b = test_mat::<T>(n, m, 2000 + d as u64, false);
-    let sq = test_mat::<T>(d, m, 3000 + m as u64, false);
-    let bm = test_mat::<T>(m, d, 4000 + n as u64, false);
-    // `m` class blocks of order `d` would dominate the suite at m = 90.
-    let wpanel = test_mat::<T>(n, m.min(9), 6000 + n as u64, true);
-
+    let (a, b, sq, bm, wpanel) = kernel_operands::<T>(n, d, m);
     let mut out = Vec::new();
     out.extend(bits(&gemm_tier(tier, &a, &sq)));
     out.extend(bits(&gemm_at_b_tier(tier, &a, &b)));
     out.extend(bits(&gemm_a_bt_tier(tier, &a, &bm)));
     for g in gram_weighted_multi_planned(tier, plan_for::<T>(d), &a, &wpanel) {
+        out.extend(bits(&g));
+    }
+    out
+}
+
+/// [`kernel_bits`] from the plain-loop oracle.
+fn oracle_bits<T: Scalar>(n: usize, d: usize, m: usize) -> Vec<u64> {
+    let (a, b, sq, bm, wpanel) = kernel_operands::<T>(n, d, m);
+    let mut out = Vec::new();
+    out.extend(bits(&oracle::gemm(&a, &sq)));
+    out.extend(bits(&oracle::gemm_at_b(&a, &b)));
+    out.extend(bits(&oracle::gemm_a_bt(&a, &bm)));
+    for g in oracle::gram(&a, &wpanel) {
         out.extend(bits(&g));
     }
     out
@@ -80,12 +230,12 @@ fn equality_sweep<T: Scalar>() {
         for &n in ns {
             for &d in ds {
                 for &m in ms {
-                    let reference = kernel_bits::<T>(Tier::Scalar, n, d, m);
-                    for &tier in &tiers[1..] {
+                    let reference = oracle_bits::<T>(n, d, m);
+                    for &tier in &tiers {
                         assert_eq!(
                             kernel_bits::<T>(tier, n, d, m),
                             reference,
-                            "tier {tier} diverges from scalar at n={n} d={d} m={m}"
+                            "tier {tier} diverges from the oracle at n={n} d={d} m={m}"
                         );
                     }
                 }
@@ -244,6 +394,17 @@ fn sweep_bits<T: Scalar>(
     out
 }
 
+/// [`sweep_bits`] from the plain-loop oracle.
+fn oracle_sweep_bits<T: Scalar>((n, d, c, s): (usize, usize, usize, usize)) -> Vec<u64> {
+    let (x, h, z) = sweep_operands::<T>(n, d, c);
+    let w = test_mat::<T>(d * c, s, 8000 + (c * s) as u64, false);
+    [None, Some(z.as_slice())]
+        .into_iter()
+        .flat_map(|z| oracle::fisher_sweep(&x, &h, z, &w))
+        .map(|v| v.to_f64().to_bits())
+        .collect()
+}
+
 fn fused_sweep_equality<T: Scalar>() {
     // n < 4, n % 4 ≠ 0, several reduction chunks (n > 256); d and c·s off
     // every lane multiple; s below, at and above the lane counts.
@@ -264,13 +425,8 @@ fn fused_sweep_equality<T: Scalar>() {
         }
     }
     for shape in shapes {
-        let d = shape.1;
-        let serial = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap();
-        let reference = serial.install(|| sweep_bits::<T>(Tier::Scalar, plan_for::<T>(d), shape));
-        let tuned = plan_for::<T>(d);
+        let reference = oracle_sweep_bits::<T>(shape);
+        let tuned = plan_for::<T>(shape.1);
         for tier in available_tiers() {
             for threads in [1usize, 2, 4] {
                 let pool = rayon::ThreadPoolBuilder::new()
@@ -301,6 +457,51 @@ fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f64() {
 #[test]
 fn fused_sweep_is_bitwise_equal_across_tiers_threads_and_plans_f32() {
     fused_sweep_equality::<f32>();
+}
+
+/// The first `k` columns of a reduction call equal a `k`-column call, bit
+/// for bit: chunking follows the row count alone, so adding columns —
+/// here up to the `k(k+1)/2` pairs of a dense Fisher assembly, enough to
+/// cross the parallel threshold the `k`-column call stays under — moves no
+/// partial-sum split.
+fn leading_columns_case<T: Scalar>() {
+    for (n, d, k) in [(200usize, 4usize, 9usize), (150, 5, 4)] {
+        let wide = k * (k + 1) / 2;
+        let x = test_mat::<T>(n, d, 9600 + n as u64, false);
+        let w = test_mat::<T>(n, wide, 9700 + n as u64, true);
+        let narrow = Matrix::from_fn(n, k, |i, j| w[(i, j)]);
+        let plan = plan_for::<T>(d);
+        for tier in available_tiers() {
+            let grams = gram_weighted_multi_planned(tier, plan, &x, &w);
+            for (j, g) in gram_weighted_multi_planned(tier, plan, &x, &narrow)
+                .iter()
+                .enumerate()
+            {
+                assert_eq!(
+                    bits(g),
+                    bits(&grams[j]),
+                    "gram column {j} of {wide} vs of {k}: tier {tier} n={n} d={d}"
+                );
+            }
+            let full = gemm_at_b_tier(tier, &x, &w);
+            let lead = Matrix::from_fn(d, k, |i, j| full[(i, j)]);
+            assert_eq!(
+                bits(&lead),
+                bits(&gemm_at_b_tier(tier, &x, &narrow)),
+                "gemm_at_b {k} of {wide} columns: tier {tier} n={n} d={d}"
+            );
+        }
+    }
+}
+
+#[test]
+fn leading_columns_do_not_depend_on_the_call_width_f64() {
+    leading_columns_case::<f64>();
+}
+
+#[test]
+fn leading_columns_do_not_depend_on_the_call_width_f32() {
+    leading_columns_case::<f32>();
 }
 
 /// `A·Aᵀ + d·I` for a seeded `A`: SPD and well conditioned in f32.

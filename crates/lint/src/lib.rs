@@ -640,7 +640,7 @@ fn rule_fma(rel: &str, lanes: &[Lanes], out: &mut Vec<Finding>) {
                 Rule::Fma,
                 "fused multiply-add in kernel code: the determinism contract \
                  pins two-rounding multiply-then-add so every SIMD tier \
-                 matches the scalar fallback bitwise"
+                 matches the one-lane `off` tier bitwise"
                     .to_string(),
             );
         }
