@@ -60,6 +60,7 @@
 //! block (`Cholesky::solve_panel_in_place` on each block's rows) and in
 //! lane groups (`CholeskyBlocks`), on the pinned `2d²s` per block.
 
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -245,15 +246,29 @@ fn tier_cells<T: Scalar>(
     cells
 }
 
-/// `gemm_at_b`, `gram_weighted_multi` and `fisher_sweep` at one shape
-/// (`dense = false`: `fisher_sweep` only); the sweep's `m` columns are
-/// `m / probes` class blocks of `probes` columns each.
-#[allow(clippy::too_many_arguments)]
+/// The kernels [`run_shape`] times beside `fisher_sweep`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Dense {
+    /// `fisher_sweep` alone.
+    None,
+    /// `gemm_at_b` too.
+    AtB,
+    /// `gemm_at_b` and `gram_weighted_multi`, which does not read `m`, so
+    /// it runs at the first shape of each `(n, d)` only.
+    AtBGram,
+}
+
+/// `fisher_sweep` and the `dense` kernels at one shape; the sweep's `m`
+/// columns are `m / probes` class blocks of `probes` columns each.
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per axis of the sweep plus the row and mismatch sinks"
+)]
 fn run_shape<T: Scalar>(
     dtype: &'static str,
     (n, d, m): (usize, usize, usize),
     probes: usize,
-    dense: bool,
+    dense: Dense,
     threads_list: &[usize],
     reps: usize,
     rows: &mut Vec<Row>,
@@ -289,7 +304,7 @@ fn run_shape<T: Scalar>(
     let cells = tier_cells::<T>(dtype, n, d, threads_list);
     // Each kernel has one bit reference, shared across the tier AND thread
     // axes: every (tier, threads) cell must reproduce it exactly.
-    if dense {
+    if dense >= Dense::AtB {
         let at_b: Vec<Entry> = (cells.iter())
             .map(|(cell, pool)| Entry {
                 cell: *cell,
@@ -301,7 +316,8 @@ fn run_shape<T: Scalar>(
             })
             .collect();
         *mismatches += round_robin(&at_b, reps, counters::gemm_at_b_flops(n, d, m), rows);
-
+    }
+    if dense == Dense::AtBGram {
         let gram: Vec<Entry> = (cells.iter())
             .map(|(cell, pool)| Entry {
                 cell: Cell {
@@ -624,8 +640,18 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut mismatches = 0usize;
-    let dense_shapes = shapes.iter().map(|&shape| (shape, PROBES, true));
-    let sweep_shapes = wide_sweeps.iter().map(|&shape| (shape, 2 * PROBES, false));
+    let dense_shapes = shapes.iter().enumerate().map(|(i, &(n, d, m))| {
+        let gram_timed = shapes[..i].iter().any(|s| (s.0, s.1) == (n, d));
+        let dense = if gram_timed {
+            Dense::AtB
+        } else {
+            Dense::AtBGram
+        };
+        ((n, d, m), PROBES, dense)
+    });
+    let sweep_shapes = wide_sweeps
+        .iter()
+        .map(|&shape| (shape, 2 * PROBES, Dense::None));
     for (shape, probes, dense) in dense_shapes.chain(sweep_shapes) {
         eprintln!("[kernel_bench] (n, d, m) = {shape:?} ...");
         let (rows, mm) = (&mut rows, &mut mismatches);
@@ -737,8 +763,21 @@ fn main() {
              timeshare one core and cannot show speedup"
         );
     }
-    if mismatches > 0 {
-        eprintln!("[kernel_bench] {mismatches} determinism violation(s)");
+    let mut keys = BTreeSet::new();
+    let mut duplicates = 0usize;
+    for r in &rows {
+        if !keys.insert((r.kernel, r.dtype, r.n, r.d, r.m, r.threads, r.tier)) {
+            eprintln!(
+                "DUPLICATE ROW: {} {} n={} d={} m={} tier={} t={}",
+                r.kernel, r.dtype, r.n, r.d, r.m, r.tier, r.threads
+            );
+            duplicates += 1;
+        }
+    }
+    if mismatches > 0 || duplicates > 0 {
+        eprintln!(
+            "[kernel_bench] {mismatches} determinism violation(s), {duplicates} duplicate row key(s)"
+        );
         std::process::exit(1);
     }
 }

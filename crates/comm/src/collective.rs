@@ -33,6 +33,8 @@
 //! [`wire::derive_scope`], and [`Transport::sub_group`] for the sub-group's
 //! transport, wrapped in a fresh `Collective` with fresh statistics.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 use std::time::{Duration, Instant};

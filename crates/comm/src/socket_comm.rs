@@ -85,6 +85,8 @@
 //!   threads whose endpoints still talk over real localhost TCP — the
 //!   test/bench harness for the socket path.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::cell::{RefCell, RefMut};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -419,6 +421,10 @@ impl SocketComm {
                 addrs[r] = Some(addr);
                 peers[r] = Some(RefCell::new(peer));
             }
+            #[allow(
+                clippy::expect_used,
+                reason = "the accept loop above filled every slot 1..size or returned an error"
+            )]
             for r in 1..size {
                 let cell = peers[r].as_ref().expect("all ranks checked in");
                 let mut p = cell.borrow_mut();
@@ -586,6 +592,10 @@ impl SocketComm {
 
 impl TcpMesh {
     /// The mesh link to a peer, addressed by **world rank**.
+    #[allow(
+        clippy::expect_used,
+        reason = "callers address peers only; the own-rank slot is the one empty one"
+    )]
     fn peer(&self, world: usize) -> RefMut<'_, Peer> {
         self.peers[world]
             .as_ref()
@@ -1063,10 +1073,15 @@ fn supervise(children: &mut [Child]) -> io::Result<Vec<RankExit>> {
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    Ok(exits
+    #[allow(
+        clippy::expect_used,
+        reason = "the loop leaves only once every slot holds an exit, reaped or killed"
+    )]
+    let report = exits
         .into_iter()
         .map(|e| e.expect("every rank reported"))
-        .collect())
+        .collect();
+    Ok(report)
 }
 
 /// Run an SPMD closure on `p` ranks held by OS threads whose endpoints
@@ -1091,9 +1106,15 @@ where
     assert!(p > 0, "socket_launch needs at least one rank");
     // Bind the rendezvous listener up front (no release/re-bind race) and
     // hand it to rank 0 directly.
-    // lint: allow(comm-unwrap) bootstrap path: no mesh exists yet, so a bind failure is a launcher error, not a survivable collective failure
+    #[allow(
+        clippy::expect_used,
+        reason = "bootstrap path: no mesh exists yet, so a bind failure is a launcher error, not a survivable collective failure"
+    )]
     let listener = TcpListener::bind("127.0.0.1:0").expect("no free localhost port");
-    // lint: allow(comm-unwrap) bootstrap path: the listener was just bound, so a missing local address is a platform bug worth dying on
+    #[allow(
+        clippy::expect_used,
+        reason = "bootstrap path: the listener was just bound, so a missing local address is a platform bug worth dying on"
+    )]
     let addr = listener
         .local_addr()
         .expect("rendezvous address unavailable")
@@ -1111,17 +1132,24 @@ where
                 };
                 let f = &f;
                 scope.spawn(move || {
-                    // lint: allow(comm-unwrap) bootstrap path: rendezvous failure in the in-process harness is a test-setup error with nobody left to report to
+                    #[allow(
+                        clippy::expect_used,
+                        reason = "bootstrap path: rendezvous failure in the in-process harness is a test-setup error with nobody left to report to"
+                    )]
                     let comm = SocketComm::connect_inner(rank, p, &addr, pre_bound)
                         .expect("socket rendezvous failed");
                     f(&comm)
                 })
             })
             .collect();
-        handles
+        #[allow(
+            clippy::expect_used,
+            reason = "a rank thread's panic re-raises in the caller, as in `thread_comm::launch`"
+        )]
+        let joined = handles
             .into_iter()
-            .map(|h| h.join().expect("SPMD rank panicked"))
-            .collect()
+            .map(|h| h.join().expect("SPMD rank panicked"));
+        joined.collect()
     })
 }
 

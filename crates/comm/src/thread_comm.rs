@@ -171,7 +171,7 @@ struct Shared {
     /// `insert`, `get`, `remove` — never iterated, so no container ordering
     /// can reach a reduction. It is a `BTreeMap` anyway (the keys are
     /// `Ord`), making the no-iteration-order property structural rather
-    /// than a usage convention (`firal-lint` rule `hash-order`).
+    /// than a usage convention (`clippy.toml` bans `HashMap` / `HashSet`).
     splits: Mutex<BTreeMap<u64, Arc<Shared>>>,
 }
 

@@ -33,8 +33,8 @@
 //! so enabling it is bit- and stats-neutral on the happy path.
 //!
 //! See `ARCHITECTURE.md` ("Determinism contracts and how they are
-//! enforced") for how this runtime check pairs with the static `firal-lint`
-//! pass.
+//! enforced") for how this runtime check pairs with the static rules
+//! (clippy configuration and `tests/contracts.rs`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;

@@ -25,6 +25,8 @@
 //!   — a mismatched program order fails loudly instead of silently
 //!   desynchronizing the stream.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::io::{self, Read, Write};
 
 /// Sanity magic exchanged during the [`crate::SocketComm`] rendezvous so a
@@ -156,8 +158,8 @@ impl MaxLoc {
 
     /// Decode the two lanes written by [`MaxLoc::encode`].
     pub fn decode(bytes: &[u8; Self::WIRE_BYTES]) -> Self {
-        let value = f64::from_bits(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
-        let payload = u64::from_le_bytes(bytes[8..].try_into().unwrap());
+        let value = f64::from_bits(u64::from_le_bytes(std::array::from_fn(|i| bytes[i])));
+        let payload = u64::from_le_bytes(std::array::from_fn(|i| bytes[8 + i]));
         Self { value, payload }
     }
 
@@ -168,6 +170,10 @@ impl MaxLoc {
     /// instead of fabricating one.
     pub fn reduce_rank_ordered(contribs: impl IntoIterator<Item = MaxLoc>) -> MaxLoc {
         let mut it = contribs.into_iter();
+        #[allow(
+            clippy::expect_used,
+            reason = "an empty list is a caller bug: every group has at least one rank"
+        )]
         let mut best = it.next().expect("MAXLOC needs at least one contribution");
         for c in it {
             if c.value > best.value {
@@ -270,8 +276,8 @@ fn read_f64_payload(r: &mut impl Read, out: &mut [f64]) -> io::Result<()> {
     for block in out.chunks_mut(chunk.len() / 8) {
         let bytes = &mut chunk[..block.len() * 8];
         r.read_exact(bytes)?;
-        for (v, b) in block.iter_mut().zip(bytes.chunks_exact(8)) {
-            *v = f64::from_le_bytes(b.try_into().unwrap());
+        for (v, b) in block.iter_mut().zip(bytes.as_chunks::<8>().0) {
+            *v = f64::from_le_bytes(*b);
         }
     }
     Ok(())

@@ -31,6 +31,11 @@
 //! bits). Workers park on a condvar when idle; a job is an erased
 //! `&dyn Fn()` drained cooperatively, with panics forwarded to the caller.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the shim is the pool: sizing it and skipping dispatch on one worker read its thread count"
+)]
+
 use std::cell::{Cell, RefCell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -368,6 +373,10 @@ pub struct BuildError;
 /// guaranteed by construction.
 struct SharedCells<'a, T>(&'a [UnsafeCell<T>]);
 
+// SAFETY: the wrapper only hands out raw pointers, and `parallel_map`
+// dereferences cell `i` on the one thread whose atomic ticket claimed `i`,
+// so no cell is ever accessed from two threads. Moving a `T` across
+// threads that way needs `T: Send`, which the bound requires.
 unsafe impl<T: Send> Sync for SharedCells<'_, T> {}
 
 impl<T> SharedCells<'_, T> {
@@ -417,15 +426,17 @@ where
             // counter, so this thread has exclusive access to both cells.
             let item = unsafe { (*inputs.cell(i)).take().expect("work item claimed twice") };
             let out = f(item);
+            // SAFETY: the same ticket gives this thread exclusive access to
+            // output cell `i`, which nothing has written yet.
             unsafe { (*outputs.cell(i)).write(out) };
         };
         pool.core.run(&drain);
     }
-    // `run` only returns after all items were drained and every worker
-    // exited the job (panics re-raised there), so each output is
-    // initialized; the mutex handoff makes the writes visible here.
     outputs
         .into_iter()
+        // SAFETY: `run` only returns after all items were drained and every
+        // worker exited the job (panics re-raised there), so each output
+        // was written once; the mutex handoff makes the writes visible here.
         .map(|cell| unsafe { cell.into_inner().assume_init() })
         .collect()
 }

@@ -376,7 +376,10 @@ pub fn hutchinson_gradients<T: Scalar>(
     // `k·2s + s + j` the same of `W`: one `2s` segment per class.
     let vw = to_wide(&side_by_side(v_panel, w_panel), d, c);
     let tiles = n.div_ceil(GRADIENT_TILE_ROWS);
-    // lint: allow(thread-count) sizes the per-worker tile buffers only; every point's gradient is its own, so any split gives the same bits
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "sizes the per-worker tile buffers only; every point's gradient is its own, so any split gives the same bits"
+    )]
     let workers = rayon::current_num_threads().clamp(1, tiles);
     let span = tiles.div_ceil(workers) * GRADIENT_TILE_ROWS;
     let inv_s = T::ONE / T::from_usize(s);

@@ -14,7 +14,7 @@ use crate::synthetic::SyntheticConfig;
 
 /// Identifier for each Table V row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant is the Table V row of its name")]
 pub enum PresetName {
     Mnist,
     Cifar10,

@@ -107,7 +107,10 @@ fn reduce_row_chunks<T: Scalar>(
         .step_by(chunk_rows)
         .map(|start| start..(start + chunk_rows).min(n))
         .collect();
-    // lint: allow(thread-count) sizes the wave of live partials only; chunks and fold order are shape-fixed
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "sizes the wave of live partials only; chunks and fold order are shape-fixed"
+    )]
     let threads = rayon::current_num_threads().max(1);
     let wave = if par { threads } else { 1 };
     let mut total = vec![T::ZERO; len];
@@ -196,7 +199,10 @@ fn gemm_row_blocks<T: Scalar>(tier: Tier, a: &[T], b: &Matrix<T>, c: &mut [T]) {
 /// one accumulator, depth-ascending (`p`) onto the incoming `C` value, the
 /// same for every row, so the result does not depend on how rows are
 /// grouped into panels. Panics if a slice is too short for its shape.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-shaped: each operand travels as a slice with its leading dimension"
+)]
 pub(crate) fn gemm_panel<T: Scalar>(
     tier: Tier,
     c: &mut [T],

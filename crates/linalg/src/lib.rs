@@ -20,7 +20,7 @@
 //! The bitwise-determinism contracts this crate participates in (canonical
 //! summation trees, no FMA, shape-only reduction chunking) are catalogued
 //! in the repo-root `ARCHITECTURE.md` ("Determinism contracts and how they
-//! are enforced") and mechanically checked by `firal-lint`.
+//! are enforced"), with the rule that checks each.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -47,7 +47,10 @@ use crate::scalar::Scalar;
 /// shapes: `(rows-1)·ldc + n ≤ c.len()`, `(k-1)·ldb + n ≤ b.len()` and
 /// `(rows-1)·ars + (k-1)·acs < a.len()` (each only when `rows`, `k > 0`).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "BLAS-shaped: each operand travels as a slice with its row and column strides"
+)]
 pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
     c: &mut [T],
     ldc: usize,
@@ -83,7 +86,10 @@ pub(crate) unsafe fn gemm_panel<T: Scalar, V: SimdVec<T>>(
 /// # Safety
 /// As [`gemm_panel`], on raw pointers.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the raw-pointer form of `gemm_panel`, one argument per operand and stride"
+)]
 unsafe fn gemm_cols<T: Scalar, V: SimdVec<T>>(
     cp: *mut T,
     ldc: usize,
@@ -278,7 +284,10 @@ unsafe fn at_b_micro<T: Scalar, V: SimdVec<T>, const JB: usize>(
 /// # Safety
 /// As [`at_b_micro`], with `jl ≤ AT_B_JB` valid `b` columns.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the tail form of `at_b_micro`: its arguments plus the live column count"
+)]
 unsafe fn at_b_micro_any<T: Scalar, V: SimdVec<T>>(
     accp: *mut T,
     d: usize,
@@ -457,7 +466,10 @@ impl<T: Scalar> SimdKernel<T> for AtBChunk<'_, T> {
 /// `x.len() = rows·d`, a weight panel with row stride `wstride ≥ k1`, and
 /// `d > 0`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per operand, stride and class range of the weighted Gram"
+)]
 pub(crate) unsafe fn gram_rows<T: Scalar, V: SimdVec<T>>(
     acc: &mut [T],
     x: &[T],

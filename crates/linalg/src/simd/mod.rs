@@ -202,7 +202,10 @@ pub(crate) fn check_tier(tier: Tier) {
         }
         #[cfg(target_arch = "aarch64")]
         Tier::Neon => true,
-        #[allow(unreachable_patterns)]
+        #[allow(
+            unreachable_patterns,
+            reason = "reached only by tiers of another architecture"
+        )]
         _ => false,
     };
     assert!(available, "SIMD tier '{tier}' is unavailable on this host");
@@ -325,12 +328,15 @@ fn off<T: Scalar, K: SimdKernel<T>>(k: K) {
 /// each kernel monomorphizes and codegens under the wrapper's feature set.
 macro_rules! feature_wrapper {
     ($feat:literal, $name:ident, $t:ty, $v:ty) => {
-        // SAFETY: `#[target_feature]` makes the fn unsafe with the contract
-        // "caller verified $feat" — exactly the feature backing `$v`, which
-        // is all `SimdKernel::run` asks for.
+        /// Runs `k` on the vector type of this wrapper's feature.
+        ///
+        /// # Safety
+        /// The caller must have verified that the host has the wrapper's
+        /// target feature: exactly the feature backing its vector type,
+        /// which is all `SimdKernel::run` asks for.
         #[target_feature(enable = $feat)]
         pub(super) unsafe fn $name<K: super::SimdKernel<$t>>(k: K) {
-            // SAFETY: feature contract forwarded, see above.
+            // SAFETY: the feature contract is forwarded, see `# Safety`.
             unsafe { k.run::<$v>() }
         }
     };

@@ -173,7 +173,10 @@ unsafe fn scale_rows_at<T: Scalar, V: SimdVec<T>>(
 /// `alpha.len() ≥ s`, with `mp ≥ c·s` a non-zero multiple of
 /// `V::LANES`, `d > 0`, `c > 0`, `s > 0` and `rows > 0`.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per operand and scratch buffer of the Eq. 17 block"
+)]
 pub(crate) unsafe fn sweep_block<T: Scalar, V: SimdVec<T>>(
     partial: &mut [T],
     gamma: &mut [T],

@@ -141,7 +141,10 @@ pub fn fisher_sweep<T: Scalar>(
 
 /// [`fisher_sweep`] on an explicit tier and blocking plan (the equality
 /// harnesses pin that both are bit-neutral).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "`fisher_sweep` plus the explicit tier and plan the equality harnesses pin"
+)]
 pub fn fisher_sweep_planned<T: Scalar>(
     tier: Tier,
     plan: KernelPlan,

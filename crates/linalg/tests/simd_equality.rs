@@ -178,7 +178,10 @@ mod oracle {
 }
 
 /// The operands of [`kernel_bits`] at one shape.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "a tuple of the operands, read once by destructuring"
+)]
 fn kernel_operands<T: Scalar>(
     n: usize,
     d: usize,

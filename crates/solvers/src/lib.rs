@@ -22,7 +22,7 @@
 //! Determinism contracts relevant to this crate (rank-ordered reductions
 //! behind [`AllreduceOperator`], shape-only CG panel chunking) are
 //! catalogued in the repo-root `ARCHITECTURE.md` ("Determinism contracts
-//! and how they are enforced") and mechanically checked by `firal-lint`.
+//! and how they are enforced"), with the rule that checks each.
 
 #![deny(missing_docs)]
 
