@@ -61,15 +61,20 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Feature-gated code lives behind the runtime-checked dispatcher.
-#[test]
-fn target_feature_only_in_the_simd_module() {
+/// Every `.rs` file of the repo outside build output.
+fn source_files() -> Vec<PathBuf> {
     let mut files = Vec::new();
     for top in ["benchmark", "crates", "examples", "src", "tests"] {
         rust_files(&root().join(top), &mut files);
     }
+    files
+}
+
+/// Feature-gated code lives behind the runtime-checked dispatcher.
+#[test]
+fn target_feature_only_in_the_simd_module() {
     let simd = root().join("crates/linalg/src/simd");
-    for file in files.iter().filter(|f| !f.starts_with(&simd)) {
+    for file in source_files().iter().filter(|f| !f.starts_with(&simd)) {
         let src = fs::read_to_string(file).unwrap();
         for (i, line) in src.lines().enumerate() {
             let misplaced = line.trim_start().starts_with("#[target_feature");
@@ -79,6 +84,24 @@ fn target_feature_only_in_the_simd_module() {
                 file.display(),
                 i + 1
             );
+        }
+    }
+}
+
+/// No fused multiply-add intrinsic, in any width, mask, rounding or lane
+/// form: every tier pins two-rounding multiply-then-add. Comments may name
+/// them; `f32::mul_add` and `f64::mul_add` are banned in `clippy.toml`.
+#[test]
+fn no_fused_multiply_add_intrinsics() {
+    let this = root().join("tests/contracts.rs");
+    for file in source_files().iter().filter(|f| **f != this) {
+        let src = fs::read_to_string(file).unwrap();
+        for (i, line) in src.lines().enumerate() {
+            let code = line.split("//").next().unwrap_or_default();
+            let fused = ["fmadd", "fmsub", "vfma", "vmla"];
+            if let Some(name) = fused.iter().find(|t| code.contains(*t)) {
+                panic!("{}:{}: fused multiply-add `{name}`", file.display(), i + 1);
+            }
         }
     }
 }
