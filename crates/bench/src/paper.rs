@@ -22,8 +22,8 @@ use firal_comm::{CommStats, Communicator, CostModel, SelfComm};
 use firal_core::hessian::{dense_hessian, fast_matvec, BlockJacobi, PoolHessian, SigmaZ};
 use firal_core::{
     exact_relax, exact_round, run_experiment, ApproxFiral, DistStrategy, EntropyStrategy,
-    ExactFiral, Executor, KMeansStrategy, MirrorDescentConfig, PhaseTimer, RandomStrategy,
-    RelaxConfig, SelectionProblem, ShardedProblem,
+    ExactFiral, Executor, KMeansStrategy, MirrorDescentConfig, RandomStrategy, RelaxConfig,
+    SelectionProblem, ShardedProblem,
 };
 use firal_data::{ExperimentPreset, PresetName, SyntheticConfig};
 use firal_linalg::{counters, Matrix};
@@ -628,12 +628,12 @@ fn accuracy(preset: &ExperimentPreset) -> Vec<Row> {
     rows
 }
 
-type RankBody = fn(&SelectionProblem<f32>, &dyn Communicator) -> (PhaseTimer, CommStats);
+type RankBody = fn(&SelectionProblem<f32>, &dyn Communicator) -> (f64, CommStats);
 
 /// `(measured, model)` seconds of `body` on `p` in-process ThreadComm ranks
-/// of one kernel thread each: the slowest rank's phase total against the
-/// counted flops ÷ p at the calibrated peak plus `CostModel::predict_comm`
-/// of rank 0's collectives.
+/// of one kernel thread each: the slowest rank's seconds in the timed call
+/// against the counted flops ÷ p at the calibrated peak plus
+/// `CostModel::predict_comm` of rank 0's collectives.
 fn launch_timed(
     body: RankBody,
     problem: &SelectionProblem<f32>,
@@ -641,10 +641,7 @@ fn launch_timed(
     host: &CostModel,
 ) -> (f64, f64) {
     let (results, cost) = counters::measure(|| firal_comm::launch(p, |comm| body(problem, comm)));
-    let secs = results
-        .iter()
-        .map(|(timer, _)| timer.total().as_secs_f64())
-        .fold(0.0, f64::max);
+    let secs = results.iter().map(|&(secs, _)| secs).fold(0.0, f64::max);
     let model = host.flop_time(cost.flops / p as u64) + host.predict_comm(&results[0].1, p);
     (secs, model)
 }

@@ -4,9 +4,7 @@
 //! them over in-process `ThreadComm` ranks.
 
 use firal_comm::{CommStats, Communicator};
-use firal_core::{
-    Executor, MirrorDescentConfig, PhaseTimer, RelaxConfig, SelectionProblem, ShardedProblem,
-};
+use firal_core::{Executor, MirrorDescentConfig, RelaxConfig, SelectionProblem, ShardedProblem};
 use firal_data::{Dataset, SyntheticConfig};
 use firal_linalg::{Matrix, Scalar};
 use firal_logreg::{LogisticRegression, TrainConfig};
@@ -66,12 +64,12 @@ pub fn scaling_problem(c: usize, d: usize, n: usize, seed: u64) -> SelectionProb
 /// Fig. 6 per-rank body: one RELAX mirror-descent iteration (the paper
 /// reports time per iteration) of exactly 10 CG steps with s = 10 probes
 /// on this rank's shard, on one kernel thread so ranks are the only
-/// parallelism. Returns the rank's phase breakdown and communication
-/// counters.
+/// parallelism. Returns the rank's seconds inside the `relax` call and the
+/// collectives it issued there.
 pub fn fig6_rank_body(
     problem: &SelectionProblem<f32>,
     comm: &dyn Communicator,
-) -> (PhaseTimer, CommStats) {
+) -> (f64, CommStats) {
     let cfg = RelaxConfig {
         md: MirrorDescentConfig {
             max_iters: 1,
@@ -83,8 +81,8 @@ pub fn fig6_rank_body(
         seed: 3,
     };
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
-    let out = Executor::new(comm, &shard).with_threads(1).relax(10, &cfg);
-    (out.timer, out.comm_stats)
+    let exec = Executor::new(comm, &shard).with_threads(1);
+    billed(comm, || exec.relax(10, &cfg))
 }
 
 /// Budget of the Fig. 7 bodies: the smallest that runs every line of
@@ -95,19 +93,24 @@ pub const FIG7_BUDGET: usize = 2;
 
 /// Fig. 7 per-rank body: time for one full ROUND iteration (the paper's
 /// select-one-point metric, see [`FIG7_BUDGET`]) on this rank's shard, on
-/// one kernel thread like [`fig6_rank_body`].
+/// one kernel thread like [`fig6_rank_body`], timed and billed the same way.
 pub fn fig7_rank_body(
     problem: &SelectionProblem<f32>,
     comm: &dyn Communicator,
-) -> (PhaseTimer, CommStats) {
+) -> (f64, CommStats) {
     let budget = FIG7_BUDGET;
     let eta = 4.0 * (problem.ehat() as f32).sqrt();
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
     let z_local = vec![budget as f32 / problem.pool_size() as f32; shard.local_n()];
-    let out = Executor::new(comm, &shard)
-        .with_threads(1)
-        .round(&z_local, budget, eta);
-    (out.timer, out.comm_stats)
+    let exec = Executor::new(comm, &shard).with_threads(1);
+    billed(comm, || exec.round(&z_local, budget, eta))
+}
+
+/// Seconds and collectives of one call on this rank.
+fn billed<R>(comm: &dyn Communicator, f: impl FnOnce() -> R) -> (f64, CommStats) {
+    let stats0 = comm.stats();
+    let (_, secs) = timed(f);
+    (secs, comm.stats().since(&stats0))
 }
 
 #[cfg(test)]
@@ -140,8 +143,8 @@ mod tests {
         let _counters = crate::COUNTERS.lock().unwrap_or_else(|e| e.into_inner());
         let p = scaling_problem(3, 4, 40, 7);
         let comm = SelfComm::new();
-        let (timer6, stats6) = fig6_rank_body(&p, &comm);
-        assert!(timer6.total().as_secs_f64() >= 0.0);
+        let (secs6, stats6) = fig6_rank_body(&p, &comm);
+        assert!(secs6 > 0.0);
         assert!(stats6.allreduce_calls > 0);
         let (_, stats7) = fig7_rank_body(&p, &comm);
         assert!(stats7.allgather_calls > 0);

@@ -1,5 +1,5 @@
-//! Request → [`DistStrategy`](crate::strategies::DistStrategy) dispatch:
-//! the metering layer of the serving path.
+//! Request → [`DistStrategy`] dispatch: the metering layer of the serving
+//! path.
 //!
 //! A [`SelectRequest`] is the wire-shaped description of one selection —
 //! strategy registry name, budget, seed, intra-rank thread count — lifted
@@ -20,11 +20,13 @@
 //! Approx-FIRAL and Bayes-batch may select a different batch at a
 //! different `p` (ROADMAP item 5).
 
+use std::time::Instant;
+
 use firal_comm::{CommScalar, CommStats, Communicator};
 
 use crate::exec::{Executor, ShardedProblem};
 use crate::problem::SelectionProblem;
-use crate::strategies::{strategy_by_name, SelectError};
+use crate::strategies::{strategy_by_name, DistStrategy, SelectError};
 
 /// One selection request, as named by a client or a workload row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +66,7 @@ impl SelectRequest {
     }
 }
 
-/// What one dispatched request did: the selection plus its bill.
+/// What one selection did: the batch, its clock and its bill.
 #[derive(Debug, Clone)]
 pub struct SelectReport {
     /// Selected **global** pool indices, identical on every rank of the
@@ -93,11 +95,32 @@ pub fn dispatch_select<T: CommScalar>(
     req: &SelectRequest,
 ) -> Result<SelectReport, SelectError> {
     let strategy = strategy_by_name::<T>(&req.strategy)?;
+    select_on(
+        comm,
+        strategy.as_ref(),
+        problem,
+        req.budget,
+        req.seed,
+        req.threads,
+    )
+}
+
+/// The one selection body behind [`dispatch_select`] and
+/// [`crate::select_serial`]: shard `problem` for the calling rank, run the
+/// fallible distributed path, and time and bill it.
+pub(crate) fn select_on<T: CommScalar, S: DistStrategy<T> + ?Sized>(
+    comm: &dyn Communicator,
+    strategy: &S,
+    problem: &SelectionProblem<T>,
+    budget: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<SelectReport, SelectError> {
     let shard = ShardedProblem::shard(problem, comm.rank(), comm.size());
-    let exec = Executor::new(comm, &shard).with_threads(req.threads);
+    let exec = Executor::new(comm, &shard).with_threads(threads);
     let stats0 = comm.stats();
-    let t0 = std::time::Instant::now();
-    let selected = strategy.try_select_dist(&exec, req.budget, req.seed)?;
+    let t0 = Instant::now();
+    let selected = strategy.try_select_dist(&exec, budget, seed)?;
     Ok(SelectReport {
         selected,
         seconds: t0.elapsed().as_secs_f64(),

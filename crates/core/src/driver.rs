@@ -108,9 +108,8 @@ pub fn run_experiment<T: CommScalar, S: DistStrategy<T> + ?Sized>(
                 model.class_probs_cm1(&feats),
                 dataset.num_classes,
             );
-            let t0 = std::time::Instant::now();
             let run = select_serial(strategy, &problem, budget, seed.wrapping_add(round as u64))?;
-            selection_seconds = t0.elapsed().as_secs_f64();
+            selection_seconds = run.seconds;
             selection_comm = run.comm;
             // Map back to original pool indices.
             acquired.extend(run.selected.into_iter().map(|i| remaining[i]));

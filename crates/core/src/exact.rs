@@ -110,8 +110,7 @@ pub fn exact_relax<T: Scalar>(
         }
     }
 
-    let z_diamond: Vec<T> = z.iter().map(|&v| v * b).collect();
-    (z_diamond, telemetry)
+    (z.iter().map(|&v| v * b).collect(), telemetry)
 }
 
 /// Every candidate's ROUND objective `Tr[(B + η·U_iU_iᵀ)⁻¹]`, `U_i =
@@ -159,7 +158,7 @@ fn candidate_scores<T: Scalar>(
 /// indices (distinct, in selection order).
 pub fn exact_round<T: Scalar>(
     problem: &SelectionProblem<T>,
-    z_diamond: &[T],
+    z: &[T],
     budget: usize,
     eta: T,
 ) -> Vec<usize> {
@@ -169,7 +168,7 @@ pub fn exact_round<T: Scalar>(
     let binv = T::ONE / T::from_usize(budget);
 
     // Σ⋄ = H_o + H_{z⋄}; whitening W = Σ⋄^{-1/2} (Eq. 8).
-    let sigma = sigma_z(problem, z_diamond.to_vec());
+    let sigma = sigma_z(problem, z.to_vec());
     let w = spd_inv_sqrt(&sigma.to_dense()).expect("Σ⋄ must be SPD");
     let ho_tilde = gemm(&gemm(&w, &sigma.ho.to_dense()), &w);
 

@@ -12,9 +12,10 @@
 //!   (Algorithm 3: Lemma 3 / Proposition 4) written once, generic over
 //!   `firal_comm::Communicator`. An [`exec::Executor`] owns the
 //!   communicator endpoint, this rank's shard geometry
-//!   ([`exec::ShardedProblem`]), probe-RNG seeding, phase timing, and
-//!   per-run communication statistics. The serial path is the `SelfComm`
-//!   instantiation (collectives are no-ops); the SPMD path is the same
+//!   ([`exec::ShardedProblem`]) and probe-RNG seeding; its phases return
+//!   what the algorithm produced, and callers time and bill them around
+//!   the call. The serial path is the `SelfComm` instantiation
+//!   (collectives are no-ops); the SPMD path is the same
 //!   code over a real rank group — shared-memory `ThreadComm` threads or
 //!   `SocketComm` processes on a TCP mesh (`spmd_launch`);
 //! * `procedure` — the §IV-A steps both FIRALs share: one entropic
@@ -40,8 +41,7 @@
 //!   add/remove/label mutations (rank-one block updates and Cholesky
 //!   up/downdates, local on every rank) instead of rebuilt per round —
 //!   see ARCHITECTURE.md § "Streaming round state" for ownership,
-//!   invalidation, and the drift/refactor contract;
-//! * [`timing`] — the phase timers behind the Figs. 5–7 breakdowns.
+//!   invalidation, and the drift/refactor contract.
 //!
 //! The repo-root `ARCHITECTURE.md` maps paper sections/equations to these
 //! modules in detail, including the determinism contracts.
@@ -60,7 +60,6 @@ mod procedure;
 pub mod round;
 pub mod strategies;
 pub mod stream;
-pub mod timing;
 
 pub use config::{FiralConfig, MirrorDescentConfig, RelaxConfig, RoundConfig};
 pub use dispatch::{dispatch_select, SelectReport, SelectRequest};
@@ -71,8 +70,7 @@ pub use problem::SelectionProblem;
 pub use procedure::RelaxTelemetry;
 pub use strategies::{
     select_serial, strategy_by_name, ApproxFiral, BayesBatchStrategy, DistStrategy,
-    EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy, SelectError, SelectionRun,
-    UpalStrategy, STRATEGY_NAMES,
+    EntropyStrategy, ExactFiral, KMeansStrategy, RandomStrategy, SelectError, UpalStrategy,
+    STRATEGY_NAMES,
 };
 pub use stream::{EigSolver, PoolUpdate, StreamCommit, StreamingState};
-pub use timing::PhaseTimer;

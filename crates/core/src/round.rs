@@ -409,18 +409,4 @@ mod tests {
             out.selected
         );
     }
-
-    #[test]
-    fn timer_covers_round_phases() {
-        let p = tiny_problem(6, 20, 3, 3);
-        let z = vec![2.0 / 20.0; 20];
-        let (comm, shard) = (SelfComm::new(), ShardedProblem::replicate(&p));
-        let out = Executor::new(&comm, &shard).round(&z, 2, 10.0);
-        for phase in ["objective", "eig", "other"] {
-            assert!(
-                out.timer.phases().any(|(n, _)| n == phase),
-                "missing {phase}"
-            );
-        }
-    }
 }

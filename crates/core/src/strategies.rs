@@ -39,13 +39,14 @@
 //! oracle for them is open work (ROADMAP item 5).
 
 use firal_cluster::{kmeans, nearest_to_centroids};
-use firal_comm::{comm_catch, CommError, CommScalar, CommStats, Communicator, ReduceOp, SelfComm};
+use firal_comm::{comm_catch, CommError, CommScalar, ReduceOp, SelfComm};
 use firal_linalg::{gemm, gemm_at_b, Matrix, Scalar};
 use firal_logreg::{LogisticRegression, TrainConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::{FiralConfig, MirrorDescentConfig, RoundConfig};
+use crate::dispatch::{select_on, SelectReport};
 use crate::exact::{exact_relax, exact_round};
 use crate::exec::{Executor, ShardedProblem};
 use crate::problem::SelectionProblem;
@@ -95,17 +96,6 @@ impl std::fmt::Display for SelectError {
 
 impl std::error::Error for SelectError {}
 
-/// A selection plus its execution metadata: what the strategy picked and
-/// the collective traffic it issued doing so.
-#[derive(Debug, Clone)]
-pub struct SelectionRun {
-    /// The selected pool indices (global, in acquisition order).
-    pub selected: Vec<usize>,
-    /// Collective calls/bytes/time the selection spent (zero for
-    /// strategies that never touch a communicator).
-    pub comm: CommStats,
-}
-
 /// A batch active-learning selection strategy, written against the
 /// execution layer: one rank's view.
 ///
@@ -152,22 +142,16 @@ pub trait DistStrategy<T: CommScalar> {
 }
 
 /// Run a [`DistStrategy`] serially: the `p = 1` instantiation over a fresh
-/// [`SelfComm`] and the trivial full shard, returning the selection plus
-/// the (no-op but counted) collective record.
+/// [`SelfComm`] and the trivial full shard, returning the selection with
+/// its time and its (no-op but counted) collective record. It is the body
+/// of [`crate::dispatch_select`] on that communicator.
 pub fn select_serial<T: CommScalar, S: DistStrategy<T> + ?Sized>(
     strategy: &S,
     problem: &SelectionProblem<T>,
     budget: usize,
     seed: u64,
-) -> Result<SelectionRun, SelectError> {
-    let comm = SelfComm::new();
-    let shard = ShardedProblem::replicate(problem);
-    let exec = Executor::new(&comm, &shard);
-    let selected = strategy.select_dist(&exec, budget, seed)?;
-    Ok(SelectionRun {
-        selected,
-        comm: comm.stats(),
-    })
+) -> Result<SelectReport, SelectError> {
+    select_on(&SelfComm::new(), strategy, problem, budget, seed, 0)
 }
 
 /// Shared budget validation: empty pools and zero budgets get their
@@ -815,7 +799,7 @@ pub fn strategy_by_name<T: CommScalar>(
 mod tests {
     use super::*;
     use crate::problem::tiny_problem;
-    use firal_comm::launch;
+    use firal_comm::{launch, Communicator};
 
     fn assert_valid_selection(sel: &[usize], budget: usize, pool: usize) {
         assert_eq!(sel.len(), budget);

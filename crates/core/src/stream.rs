@@ -142,8 +142,8 @@ pub struct StreamingState<T: CommScalar> {
 
 impl<T: CommScalar> StreamingState<T> {
     /// Seed a streaming state from a full problem and its per-point `z⋄`
-    /// weights (one per pool row, e.g. `RelaxRun::z_diamond`). The pool
-    /// rows get the ids `0..n`. Collective: the initial state is built
+    /// weights (one per pool row, e.g. the ranks' `RelaxRun::z_local` in
+    /// rank order). The pool rows get the ids `0..n`. Collective: the initial state is built
     /// through [`Executor::build_round_state`] on every rank.
     ///
     /// `config` is not read: the argument stays only because the repo

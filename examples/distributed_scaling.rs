@@ -1,17 +1,20 @@
-//! Mini Figs. 6–7: SPMD Approx-FIRAL on simulated ranks with per-phase
-//! timing and the paper's analytic communication model.
+//! Mini Figs. 6–7: SPMD Approx-FIRAL on simulated ranks, timed per phase
+//! against the paper's analytic communication model.
 //!
 //! Runs one RELAX mirror-descent solve and a short ROUND on p = 1, 2, 4
-//! ranks, printing the measured phase breakdown next to the cost model's
-//! prediction. Ranks default to shared-memory `ThreadComm` threads; with
-//! `--socket` the same rank bodies run over the real localhost-TCP
-//! `SocketComm` mesh, so the measured comm column is actual wire time.
+//! ranks, printing each phase's seconds (taken around the call) and RELAX's
+//! CG iterations next to the cost model's prediction. Ranks default to
+//! shared-memory `ThreadComm` threads; with `--socket` the same rank bodies
+//! run over the real localhost-TCP `SocketComm` mesh, so the measured comm
+//! column is actual wire time.
 //!
 //! Run with: `cargo run --release --example distributed_scaling [--socket]`
 //!
 //! For one OS process per rank, the fault-free probe of
 //! `tests/fault_matrix.rs` runs RELAX, ROUND and the §IV-A η sweep over a
 //! 4-process `SocketComm` mesh: `cargo test --release --test fault_matrix`.
+
+use std::time::Instant;
 
 use firal::comm::{launch_backend, Backend, CostModel};
 use firal::core::{Executor, RelaxConfig, SelectionProblem, ShardedProblem};
@@ -55,12 +58,11 @@ fn main() {
         backend.tag(),
     );
     println!(
-        "\n{:<6} {:>10} {:>10} {:>10} {:>10} {:>14} {:>9} {:>12} {:>14}",
+        "\n{:<6} {:>10} {:>10} {:>8} {:>14} {:>9} {:>12} {:>14}",
         "ranks",
-        "precond",
-        "cg",
-        "gradient",
+        "relax",
         "round",
+        "cg iters",
         "calls ar/bc/ag",
         "coll MB",
         "comm (meas)",
@@ -80,23 +82,25 @@ fn main() {
         let results = launch_backend(backend, p, move |comm| {
             let shard = ShardedProblem::shard(&prob, comm.rank(), comm.size());
             let exec = Executor::new(comm, &shard);
+            let stats0 = comm.stats();
+            let t0 = Instant::now();
             let relax = exec.relax(budget, &cfg);
+            let t1 = Instant::now();
             let round = exec.round(&relax.z_local, budget, eta);
-            let mut stats = relax.comm_stats;
-            stats.merge(&round.comm_stats);
-            (relax.timer, round.timer, stats, round.selected)
+            let secs = (t1 - t0, t1.elapsed());
+            let stats = comm.stats().since(&stats0);
+            (secs, relax.total_cg_iters, stats, round.selected)
         });
 
-        // Report rank 0's timers (ranks are symmetric).
-        let (relax_timer, round_timer, stats, selected) = &results[0];
+        // Report rank 0's numbers (ranks are symmetric).
+        let ((relax_secs, round_secs), cg_iters, stats, selected) = &results[0];
         let comm_predicted = cost.predict_comm(stats, p);
         println!(
-            "{:<6} {:>9.3}s {:>9.3}s {:>9.3}s {:>9.3}s {:>14} {:>9.2} {:>11.3}s {:>13.6}s",
+            "{:<6} {:>9.3}s {:>9.3}s {:>8} {:>14} {:>9.2} {:>11.3}s {:>13.6}s",
             p,
-            relax_timer.get("precond").as_secs_f64(),
-            relax_timer.get("cg").as_secs_f64(),
-            relax_timer.get("gradient").as_secs_f64(),
-            round_timer.total().as_secs_f64(),
+            relax_secs.as_secs_f64(),
+            round_secs.as_secs_f64(),
+            cg_iters,
             format!(
                 "{}/{}/{}",
                 stats.allreduce_calls, stats.bcast_calls, stats.allgather_calls

@@ -23,7 +23,7 @@
 //!                          │
 //!              firal_core::exec::Executor        ← the execution layer:
 //!            (communicator + shard geometry +      RELAX/ROUND written once
-//!             RNG seeding + PhaseTimer + CommStats)
+//!             RNG seeding)
 //!          │                 │                  │
 //!   SelfComm (p = 1,   ThreadComm (p ranks,   SocketComm (p ranks, OS
 //!   no-op collectives: OS threads + shared-   processes or threads on a
@@ -44,19 +44,20 @@
 //! * [`core::exec`] holds [`core::Executor`] and [`core::ShardedProblem`].
 //!   An executor owns one rank's context — communicator endpoint, shard
 //!   geometry (`offset = 0`, `local_n = n` for the trivial single-rank
-//!   shard), probe-RNG seeding, the phase timer, and per-run communication
-//!   statistics — and exposes `relax`, `round`, `select_eta`, and
-//!   `approx_firal`.
+//!   shard) and probe-RNG seeding — and exposes `relax`, `round`,
+//!   `select_eta`, and `approx_firal`. A phase returns what the algorithm
+//!   produced; callers that want a clock or a bill take it around the call.
 //! * There is one way to run a selection at each level: phases are
 //!   [`core::Executor`] methods; a strategy is a [`core::DistStrategy`]
 //!   handed an executor ([`core::select_serial`] builds the
 //!   [`comm::SelfComm`] one); a metered request is
 //!   [`core::dispatch_select`]. Serial and SPMD callers differ only in the
 //!   [`comm::Communicator`] they pass.
-//! * Communication volume is first-class: every run returns
-//!   [`comm::CommStats`] (per-collective calls/bytes/time), which the bench
-//!   harnesses print next to wall-clock so scaling tables show *what was
-//!   communicated*, not just how long it took.
+//! * Communication volume is first-class: every communicator keeps
+//!   [`comm::CommStats`] (per-collective calls/bytes/time), and a selection
+//!   ([`core::SelectReport`]) or a bench harness bills the delta around its
+//!   call and prints it next to wall-clock, so scaling tables show *what
+//!   was communicated*, not just how long it took.
 //!
 //! This is the prerequisite for every scaling direction on the roadmap: a
 //! process/MPI backend or a GPU-resident backend is one new `Communicator`
